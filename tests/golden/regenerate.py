@@ -13,7 +13,9 @@ One tiny recorded trace per workload family (TPC-H, TPC-DS, skewed
 "real", one fixed-seed ``adhoc_fuzz`` bundle, and the non-inner-join
 ``outer_semi`` bundle), each a real execution of two generated queries at
 miniature scale, plus an ``expected_<family>.npz`` holding the replayed
-estimator trajectories and TrainingData matrices.
+estimator trajectories, TrainingData matrices and the served report bytes
+(``reports_to_payload``) of every recording replayed through two online
+monitors (see :func:`report_payloads`).
 ``tests/test_trace_golden.py`` asserts exact (bitwise) equality against
 these files — so an accidental behaviour change in the engine, the trace
 codec or any estimator fails the suite with a pointer here, while an
@@ -29,11 +31,19 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.training import collect_training_data, runs_to_pipelines
+from repro.core.monitor import ProgressMonitor
+from repro.core.training import (
+    collect_training_data,
+    runs_to_pipelines,
+    train_selector,
+)
 from repro.engine.executor import ExecutorConfig, QueryExecutor
 from repro.features.vector import FeatureExtractor
+from repro.learning.mart import MARTParams
 from repro.progress.registry import all_estimators
+from repro.runtime.transport import reports_to_payload
 from repro.trace import TRACE_FORMAT_VERSION, write_trace
+from repro.trace.replay import replay_monitor
 from repro.workloads.suite import SuiteScale, WorkloadSuite
 
 GOLDEN_DIR = Path(__file__).resolve().parent
@@ -53,6 +63,42 @@ SEED = 17
 EXECUTOR = dict(batch_size=256, memory_budget_bytes=float(64 << 10),
                 target_observations=50)
 MIN_OBSERVATIONS = 4
+#: tiny MART selectors, as the fuzz harness trains per scenario; one-row
+#: leaves let two or three training pipelines still split
+SELECTOR_PARAMS = MARTParams(n_trees=6, max_leaves=4, min_samples_leaf=1)
+
+
+def report_monitors(pipelines) -> dict[str, ProgressMonitor]:
+    """The online monitors whose served report bytes are pinned.
+
+    ``luo``: no selectors, LUO fallback at every observation — the
+    stateful kernel on every report.  ``trained``: static and dynamic
+    selectors fitted on the family's own pipelines — selection, the 20%
+    revision, candidate pruning and LUO liveness.
+    """
+    estimators = all_estimators()
+    static = collect_training_data(pipelines, estimators,
+                                   FeatureExtractor("static"))
+    dynamic = collect_training_data(
+        pipelines, estimators,
+        FeatureExtractor("dynamic", estimators=estimators))
+    return {
+        "luo": ProgressMonitor(fallback="luo", refresh_every=1),
+        "trained": ProgressMonitor(
+            static_selector=train_selector(static, SELECTOR_PARAMS),
+            dynamic_selector=train_selector(dynamic, SELECTOR_PARAMS),
+            refresh_every=2),
+    }
+
+
+def report_payloads(runs, pipelines) -> dict[str, bytes]:
+    """Per monitor: ``reports_to_payload`` of every run's replayed reports,
+    tagged with the run's index."""
+    return {
+        label: reports_to_payload([
+            (i, report) for i, run in enumerate(runs)
+            for report in replay_monitor(monitor, run)])
+        for label, monitor in report_monitors(pipelines).items()}
 
 
 def record_family(suite: WorkloadSuite, family: str, workload: str,
@@ -91,6 +137,8 @@ def record_family(suite: WorkloadSuite, family: str, workload: str,
     expected["X"] = data.X
     expected["errors_l1"] = data.errors_l1
     expected["errors_l2"] = data.errors_l2
+    for label, payload in report_payloads(runs, pipelines).items():
+        expected[f"reports_{label}"] = np.frombuffer(payload, dtype=np.uint8)
     np.savez_compressed(out_dir / f"expected_{family}.npz", **expected)
     print(f"{family:6s} <- {workload:13s}  runs={len(runs)}  "
           f"pipelines={len(pipelines)}  "

@@ -85,6 +85,16 @@ class TestGoldenTrace:
         assert np.array_equal(data.errors_l1, expected["errors_l1"]), family
         assert np.array_equal(data.errors_l2, expected["errors_l2"]), family
 
+    def test_served_report_bytes_match_exactly(self, family):
+        from golden.regenerate import report_payloads
+
+        runs, _, pipelines, expected = _load(family)
+        for label, payload in report_payloads(runs, pipelines).items():
+            assert payload == expected[f"reports_{label}"].tobytes(), (
+                f"{family}: report bytes of the {label!r} monitor diverged "
+                f"from the golden stream; if intentional, regenerate via "
+                f"tests/golden/regenerate.py")
+
     def test_expectations_cover_every_estimator(self, family):
         _, _, pipelines, expected = _load(family)
         names = set(expected.files)
