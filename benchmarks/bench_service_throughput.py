@@ -1,27 +1,18 @@
-"""Service throughput: pooled monitoring vs per-query and per-state baselines.
+"""Service throughput: pooled monitoring vs per-query monitoring.
 
-Two acceptance benchmarks for the multi-query :class:`ProgressService`:
+The acceptance benchmark for batched selector scoring in the multi-query
+:class:`ProgressService` (``test_service_throughput``): at 16
+live-executing sessions the pooled path must issue >=5x fewer selector
+``predict_errors`` passes than per-query solo monitoring, with
+bit-identical report streams.
 
-* **batched scoring** (``test_service_throughput``): at 16 live-executing
-  sessions the pooled path must issue >=5x fewer selector
-  ``predict_errors`` passes than per-query solo monitoring, with
-  bit-identical report streams;
-* **vectorized tick path** (``test_vectorized_tick_throughput``): at 64
-  concurrent replay sessions the structure-of-arrays flush
-  (:mod:`repro.service.batched` / :mod:`repro.progress.soa`) must advance
-  the streaming estimator states >=10x faster than the scalar
-  one-Python-call-per-state-per-session loop it replaces, and the
-  end-to-end vectorized service must beat the scalar-flush service on
-  wall clock while producing bit-identical reports.
-
-Both print result tables and persist them via ``save_result``; the slow
+It prints a result table and persists it via ``save_result``; the slow
 CI job runs this module as an acceptance phase, so a broken gate fails
 the build and the phase timing lands in BENCH_summary.json.
 """
 
 import time
 
-import numpy as np
 import pytest
 
 from repro.catalog.statistics import build_statistics
@@ -34,16 +25,12 @@ from repro.features.vector import FeatureExtractor
 from repro.learning.mart import MARTParams
 from repro.optimizer.planner import Planner
 from repro.progress.registry import all_estimators
-from repro.progress.soa import FlushBatch, SoAPool, batched_states
-from repro.progress.streaming import ObsTick, PipelineMeta
 from repro.query.logical import Aggregate, JoinEdge, QuerySpec
 from repro.query.predicates import FilterSpec
 from repro.service import ProgressService
 
 N_SESSIONS = 16
-N_REPLAY_SESSIONS = 64
 SLICE_STEPS = 4
-REPLAY_SLICE_STEPS = 8
 FAST_MART = MARTParams(n_trees=8, max_leaves=4)
 
 
@@ -173,172 +160,3 @@ def test_service_throughput(benchmark, svc_db):
         f"batched scoring reduced selector calls only {ratio:.1f}x")
     # The pooled path must actually interleave: work spans several rounds.
     assert results["ticks"] >= 2
-
-
-# -- vectorized tick path ------------------------------------------------------
-
-
-def _replay_workload(db, planner):
-    """64 replay sessions over 4 recorded runs of the two query shapes."""
-    queries = _queries()
-    base_runs = [
-        QueryExecutor(db, ExecutorConfig(
-            batch_size=256, target_observations=60, seed=seed,
-        )).execute(planner.plan(queries[i % len(queries)]),
-                   queries[i % len(queries)].name)
-        for i, seed in enumerate((100, 101, 102, 103))]
-    return [base_runs[i % len(base_runs)] for i in range(N_REPLAY_SESSIONS)]
-
-
-def _scalar_states_pass(estimators, prs, metas):
-    """The loop the SoA batch replaces: one Python ``advance`` per
-    estimator kind per (session, pipeline) per tick."""
-    started = time.perf_counter()
-    values = {}
-    for pr, meta in zip(prs, metas):
-        states = {name: est.begin(meta) for name, est in estimators.items()}
-        for t in range(pr.n_observations):
-            tick = ObsTick(time=float(pr.times[t]), K=pr.K[t], R=pr.R[t],
-                           W=pr.W[t], LB=pr.LB[t], UB=pr.UB[t], N=pr.N)
-            for name, est in estimators.items():
-                values[name] = est.advance(states[name], tick)
-    return time.perf_counter() - started
-
-
-def _soa_states_pass(estimators, prs, metas):
-    """Same work through the SoA pool: per round of ``slice_steps`` rows,
-    gather every session's new rows and advance each kind once."""
-    started = time.perf_counter()
-    pool = SoAPool()
-    slots = [pool.pack(meta) for meta in metas]
-    states = batched_states(estimators, pool)
-    assert states is not None
-    for state in states.values():
-        for slot in slots:
-            state.pack(slot)
-    depth = max(pr.n_observations for pr in prs)
-    for window_lo in range(0, depth, REPLAY_SLICE_STEPS):
-        chunk = [(pr, slot, window_lo,
-                  min(window_lo + REPLAY_SLICE_STEPS, pr.n_observations))
-                 for pr, slot in zip(prs, slots)
-                 if pr.n_observations > window_lo]
-        total = sum(hi - lo for _, _, lo, hi in chunk)
-        w = pool.width
-        times = np.empty(total)
-        arrays = {n: np.zeros((total, w)) for n in ("K", "W", "LB", "UB")}
-        D = np.zeros((total, w), dtype=bool)
-        CK = np.zeros((total, w))
-        CD = np.zeros((total, w), dtype=bool)
-        slot_rows = {}
-        flat_lo = 0
-        for pr, slot, lo, hi in chunk:
-            flat_hi = flat_lo + (hi - lo)
-            m = pr.K.shape[1]
-            times[flat_lo:flat_hi] = pr.times[lo:hi]
-            for name in arrays:
-                arrays[name][flat_lo:flat_hi, :m] = getattr(pr, name)[lo:hi]
-            D[flat_lo:flat_hi, :m] = pr.K[lo:hi] >= pr.N[None, :]
-            slot_rows[slot] = (flat_lo, flat_hi)
-            flat_lo = flat_hi
-        slots_arr = np.repeat([slot for _, slot, _, _ in chunk],
-                              [hi - lo for _, _, lo, hi in chunk])
-        ordinals = [
-            np.array([slot_rows[slot][0] + s_i
-                      for _, slot, lo, hi in chunk if s_i < hi - lo],
-                     dtype=np.int64)
-            for s_i in range(REPLAY_SLICE_STEPS)]
-        ordinals = [idx for idx in ordinals if len(idx)]
-        batch = FlushBatch(pool, slots_arr, times, arrays["K"], arrays["W"],
-                           arrays["LB"], arrays["UB"], D, CK, CD,
-                           slot_rows, ordinals)
-        for state in states.values():
-            state.advance(batch)
-    return time.perf_counter() - started
-
-
-def test_vectorized_tick_throughput(benchmark, svc_db):
-    db, planner = svc_db
-    workload = _replay_workload(db, planner)
-    monitor = ProgressMonitor(refresh_every=1)
-    results = {}
-
-    def drive(vectorized):
-        service = ProgressService(monitor, slice_steps=REPLAY_SLICE_STEPS,
-                                  vectorized=vectorized)
-        for run in workload:
-            service.submit_replay(run)
-        started = time.perf_counter()
-        res = service.run_until_complete(max_ticks=1_000_000)
-        return time.perf_counter() - started, service, res
-
-    def measure():
-        # End-to-end: the same 64 replay sessions through both flushes.
-        vec_seconds, vec_service, vec_res = min(
-            (drive(True) for _ in range(3)), key=lambda t: t[0])
-        scalar_seconds, _, scalar_res = min(
-            (drive(False) for _ in range(3)), key=lambda t: t[0])
-        assert vec_service.vectorized
-        identical = all(vec_res[sid][1] == scalar_res[sid][1]
-                        for sid in range(N_REPLAY_SESSIONS))
-
-        # Machinery: streaming-state advancement alone, full estimator
-        # pool, per-round windows — the loop the SoA kernels replace.
-        estimators = monitor.estimators
-        prs = [pr for run in workload
-               for pr in run.pipeline_runs(min_observations=2)]
-        metas = [PipelineMeta.from_pipeline_run(pr) for pr in prs]
-        scalar_states = min(
-            _scalar_states_pass(estimators, prs, metas) for _ in range(3))
-        soa_states = min(
-            _soa_states_pass(estimators, prs, metas) for _ in range(3))
-
-        rows = sum(pr.n_observations for pr in prs)
-        results.update(
-            sessions=N_REPLAY_SESSIONS, kinds=len(estimators),
-            pipelines=len(prs), state_rows=rows,
-            vec_seconds=vec_seconds, scalar_seconds=scalar_seconds,
-            reports=vec_service.stats.reports, identical=identical,
-            scalar_states_seconds=scalar_states,
-            soa_states_seconds=soa_states)
-        return results
-
-    benchmark.pedantic(measure, rounds=1, iterations=1)
-
-    e2e_ratio = results["scalar_seconds"] / results["vec_seconds"]
-    states_ratio = (results["scalar_states_seconds"]
-                    / results["soa_states_seconds"])
-    results.update(e2e_ratio=e2e_ratio, states_ratio=states_ratio)
-    per_row = results["state_rows"] * results["kinds"]
-    rows = [
-        ["scalar per-state loop",
-         f"{per_row / results['scalar_states_seconds'] / 1e3:.0f}k",
-         f"{results['scalar_states_seconds'] * 1e3:.1f}", "—"],
-        ["SoA batched kinds",
-         f"{per_row / results['soa_states_seconds'] / 1e3:.0f}k",
-         f"{results['soa_states_seconds'] * 1e3:.1f}",
-         f"{states_ratio:.1f}x"],
-        ["service, scalar flush", "—",
-         f"{results['scalar_seconds'] * 1e3:.1f}", "—"],
-        ["service, vectorized flush", "—",
-         f"{results['vec_seconds'] * 1e3:.1f}", f"{e2e_ratio:.1f}x"],
-    ]
-    table = format_table(
-        ["path", "state advances/sec", "total ms", "speedup"],
-        rows,
-        title=(f"Vectorized tick path — {results['sessions']} replay "
-               f"sessions, {results['pipelines']} pipelines, "
-               f"{results['kinds']} estimator kinds, "
-               f"{results['reports']} reports"))
-    print("\n" + table)
-    save_result("service_tick_throughput", table, results)
-
-    # Acceptance: bit-identical reports across flush modes; the SoA pass
-    # advances the pooled streaming states >=10x faster than the scalar
-    # per-state loop at 64 sessions; end-to-end the vectorized service
-    # (which also pays shared report assembly and selection) must win
-    # outright.
-    assert results["identical"], "vectorized reports diverged from scalar"
-    assert states_ratio >= 10.0, (
-        f"SoA state advancement only {states_ratio:.1f}x over scalar")
-    assert e2e_ratio > 1.0, (
-        f"vectorized service slower end-to-end ({e2e_ratio:.2f}x)")

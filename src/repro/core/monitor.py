@@ -1,7 +1,7 @@
 """Online progress monitoring: the deployable face of the paper's system.
 
 A :class:`ProgressMonitor` attaches to a query execution and, at every
-observation tick, produces a :class:`ProgressReport`:
+``refresh_every``-th observation, produces a :class:`ProgressReport`:
 
 * per pipeline, a progress estimate from the estimator the selection model
   chose — chosen from *static* features when the pipeline starts, revised
@@ -10,39 +10,23 @@ observation tick, produces a :class:`ProgressReport`:
 * the overall query progress as the ΣE-weighted combination of pipeline
   estimates (eq. 5).
 
-Report production is split into two phases so the same logic serves both
-the single-query path and the pooled multi-query service
-(:mod:`repro.service`):
+There is one report path, shared by the solo monitor, trace replay and the
+pooled multi-query service (:mod:`repro.service`).  Observation callbacks
+only record *which* log rows are due a report; the service's flush
+(:class:`~repro.service.batched.VectorizedFlush`) rebuilds each due
+report's causal :class:`ReportDraft` from those rows, scores open
+selections in one batched pass, advances the candidate estimators'
+structure-of-arrays kernels (:mod:`repro.progress.soa`) over the new rows
+of every live pipeline, and hands the values to
+:meth:`ProgressMonitor.finalize`, which commits selections and assembles
+the report.  A tick costs O(active nodes), independent of how long the
+query has run.  :meth:`ProgressMonitor.run` is a one-session service over
+a live execution; :func:`~repro.trace.replay.replay_monitor` the same over
+a recording.
 
-1. :meth:`ProgressMonitor.snapshot` runs *causally inside* the observation
-   callback: it captures everything that depends on mutable executor state
-   (time, per-tick counter rows, feature vectors for any still-unmade
-   selection) into an immutable :class:`ReportDraft`.
-2. :meth:`ProgressMonitor.finalize` turns a draft into a
-   :class:`ProgressReport`, resolving pending estimator selections through
-   a pluggable ``resolve`` callable — the solo path resolves immediately
-   per pipeline, the service batches feature vectors across all live
-   sessions and resolves with a single scoring pass per tick.
-
-Because the split captures state at observation time, a finalized report
-at time *t* only uses counters up to *t* regardless of when ``finalize``
-runs; the solo convenience :meth:`ProgressMonitor.run` finalizes in the
-callback and returns reports as a list.
-
-Two report-production paths share this machinery:
-
-* **incremental** (the default): drafts carry only the per-tick counter
-  deltas (a bounded number of :class:`~repro.progress.streaming.ObsTick`
-  rows, O(nodes) each) and immutable per-pipeline metadata captured once;
-  ``finalize`` folds the deltas into per-estimator *streaming states*
-  (``estimator.begin``/``advance``), so the cost of a report is
-  O(active nodes) per tick — independent of how long the query has run;
-* **batch** (``incremental=False``): the original O(history) path that
-  materializes a full :class:`~repro.engine.run.PipelineRun` per tick and
-  recomputes ``estimate(pr)[-1]``.  It is kept as the oracle — report
-  streams from both paths are bit-identical, which
-  ``benchmarks/bench_incremental_monitor.py`` and the fuzz oracle's
-  incremental layer enforce.
+Each estimator's batch ``estimate`` on the causal prefix stays the
+definition the reports must equal — the fuzz oracle's ``kernel`` layer
+checks it report by report.
 """
 
 from __future__ import annotations
@@ -54,17 +38,19 @@ import numpy as np
 
 from repro.catalog.table import Database
 from repro.core.selection import EstimatorSelector
-from repro.engine.executor import ExecContext, ExecutorConfig, QueryExecutor
+from repro.engine.executor import ExecutorConfig
 from repro.engine.run import _MATERIALIZED_OPS, QueryRun
 from repro.features.vector import FeatureExtractor
 from repro.plan.nodes import PlanNode
 from repro.progress.base import ProgressEstimator
 from repro.progress.registry import all_estimators
-from repro.progress.streaming import (
-    ObsTick,
-    PipelineMeta,
-    tick_driver_fraction,
-)
+from repro.progress.soa import PipelineMeta, kernel_class
+
+#: engine steps (or replayed observations) per scheduler slice of the
+#: one-session service behind :meth:`ProgressMonitor.run` and
+#: :func:`~repro.trace.replay.replay_monitor`; reports are identical for
+#: any slice size, this only sets how many rows one flush advances
+SOLO_SLICE_STEPS = 64
 
 #: selector kinds a draft may reference
 STATIC, DYNAMIC = "static", "dynamic"
@@ -82,50 +68,14 @@ class ProgressReport:
     pipeline_estimator: dict[int, str] = field(default_factory=dict)
 
 
-class PipelineStreams:
-    """All candidate estimators' streaming states for one live pipeline.
-
-    Stateful estimators (``state.stateful``) must fold every captured
-    observation; memoryless ones are only evaluated at the tick a report
-    needs.  Once the pipeline's estimator selection is *final* (the
-    dynamic revision happened, or no dynamic selector exists) the
-    non-chosen states are pruned — from then on a tick costs one
-    ``advance`` of the chosen estimator.
-    """
-
-    __slots__ = ("states", "stateful", "values")
-
-    def __init__(self, estimators: dict[str, ProgressEstimator],
-                 meta: PipelineMeta):
-        self.states = {name: est.begin(meta)
-                       for name, est in estimators.items()}
-        #: last value produced by each stateful estimator's advance
-        self.values: dict[str, float] = {}
-        self._rebuild_stateful(estimators)
-
-    def _rebuild_stateful(self, estimators) -> None:
-        self.stateful = [
-            (name, estimators[name], state)
-            for name, state in self.states.items()
-            if getattr(state, "stateful", True)]
-
-    def prune(self, chosen: str, estimators) -> None:
-        """Drop every state but the committed choice's."""
-        if len(self.states) == 1:
-            return
-        self.states = {chosen: self.states[chosen]}
-        self._rebuild_stateful(estimators)
-
-
 @dataclass
 class MonitorState:
     """Per-query mutable monitoring state.
 
-    Sticky selector choices and the tick counter (as before), plus the
-    incremental path's per-pipeline bookkeeping: the next unconsumed
-    observation-log row (``cursors``), the immutable metadata captured at
-    first sight (``metas``, shared by every queued draft), and the
-    estimator streaming states advanced at finalize time (``streams``).
+    Sticky selector choices and the tick counter, plus the flush's
+    per-pipeline capture bookkeeping: the next unconsumed observation-log
+    row (``cursors``) and the immutable metadata captured at first sight
+    (``metas``).
     """
 
     ticks: int = 0
@@ -139,27 +89,21 @@ class MonitorState:
     weights: dict[int, float] | None = None
     cursors: dict[int, int] = field(default_factory=dict)
     metas: dict[int, PipelineMeta] = field(default_factory=dict)
-    streams: dict[int, PipelineStreams] = field(default_factory=dict)
 
 
 @dataclass
 class PipeSnapshot:
     """Causal capture of one pipeline at one observation.
 
-    Incremental drafts carry ``ticks`` — the observation rows appended
-    since this pipeline's previous capture, already sliced to its member
-    nodes — and never a trajectory copy, so a snapshot's size is bounded
-    by ``refresh_every`` rows of O(nodes) each regardless of query age
-    (the batch path stores the full ``pr`` instead).
+    Carries no counters: the flush advances the pipeline's kernel slot
+    over the log rows themselves.
     """
 
     pid: int
     weight: float
     status: str  # "unstarted" | "done" | "short" | "running"
-    pr: object | None = None          # PipelineRun snapshot (batch path)
     kind: str | None = None           # selector kind applying at this tick
     features: np.ndarray | None = None  # set iff a new selection is needed
-    ticks: tuple[ObsTick, ...] | None = None  # delta rows (incremental path)
 
 
 @dataclass
@@ -193,14 +137,16 @@ class ProgressMonitor:
         at all the monitor falls back to ``fallback`` (default DNE),
         reproducing a conventional progress bar.
     estimators:
-        Candidate pool; must cover the names both selectors emit.
+        Candidate pool; must cover the names both selectors emit.  Every
+        member needs a structure-of-arrays kernel (the estimator classes
+        of :mod:`repro.progress`, matched by exact type); construction
+        raises ``ValueError`` naming any member without one.
     refresh_every:
         Recompute selections/estimates every k-th observation (estimates
         between refreshes are cheap to interpolate but we simply skip).
-    incremental:
-        Produce reports through the streaming estimator states (default).
-        ``False`` selects the original batch-recompute path, kept as the
-        bit-identical oracle the incremental path is verified against.
+    on_report:
+        Called with each report of :meth:`run` / ``replay_monitor``, in
+        order, as each slice of the execution is flushed.
     """
 
     def __init__(self,
@@ -210,11 +156,12 @@ class ProgressMonitor:
                  fallback: str = "dne",
                  dynamic_percent: float = 20.0,
                  refresh_every: int = 5,
-                 on_report: Callable[[ProgressReport], None] | None = None,
-                 incremental: bool = True):
+                 on_report: Callable[[ProgressReport], None] | None = None):
         self.static_selector = static_selector
         self.dynamic_selector = dynamic_selector
         pool = estimators if estimators is not None else all_estimators()
+        for est in pool:
+            kernel_class(est)  # online monitoring runs on the kernels only
         self.estimators = {est.name: est for est in pool}
         if fallback not in self.estimators:
             raise ValueError(f"fallback estimator {fallback!r} not in pool")
@@ -222,7 +169,6 @@ class ProgressMonitor:
         self.dynamic_percent = dynamic_percent
         self.refresh_every = max(1, refresh_every)
         self.on_report = on_report
-        self.incremental = incremental
         self._static_extractor = FeatureExtractor("static")
         self._dynamic_extractor = FeatureExtractor(
             "dynamic", estimators=list(self.estimators.values()))
@@ -233,116 +179,23 @@ class ProgressMonitor:
             config: ExecutorConfig | None = None
             ) -> tuple[QueryRun, list[ProgressReport]]:
         """Execute ``plan`` and monitor it; returns the run and the reports."""
-        reports: list[ProgressReport] = []
-        state = MonitorState()
+        service = self.solo_service()
+        sid = service.submit(db, plan, query_name=query_name, config=config)
+        return service.run_until_complete()[sid]
 
-        def observe(ctx: ExecContext) -> None:
-            state.ticks += 1
-            if state.ticks % self.refresh_every:
-                return
-            report = self.finalize(self.snapshot(ctx, state), state)
-            reports.append(report)
-            if self.on_report is not None:
-                self.on_report(report)
+    def solo_service(self):
+        """A one-session :class:`~repro.service.service.ProgressService`
+        driving this monitor, with ``on_report`` wired through."""
+        # lazy: the service layer imports this module
+        from repro.service.service import ProgressService
 
-        executor = QueryExecutor(db, config=config, on_observation=observe)
-        run = executor.execute(plan, query_name=query_name)
-        return run, reports
+        hook = self.on_report
+        return ProgressService(
+            self, slice_steps=SOLO_SLICE_STEPS,
+            on_report=None if hook is None
+            else lambda _session, report: hook(report))
 
-    # -- phase 1: causal capture --------------------------------------------
-
-    def snapshot(self, ctx: ExecContext, state: MonitorState) -> ReportDraft:
-        """Capture one observation of a live execution into a draft.
-
-        Must run inside the observation callback: everything that reads
-        mutable executor state (clock, counter log, feature vectors) is
-        materialized here, so the draft stays valid however late it is
-        finalized.  Feature vectors are extracted only for pipelines whose
-        selection is still open in ``state`` *at this tick* — callers
-        consult :meth:`ReportDraft.pending_selections` before finalizing.
-
-        On the incremental path a running pipeline contributes only the
-        log rows appended since its previous capture (plus, once, its
-        immutable metadata into ``state.metas``); the batch path
-        materializes a full causal :class:`PipelineRun` as before.
-        """
-        if state.weights is None:
-            total_e = sum(max(n.est_rows, 0.0)
-                          for n in ctx.plan.walk()) or 1.0
-            state.weights = {
-                pipe.pid: sum(max(n.est_rows, 0.0)
-                              for n in pipe.nodes) / total_e
-                for pipe in ctx.pipelines}
-        if self.incremental:
-            return self._snapshot_incremental(ctx, state)
-        return self._snapshot_batch(ctx, state)
-
-    def _snapshot_batch(self, ctx, state: MonitorState) -> ReportDraft:
-        pipes: list[PipeSnapshot] = []
-        for pipe in ctx.pipelines:
-            pid = pipe.pid
-            weight = state.weights[pid]
-            started = np.isfinite(ctx.pipe_first[pid])
-            terminal_done = bool(ctx.counters.done[pipe.terminal.node_id])
-            if not started:
-                pipes.append(PipeSnapshot(pid, weight, "unstarted"))
-                continue
-            if terminal_done:
-                pipes.append(PipeSnapshot(pid, weight, "done"))
-                continue
-            pr = ctx.live_pipeline_run(pipe)
-            if pr is None:
-                pipes.append(PipeSnapshot(pid, weight, "short"))
-                continue
-            kind, features = self._selection_needs(
-                pid, state, lambda: float(pr.driver_fraction()[-1]),
-                lambda: pr)
-            pipes.append(PipeSnapshot(pid, weight, "running", pr=pr,
-                                      kind=kind, features=features))
-        return ReportDraft(time=float(ctx.clock.now), pipes=pipes)
-
-    def _snapshot_incremental(self, ctx, state: MonitorState) -> ReportDraft:
-        log = ctx.log
-        last_index = len(log) - 1
-        pipes: list[PipeSnapshot] = []
-        for pipe in ctx.pipelines:
-            pid = pipe.pid
-            weight = state.weights[pid]
-            started = np.isfinite(ctx.pipe_first[pid])
-            terminal_done = bool(ctx.counters.done[pipe.terminal.node_id])
-            if not started:
-                pipes.append(PipeSnapshot(pid, weight, "unstarted"))
-                continue
-            if terminal_done:
-                pipes.append(PipeSnapshot(pid, weight, "done"))
-                continue
-            start = state.cursors.get(pid)
-            if start is None:
-                # first sight of this pipeline: rows since its activity
-                # window opened (same rows the batch path's time mask
-                # selects; min_observations=2, as in live_pipeline_run)
-                start = log.start_index(float(ctx.pipe_first[pid]))
-                if last_index - start + 1 < 2:
-                    pipes.append(PipeSnapshot(pid, weight, "short"))
-                    continue
-            meta = state.metas.get(pid)
-            if meta is None:
-                meta = _pipeline_meta(ctx, pipe)
-                state.metas[pid] = meta
-            streams = state.streams.get(pid)
-            if streams is not None and not streams.stateful:
-                # no surviving state folds history — only the current row
-                # can influence the report, so skip the intermediate rows
-                start = last_index
-            ticks = tuple(_capture_tick(log.row(i), meta)
-                          for i in range(start, last_index + 1))
-            state.cursors[pid] = last_index + 1
-            kind, features = self._selection_needs(
-                pid, state, lambda: tick_driver_fraction(meta, ticks[-1]),
-                lambda: ctx.live_pipeline_run(pipe))
-            pipes.append(PipeSnapshot(pid, weight, "running", kind=kind,
-                                      features=features, ticks=ticks))
-        return ReportDraft(time=float(ctx.clock.now), pipes=pipes)
+    # -- selection bookkeeping (called by the flush) --------------------------
 
     def _selection_needs(self, pid: int, state: MonitorState,
                          fraction, make_pr) -> tuple[str, np.ndarray | None]:
@@ -372,29 +225,18 @@ class ProgressMonitor:
         state.requested.add((pid, STATIC))
         return STATIC, self._static_extractor.extract(make_pr())
 
-    # -- phase 2: finalization ----------------------------------------------
+    # -- finalization ---------------------------------------------------------
 
     def finalize(self, draft: ReportDraft, state: MonitorState,
-                 resolve: Callable[[str, np.ndarray], str] | None = None,
-                 values: dict[int, float] | None = None) -> ProgressReport:
+                 values: dict[int, float]) -> ProgressReport:
         """Turn a draft into a report, committing selections into ``state``.
 
-        ``resolve(kind, features)`` supplies the chosen estimator name for
-        a still-open selection; it defaults to scoring the single feature
-        vector with this monitor's own selectors.  The pooled service
-        pre-resolves choices into ``state`` in one batched pass, so its
-        ``resolve`` is only a lookup safety net.
-
-        Incremental drafts advance the per-pipeline streaming states by
-        their delta rows; batch drafts recompute ``estimate(pr)[-1]``.
-        ``values`` short-circuits both: the service's vectorized flush
-        advances structure-of-arrays states for all sessions at once and
-        hands the per-pipeline results in (selection commitment and
-        report assembly still run here, so the report surface is shared).
-        Drafts must be finalized in capture order (all drivers do).
+        ``values`` maps each running pipeline to its chosen estimator's
+        kernel value at the draft's row, advanced by the flush for all
+        sessions at once; the flush also resolved every open selection
+        into ``state`` in one batched scoring pass.  Drafts must be
+        finalized in capture order.
         """
-        if resolve is None:
-            resolve = self._resolve_one
         overall = 0.0
         pipeline_progress: dict[int, float] = {}
         active_pid, active_name = -1, None
@@ -406,19 +248,13 @@ class ProgressMonitor:
             if snap.status == "done":
                 pipeline_progress[pid] = 1.0
                 overall += snap.weight
-                # the pipeline will never be captured again; release its
-                # streaming states and capture bookkeeping
-                state.streams.pop(pid, None)
+                # the pipeline will never be captured again
                 state.metas.pop(pid, None)
                 state.cursors.pop(pid, None)
                 continue
-            name = self._commit_choice(snap, state, resolve)
-            if values is not None:
-                value = values[pid]
-            elif snap.ticks is not None:
-                value = self._advance_streams(snap, name, state)
-            else:
-                value = float(self.estimators[name].estimate(snap.pr)[-1])
+            name = self._chosen(snap, state)
+            state.choices[pid] = name
+            value = values[pid]
             pipeline_progress[pid] = value
             overall += snap.weight * value
             if pid > active_pid:
@@ -432,56 +268,23 @@ class ProgressMonitor:
             pipeline_estimator=dict(state.choices),
         )
 
-    def _advance_streams(self, snap: PipeSnapshot, name: str,
-                         state: MonitorState) -> float:
-        """Fold a snapshot's delta rows into the pipeline's streams."""
-        pid = snap.pid
-        streams = state.streams.get(pid)
-        if streams is None:
-            streams = PipelineStreams(self.estimators, state.metas[pid])
-            state.streams[pid] = streams
-        # once the choice can never be revised again, stop carrying
-        # candidates: one estimator state per pipeline from here on
-        final = snap.kind == DYNAMIC or self.dynamic_selector is None
-        if final:
-            streams.prune(name, self.estimators)
-        for tick in snap.ticks:
-            for est_name, est, est_state in streams.stateful:
-                streams.values[est_name] = est.advance(est_state, tick)
-        chosen_state = streams.states[name]
-        if getattr(chosen_state, "stateful", True):
-            return streams.values[name]
-        return self.estimators[name].advance(chosen_state, snap.ticks[-1])
-
-    def _commit_choice(self, snap: PipeSnapshot, state: MonitorState,
-                       resolve: Callable[[str, np.ndarray], str]) -> str:
-        pid = snap.pid
+    def _chosen(self, snap: PipeSnapshot, state: MonitorState) -> str:
+        """The estimator a running snapshot reports with; its selection
+        is already resolved into ``state`` (or falls back)."""
         if snap.kind == DYNAMIC:
-            if pid not in state.dynamic_choices:
-                state.dynamic_choices[pid] = resolve(DYNAMIC, snap.features)
-            state.choices[pid] = state.dynamic_choices[pid]
-            return state.dynamic_choices[pid]
-        if pid not in state.static_choices:
-            if self.static_selector is not None:
-                state.static_choices[pid] = resolve(STATIC, snap.features)
-            else:
-                state.static_choices[pid] = self.fallback
-        state.choices[pid] = state.static_choices[pid]
-        return state.static_choices[pid]
-
-    def _resolve_one(self, kind: str, x: np.ndarray) -> str:
-        selector = (self.dynamic_selector if kind == DYNAMIC
-                    else self.static_selector)
-        return selector.select_one(x)
+            return state.dynamic_choices[snap.pid]
+        if self.static_selector is None:
+            return self.fallback
+        return state.static_choices[snap.pid]
 
 
-# -- incremental capture helpers ---------------------------------------------
+# -- capture helpers ---------------------------------------------------------
 
 def _pipeline_meta(ctx, pipe) -> PipelineMeta:
     """Immutable metadata of a live pipeline, mirroring the fields
     :func:`~repro.engine.run.live_pipeline_run` would build (same element
-    order, same float conversions — bit-identity with the batch path
-    depends on it)."""
+    order, same float conversions — bit-identity with ``estimate`` on the
+    causal prefix depends on it)."""
     members = pipe.nodes
     local = {nid: j for j, nid in enumerate(pipe.node_ids)}
     parent_local = np.array([
@@ -507,31 +310,4 @@ def _pipeline_meta(ctx, pipe) -> PipelineMeta:
         driver_mask=np.array([n.node_id in driver_set for n in members]),
         parent_local=parent_local,
         mat_children=mat_children,
-    )
-
-
-def _capture_tick(row, meta: PipelineMeta) -> ObsTick:
-    """Slice one full-width log row down to a pipeline's ObsTick.
-
-    ``N`` follows :func:`live_pipeline_run`'s ``n_partial`` rule, computed
-    from the row's recorded counters/done flags so live capture and trace
-    replay produce bit-identical ticks.
-    """
-    cols = meta.node_ids
-    k_local = row.K[cols]
-    done_local = row.D[cols]
-    n_partial = np.where(done_local, k_local, meta.E0)
-    if len(meta.mat_idx):
-        child_done = row.D[meta.mat_child_ids] & ~done_local[meta.mat_idx]
-        if child_done.any():
-            take = meta.mat_idx[child_done]
-            n_partial[take] = row.K[meta.mat_child_ids[child_done]]
-    return ObsTick(
-        time=float(row.time),
-        K=k_local,
-        R=row.R[cols],
-        W=row.W[cols],
-        LB=row.LB[cols],
-        UB=row.UB[cols],
-        N=n_partial,
     )

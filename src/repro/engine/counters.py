@@ -22,8 +22,8 @@ class LogRow(NamedTuple):
 
     The arrays are the log's own per-snapshot copies — treat them as
     immutable.  Both the live :class:`ObservationLog` and the replay-side
-    log expose this row shape, so the monitor's incremental capture path
-    is source-agnostic.
+    log expose this row shape, so the monitor's row capture is
+    source-agnostic.
     """
 
     time: float

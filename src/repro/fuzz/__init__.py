@@ -28,7 +28,7 @@ from repro.fuzz.oracle import (
     OracleContext,
     OracleViolation,
     check_engine_output,
-    check_incremental_parity,
+    check_kernel_parity,
     check_network_parity,
     check_progress_invariants,
     check_service_parity,
@@ -53,7 +53,7 @@ __all__ = [
     "OracleContext",
     "OracleViolation",
     "check_engine_output",
-    "check_incremental_parity",
+    "check_kernel_parity",
     "check_progress_invariants",
     "check_network_parity",
     "check_service_parity",

@@ -6,7 +6,7 @@ randomized engine knobs (batch size, a memory grant small enough to force
 spills regularly, observation cadence), one monitored live execution per
 query, and all six oracle layers of :mod:`repro.fuzz.oracle` — engine
 output vs. the NumPy reference, per-snapshot progress invariants,
-incremental-vs-batch estimation parity, trace round-trip/replay parity,
+kernel-vs-``estimate`` parity, trace round-trip/replay parity,
 pooled/sharded-service parity across the scenario's whole query batch,
 and network parity (the same batch served over real sockets through
 :class:`~repro.service.net.ProgressServer`, client-observed stream bytes
@@ -27,9 +27,9 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from repro.catalog.statistics import build_statistics
-from repro.core.monitor import MonitorState, ProgressMonitor
+from repro.core.monitor import ProgressMonitor
 from repro.core.training import collect_training_data, train_selector
-from repro.engine.executor import ExecutorConfig, QueryExecutor
+from repro.engine.executor import ExecutorConfig
 from repro.engine.run import QueryRun
 from repro.features.vector import FeatureExtractor
 from repro.fuzz.generate import generate_fuzz_database, generate_fuzz_queries
@@ -37,7 +37,7 @@ from repro.fuzz.oracle import (
     OracleContext,
     OracleViolation,
     check_engine_output,
-    check_incremental_parity,
+    check_kernel_parity,
     check_network_parity,
     check_progress_invariants,
     check_service_parity,
@@ -96,7 +96,7 @@ PRESETS: dict[str, FuzzConfig] = {
 }
 
 #: The six oracle layers a scenario must pass.
-ORACLE_LAYERS = ("output", "invariants", "incremental", "trace", "service",
+ORACLE_LAYERS = ("output", "invariants", "kernel", "trace", "service",
                  "network")
 
 
@@ -193,28 +193,6 @@ class FuzzReport:
                 f"generator must keep exercising every join semantics")
 
 
-def _monitored_execute(db, plan, query_name: str, config: ExecutorConfig,
-                       monitor: ProgressMonitor):
-    """Live execution with solo monitoring *and* output collection.
-
-    Mirrors :meth:`ProgressMonitor.run` but reuses the single execution
-    for oracle layer 1 (``collect_output``) — the report stream is
-    bit-identical to what ``monitor.run`` would produce for this config.
-    """
-    reports = []
-    state = MonitorState()
-
-    def observe(ectx):
-        state.ticks += 1
-        if state.ticks % monitor.refresh_every:
-            return
-        reports.append(monitor.finalize(monitor.snapshot(ectx, state), state))
-
-    executor = QueryExecutor(db, config, on_observation=observe)
-    run = executor.execute(plan, query_name=query_name)
-    return run, reports
-
-
 def _train_scenario_monitor(runs: list[QueryRun], config: FuzzConfig,
                             refresh_every: int) -> ProgressMonitor | None:
     """Tiny MART selectors trained on the scenario's own pipelines."""
@@ -274,14 +252,14 @@ def run_scenario(seed: int, config: FuzzConfig | None = None
             target_observations=config.target_observations,
             seed=seed * 1_000 + i,
             collect_output=True)
-        run, reports = _monitored_execute(db, plan, query.name,
-                                          exec_config, monitor)
+        # one live execution serves layer 1's output check too
+        run, reports = monitor.run(db, plan, query.name, exec_config)
         check_engine_output(run, evaluate_reference(db, query), query, ctx)
         checks["output"] += 1
         check_progress_invariants(run, ctx)
         checks["invariants"] += 1
-        check_incremental_parity(run, reports, monitor, ctx)
-        checks["incremental"] += 1
+        check_kernel_parity(run, reports, monitor, ctx)
+        checks["kernel"] += 1
         check_trace_roundtrip(run, reports, monitor, ctx)
         checks["trace"] += 1
         runs.append(run)
@@ -307,8 +285,8 @@ def run_scenario(seed: int, config: FuzzConfig | None = None
             for run, reports in zip(runs, solo):
                 query_ctx = OracleContext(seed=seed, repro=repro,
                                           query=run.query_name)
-                check_incremental_parity(run, reports, trained, query_ctx)
-                checks["incremental"] += 1
+                check_kernel_parity(run, reports, trained, query_ctx)
+                checks["kernel"] += 1
                 check_trace_roundtrip(run, reports, trained, query_ctx)
                 checks["trace"] += 1
             check_service_parity(runs, solo, trained, ctx,

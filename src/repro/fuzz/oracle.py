@@ -10,11 +10,11 @@ pins a different subsystem against a different source of truth:
    sane bounds, done-flag latching), every registered estimator must be
    defined, the GetNext-model family must be monotone, and the worst-case
    estimators must stay inside their feasible interval.
-3. **Incremental parity** — every estimator's streaming path
-   (``begin``/``advance``, :mod:`repro.progress.streaming`) must reproduce
-   its batch ``estimate`` trajectory bit-for-bit on every scorable
-   pipeline, and a *batch-mode* monitor replayed over the recording must
-   emit the bit-identical report stream the incremental monitor produced.
+3. **Kernel parity** — every estimator's structure-of-arrays kernel
+   (:mod:`repro.progress.soa`) must reproduce its batch ``estimate``
+   trajectory bit-for-bit on every scorable pipeline, and every running
+   pipeline's value in each served report must equal the chosen
+   estimator's ``estimate`` on the causal prefix of the report's row.
 4. **Trace round-trip** — recording the run and reading it back must be
    bit-identical, and a monitor replayed from the recording must emit the
    bit-identical report stream the live monitor emitted.
@@ -52,12 +52,12 @@ from repro.engine.run import QueryRun
 from repro.fuzz.reference import ReferenceResult, compare_output
 from repro.progress.gold import BytesProcessedOracle, GetNextOracle
 from repro.progress.registry import all_estimators
-from repro.progress.streaming import stream_estimates
+from repro.progress.soa import kernel_estimates
 from repro.query.logical import QuerySpec
 from repro.runtime.transport import reports_from_payload, reports_to_payload
 from repro.service import ProgressService, ShardedProgressService
 from repro.service.net import ProgressClient, ProgressServer
-from repro.trace.replay import replay_monitor
+from repro.trace.replay import ReplayContext, replay_monitor
 from repro.trace.store import read_trace, write_trace
 
 _EPS = 1e-9
@@ -73,8 +73,8 @@ MONOTONE_FUZZ = ("dne", "batch_dne", "dne_seek", "tgn_int")
 _ALL_ESTIMATORS = all_estimators(include_worst_case=True,
                                  include_extensions=True)
 
-#: the §6.7 idealized models join the incremental-parity sweep — their
-#: streaming path is exercised nowhere else online
+#: the §6.7 idealized models join the kernel-parity sweep — their kernels
+#: are exercised nowhere else
 _PARITY_ESTIMATORS = _ALL_ESTIMATORS + [GetNextOracle(),
                                         BytesProcessedOracle()]
 
@@ -213,49 +213,72 @@ def check_progress_invariants(run: QueryRun, ctx: OracleContext,
                      f"(no spills)")
 
 
-# -- layer 3: incremental-vs-batch estimation parity ------------------------
+# -- layer 3: kernels vs. batch estimate ------------------------------------
 
-def batch_mode_clone(monitor: ProgressMonitor) -> ProgressMonitor:
-    """The same monitoring policy on the batch-recompute path."""
-    return ProgressMonitor(
-        static_selector=monitor.static_selector,
-        dynamic_selector=monitor.dynamic_selector,
-        estimators=list(monitor.estimators.values()),
-        fallback=monitor.fallback,
-        dynamic_percent=monitor.dynamic_percent,
-        refresh_every=monitor.refresh_every,
-        incremental=False)
+def reference_progress(run: QueryRun, reports: list[ProgressReport],
+                       monitor: ProgressMonitor) -> list[dict[int, float]]:
+    """Per report, the per-pipeline progress the batch definition gives.
 
-
-def check_incremental_parity(run: QueryRun,
-                             live_reports: list[ProgressReport],
-                             monitor: ProgressMonitor, ctx: OracleContext,
-                             min_observations: int = 3) -> None:
-    """Streaming estimation must match batch estimation bit-for-bit.
-
-    Two granularities: per estimator, ``advance``-accumulated trajectories
-    against ``estimate(pr)`` on every scorable pipeline; and per monitor,
-    a batch-mode replay of the whole recording against the report stream
-    the incremental monitor emitted live.
+    Report ``k`` was cut at observation ``(k + 1) * refresh_every - 1``;
+    a :class:`~repro.trace.replay.ReplayContext` seeked there yields each
+    pipeline's causal prefix exactly as the live capture saw it.  A
+    running pipeline's reference is ``estimate(prefix)[-1]`` of the
+    estimator the report names for it; unstarted and too-short pipelines
+    are 0.0, finished ones 1.0.  Recomputes every prefix from scratch —
+    O(T²·m) over a query's life, the cost the kernels avoid.
     """
-    layer = "incremental"
+    ctx = ReplayContext(run)
+    out = []
+    for k, report in enumerate(reports):
+        ctx.seek((k + 1) * monitor.refresh_every - 1)
+        values: dict[int, float] = {}
+        for pipe in ctx.pipelines:
+            pid = pipe.pid
+            started = np.isfinite(ctx.pipe_first[pid])
+            if started and ctx.counters.done[pipe.terminal.node_id]:
+                values[pid] = 1.0
+                continue
+            pr = ctx.live_pipeline_run(pipe) if started else None
+            if pr is None:
+                values[pid] = 0.0
+                continue
+            est = monitor.estimators[report.pipeline_estimator[pid]]
+            values[pid] = float(est.estimate(pr)[-1])
+        out.append(values)
+    return out
+
+
+def check_kernel_parity(run: QueryRun, reports: list[ProgressReport],
+                        monitor: ProgressMonitor, ctx: OracleContext,
+                        min_observations: int = 3) -> None:
+    """The kernels must reproduce batch ``estimate`` bit-for-bit.
+
+    Two granularities: per estimator, the kernel over each completed
+    pipeline (one slot, ``N`` at the truth) against ``estimate(pr)``;
+    and per served report, every pipeline's value against
+    :func:`reference_progress`.
+    """
+    layer = "kernel"
     for pr in run.pipeline_runs(min_observations=min_observations):
         for est in _PARITY_ESTIMATORS:
             batch = est.estimate(pr)
-            streamed = stream_estimates(est, pr)
-            if not np.array_equal(batch, streamed):
-                delta = float(np.abs(batch - streamed).max())
+            kernel = kernel_estimates(est, pr)
+            if not np.array_equal(batch, kernel):
+                delta = float(np.abs(batch - kernel).max())
                 _require(False, layer, ctx,
-                         f"pid {pr.pid}: estimator {est.name!r} streaming "
-                         f"trajectory diverges from batch "
+                         f"pid {pr.pid}: estimator {est.name!r} kernel "
+                         f"trajectory diverges from estimate "
                          f"(max |delta| = {delta:.3e})")
-    if monitor.incremental:
-        batch_reports = replay_monitor(batch_mode_clone(monitor), run)
-        _require(report_streams_equal(live_reports, batch_reports),
-                 layer, ctx,
-                 f"batch-mode monitor reports diverge from the incremental "
-                 f"stream ({len(batch_reports)} vs {len(live_reports)} "
-                 f"reports)")
+    expected = len(run.times) // monitor.refresh_every
+    _require(len(reports) == expected, layer, ctx,
+             f"{len(reports)} reports served, {expected} due at "
+             f"refresh_every={monitor.refresh_every}")
+    reference = reference_progress(run, reports, monitor)
+    for k, (report, want) in enumerate(zip(reports, reference)):
+        _require(report.pipeline_progress == want, layer, ctx,
+                 f"report {k}: served pipeline progress "
+                 f"{report.pipeline_progress} != estimate on the causal "
+                 f"prefix {want}")
 
 
 # -- layer 4: trace round-trip + replayed monitoring ------------------------
@@ -334,25 +357,22 @@ def check_service_parity(runs: list[QueryRun],
                          max_live: int | None = None,
                          shards: int | None = None) -> None:
     layer = "service"
-    for vectorized in (True, False):
-        service = ProgressService(monitor, slice_steps=slice_steps,
-                                  max_live=max_live, vectorized=vectorized)
-        ids = [service.submit_replay(run) for run in runs]
-        service.run_until_complete(max_ticks=1_000_000)
-        mode = ("vectorized" if service.vectorized else
-                "scalar" if not vectorized else "scalar-fallback")
-        for sid, solo, run in zip(ids, solo_reports, runs):
-            session = service.session(sid)
-            _require(report_streams_equal(solo, session.reports), layer, ctx,
-                     f"service-scheduled reports ({mode} flush) for "
-                     f"{run.query_name!r} diverge from solo monitoring "
-                     f"({len(session.reports)} vs {len(solo)} reports; "
-                     f"slice_steps={slice_steps}, max_live={max_live})")
-        _require(service.stats.sessions_completed
-                 == service.stats.sessions_submitted, layer, ctx,
-                 f"service drained ({mode}) but completed "
-                 f"{service.stats.sessions_completed} of "
-                 f"{service.stats.sessions_submitted} submitted sessions")
+    service = ProgressService(monitor, slice_steps=slice_steps,
+                              max_live=max_live)
+    ids = [service.submit_replay(run) for run in runs]
+    service.run_until_complete(max_ticks=1_000_000)
+    for sid, solo, run in zip(ids, solo_reports, runs):
+        session = service.session(sid)
+        _require(report_streams_equal(solo, session.reports), layer, ctx,
+                 f"service-scheduled reports for {run.query_name!r} "
+                 f"diverge from solo monitoring "
+                 f"({len(session.reports)} vs {len(solo)} reports; "
+                 f"slice_steps={slice_steps}, max_live={max_live})")
+    _require(service.stats.sessions_completed
+             == service.stats.sessions_submitted, layer, ctx,
+             f"service drained but completed "
+             f"{service.stats.sessions_completed} of "
+             f"{service.stats.sessions_submitted} submitted sessions")
     if shards is not None:
         check_sharded_parity(runs, solo_reports, monitor, ctx,
                              slice_steps=slice_steps, max_live=max_live,

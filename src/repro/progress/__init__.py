@@ -5,10 +5,10 @@ All estimators are pure functions of a pipeline's counter trajectories
 observation ``t`` depends only on counters up to ``t``, so the same
 trajectory can be replayed online (see :mod:`repro.core.monitor`).
 
-Every estimator also exposes an *incremental* path (``begin``/``advance``,
-:mod:`repro.progress.streaming`) that folds one observation at a time in
-O(active nodes) and matches the batch ``estimate`` bit-for-bit — the form
-the online monitor and the pooled service consume.
+``estimate`` is each estimator's definition.  Online, every monitor
+advances the estimators through structure-of-arrays kernels
+(:mod:`repro.progress.soa`) that fold one observation at a time in
+O(active nodes) and reproduce ``estimate`` bit-for-bit.
 
 Implemented estimators:
 
@@ -28,11 +28,7 @@ GetNext model with true ``N_i`` and the Bytes-Processed model with true
 byte totals).
 """
 
-from repro.progress.base import (
-    BatchReplayState,
-    ProgressEstimator,
-    StreamState,
-)
+from repro.progress.base import ProgressEstimator
 from repro.progress.batchdne import BatchDNEEstimator
 from repro.progress.dne import DNEEstimator
 from repro.progress.dneseek import DNESeekEstimator
@@ -55,23 +51,14 @@ from repro.progress.registry import (
     worst_case_estimators,
 )
 from repro.progress.safe_pmax import PMaxEstimator, SafeEstimator
-from repro.progress.streaming import (
-    ObsTick,
-    PipelineMeta,
-    iter_ticks,
-    stream_estimates,
-)
+from repro.progress.soa import PipelineMeta, kernel_estimates
 from repro.progress.tgn import TGNEstimator
 from repro.progress.tgnint import TGNIntEstimator
 
 __all__ = [
     "ProgressEstimator",
-    "StreamState",
-    "BatchReplayState",
-    "ObsTick",
     "PipelineMeta",
-    "iter_ticks",
-    "stream_estimates",
+    "kernel_estimates",
     "DNEEstimator",
     "TGNEstimator",
     "LuoEstimator",

@@ -7,76 +7,6 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.engine.run import PipelineRun
-from repro.progress.streaming import ObsTick, PipelineMeta
-
-
-class StreamState:
-    """Per-(estimator, pipeline) state of the incremental path.
-
-    Memoryless estimators — those whose tick-``t`` estimate is a pure
-    function of tick ``t``'s counters and the immutable metadata — carry
-    no history and leave :attr:`stateful` False, which lets the online
-    monitor skip advancing them on intermediate observations.  Estimators
-    that fold history (LUO's trailing speed window, the generic batch
-    replay below) subclass with ``stateful = True``; those must see every
-    observation of the pipeline, in order.
-    """
-
-    __slots__ = ("meta",)
-
-    #: True when ``advance`` must be called for *every* observation
-    stateful = False
-
-    def __init__(self, meta: PipelineMeta):
-        self.meta = meta
-
-
-class BatchReplayState(StreamState):
-    """Fallback state: accumulate ticks, re-run the batch estimator.
-
-    Keeps third-party :class:`ProgressEstimator` subclasses working on the
-    streaming interface without writing an incremental path — at the
-    batch path's O(t·m)-per-tick cost, which is exactly what the native
-    overrides in this package avoid.
-    """
-
-    __slots__ = ("times", "rows")
-    stateful = True
-
-    def __init__(self, meta: PipelineMeta):
-        super().__init__(meta)
-        self.times: list[float] = []
-        self.rows: list[ObsTick] = []
-
-    def push(self, tick: ObsTick) -> None:
-        self.times.append(tick.time)
-        self.rows.append(tick)
-
-    def as_pipeline_run(self) -> PipelineRun:
-        meta = self.meta
-
-        def stack(field: str) -> np.ndarray:
-            return np.vstack([getattr(r, field) for r in self.rows])
-
-        return PipelineRun(
-            pid=meta.pid,
-            query_name=meta.query_name,
-            db_name=meta.db_name,
-            times=np.asarray(self.times),
-            t_start=meta.t_start,
-            t_end=self.times[-1],
-            K=stack("K"), R=stack("R"), W=stack("W"),
-            LB=stack("LB"), UB=stack("UB"),
-            E0=meta.E0,
-            N=self.rows[-1].N,
-            widths=meta.widths,
-            table_rows=meta.table_rows,
-            ops=meta.ops,
-            driver_mask=meta.driver_mask,
-            parent_local=meta.parent_local,
-            node_ids=meta.node_ids,
-            materialized_bytes_est=meta.materialized_bytes_est,
-        )
 
 
 class ProgressEstimator(ABC):
@@ -85,14 +15,14 @@ class ProgressEstimator(ABC):
     Subclasses implement :meth:`estimate`, returning the estimated progress
     (in ``[0, 1]``) at every observation of the pipeline.  Estimates must be
     causal — the value at index ``t`` may only use counters at indices
-    ``<= t`` — so trajectories can be replayed incrementally online.
+    ``<= t`` — so a prefix of the trajectory yields the online value.
 
-    The incremental path (:meth:`begin` / :meth:`advance`) consumes one
-    observation at a time and returns the current tick's estimate in
-    O(active nodes); :meth:`estimate` stays the oracle it must match
-    bit-for-bit (see :mod:`repro.progress.streaming`).  The default
-    implementation replays the batch path over accumulated ticks; every
-    estimator in this package overrides it with a true O(m) step.
+    ``estimate`` is the definition: training, features, evaluation and
+    every test reference score through it.  Online monitoring needs a
+    structure-of-arrays kernel that reproduces it bit-for-bit
+    (:mod:`repro.progress.soa`); only the estimator classes shipped with
+    one can be monitored, and a :class:`~repro.core.monitor.ProgressMonitor`
+    over any other pool member refuses construction.
     """
 
     #: short identifier used in reports, feature names and the registry
@@ -101,15 +31,6 @@ class ProgressEstimator(ABC):
     @abstractmethod
     def estimate(self, pr: PipelineRun) -> np.ndarray:
         """Estimated progress per observation, clipped to ``[0, 1]``."""
-
-    def begin(self, meta: PipelineMeta) -> StreamState:
-        """Fresh incremental state for one pipeline."""
-        return BatchReplayState(meta)
-
-    def advance(self, state: StreamState, tick: ObsTick) -> float:
-        """Fold one observation into ``state``; the estimate at ``tick``."""
-        state.push(tick)
-        return float(self.estimate(state.as_pipeline_run())[-1])
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name})"

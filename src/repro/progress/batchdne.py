@@ -15,22 +15,10 @@ from repro.engine.run import PipelineRun
 from repro.plan.nodes import Op
 from repro.progress.base import (
     ProgressEstimator,
-    StreamState,
     clip_progress,
     driver_consumed,
     safe_divide,
 )
-from repro.progress.streaming import ObsTick, PipelineMeta, tick_driver_consumed
-
-
-class _WidenedDriverState(StreamState):
-    """Driver set widened by an operator kind, resolved once per pipeline."""
-
-    __slots__ = ("extra",)
-
-    def __init__(self, meta: PipelineMeta, *ops: Op):
-        super().__init__(meta)
-        self.extra = np.array([op in ops for op in meta.ops])
 
 
 class BatchDNEEstimator(ProgressEstimator):
@@ -40,11 +28,3 @@ class BatchDNEEstimator(ProgressEstimator):
         extra = pr.node_mask(Op.BATCH_SORT)
         consumed, total = driver_consumed(pr, extra_mask=extra)
         return clip_progress(safe_divide(consumed, total))
-
-    def begin(self, meta: PipelineMeta) -> _WidenedDriverState:
-        return _WidenedDriverState(meta, Op.BATCH_SORT)
-
-    def advance(self, state: _WidenedDriverState, tick: ObsTick) -> float:
-        consumed, total = tick_driver_consumed(state.meta, tick,
-                                               extra_mask=state.extra)
-        return float(clip_progress(safe_divide(consumed, total)))

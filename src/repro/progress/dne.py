@@ -14,12 +14,10 @@ import numpy as np
 from repro.engine.run import PipelineRun
 from repro.progress.base import (
     ProgressEstimator,
-    StreamState,
     clip_progress,
     driver_consumed,
     safe_divide,
 )
-from repro.progress.streaming import ObsTick, PipelineMeta, tick_driver_consumed
 
 
 class DNEEstimator(ProgressEstimator):
@@ -28,10 +26,3 @@ class DNEEstimator(ProgressEstimator):
     def estimate(self, pr: PipelineRun) -> np.ndarray:
         consumed, total = driver_consumed(pr)
         return clip_progress(safe_divide(consumed, total))
-
-    def begin(self, meta: PipelineMeta) -> StreamState:
-        return StreamState(meta)
-
-    def advance(self, state: StreamState, tick: ObsTick) -> float:
-        consumed, total = tick_driver_consumed(state.meta, tick)
-        return float(clip_progress(safe_divide(consumed, total)))

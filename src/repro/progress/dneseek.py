@@ -19,8 +19,6 @@ from repro.progress.base import (
     driver_consumed,
     safe_divide,
 )
-from repro.progress.batchdne import _WidenedDriverState
-from repro.progress.streaming import ObsTick, PipelineMeta, tick_driver_consumed
 
 
 class DNESeekEstimator(ProgressEstimator):
@@ -30,11 +28,3 @@ class DNESeekEstimator(ProgressEstimator):
         extra = pr.node_mask(Op.INDEX_SEEK)
         consumed, total = driver_consumed(pr, extra_mask=extra)
         return clip_progress(safe_divide(consumed, total))
-
-    def begin(self, meta: PipelineMeta) -> _WidenedDriverState:
-        return _WidenedDriverState(meta, Op.INDEX_SEEK)
-
-    def advance(self, state: _WidenedDriverState, tick: ObsTick) -> float:
-        consumed, total = tick_driver_consumed(state.meta, tick,
-                                               extra_mask=state.extra)
-        return float(clip_progress(safe_divide(consumed, total)))

@@ -14,12 +14,10 @@ import numpy as np
 from repro.engine.run import PipelineRun
 from repro.progress.base import (
     ProgressEstimator,
-    StreamState,
     clip_progress,
     safe_divide,
 )
 from repro.progress.luo import bytes_done
-from repro.progress.streaming import ObsTick, PipelineMeta
 
 
 class GetNextOracle(ProgressEstimator):
@@ -31,24 +29,16 @@ class GetNextOracle(ProgressEstimator):
         total = float(pr.N.sum())
         return clip_progress(safe_divide(pr.K.sum(axis=1), max(total, 1e-12)))
 
-    def begin(self, meta: PipelineMeta) -> StreamState:
-        return StreamState(meta)
-
-    def advance(self, state: StreamState, tick: ObsTick) -> float:
-        total = float(tick.N.sum())
-        return float(clip_progress(safe_divide(tick.K.sum(),
-                                               max(total, 1e-12))))
-
 
 class BytesProcessedOracle(ProgressEstimator):
     """Luo's bytes model with the true total bytes substituted.
 
-    The denominator is only known once the run completes; when streaming
-    a completed run the metadata carries it
-    (:attr:`PipelineMeta.oracle_bytes_total`), and the incremental path
-    matches the batch one bit-for-bit.  Streamed *live* (no recorded
-    total) it degrades to the causal prefix the batch path would compute
-    on the same truncated trajectory — bytes so far over bytes so far.
+    The denominator is only known once the run completes; over a
+    completed run the kernel's metadata carries it
+    (:attr:`~repro.progress.soa.PipelineMeta.oracle_bytes_total`) and
+    matches ``estimate`` bit-for-bit.  Monitored *live* (no recorded
+    total) it degrades to ``estimate`` on the causal prefix — bytes so
+    far over bytes so far.
     """
 
     name = "bytes_oracle"
@@ -57,15 +47,3 @@ class BytesProcessedOracle(ProgressEstimator):
         done = bytes_done(pr)
         total = float(done[-1]) if len(done) else 0.0
         return clip_progress(safe_divide(done, max(total, 1e-12)))
-
-    def begin(self, meta: PipelineMeta) -> StreamState:
-        return StreamState(meta)
-
-    def advance(self, state: StreamState, tick: ObsTick) -> float:
-        meta = state.meta
-        mask = meta.driver_mask
-        done = (tick.K[mask] * meta.widths[mask]).sum() + tick.W.sum()
-        total = meta.oracle_bytes_total
-        if total is None:
-            total = float(done)
-        return float(clip_progress(safe_divide(done, max(total, 1e-12))))

@@ -15,18 +15,10 @@ byte totals (eq. 2 with α = fraction of driver input consumed).
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from repro.engine.run import PipelineRun
-from repro.progress.base import ProgressEstimator, StreamState, clip_progress
-from repro.progress.streaming import (
-    ObsTick,
-    PipelineMeta,
-    tick_driver_fraction,
-    tick_known_totals,
-)
+from repro.progress.base import ProgressEstimator, clip_progress
 
 #: trailing window (simulated seconds) over which speed is measured
 DEFAULT_SPEED_WINDOW = 10.0
@@ -50,23 +42,6 @@ def bytes_total_estimate(pr: PipelineRun) -> np.ndarray:
     extrapolated = np.where(alpha > 1e-9, done / np.maximum(alpha, 1e-9), base)
     refined = alpha * extrapolated + (1.0 - alpha) * base
     return np.maximum(refined, done)
-
-
-class LuoWindowState(StreamState):
-    """Streaming state: the trailing (elapsed, bytes-done) speed window.
-
-    The deque holds the observations the batch loop's ``window_start``
-    pointer has not yet skipped; each observation enters and leaves at
-    most once, so :meth:`LuoEstimator.advance` is amortized O(1) on top
-    of the O(m) per-tick byte sums.
-    """
-
-    __slots__ = ("window",)
-    stateful = True
-
-    def __init__(self, meta: PipelineMeta):
-        super().__init__(meta)
-        self.window: deque[tuple[float, float]] = deque()
 
 
 class LuoEstimator(ProgressEstimator):
@@ -101,41 +76,8 @@ class LuoEstimator(ProgressEstimator):
             if speed <= 0:
                 out[t] = 0.0 if remaining > 0 else 1.0
                 continue
-            remaining_time = remaining / speed
+            # Python floats: a near-zero speed overflows to inf without a
+            # warning, and elapsed / inf is the defined 0.0
+            remaining_time = float(remaining) / float(speed)
             out[t] = elapsed[t] / (elapsed[t] + remaining_time)
         return clip_progress(out)
-
-    def begin(self, meta: PipelineMeta) -> LuoWindowState:
-        return LuoWindowState(meta)
-
-    def advance(self, state: LuoWindowState, tick: ObsTick) -> float:
-        meta = state.meta
-        mask = meta.driver_mask
-        done = (tick.K[mask] * meta.widths[mask]).sum() + tick.W.sum()
-        elapsed = tick.time - meta.t_start
-        state.window.append((elapsed, done))
-        if elapsed <= 0:
-            return 0.0
-        # per-tick mirror of bytes_total_estimate
-        totals = tick_known_totals(meta, tick)
-        base = float((totals[mask] * meta.widths[mask]).sum()
-                     + meta.materialized_bytes_est)
-        alpha = tick_driver_fraction(meta, tick)
-        extrapolated = done / alpha if alpha > 1e-9 else base
-        total = max(alpha * extrapolated + (1.0 - alpha) * base, done)
-        # the batch loop's window_start walk, one popleft per skipped entry
-        window = state.window
-        while len(window) > 1 and elapsed - window[0][0] > self.speed_window:
-            window.popleft()
-        dt = elapsed - window[0][0]
-        db = done - window[0][1]
-        if dt > 0 and db > 0:
-            speed = db / dt
-        elif done > 0:  # elapsed > 0 here; fall back to lifetime speed
-            speed = done / elapsed
-        else:
-            speed = 0.0
-        remaining = max(total - done, 0.0)
-        if speed <= 0:
-            return 0.0 if remaining > 0 else 1.0
-        return float(clip_progress(elapsed / (elapsed + remaining / speed)))

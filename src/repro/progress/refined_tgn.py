@@ -20,12 +20,10 @@ import numpy as np
 from repro.engine.run import PipelineRun
 from repro.progress.base import (
     ProgressEstimator,
-    StreamState,
     clip_progress,
     safe_divide,
 )
 from repro.progress.refine import interpolated_estimates
-from repro.progress.streaming import ObsTick, PipelineMeta, tick_driver_fraction
 
 
 class RefinedTGNEstimator(ProgressEstimator):
@@ -36,17 +34,3 @@ class RefinedTGNEstimator(ProgressEstimator):
         done = pr.K.sum(axis=1)
         totals = refined.sum(axis=1)
         return clip_progress(safe_divide(done, np.maximum(totals, 1e-12)))
-
-    def begin(self, meta: PipelineMeta) -> StreamState:
-        return StreamState(meta)
-
-    def advance(self, state: StreamState, tick: ObsTick) -> float:
-        # per-tick mirror of interpolated_estimates (refine.py, eq. 2)
-        alpha = tick_driver_fraction(state.meta, tick)
-        extrapolated = safe_divide(tick.K, np.maximum(alpha, 1e-9))
-        refined = alpha * extrapolated + (1.0 - alpha) * state.meta.E0
-        refined = np.clip(np.maximum(refined, tick.K), tick.LB, tick.UB)
-        done = tick.K.sum()
-        totals = refined.sum()
-        return float(clip_progress(safe_divide(done,
-                                               np.maximum(totals, 1e-12))))

@@ -24,11 +24,9 @@ import numpy as np
 from repro.engine.run import PipelineRun
 from repro.progress.base import (
     ProgressEstimator,
-    StreamState,
     clip_progress,
     safe_divide,
 )
-from repro.progress.streaming import ObsTick, PipelineMeta
 
 
 class PMaxEstimator(ProgressEstimator):
@@ -38,15 +36,6 @@ class PMaxEstimator(ProgressEstimator):
         work = pr.K.sum(axis=1)
         max_work = pr.UB.sum(axis=1)
         return clip_progress(safe_divide(work, np.maximum(max_work, 1e-12)))
-
-    def begin(self, meta: PipelineMeta) -> StreamState:
-        return StreamState(meta)
-
-    def advance(self, state: StreamState, tick: ObsTick) -> float:
-        work = tick.K.sum()
-        max_work = tick.UB.sum()
-        return float(clip_progress(safe_divide(work,
-                                               np.maximum(max_work, 1e-12))))
 
 
 class SafeEstimator(ProgressEstimator):
@@ -59,15 +48,3 @@ class SafeEstimator(ProgressEstimator):
         lo = safe_divide(k_sum, np.maximum(ub_sum, 1e-12))
         hi = safe_divide(k_sum, np.maximum(lb_sum, 1e-12))
         return clip_progress(np.sqrt(np.maximum(lo, 0.0) * np.maximum(hi, 0.0)))
-
-    def begin(self, meta: PipelineMeta) -> StreamState:
-        return StreamState(meta)
-
-    def advance(self, state: StreamState, tick: ObsTick) -> float:
-        k_sum = tick.K.sum()
-        ub_sum = tick.UB.sum()
-        lb_sum = np.maximum(tick.LB.sum(), k_sum)
-        lo = safe_divide(k_sum, np.maximum(ub_sum, 1e-12))
-        hi = safe_divide(k_sum, np.maximum(lb_sum, 1e-12))
-        return float(clip_progress(
-            np.sqrt(np.maximum(lo, 0.0) * np.maximum(hi, 0.0))))

@@ -1,29 +1,33 @@
-"""Structure-of-arrays batches for the streaming estimator states.
+"""Structure-of-arrays estimator kernels: the one online estimation path.
 
-The scalar streaming path (:mod:`repro.progress.streaming`) advances one
-:class:`~repro.progress.base.StreamState` per (estimator, pipeline) per
-tick — a Python call per state.  The pooled service multiplies that by
-every live session, so its flush cost is a Python loop over sessions.
-This module re-lays the same states out as *structure-of-arrays* batches
-keyed by estimator kind:
+Every online consumer — the solo :class:`~repro.core.monitor.ProgressMonitor`,
+trace replay and the pooled service — advances the candidate estimators
+through the kernels here; the batch ``estimate(pr)`` of each estimator
+stays the definition they must reproduce bit-for-bit.  The state of all
+live pipelines is laid out as *structure-of-arrays* batches keyed by
+estimator kind:
 
-* a :class:`SoAPool` holds the immutable per-pipeline metadata of every
-  packed pipeline as zero-padded ``(slots, width)`` arrays — optimizer
-  estimates, driver/widened masks, known-source totals, materialized
-  positions — one row per (session, pipeline) slot;
+* a :class:`PipelineMeta` captures everything about a pipeline that is
+  immutable once it starts — operator kinds, optimizer estimates, row
+  widths, table cardinalities, the driver mask;
+* a :class:`SoAPool` holds the metadata of every packed pipeline as
+  zero-padded ``(slots, width)`` arrays — optimizer estimates,
+  driver/widened masks, known-source totals, materialized positions — one
+  row per (session, pipeline) slot;
 * a :class:`FlushBatch` carries one service flush's observation rows for
   all slots as flat ``(rows, width)`` arrays plus the shared derived
   quantities (``n_partial`` totals, masked row sums) every kernel needs;
 * a :class:`BatchedStreamState` per estimator kind advances *all* rows in
-  one NumPy pass — ``advance(batch)`` returns the per-row estimates that
-  the scalar ``estimator.advance(state, tick)`` loop would have produced,
-  bit-for-bit.
+  one NumPy pass — ``advance(batch)`` returns, per row, the value the
+  estimator's ``estimate`` yields at that observation of its causal
+  trajectory.
 
-Pack/unpack happens at session admission/completion: ``pack`` adopts a
-pipeline into the pool when the service first captures it, ``release``
-frees the slot when the pipeline (or its session) finishes, and the
-stateful LUO batch can ``unpack`` a slot back into the scalar
-:class:`~repro.progress.luo.LuoWindowState` it mirrors.
+``pack`` adopts a pipeline into the pool when the service first captures
+it and ``release`` frees the slot when the pipeline (or its session)
+finishes.  Only the exact estimator classes in ``_NATIVE`` have a kernel;
+the monitor refuses any other pool member at construction
+(:func:`kernel_class`).  :func:`kernel_estimates` drives one kernel over a
+completed run — the reference check against ``estimate``.
 
 Why bit-parity holds
 --------------------
@@ -37,27 +41,26 @@ reaches the threshold would hit NumPy's unrolled accumulator tree
 instead; those (rare) rows are precomputed at pack time and fixed up by
 re-summing the compacted selection with ``np.sum`` itself
 (:meth:`FlushBatch.rowsum`), so every row sum is produced by exactly the
-reduction the scalar path uses.  All remaining kernel arithmetic is
-elementwise and mirrors the scalar ``advance`` formulas
-operation-for-operation; the service-layer fuzz oracle gates the
-resulting report streams against the scalar path end-to-end.
+reduction ``estimate`` applies to that observation's row.  All remaining
+kernel arithmetic is elementwise and mirrors the batch formulas
+operation-for-operation; the fuzz oracle's ``kernel`` layer gates both
+the per-estimator trajectories and the served report streams against
+``estimate``.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
+from repro.engine.run import _KNOWN_SOURCE_OPS, _MATERIALIZED_OPS, PipelineRun
 from repro.plan.nodes import Op
 from repro.progress.batchdne import BatchDNEEstimator
 from repro.progress.dne import DNEEstimator
 from repro.progress.dneseek import DNESeekEstimator
 from repro.progress.gold import BytesProcessedOracle, GetNextOracle
-from repro.progress.luo import LuoEstimator, LuoWindowState
+from repro.progress.luo import LuoEstimator
 from repro.progress.refined_tgn import RefinedTGNEstimator
 from repro.progress.safe_pmax import PMaxEstimator, SafeEstimator
-from repro.progress.streaming import PipelineMeta
 from repro.progress.tgn import TGNEstimator
 from repro.progress.tgnint import TGNIntEstimator
 
@@ -67,6 +70,118 @@ _PAIRWISE_UNROLL = 8
 
 #: mask families every kernel draws its row sums from
 _FAMILIES = ("valid", "driver", "bdrv", "sdrv")
+
+
+class PipelineMeta:
+    """Immutable per-pipeline metadata, captured once when it starts.
+
+    Mirrors the time-invariant fields of :class:`PipelineRun`; the derived
+    index arrays pre-resolve the per-node branches of
+    :meth:`PipelineRun.known_totals` so packing a slot (and the per-row
+    ``N`` rule) is a couple of vectorized assignments.
+    """
+
+    __slots__ = (
+        "pid", "query_name", "db_name", "t_start", "node_ids", "ops",
+        "E0", "widths", "table_rows", "driver_mask", "parent_local",
+        "materialized_bytes_est", "oracle_bytes_total",
+        "known_source_idx", "materialized_idx",
+        "mat_idx", "mat_child_ids",
+    )
+
+    def __init__(self, pid: int, query_name: str, db_name: str,
+                 t_start: float, node_ids: np.ndarray, ops: list[Op],
+                 E0: np.ndarray, widths: np.ndarray, table_rows: np.ndarray,
+                 driver_mask: np.ndarray, parent_local: np.ndarray,
+                 materialized_bytes_est: float = 0.0,
+                 oracle_bytes_total: float | None = None,
+                 mat_children: list[tuple[int, int]] | None = None):
+        self.pid = pid
+        self.query_name = query_name
+        self.db_name = db_name
+        self.t_start = t_start
+        self.node_ids = node_ids
+        self.ops = ops
+        self.E0 = E0
+        self.widths = widths
+        self.table_rows = table_rows
+        self.driver_mask = driver_mask
+        self.parent_local = parent_local
+        self.materialized_bytes_est = materialized_bytes_est
+        #: true total bytes of the pipeline, only known for *completed*
+        #: runs — lets the §6.7 Bytes-Processed oracle's kernel match its
+        #: ``estimate`` (see :class:`~repro.progress.gold.BytesProcessedOracle`)
+        self.oracle_bytes_total = oracle_bytes_total
+        self.known_source_idx = np.array(
+            [j for j, op in enumerate(ops)
+             if op in _KNOWN_SOURCE_OPS and np.isfinite(table_rows[j])],
+            dtype=np.int64)
+        self.materialized_idx = np.array(
+            [j for j, op in enumerate(ops) if op in _MATERIALIZED_OPS],
+            dtype=np.int64)
+        # (local index, global child node id) pairs for blocking sources
+        # whose totals become exact once the *out-of-pipeline* build child
+        # finishes — consumed by the per-row N rule
+        pairs = mat_children or []
+        self.mat_idx = np.array([j for j, _ in pairs], dtype=np.int64)
+        self.mat_child_ids = np.array([c for _, c in pairs], dtype=np.int64)
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.ops)
+
+    @classmethod
+    def from_pipeline_run(cls, pr: PipelineRun) -> "PipelineMeta":
+        """Metadata of a *completed* pipeline run.
+
+        Includes the oracle byte total, so even the non-causal §6.7
+        Bytes-Processed model's kernel reproduces its batch ``estimate``
+        on this run.
+        """
+        if pr.n_observations:
+            mask = pr.driver_mask
+            oracle_bytes = float(
+                (pr.K[-1, mask] * pr.widths[mask]).sum() + pr.W[-1].sum())
+        else:
+            oracle_bytes = 0.0
+        return cls(
+            pid=pr.pid, query_name=pr.query_name, db_name=pr.db_name,
+            t_start=pr.t_start, node_ids=pr.node_ids, ops=pr.ops,
+            E0=pr.E0, widths=pr.widths, table_rows=pr.table_rows,
+            driver_mask=pr.driver_mask, parent_local=pr.parent_local,
+            materialized_bytes_est=pr.materialized_bytes_est,
+            oracle_bytes_total=oracle_bytes,
+        )
+
+    def driver_fraction(self, row) -> float:
+        """Fraction of driver input consumed at one full-width log row.
+
+        The dynamic-selection marker (§4.4), evaluated for one row without
+        a flush: :meth:`PipelineRun.driver_fraction` under the live
+        ``n_partial`` rule of :attr:`FlushBatch.N`.
+        """
+        cols = self.node_ids
+        k = row.K[cols]
+        totals = self.E0.copy()
+        idx = self.known_source_idx
+        if len(idx):
+            totals[idx] = self.table_rows[idx]
+        idx = self.materialized_idx
+        if len(idx):
+            done = row.D[cols]
+            n_partial = np.where(done, k, self.E0)
+            if len(self.mat_idx):
+                child_done = row.D[self.mat_child_ids] & ~done[self.mat_idx]
+                if child_done.any():
+                    take = self.mat_idx[child_done]
+                    n_partial[take] = row.K[self.mat_child_ids[child_done]]
+            totals[idx] = n_partial[idx]
+        mask = self.driver_mask
+        denom = float(totals[mask].sum())
+        if denom <= 0:
+            return 0.0
+        return float(np.clip(k[mask].sum() / denom, 0.0, 1.0))
+
 
 
 class SoAPool:
@@ -159,8 +274,8 @@ class SoAPool:
         self.m[slot] = m
         self.t_start[slot] = meta.t_start
         self.mat_bytes[slot] = meta.materialized_bytes_est
-        # the scalar TGN-interpolated state re-sums E0 every tick; the sum
-        # is tick-invariant, so one np.sum at pack time is bit-identical
+        # TGNINT's estimate sums E0 once per trajectory; the sum is
+        # tick-invariant, so one np.sum at pack time is bit-identical
         self.e0_sum[slot] = float(meta.E0.sum())
         oracle = meta.oracle_bytes_total
         self.has_oracle[slot] = oracle is not None
@@ -179,7 +294,7 @@ class SoAPool:
             sel[f][slot] = False
         sel["valid"][slot, :m] = True
         sel["driver"][slot, :m] = meta.driver_mask
-        # the widened families mirror _WidenedDriverState.extra exactly
+        # the widened families mirror BATCHDNE's / DNESEEK's node_mask
         sel["bdrv"][slot, :m] = meta.driver_mask | np.array(
             [op == Op.BATCH_SORT for op in ops])
         sel["sdrv"][slot, :m] = meta.driver_mask | np.array(
@@ -236,6 +351,31 @@ class FlushBatch:
         self._cache: dict[str, np.ndarray] = {}
         self._fixes: dict[str, list[tuple[int, np.ndarray]]] = {}
 
+    @classmethod
+    def of_pipeline_run(cls, pr: PipelineRun) -> "FlushBatch":
+        """A one-slot batch over a completed run, ``N`` fixed at the truth.
+
+        Row ``t`` is observation ``t``: the layout in which every kernel
+        must reproduce ``estimate(pr)`` (see :func:`kernel_estimates`).
+        """
+        pool = SoAPool(capacity=1)
+        slot = pool.pack(PipelineMeta.from_pipeline_run(pr))
+        rows, m, width = pr.n_observations, pr.n_nodes, pool.width
+
+        def pad(a: np.ndarray) -> np.ndarray:
+            out = np.zeros((rows, width), dtype=a.dtype)
+            out[:, :m] = a
+            return out
+
+        unset = np.zeros((rows, width), dtype=bool)
+        batch = cls(pool, np.full(rows, slot, dtype=np.int64), pr.times,
+                    pad(pr.K), pad(pr.W), pad(pr.LB), pad(pr.UB),
+                    D=unset, CK=np.zeros((rows, width)), CD=unset,
+                    slot_rows={slot: (0, rows)},
+                    ordinals=[np.array([t]) for t in range(rows)])
+        batch._cache["N"] = pad(np.broadcast_to(pr.N, (rows, m)))
+        return batch
+
     def __len__(self) -> int:
         return len(self.slots)
 
@@ -252,7 +392,9 @@ class FlushBatch:
 
     @property
     def N(self) -> np.ndarray:
-        """Per-row ``n_partial`` (mirrors ``_capture_tick``'s N rule)."""
+        """Per-row ``n_partial``: a finished node's counter; a blocking
+        source whose build child finished, the child's counter; else E0
+        (the rule :func:`~repro.engine.run.live_pipeline_run` applies)."""
         out = self._cache.get("N")
         if out is None:
             out = np.where(self.D, self.K, self.meta_rows("E0"))
@@ -264,7 +406,7 @@ class FlushBatch:
 
     @property
     def totals(self) -> np.ndarray:
-        """Per-row mirror of :func:`tick_known_totals`."""
+        """Per-row mirror of :meth:`PipelineRun.known_totals`."""
         out = self._cache.get("totals")
         if out is None:
             out = np.where(self.meta_rows("matpos"), self.N,
@@ -294,7 +436,7 @@ class FlushBatch:
         return out
 
     def rowsum(self, family: str, Z: np.ndarray) -> np.ndarray:
-        """Per-row ``Z[r, sel].sum()``, bit-identical to the scalar sums.
+        """Per-row ``Z[r, sel].sum()``, bit-identical to the batch sums.
 
         Sequential column accumulation over the zero-masked rows (exact
         for selections below numpy's unroll threshold — see the module
@@ -340,7 +482,7 @@ def _safe_div(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
 
 
 class BatchedStreamState:
-    """All packed pipelines' streaming state for ONE estimator kind.
+    """All packed pipelines' online state for ONE estimator kind.
 
     Memoryless kinds share the pool's metadata and carry no per-slot
     state; :meth:`advance` evaluates every row of a flush in one pass.
@@ -359,10 +501,6 @@ class BatchedStreamState:
 
     def release(self, slot: int) -> None:
         """Drop per-slot state (no-op for memoryless kinds)."""
-
-    def unpack(self, slot: int):
-        """The equivalent scalar state for one slot."""
-        return self.estimator.begin(self.pool.metas[slot])
 
     def advance(self, batch: FlushBatch) -> np.ndarray:
         raise NotImplementedError
@@ -450,13 +588,14 @@ class _BatchedBytesOracle(BatchedStreamState):
 
 
 class BatchedLuoState(BatchedStreamState):
-    """SoA mirror of :class:`LuoWindowState`: per-slot speed-window rings.
+    """LUO's trailing speed window, one ring per slot.
 
     Each slot's window lives in a row of the ``(slots, cap)`` ring
     arrays between ``head`` and ``wpos`` (monotone write cursor, no
-    wraparound); when a row runs out of columns the live entries of all
-    rows are compacted to the front — every entry still enters and
-    leaves at most once, exactly like the scalar deque.
+    wraparound) — the observations the batch loop's ``window_start``
+    pointer has not yet skipped.  When a row runs out of columns the live
+    entries of all rows are compacted to the front; every entry still
+    enters and leaves at most once, so a tick is amortized O(1).
     """
 
     stateful = True
@@ -490,13 +629,6 @@ class BatchedLuoState(BatchedStreamState):
         self.head[slot] = self.wpos[slot] = 0
 
     release = pack  # freeing and re-initializing a ring are the same reset
-
-    def unpack(self, slot: int) -> LuoWindowState:
-        state = LuoWindowState(self.pool.metas[slot])
-        state.window = deque(
-            (float(self.ew[slot, j]), float(self.dw[slot, j]))
-            for j in range(self.head[slot], self.wpos[slot]))
-        return state
 
     def _compact(self) -> None:
         count = self.count
@@ -550,7 +682,7 @@ class BatchedLuoState(BatchedStreamState):
             self.ew[sl, self.wpos[sl]] = el
             self.dw[sl, self.wpos[sl]] = dn
             self.wpos[sl] += 1
-            active = el > 0  # scalar path returns 0.0 before popping
+            active = el > 0  # the batch loop skips these before popping
             while True:
                 pop = (active & (self.count[sl] > 1)
                        & (el - self.ew[sl, self.head[sl]] > window))
@@ -567,7 +699,10 @@ class BatchedLuoState(BatchedStreamState):
             remaining = np.maximum(total[idx] - dn, 0.0)
             moving = speed > 0
             rt = np.zeros(len(idx))
-            np.divide(remaining, speed, out=rt, where=moving)
+            # a near-zero speed overflows to inf: elapsed / inf is the
+            # defined 0.0 (as in LuoEstimator.estimate)
+            with np.errstate(over="ignore"):
+                np.divide(remaining, speed, out=rt, where=moving)
             est = np.zeros(len(idx))
             np.divide(el, el + rt, out=est, where=moving & active)
             np.clip(est, 0.0, 1.0, out=est)
@@ -577,8 +712,8 @@ class BatchedLuoState(BatchedStreamState):
         return out
 
 
-#: exact scalar classes each kernel mirrors; subclasses fall back to the
-#: scalar path (their overridden behaviour cannot be assumed vectorizable)
+#: exact estimator classes each kernel mirrors; subclasses have none (their
+#: overridden behaviour cannot be assumed to match the kernel)
 _NATIVE = {
     DNEEstimator: _BatchedDNE,
     BatchDNEEstimator: _BatchedBatchDNE,
@@ -594,14 +729,29 @@ _NATIVE = {
 }
 
 
+def kernel_class(estimator) -> type[BatchedStreamState]:
+    """The kernel of ``estimator``; ``ValueError`` if it has none."""
+    cls = _NATIVE.get(type(estimator))
+    if cls is None:
+        raise ValueError(
+            f"estimator {estimator!r} has no SoA kernel, so it cannot be "
+            f"monitored online (kernels match exact classes only: "
+            f"{sorted(c.__name__ for c in _NATIVE)}); score it offline "
+            f"through estimate()")
+    return cls
+
+
 def batched_states(estimators: dict[str, object], pool: SoAPool
-                   ) -> dict[str, BatchedStreamState] | None:
-    """Batched state per estimator kind, or ``None`` if any kind has no
-    native SoA kernel (callers then keep the scalar path)."""
-    out: dict[str, BatchedStreamState] = {}
-    for name, est in estimators.items():
-        cls = _NATIVE.get(type(est))
-        if cls is None:
-            return None
-        out[name] = cls(est, pool)
-    return out
+                   ) -> dict[str, BatchedStreamState]:
+    """Batched state per estimator kind, all over ``pool``."""
+    return {name: kernel_class(est)(est, pool)
+            for name, est in estimators.items()}
+
+
+def kernel_estimates(estimator, pr: PipelineRun) -> np.ndarray:
+    """The kernel of ``estimator`` over every observation of a completed
+    run — equal to ``estimator.estimate(pr)`` bit-for-bit."""
+    batch = FlushBatch.of_pipeline_run(pr)
+    state = kernel_class(estimator)(estimator, batch.pool)
+    state.pack(0)
+    return state.advance(batch)

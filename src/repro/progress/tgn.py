@@ -14,12 +14,10 @@ import numpy as np
 from repro.engine.run import PipelineRun
 from repro.progress.base import (
     ProgressEstimator,
-    StreamState,
     clip_progress,
     safe_divide,
 )
 from repro.progress.refine import bounded_estimates
-from repro.progress.streaming import ObsTick, PipelineMeta
 
 
 class TGNEstimator(ProgressEstimator):
@@ -29,11 +27,3 @@ class TGNEstimator(ProgressEstimator):
         done = pr.K.sum(axis=1)
         totals = bounded_estimates(pr).sum(axis=1)
         return clip_progress(safe_divide(done, totals))
-
-    def begin(self, meta: PipelineMeta) -> StreamState:
-        return StreamState(meta)
-
-    def advance(self, state: StreamState, tick: ObsTick) -> float:
-        done = tick.K.sum()
-        totals = np.clip(state.meta.E0, tick.LB, tick.UB).sum()
-        return float(clip_progress(safe_divide(done, totals)))

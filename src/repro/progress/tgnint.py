@@ -16,12 +16,10 @@ import numpy as np
 from repro.engine.run import PipelineRun
 from repro.progress.base import (
     ProgressEstimator,
-    StreamState,
     clip_progress,
     safe_divide,
 )
 from repro.progress.dne import DNEEstimator
-from repro.progress.streaming import ObsTick, PipelineMeta
 
 
 class TGNIntEstimator(ProgressEstimator):
@@ -36,14 +34,3 @@ class TGNIntEstimator(ProgressEstimator):
         dne = self._dne.estimate(pr)
         denom = k_sum + (1.0 - dne) * e_sum
         return clip_progress(safe_divide(k_sum, np.maximum(denom, 1e-12)))
-
-    def begin(self, meta: PipelineMeta) -> StreamState:
-        return StreamState(meta)
-
-    def advance(self, state: StreamState, tick: ObsTick) -> float:
-        k_sum = tick.K.sum()
-        e_sum = float(state.meta.E0.sum())
-        dne = self._dne.advance(state, tick)
-        denom = k_sum + (1.0 - dne) * e_sum
-        return float(clip_progress(safe_divide(k_sum,
-                                               np.maximum(denom, 1e-12))))

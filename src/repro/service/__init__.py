@@ -5,17 +5,20 @@ server that monitors *many* queries at once.  This package is that serving
 layer for the reproduction:
 
 * :mod:`repro.service.session` — per-query state: resumable execution
-  handle, sticky selection state, queued report drafts;
+  handle, sticky selection state, the log rows due a report;
 * :mod:`repro.service.scheduler` — round-robin time slicing over
   :class:`~repro.engine.executor.ExecutionHandle` steps;
 * :mod:`repro.service.scoring` — batched selector scoring: one
   vectorized :meth:`~repro.core.selection.EstimatorSelector.predict_errors`
   pass per selector kind per tick, shared by all sessions;
-* :mod:`repro.service.service` — :class:`ProgressService`, tying the
-  three together and exposing submit / tick / run_until_complete;
+* :mod:`repro.service.batched` — the flush: every due report of a round,
+  one structure-of-arrays kernel pass per estimator kind;
+* :mod:`repro.service.service` — :class:`ProgressService`, tying these
+  together and exposing submit / tick / run_until_complete (the solo
+  monitor is a one-session service);
 * :mod:`repro.service.sharded` — :class:`ShardedProgressService`,
   partitioning sessions deterministically across N worker processes
-  (one vectorized ``ProgressService`` shard each, all IPC through the
+  (one ``ProgressService`` shard each, all IPC through the
   trace codec) with per-shard memory budgets and a graceful drain that
   reproduces the single-process report streams bit-for-bit;
 * :mod:`repro.service.net` — the asyncio HTTP + WebSocket front end

@@ -1,30 +1,28 @@
-"""The vectorized flush: one NumPy pass per estimator kind per tick.
+"""The flush: every report of a scheduler round, one NumPy pass per
+estimator kind.
 
-The scalar flush finalizes each session's drafts one by one, advancing
-that session's streaming states in Python — O(sessions × estimators)
-interpreter work per tick.  :class:`VectorizedFlush` replaces the whole
-flush phase when every estimator in the monitor's pool has a native
-structure-of-arrays kernel (:mod:`repro.progress.soa`):
+:class:`VectorizedFlush` is the only report producer — for the pooled
+service and, with one session, for the solo monitor and trace replay.
+Per round it runs four phases over all sessions at once, on the
+structure-of-arrays kernels of :mod:`repro.progress.soa`:
 
 1. **plan** — sessions capture only *which* observation rows are due
    reports (:attr:`QuerySession.pending_reports`); the flush rebuilds
    each due report's :class:`~repro.core.monitor.ReportDraft` causally
    from the log rows (pipeline status as of the row, cursor advancement,
    selection bookkeeping through the monitor's own ``_selection_needs``),
-   registering every running pipeline's delta rows against its pool slot;
+   registering every running pipeline's new rows against its pool slot;
 2. **resolve** — pending estimator selections of all sessions are
-   deduplicated and scored in one batched pass, exactly like the scalar
-   flush;
+   deduplicated (first observation wins) and scored in one batched pass;
 3. **gather/advance** — all registered rows are gathered into flat
    ``(rows, width)`` zero-padded arrays and every needed estimator kind
    advances once over the whole batch;
 4. **finalize** — the per-row results are handed to
    :meth:`ProgressMonitor.finalize` via its ``values`` argument, draft by
-   draft in capture order, so report assembly, selection commitment and
-   the report surface stay shared with the scalar path.
+   draft in capture order.
 
-Causality notes (why this reproduces the callback-time captures
-bit-for-bit):
+Causality notes (why each report equals the chosen estimator's
+``estimate`` on the causal prefix of its row):
 
 * a pipeline's *started* status at row ``R`` is reconstructed from the
   recorded start times (replay: ``t_start <= times[R]``, the same rule
@@ -34,14 +32,15 @@ bit-for-bit):
   reconstruction from times alone would not be causal);
 * *done* status comes from the logged done-flag row, which is what the
   callback-time capture read;
-* per-slot row sets mirror the scalar capture rule as of the END of the
-  previous flush (captures run in callbacks before the scalar flush, so
-  all drafts of one flush see the pre-flush prune state) — slot flags
-  are therefore read during planning and updated only after finalize;
+* a slot's row set is every row since its cursor while any stateful
+  kernel (LUO's speed window) still advances for it, else only the
+  report row — memoryless kernels need nothing else.  The prune state
+  is read during planning and updated only after finalize, so all
+  drafts of one flush see the state as of the previous flush;
 * feature extraction at a selection-opening row rebuilds the causal
-  trajectory view with the scalar code path itself: replay contexts are
-  seeked to ``R`` and restored, live contexts get an as-of adapter over
-  the append-only observation log.
+  trajectory view with :func:`~repro.engine.run.live_pipeline_run`
+  itself: replay contexts are seeked to ``R`` and restored, live
+  contexts get an as-of adapter over the append-only observation log.
 """
 
 from __future__ import annotations
@@ -53,12 +52,10 @@ from repro.core.monitor import (
     PipeSnapshot,
     ProgressMonitor,
     ReportDraft,
-    _capture_tick,
     _pipeline_meta,
 )
 from repro.engine.run import live_pipeline_run
 from repro.progress.soa import FlushBatch, SoAPool, batched_states
-from repro.progress.streaming import tick_driver_fraction
 
 
 class _AsOfLog:
@@ -112,19 +109,18 @@ class _AsOfLive:
 
 
 class _SlotRec:
-    """Per-(session, pipeline) flush bookkeeping, mirroring the scalar
-    :class:`~repro.core.monitor.PipelineStreams` lifecycle flags."""
+    """Per-(session, pipeline) flush bookkeeping: the slot's lifecycle."""
 
     __slots__ = ("slot", "advanced", "pruned", "keep_all", "luo_alive")
 
     def __init__(self, slot: int, has_stateful: bool):
         self.slot = slot
-        #: finalized at least once (scalar: streams object exists)
+        #: finalized at least once
         self.advanced = False
-        #: selection became final; non-chosen states dropped
+        #: selection became final; non-chosen kernels stop advancing
         self.pruned = False
-        #: capture every row since the cursor (scalar: streams.stateful
-        #: non-empty, or streams not yet created)
+        #: capture every row since the cursor (a stateful kernel still
+        #: advances for the slot)
         self.keep_all = True
         #: the stateful (LUO) slot state still advances
         self.luo_alive = has_stateful
@@ -143,30 +139,18 @@ class _Item:
 
 
 class VectorizedFlush:
-    """Flush-phase driver advancing all sessions' states per kind at once."""
+    """Flush-phase driver advancing all sessions' kernels per kind at once."""
 
-    def __init__(self, monitor: ProgressMonitor, pool: SoAPool, states):
+    def __init__(self, monitor: ProgressMonitor):
         self.monitor = monitor
-        self.pool = pool
-        self.states = states
-        self._stateful_names = {n for n, s in states.items() if s.stateful}
+        self.pool = SoAPool()
+        self.states = batched_states(monitor.estimators, self.pool)
+        self._stateful_names = {n for n, s in self.states.items()
+                                if s.stateful}
         self._has_stateful = bool(self._stateful_names)
         #: session_id -> pid -> slot record
         self._recs: dict[int, dict[int, _SlotRec]] = {}
         self._to_release: list[_SlotRec] = []
-
-    @classmethod
-    def create(cls, monitor: ProgressMonitor) -> "VectorizedFlush | None":
-        """A flush driver for ``monitor``, or ``None`` when the scalar
-        path must be kept (batch-mode monitor, or an estimator without a
-        native SoA kernel)."""
-        if not monitor.incremental:
-            return None
-        pool = SoAPool()
-        states = batched_states(monitor.estimators, pool)
-        if states is None:
-            return None
-        return cls(monitor, pool, states)
 
     def release_session(self, session) -> None:
         """Free every slot a completed session still holds."""
@@ -193,7 +177,7 @@ class VectorizedFlush:
                                          slot_session, slot_recs))
             for session in drafted]
 
-        # batched selection resolve — same dedup rule as the scalar flush
+        # batched selection resolve; first observation of a key wins
         requests: list[tuple[str, object]] = []
         targets: list[tuple[object, int, str]] = []
         for session, per in planned:
@@ -215,20 +199,23 @@ class VectorizedFlush:
 
         # peek each item's (now committed) choice; the kinds to advance
         monitor = self.monitor
+        no_dynamic = monitor.dynamic_selector is None
         needed: set[str] = set()
+        final: set[_SlotRec] = set()
+        stateful: set[_SlotRec] = set()
         for session, per in planned:
-            state = session.state
             for _draft, items in per:
                 for it in items:
-                    pid = it.snap.pid
-                    if it.snap.kind == DYNAMIC:
-                        name = state.dynamic_choices[pid]
-                    elif monitor.static_selector is None:
-                        name = state.static_choices.get(pid, monitor.fallback)
-                    else:
-                        name = state.static_choices[pid]
-                    it.name = name
-                    needed.add(name)
+                    it.name = monitor._chosen(it.snap, session.state)
+                    needed.add(it.name)
+                    if it.snap.kind == DYNAMIC or no_dynamic:
+                        final.add(it.rec)
+                    if it.name in self._stateful_names:
+                        stateful.add(it.rec)
+        # a slot whose choice turns final on a memoryless kind in this
+        # flush never reads its stateful window again: stop it right away
+        for rec in final - stateful:
+            rec.luo_alive = False
 
         # gather all rows once; one advance per kind over the whole batch
         arrs: dict[str, np.ndarray] = {}
@@ -242,13 +229,14 @@ class VectorizedFlush:
                 for slot, (lo, hi) in batch.slot_rows.items():
                     if slot_recs[slot].luo_alive:
                         alive[lo:hi] = True
-                for name in self._stateful_names:
-                    out = self.states[name].advance(batch, row_mask=alive)
-                    if name in needed:
-                        arrs[name] = out
+                if alive.any():
+                    for name in self._stateful_names:
+                        out = self.states[name].advance(batch,
+                                                        row_mask=alive)
+                        if name in needed:
+                            arrs[name] = out
 
         # finalize in capture order; apply end-of-flush prune bookkeeping
-        no_dynamic = monitor.dynamic_selector is None
         for session, per in planned:
             for draft, items in per:
                 values = {
@@ -366,8 +354,7 @@ class VectorizedFlush:
                 pos = len(lst) - 1
 
                 def fraction(meta=meta, R=R, log=ctx.log):
-                    return tick_driver_fraction(
-                        meta, _capture_tick(log.row(R), meta))
+                    return meta.driver_fraction(log.row(R))
 
                 def make_pr(pipe=pipe, R=R, pf=pf, ctx=ctx, replay=replay):
                     if replay:

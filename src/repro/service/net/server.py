@@ -115,7 +115,7 @@ class ProgressServer:
         Listen address; ``port=0`` binds an ephemeral port (tests and
         benchmarks), :attr:`address` reports the bound one.
     n_shards / slice_steps / max_live / memory_budget_bytes / placement /
-    processes / vectorized:
+    processes:
         Fleet knobs, forwarded verbatim to :class:`ShardedProgressService`.
     max_inflight:
         Supervisor-level admission bound: submissions that would push the
@@ -133,7 +133,7 @@ class ProgressServer:
                  max_live: int | None = None,
                  memory_budget_bytes: int | None = None,
                  placement: str = "round_robin", processes: bool = False,
-                 vectorized: bool = True, max_inflight: int | None = None,
+                 max_inflight: int | None = None,
                  retry_after: float = 1.0,
                  max_body_bytes: int = http.MAX_BODY_BYTES):
         if max_inflight is not None and max_inflight <= 0:
@@ -146,7 +146,7 @@ class ProgressServer:
         self._service = ShardedProgressService(
             monitor, n_shards=n_shards, slice_steps=slice_steps,
             max_live=max_live, memory_budget_bytes=memory_budget_bytes,
-            placement=placement, processes=processes, vectorized=vectorized,
+            placement=placement, processes=processes,
             on_report=self._staged_reports_append,
             on_complete=self._staged_completed_append,
             keep_reports=False)

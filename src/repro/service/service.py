@@ -8,23 +8,22 @@ same per-query :class:`~repro.core.monitor.ProgressReport` streams a solo
 :class:`~repro.core.monitor.ProgressMonitor` would — bit-identical, which
 the service test suite verifies — while scoring estimator selection for
 *all* sessions in one batched pass per tick
-(:mod:`repro.service.scoring`) and, when every estimator in the pool has
-a native structure-of-arrays kernel, advancing *all* sessions' streaming
-states in one NumPy pass per estimator kind per tick
-(:mod:`repro.service.batched`).
+(:mod:`repro.service.scoring`) and advancing *all* sessions' estimator
+kernels in one NumPy pass per estimator kind per tick
+(:mod:`repro.service.batched`).  The solo monitor is this service with
+one session.
 
 A tick is one scheduler round:
 
 1. admission — pending sessions are started while live slots are free;
 2. execution — every live session runs for ``slice_steps`` engine steps;
-   observation callbacks fire inside the steps and queue causal report
-   drafts (scalar path) or due report rows (vectorized path) on their
-   session;
-3. flush — pending estimator selections of this round's sessions are
-   deduplicated (first observation wins, exactly like the solo monitor),
-   scored in one batch per selector kind, committed into each session's
-   state, and the queued drafts are finalized into reports in capture
-   order.
+   observation callbacks fire inside the steps and queue the due report
+   rows on their session;
+3. flush — the due rows' causal drafts are rebuilt, pending estimator
+   selections of this round's sessions are deduplicated (first
+   observation wins) and scored in one batch per selector kind, the
+   kernels advance over every new row, and the drafts are finalized into
+   reports in capture order.
 
 The service tracks sessions in three index structures so per-tick cost
 scales with *live* sessions, not with every session ever submitted:
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.catalog.table import Database
-from repro.core.monitor import DYNAMIC, ProgressMonitor, ProgressReport
+from repro.core.monitor import ProgressMonitor, ProgressReport
 from repro.engine.clock import CostModel
 from repro.engine.executor import ExecutorConfig, QueryExecutor
 from repro.engine.run import QueryRun
@@ -49,7 +48,7 @@ from repro.plan.nodes import PlanNode
 from repro.service.batched import VectorizedFlush
 from repro.service.scheduler import RoundRobinScheduler
 from repro.service.scoring import BatchedSelectorScorer
-from repro.service.session import QuerySession, SessionStatus
+from repro.service.session import QuerySession
 from repro.trace.replay import ReplayExecutor
 
 
@@ -124,20 +123,12 @@ class ProgressService:
         it finishes — strictly *after* its final reports flushed, so the
         hook may release the session (the sharded service frees its
         memory-budget share and drops heavy state here).
-    vectorized:
-        Advance all sessions' streaming states through the
-        structure-of-arrays fast path (default).  Engages only when the
-        monitor is incremental and every estimator in its pool has a
-        native SoA kernel; otherwise the service silently keeps the
-        scalar per-session flush.  ``False`` forces the scalar path —
-        the parity oracle the fuzz suite compares against.
     """
 
     def __init__(self, monitor: ProgressMonitor, slice_steps: int = 8,
                  max_live: int | None = None,
                  on_report: Callable[[QuerySession, ProgressReport], None]
                  | None = None,
-                 vectorized: bool = True,
                  on_complete: Callable[[QuerySession], None] | None = None):
         self.monitor = monitor
         self.scheduler = RoundRobinScheduler(slice_steps)
@@ -152,13 +143,8 @@ class ProgressService:
         self._pending: deque[QuerySession] = deque()
         self._live: list[QuerySession] = []
         self._live_set: set[int] = set()
-        self._vector = VectorizedFlush.create(monitor) if vectorized else None
+        self._vector = VectorizedFlush(monitor)
         self.stats = ServiceStats()
-
-    @property
-    def vectorized(self) -> bool:
-        """True when the SoA fast path is driving this service's flushes."""
-        return self._vector is not None
 
     # -- submission ----------------------------------------------------------
 
@@ -168,8 +154,7 @@ class ProgressService:
         """Register a query for execution; returns its session id."""
         executor = QueryExecutor(db, config=config, cost_model=cost_model)
         session = QuerySession(len(self.sessions), executor, plan,
-                               query_name, self.monitor,
-                               deferred=self._vector is not None)
+                               query_name, self.monitor)
         self.sessions.append(session)
         self._pending.append(session)
         self.stats.sessions_submitted += 1
@@ -188,8 +173,7 @@ class ProgressService:
         """
         executor = ReplayExecutor(run)
         session = QuerySession(len(self.sessions), executor, None,
-                               query_name or run.query_name, self.monitor,
-                               deferred=self._vector is not None)
+                               query_name or run.query_name, self.monitor)
         self.sessions.append(session)
         self._pending.append(session)
         self.stats.sessions_submitted += 1
@@ -221,14 +205,13 @@ class ProgressService:
         if round_sessions:
             self.stats.ticks += 1
         self._flush(round_sessions)
-        if self._vector is not None:
-            # slots are freed only after the retiring sessions' final
-            # drafts have flushed through them
-            for session in round_sessions:
-                if session.done:
-                    self._vector.release_session(session)
+        # slots are freed only after the retiring sessions' final reports
+        # have flushed through them
+        for session in round_sessions:
+            if session.done:
+                self._vector.release_session(session)
         if self.on_complete is not None:
-            # fires after the flush (and SoA slot release): the session's
+            # fires after the flush (and kernel slot release): the session's
             # final reports are already emitted, so the hook may drain it
             for session in round_sessions:
                 if session.done:
@@ -278,46 +261,16 @@ class ProgressService:
             self.stats.sessions_completed += 1
 
     def _flush(self, round_sessions: list[QuerySession]) -> None:
-        """Batch-resolve pending selections, then finalize queued drafts.
+        """Produce every report due in this round's sessions.
 
-        Only this round's sessions can hold unflushed work (every flush
+        Only this round's sessions can hold unflushed rows (every flush
         drains completely), so the scan is bounded by the round — not by
         the total ever submitted.  Sessions are flushed in submission
-        order, undoing the scheduler's rotation, to keep report emission
-        order identical to the historical full-list scan.
+        order, undoing the scheduler's rotation, so report emission order
+        does not depend on the rotation.
         """
-        drafted = sorted(
-            (s for s in round_sessions if s.drafts or s.pending_reports),
-            key=lambda s: s.session_id)
-        if not drafted:
-            return
-        if self._vector is not None:
+        drafted = sorted((s for s in round_sessions if s.pending_reports),
+                         key=lambda s: s.session_id)
+        if drafted:
             self._vector.flush(drafted, self.scorer, self.stats,
                                self.on_report)
-            return
-        requests: list[tuple[str, object]] = []
-        targets: list[tuple[QuerySession, int, str]] = []
-        for session in drafted:
-            seen: set[tuple[int, str]] = set()
-            for draft in session.drafts:
-                for snap in draft.pending_selections(session.state):
-                    key = (snap.pid, snap.kind)
-                    if key in seen:
-                        continue  # first observation wins, as in solo mode
-                    seen.add(key)
-                    requests.append((snap.kind, snap.features))
-                    targets.append((session, snap.pid, snap.kind))
-        if requests:
-            names = self.scorer.resolve(requests)
-            for (session, pid, kind), name in zip(targets, names):
-                made = (session.state.dynamic_choices if kind == DYNAMIC
-                        else session.state.static_choices)
-                made[pid] = name
-        for session in drafted:
-            while session.drafts:
-                draft = session.drafts.popleft()
-                report = self.monitor.finalize(draft, session.state)
-                session.reports.append(report)
-                self.stats.reports += 1
-                if self.on_report is not None:
-                    self.on_report(session, report)

@@ -3,37 +3,25 @@
 A :class:`QuerySession` bundles everything the service tracks per query:
 the resumable :class:`~repro.engine.executor.ExecutionHandle`, the
 per-query :class:`~repro.core.monitor.MonitorState` (sticky estimator
-choices + tick counter), the queue of causally-captured
-:class:`~repro.core.monitor.ReportDraft` objects awaiting finalization,
-and the finalized :class:`~repro.core.monitor.ProgressReport` stream.
+choices + tick counter), the observation rows due a report, and the
+finalized :class:`~repro.core.monitor.ProgressReport` stream.
 
 Sessions are passive: the :class:`~repro.service.service.ProgressService`
-steps their handles, batches their pending estimator selections, and
-finalizes their drafts.
-
-Capture comes in two flavours.  In the default (scalar) mode the
-observation callback snapshots a full :class:`ReportDraft` per due report,
-exactly like the solo monitor.  In *deferred* mode — enabled by the
-service when its vectorized flush owns report production — the callback
-only records which observation rows are due (``pending_reports``; for
-live executions also a copy of the pipeline-start vector, the one causal
-input that later rows cannot reconstruct); the flush rebuilds the drafts
-from those rows.  Deferred replay sessions additionally support *bulk*
-stepping: a whole time slice advances in one seek, with the due report
-rows derived arithmetically, skipping per-observation callbacks entirely.
+steps their handles and its flush turns their due rows into reports.
+The observation callback only records which rows are due
+(``pending_reports``; for live executions also a copy of the
+pipeline-start vector, the one causal input that later rows cannot
+reconstruct); the flush rebuilds the report drafts from those rows.
+Replay sessions additionally support *bulk* stepping: a whole time slice
+advances in one seek, with the due report rows derived arithmetically,
+skipping per-observation callbacks entirely.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
 
-from repro.core.monitor import (
-    MonitorState,
-    ProgressMonitor,
-    ProgressReport,
-    ReportDraft,
-)
+from repro.core.monitor import MonitorState, ProgressMonitor, ProgressReport
 from repro.engine.executor import ExecutionHandle, QueryExecutor
 from repro.engine.run import QueryRun
 
@@ -54,20 +42,17 @@ class QuerySession:
     """
 
     def __init__(self, session_id: int, executor: "QueryExecutor | object",
-                 plan, query_name: str, monitor: ProgressMonitor,
-                 deferred: bool = False):
+                 plan, query_name: str, monitor: ProgressMonitor):
         self.session_id = session_id
         self.query_name = query_name
         self.status = SessionStatus.PENDING
         self.state = MonitorState()
         self.reports: list[ProgressReport] = []
-        self.drafts: deque[ReportDraft] = deque()
-        #: deferred capture: observation-log row index per due report
+        #: observation-log row index per due report
         self.pending_reports: list[int] = []
-        #: deferred live capture: pipe_first copy per due report (the only
-        #: mutable causal input the log row itself does not record)
+        #: live capture: pipe_first copy per due report (the only mutable
+        #: causal input the log row itself does not record)
         self.pending_starts: list = []
-        self.deferred = deferred
         self.steps = 0
         self.released = False
         self._monitor = monitor
@@ -83,8 +68,7 @@ class QuerySession:
         self.status = SessionStatus.RUNNING
         # Binding on_observation per-session: the executor instance is owned
         # by this session, so the callback can close over its state.
-        self._executor.on_observation = (
-            self._observe_deferred if self.deferred else self._observe)
+        self._executor.on_observation = self._observe
         self._handle = self._executor.begin(self._plan, self.query_name)
 
     def step(self) -> bool:
@@ -99,13 +83,13 @@ class QuerySession:
     @property
     def can_bulk(self) -> bool:
         """True when a slice can advance without per-observation callbacks
-        (deferred capture over a seekable replay handle)."""
-        return self.deferred and hasattr(self._handle, "skip")
+        (a seekable replay handle)."""
+        return hasattr(self._handle, "skip")
 
     def step_bulk(self, k: int) -> int:
         """Advance up to ``k`` replay steps in one seek; steps used.
 
-        Mirrors ``k`` iterations of :meth:`step` under deferred capture:
+        Mirrors ``k`` iterations of :meth:`step`:
         the tick counter advances per skipped observation and the due
         report rows (every ``refresh_every``-th tick) are derived from
         the tick arithmetic instead of callbacks.  Relies on the replay
@@ -149,7 +133,6 @@ class QuerySession:
                 f"completed sessions can be released")
         self.released = True
         self.reports = []
-        self.drafts.clear()
         self.pending_reports = []
         self.pending_starts = []
         self.state = MonitorState()
@@ -171,20 +154,12 @@ class QuerySession:
     # -- observation capture -------------------------------------------------
 
     def _observe(self, ctx) -> None:
-        """Observation callback: causal capture only, no scoring.
+        """Observation callback: record only *which* row is due a report.
 
-        Mirrors the solo :meth:`ProgressMonitor.run` callback except that
-        the draft is queued instead of finalized — the service resolves
-        pending selections for *all* sessions in one batched pass at the
-        end of the scheduler round, then finalizes queued drafts in order.
+        Mirrors the ``refresh_every`` cadence of solo monitoring; the
+        service's flush builds, scores and finalizes the reports of all
+        sessions at the end of the scheduler round.
         """
-        self.state.ticks += 1
-        if self.state.ticks % self._monitor.refresh_every:
-            return
-        self.drafts.append(self._monitor.snapshot(ctx, self.state))
-
-    def _observe_deferred(self, ctx) -> None:
-        """Deferred capture: record only *which* row is due a report."""
         self.state.ticks += 1
         if self.state.ticks % self._monitor.refresh_every:
             return

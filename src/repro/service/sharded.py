@@ -2,7 +2,7 @@
 
 :class:`ShardedProgressService` scales the pooled
 :class:`~repro.service.service.ProgressService` across cores: sessions are
-partitioned over N *shards*, each shard runs its own vectorized
+partitioned over N *shards*, each shard runs its own
 ``ProgressService`` (in a worker process, or inline for the serial path),
 and a supervisor drives all shards through lockstep tick rounds, merging
 their report streams in submission order.
@@ -179,7 +179,7 @@ class FleetStats:
 
 
 class ShardWorker:
-    """One shard: a vectorized :class:`ProgressService` plus budgeted
+    """One shard: a :class:`ProgressService` plus budgeted
     admission and per-tick report capture.
 
     The same object backs both deployment modes — inline in the
@@ -190,13 +190,12 @@ class ShardWorker:
 
     def __init__(self, shard_id: int, monitor: ProgressMonitor,
                  slice_steps: int = 8, max_live: int | None = None,
-                 memory_budget_bytes: int | None = None,
-                 vectorized: bool = True):
+                 memory_budget_bytes: int | None = None):
         self.stats = ShardStats(shard_id)
         self.memory_budget_bytes = memory_budget_bytes
         self.service = ProgressService(
             monitor, slice_steps=slice_steps, max_live=max_live,
-            vectorized=vectorized, on_report=self._capture,
+            on_report=self._capture,
             on_complete=self._complete)
         self.stats.service = self.service.stats
         #: budget-deferred admissions, FIFO: (global_sid, run, name, bytes)
@@ -345,7 +344,7 @@ class ShardedProgressService:
         Shard count; default one per available CPU
         (affinity/cgroup-aware, see
         :func:`~repro.runtime.pool.available_cpus`).
-    slice_steps / max_live / vectorized:
+    slice_steps / max_live:
         Forwarded to each shard's inner :class:`ProgressService`
         (``max_live`` is per shard).
     memory_budget_bytes:
@@ -384,7 +383,6 @@ class ShardedProgressService:
                  memory_budget_bytes: int | None = None,
                  placement: str = "round_robin",
                  processes: bool = False,
-                 vectorized: bool = True,
                  on_report: Callable[[int, ProgressReport], None]
                  | None = None,
                  on_complete: Callable[[int], None] | None = None,
@@ -415,8 +413,7 @@ class ShardedProgressService:
         self._collected: list[tuple[int, ProgressReport]] = []
         self._closed = False
         options = dict(slice_steps=slice_steps, max_live=max_live,
-                       memory_budget_bytes=memory_budget_bytes,
-                       vectorized=vectorized)
+                       memory_budget_bytes=memory_budget_bytes)
         make_monitor = monitor if callable(monitor) else None
         if processes:
             if make_monitor is None:

@@ -122,7 +122,8 @@ def _verify_key(store: TraceStore, key: str) -> str | None:
     try:
         runs = store.load(key)
         manifest = store.manifest(key)
-        with np.load(store.path(key) / RUNS_NAME) as stored:
+        with open(store.path(key) / RUNS_NAME, "rb") as fh, \
+                np.load(fh) as stored:
             stored_members = {name: stored[name] for name in stored.files}
     except Exception as exc:  # noqa: BLE001 — report, don't crash the sweep
         return f"unreadable ({exc})"

@@ -4,10 +4,10 @@ A recorded :class:`~repro.engine.run.QueryRun` holds everything the
 observation callback ever saw: counter matrices per snapshot, done flags
 (``D``), pipeline windows and plan metadata.  :class:`ReplayContext`
 re-materializes, observation by observation, the exact duck-typed surface
-of :class:`~repro.engine.executor.ExecContext` that
-:meth:`ProgressMonitor.snapshot <repro.core.monitor.ProgressMonitor.snapshot>`
-and :func:`~repro.engine.run.live_pipeline_run` consume — so the *same*
-causal snapshot code runs against the recording, and a replayed monitor
+of :class:`~repro.engine.executor.ExecContext` that the service's flush
+(:class:`~repro.service.batched.VectorizedFlush`) and
+:func:`~repro.engine.run.live_pipeline_run` consume — so the *same*
+causal capture code runs against the recording, and a replayed monitor
 produces bit-identical reports to the live one, without touching the
 engine.
 
@@ -240,9 +240,9 @@ class ReplayHandle:
     def skip(self, k: int) -> int:
         """Advance up to ``k`` observations without firing callbacks.
 
-        The bulk-stepping primitive of the service's vectorized path: the
-        deferred capture there reconstructs report rows from the recording
-        directly, so per-observation emission is pure overhead.  Returns
+        The service's bulk-stepping primitive: its flush reconstructs
+        report rows from the recording directly, so per-observation
+        emission is pure overhead.  Returns
         the number of observations actually advanced (the terminal
         transition past the last observation still requires :meth:`step`).
         """
@@ -285,21 +285,8 @@ def replay_monitor(monitor, run: QueryRun) -> list:
     Produces the bit-identical report list the live monitor produced (or
     would have produced) for this execution — same snapshot cadence
     (``refresh_every``), same feature vectors, same selections — without
-    executing anything.
+    executing anything: a one-session service replaying ``run``.
     """
-    from repro.core.monitor import MonitorState
-
-    reports = []
-    state = MonitorState()
-
-    def observe(ctx: ReplayContext) -> None:
-        state.ticks += 1
-        if state.ticks % monitor.refresh_every:
-            return
-        report = monitor.finalize(monitor.snapshot(ctx, state), state)
-        reports.append(report)
-        if monitor.on_report is not None:
-            monitor.on_report(report)
-
-    ReplayHandle(run, observe).run_to_completion()
-    return reports
+    service = monitor.solo_service()
+    sid = service.submit_replay(run)
+    return service.run_until_complete()[sid][1]

@@ -144,7 +144,9 @@ def read_trace(path: str | Path) -> tuple[list[QueryRun], dict[str, Any]]:
     for attempt in range(5):
         try:
             manifest = read_manifest(path)
-            with np.load(path / RUNS_NAME) as members:
+            # np.load leaks its own handle when the zip is unreadable;
+            # owning the file closes it on every path
+            with open(path / RUNS_NAME, "rb") as fh, np.load(fh) as members:
                 runs = [run_from_members(entry, members, entry["prefix"])
                         for entry in manifest["runs"]]
             return runs, manifest

@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.core.monitor import MonitorState, ProgressMonitor
+from repro.core.monitor import ProgressMonitor
 from repro.core.training import collect_training_data, train_selector
 from repro.engine.executor import ExecutorConfig, QueryExecutor
 from repro.features.vector import FeatureExtractor
+from repro.fuzz.oracle import reference_progress
 from repro.learning.mart import MARTParams
+from repro.progress.dne import DNEEstimator
 from repro.progress.registry import all_estimators
+from repro.service import ProgressService
+from repro.service.session import SessionStatus
 
 FAST_MART = MARTParams(n_trees=8, max_leaves=4)
 
@@ -97,108 +101,100 @@ class TestProgressMonitor:
         assert run.total_time > 0
 
 
-def _reports_equal(a, b):
-    return len(a) == len(b) and all(
-        x.time == y.time and x.progress == y.progress
-        and x.active_pid == y.active_pid
-        and x.active_estimator == y.active_estimator
-        and x.pipeline_progress == y.pipeline_progress
-        and x.pipeline_estimator == y.pipeline_estimator
-        for x, y in zip(a, b))
-
-
 class TestIncrementalMonitor:
-    """The streaming report path against the batch-recompute oracle."""
+    """Served reports against the batch definition: each running
+    pipeline's value is its chosen estimator's ``estimate`` on the causal
+    prefix of the report's row (the fuzz oracle's ``kernel`` reference)."""
 
     @pytest.mark.parametrize("refresh_every", [1, 3])
     def test_reports_bit_identical_to_batch_path(
             self, tpch_db, tpch_planner, join_query, trained_selectors,
             refresh_every):
         static_sel, dynamic_sel = trained_selectors
+        monitor = ProgressMonitor(static_selector=static_sel,
+                                  dynamic_selector=dynamic_sel,
+                                  refresh_every=refresh_every)
         config = ExecutorConfig(batch_size=256, target_observations=60,
                                 seed=2)
-        streams = {}
-        for incremental in (True, False):
-            monitor = ProgressMonitor(static_selector=static_sel,
-                                      dynamic_selector=dynamic_sel,
-                                      refresh_every=refresh_every,
-                                      incremental=incremental)
-            plan = tpch_planner.plan(join_query)
-            _, reports = monitor.run(tpch_db, plan, config=config)
-            streams[incremental] = reports
-        assert streams[True], "incremental monitor produced no reports"
-        assert _reports_equal(streams[True], streams[False])
+        run, reports = monitor.run(tpch_db, tpch_planner.plan(join_query),
+                                   config=config)
+        assert reports, "monitor produced no reports"
+        assert len(reports) == len(run.times) // refresh_every
+        assert ([r.pipeline_progress for r in reports]
+                == reference_progress(run, reports, monitor))
 
     def test_fallback_only_pool_matches_batch(self, tpch_db, tpch_planner,
                                               join_query):
+        monitor = ProgressMonitor(fallback="luo", refresh_every=2)
         config = ExecutorConfig(batch_size=256, target_observations=40,
                                 seed=3)
-        results = []
-        for incremental in (True, False):
-            monitor = ProgressMonitor(fallback="luo", refresh_every=2,
-                                      incremental=incremental)
-            _, reports = monitor.run(tpch_db, tpch_planner.plan(join_query),
-                                     config=config)
-            results.append(reports)
-        assert results[0] and _reports_equal(results[0], results[1])
+        run, reports = monitor.run(tpch_db, tpch_planner.plan(join_query),
+                                   config=config)
+        assert reports
+        assert ([r.pipeline_progress for r in reports]
+                == reference_progress(run, reports, monitor))
 
-    def test_drafts_are_constant_sized(self, tpch_db, tpch_planner,
-                                       join_query):
-        """Regression for the hot-path allocation: an incremental draft
-        never holds a PipelineRun trajectory copy — only per-tick counter
-        deltas bounded by the refresh cadence, however old the query."""
-        refresh_every = 4
-        monitor = ProgressMonitor(refresh_every=refresh_every)
-        state = MonitorState()
-        drafts = []
 
-        def observe(ctx):
-            state.ticks += 1
-            if state.ticks % refresh_every:
-                return
-            draft = monitor.snapshot(ctx, state)
-            drafts.append(draft)
-            monitor.finalize(draft, state)
+class TestKernelLifecycle:
+    """Kernel slots follow pipeline lifetimes; pools need kernels."""
 
-        executor = QueryExecutor(
-            tpch_db, ExecutorConfig(batch_size=256, target_observations=80,
-                                    seed=4),
-            on_observation=observe)
-        executor.execute(tpch_planner.plan(join_query), "draft_size")
-        running = 0
-        for draft in drafts:
-            for snap in draft.pipes:
-                assert snap.pr is None, "incremental draft holds a PipelineRun"
-                if snap.status != "running":
-                    assert snap.ticks is None
+    @pytest.fixture(scope="class")
+    def recordings(self, tpch_db, tpch_planner, join_query):
+        return [QueryExecutor(tpch_db, ExecutorConfig(
+                    batch_size=256, target_observations=40, seed=seed)
+                ).execute(tpch_planner.plan(join_query), f"seed{seed}")
+                for seed in (5, 6, 7)]
+
+    def test_slots_released_after_drain(self, tpch_db, tpch_planner,
+                                        join_query, recordings):
+        service = ProgressService(ProgressMonitor(fallback="luo",
+                                                  refresh_every=1),
+                                  slice_steps=4, max_live=2)
+        for run in recordings:
+            service.submit_replay(run)
+        service.submit(tpch_db, tpch_planner.plan(join_query), "live",
+                       ExecutorConfig(batch_size=256, target_observations=40,
+                                      seed=8))
+        service.run_until_complete(max_ticks=100_000)
+        flush = service._vector
+        assert flush.pool.n_live == 0
+        assert all(meta is None for meta in flush.pool.metas)
+        luo = flush.states["luo"]
+        assert (luo.count == 0).all() and (luo.wpos == 0).all()
+        for session in service.sessions:
+            # the final observation reports every pipeline done and drops
+            # its capture bookkeeping
+            assert session.state.metas == {}
+            assert session.state.cursors == {}
+
+    def test_live_slots_bounded_by_running_pipelines(self, recordings):
+        service = ProgressService(ProgressMonitor(refresh_every=1),
+                                  slice_steps=3)
+        for run in recordings:
+            service.submit_replay(run)
+        peak = 0
+        while service.tick():
+            # refresh_every=1: every replayed row was reported, so a slot
+            # exists only for a pipeline running at its session's last row
+            running = 0
+            for session in service.sessions:
+                if session.status is not SessionStatus.RUNNING:
                     continue
-                running += 1
-                # bounded by the refresh cadence (+ the short-status rows
-                # a pipeline's first capture may carry), not by query age
-                assert len(snap.ticks) <= refresh_every + 2
-                for tick in snap.ticks:
-                    # one O(nodes) row per tick, nothing trajectory-shaped
-                    assert tick.K.ndim == 1
-                    assert (tick.K.shape == tick.N.shape == tick.LB.shape
-                            == tick.UB.shape == tick.W.shape)
-        assert running >= 5
+                ctx = session.handle_ctx
+                for pipe in ctx.pipelines:
+                    if (np.isfinite(ctx.pipe_first[pipe.pid])
+                            and not ctx.counters.done[pipe.terminal.node_id]):
+                        running += 1
+            live = service._vector.pool.n_live
+            assert live <= running
+            peak = max(peak, live)
+        assert peak >= 2, "the drain never held concurrent slots"
 
-    def test_streams_released_when_pipelines_finish(self, tpch_db,
-                                                    tpch_planner, join_query):
-        monitor = ProgressMonitor(refresh_every=1)
-        state = MonitorState()
+    def test_pool_without_kernel_rejected(self):
+        class Tweaked(DNEEstimator):
+            name = "tweaked"
 
-        def observe(ctx):
-            state.ticks += 1
-            monitor.finalize(monitor.snapshot(ctx, state), state)
-
-        executor = QueryExecutor(
-            tpch_db, ExecutorConfig(batch_size=256, target_observations=40,
-                                    seed=5),
-            on_observation=observe)
-        executor.execute(tpch_planner.plan(join_query), "stream_release")
-        # the final forced observation reports every pipeline done and
-        # releases its streaming state + capture bookkeeping
-        assert state.streams == {}
-        assert state.metas == {}
-        assert state.cursors == {}
+        with pytest.raises(ValueError, match="Tweaked"):
+            ProgressMonitor(estimators=all_estimators() + [Tweaked()])
+        with pytest.raises(ValueError, match="no SoA kernel"):
+            ProgressMonitor(estimators=[Tweaked()], fallback="tweaked")

@@ -2,7 +2,7 @@
 
 The fast part *is* the CI fuzz gate: a fixed 25-seed matrix runs through
 all six oracle layers on every push (engine output vs. the NumPy
-reference, progress invariants, incremental-vs-batch estimation parity,
+reference, progress invariants, kernel-vs-``estimate`` estimation parity,
 trace round-trip/replay parity, pooled service parity).  The slow part
 widens the matrix, trains per-scenario selectors, and is additionally
 sharded across seeds by the dedicated CI fuzz job (``FUZZ_SEED_BASE``).

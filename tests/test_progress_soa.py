@@ -1,41 +1,41 @@
-"""SoA batch kernels vs the scalar streaming states (bit parity).
+"""SoA batch kernels vs the batch ``estimate`` (bit parity).
 
-:mod:`repro.progress.soa` re-lays the per-pipeline streaming states out
-as structure-of-arrays batches; the contract is that ``advance`` over a
-:class:`FlushBatch` row equals the scalar ``estimator.advance(state,
-tick)`` on the identical tick inputs *bit-for-bit* — including rows long
-enough to hit numpy's pairwise-sum unrolling, the stateful LUO ring
-(pops, compaction, unpack round-trip) and the pool's slot recycling.
-The end-to-end report-stream parity of the service built on these
-kernels is gated separately by tests/test_service.py and the fuzz
-oracle's ``service`` layer; this module pins the kernels in isolation.
+:mod:`repro.progress.soa` lays the online estimator state of many
+pipelines out as structure-of-arrays batches; the contract is that
+``advance`` over a multi-slot :class:`FlushBatch` reproduces each
+pipeline's ``estimator.estimate(pr)`` trajectory *bit-for-bit* —
+including zero-padded mixed-width flushes, rows long enough to hit
+numpy's pairwise-sum unrolling, the stateful LUO ring (pops, compaction)
+and the pool's slot recycling.  The end-to-end report-stream parity of
+the service built on these kernels is gated separately by
+tests/test_service.py and the fuzz oracle's ``kernel`` and ``service``
+layers; this module pins the kernels in isolation.
 """
 
 import numpy as np
 from hypothesis import given, settings
 
+from types import SimpleNamespace
+
+import pytest
+
 from repro.engine.run import PipelineRun
 from repro.plan.nodes import Op
+from repro.progress.base import clip_progress, driver_consumed, safe_divide
 from repro.progress.batchdne import BatchDNEEstimator
 from repro.progress.dne import DNEEstimator
 from repro.progress.dneseek import DNESeekEstimator
 from repro.progress.gold import BytesProcessedOracle, GetNextOracle
-from repro.progress.luo import LuoEstimator
+from repro.progress.luo import LuoEstimator, bytes_done
 from repro.progress.refined_tgn import RefinedTGNEstimator
 from repro.progress.safe_pmax import PMaxEstimator, SafeEstimator
 from repro.progress.soa import (
     _PAIRWISE_UNROLL,
     BatchedLuoState,
     FlushBatch,
+    PipelineMeta,
     SoAPool,
     batched_states,
-)
-from repro.progress.streaming import (
-    ObsTick,
-    PipelineMeta,
-    tick_driver_consumed,
-    tick_driver_fraction,
-    tick_known_totals,
 )
 from repro.progress.tgn import TGNEstimator
 from repro.progress.tgnint import TGNIntEstimator
@@ -51,12 +51,15 @@ NATIVE_ESTIMATORS = [
 ]
 
 
-def batch_from_runs(pool, prs, metas=None):
+def batch_from_runs(pool, prs, metas=None, true_n=True):
     """Pack completed pipeline runs and lay their ticks out as one flush.
 
     Mirrors the service's ``_gather``: rows grouped per slot in tick
     order, zero-padded to the pool width, per-node done flags raised
-    where the counter has reached the (known) final value.
+    where the counter has reached the (known) final value.  ``true_n``
+    fixes every row's ``N`` at the run's true totals, the view
+    ``estimate(pr)`` has of a completed run; otherwise ``N`` follows the
+    live rule from the done flags.
     """
     metas = metas or [PipelineMeta.from_pipeline_run(pr) for pr in prs]
     slots = [pool.pack(meta) for meta in metas]
@@ -85,43 +88,35 @@ def batch_from_runs(pool, prs, metas=None):
                                                for pr in prs]),
                        times, arrays["K"], arrays["W"], arrays["LB"],
                        arrays["UB"], D, CK, CD, slot_rows, ordinals)
+    if true_n:
+        N = np.zeros((total, w))
+        for pr, slot in zip(prs, slots):
+            lo, hi = slot_rows[slot]
+            N[lo:hi, :pr.n_nodes] = pr.N
+        batch._cache["N"] = N
     return batch, slots, metas
-
-
-def scalar_trajectory(est, meta, batch, slot):
-    """Reference: the scalar streaming state over the batch's own rows."""
-    lo, hi = batch.slot_rows[slot]
-    m = meta.n_nodes
-    state = est.begin(meta)
-    out = np.zeros(hi - lo)
-    for r in range(lo, hi):
-        tick = ObsTick(time=float(batch.times[r]), K=batch.K[r, :m],
-                       R=np.zeros(m), W=batch.W[r, :m],
-                       LB=batch.LB[r, :m], UB=batch.UB[r, :m],
-                       N=batch.N[r, :m])
-        out[r - lo] = est.advance(state, tick)
-    return out, state
 
 
 def assert_kernels_match(prs, estimators=None):
     pool = SoAPool()
-    batch, slots, metas = batch_from_runs(pool, prs)
+    batch, slots, _ = batch_from_runs(pool, prs)
     for est in estimators or NATIVE_ESTIMATORS:
-        states = batched_states({est.name: est}, pool)
-        assert states is not None, est.name
-        st = states[est.name]
+        st = batched_states({est.name: est}, pool)[est.name]
         for slot in slots:
             st.pack(slot)
-        if st.stateful:
-            vector = st.advance(batch)
-        else:
-            vector = st.advance(batch)
-        for pr, slot, meta in zip(prs, slots, metas):
+        vector = st.advance(batch)
+        for pr, slot in zip(prs, slots):
             lo, hi = batch.slot_rows[slot]
-            scalar, _ = scalar_trajectory(est, meta, batch, slot)
-            assert np.array_equal(vector[lo:hi], scalar), (
+            want = est.estimate(pr)
+            assert np.array_equal(vector[lo:hi], want), (
                 f"{est.name}: max |delta| = "
-                f"{np.abs(vector[lo:hi] - scalar).max():.3e}")
+                f"{np.abs(vector[lo:hi] - want).max():.3e}")
+
+
+def log_row(pr, t):
+    """Observation ``t`` of ``pr`` as a full-width log row (node ids are
+    the local columns), done flags by the live rule."""
+    return SimpleNamespace(K=pr.K[t], D=pr.K[t] >= pr.N)
 
 
 def test_kernels_match_scalar_on_executed_pipelines(join_run, scan_run):
@@ -167,13 +162,14 @@ def test_mixed_width_flush_matches_scalar():
 
 def test_batch_n_applies_mat_child_override():
     """A blocked source whose out-of-pipeline build finished reports the
-    build child's counter as its total (the ``_capture_tick`` N rule)."""
+    build child's counter as its total (the live ``n_partial`` rule)."""
     pr = linear_two_node_run(n_obs=5)
     meta = PipelineMeta.from_pipeline_run(pr)
     meta.mat_idx = np.array([1], dtype=np.int64)
     meta.mat_child_ids = np.array([9], dtype=np.int64)
     pool = SoAPool()
-    batch, (slot,), _ = batch_from_runs(pool, [pr], metas=[meta])
+    batch, (slot,), _ = batch_from_runs(pool, [pr], metas=[meta],
+                                        true_n=False)
     lo, hi = batch.slot_rows[slot]
     batch.D[:, :] = False
     batch.CD[lo + 2:hi, 1] = True
@@ -184,24 +180,27 @@ def test_batch_n_applies_mat_child_override():
     assert np.array_equal(N[lo:hi, 0], np.full(hi - lo, meta.E0[0]))
 
 
-def test_luo_ring_matches_deque_and_unpacks():
-    """The LUO ring (pops + compaction) mirrors the scalar deque state."""
-    est = LuoEstimator(speed_window=5.0)
+def test_luo_ring_matches_batch_estimate():
+    """The LUO ring (pops + compaction) reproduces the batch loop, and
+    ends holding exactly its trailing speed window."""
+    window = 5.0
+    est = LuoEstimator(speed_window=window)
     prs = [linear_two_node_run(n_obs=51),      # 2s spacing: many pops
            linear_two_node_run(n_obs=26, total=60.0)]
     pool = SoAPool()
-    batch, slots, metas = batch_from_runs(pool, prs)
+    batch, slots, _ = batch_from_runs(pool, prs)
     st = BatchedLuoState(est, pool)
     for slot in slots:
         st.pack(slot)
     vector = st.advance(batch)
-    for pr, slot, meta in zip(prs, slots, metas):
+    for pr, slot in zip(prs, slots):
         lo, hi = batch.slot_rows[slot]
-        scalar, state = scalar_trajectory(est, meta, batch, slot)
-        assert np.array_equal(vector[lo:hi], scalar)
-        # ring compaction must have triggered (51 appends into cap 8)
-        rebuilt = st.unpack(slot)
-        assert list(rebuilt.window) == list(state.window)
+        assert np.array_equal(vector[lo:hi], est.estimate(pr))
+        elapsed = pr.times - pr.t_start
+        start = int(np.argmax(elapsed[-1] - elapsed <= window))
+        ring = slice(st.head[slot], st.wpos[slot])
+        assert np.array_equal(st.ew[slot, ring], elapsed[start:])
+        assert np.array_equal(st.dw[slot, ring], bytes_done(pr)[start:])
     # 51 appends through a ring of 8 columns: compaction must have run
     # (the write cursor is monotone between compactions)
     assert st.wpos[slots[0]] < prs[0].n_observations
@@ -219,8 +218,7 @@ def test_luo_row_mask_freezes_masked_slots():
     lo, hi = batch.slot_rows[slots[0]]
     mask[lo:hi] = True
     vector = st.advance(batch, row_mask=mask)
-    scalar, _ = scalar_trajectory(est, metas[0], batch, slots[0])
-    assert np.array_equal(vector[lo:hi], scalar)
+    assert np.array_equal(vector[lo:hi], est.estimate(prs[0]))
     # the masked slot's ring never advanced and its rows stayed zero
     assert st.wpos[slots[1]] == 0
     mlo, mhi = batch.slot_rows[slots[1]]
@@ -250,7 +248,7 @@ def test_pool_pack_release_grow_and_widen():
     assert a != b != c != d
 
 
-# -- tick-helper mirrors (properties + edge cases) ---------------------------
+# -- per-row helper mirrors (properties + edge cases) ------------------------
 
 
 def _empty_run():
@@ -270,33 +268,31 @@ def _empty_run():
 @given(random_pipeline())
 @settings(max_examples=60, deadline=None)
 def test_tick_helpers_match_batch_mirrors(pr):
-    """`FlushBatch` derived rows are the per-tick helpers, row for row:
-    ``totals`` mirrors :func:`tick_known_totals`, the driver sums mirror
-    :func:`tick_driver_consumed` (plain and widened masks), and
-    ``driver_value`` mirrors :func:`tick_driver_fraction`."""
+    """`FlushBatch` derived rows are the batch helpers, row for row:
+    ``totals`` mirrors :meth:`PipelineRun.known_totals`, the driver sums
+    mirror :func:`driver_consumed` (plain and widened masks), and
+    ``driver_value`` mirrors :meth:`PipelineRun.driver_fraction` — as
+    does :meth:`PipelineMeta.driver_fraction` on one live log row."""
     meta = PipelineMeta.from_pipeline_run(pr)
     pool = SoAPool()
     batch, (slot,), _ = batch_from_runs(pool, [pr], metas=[meta])
     lo, hi = batch.slot_rows[slot]
     m = meta.n_nodes
-    widened = np.array([op == Op.BATCH_SORT for op in meta.ops])
-    totals = batch.totals
-    consumed = batch.sums("driver", "K")
-    denom = batch.sums("driver", "totals")
-    consumed_w = batch.sums("bdrv", "K")
-    denom_w = batch.sums("bdrv", "totals")
-    fraction = batch.driver_value("driver")
-    for r in range(lo, hi):
-        tick = ObsTick(time=float(batch.times[r]), K=batch.K[r, :m],
-                       R=np.zeros(m), W=batch.W[r, :m],
-                       LB=batch.LB[r, :m], UB=batch.UB[r, :m],
-                       N=batch.N[r, :m])
-        assert np.array_equal(totals[r, :m], tick_known_totals(meta, tick))
-        c, d = tick_driver_consumed(meta, tick)
-        assert consumed[r] == c and denom[r] == d
-        cw, dw = tick_driver_consumed(meta, tick, extra_mask=widened)
-        assert consumed_w[r] == cw and denom_w[r] == dw
-        assert fraction[r] == tick_driver_fraction(meta, tick)
+    c, d = driver_consumed(pr)
+    cw, dw = driver_consumed(pr, extra_mask=pr.node_mask(Op.BATCH_SORT))
+    assert np.array_equal(batch.totals[lo:hi, :m],
+                          np.broadcast_to(pr.known_totals(), pr.K.shape))
+    assert np.array_equal(batch.sums("driver", "K")[lo:hi], c)
+    assert (batch.sums("driver", "totals")[lo:hi] == d).all()
+    assert np.array_equal(batch.sums("bdrv", "K")[lo:hi], cw)
+    assert (batch.sums("bdrv", "totals")[lo:hi] == dw).all()
+    assert np.array_equal(batch.driver_value("driver")[lo:hi],
+                          pr.driver_fraction())
+    live, _, _ = batch_from_runs(SoAPool(), [pr], metas=[meta],
+                                 true_n=False)
+    fraction = live.driver_value("driver")
+    for t in range(pr.n_observations):
+        assert meta.driver_fraction(log_row(pr, t)) == fraction[t]
 
 
 def test_empty_pipeline_batches_to_zero_rows():
@@ -328,11 +324,8 @@ def test_zero_denominator_pipeline_parity():
     pool = SoAPool()
     batch, (slot,), _ = batch_from_runs(pool, [pr], metas=[meta])
     assert not batch.driver_value("driver").any()
-    for r in range(*batch.slot_rows[slot]):
-        tick = ObsTick(time=float(batch.times[r]), K=batch.K[r, :2],
-                       R=np.zeros(2), W=batch.W[r, :2], LB=batch.LB[r, :2],
-                       UB=batch.UB[r, :2], N=batch.N[r, :2])
-        assert tick_driver_fraction(meta, tick) == 0.0
+    for t in range(pr.n_observations):
+        assert meta.driver_fraction(log_row(pr, t)) == 0.0
     assert_kernels_match([pr])
 
 
@@ -352,7 +345,8 @@ def test_all_materialized_source_pipeline_parity():
 
 def test_bytes_oracle_zero_total_matches_scalar():
     """A recorded-but-empty oracle total (0.0) is still 'has oracle':
-    the kernel must not fall back to the causal bytes-done total."""
+    the kernel must not fall back to the causal bytes-done total, but
+    apply the batch formula with a 0.0 denominator."""
     pr = linear_two_node_run(n_obs=7)
     meta = PipelineMeta.from_pipeline_run(pr)
     meta.oracle_bytes_total = 0.0
@@ -362,8 +356,8 @@ def test_bytes_oracle_zero_total_matches_scalar():
     st = batched_states({est.name: est}, pool)[est.name]
     vector = st.advance(batch)
     lo, hi = batch.slot_rows[slot]
-    scalar, _ = scalar_trajectory(est, meta, batch, slot)
-    assert np.array_equal(vector[lo:hi], scalar)
+    want = clip_progress(safe_divide(bytes_done(pr), 1e-12))
+    assert np.array_equal(vector[lo:hi], want)
 
 
 def test_batched_states_requires_native_kernels():
@@ -371,7 +365,7 @@ def test_batched_states_requires_native_kernels():
         name = "tweaked"
 
     pool = SoAPool()
-    assert batched_states({"dne": DNEEstimator()}, pool) is not None
+    assert set(batched_states({"dne": DNEEstimator()}, pool)) == {"dne"}
     # a subclass may override behaviour the kernels cannot mirror
-    assert batched_states({"dne": DNEEstimator(),
-                           "tweaked": Tweaked()}, pool) is None
+    with pytest.raises(ValueError, match="Tweaked"):
+        batched_states({"dne": DNEEstimator(), "tweaked": Tweaked()}, pool)

@@ -1,30 +1,32 @@
-"""Incremental-vs-batch estimator parity (the streaming protocol).
+"""Kernel-vs-batch estimator parity (the online estimation contract).
 
-The contract of :mod:`repro.progress.streaming`: for every estimator,
-``advance``-accumulated estimates over a run's ticks equal the batch
-``estimate(pr)`` trajectory *bit-for-bit* — on Hypothesis-generated
-monotone trajectories, on executed fixture pipelines, and on fuzz-seeded
-ad-hoc workloads (the same property the fuzz oracle's ``incremental``
-layer sweeps at scale).
+The contract of :mod:`repro.progress.soa`: for every estimator, its
+structure-of-arrays kernel advanced over a completed run's observations
+(one slot, ``N`` at the truth) equals the batch ``estimate(pr)``
+trajectory *bit-for-bit* — on Hypothesis-generated monotone trajectories
+(with and without ``UNBOUNDED`` upper bounds), on executed fixture
+pipelines, and on fuzz-seeded ad-hoc workloads (the same property the
+fuzz oracle's ``kernel`` layer sweeps at scale).
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.counters import UNBOUNDED
-from repro.progress.base import BatchReplayState, ProgressEstimator
 from repro.progress.gold import BytesProcessedOracle, GetNextOracle
-from repro.progress.luo import LuoEstimator
+from repro.progress.luo import LuoEstimator, bytes_done
 from repro.progress.registry import all_estimators
-from repro.progress.streaming import (
+from repro.progress.soa import (
+    BatchedLuoState,
+    FlushBatch,
     PipelineMeta,
-    iter_ticks,
-    stream_estimates,
-    tick_known_totals,
+    batched_states,
+    kernel_estimates,
 )
 
-from helpers import linear_two_node_run
+from helpers import linear_two_node_run, truncate_run
 from strategies import random_pipeline
 
 REGISTRY_ESTIMATORS = all_estimators(include_worst_case=True,
@@ -32,14 +34,24 @@ REGISTRY_ESTIMATORS = all_estimators(include_worst_case=True,
 GOLD_ESTIMATORS = [GetNextOracle(), BytesProcessedOracle()]
 
 
-def assert_streams_match_batch(pr, estimators=None):
+def assert_kernels_match_batch(pr, estimators=None):
     for est in estimators or REGISTRY_ESTIMATORS + GOLD_ESTIMATORS:
         batch = est.estimate(pr)
-        streamed = stream_estimates(est, pr)
-        assert streamed.shape == batch.shape, est.name
-        assert np.array_equal(batch, streamed), (
+        kernel = kernel_estimates(est, pr)
+        assert kernel.shape == batch.shape, est.name
+        assert np.array_equal(batch, kernel), (
             f"{est.name}: max |delta| = "
-            f"{np.abs(batch - streamed).max():.3e}")
+            f"{np.abs(batch - kernel).max():.3e}")
+
+
+@st.composite
+def pipelines_with_unbounded(draw):
+    """Random pipelines whose upper bounds are partly ``UNBOUNDED``."""
+    pr = draw(random_pipeline())
+    capped = np.array(draw(st.lists(st.booleans(), min_size=pr.n_nodes,
+                                    max_size=pr.n_nodes)))
+    pr.UB = np.where(capped[None, :], UNBOUNDED, pr.UB)
+    return pr
 
 
 @given(random_pipeline())
@@ -47,7 +59,13 @@ def assert_streams_match_batch(pr, estimators=None):
 def test_streaming_parity_on_random_pipelines(pr):
     """Bit-for-bit parity for every registry estimator (plus the §6.7
     oracles) on arbitrary monotone trajectories."""
-    assert_streams_match_batch(pr)
+    assert_kernels_match_batch(pr)
+
+
+@given(pipelines_with_unbounded())
+@settings(max_examples=30, deadline=None)
+def test_streaming_parity_with_unbounded_bounds(pr):
+    assert_kernels_match_batch(pr)
 
 
 def test_streaming_parity_on_executed_pipelines(join_run, scan_run):
@@ -55,12 +73,12 @@ def test_streaming_parity_on_executed_pipelines(join_run, scan_run):
            + scan_run.pipeline_runs(min_observations=5))
     assert prs
     for pr in prs:
-        assert_streams_match_batch(pr)
+        assert_kernels_match_batch(pr)
 
 
 @pytest.mark.parametrize("seed", [11, 47, 203])
 def test_streaming_parity_on_fuzzed_workloads(seed):
-    """Fuzz-seeded ad-hoc pipelines (spill-prone knobs included) stream
+    """Fuzz-seeded ad-hoc pipelines (spill-prone knobs included) advance
     to the bit-identical trajectories."""
     from repro.catalog.statistics import build_statistics
     from repro.engine.executor import ExecutorConfig, QueryExecutor
@@ -77,91 +95,76 @@ def test_streaming_parity_on_fuzzed_workloads(seed):
             target_observations=40, seed=seed * 100 + i,
         )).execute(planner.plan(query), query.name)
         for pr in run.pipeline_runs(min_observations=3):
-            assert_streams_match_batch(pr)
+            assert_kernels_match_batch(pr)
             scored += 1
     assert scored, "fuzz seeds produced no scorable pipelines"
 
 
 def test_tick_known_totals_matches_batch():
     pr = linear_two_node_run()
-    meta = PipelineMeta.from_pipeline_run(pr)
-    expected = pr.known_totals()
-    for tick in iter_ticks(pr):
-        assert np.array_equal(tick_known_totals(meta, tick), expected)
+    batch = FlushBatch.of_pipeline_run(pr)
+    for row in batch.totals:
+        assert np.array_equal(row[:pr.n_nodes], pr.known_totals())
 
 
 def test_meta_from_pipeline_run_carries_oracle_bytes():
     pr = linear_two_node_run()
     meta = PipelineMeta.from_pipeline_run(pr)
-    from repro.progress.luo import bytes_done
     assert meta.oracle_bytes_total == float(bytes_done(pr)[-1])
     assert meta.n_nodes == pr.n_nodes
     assert meta.t_start == pr.t_start
 
 
 def test_bytes_oracle_without_recorded_total_is_causal():
-    """Streamed live (no oracle total) the bytes model degrades to the
-    batch value on each causal prefix: bytes so far over bytes so far."""
+    """Monitored live (no oracle total) the bytes model equals its batch
+    value on each causal prefix: bytes so far over bytes so far."""
     pr = linear_two_node_run()
-    meta = PipelineMeta.from_pipeline_run(pr)
-    meta.oracle_bytes_total = None
     est = BytesProcessedOracle()
-    state = est.begin(meta)
-    for t, tick in enumerate(iter_ticks(pr)):
-        value = est.advance(state, tick)
+    batch = FlushBatch.of_pipeline_run(pr)
+    batch.pool.has_oracle[:] = False
+    values = batched_states({est.name: est}, batch.pool)[est.name].advance(
+        batch)
+    for t, value in enumerate(values):
+        assert value == est.estimate(truncate_run(pr, t))[-1]
         assert value == (1.0 if t > 0 else 0.0)
 
 
 def test_luo_window_state_is_bounded_and_stateful():
     est = LuoEstimator(speed_window=5.0)
     pr = linear_two_node_run(n_obs=51)  # 2s tick spacing over 100s
-    meta = PipelineMeta.from_pipeline_run(pr)
-    state = est.begin(meta)
+    batch = FlushBatch.of_pipeline_run(pr)
+    state = BatchedLuoState(est, batch.pool)
     assert state.stateful
-    for tick in iter_ticks(pr):
-        est.advance(state, tick)
-        # entries stay within the trailing speed window (+1 boundary row)
-        assert len(state.window) <= int(5.0 / 2.0) + 2
-
-
-def test_default_batch_replay_fallback_matches_estimate():
-    """A subclass without a native incremental path still satisfies the
-    streaming contract through the accumulate-and-replay fallback."""
-
-    class UnevenSplit(ProgressEstimator):
-        name = "uneven"
-
-        def estimate(self, pr):
-            # deliberately history-dependent: normalize by the max K sum
-            work = pr.K.sum(axis=1)
-            peak = np.maximum.accumulate(np.maximum(work, 1e-9))
-            return np.clip(work / (2.0 * peak), 0.0, 1.0)
-
-    est = UnevenSplit()
-    pr = linear_two_node_run(n_obs=9)
-    state = est.begin(PipelineMeta.from_pipeline_run(pr))
-    assert isinstance(state, BatchReplayState)
-    assert state.stateful
-    streamed = stream_estimates(est, pr)
-    assert np.array_equal(streamed, est.estimate(pr))
+    state.pack(0)
+    assert np.array_equal(state.advance(batch), est.estimate(pr))
+    # entries stay within the trailing speed window (+1 boundary row), and
+    # compaction keeps the ring far narrower than the run
+    assert state.count[0] <= int(5.0 / 2.0) + 2
+    assert state.ew.shape[1] < pr.n_observations
 
 
 def test_rebuilt_pipeline_run_roundtrips_fields():
-    """The fallback state's rebuilt PipelineRun mirrors the original."""
+    """The one-slot reference batch mirrors the run it was built from."""
     pr = linear_two_node_run(n_obs=7)
-    est_state = BatchReplayState(PipelineMeta.from_pipeline_run(pr))
-    for tick in iter_ticks(pr):
-        est_state.push(tick)
-    rebuilt = est_state.as_pipeline_run()
-    for name in ("times", "K", "R", "W", "LB", "UB", "E0", "N", "widths"):
-        assert np.array_equal(getattr(rebuilt, name), getattr(pr, name)), name
-    assert rebuilt.ops == pr.ops
-    assert rebuilt.t_start == pr.t_start
-    assert rebuilt.t_end == pr.times[-1]
+    batch = FlushBatch.of_pipeline_run(pr)
+    m = pr.n_nodes
+    assert np.array_equal(batch.times, pr.times)
+    for name in ("K", "W", "LB", "UB"):
+        assert np.array_equal(getattr(batch, name)[:, :m],
+                              getattr(pr, name)), name
+        assert not getattr(batch, name)[:, m:].any(), name
+    assert np.array_equal(batch.N[:, :m], np.broadcast_to(pr.N, pr.K.shape))
+    meta = batch.pool.metas[0]
+    assert meta.ops == pr.ops and meta.t_start == pr.t_start
+    assert np.array_equal(batch.meta_rows("E0")[:, :m],
+                          np.broadcast_to(pr.E0, pr.K.shape))
+    assert batch.slot_rows == {0: (0, pr.n_observations)}
+    assert [list(o) for o in batch.ordinals] == [
+        [t] for t in range(pr.n_observations)]
 
 
 def test_streaming_handles_unbounded_sentinels():
-    """Bound-interval estimators stream exactly through UNBOUNDED caps."""
+    """Bound-interval estimators advance exactly through UNBOUNDED caps."""
     pr = linear_two_node_run(n_obs=11)
     pr.UB = np.full_like(pr.UB, UNBOUNDED)
-    assert_streams_match_batch(pr)
+    assert_kernels_match_batch(pr)

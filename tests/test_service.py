@@ -15,6 +15,7 @@ from repro.core.monitor import ProgressMonitor
 from repro.core.training import collect_training_data, train_selector
 from repro.engine.executor import ExecutorConfig, QueryExecutor
 from repro.features.vector import FeatureExtractor
+from repro.fuzz.oracle import reference_progress
 from repro.learning.mart import MARTParams
 from repro.progress.dne import DNEEstimator
 from repro.progress.registry import all_estimators
@@ -27,6 +28,7 @@ from repro.service import (
     SessionStatus,
     ShardedProgressService,
 )
+from repro.trace.replay import replay_monitor
 
 pytestmark = pytest.mark.slow  # execution-backed: live multi-query runs
 
@@ -264,54 +266,48 @@ def replay_runs(tpch_db, tpch_planner, join_query):
 
 
 class TestVectorizedFlush:
-    """The SoA fast path: engagement rules and scalar-flush parity.
+    """The flush: one kernel per pool estimator, reports equal to the
+    batch definition under pooling.
 
-    The fuzz oracle's ``service`` layer sweeps the same parity over
-    randomized workloads; these are the deterministic fixture anchors.
+    The fuzz oracle's ``kernel`` and ``service`` layers sweep the same
+    properties over randomized workloads; these are the deterministic
+    fixture anchors.
     """
 
     def test_engages_only_for_native_incremental_pools(self, monitor):
-        assert ProgressService(monitor).vectorized
-        assert not ProgressService(monitor, vectorized=False).vectorized
-        # the batch (O(history)) monitor has no streaming states to batch
-        batch = ProgressMonitor(incremental=False)
-        assert not ProgressService(batch).vectorized
-        # a pool member without a native SoA kernel forces the scalar path
+        service = ProgressService(monitor)
+        assert set(service._vector.states) == set(monitor.estimators)
 
+        # a pool member without a native kernel never reaches a service
         class Tweaked(DNEEstimator):
             name = "tweaked"
 
-        custom = ProgressMonitor(estimators=all_estimators() + [Tweaked()])
-        assert not ProgressService(custom).vectorized
+        with pytest.raises(ValueError, match="Tweaked"):
+            ProgressMonitor(estimators=all_estimators() + [Tweaked()])
 
-    def test_replay_reports_match_scalar_flush(self, replay_runs, monitor):
-        def drive(vectorized):
-            service = ProgressService(monitor, slice_steps=5, max_live=3,
-                                      vectorized=vectorized)
-            for run in replay_runs:
-                service.submit_replay(run)
-            return service, service.run_until_complete(max_ticks=100_000)
-
-        vec_service, vec = drive(True)
-        sca_service, sca = drive(False)
-        assert vec_service.vectorized and not sca_service.vectorized
-        for sid in range(len(replay_runs)):
-            assert vec[sid][1], "replay sessions must produce reports"
-            assert vec[sid][1] == sca[sid][1]
+    def test_replay_reports_match_estimate_reference(self, replay_runs,
+                                                     monitor):
+        service = ProgressService(monitor, slice_steps=5, max_live=3)
+        for run in replay_runs:
+            service.submit_replay(run)
+        pooled = service.run_until_complete(max_ticks=100_000)
+        for sid, run in enumerate(replay_runs):
+            reports = pooled[sid][1]
+            assert reports, "replay sessions must produce reports"
+            assert reports == replay_monitor(monitor, run)
+            assert ([r.pipeline_progress for r in reports]
+                    == reference_progress(run, reports, monitor))
 
     def test_untrained_monitor_replay_parity(self, replay_runs):
         plain = ProgressMonitor(refresh_every=2)
-
-        def drive(vectorized):
-            service = ProgressService(plain, slice_steps=3,
-                                      vectorized=vectorized)
-            for run in replay_runs:
-                service.submit_replay(run)
-            return service.run_until_complete(max_ticks=100_000)
-
-        vec, sca = drive(True), drive(False)
-        for sid in range(len(replay_runs)):
-            assert vec[sid][1] == sca[sid][1]
+        service = ProgressService(plain, slice_steps=3)
+        for run in replay_runs:
+            service.submit_replay(run)
+        pooled = service.run_until_complete(max_ticks=100_000)
+        for sid, run in enumerate(replay_runs):
+            reports = pooled[sid][1]
+            assert ([r.pipeline_progress for r in reports]
+                    == reference_progress(run, reports, plain))
 
 
 class TestServiceAccounting:

@@ -19,10 +19,9 @@ from repro.core.monitor import ProgressMonitor
 from repro.core.training import collect_training_data, runs_to_pipelines
 from repro.engine.executor import ExecutorConfig
 from repro.features.vector import FeatureExtractor
-from repro.fuzz.harness import _monitored_execute
 from repro.fuzz.oracle import (
     OracleContext,
-    check_incremental_parity,
+    check_kernel_parity,
     check_service_parity,
     check_trace_roundtrip,
 )
@@ -156,9 +155,8 @@ def outer_semi_live():
     runs, streams = [], []
     for i, query in enumerate(bundle.queries):
         config = ExecutorConfig(**EXECUTOR, seed=SEED * 1_000 + i)
-        run, reports = _monitored_execute(
-            bundle.db, bundle.planner.plan(query), query.name,
-            config, monitor)
+        run, reports = monitor.run(bundle.db, bundle.planner.plan(query),
+                                   query.name, config)
         runs.append(run)
         streams.append(reports)
     return monitor, runs, streams
@@ -167,7 +165,7 @@ def outer_semi_live():
 class TestOuterSemiAcceptance:
     """The ``outer_semi`` family end to end: the committed golden trace
     must replay bit-identically through all four consumption paths —
-    live re-execution, batch (incremental-vs-batch estimator parity),
+    live re-execution, batch (kernels vs. ``estimate``),
     trace round-trip/replay, and the pooled progress service."""
 
     def test_committed_trace_exercises_non_inner_joins(self):
@@ -194,7 +192,7 @@ class TestOuterSemiAcceptance:
         repro = "PYTHONPATH=src python tests/golden/regenerate.py outer_semi"
         for run, reports in zip(runs, streams):
             ctx = OracleContext(seed=17, repro=repro, query=run.query_name)
-            check_incremental_parity(run, reports, monitor, ctx)
+            check_kernel_parity(run, reports, monitor, ctx)
             check_trace_roundtrip(run, reports, monitor, ctx)
         check_service_parity(runs, streams, monitor,
                              OracleContext(seed=17, repro=repro),
