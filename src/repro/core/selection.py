@@ -5,13 +5,16 @@ classification: many estimators produce near-identical estimates, and what
 matters is the magnitude of the error when the choice is wrong.  Instead,
 one MART regressor per candidate estimator predicts that estimator's error
 on a pipeline; selection takes the argmin of the predictions, minimizing
-the expected impact of mistakes.
+the expected impact of mistakes.  The candidates' models are scored
+together as one :class:`~repro.learning.forest.PackedForest`, packed
+whenever the models are set.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.learning.forest import PackedForest
 from repro.learning.mart import MARTParams, MARTRegressor
 
 
@@ -34,13 +37,26 @@ class EstimatorSelector:
             raise ValueError("need at least one candidate estimator")
         self.estimator_names = list(estimator_names)
         self.mart_params = mart_params or MARTParams()
-        self.models: dict[str, MARTRegressor] = {}
+        self.models = {}
         self.training_seconds_: float = 0.0
-        #: number of scoring passes made (each pass is one
-        #: :meth:`MARTRegressor.predict` per candidate, whatever the batch
-        #: size) — the quantity the batched service amortizes across
-        #: sessions; see ``benchmarks/bench_service_throughput.py``.
+        #: number of scoring passes made (each pass is one packed-forest
+        #: descent over every candidate, whatever the batch size) — the
+        #: quantity the batched service amortizes across sessions; see
+        #: ``benchmarks/bench_service_throughput.py``.
         self.predict_calls_: int = 0
+
+    @property
+    def models(self) -> dict[str, MARTRegressor]:
+        """Per-candidate error models; assigning them packs the forest."""
+        return self._models
+
+    @models.setter
+    def models(self, models: dict[str, MARTRegressor]) -> None:
+        self._models = dict(models)
+        self._forest = (
+            PackedForest([self._models[name]
+                          for name in self.estimator_names])
+            if self.is_fitted else None)
 
     @property
     def n_estimators(self) -> int:
@@ -61,23 +77,23 @@ class EstimatorSelector:
         if errors.shape != (len(X), self.n_estimators):
             raise ValueError(
                 f"errors must be (n, {self.n_estimators}), got {errors.shape}")
-        self.models = {}
+        models = {}
         self.training_seconds_ = 0.0
         for j, name in enumerate(self.estimator_names):
             model = MARTRegressor(self.mart_params)
             model.fit(X, errors[:, j])
-            self.models[name] = model
+            models[name] = model
             self.training_seconds_ += model.fit_seconds_
+        self.models = models
         return self
 
     def predict_errors(self, X: np.ndarray) -> np.ndarray:
-        """Predicted error of every candidate on every pipeline."""
+        """Predicted error of every candidate on every pipeline: one
+        binning of ``X`` and one descent of every candidate's trees."""
         if not self.is_fitted:
             raise RuntimeError("selector is not fitted")
-        X = np.asarray(X, dtype=np.float64)
         self.predict_calls_ += 1
-        columns = [self.models[name].predict(X) for name in self.estimator_names]
-        return np.column_stack(columns)
+        return self._forest.predict(X)
 
     def select_indices(self, X: np.ndarray) -> np.ndarray:
         """Index (into ``estimator_names``) of the chosen estimator per row."""

@@ -14,10 +14,15 @@ algorithm directly:
   budget with exact histogram split search (and parent-minus-sibling
   histogram subtraction for speed);
 * :mod:`repro.learning.mart` — least-squares boosting with shrinkage and
-  optional stochastic subsampling.
+  optional stochastic subsampling;
+* :mod:`repro.learning.forest` — prediction: one or many MART models
+  packed into flat node arrays, the rows binned once per distinct edge
+  set and every tree descended together in one vectorized gather step
+  per depth level, bit-identical to summing the trees one at a time.
 """
 
 from repro.learning.binning import QuantileBinner
+from repro.learning.forest import PackedForest
 from repro.learning.linear import RidgeRegressor
 from repro.learning.mart import MARTParams, MARTRegressor
 from repro.learning.tree import RegressionTree, TreeParams
@@ -28,5 +33,6 @@ __all__ = [
     "TreeParams",
     "MARTRegressor",
     "MARTParams",
+    "PackedForest",
     "RidgeRegressor",
 ]

@@ -11,17 +11,36 @@ class QuantileBinner:
     """Maps each feature to at most ``max_bins`` integer bins.
 
     Bin boundaries are the unique quantiles of the training distribution;
-    values are assigned via ``searchsorted`` so that bin *b* holds values in
-    ``(edges[b-1], edges[b]]``.  Unseen values clamp into the outermost
-    bins, which is the right behaviour for test pipelines whose
-    cardinalities exceed anything seen in training.
+    a value's bin is the number of cuts strictly below it, so bin *b* holds
+    values in ``(edges[b-1], edges[b]]`` (``searchsorted(side="left")``,
+    NaN landing in bin 0).  Unseen values clamp into the outermost bins,
+    which is the right behaviour for test pipelines whose cardinalities
+    exceed anything seen in training.
     """
 
     def __init__(self, max_bins: int = 64):
         if not 2 <= max_bins <= MAX_BINS_LIMIT:
             raise ValueError(f"max_bins must be in [2, {MAX_BINS_LIMIT}]")
         self.max_bins = max_bins
-        self.edges_: list[np.ndarray] | None = None
+        self.edges_ = None
+
+    @property
+    def edges_(self) -> list[np.ndarray] | None:
+        """Per-feature sorted cuts (``None`` until fitted)."""
+        return self._edges
+
+    @edges_.setter
+    def edges_(self, edges: list[np.ndarray] | None) -> None:
+        self._edges = edges
+        # (max_cuts, features), padded with +inf: a padding cut is never
+        # below any value, so it never adds to a bin
+        self._cut_rows = None
+        if edges is not None:
+            width = max((len(cuts) for cuts in edges), default=0)
+            rows = np.full((width, len(edges)), np.inf)
+            for j, cuts in enumerate(edges):
+                rows[:len(cuts), j] = cuts
+            self._cut_rows = rows
 
     @property
     def is_fitted(self) -> bool:
@@ -51,10 +70,11 @@ class QuantileBinner:
         n, f = X.shape
         if f != len(self.edges_):
             raise ValueError(f"expected {len(self.edges_)} features, got {f}")
-        out = np.empty((n, f), dtype=np.uint8)
-        for j, cuts in enumerate(self.edges_):
-            column = np.nan_to_num(X[:, j], nan=-np.inf)
-            out[:, j] = np.searchsorted(cuts, column, side="left")
+        # one comparison per cut column counts the cuts below each value;
+        # NaN compares below nothing, so it bins like -inf
+        out = np.zeros((n, f), dtype=np.uint8)
+        for row in self._cut_rows:
+            out += row < X
         return out
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.learning.binning import QuantileBinner
+from repro.learning.forest import PackedForest
 from repro.learning.tree import RegressionTree, TreeParams, offset_matrix
 
 #: the paper's training parameters (§6: "M = 200 boosting iterations; each
@@ -51,6 +52,9 @@ class MARTRegressor:
     trees: list[RegressionTree] = field(default_factory=list)
     init_: float = 0.0
     fit_seconds_: float = 0.0
+    #: this model packed for :meth:`predict`, built on first use
+    _forest: PackedForest | None = field(default=None, init=False,
+                                         repr=False, compare=False)
 
     @property
     def is_fitted(self) -> bool:
@@ -64,6 +68,7 @@ class MARTRegressor:
             raise ValueError("X and y disagree on the number of samples")
         if len(y) == 0:
             raise ValueError("cannot fit on an empty training set")
+        self._forest = None
         self.binner = QuantileBinner(self.params.max_bins)
         Xb = self.binner.fit_transform(X)
         n_bins = self.binner.total_bins
@@ -94,13 +99,13 @@ class MARTRegressor:
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
+        """Predictions for the rows of ``X``: the one-model case of
+        :class:`~repro.learning.forest.PackedForest`."""
         if self.binner is None:
             raise RuntimeError("model is not fitted")
-        Xb = self.binner.transform(np.asarray(X, dtype=np.float64))
-        out = np.full(len(Xb), self.init_)
-        for tree in self.trees:
-            out += self.params.learning_rate * tree.predict_binned(Xb)
-        return out
+        if self._forest is None:
+            self._forest = PackedForest([self])
+        return self._forest.predict(X)[:, 0]
 
     def staged_training_error(self, X: np.ndarray, y: np.ndarray,
                               every: int = 10) -> list[tuple[int, float]]:

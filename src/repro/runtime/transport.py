@@ -13,12 +13,19 @@ for a same-machine pipe and costs CPU).  Because the codec round-trips
 float64/bool arrays bit-exactly, a run received from a worker is
 indistinguishable from one executed locally — the same guarantee replay
 already makes, reused as IPC.
+
+Decoding holds :data:`NPZ_LOCK`: the network front end decodes
+submissions on its event loop while a process-mode tick decodes shard
+replies in a worker thread, and ``np.load`` parses each member's header
+with ``ast.literal_eval``, which has been seen failing under that overlap
+(``SystemError: AST constructor recursion depth mismatch``).
 """
 
 from __future__ import annotations
 
 import io
 import json
+import threading
 
 import numpy as np
 
@@ -34,6 +41,9 @@ from repro.trace.format import (
 )
 
 _LENGTH_BYTES = 8
+
+#: serializes the ``np.load`` section of both decoders across threads
+NPZ_LOCK = threading.Lock()
 
 
 def runs_to_payload(runs: list[QueryRun]) -> bytes:
@@ -65,7 +75,7 @@ def runs_from_payload(payload: bytes) -> list[QueryRun]:
         raise ValueError("truncated run payload: missing header")
     header = json.loads(payload[_LENGTH_BYTES:body_start].decode())
     check_trace_version(header)
-    with np.load(io.BytesIO(payload[body_start:])) as members:
+    with NPZ_LOCK, np.load(io.BytesIO(payload[body_start:])) as members:
         return [run_from_members(entry, members, entry["prefix"])
                 for entry in header["runs"]]
 
@@ -101,7 +111,7 @@ def reports_from_payload(payload: bytes) -> "list[tuple[int, object]]":
         raise ValueError("truncated report payload: missing header")
     header = json.loads(payload[_LENGTH_BYTES:body_start].decode())
     check_trace_version(header)
-    with np.load(io.BytesIO(payload[body_start:])) as members:
+    with NPZ_LOCK, np.load(io.BytesIO(payload[body_start:])) as members:
         reports = reports_from_columns(header["reports"], members)
         sids = members["sids"]
     return list(zip((int(sid) for sid in sids), reports))

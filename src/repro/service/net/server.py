@@ -34,12 +34,19 @@ tick loop keeps running; once every admitted session has completed and
 its final frames have been delivered, :meth:`shutdown` closes the
 listener and the fleet.  Subscribers always receive their completion
 frame before the connection closes.
+
+**Tick-loop failure**: an exception out of a fleet round is logged with
+its traceback; every unfinished session is marked ``failed``, its
+subscribers get a ``failed`` frame and a close frame (code 1011), new
+submissions get ``503``, and the server counts as drained, so
+:meth:`shutdown` returns.
 """
 
 from __future__ import annotations
 
 import asyncio
 import base64
+import logging
 import re
 
 from repro.runtime.transport import reports_to_payload, runs_from_payload
@@ -73,6 +80,11 @@ ROUTES = (
 #: Tenant namespaces: short, url-safe, no ambiguity with route segments.
 TENANT_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
 
+#: WebSocket close code for a session the server could not finish
+CLOSE_SERVER_ERROR = 1011
+
+_log = logging.getLogger(__name__)
+
 
 class SessionRecord:
     """Supervisor-side state of one served session.
@@ -81,22 +93,30 @@ class SessionRecord:
     the report buffer: rows arrive through the service's ``on_report``
     hook in merged submission order and stay until the tenant DELETEs the
     session.  ``changed`` wakes every subscribed stream task whenever new
-    rows (or completion) land.
+    rows, completion or failure land.
     """
 
-    __slots__ = ("sid", "tenant", "name", "done", "reports", "changed")
+    __slots__ = ("sid", "tenant", "name", "done", "failed", "reports",
+                 "changed")
 
     def __init__(self, sid: int, tenant: str, name: str):
         self.sid = sid
         self.tenant = tenant
         self.name = name
         self.done = False
+        self.failed = False
         self.reports: list = []
         self.changed = asyncio.Event()
 
+    @property
+    def finished(self) -> bool:
+        """No more rows will arrive: the session completed or failed."""
+        return self.done or self.failed
+
     def summary(self) -> dict:
-        return {"session": self.sid, "name": self.name,
-                "status": "done" if self.done else "active",
+        status = ("failed" if self.failed
+                  else "done" if self.done else "active")
+        return {"session": self.sid, "name": self.name, "status": status,
                 "reports": len(self.reports),
                 "progress": (self.reports[-1].progress
                              if self.reports else None)}
@@ -160,6 +180,8 @@ class ProgressServer:
         self._staged_done: list[int] = []
         self._work = asyncio.Event()
         self._draining = False
+        #: set once the tick loop has died (see :meth:`_fail_unfinished`)
+        self._failed = False
         self._drained = asyncio.Event()
         self._server: asyncio.base_events.Server | None = None
         self._tick_task: asyncio.Task | None = None
@@ -247,6 +269,29 @@ class ProgressServer:
             record.changed.set()
 
     async def _tick_loop(self) -> None:
+        """Drive the fleet until drained; a failed round fails every
+        unfinished session instead of stalling its subscribers."""
+        try:
+            await self._drive()
+        except Exception:
+            _log.exception("tick loop failed; failing every unfinished "
+                           "session")
+            self._fail_unfinished()
+        finally:
+            self._drained.set()
+
+    def _fail_unfinished(self) -> None:
+        """Mark unfinished sessions failed, wake their subscribers and stop
+        admissions.  Rows staged by the failed round are dropped."""
+        self._failed = True
+        self._draining = True
+        self._staged, self._staged_done = [], []
+        for record in self._records.values():
+            if not record.done:
+                record.failed = True
+                record.changed.set()
+
+    async def _drive(self) -> None:
         """Drive the fleet while work exists; park on ``_work`` when idle.
 
         Process-mode rounds block on pipe IPC, so they run in a worker
@@ -270,7 +315,6 @@ class ProgressServer:
                 if service.active or self._draining:
                     continue
                 await self._work.wait()
-        self._drained.set()
 
     # -- connection handling -------------------------------------------------
 
@@ -390,7 +434,8 @@ class ProgressServer:
 
     def _healthz(self) -> bytes:
         return response_bytes(200, json_body({
-            "status": "draining" if self._draining else "ok",
+            "status": ("failed" if self._failed
+                       else "draining" if self._draining else "ok"),
             "sessions_inflight": self._service.sessions_inflight,
             "n_shards": self._service.n_shards,
         }))
@@ -468,9 +513,11 @@ class ProgressServer:
     def _create_sessions(self, tenant: str, request: Request) -> bytes:
         retry = {"Retry-After": f"{self.retry_after:g}"}
         if self._draining:
+            state = ("the tick loop failed" if self._failed
+                     else "server is draining")
             return response_bytes(
-                503, error_body(503, "server is draining; submissions are "
-                                "not admitted"), headers=retry)
+                503, error_body(503, f"{state}; submissions are not "
+                                "admitted"), headers=retry)
         runs, name = self._decode_runs(request)
         if (self.max_inflight is not None
                 and self._service.sessions_inflight + len(runs)
@@ -509,10 +556,10 @@ class ProgressServer:
         return response_bytes(201, json_body(body))
 
     def _delete_session(self, record: SessionRecord) -> bytes:
-        if not record.done:
+        if not record.finished:
             raise BadRequest(
                 f"session {record.sid} is still active; only completed "
-                f"sessions can be deleted", status=409)
+                f"or failed sessions can be deleted", status=409)
         self._records.pop(record.sid, None)
         sids = self._tenants.get(record.tenant, [])
         if record.sid in sids:
@@ -535,9 +582,9 @@ class ProgressServer:
 
         Each binary frame carries the rows that became visible since the
         last frame (or since ``?from=``) as one ``reports_to_payload``
-        batch; a final text frame summarizes completion, then the server
-        closes RFC-style.  Subscribing to a completed session simply
-        replays its buffered stream in one frame.
+        batch; a final text frame summarizes completion (or failure), then
+        the server closes RFC-style.  Subscribing to a completed session
+        simply replays its buffered stream in one frame.
         """
         if (request.headers.get("upgrade", "").lower() != "websocket"
                 or "sec-websocket-key" not in request.headers):
@@ -563,16 +610,18 @@ class ProgressServer:
                         reports_to_payload([(record.sid, report)
                                             for report in batch])))
                     await writer.drain()
-                if record.done and cursor >= len(record.reports):
+                if record.finished and cursor >= len(record.reports):
                     break
-                if not (cursor < len(record.reports) or record.done):
+                if not (cursor < len(record.reports) or record.finished):
                     record.changed.clear()
                     await record.changed.wait()
             writer.write(ws.encode_frame(ws.OP_TEXT, json_body({
-                "type": "done", "session": record.sid,
+                "type": "failed" if record.failed else "done",
+                "session": record.sid,
                 "tenant": record.tenant, "name": record.name,
                 "reports": len(record.reports)})))
-            writer.write(ws.close_frame())
+            writer.write(ws.close_frame(CLOSE_SERVER_ERROR) if record.failed
+                         else ws.close_frame())
             await writer.drain()
             # half of the RFC close handshake: give the peer a moment to
             # mirror the close frame, then tear down regardless

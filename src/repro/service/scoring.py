@@ -5,10 +5,12 @@ one :meth:`EstimatorSelector.predict_errors` pass per pipeline with an
 open selection (the solo monitor's behaviour — one pass per query when
 ``finalize`` turns its drafts into reports), the scorer collects the
 feature vectors of every pending selection across *all* live sessions and
-issues a single scoring pass per selector kind per tick.  Each pass costs one :meth:`MARTRegressor.predict` per candidate
-estimator whatever the batch size, so with S sessions needing selection in
-the same tick the service makes S× fewer model invocations — tree
-traversal is vectorized over the stacked feature matrix.
+issues a single scoring pass per selector kind per tick.  A pass scores
+the selector's packed forest (:class:`~repro.learning.forest.PackedForest`):
+the stacked feature matrix is binned once and every tree of every
+candidate descends together, one vectorized gather step per depth level,
+whatever the batch size — so with S sessions needing selection in the
+same tick the service makes S× fewer scoring passes.
 
 Batching is bit-transparent: MART scoring is row-independent (quantile
 binning and tree descent are per-row), so the argmin choice for a feature

@@ -53,6 +53,7 @@ bit-identical streams (see ``docs/api.md``).
 
 from __future__ import annotations
 
+import threading
 import time
 import zlib
 from collections import deque
@@ -299,7 +300,8 @@ def shard_worker_main(conn, shard_id: int, make_monitor,
             cmd = frame[0]
             if cmd == "submit":
                 runs = runs_from_payload(frame[1])
-                for (global_sid, query_name), run in zip(frame[2], runs):
+                for (global_sid, query_name), run in zip(frame[2], runs,
+                                                         strict=True):
                     worker.enqueue(global_sid, run, query_name)
             elif cmd == "tick":
                 more = False
@@ -405,9 +407,12 @@ class ShardedProgressService:
         self._runs: dict[int, QueryRun] = {}
         self._names: dict[int, str | None] = {}
         self._n_submitted = 0
-        #: per-shard buffered submissions awaiting the next tick's frame
+        #: per-shard buffered submissions awaiting the next tick's frame;
+        #: ``_outbox_lock`` guards the append against the swap, since a
+        #: process-mode tick may run in another thread than the submitter
         self._outbox: list[list[tuple[int, QueryRun, str | None]]] = [
             [] for _ in range(n_shards)]
+        self._outbox_lock = threading.Lock()
         self._shard_active = [False] * n_shards
         #: merged (global_sid, report) pairs, in emission order
         self._collected: list[tuple[int, ProgressReport]] = []
@@ -463,9 +468,10 @@ class ShardedProgressService:
         self._n_submitted += 1
         shard = place_session(sid, query_name or run.query_name,
                               self.n_shards, self.placement)
-        self._outbox[shard].append((sid, run, query_name))
         self._runs[sid] = run
         self._names[sid] = query_name
+        with self._outbox_lock:
+            self._outbox[shard].append((sid, run, query_name))
         return sid
 
     # -- driving -------------------------------------------------------------
@@ -601,11 +607,12 @@ class ShardedProgressService:
     # -- internals -----------------------------------------------------------
 
     def _flush_outboxes(self) -> None:
-        for shard_id in range(self.n_shards):
-            batch = self._outbox[shard_id]
+        with self._outbox_lock:
+            batches = self._outbox
+            self._outbox = [[] for _ in range(self.n_shards)]
+        for shard_id, batch in enumerate(batches):
             if not batch:
                 continue
-            self._outbox[shard_id] = []
             self._shard_active[shard_id] = True
             if self.processes:
                 payload = runs_to_payload([run for _, run, _ in batch])

@@ -67,3 +67,46 @@ class TestQuantileBinner:
         out = binner.transform(X)
         assert out.shape == X.shape
         assert out.max() < binner.total_bins
+
+
+def searchsorted_reference(binner: QuantileBinner, X: np.ndarray):
+    """The per-feature binning ``transform`` replaced: NaN -> -inf, then
+    ``searchsorted(side="left")`` against each feature's cuts."""
+    out = np.empty(X.shape, dtype=np.uint8)
+    for j, cuts in enumerate(binner.edges_):
+        column = np.nan_to_num(X[:, j], nan=-np.inf)
+        out[:, j] = np.searchsorted(cuts, column, side="left")
+    return out
+
+
+SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e300, -1e300]
+
+
+@given(train=st.lists(st.lists(st.one_of(st.floats(-50, 50),
+                                         st.sampled_from(SPECIAL)),
+                               min_size=3, max_size=3),
+                      min_size=1, max_size=80),
+       query=st.lists(st.one_of(st.floats(allow_nan=True),
+                                st.sampled_from(SPECIAL)),
+                      min_size=0, max_size=30),
+       max_bins=st.integers(2, 40))
+@settings(max_examples=80, deadline=None)
+def test_cut_counting_equals_searchsorted(train, query, max_bins):
+    X = np.asarray(train, dtype=np.float64)
+    binner = QuantileBinner(max_bins).fit(X)
+    n = len(query) // 3
+    Q = np.vstack([X, np.asarray(query[:3 * n]).reshape(n, 3)])
+    got = binner.transform(Q)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, searchsorted_reference(binner, Q))
+
+
+def test_refit_and_assigned_edges_rebuild_the_cut_matrix(rng):
+    binner = QuantileBinner(max_bins=8).fit(rng.normal(size=(50, 2)))
+    X = rng.normal(scale=3, size=(40, 2))
+    binner.fit(rng.uniform(size=(50, 2)))
+    assert np.array_equal(binner.transform(X),
+                          searchsorted_reference(binner, X))
+    binner.edges_ = [np.array([-1.0, 0.5]), np.array([0.0])]
+    assert np.array_equal(binner.transform(X),
+                          searchsorted_reference(binner, X))

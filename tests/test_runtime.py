@@ -262,6 +262,28 @@ class TestReportTransport:
         with pytest.raises(ValueError, match="unsupported trace format"):
             reports_from_payload(payload)
 
+    @pytest.mark.parametrize("decode, payload", [
+        (reports_from_payload, reports_to_payload(_sample_reports())),
+        (runs_from_payload, runs_to_payload([])),
+    ], ids=["reports", "runs"])
+    def test_decoders_take_turns_across_threads(self, decode, payload):
+        """A decode in a second thread waits while another holds the
+        ``np.load`` lock, then finishes once it is released."""
+        import threading
+
+        from repro.runtime import transport
+
+        decoded = []
+        worker = threading.Thread(target=lambda: decoded.append(
+            decode(payload)))
+        with transport.NPZ_LOCK:  # a decode in progress
+            worker.start()
+            worker.join(timeout=0.3)
+            assert worker.is_alive() and not decoded
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert decoded == [decode(payload)]
+
 
 # ---------------------------------------------------------------------------
 # the harness fan-out: parallel == serial, bit for bit

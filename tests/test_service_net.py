@@ -426,6 +426,52 @@ class TestErrorPaths:
         sid, rows, done = asyncio.run(scenario())
         assert rows and done["reports"] == len(rows)
 
+    def test_tick_loop_failure_fails_sessions_and_shutdown_returns(
+            self, golden_runs, monkeypatch, caplog):
+        """A fleet round that raises: the traceback is logged, unfinished
+        sessions turn ``failed``, a parked subscriber gets a ``failed``
+        frame and a close frame, submissions get 503, shutdown returns."""
+        armed = False
+
+        def tick(rounds: int = 1) -> bool:
+            if armed:
+                raise RuntimeError("shard exploded")
+            return True  # idle round: the session stays active
+
+        async def scenario():
+            nonlocal armed
+            server = ProgressServer(_monitor, n_shards=1, slice_steps=4)
+            monkeypatch.setattr(server._service, "tick", tick)
+            await server.start()
+            client = ProgressClient(*server.address)
+            sid = (await client.submit_runs("t", golden_runs[:1]))[0]
+            subscriber = asyncio.create_task(client.stream("t", sid))
+            await asyncio.sleep(0.05)  # let the stream park on its event
+            assert not subscriber.done()
+            armed = True
+            frames, final = await asyncio.wait_for(subscriber, 10)
+            listed = await client.list_sessions("t")
+            health = await client.healthz()
+            with pytest.raises(ServiceError) as err:
+                await client.submit_runs("t", golden_runs[1:2])
+            deleted = await client.delete_session("t", sid)
+            await client.aclose()
+            await asyncio.wait_for(server.shutdown(), 10)
+            return sid, frames, final, listed, health, err.value, deleted
+
+        sid, frames, final, listed, health, refused, deleted = \
+            asyncio.run(scenario())
+        assert frames == []
+        assert final == {"type": "failed", "session": sid, "tenant": "t",
+                         "name": golden_runs[0].query_name, "reports": 0}
+        assert [s["status"] for s in listed] == ["failed"]
+        assert health["status"] == "failed"
+        assert refused.status == 503
+        assert deleted == {"deleted": sid}
+        failure = [r for r in caplog.records if "tick loop failed"
+                   in r.getMessage()]
+        assert failure and failure[0].exc_info is not None
+
 
 # ---------------------------------------------------------------------------
 # surface checks

@@ -218,6 +218,53 @@ class TestProcessMode:
             assert fleet.sessions_completed == len(golden_runs)
             assert service.stats.tick_latency(99) >= 0.0
 
+    def test_submissions_racing_a_ticking_thread_all_complete_once(
+            self, golden_runs):
+        """The network front end submits on its event loop while a
+        process-mode tick runs in a worker thread; no submission may be
+        lost or shipped twice, whatever the interleaving."""
+        import sys
+        import threading
+
+        n_sessions = 90
+        completed: list[int] = []
+        errors: list[BaseException] = []
+        submitted = threading.Event()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ShardedProgressService(
+                    _monitor, n_shards=1, slice_steps=4, processes=True,
+                    keep_reports=False,
+                    on_complete=completed.append) as service:
+
+                def submit():
+                    try:
+                        for i in range(n_sessions):
+                            service.submit_replay(
+                                golden_runs[i % len(golden_runs)])
+                    finally:
+                        submitted.set()
+
+                def drive():
+                    try:
+                        while not submitted.is_set() or service.active:
+                            service.tick()
+                    except BaseException as exc:
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=drive),
+                           threading.Thread(target=submit)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert sorted(completed) == list(range(n_sessions))
+
     def test_monitor_instance_rejected_for_processes(self):
         with pytest.raises(ValueError, match="factory"):
             ShardedProgressService(_monitor(), n_shards=2, processes=True)
