@@ -8,31 +8,16 @@ every progress estimator and every dynamic feature is computed from.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import NamedTuple
-
 import numpy as np
 
 #: Cap for upper bounds that are theoretically unbounded (join outputs).
 UNBOUNDED = 1.0e15
 
+#: rows an :class:`ObservationLog` allocates before its first doubling
+INITIAL_CAPACITY = 64
 
-class LogRow(NamedTuple):
-    """One observation's full-width counter snapshot (all plan nodes).
-
-    The arrays are the log's own per-snapshot copies — treat them as
-    immutable.  Both the live :class:`ObservationLog` and the replay-side
-    log expose this row shape, so the monitor's row capture is
-    source-agnostic.
-    """
-
-    time: float
-    K: np.ndarray
-    R: np.ndarray
-    W: np.ndarray
-    LB: np.ndarray
-    UB: np.ndarray
-    D: np.ndarray
+#: the log's per-node matrices, in snapshot order
+_MATRICES = ("K", "R", "W", "LB", "UB", "D")
 
 
 class CounterStore:
@@ -54,24 +39,27 @@ class CounterStore:
 
 
 class ObservationLog:
-    """Snapshots of the counter store over time.
+    """Snapshots of the counter store over time, stored columnar.
 
     Besides the counter trajectories, each snapshot records the per-node
     done flags ``D_i^t`` — they cost one boolean row and make recorded
     traces replayable: a replayed monitor needs to know *when* each node
     finished, which the counters alone do not encode (see
     :mod:`repro.trace.replay`).
+
+    Rows live in capacity-doubling arrays ``times (T,)`` and
+    ``K, R, W, LB, UB, D (T, n_nodes)``.  Rows are append-only and a
+    doubling copies into fresh buffers, so a prefix view handed out by
+    :meth:`as_arrays` never changes afterwards.
     """
 
     def __init__(self, n_nodes: int):
         self.n_nodes = n_nodes
-        self.times: list[float] = []
-        self._K: list[np.ndarray] = []
-        self._R: list[np.ndarray] = []
-        self._W: list[np.ndarray] = []
-        self._LB: list[np.ndarray] = []
-        self._UB: list[np.ndarray] = []
-        self._D: list[np.ndarray] = []
+        self._len = 0
+        self._cols = {"times": np.empty(INITIAL_CAPACITY)}
+        for name in _MATRICES:
+            self._cols[name] = np.empty((INITIAL_CAPACITY, n_nodes),
+                                        dtype=bool if name == "D" else float)
 
     def snapshot(self, now: float, counters: CounterStore,
                  lb: np.ndarray, ub: np.ndarray) -> None:
@@ -86,50 +74,37 @@ class ObservationLog:
             raise ValueError(
                 f"bounds must have shape {expected}, got lb {lb.shape} / "
                 f"ub {ub.shape}")
-        self.times.append(now)
-        self._K.append(counters.K.copy())
-        self._R.append(counters.R.copy())
-        self._W.append(counters.W.copy())
-        self._LB.append(lb.copy())
-        self._UB.append(ub.copy())
-        self._D.append(counters.done.copy())
+        i = self._len
+        if i == len(self._cols["times"]):  # full: double into new buffers
+            self._cols = {name: np.concatenate([col, np.empty_like(col)])
+                          for name, col in self._cols.items()}
+        cols = self._cols
+        cols["times"][i] = now
+        cols["K"][i] = counters.K
+        cols["R"][i] = counters.R
+        cols["W"][i] = counters.W
+        cols["LB"][i] = lb
+        cols["UB"][i] = ub
+        cols["D"][i] = counters.done
+        self._len = i + 1
 
     def __len__(self) -> int:
-        return len(self.times)
-
-    def row(self, i: int) -> LogRow:
-        """O(1) access to one recorded snapshot (no materialization)."""
-        return LogRow(self.times[i], self._K[i], self._R[i], self._W[i],
-                      self._LB[i], self._UB[i], self._D[i])
-
-    def start_index(self, t_start: float) -> int:
-        """First snapshot index with ``time >= t_start`` (times ascend)."""
-        return bisect_left(self.times, t_start)
+        return self._len
 
     @property
     def last_time(self) -> float:
-        return self.times[-1] if self.times else -np.inf
+        if not self._len:
+            return -np.inf
+        return float(self._cols["times"][self._len - 1])
 
     def as_arrays(self, stop: int | None = None) -> dict[str, np.ndarray]:
-        """Materialize the log as dense arrays of shape ``(T, n_nodes)``.
+        """The log as arrays of shape ``(T,)`` / ``(T, n_nodes)``.
 
         ``stop`` truncates to the first ``stop`` snapshots — the as-of
         view a deferred consumer needs to reconstruct what the log looked
         like at an earlier observation (rows are append-only, so the
-        prefix is exactly the historical log).
+        prefix is exactly the historical log).  The arrays are views of
+        the log's buffers, not copies — treat them as immutable.
         """
-        times = self.times if stop is None else self.times[:stop]
-        if not times:
-            empty = np.empty((0, self.n_nodes))
-            return {"times": np.empty(0), "K": empty, "R": empty.copy(),
-                    "W": empty.copy(), "LB": empty.copy(), "UB": empty.copy(),
-                    "D": np.empty((0, self.n_nodes), dtype=bool)}
-        return {
-            "times": np.asarray(times),
-            "K": np.vstack(self._K[:stop]),
-            "R": np.vstack(self._R[:stop]),
-            "W": np.vstack(self._W[:stop]),
-            "LB": np.vstack(self._LB[:stop]),
-            "UB": np.vstack(self._UB[:stop]),
-            "D": np.vstack(self._D[:stop]),
-        }
+        stop = self._len if stop is None else min(stop, self._len)
+        return {name: col[:stop] for name, col in self._cols.items()}

@@ -25,7 +25,7 @@ from repro.engine.clock import CostModel, SimClock
 from repro.engine.counters import CounterStore, ObservationLog, UNBOUNDED
 from repro.engine.iterators import build_iterator
 from repro.engine.memory import MemoryManager
-from repro.engine.run import NodeInfo, PipelineInfo, QueryRun, live_pipeline_run
+from repro.engine.run import NodeInfo, PipelineInfo, QueryRun
 from repro.plan.nodes import Op, PlanNode
 from repro.plan.pipelines import decompose_pipelines, node_to_pipeline
 
@@ -70,6 +70,10 @@ class ExecContext:
         self.on_observation = on_observation
         n_pipes = len(self.pipelines)
         self.pipe_first = np.full(n_pipes, np.nan)
+        #: index of the first observation whose callback sees the
+        #: pipeline started (the log length when ``pipe_first`` was set);
+        #: int64 max while it has not started
+        self.pipe_first_row = np.full(n_pipes, np.iinfo(np.int64).max)
         self.pipe_last = np.full(n_pipes, np.nan)
         self._nodes = list(plan.walk())
         self._bottom_up = list(reversed(self._nodes))
@@ -124,17 +128,12 @@ class ExecContext:
         p = self.node_pid[i] if pid is None else pid
         if np.isnan(self.pipe_first[p]):
             self.pipe_first[p] = now
+            self.pipe_first_row[p] = len(self.log)
         self.pipe_last[p] = now
         self.maybe_observe()
 
     def pipeline_of(self, node: PlanNode) -> int:
         return self.node_pid[node.node_id]
-
-    def live_pipeline_run(self, pipe, query_name: str = "(online)",
-                          min_observations: int = 2):
-        """Causal snapshot of a running pipeline (see :func:`live_pipeline_run`)."""
-        return live_pipeline_run(self, pipe, query_name=query_name,
-                                 min_observations=min_observations)
 
     def mark_done(self, node: PlanNode) -> None:
         self.counters.done[node.node_id] = True
@@ -377,7 +376,9 @@ class QueryExecutor:
                 t_start=float(ctx.pipe_first[pipe.pid]),
                 t_end=float(ctx.pipe_last[pipe.pid]),
             ))
-        arrays = ctx.log.as_arrays()
+        # own exactly sized copies, not views of the log's doubling buffers,
+        # so ``run.nbytes`` is what the run actually pins
+        arrays = {name: a.copy() for name, a in ctx.log.as_arrays().items()}
         return QueryRun(
             query_name=query_name,
             db_name=self.db.name,

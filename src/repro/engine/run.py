@@ -9,9 +9,9 @@ selection ("we report the error on the level of individual pipelines",
 §6).
 
 :func:`live_pipeline_run` builds the same :class:`PipelineRun` view from a
-*still-executing* query's context — the causal snapshot that the online
-monitor and the multi-query progress service score at every observation
-tick (a snapshot at time *t* only uses counters up to *t*).
+*still-executing* (or replayed) query's context as of one observation row —
+the causal snapshot the progress service extracts selection features from
+(a snapshot at row *R* only uses log rows up to *R*).
 """
 
 from __future__ import annotations
@@ -280,19 +280,23 @@ class PipelineRun:
         return int(hits[0]) if len(hits) else None
 
 
-def live_pipeline_run(ctx, pipe, query_name: str = "(online)",
+def live_pipeline_run(ctx, pipe, row: int, query_name: str = "(online)",
                       min_observations: int = 2) -> "PipelineRun | None":
-    """Causal :class:`PipelineRun` snapshot of a still-running pipeline.
+    """Causal :class:`PipelineRun` snapshot of a pipeline as of log ``row``.
 
-    ``ctx`` is the live :class:`~repro.engine.executor.ExecContext` (taken
-    duck-typed to avoid an import cycle) and ``pipe`` one of its pipelines.
-    Unlike :meth:`QueryRun.pipeline_run`, true totals are unknown mid-flight:
-    ``N`` holds the best *current* knowledge — exact counters for finished
+    ``ctx`` is a live :class:`~repro.engine.executor.ExecContext` or a
+    :class:`~repro.trace.replay.ReplayContext` (taken duck-typed to avoid
+    an import cycle), ``pipe`` one of its pipelines, started by ``row``.
+    Only log rows ``<= row`` are read.  Unlike
+    :meth:`QueryRun.pipeline_run`, true totals are unknown mid-flight:
+    ``N`` holds the best knowledge at the row — exact counters for finished
     nodes, the materialized input count for blocking sources whose build
     completed, and the optimizer estimate ``E0`` otherwise.  Returns ``None``
     while the pipeline has fewer than ``min_observations`` snapshots.
     """
-    arrays = ctx.log.as_arrays()
+    arrays = ctx.log.as_arrays(row + 1)
+    K_now = arrays["K"][row]
+    done = arrays["D"][row]
     t_start = float(ctx.pipe_first[pipe.pid])
     mask = arrays["times"] >= t_start
     if int(mask.sum()) < min_observations:
@@ -306,19 +310,19 @@ def live_pipeline_run(ctx, pipe, query_name: str = "(online)",
     driver_set = set(pipe.driver_ids)
     n_partial = np.array([n.est_rows for n in members])
     for j, node in enumerate(members):
-        if ctx.counters.done[node.node_id]:
-            n_partial[j] = ctx.counters.K[node.node_id]
+        if done[node.node_id]:
+            n_partial[j] = K_now[node.node_id]
         elif node.op in _MATERIALIZED_OPS and node.children:
             child = node.children[0].node_id
-            if ctx.counters.done[child]:
-                n_partial[j] = ctx.counters.K[child]
+            if done[child]:
+                n_partial[j] = K_now[child]
     return PipelineRun(
         pid=pipe.pid,
         query_name=query_name,
         db_name=ctx.db.name,
         times=arrays["times"][mask],
         t_start=t_start,
-        t_end=float(ctx.clock.now),
+        t_end=float(arrays["times"][row]),
         K=arrays["K"][np.ix_(mask, cols)],
         R=arrays["R"][np.ix_(mask, cols)],
         W=arrays["W"][np.ix_(mask, cols)],

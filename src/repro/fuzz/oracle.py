@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.core.monitor import ProgressMonitor, ProgressReport
 from repro.engine.counters import UNBOUNDED
-from repro.engine.run import QueryRun
+from repro.engine.run import QueryRun, live_pipeline_run
 from repro.fuzz.reference import ReferenceResult, compare_output
 from repro.progress.gold import BytesProcessedOracle, GetNextOracle
 from repro.progress.registry import all_estimators
@@ -219,26 +219,27 @@ def reference_progress(run: QueryRun, reports: list[ProgressReport],
                        monitor: ProgressMonitor) -> list[dict[int, float]]:
     """Per report, the per-pipeline progress the batch definition gives.
 
-    Report ``k`` was cut at observation ``(k + 1) * refresh_every - 1``;
-    a :class:`~repro.trace.replay.ReplayContext` seeked there yields each
-    pipeline's causal prefix exactly as the live capture saw it.  A
+    Report ``k`` was cut at observation ``R = (k + 1) * refresh_every - 1``;
+    a :class:`~repro.trace.replay.ReplayContext` yields each pipeline's
+    causal prefix as of ``R`` exactly as the live capture saw it.  A
     running pipeline's reference is ``estimate(prefix)[-1]`` of the
     estimator the report names for it; unstarted and too-short pipelines
     are 0.0, finished ones 1.0.  Recomputes every prefix from scratch —
     O(T²·m) over a query's life, the cost the kernels avoid.
     """
     ctx = ReplayContext(run)
+    ctx.seek(len(run.times) - 1)
     out = []
     for k, report in enumerate(reports):
-        ctx.seek((k + 1) * monitor.refresh_every - 1)
+        R = (k + 1) * monitor.refresh_every - 1
         values: dict[int, float] = {}
         for pipe in ctx.pipelines:
             pid = pipe.pid
-            started = np.isfinite(ctx.pipe_first[pid])
-            if started and ctx.counters.done[pipe.terminal.node_id]:
+            started = ctx.pipe_first_row[pid] <= R
+            if started and run.D[R, pipe.terminal.node_id]:
                 values[pid] = 1.0
                 continue
-            pr = ctx.live_pipeline_run(pipe) if started else None
+            pr = live_pipeline_run(ctx, pipe, R) if started else None
             if pr is None:
                 values[pid] = 0.0
                 continue

@@ -153,28 +153,29 @@ class PipelineMeta:
             oracle_bytes_total=oracle_bytes,
         )
 
-    def driver_fraction(self, row) -> float:
-        """Fraction of driver input consumed at one full-width log row.
+    def driver_fraction(self, K: np.ndarray, D: np.ndarray) -> float:
+        """Fraction of driver input consumed at one log row.
 
-        The dynamic-selection marker (§4.4), evaluated for one row without
-        a flush: :meth:`PipelineRun.driver_fraction` under the live
-        ``n_partial`` rule of :attr:`FlushBatch.N`.
+        ``K`` and ``D`` are the row's full-width counter and done-flag
+        vectors.  The dynamic-selection marker (§4.4), evaluated for one
+        row without a flush: :meth:`PipelineRun.driver_fraction` under the
+        live ``n_partial`` rule of :attr:`FlushBatch.N`.
         """
         cols = self.node_ids
-        k = row.K[cols]
+        k = K[cols]
         totals = self.E0.copy()
         idx = self.known_source_idx
         if len(idx):
             totals[idx] = self.table_rows[idx]
         idx = self.materialized_idx
         if len(idx):
-            done = row.D[cols]
+            done = D[cols]
             n_partial = np.where(done, k, self.E0)
             if len(self.mat_idx):
-                child_done = row.D[self.mat_child_ids] & ~done[self.mat_idx]
+                child_done = D[self.mat_child_ids] & ~done[self.mat_idx]
                 if child_done.any():
                     take = self.mat_idx[child_done]
-                    n_partial[take] = row.K[self.mat_child_ids[child_done]]
+                    n_partial[take] = K[self.mat_child_ids[child_done]]
             totals[idx] = n_partial[idx]
         mask = self.driver_mask
         denom = float(totals[mask].sum())

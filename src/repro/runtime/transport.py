@@ -46,6 +46,30 @@ _LENGTH_BYTES = 8
 NPZ_LOCK = threading.Lock()
 
 
+def _frame(header: dict, members: dict[str, np.ndarray]) -> bytes:
+    """Length-prefixed JSON header (stamped with the trace format
+    version) followed by an uncompressed npz blob of ``members``."""
+    blob = io.BytesIO()
+    np.savez(blob, **members)
+    head = json.dumps({"format_version": TRACE_FORMAT_VERSION,
+                       **header}).encode()
+    return len(head).to_bytes(_LENGTH_BYTES, "little") + head + blob.getvalue()
+
+
+def _unframe(payload: bytes, what: str) -> tuple[dict, bytes]:
+    """Split a :func:`_frame` payload into its version-checked header and
+    npz blob; ``what`` names the payload in truncation errors."""
+    if len(payload) < _LENGTH_BYTES:
+        raise ValueError(f"truncated {what} payload: missing header length")
+    header_len = int.from_bytes(payload[:_LENGTH_BYTES], "little")
+    body_start = _LENGTH_BYTES + header_len
+    if len(payload) < body_start:
+        raise ValueError(f"truncated {what} payload: missing header")
+    header = json.loads(payload[_LENGTH_BYTES:body_start].decode())
+    check_trace_version(header)
+    return header, payload[body_start:]
+
+
 def runs_to_payload(runs: list[QueryRun]) -> bytes:
     """Encode executed runs as one self-describing bytes payload."""
     entries = []
@@ -55,27 +79,13 @@ def runs_to_payload(runs: list[QueryRun]) -> bytes:
         entry["prefix"] = f"r{i:04d}_"
         members.update(run_to_members(run, entry["prefix"]))
         entries.append(entry)
-    blob = io.BytesIO()
-    np.savez(blob, **members)
-    header = json.dumps({
-        "format_version": TRACE_FORMAT_VERSION,
-        "runs": entries,
-    }).encode()
-    return (len(header).to_bytes(_LENGTH_BYTES, "little")
-            + header + blob.getvalue())
+    return _frame({"runs": entries}, members)
 
 
 def runs_from_payload(payload: bytes) -> list[QueryRun]:
     """Decode a :func:`runs_to_payload` payload back into runs."""
-    if len(payload) < _LENGTH_BYTES:
-        raise ValueError("truncated run payload: missing header length")
-    header_len = int.from_bytes(payload[:_LENGTH_BYTES], "little")
-    body_start = _LENGTH_BYTES + header_len
-    if len(payload) < body_start:
-        raise ValueError("truncated run payload: missing header")
-    header = json.loads(payload[_LENGTH_BYTES:body_start].decode())
-    check_trace_version(header)
-    with NPZ_LOCK, np.load(io.BytesIO(payload[body_start:])) as members:
+    header, blob = _unframe(payload, "run")
+    with NPZ_LOCK, np.load(io.BytesIO(blob)) as members:
         return [run_from_members(entry, members, entry["prefix"])
                 for entry in header["runs"]]
 
@@ -91,27 +101,13 @@ def reports_to_payload(tagged: "list[tuple[int, object]]") -> bytes:
     """
     entry, members = reports_to_columns([report for _, report in tagged])
     members["sids"] = np.asarray([sid for sid, _ in tagged], dtype=np.int64)
-    blob = io.BytesIO()
-    np.savez(blob, **members)
-    header = json.dumps({
-        "format_version": TRACE_FORMAT_VERSION,
-        "reports": entry,
-    }).encode()
-    return (len(header).to_bytes(_LENGTH_BYTES, "little")
-            + header + blob.getvalue())
+    return _frame({"reports": entry}, members)
 
 
 def reports_from_payload(payload: bytes) -> "list[tuple[int, object]]":
     """Decode a :func:`reports_to_payload` payload back into tagged reports."""
-    if len(payload) < _LENGTH_BYTES:
-        raise ValueError("truncated report payload: missing header length")
-    header_len = int.from_bytes(payload[:_LENGTH_BYTES], "little")
-    body_start = _LENGTH_BYTES + header_len
-    if len(payload) < body_start:
-        raise ValueError("truncated report payload: missing header")
-    header = json.loads(payload[_LENGTH_BYTES:body_start].decode())
-    check_trace_version(header)
-    with NPZ_LOCK, np.load(io.BytesIO(payload[body_start:])) as members:
+    header, blob = _unframe(payload, "report")
+    with NPZ_LOCK, np.load(io.BytesIO(blob)) as members:
         reports = reports_from_columns(header["reports"], members)
         sids = members["sids"]
     return list(zip((int(sid) for sid in sids), reports))

@@ -41,6 +41,7 @@ from repro.service.sharded import (
     FleetStats,
     MemoryBudgetExceeded,
     ShardedProgressService,
+    ShardLost,
     ShardStats,
     place_session,
 )
@@ -57,5 +58,6 @@ __all__ = [
     "ShardStats",
     "FleetStats",
     "MemoryBudgetExceeded",
+    "ShardLost",
     "place_session",
 ]

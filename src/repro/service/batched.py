@@ -24,12 +24,15 @@ structure-of-arrays kernels of :mod:`repro.progress.soa`:
 Causality notes (why each report equals the chosen estimator's
 ``estimate`` on the causal prefix of its row):
 
-* a pipeline's *started* status at row ``R`` is reconstructed from the
-  recorded start times (replay: ``t_start <= times[R]``, the same rule
-  ``ReplayContext.seek`` applies) or from a copy of ``pipe_first`` taken
-  in the observation callback (live: zero-cost charges may start a
-  pipeline at exactly ``times[R]`` *after* the observation fired, so the
-  reconstruction from times alone would not be causal);
+* live executions and replayed recordings present one row surface: an
+  append-only observation log (``ctx.log.as_arrays(stop)``, prefix
+  views) and the write-once start vectors ``pipe_first`` (start time)
+  and ``pipe_first_row`` (first row whose observation saw the pipeline
+  started).  A pipeline has started at row ``R`` iff
+  ``pipe_first_row[pid] <= R``.  Live, the executor records the log
+  length when the first charge lands, so zero-cost charges that start a
+  pipeline at exactly ``times[R]`` *after* observation ``R`` fired do
+  not count; replay keeps its recorded rule ``t_start <= times[R]``;
 * *done* status comes from the logged done-flag row, which is what the
   callback-time capture read;
 * a slot's row set is every row since its cursor while any stateful
@@ -38,9 +41,8 @@ Causality notes (why each report equals the chosen estimator's
   is read during planning and updated only after finalize, so all
   drafts of one flush see the state as of the previous flush;
 * feature extraction at a selection-opening row rebuilds the causal
-  trajectory view with :func:`~repro.engine.run.live_pipeline_run`
-  itself: replay contexts are seeked to ``R`` and restored, live
-  contexts get an as-of adapter over the append-only observation log.
+  trajectory view with :func:`~repro.engine.run.live_pipeline_run` at
+  that row, which reads only log rows up to it.
 """
 
 from __future__ import annotations
@@ -56,56 +58,6 @@ from repro.core.monitor import (
 )
 from repro.engine.run import live_pipeline_run
 from repro.progress.soa import FlushBatch, SoAPool, batched_states
-
-
-class _AsOfLog:
-    """Truncated view of a live observation log (rows ``< stop``)."""
-
-    __slots__ = ("_log", "_stop")
-
-    def __init__(self, log, stop: int):
-        self._log = log
-        self._stop = stop
-
-    def as_arrays(self):
-        return self._log.as_arrays(stop=self._stop)
-
-
-class _AsOfCounters:
-    __slots__ = ("K", "done")
-
-    def __init__(self, row):
-        self.K = row.K
-        self.done = row.D
-
-
-class _AsOfClock:
-    __slots__ = ("now",)
-
-    def __init__(self, now: float):
-        self.now = now
-
-
-class _AsOfLive:
-    """ExecContext view of a live execution *as of* an earlier row.
-
-    Presents exactly the surface :func:`live_pipeline_run` consumes, with
-    every mutable input rolled back to observation ``row_index``: the log
-    truncated (rows are append-only, so the prefix is the historical
-    log), counters/done flags from the logged row, the clock at the row's
-    time and the ``pipe_first`` copy captured in the callback.
-    """
-
-    __slots__ = ("log", "counters", "clock", "pipe_first", "parents", "db")
-
-    def __init__(self, ctx, row_index: int, pipe_first: np.ndarray):
-        row = ctx.log.row(row_index)
-        self.log = _AsOfLog(ctx.log, row_index + 1)
-        self.counters = _AsOfCounters(row)
-        self.clock = _AsOfClock(float(row.time))
-        self.pipe_first = pipe_first
-        self.parents = ctx.parents
-        self.db = ctx.db
 
 
 class _SlotRec:
@@ -272,7 +224,6 @@ class VectorizedFlush:
         monitor = self.monitor
         state = session.state
         ctx = session.handle_ctx
-        replay = hasattr(ctx, "observation_index")
         recs = self._recs.setdefault(session.session_id, {})
         if state.weights is None:
             total_e = sum(max(n.est_rows, 0.0)
@@ -281,34 +232,20 @@ class VectorizedFlush:
                 pipe.pid: sum(max(n.est_rows, 0.0)
                               for n in pipe.nodes) / total_e
                 for pipe in ctx.pipelines}
+        log = ctx.log.as_arrays()
+        times, K, D = log["times"], log["K"], log["D"]
+        first_row = ctx.pipe_first_row
         per = []
-        starts = session.pending_starts
-        for j, R in enumerate(session.pending_reports):
-            if replay:
-                run = ctx.run
-                time_R = float(run.times[R])
-                D_R = run.D[R]
-                pf = None
-            else:
-                row = ctx.log.row(R)
-                time_R = float(row.time)
-                D_R = row.D
-                pf = starts[j]
+        for R in session.pending_reports:
             pipes: list[PipeSnapshot] = []
             items: list[_Item] = []
             for pipe in ctx.pipelines:
                 pid = pipe.pid
                 weight = state.weights[pid]
-                if replay:
-                    t_start = float(ctx._t_starts[pid])
-                    started = t_start <= time_R
-                else:
-                    started = bool(np.isfinite(pf[pid]))
-                    t_start = float(pf[pid]) if started else 0.0
-                if not started:
+                if first_row[pid] > R:
                     pipes.append(PipeSnapshot(pid, weight, "unstarted"))
                     continue
-                if D_R[pipe.terminal.node_id]:
+                if D[R, pipe.terminal.node_id]:
                     pipes.append(PipeSnapshot(pid, weight, "done"))
                     rec = recs.pop(pid, None)
                     if rec is not None:
@@ -318,11 +255,8 @@ class VectorizedFlush:
                 if cursor is None:
                     # first sight: rows since the activity window opened,
                     # evaluated against the log as of row R
-                    if replay:
-                        start = int(np.searchsorted(run.times[:R + 1],
-                                                    t_start, side="left"))
-                    else:
-                        start = ctx.log.start_index(t_start)
+                    start = int(np.searchsorted(
+                        times[:R + 1], ctx.pipe_first[pid], side="left"))
                     if R - start + 1 < 2:
                         pipes.append(PipeSnapshot(pid, weight, "short"))
                         continue
@@ -353,18 +287,11 @@ class VectorizedFlush:
                 lst.extend(range(lo_row, R + 1))
                 pos = len(lst) - 1
 
-                def fraction(meta=meta, R=R, log=ctx.log):
-                    return meta.driver_fraction(log.row(R))
+                def fraction(meta=meta, R=R):
+                    return meta.driver_fraction(K[R], D[R])
 
-                def make_pr(pipe=pipe, R=R, pf=pf, ctx=ctx, replay=replay):
-                    if replay:
-                        save = ctx.observation_index
-                        ctx.seek(R)
-                        try:
-                            return ctx.live_pipeline_run(pipe)
-                        finally:
-                            ctx.seek(save)
-                    return live_pipeline_run(_AsOfLive(ctx, R, pf), pipe)
+                def make_pr(pipe=pipe, R=R):
+                    return live_pipeline_run(ctx, pipe, R)
 
                 kind, features = monitor._selection_needs(
                     pid, state, fraction, make_pr)
@@ -372,9 +299,9 @@ class VectorizedFlush:
                                     features=features)
                 pipes.append(snap)
                 items.append(_Item(snap, rec, pos))
-            per.append((ReportDraft(time=time_R, pipes=pipes), items))
+            per.append((ReportDraft(time=float(times[R]), pipes=pipes),
+                        items))
         session.pending_reports.clear()
-        session.pending_starts.clear()
         return per
 
     # -- phase 3: gather ------------------------------------------------------
@@ -402,38 +329,20 @@ class VectorizedFlush:
             slot_rows[slot] = (lo, hi)
             flat_lo[slot] = lo
             meta = slot_meta[slot]
-            ctx = slot_session[slot].handle_ctx
-            rows = slot_lists[slot]
+            log = slot_session[slot].handle_ctx.log.as_arrays()
+            r = np.asarray(slot_lists[slot])
             m = meta.n_nodes
-            cols = meta.node_ids
-            if hasattr(ctx, "observation_index"):
-                run = ctx.run
-                r = np.asarray(rows)
-                sel = np.ix_(r, cols)
-                times[lo:hi] = run.times[r]
-                K[lo:hi, :m] = run.K[sel]
-                W[lo:hi, :m] = run.W[sel]
-                LB[lo:hi, :m] = run.LB[sel]
-                UB[lo:hi, :m] = run.UB[sel]
-                D[lo:hi, :m] = run.D[sel]
-                if len(meta.mat_idx):
-                    csel = np.ix_(r, meta.mat_child_ids)
-                    CK[lo:hi, meta.mat_idx] = run.K[csel]
-                    CD[lo:hi, meta.mat_idx] = run.D[csel]
-            else:
-                log = ctx.log
-                rws = [log.row(i) for i in rows]
-                times[lo:hi] = [rw.time for rw in rws]
-                K[lo:hi, :m] = np.stack([rw.K for rw in rws])[:, cols]
-                W[lo:hi, :m] = np.stack([rw.W for rw in rws])[:, cols]
-                LB[lo:hi, :m] = np.stack([rw.LB for rw in rws])[:, cols]
-                UB[lo:hi, :m] = np.stack([rw.UB for rw in rws])[:, cols]
-                stacked_d = np.stack([rw.D for rw in rws])
-                D[lo:hi, :m] = stacked_d[:, cols]
-                if len(meta.mat_idx):
-                    stacked_k = np.stack([rw.K for rw in rws])
-                    CK[lo:hi, meta.mat_idx] = stacked_k[:, meta.mat_child_ids]
-                    CD[lo:hi, meta.mat_idx] = stacked_d[:, meta.mat_child_ids]
+            sel = np.ix_(r, meta.node_ids)
+            times[lo:hi] = log["times"][r]
+            K[lo:hi, :m] = log["K"][sel]
+            W[lo:hi, :m] = log["W"][sel]
+            LB[lo:hi, :m] = log["LB"][sel]
+            UB[lo:hi, :m] = log["UB"][sel]
+            D[lo:hi, :m] = log["D"][sel]
+            if len(meta.mat_idx):
+                csel = np.ix_(r, meta.mat_child_ids)
+                CK[lo:hi, meta.mat_idx] = log["K"][csel]
+                CD[lo:hi, meta.mat_idx] = log["D"][csel]
             lo = hi
         ordinals = []
         for s_i in range(max(counts)):

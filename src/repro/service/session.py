@@ -8,13 +8,14 @@ finalized :class:`~repro.core.monitor.ProgressReport` stream.
 
 Sessions are passive: the :class:`~repro.service.service.ProgressService`
 steps their handles and its flush turns their due rows into reports.
-The observation callback only records which rows are due
-(``pending_reports``; for live executions also a copy of the
-pipeline-start vector, the one causal input that later rows cannot
-reconstruct); the flush rebuilds the report drafts from those rows.
-Replay sessions additionally support *bulk* stepping: a whole time slice
-advances in one seek, with the due report rows derived arithmetically,
-skipping per-observation callbacks entirely.
+The observation callback only records which log row is due
+(``pending_reports``), the same way for live executions and replayed
+recordings; the flush rebuilds each report draft from the log as of that
+row and the context's write-once ``pipe_first_row`` vector (a pipeline
+has started at row ``R`` iff ``pipe_first_row[pid] <= R``).  Handles
+that can skip ahead (replay) additionally support *bulk* stepping: a
+whole time slice advances in one seek, with the due report rows derived
+arithmetically, skipping per-observation callbacks entirely.
 """
 
 from __future__ import annotations
@@ -50,9 +51,6 @@ class QuerySession:
         self.reports: list[ProgressReport] = []
         #: observation-log row index per due report
         self.pending_reports: list[int] = []
-        #: live capture: pipe_first copy per due report (the only mutable
-        #: causal input the log row itself does not record)
-        self.pending_starts: list = []
         self.steps = 0
         self.released = False
         self._monitor = monitor
@@ -83,7 +81,7 @@ class QuerySession:
     @property
     def can_bulk(self) -> bool:
         """True when a slice can advance without per-observation callbacks
-        (a seekable replay handle)."""
+        (the handle can ``skip``, as a replay handle can)."""
         return hasattr(self._handle, "skip")
 
     def step_bulk(self, k: int) -> int:
@@ -93,12 +91,11 @@ class QuerySession:
         the tick counter advances per skipped observation and the due
         report rows (every ``refresh_every``-th tick) are derived from
         the tick arithmetic instead of callbacks.  Relies on the replay
-        invariant ``ticks == observation_index + 1`` (every observation,
-        including the t=0 emit, bumps the counter exactly once).
+        invariant ``ticks == len(log)`` (every observation, including the
+        t=0 emit, bumps the counter exactly once).
         """
         assert self._handle is not None
-        ctx = self._handle.ctx
-        index = ctx.observation_index
+        index = len(self._handle.ctx.log) - 1
         take = self._handle.skip(k)
         if take:
             self.steps += take
@@ -134,7 +131,6 @@ class QuerySession:
         self.released = True
         self.reports = []
         self.pending_reports = []
-        self.pending_starts = []
         self.state = MonitorState()
         self._executor = None
         self._plan = None
@@ -163,9 +159,4 @@ class QuerySession:
         self.state.ticks += 1
         if self.state.ticks % self._monitor.refresh_every:
             return
-        index = getattr(ctx, "observation_index", None)
-        if index is None:  # live execution: the row just logged
-            self.pending_reports.append(len(ctx.log) - 1)
-            self.pending_starts.append(ctx.pipe_first.copy())
-        else:  # replay: the row the context sits on
-            self.pending_reports.append(index)
+        self.pending_reports.append(len(ctx.log) - 1)

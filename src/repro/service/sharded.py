@@ -44,6 +44,11 @@ reports ship (``release_session``), so shard memory tracks *live*
 sessions; ``keep_reports=False`` additionally drops the supervisor-side
 buffers for soak-style runs where only the stats matter.
 
+**Shard loss**: a worker process that dies (its pipe closes) or reports
+a failure surfaces from :meth:`~ShardedProgressService.tick` as
+:class:`ShardLost` carrying the shard id; the fleet does not recover the
+shard's sessions.
+
 Streaming consumers observe the fleet through the ``on_report(sid, report)``
 and ``on_complete(sid)`` supervisor hooks — ``on_complete`` fires after
 all of a round's reports, in ascending session id, which is what lets
@@ -74,6 +79,14 @@ from repro.runtime.transport import (
 from repro.service.service import ProgressService, ServiceStats
 
 PLACEMENTS = ("round_robin", "hash")
+
+
+class ShardLost(RuntimeError):
+    """A shard worker process died or failed; ``shard_id`` names it."""
+
+    def __init__(self, shard_id: int, reason: str):
+        super().__init__(f"shard {shard_id} lost: {reason}")
+        self.shard_id = shard_id
 
 
 class MemoryBudgetExceeded(RuntimeError):
@@ -273,6 +286,16 @@ class ShardWorker:
         self.stats.tick_seconds.append(time.perf_counter() - started)
         return self.active
 
+    def tick_rounds(self, rounds: int) -> bool:
+        """Up to ``rounds`` :meth:`tick` calls, stopping once idle; True
+        while work remains."""
+        more = False
+        for _ in range(rounds):
+            more = self.tick()
+            if not more:
+                break
+        return more
+
     def take_emitted(self) -> list[tuple[int, ProgressReport]]:
         emitted, self._emitted = self._emitted, []
         return emitted
@@ -304,11 +327,7 @@ def shard_worker_main(conn, shard_id: int, make_monitor,
                                                          strict=True):
                     worker.enqueue(global_sid, run, query_name)
             elif cmd == "tick":
-                more = False
-                for _ in range(frame[1]):
-                    more = worker.tick()
-                    if not more:
-                        break
+                more = worker.tick_rounds(frame[1])
                 ticks = worker.stats.tick_seconds
                 conn.send(("reports", more,
                            reports_to_payload(worker.take_emitted()),
@@ -504,7 +523,7 @@ class ShardedProgressService:
         if self.processes:
             polled = [i for i in range(self.n_shards) if self._shard_active[i]]
             for i in polled:  # all sends first: shards tick concurrently
-                self._conns[i].send(("tick", rounds))
+                self._send(i, ("tick", rounds))
             batches = []
             for i in polled:
                 reply = self._recv(i)
@@ -518,12 +537,7 @@ class ShardedProgressService:
                 if not self._shard_active[i]:
                     continue
                 shard = self._shards[i]
-                more = False
-                for _ in range(rounds):
-                    more = shard.tick()
-                    if not more:
-                        break
-                self._shard_active[i] = more
+                self._shard_active[i] = shard.tick_rounds(rounds)
                 # inline batches still cross the wire codec (bit-exact),
                 # so parity tests cover the exact process-mode bytes
                 batches.append(reports_from_payload(
@@ -582,7 +596,8 @@ class ShardedProgressService:
                     continue
             for conn in self._conns:
                 try:
-                    conn.recv()  # "bye"
+                    while conn.recv()[0] != "bye":
+                        pass  # the reply to a tick abandoned by ShardLost
                 except (EOFError, OSError):
                     pass
                 conn.close()
@@ -617,16 +632,26 @@ class ShardedProgressService:
             if self.processes:
                 payload = runs_to_payload([run for _, run, _ in batch])
                 metas = [(sid, name) for sid, _, name in batch]
-                self._conns[shard_id].send(("submit", payload, metas))
+                self._send(shard_id, ("submit", payload, metas))
             else:
                 for sid, run, name in batch:
                     self._shards[shard_id].enqueue(sid, run, name)
 
+    def _send(self, shard_id: int, frame: tuple) -> None:
+        try:
+            self._conns[shard_id].send(frame)
+        except OSError as exc:
+            raise ShardLost(shard_id, f"worker connection closed "
+                            f"({type(exc).__name__})") from exc
+
     def _recv(self, shard_id: int):
-        reply = self._conns[shard_id].recv()
+        try:
+            reply = self._conns[shard_id].recv()
+        except (EOFError, OSError) as exc:
+            raise ShardLost(shard_id, f"worker connection closed "
+                            f"({type(exc).__name__})") from exc
         if reply[0] == "error":
-            raise RuntimeError(
-                f"shard {shard_id} worker failed: {reply[1]}")
+            raise ShardLost(shard_id, f"worker failed: {reply[1]}")
         return reply
 
     def _merge(self, batches: list[list[tuple[int, ProgressReport]]],

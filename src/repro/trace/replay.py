@@ -3,13 +3,14 @@
 A recorded :class:`~repro.engine.run.QueryRun` holds everything the
 observation callback ever saw: counter matrices per snapshot, done flags
 (``D``), pipeline windows and plan metadata.  :class:`ReplayContext`
-re-materializes, observation by observation, the exact duck-typed surface
-of :class:`~repro.engine.executor.ExecContext` that the service's flush
+exposes the duck-typed surface of
+:class:`~repro.engine.executor.ExecContext` that the service's flush
 (:class:`~repro.service.batched.VectorizedFlush`) and
-:func:`~repro.engine.run.live_pipeline_run` consume — so the *same*
-causal capture code runs against the recording, and a replayed monitor
-produces bit-identical reports to the live one, without touching the
-engine.
+:func:`~repro.engine.run.live_pipeline_run` consume — an observation log
+that grows one recorded row per step, plus the write-once pipeline-start
+vectors ``pipe_first`` / ``pipe_first_row`` — so the *same* causal
+capture code runs against the recording, and a replayed monitor produces
+bit-identical reports to the live one, without touching the engine.
 
 :class:`ReplayExecutor` mirrors :class:`QueryExecutor.begin`'s shape, so a
 :class:`~repro.service.session.QuerySession` (and therefore the whole
@@ -25,8 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.engine.counters import LogRow
-from repro.engine.run import QueryRun, live_pipeline_run
+from repro.engine.run import QueryRun
 
 
 class _ReplayNode:
@@ -88,18 +88,10 @@ class _ReplayDB:
         return self._tables[name]
 
 
-class _ReplayCounters:
-    """Row views of the recorded K / D matrices at the current snapshot."""
-
-    __slots__ = ("K", "done", "n_nodes")
-
-    def __init__(self, n_nodes: int):
-        self.n_nodes = n_nodes
-        self.K: np.ndarray | None = None
-        self.done: np.ndarray | None = None
-
-
 class _ReplayLog:
+    """The recorded rows up to the current observation, shaped like the
+    live :class:`~repro.engine.counters.ObservationLog`."""
+
     def __init__(self, ctx: "ReplayContext"):
         self._ctx = ctx
 
@@ -107,35 +99,23 @@ class _ReplayLog:
         # causal length: rows up to (and including) the current observation
         return self._ctx.observation_index + 1
 
-    def row(self, i: int) -> LogRow:
-        """One recorded snapshot, shaped like the live log's rows."""
+    def as_arrays(self, stop: int | None = None) -> dict[str, np.ndarray]:
+        """Prefix views of the recorded arrays (first ``stop`` rows)."""
+        stop = len(self) if stop is None else min(stop, len(self))
         run = self._ctx.run
-        return LogRow(float(run.times[i]), run.K[i], run.R[i], run.W[i],
-                      run.LB[i], run.UB[i], run.D[i])
-
-    def start_index(self, t_start: float) -> int:
-        run = self._ctx.run
-        return int(np.searchsorted(run.times[:len(self)], t_start,
-                                   side="left"))
-
-    def as_arrays(self) -> dict[str, np.ndarray]:
-        ctx = self._ctx
-        stop = ctx.observation_index + 1
-        return {"times": ctx.run.times[:stop], "K": ctx.run.K[:stop],
-                "R": ctx.run.R[:stop], "W": ctx.run.W[:stop],
-                "LB": ctx.run.LB[:stop], "UB": ctx.run.UB[:stop],
-                "D": ctx.run.D[:stop]}
-
-
-class _ReplayClock:
-    __slots__ = ("now",)
-
-    def __init__(self):
-        self.now = 0.0
+        return {name: getattr(run, name)[:stop]
+                for name in ("times", "K", "R", "W", "LB", "UB", "D")}
 
 
 class ReplayContext:
-    """Observation-indexed view of a recorded run, ExecContext-shaped."""
+    """Observation-indexed view of a recorded run, ExecContext-shaped.
+
+    ``pipe_first`` holds the recorded pipeline start times and
+    ``pipe_first_row`` the first row with ``t_start <= times[row]`` (the
+    row count for pipelines that never started), so a pipeline has
+    started at row ``R`` iff ``pipe_first_row[pid] <= R`` — the same rule
+    the live context's write-once vector gives.
+    """
 
     def __init__(self, run: QueryRun, query_name: str | None = None):
         if run.D is None:
@@ -162,13 +142,12 @@ class ReplayContext:
         self.db = _ReplayDB(run.db_name, {
             info.table: info.table_rows
             for info in run.nodes if info.table is not None})
-        self.counters = _ReplayCounters(len(nodes))
         self.log = _ReplayLog(self)
-        self.clock = _ReplayClock()
-        self._t_starts = np.array([p.t_start for p in run.pipelines])
-        self.pipe_first = np.full(len(run.pipelines), np.nan)
-        self.observation_index = -1
-        self.seek(0)
+        self.pipe_first = np.array([p.t_start for p in run.pipelines])
+        # NaN (never started) sorts past every row
+        self.pipe_first_row = np.searchsorted(run.times, self.pipe_first,
+                                              side="left")
+        self.observation_index = 0
 
     @property
     def n_observations(self) -> int:
@@ -180,20 +159,6 @@ class ReplayContext:
             raise IndexError(f"observation index {index} out of range "
                              f"[0, {self.n_observations})")
         self.observation_index = index
-        now = float(self.run.times[index])
-        self.clock.now = now
-        self.counters.K = self.run.K[index]
-        self.counters.done = self.run.D[index]
-        # a pipeline has started by now iff its first charge is in the past
-        self.pipe_first = np.where(self._t_starts <= now,
-                                   self._t_starts, np.nan)
-
-    def live_pipeline_run(self, pipe, query_name: str = "(online)",
-                          min_observations: int = 2):
-        """Causal pipeline snapshot at the current observation (same code
-        path as the live executor)."""
-        return live_pipeline_run(self, pipe, query_name=query_name,
-                                 min_observations=min_observations)
 
 
 class ReplayHandle:

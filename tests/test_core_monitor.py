@@ -181,9 +181,11 @@ class TestKernelLifecycle:
                 if session.status is not SessionStatus.RUNNING:
                     continue
                 ctx = session.handle_ctx
+                R = len(ctx.log) - 1
+                done = ctx.log.as_arrays()["D"][R]
                 for pipe in ctx.pipelines:
-                    if (np.isfinite(ctx.pipe_first[pipe.pid])
-                            and not ctx.counters.done[pipe.terminal.node_id]):
+                    if (ctx.pipe_first_row[pipe.pid] <= R
+                            and not done[pipe.terminal.node_id]):
                         running += 1
             live = service._vector.pool.n_live
             assert live <= running

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.engine.counters import CounterStore, ObservationLog, UNBOUNDED
+from repro.engine.counters import (
+    INITIAL_CAPACITY,
+    UNBOUNDED,
+    CounterStore,
+    ObservationLog,
+)
 
 
 class TestCounterStore:
@@ -65,6 +70,65 @@ class TestObservationLog:
         arrays = ObservationLog(3).as_arrays()
         assert arrays["D"].shape == (0, 3)
         assert arrays["D"].dtype == bool
+
+
+class TestColumnarStorage:
+    """Rows live in capacity-doubling arrays; ``as_arrays`` hands out
+    prefix views, which append-only rows keep valid across doublings."""
+
+    @staticmethod
+    def _fill(log, store, t):
+        n = store.n_nodes
+        store.K[:] = t + np.arange(n)
+        store.R[:] = 2.0 * t
+        store.W[:] = 0.5 * t
+        store.done[t % n] = True
+        lb = store.K.copy()
+        log.snapshot(0.25 * t, store, lb, lb + 1.0)
+        return {"times": 0.25 * t, "K": store.K.copy(),
+                "R": store.R.copy(), "W": store.W.copy(), "LB": lb,
+                "UB": lb + 1.0, "D": store.done.copy()}
+
+    def test_rows_survive_two_doublings(self):
+        n = 3
+        store = CounterStore(n)
+        log = ObservationLog(n)
+        written = []
+        before = None
+        for t in range(4 * INITIAL_CAPACITY + 1):  # doubles at 1x and 2x
+            if t == INITIAL_CAPACITY:  # full: the next snapshot doubles
+                before = log.as_arrays()
+                frozen = {name: a.copy() for name, a in before.items()}
+            written.append(self._fill(log, store, t))
+        arrays = log.as_arrays()
+        assert len(log) == len(written) == len(arrays["times"])
+        for name, column in arrays.items():
+            expected = np.array([row[name] for row in written])
+            assert column.dtype == expected.dtype
+            assert np.array_equal(column, expected), name
+            # the early view is a view, and no later row or doubling moved it
+            assert before[name].base is not None
+            assert np.array_equal(before[name], frozen[name]), name
+            assert np.array_equal(before[name], column[:INITIAL_CAPACITY])
+
+    def test_prefix_stop_clamps_to_length(self):
+        store = CounterStore(2)
+        log = ObservationLog(2)
+        for t in range(5):
+            self._fill(log, store, t)
+        assert log.as_arrays(3)["K"].shape == (3, 2)
+        assert log.as_arrays(99)["K"].shape == (5, 2)
+        assert log.last_time == 1.0
+
+    def test_executed_run_owns_exactly_sized_arrays(self, join_run):
+        T, n = len(join_run.times), join_run.n_nodes
+        for name in ("times", "K", "R", "W", "LB", "UB", "D"):
+            assert getattr(join_run, name).base is None, name
+        assert join_run.times.nbytes == T * 8
+        for name in ("K", "R", "W", "LB", "UB"):
+            assert getattr(join_run, name).nbytes == T * n * 8, name
+        assert join_run.D.nbytes == T * n
+        assert join_run.nbytes == (T * 8 + 5 * T * n * 8 + n * 8 + T * n)
 
 
 class TestSnapshotValidation:

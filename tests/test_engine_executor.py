@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.executor import ExecutorConfig, QueryExecutor
+from repro.plan.nodes import Op
 
 
 class TestExecutorConfig:
@@ -103,3 +104,30 @@ class TestRunInvariants:
                                     target_observations=40)
         ).execute(tpch_planner.plan(join_query))
         assert np.allclose(run.N, baseline.N)
+
+
+class TestPipelineStartRow:
+    @pytest.mark.parametrize("seed", [5, 11])
+    def test_live_start_row_is_causal(self, tpch_db, tpch_planner,
+                                      join_query, seed):
+        """``pipe_first_row[p] <= R`` iff observation ``R``'s callback saw
+        pipeline ``p`` started — over a run with a blocking hash build and
+        a spill."""
+        seen = []
+        config = ExecutorConfig(batch_size=256, seed=seed,
+                                memory_budget_bytes=float(64 << 10),
+                                target_observations=80)
+        executor = QueryExecutor(
+            tpch_db, config,
+            on_observation=lambda ctx: seen.append(
+                (len(ctx.log) - 1, ctx.pipe_first.copy())))
+        handle = executor.begin(tpch_planner.plan(join_query))
+        run = handle.run_to_completion()
+        ctx = handle.ctx
+        assert run.spill_events > 0
+        assert any(n.op is Op.HASH_JOIN for n in run.nodes)  # blocking build
+        assert [R for R, _ in seen] == list(range(len(run.times)))
+        assert (ctx.pipe_first_row[1:] > 0).any(), "every pipeline at t=0"
+        for R, recorded in seen:
+            assert np.array_equal(np.isfinite(recorded),
+                                  ctx.pipe_first_row <= R), R

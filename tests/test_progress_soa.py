@@ -15,8 +15,6 @@ layers; this module pins the kernels in isolation.
 import numpy as np
 from hypothesis import given, settings
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.engine.run import PipelineRun
@@ -114,9 +112,10 @@ def assert_kernels_match(prs, estimators=None):
 
 
 def log_row(pr, t):
-    """Observation ``t`` of ``pr`` as a full-width log row (node ids are
-    the local columns), done flags by the live rule."""
-    return SimpleNamespace(K=pr.K[t], D=pr.K[t] >= pr.N)
+    """Observation ``t`` of ``pr`` as full-width log-row ``(K, D)``
+    vectors (node ids are the local columns), done flags by the live
+    rule."""
+    return pr.K[t], pr.K[t] >= pr.N
 
 
 def test_kernels_match_scalar_on_executed_pipelines(join_run, scan_run):
@@ -292,7 +291,7 @@ def test_tick_helpers_match_batch_mirrors(pr):
                                  true_n=False)
     fraction = live.driver_value("driver")
     for t in range(pr.n_observations):
-        assert meta.driver_fraction(log_row(pr, t)) == fraction[t]
+        assert meta.driver_fraction(*log_row(pr, t)) == fraction[t]
 
 
 def test_empty_pipeline_batches_to_zero_rows():
@@ -325,7 +324,7 @@ def test_zero_denominator_pipeline_parity():
     batch, (slot,), _ = batch_from_runs(pool, [pr], metas=[meta])
     assert not batch.driver_value("driver").any()
     for t in range(pr.n_observations):
-        assert meta.driver_fraction(log_row(pr, t)) == 0.0
+        assert meta.driver_fraction(*log_row(pr, t)) == 0.0
     assert_kernels_match([pr])
 
 

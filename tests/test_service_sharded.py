@@ -17,6 +17,7 @@ from repro.service import (
     MemoryBudgetExceeded,
     ProgressService,
     ShardedProgressService,
+    ShardLost,
     place_session,
 )
 from repro.service.sharded import ShardWorker
@@ -264,6 +265,41 @@ class TestProcessMode:
             sys.setswitchinterval(interval)
         assert not errors
         assert sorted(completed) == list(range(n_sessions))
+
+    @pytest.mark.parametrize("victim", [0, 1])
+    def test_killed_worker_raises_shard_lost(self, golden_runs, victim):
+        """A worker SIGKILLed mid-drain surfaces from ``tick`` as
+        :class:`ShardLost` naming its shard, within a bounded time —
+        whether the dead pipe fails the tick frame's send or the reply's
+        receive."""
+        import os
+        import signal
+        import threading
+
+        raised: list[BaseException] = []
+        with ShardedProgressService(
+                _monitor, n_shards=2, slice_steps=1,
+                processes=True) as service:
+            for run in golden_runs:
+                service.submit_replay(run)
+            assert service.tick()  # both shards admitted and mid-drain
+            os.kill(service.worker_pids[victim], signal.SIGKILL)
+
+            def drain():
+                try:
+                    while service.tick():
+                        pass
+                except BaseException as exc:
+                    raised.append(exc)
+
+            thread = threading.Thread(target=drain, daemon=True)
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive(), "tick hung on a dead shard"
+        assert len(raised) == 1
+        assert isinstance(raised[0], ShardLost)
+        assert raised[0].shard_id == victim
+        assert f"shard {victim}" in str(raised[0])
 
     def test_monitor_instance_rejected_for_processes(self):
         with pytest.raises(ValueError, match="factory"):

@@ -59,7 +59,8 @@ class TestReplayHandle:
     def test_steps_through_all_observations(self, live):
         run, _ = live[SEEDS[0]]
         seen = []
-        handle = ReplayHandle(run, lambda ctx: seen.append(ctx.clock.now))
+        handle = ReplayHandle(
+            run, lambda ctx: seen.append(ctx.log.as_arrays()["times"][-1]))
         assert not handle.done
         steps = 0
         while handle.step():
@@ -91,13 +92,26 @@ class TestReplayHandle:
         ctx = ReplayContext(run)
         mid = len(run.times) // 2
         ctx.seek(mid)
-        assert ctx.clock.now == run.times[mid]
-        assert np.array_equal(ctx.counters.K, run.K[mid])
-        assert np.array_equal(ctx.counters.done, run.D[mid])
         arrays = ctx.log.as_arrays()
+        assert len(ctx.log) == mid + 1
+        assert arrays["times"][-1] == run.times[mid]
+        assert np.array_equal(arrays["K"][-1], run.K[mid])
+        assert np.array_equal(arrays["D"][-1], run.D[mid])
         assert arrays["K"].shape == (mid + 1, run.n_nodes)
         with pytest.raises(IndexError):
             ctx.seek(len(run.times))
+
+
+    def test_start_row_follows_recorded_start_times(self, live, join_run):
+        """Replay's ``pipe_first_row`` keeps the recorded rule: started at
+        row ``R`` iff ``t_start <= times[R]`` (never, for NaN starts)."""
+        for run in [join_run] + [live[seed][0] for seed in SEEDS]:
+            ctx = ReplayContext(run)
+            t_start = np.array([p.t_start for p in run.pipelines])
+            assert np.array_equal(ctx.pipe_first, t_start, equal_nan=True)
+            for R, now in enumerate(run.times):
+                assert np.array_equal(ctx.pipe_first_row <= R,
+                                      t_start <= now), R
 
 
 class TestReplayTransparency:
