@@ -22,7 +22,11 @@ of every live pipeline, and hands the values to
 the report.  A tick costs O(active nodes), independent of how long the
 query has run.  :meth:`ProgressMonitor.run` is a one-session service over
 a live execution; :func:`~repro.trace.replay.replay_monitor` the same over
-a recording.
+a recording.  Either way the flush reads the plan from the context's
+preorder :class:`~repro.engine.run.NodeInfo` list — the description a
+recorded run carries and training's offline view is built from — so a
+pipeline's static fields come from one function,
+:func:`~repro.engine.run.pipeline_static`.
 
 Each estimator's batch ``estimate`` on the causal prefix stays the
 definition the reports must equal — the fuzz oracle's ``kernel`` layer
@@ -39,7 +43,7 @@ import numpy as np
 from repro.catalog.table import Database
 from repro.core.selection import EstimatorSelector
 from repro.engine.executor import ExecutorConfig
-from repro.engine.run import _MATERIALIZED_OPS, QueryRun
+from repro.engine.run import QueryRun
 from repro.features.vector import FeatureExtractor
 from repro.plan.nodes import PlanNode
 from repro.progress.base import ProgressEstimator
@@ -277,37 +281,3 @@ class ProgressMonitor:
             return self.fallback
         return state.static_choices[snap.pid]
 
-
-# -- capture helpers ---------------------------------------------------------
-
-def _pipeline_meta(ctx, pipe) -> PipelineMeta:
-    """Immutable metadata of a live pipeline, mirroring the fields
-    :func:`~repro.engine.run.live_pipeline_run` would build (same element
-    order, same float conversions — bit-identity with ``estimate`` on the
-    causal prefix depends on it)."""
-    members = pipe.nodes
-    local = {nid: j for j, nid in enumerate(pipe.node_ids)}
-    parent_local = np.array([
-        local.get(ctx.parents.get(n.node_id, -1), -1) for n in members],
-        dtype=np.int64)
-    driver_set = set(pipe.driver_ids)
-    mat_children = [
-        (j, node.children[0].node_id)
-        for j, node in enumerate(members)
-        if node.op in _MATERIALIZED_OPS and node.children]
-    return PipelineMeta(
-        pid=pipe.pid,
-        query_name="(online)",
-        db_name=ctx.db.name,
-        t_start=float(ctx.pipe_first[pipe.pid]),
-        node_ids=np.asarray(pipe.node_ids),
-        ops=[n.op for n in members],
-        E0=np.array([n.est_rows for n in members]),
-        widths=np.array([n.est_row_width for n in members]),
-        table_rows=np.array([
-            float(ctx.db.table(n.table).n_rows) if n.table else np.nan
-            for n in members]),
-        driver_mask=np.array([n.node_id in driver_set for n in members]),
-        parent_local=parent_local,
-        mat_children=mat_children,
-    )

@@ -77,14 +77,28 @@ class ExecContext:
         self.pipe_last = np.full(n_pipes, np.nan)
         self._nodes = list(plan.walk())
         self._bottom_up = list(reversed(self._nodes))
-        self.parents: dict[int, int] = {}
-        for node in self._nodes:
-            for child in node.children:
-                self.parents[child.node_id] = node.node_id
-        self._table_rows = np.full(n, np.nan)
-        for node in self._nodes:
-            if node.table is not None:
-                self._table_rows[node.node_id] = db.table(node.table).n_rows
+        parent = {child.node_id: node.node_id
+                  for node in self._nodes for child in node.children}
+        build_side = {node.children[1].node_id for node in self._nodes
+                      if node.op == Op.HASH_JOIN}
+        drivers = {i for pipe in self.pipelines for i in pipe.driver_ids}
+        #: the plan as the run records it: static per-node metadata in
+        #: preorder, the shape replayed recordings present too
+        self.nodes = [NodeInfo(
+            node_id=node.node_id,
+            op=node.op,
+            table=node.table,
+            est_rows=float(node.est_rows),
+            est_row_width=float(node.est_row_width),
+            table_rows=(np.nan if node.table is None
+                        else float(db.table(node.table).n_rows)),
+            pid=self.node_pid[node.node_id],
+            parent=parent.get(node.node_id, -1),
+            is_driver=node.node_id in drivers,
+            is_build_side=node.node_id in build_side,
+            join_kind=node.params.get("join_kind", "inner"),
+        ) for node in self._nodes]
+        self._table_rows = np.array([n.table_rows for n in self.nodes])
         # Probe-side nodes of nested-loop joins, bottom-up, paired with
         # their join's outer child: duplicate probe keys fan a seek out
         # past its table's cardinality, so these nodes get their own
@@ -98,6 +112,10 @@ class ExecContext:
                     (inner, outer_id) for inner in reversed(chain))
         self._tick = self._initial_tick()
         self._next_obs = 0.0
+
+    @property
+    def db_name(self) -> str:
+        return self.db.name
 
     # -- cost bookkeeping --------------------------------------------------
 
@@ -299,7 +317,7 @@ class ExecutionHandle:
             return True
         self.ctx.counters.done[:] = True
         self.ctx.maybe_observe(force=True)  # final snapshot
-        run = self._executor._assemble(self.ctx, self.plan, self.query_name,
+        run = self._executor._assemble(self.ctx, self.query_name,
                                        self._output_rows)
         if self._collected is not None:
             from repro.engine.chunk import Chunk
@@ -339,50 +357,22 @@ class QueryExecutor:
         """Run ``plan`` to completion and return the recorded trajectories."""
         return self.begin(plan, query_name).run_to_completion()
 
-    def _assemble(self, ctx: ExecContext, plan: PlanNode, query_name: str,
+    def _assemble(self, ctx: ExecContext, query_name: str,
                   output_rows: int) -> QueryRun:
-        parent = {}
-        build_side_ids = set()
-        for node in plan.walk():
-            for child in node.children:
-                parent[child.node_id] = node.node_id
-            if node.op == Op.HASH_JOIN:
-                build_side_ids.add(node.children[1].node_id)
-        driver_ids = set()
-        for pipe in ctx.pipelines:
-            driver_ids.update(pipe.driver_ids)
-        nodes = []
-        for node in plan.walk():
-            i = node.node_id
-            nodes.append(NodeInfo(
-                node_id=i,
-                op=node.op,
-                table=node.table,
-                est_rows=float(node.est_rows),
-                est_row_width=float(node.est_row_width),
-                table_rows=float(ctx._table_rows[i]),
-                pid=ctx.node_pid[i],
-                parent=parent.get(i, -1),
-                is_driver=i in driver_ids,
-                is_build_side=i in build_side_ids,
-                join_kind=node.params.get("join_kind", "inner"),
-            ))
-        pipeline_infos = []
-        for pipe in ctx.pipelines:
-            pipeline_infos.append(PipelineInfo(
-                pid=pipe.pid,
-                node_ids=list(pipe.node_ids),
-                driver_ids=list(pipe.driver_ids),
-                t_start=float(ctx.pipe_first[pipe.pid]),
-                t_end=float(ctx.pipe_last[pipe.pid]),
-            ))
+        pipeline_infos = [PipelineInfo(
+            pid=pipe.pid,
+            node_ids=list(pipe.node_ids),
+            driver_ids=list(pipe.driver_ids),
+            t_start=float(ctx.pipe_first[pipe.pid]),
+            t_end=float(ctx.pipe_last[pipe.pid]),
+        ) for pipe in ctx.pipelines]
         # own exactly sized copies, not views of the log's doubling buffers,
         # so ``run.nbytes`` is what the run actually pins
         arrays = {name: a.copy() for name, a in ctx.log.as_arrays().items()}
         return QueryRun(
             query_name=query_name,
             db_name=self.db.name,
-            nodes=nodes,
+            nodes=ctx.nodes,
             pipelines=pipeline_infos,
             times=arrays["times"],
             K=arrays["K"],

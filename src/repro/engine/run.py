@@ -12,6 +12,13 @@ selection ("we report the error on the level of individual pipelines",
 *still-executing* (or replayed) query's context as of one observation row —
 the causal snapshot the progress service extracts selection features from
 (a snapshot at row *R* only uses log rows up to *R*).
+
+Both views take their static fields (node ids, operators, ``E0``, widths,
+table rows, driver mask, parent links, blocking-source children) from
+:func:`pipeline_static`, which reads the plan as a preorder
+:class:`NodeInfo` list: the executor builds that list when a query
+begins, and a recording carries it, so offline, live and replayed runs
+describe every pipeline from the same data.
 """
 
 from __future__ import annotations
@@ -138,20 +145,16 @@ class QueryRun:
         mask = (self.times >= info.t_start) & (self.times <= info.t_end)
         if int(mask.sum()) < min_observations:
             return None
-        cols = np.asarray(info.node_ids)
-        node_by_id = {n.node_id: n for n in self.nodes}
-        members = [node_by_id[i] for i in info.node_ids]
-        local_index = {nid: j for j, nid in enumerate(info.node_ids)}
-        parent_local = np.array([
-            local_index.get(n.parent, -1) for n in members], dtype=np.int64)
-        driver_set = set(info.driver_ids)
+        static = pipeline_static(self.nodes, info)
+        cols = static["node_ids"]
+        sel = np.ix_(mask, cols)
         # Bytes the pipeline's output materializes into (Bytes-Processed
         # model): input of a sort or hash build is written as-is; a hash
         # aggregate writes its (smaller) result.
-        terminal = members[0]
-        parent_info = node_by_id.get(terminal.parent)
+        terminal = self.nodes[cols[0]]
         materialized_est = 0.0
-        if parent_info is not None:
+        if terminal.parent >= 0:
+            parent_info = self.nodes[terminal.parent]
             if parent_info.op == Op.SORT or terminal.is_build_side:
                 materialized_est = terminal.est_rows * terminal.est_row_width
             elif parent_info.op == Op.HASH_AGG:
@@ -163,20 +166,14 @@ class QueryRun:
             times=self.times[mask],
             t_start=info.t_start,
             t_end=info.t_end,
-            K=self.K[np.ix_(mask, cols)],
-            R=self.R[np.ix_(mask, cols)],
-            W=self.W[np.ix_(mask, cols)],
-            LB=self.LB[np.ix_(mask, cols)],
-            UB=self.UB[np.ix_(mask, cols)],
-            E0=np.array([n.est_rows for n in members]),
+            K=self.K[sel],
+            R=self.R[sel],
+            W=self.W[sel],
+            LB=self.LB[sel],
+            UB=self.UB[sel],
             N=self.N[cols],
-            widths=np.array([n.est_row_width for n in members]),
-            table_rows=np.array([n.table_rows for n in members]),
-            ops=[n.op for n in members],
-            driver_mask=np.array([n.node_id in driver_set for n in members]),
-            parent_local=parent_local,
-            node_ids=cols,
             materialized_bytes_est=materialized_est,
+            **static,
         )
 
     def pipeline_runs(self, min_observations: int = 5) -> list["PipelineRun"]:
@@ -218,6 +215,13 @@ class PipelineRun:
     parent_local: np.ndarray
     node_ids: np.ndarray
     materialized_bytes_est: float = 0.0
+    #: blocking sources (sort / hash aggregate members) as local indices,
+    #: and their build children's node ids: once the child finished, its
+    #: counter is the source's exact total (the ``n_partial`` rule)
+    mat_idx: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.int64))
+    mat_child_ids: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.int64))
     _known: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -280,62 +284,95 @@ class PipelineRun:
         return int(hits[0]) if len(hits) else None
 
 
+def pipeline_static(nodes: list[NodeInfo], pipe) -> dict:
+    """The static fields of one pipeline's :class:`PipelineRun` view.
+
+    ``nodes`` is a plan's :class:`NodeInfo` list in preorder (a node's id
+    is its position in it); ``pipe`` exposes the pipeline's ``node_ids``
+    (terminal first) and ``driver_ids`` — a recorded :class:`PipelineInfo`
+    or a live :class:`~repro.plan.pipelines.Pipeline`.  The keys are
+    :class:`PipelineRun` field names.  Offline (:meth:`QueryRun.pipeline_run`),
+    live and replayed (:func:`live_pipeline_run`) views and the kernels'
+    slot metadata (``repro.progress.soa.PipelineMeta``) all take their
+    static fields from here, so what training saw is what serving scores.
+    """
+    ids = list(pipe.node_ids)
+    members = [nodes[i] for i in ids]
+    local = {nid: j for j, nid in enumerate(ids)}
+    drivers = set(pipe.driver_ids)
+    # a blocking source's one child follows it in preorder
+    mat = [j for j, n in enumerate(members) if n.op in _MATERIALIZED_OPS]
+    return dict(
+        node_ids=np.asarray(ids),
+        ops=[n.op for n in members],
+        E0=np.array([n.est_rows for n in members]),
+        widths=np.array([n.est_row_width for n in members]),
+        table_rows=np.array([n.table_rows for n in members]),
+        driver_mask=np.array([n.node_id in drivers for n in members]),
+        parent_local=np.array([local.get(n.parent, -1) for n in members],
+                              dtype=np.int64),
+        mat_idx=np.array(mat, dtype=np.int64),
+        mat_child_ids=np.array([ids[j] + 1 for j in mat], dtype=np.int64),
+    )
+
+
+def partial_totals(K: np.ndarray, D: np.ndarray, node_ids: np.ndarray,
+                   E0: np.ndarray, mat_idx: np.ndarray,
+                   mat_child_ids: np.ndarray) -> np.ndarray:
+    """Best per-node totals of a running pipeline at one log row.
+
+    ``K`` and ``D`` are the row's full-width counter and done-flag
+    vectors.  The ``n_partial`` rule: a finished node's counter; a blocking
+    source whose build child finished, the child's counter; the optimizer
+    estimate ``E0`` otherwise.
+    """
+    done = D[node_ids]
+    out = np.where(done, K[node_ids], E0)
+    if len(mat_idx):
+        child_done = D[mat_child_ids] & ~done[mat_idx]
+        out[mat_idx[child_done]] = K[mat_child_ids[child_done]]
+    return out
+
+
 def live_pipeline_run(ctx, pipe, row: int, query_name: str = "(online)",
                       min_observations: int = 2) -> "PipelineRun | None":
     """Causal :class:`PipelineRun` snapshot of a pipeline as of log ``row``.
 
     ``ctx`` is a live :class:`~repro.engine.executor.ExecContext` or a
-    :class:`~repro.trace.replay.ReplayContext` (taken duck-typed to avoid
-    an import cycle), ``pipe`` one of its pipelines, started by ``row``.
-    Only log rows ``<= row`` are read.  Unlike
-    :meth:`QueryRun.pipeline_run`, true totals are unknown mid-flight:
-    ``N`` holds the best knowledge at the row — exact counters for finished
-    nodes, the materialized input count for blocking sources whose build
-    completed, and the optimizer estimate ``E0`` otherwise.  Returns ``None``
-    while the pipeline has fewer than ``min_observations`` snapshots.
+    :class:`~repro.trace.replay.ReplayContext` — both describe their plan
+    as a preorder :class:`NodeInfo` list (``ctx.nodes``) — and ``pipe``
+    one of its pipelines, started by ``row``.  Only log rows ``<= row`` are
+    read.  Unlike :meth:`QueryRun.pipeline_run`, true totals are unknown
+    mid-flight: ``N`` holds the best knowledge at the row
+    (:func:`partial_totals`).  Returns ``None`` while the pipeline has
+    fewer than ``min_observations`` snapshots.
+
+    ``materialized_bytes_est`` stays 0.0 here, while the offline view
+    estimates it from the plan: a known train/serve skew in the LUO
+    values and the ``cor_luo_*`` features (see ROADMAP), left as is
+    because fixing it changes served bytes.
     """
     arrays = ctx.log.as_arrays(row + 1)
-    K_now = arrays["K"][row]
-    done = arrays["D"][row]
     t_start = float(ctx.pipe_first[pipe.pid])
     mask = arrays["times"] >= t_start
     if int(mask.sum()) < min_observations:
         return None
-    cols = np.asarray(pipe.node_ids)
-    members = pipe.nodes
-    local = {nid: j for j, nid in enumerate(pipe.node_ids)}
-    parent_local = np.array([
-        local.get(ctx.parents.get(n.node_id, -1), -1) for n in members],
-        dtype=np.int64)
-    driver_set = set(pipe.driver_ids)
-    n_partial = np.array([n.est_rows for n in members])
-    for j, node in enumerate(members):
-        if done[node.node_id]:
-            n_partial[j] = K_now[node.node_id]
-        elif node.op in _MATERIALIZED_OPS and node.children:
-            child = node.children[0].node_id
-            if done[child]:
-                n_partial[j] = K_now[child]
+    static = pipeline_static(ctx.nodes, pipe)
+    sel = np.ix_(mask, static["node_ids"])
     return PipelineRun(
         pid=pipe.pid,
         query_name=query_name,
-        db_name=ctx.db.name,
+        db_name=ctx.db_name,
         times=arrays["times"][mask],
         t_start=t_start,
         t_end=float(arrays["times"][row]),
-        K=arrays["K"][np.ix_(mask, cols)],
-        R=arrays["R"][np.ix_(mask, cols)],
-        W=arrays["W"][np.ix_(mask, cols)],
-        LB=arrays["LB"][np.ix_(mask, cols)],
-        UB=arrays["UB"][np.ix_(mask, cols)],
-        E0=np.array([n.est_rows for n in members]),
-        N=n_partial,
-        widths=np.array([n.est_row_width for n in members]),
-        table_rows=np.array([
-            float(ctx.db.table(n.table).n_rows) if n.table else np.nan
-            for n in members]),
-        ops=[n.op for n in members],
-        driver_mask=np.array([n.node_id in driver_set for n in members]),
-        parent_local=parent_local,
-        node_ids=cols,
+        K=arrays["K"][sel],
+        R=arrays["R"][sel],
+        W=arrays["W"][sel],
+        LB=arrays["LB"][sel],
+        UB=arrays["UB"][sel],
+        N=partial_totals(arrays["K"][row], arrays["D"][row],
+                         static["node_ids"], static["E0"],
+                         static["mat_idx"], static["mat_child_ids"]),
+        **static,
     )

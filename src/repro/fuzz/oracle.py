@@ -236,7 +236,7 @@ def reference_progress(run: QueryRun, reports: list[ProgressReport],
         for pipe in ctx.pipelines:
             pid = pipe.pid
             started = ctx.pipe_first_row[pid] <= R
-            if started and run.D[R, pipe.terminal.node_id]:
+            if started and run.D[R, pipe.node_ids[0]]:
                 values[pid] = 1.0
                 continue
             pr = live_pipeline_run(ctx, pipe, R) if started else None

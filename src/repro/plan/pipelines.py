@@ -36,11 +36,6 @@ class Pipeline:
     def driver_ids(self) -> list[int]:
         return [n.node_id for n in self.driver_nodes]
 
-    @property
-    def terminal(self) -> PlanNode:
-        """The top-most node of the pipeline (first visited)."""
-        return self.nodes[0]
-
     def contains_op(self, op: Op) -> bool:
         return any(n.op == op for n in self.nodes)
 

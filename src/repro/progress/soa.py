@@ -52,7 +52,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.run import _KNOWN_SOURCE_OPS, _MATERIALIZED_OPS, PipelineRun
+from repro.engine.run import (
+    _KNOWN_SOURCE_OPS,
+    _MATERIALIZED_OPS,
+    PipelineRun,
+    partial_totals,
+)
 from repro.plan.nodes import Op
 from repro.progress.batchdne import BatchDNEEstimator
 from repro.progress.dne import DNEEstimator
@@ -95,7 +100,8 @@ class PipelineMeta:
                  driver_mask: np.ndarray, parent_local: np.ndarray,
                  materialized_bytes_est: float = 0.0,
                  oracle_bytes_total: float | None = None,
-                 mat_children: list[tuple[int, int]] | None = None):
+                 mat_idx: np.ndarray | None = None,
+                 mat_child_ids: np.ndarray | None = None):
         self.pid = pid
         self.query_name = query_name
         self.db_name = db_name
@@ -119,12 +125,12 @@ class PipelineMeta:
         self.materialized_idx = np.array(
             [j for j, op in enumerate(ops) if op in _MATERIALIZED_OPS],
             dtype=np.int64)
-        # (local index, global child node id) pairs for blocking sources
-        # whose totals become exact once the *out-of-pipeline* build child
-        # finishes — consumed by the per-row N rule
-        pairs = mat_children or []
-        self.mat_idx = np.array([j for j, _ in pairs], dtype=np.int64)
-        self.mat_child_ids = np.array([c for _, c in pairs], dtype=np.int64)
+        # blocking sources (local index) whose totals become exact once the
+        # *out-of-pipeline* build child (global node id) finishes —
+        # consumed by the per-row N rule
+        none = np.zeros(0, dtype=np.int64)
+        self.mat_idx = none if mat_idx is None else mat_idx
+        self.mat_child_ids = none if mat_child_ids is None else mat_child_ids
 
     @property
     def n_nodes(self) -> int:
@@ -151,6 +157,7 @@ class PipelineMeta:
             driver_mask=pr.driver_mask, parent_local=pr.parent_local,
             materialized_bytes_est=pr.materialized_bytes_est,
             oracle_bytes_total=oracle_bytes,
+            mat_idx=pr.mat_idx, mat_child_ids=pr.mat_child_ids,
         )
 
     def driver_fraction(self, K: np.ndarray, D: np.ndarray) -> float:
@@ -159,7 +166,7 @@ class PipelineMeta:
         ``K`` and ``D`` are the row's full-width counter and done-flag
         vectors.  The dynamic-selection marker (§4.4), evaluated for one
         row without a flush: :meth:`PipelineRun.driver_fraction` under the
-        live ``n_partial`` rule of :attr:`FlushBatch.N`.
+        live ``n_partial`` rule (:func:`~repro.engine.run.partial_totals`).
         """
         cols = self.node_ids
         k = K[cols]
@@ -169,14 +176,8 @@ class PipelineMeta:
             totals[idx] = self.table_rows[idx]
         idx = self.materialized_idx
         if len(idx):
-            done = D[cols]
-            n_partial = np.where(done, k, self.E0)
-            if len(self.mat_idx):
-                child_done = D[self.mat_child_ids] & ~done[self.mat_idx]
-                if child_done.any():
-                    take = self.mat_idx[child_done]
-                    n_partial[take] = K[self.mat_child_ids[child_done]]
-            totals[idx] = n_partial[idx]
+            totals[idx] = partial_totals(K, D, cols, self.E0, self.mat_idx,
+                                         self.mat_child_ids)[idx]
         mask = self.driver_mask
         denom = float(totals[mask].sum())
         if denom <= 0:

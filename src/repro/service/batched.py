@@ -24,17 +24,26 @@ structure-of-arrays kernels of :mod:`repro.progress.soa`:
 Causality notes (why each report equals the chosen estimator's
 ``estimate`` on the causal prefix of its row):
 
-* live executions and replayed recordings present one row surface: an
-  append-only observation log (``ctx.log.as_arrays(stop)``, prefix
-  views) and the write-once start vectors ``pipe_first`` (start time)
-  and ``pipe_first_row`` (first row whose observation saw the pipeline
-  started).  A pipeline has started at row ``R`` iff
-  ``pipe_first_row[pid] <= R``.  Live, the executor records the log
-  length when the first charge lands, so zero-cost charges that start a
-  pipeline at exactly ``times[R]`` *after* observation ``R`` fired do
-  not count; replay keeps its recorded rule ``t_start <= times[R]``;
-* *done* status comes from the logged done-flag row, which is what the
-  callback-time capture read;
+* live executions and replayed recordings present one surface: the
+  plan as a preorder :class:`~repro.engine.run.NodeInfo` list
+  (``ctx.nodes``) with pipelines exposing ``pid`` / ``node_ids`` /
+  ``driver_ids``, an append-only observation log
+  (``ctx.log.as_arrays(stop)``, prefix views) and the write-once start
+  vectors ``pipe_first`` (start time) and ``pipe_first_row`` (first row
+  whose observation saw the pipeline started).  A pipeline has started
+  at row ``R`` iff ``pipe_first_row[pid] <= R``.  Live, the executor
+  records the log length when the first charge lands, so zero-cost
+  charges that start a pipeline at exactly ``times[R]`` *after*
+  observation ``R`` fired do not count; replay keeps its recorded rule
+  ``t_start <= times[R]``;
+* a pipeline's kernel metadata
+  (:class:`~repro.progress.soa.PipelineMeta`) is packed from
+  :func:`~repro.engine.run.pipeline_static`, the static fields
+  training's offline view is built from; the ΣE weights sum
+  ``ctx.nodes`` in preorder;
+* *done* status comes from the logged done-flag row at the pipeline's
+  terminal (``node_ids[0]``), which is what the callback-time capture
+  read;
 * a slot's row set is every row since its cursor while any stateful
   kernel (LUO's speed window) still advances for it, else only the
   report row — memoryless kernels need nothing else.  The prune state
@@ -54,10 +63,14 @@ from repro.core.monitor import (
     PipeSnapshot,
     ProgressMonitor,
     ReportDraft,
-    _pipeline_meta,
 )
-from repro.engine.run import live_pipeline_run
-from repro.progress.soa import FlushBatch, SoAPool, batched_states
+from repro.engine.run import live_pipeline_run, pipeline_static
+from repro.progress.soa import (
+    FlushBatch,
+    PipelineMeta,
+    SoAPool,
+    batched_states,
+)
 
 
 class _SlotRec:
@@ -225,13 +238,14 @@ class VectorizedFlush:
         state = session.state
         ctx = session.handle_ctx
         recs = self._recs.setdefault(session.session_id, {})
+        nodes = ctx.nodes
         if state.weights is None:
-            total_e = sum(max(n.est_rows, 0.0)
-                          for n in ctx.plan.walk()) or 1.0
+            total_e = sum(max(n.est_rows, 0.0) for n in nodes) or 1.0
             state.weights = {
-                pipe.pid: sum(max(n.est_rows, 0.0)
-                              for n in pipe.nodes) / total_e
+                pipe.pid: sum(max(nodes[i].est_rows, 0.0)
+                              for i in pipe.node_ids) / total_e
                 for pipe in ctx.pipelines}
+        terminals = [pipe.node_ids[0] for pipe in ctx.pipelines]
         log = ctx.log.as_arrays()
         times, K, D = log["times"], log["K"], log["D"]
         first_row = ctx.pipe_first_row
@@ -245,7 +259,7 @@ class VectorizedFlush:
                 if first_row[pid] > R:
                     pipes.append(PipeSnapshot(pid, weight, "unstarted"))
                     continue
-                if D[R, pipe.terminal.node_id]:
+                if D[R, terminals[pid]]:
                     pipes.append(PipeSnapshot(pid, weight, "done"))
                     rec = recs.pop(pid, None)
                     if rec is not None:
@@ -262,7 +276,10 @@ class VectorizedFlush:
                         continue
                 meta = state.metas.get(pid)
                 if meta is None:
-                    meta = _pipeline_meta(ctx, pipe)
+                    meta = PipelineMeta(
+                        pid=pid, query_name="(online)", db_name=ctx.db_name,
+                        t_start=float(ctx.pipe_first[pid]),
+                        **pipeline_static(nodes, pipe))
                     state.metas[pid] = meta
                 rec = recs.get(pid)
                 if rec is None:

@@ -3,14 +3,21 @@
 A recorded :class:`~repro.engine.run.QueryRun` holds everything the
 observation callback ever saw: counter matrices per snapshot, done flags
 (``D``), pipeline windows and plan metadata.  :class:`ReplayContext`
-exposes the duck-typed surface of
-:class:`~repro.engine.executor.ExecContext` that the service's flush
-(:class:`~repro.service.batched.VectorizedFlush`) and
-:func:`~repro.engine.run.live_pipeline_run` consume — an observation log
-that grows one recorded row per step, plus the write-once pipeline-start
-vectors ``pipe_first`` / ``pipe_first_row`` — so the *same* causal
-capture code runs against the recording, and a replayed monitor produces
-bit-identical reports to the live one, without touching the engine.
+presents the same surface as :class:`~repro.engine.executor.ExecContext`
+to the service's flush (:class:`~repro.service.batched.VectorizedFlush`)
+and :func:`~repro.engine.run.live_pipeline_run`:
+
+* the plan as a preorder :class:`~repro.engine.run.NodeInfo` list
+  (``nodes``) and pipelines exposing ``pid`` / ``node_ids`` /
+  ``driver_ids`` — the recording's own ``run.nodes`` / ``run.pipelines``,
+  which the live context builds identically when its query begins;
+* an observation log that grows one recorded row per step;
+* the write-once pipeline-start vectors ``pipe_first`` /
+  ``pipe_first_row``.
+
+So the *same* causal capture code runs against the recording, and a
+replayed monitor produces bit-identical reports to the live one, without
+touching the engine.
 
 :class:`ReplayExecutor` mirrors :class:`QueryExecutor.begin`'s shape, so a
 :class:`~repro.service.session.QuerySession` (and therefore the whole
@@ -27,65 +34,6 @@ from typing import Callable
 import numpy as np
 
 from repro.engine.run import QueryRun
-
-
-class _ReplayNode:
-    """Static plan-node stand-in rebuilt from recorded :class:`NodeInfo`."""
-
-    __slots__ = ("node_id", "op", "table", "est_rows", "est_row_width",
-                 "children")
-
-    def __init__(self, info):
-        self.node_id = info.node_id
-        self.op = info.op
-        self.table = info.table
-        self.est_rows = info.est_rows
-        self.est_row_width = info.est_row_width
-        self.children: list["_ReplayNode"] = []
-
-
-class _ReplayPlan:
-    def __init__(self, nodes: list[_ReplayNode]):
-        self._nodes = nodes
-        self.n_nodes = len(nodes)
-
-    def walk(self):
-        # NodeInfo is recorded in plan preorder, so iteration order (and
-        # with it every order-dependent float reduction downstream, e.g.
-        # the monitor's ΣE weights) matches the live plan's walk().
-        return iter(self._nodes)
-
-
-class _ReplayPipe:
-    """Stand-in for :class:`repro.plan.pipelines.Pipeline`."""
-
-    __slots__ = ("pid", "nodes", "node_ids", "driver_ids")
-
-    def __init__(self, info, node_by_id):
-        self.pid = info.pid
-        self.node_ids = list(info.node_ids)
-        self.driver_ids = list(info.driver_ids)
-        self.nodes = [node_by_id[i] for i in info.node_ids]
-
-    @property
-    def terminal(self):
-        return self.nodes[0]
-
-
-class _ReplayTable:
-    __slots__ = ("n_rows",)
-
-    def __init__(self, n_rows: float):
-        self.n_rows = n_rows
-
-
-class _ReplayDB:
-    def __init__(self, name: str, table_rows: dict[str, float]):
-        self.name = name
-        self._tables = {t: _ReplayTable(r) for t, r in table_rows.items()}
-
-    def table(self, name: str) -> _ReplayTable:
-        return self._tables[name]
 
 
 class _ReplayLog:
@@ -126,22 +74,10 @@ class ReplayContext:
             raise ValueError("run has no recorded observations")
         self.run = run
         self.query_name = query_name or run.query_name
-        nodes = [_ReplayNode(info) for info in run.nodes]
-        by_id = {n.node_id: n for n in nodes}
-        self.parents: dict[int, int] = {}
-        for info in run.nodes:
-            if info.parent >= 0:
-                self.parents[info.node_id] = info.parent
-                by_id[info.parent].children.append(by_id[info.node_id])
-        # parent pointers recover children in preorder (ids ascend within
-        # each sibling list), matching the live plan's child order
-        for node in nodes:
-            node.children.sort(key=lambda n: n.node_id)
-        self.plan = _ReplayPlan(nodes)
-        self.pipelines = [_ReplayPipe(info, by_id) for info in run.pipelines]
-        self.db = _ReplayDB(run.db_name, {
-            info.table: info.table_rows
-            for info in run.nodes if info.table is not None})
+        self.db_name = run.db_name
+        # the recording's plan description is the live context's own
+        self.nodes = run.nodes
+        self.pipelines = run.pipelines
         self.log = _ReplayLog(self)
         self.pipe_first = np.array([p.t_start for p in run.pipelines])
         # NaN (never started) sorts past every row

@@ -185,7 +185,7 @@ class TestKernelLifecycle:
                 done = ctx.log.as_arrays()["D"][R]
                 for pipe in ctx.pipelines:
                     if (ctx.pipe_first_row[pipe.pid] <= R
-                            and not done[pipe.terminal.node_id]):
+                            and not done[pipe.node_ids[0]]):
                         running += 1
             live = service._vector.pool.n_live
             assert live <= running

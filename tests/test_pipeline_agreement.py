@@ -29,14 +29,13 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 FAMILIES = ("tpch", "tpcds", "real", "fuzz", "outer_semi")
 
 STATIC_FIELDS = ("pid", "db_name", "t_start", "node_ids", "ops", "E0",
-                 "widths", "table_rows", "driver_mask", "parent_local")
+                 "widths", "table_rows", "driver_mask", "parent_local",
+                 "mat_idx", "mat_child_ids")
 ROW_FIELDS = ("times", "K", "R", "W", "LB", "UB")
 #: PipelineMeta slots the online capture legitimately differs on: the
 #: oracle byte total needs the completed run, the online label is
-#: "(online)", materialized bytes are left at 0.0 online (see ROADMAP),
-#: and only the online capture records the blocking-source children
-META_SKIP = {"oracle_bytes_total", "materialized_bytes_est", "query_name",
-             "mat_idx", "mat_child_ids"}
+#: "(online)", and materialized bytes are left at 0.0 online (see ROADMAP)
+META_SKIP = {"oracle_bytes_total", "materialized_bytes_est", "query_name"}
 
 
 def _assert_same(got, want, where):
