@@ -490,6 +490,8 @@ class ProgressServer:
                                  "holding base64 trace-codec bytes")
             if "name" in payload:
                 name = payload["name"]
+                if not isinstance(name, str):
+                    raise BadRequest("'name' must be a JSON string")
             try:
                 body = base64.b64decode(encoded.encode("ascii"),
                                         validate=True)

@@ -322,6 +322,22 @@ class TestErrorPaths:
 
         _serve(scenario)
 
+    @pytest.mark.parametrize("placement", ["round_robin", "hash"])
+    def test_non_string_json_name_is_400(self, golden_runs, placement):
+        body = json.dumps({
+            "runs_b64": base64.b64encode(
+                runs_to_payload(golden_runs[:1])).decode("ascii"),
+            "name": 5}).encode()
+
+        async def scenario(server, client):
+            status, _, reply = await client.request(
+                "POST", "/v1/t/sessions", body, content_type=http.JSON_TYPE)
+            assert status == 400
+            assert "'name'" in json.loads(reply)["error"]["detail"]
+            assert (await client.list_sessions("t")) == []
+
+        _serve(scenario, placement=placement)
+
     def test_undecodable_runs_payload_is_400(self):
         async def scenario(server, client):
             status, _, body = await client.request(
