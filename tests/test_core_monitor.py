@@ -1,18 +1,30 @@
 """Tests for the online progress monitor."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core.monitor import ProgressMonitor
-from repro.core.training import collect_training_data, train_selector
+from repro.core.training import (
+    collect_training_data,
+    runs_to_pipelines,
+    train_selector,
+)
 from repro.engine.executor import ExecutorConfig, QueryExecutor
 from repro.features.vector import FeatureExtractor
-from repro.fuzz.oracle import reference_progress
+from repro.fuzz.oracle import (
+    OracleContext,
+    check_kernel_parity,
+    reference_progress,
+)
 from repro.learning.mart import MARTParams
 from repro.progress.dne import DNEEstimator
-from repro.progress.registry import all_estimators
+from repro.progress.registry import all_estimators, original_estimators
 from repro.service import ProgressService
 from repro.service.session import SessionStatus
+from repro.trace import read_trace
+from repro.trace.replay import replay_monitor
 
 FAST_MART = MARTParams(n_trees=8, max_leaves=4)
 
@@ -200,3 +212,28 @@ class TestKernelLifecycle:
             ProgressMonitor(estimators=all_estimators() + [Tweaked()])
         with pytest.raises(ValueError, match="no SoA kernel"):
             ProgressMonitor(estimators=[Tweaked()], fallback="tweaked")
+
+
+class TestNarrowedPool:
+    """The dynamic features are a fixed definition over six estimators,
+    not over the candidate pool a monitor selects among."""
+
+    def test_original_pool_serves_through_the_dynamic_revision(self):
+        golden = Path(__file__).resolve().parent / "golden" / "tpch"
+        runs, manifest = read_trace(golden)
+        pipelines = runs_to_pipelines(
+            runs, min_observations=manifest["meta"]["min_observations"])
+        data = collect_training_data(pipelines, all_estimators(),
+                                     FeatureExtractor("dynamic"))
+        pool = ["dne", "tgn", "luo"]
+        selector = train_selector(data.restrict_estimators(pool), FAST_MART)
+        monitor = ProgressMonitor(dynamic_selector=selector,
+                                  estimators=original_estimators())
+        reports = replay_monitor(monitor, runs[0])
+        assert reports
+        chosen = {name for r in reports
+                  for name in r.pipeline_estimator.values()}
+        assert chosen <= set(pool)
+        check_kernel_parity(runs[0], reports, monitor, OracleContext(
+            seed=0, repro="python -m pytest tests/test_core_monitor.py",
+            query=runs[0].query_name))

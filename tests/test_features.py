@@ -1,7 +1,11 @@
 """Tests for static (§4.3) and dynamic (§4.4) features."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+from repro.core.training import runs_to_pipelines
 
 from repro.features.dynamic import (
     MISSING,
@@ -17,6 +21,7 @@ from repro.features.static import (
 from repro.features.vector import FeatureExtractor
 from repro.plan.nodes import Op
 from repro.progress.registry import all_estimators
+from repro.trace import read_trace
 
 from helpers import make_pipeline_run
 
@@ -33,6 +38,18 @@ def nlj_pipeline():
         E0=np.array([50.0, 100.0, 100.0, 200.0]),
         table_rows=np.array([np.nan, np.nan, 100.0, 1000.0]),
     )
+
+
+@pytest.fixture(scope="module")
+def golden_pipelines():
+    """Every scorable pipeline of every committed golden family."""
+    golden = Path(__file__).resolve().parent / "golden"
+    out = []
+    for family in ("tpch", "tpcds", "real", "fuzz", "outer_semi"):
+        runs, manifest = read_trace(golden / family)
+        out += runs_to_pipelines(
+            runs, min_observations=manifest["meta"]["min_observations"])
+    return out
 
 
 class TestAncestorMatrix:
@@ -149,3 +166,12 @@ class TestFeatureExtractor:
     def test_empty_matrix(self):
         extractor = FeatureExtractor("static")
         assert extractor.extract_matrix([]).shape == (0, extractor.n_features)
+
+    @pytest.mark.parametrize("mode", ["static", "dynamic"])
+    def test_batch_invariance(self, golden_pipelines, mode):
+        """A pipeline's row does not depend on what shares its batch."""
+        extractor = FeatureExtractor(mode)
+        matrix = extractor.extract_matrix(golden_pipelines)
+        assert matrix.shape == (len(golden_pipelines), extractor.n_features)
+        for i, pr in enumerate(golden_pipelines):
+            assert matrix[i].tobytes() == extractor.extract(pr).tobytes(), i

@@ -7,7 +7,9 @@ selection features are extracted from while serving) and the flush's
 with).  A selector only scores what it was trained on if all three agree
 on every static field and, up to the snapshot row, on the trajectories.
 Checked on every golden family through :class:`ReplayContext` and on one
-live execution, whose snapshots are taken from ``on_observation``.
+live execution, whose snapshots are taken from ``on_observation``.  The
+features the flush scores must equal extracting each opening's snapshot
+alone, whatever else shares its batch.
 """
 
 from pathlib import Path
@@ -16,11 +18,15 @@ import numpy as np
 import pytest
 
 from repro.core.monitor import ProgressMonitor
+from repro.core.training import runs_to_pipelines
 from repro.engine.executor import QueryExecutor
 from repro.engine.run import live_pipeline_run
+from repro.features.vector import FeatureExtractor
 from repro.progress.soa import PipelineMeta
 from repro.query.logical import JoinEdge, QuerySpec
 from repro.query.predicates import FilterSpec
+from repro.service import batched
+from repro.service.scoring import BatchedSelectorScorer
 from repro.service.service import ProgressService
 from repro.trace import read_trace
 from repro.trace.replay import ReplayContext
@@ -144,3 +150,51 @@ def test_live_views_agree_with_offline(tpch_db, tpch_planner,
     assert np.array_equal(served_run.K, run.K)
     assert set(metas) == {pr.pid for pr in prs}
     _assert_metas_match(metas, run, "live")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_flush_features_equal_solo_extraction(family, monkeypatch):
+    """Every feature vector the flush hands the scorer, pooled over all of
+    a family's recordings under its golden trained monitor, is bit-equal
+    to extracting that opening's causal snapshot on its own."""
+    from golden.regenerate import MIN_OBSERVATIONS, report_monitors
+
+    runs, _ = read_trace(GOLDEN_DIR / family)
+    monitor = report_monitors(
+        runs_to_pipelines(runs, MIN_OBSERVATIONS))["trained"]
+    openings, requests = [], []
+    snapshot, resolve = batched.live_pipeline_run, BatchedSelectorScorer.resolve
+
+    def record_opening(ctx, pipe, row, *args, **kwargs):
+        openings.append((ctx, pipe, row))
+        return snapshot(ctx, pipe, row, *args, **kwargs)
+
+    def record_requests(scorer, reqs):
+        requests.extend(reqs)
+        return resolve(scorer, reqs)
+
+    monkeypatch.setattr(batched, "live_pipeline_run", record_opening)
+    monkeypatch.setattr(BatchedSelectorScorer, "resolve", record_requests)
+    service = ProgressService(monitor, slice_steps=3)
+    for run in runs:
+        service.submit_replay(run)
+    service.run_until_complete()
+
+    assert requests and len(requests) == len(openings), family
+    extractors = {kind: FeatureExtractor(kind)
+                  for kind in ("static", "dynamic")}
+    unmatched = list(range(len(openings)))
+    for kind, features in requests:
+        for i in unmatched:
+            ctx, pipe, row = openings[i]
+            alone = extractors[kind].extract(
+                live_pipeline_run(ctx, pipe, row))
+            if alone.tobytes() == np.asarray(features).tobytes():
+                unmatched.remove(i)
+                break
+        else:
+            raise AssertionError(
+                f"{family}: a scored {kind} feature vector equals no "
+                f"opening's solo extraction; openings left "
+                f"{[(openings[i][1].pid, openings[i][2]) for i in unmatched]}")
+    assert not unmatched, family
