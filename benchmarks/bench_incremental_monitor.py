@@ -71,7 +71,7 @@ def _selectors(db, planner):
         pipelines, estimators, FeatureExtractor("static")), FAST_MART)
     dynamic_sel = train_selector(collect_training_data(
         pipelines, estimators,
-        FeatureExtractor("dynamic", estimators=estimators)), FAST_MART)
+        FeatureExtractor("dynamic")), FAST_MART)
     return static_sel, dynamic_sel
 
 

@@ -86,7 +86,7 @@ def test_service_throughput(benchmark, svc_db):
         training_runs, estimators, FeatureExtractor("static")), FAST_MART)
     dynamic_sel = train_selector(collect_training_data(
         training_runs, estimators,
-        FeatureExtractor("dynamic", estimators=estimators)), FAST_MART)
+        FeatureExtractor("dynamic")), FAST_MART)
     monitor = ProgressMonitor(static_selector=static_sel,
                               dynamic_selector=dynamic_sel, refresh_every=3)
 

@@ -14,8 +14,10 @@ There is one report path, shared by the solo monitor, trace replay and the
 pooled multi-query service (:mod:`repro.service`).  Observation callbacks
 only record *which* log rows are due a report; the service's flush
 (:class:`~repro.service.batched.VectorizedFlush`) rebuilds each due
-report's causal :class:`ReportDraft` from those rows, scores open
-selections in one batched pass, advances the candidate estimators'
+report's causal :class:`ReportDraft` from those rows, extracts the
+features of every selection opening in one
+:meth:`~repro.features.vector.FeatureExtractor.extract` call per selector
+kind, scores them in one batched pass, advances the candidate estimators'
 structure-of-arrays kernels (:mod:`repro.progress.soa`) over the new rows
 of every live pipeline, and hands the values to
 :meth:`ProgressMonitor.finalize`, which commits selections and assembles
@@ -37,8 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable
-
-import numpy as np
 
 from repro.catalog.table import Database
 from repro.core.selection import EstimatorSelector
@@ -86,8 +86,8 @@ class MonitorState:
     static_choices: dict[int, str] = field(default_factory=dict)
     dynamic_choices: dict[int, str] = field(default_factory=dict)
     choices: dict[int, str] = field(default_factory=dict)
-    #: (pid, kind) pairs whose features were already captured in a queued
-    #: draft — suppresses duplicate extraction until the choice commits
+    #: (pid, kind) pairs whose selection already opened in a queued
+    #: draft — suppresses a second opening until the choice commits
     requested: set[tuple[int, str]] = field(default_factory=set)
     #: per-pipeline ΣE weights (eq. 5), fixed once the plan is finalized
     weights: dict[int, float] | None = None
@@ -106,8 +106,7 @@ class PipeSnapshot:
     pid: int
     weight: float
     status: str  # "unstarted" | "done" | "short" | "running"
-    kind: str | None = None           # selector kind applying at this tick
-    features: np.ndarray | None = None  # set iff a new selection is needed
+    kind: str | None = None  # selector kind applying at this tick
 
 
 @dataclass
@@ -116,18 +115,6 @@ class ReportDraft:
 
     time: float
     pipes: list[PipeSnapshot]
-
-    def pending_selections(self, state: MonitorState) -> list[PipeSnapshot]:
-        """Snapshots whose estimator choice is not yet in ``state``."""
-        out = []
-        for snap in self.pipes:
-            if snap.features is None:
-                continue
-            made = (state.dynamic_choices if snap.kind == DYNAMIC
-                    else state.static_choices)
-            if snap.pid not in made:
-                out.append(snap)
-        return out
 
 
 class ProgressMonitor:
@@ -144,7 +131,9 @@ class ProgressMonitor:
         Candidate pool; must cover the names both selectors emit.  Every
         member needs a structure-of-arrays kernel (the estimator classes
         of :mod:`repro.progress`, matched by exact type); construction
-        raises ``ValueError`` naming any member without one.
+        raises ``ValueError`` naming any member without one.  The pool
+        does not shape the features: those are a fixed definition
+        (:mod:`repro.features.vector`).
     refresh_every:
         Recompute selections/estimates every k-th observation (estimates
         between refreshes are cheap to interpolate but we simply skip).
@@ -173,9 +162,9 @@ class ProgressMonitor:
         self.dynamic_percent = dynamic_percent
         self.refresh_every = max(1, refresh_every)
         self.on_report = on_report
-        self._static_extractor = FeatureExtractor("static")
-        self._dynamic_extractor = FeatureExtractor(
-            "dynamic", estimators=list(self.estimators.values()))
+        #: selector kind -> the extractor of its features
+        self.extractors = {kind: FeatureExtractor(kind)
+                           for kind in (STATIC, DYNAMIC)}
 
     # -- public API -----------------------------------------------------------
 
@@ -202,32 +191,31 @@ class ProgressMonitor:
     # -- selection bookkeeping (called by the flush) --------------------------
 
     def _selection_needs(self, pid: int, state: MonitorState,
-                         fraction, make_pr) -> tuple[str, np.ndarray | None]:
-        """Selector kind applying now, and the features if scoring is needed.
+                         fraction) -> tuple[str, bool]:
+        """Selector kind applying now, and whether its selection opens.
 
         Static choice at pipeline start, revised once at the 20% marker
-        (§4.4).  Both expensive inputs are taken lazily: ``fraction()``
-        (the current driver fraction) is only consulted while the dynamic
-        revision is still ahead — the fraction is monotone on executed
-        trajectories, so a pipeline past the marker stays past it — and
-        ``make_pr()`` builds the full trajectory view only on the
-        at-most-two ticks per pipeline where a selection actually opens.
-        Once a kind's sticky choice is committed (or its features were
-        already captured in a queued draft), later snapshots carry no
-        feature vector.
+        (§4.4).  ``fraction()`` (the current driver fraction) is only
+        consulted while the dynamic revision is still ahead — the
+        fraction is monotone on executed trajectories, so a pipeline past
+        the marker stays past it.  A kind opens at most once per
+        pipeline: once its sticky choice is committed (or its opening is
+        already queued), later snapshots report none.  Nothing is
+        extracted here: the flush collects every opening of a round and
+        extracts each selector kind's features in one call.
         """
         if self.dynamic_selector is not None:
             if (pid in state.dynamic_choices
                     or (pid, DYNAMIC) in state.requested):
-                return DYNAMIC, None
+                return DYNAMIC, False
             if fraction() >= self.dynamic_percent / 100.0:
                 state.requested.add((pid, DYNAMIC))
-                return DYNAMIC, self._dynamic_extractor.extract(make_pr())
+                return DYNAMIC, True
         if (self.static_selector is None or pid in state.static_choices
                 or (pid, STATIC) in state.requested):
-            return STATIC, None
+            return STATIC, False
         state.requested.add((pid, STATIC))
-        return STATIC, self._static_extractor.extract(make_pr())
+        return STATIC, True
 
     # -- finalization ---------------------------------------------------------
 

@@ -96,15 +96,16 @@ def runs_to_pipelines(runs: list[QueryRun],
 def collect_training_data(pipeline_runs: list[PipelineRun],
                           estimators: list[ProgressEstimator],
                           extractor: FeatureExtractor) -> TrainingData:
-    """Score every estimator on every pipeline and extract features."""
+    """Score every estimator on every pipeline and extract features
+    (one :meth:`FeatureExtractor.extract` call over all pipelines)."""
     names = [est.name for est in estimators]
-    rows_x, rows_l1, rows_l2, meta = [], [], [], []
+    estimates, rows_l1, rows_l2, meta = [], [], [], []
     for pr in pipeline_runs:
         truth = pr.true_progress()
-        estimates = {est.name: est.estimate(pr) for est in estimators}
-        rows_l1.append([l1_error(estimates[n], truth) for n in names])
-        rows_l2.append([l2_error(estimates[n], truth) for n in names])
-        rows_x.append(extractor.extract(pr, estimates=estimates))
+        trajectories = {est.name: est.estimate(pr) for est in estimators}
+        rows_l1.append([l1_error(trajectories[n], truth) for n in names])
+        rows_l2.append([l2_error(trajectories[n], truth) for n in names])
+        estimates.append(trajectories)
         meta.append({
             "query": pr.query_name,
             "db": pr.db_name,
@@ -112,9 +113,8 @@ def collect_training_data(pipeline_runs: list[PipelineRun],
             "duration": pr.duration,
             "total_getnext": float(pr.N.sum()),
         })
-    n_features = extractor.n_features
     return TrainingData(
-        X=np.asarray(rows_x).reshape(len(rows_x), n_features),
+        X=extractor.extract(pipeline_runs, estimates=estimates),
         errors_l1=np.asarray(rows_l1).reshape(len(rows_l1), len(names)),
         errors_l2=np.asarray(rows_l2).reshape(len(rows_l2), len(names)),
         feature_names=extractor.feature_names,

@@ -268,7 +268,9 @@ class PipelineRun:
         """Fraction of the driver-node input consumed at each observation.
 
         This is the paper's marker quantity for dynamic features: the first
-        observation where it crosses x% defines ``t{x}``.
+        observation where it crosses x% defines ``t{x}``.  It is the DNE
+        estimate's arithmetic, so the features read their markers off the
+        DNE trajectory (:mod:`repro.features.vector`).
         """
         totals = self.known_totals()
         denom = float(totals[self.driver_mask].sum())
@@ -276,12 +278,6 @@ class PipelineRun:
             return np.zeros(self.n_observations)
         consumed = self.K[:, self.driver_mask].sum(axis=1)
         return np.clip(consumed / denom, 0.0, 1.0)
-
-    def observation_at_driver_fraction(self, x_percent: float) -> int | None:
-        """Index of ``t{x}``: first observation with >= x% driver input read."""
-        fraction = self.driver_fraction()
-        hits = np.flatnonzero(fraction >= x_percent / 100.0)
-        return int(hits[0]) if len(hits) else None
 
 
 def pipeline_static(nodes: list[NodeInfo], pipe) -> dict:

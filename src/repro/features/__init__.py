@@ -1,23 +1,20 @@
 """Feature extraction for estimator selection (paper §4.3 and §4.4).
 
-* :mod:`repro.features.static` — plan-shape features available before
-  execution: per-operator counts and cardinalities, the relative
-  selectivities ``SelAt/SelAbove/SelBelow`` per operator, ``SelAtDN`` and
-  a few pipeline aggregates.
-* :mod:`repro.features.dynamic` — features observed during the first 20%
-  of the driver input: pairwise estimator disagreements ``DNEvsTGN_x`` and
-  time-correlation features ``Cor_{est,i,x}``.
-* :mod:`repro.features.vector` — the fixed-length vector encoding (about
-  200 dimensions, as in the paper) with stable feature names.
+:mod:`repro.features.vector` holds the one definition:
+:meth:`FeatureExtractor.extract` maps a list of pipelines to their
+``(pipelines × features)`` matrix of plan-shape features (§4.3) and, in
+dynamic mode, features observed during the first 20% of the driver input
+(§4.4).  Training extracts all its pipelines in one call; serving, every
+selection opening of a scheduler round in one call per selector kind.
 """
 
-from repro.features.dynamic import DYNAMIC_X_PERCENTS, dynamic_features
-from repro.features.static import OPS_UNIVERSE, static_features
-from repro.features.vector import FeatureExtractor
+from repro.features.vector import (
+    DYNAMIC_X_PERCENTS,
+    OPS_UNIVERSE,
+    FeatureExtractor,
+)
 
 __all__ = [
-    "static_features",
-    "dynamic_features",
     "FeatureExtractor",
     "OPS_UNIVERSE",
     "DYNAMIC_X_PERCENTS",

@@ -205,9 +205,8 @@ def _train_scenario_monitor(runs: list[QueryRun], config: FuzzConfig,
                         max_leaves=config.selector_leaves)
     static_data = collect_training_data(pipelines, estimators,
                                         FeatureExtractor("static"))
-    dynamic_data = collect_training_data(
-        pipelines, estimators,
-        FeatureExtractor("dynamic", estimators=estimators))
+    dynamic_data = collect_training_data(pipelines, estimators,
+                                         FeatureExtractor("dynamic"))
     return ProgressMonitor(
         static_selector=train_selector(static_data, params),
         dynamic_selector=train_selector(dynamic_data, params),

@@ -11,9 +11,12 @@ structure-of-arrays kernels of :mod:`repro.progress.soa`:
    each due report's :class:`~repro.core.monitor.ReportDraft` causally
    from the log rows (pipeline status as of the row, cursor advancement,
    selection bookkeeping through the monitor's own ``_selection_needs``),
-   registering every running pipeline's new rows against its pool slot;
-2. **resolve** — pending estimator selections of all sessions are
-   deduplicated (first observation wins) and scored in one batched pass;
+   registering every running pipeline's new rows against its pool slot
+   and collecting every (pipeline, row) where a selection opens;
+2. **resolve** — the openings of all sessions are extracted in one
+   :meth:`~repro.features.vector.FeatureExtractor.extract` call per
+   selector kind and scored in one batched pass (a pipeline's kind opens
+   once, at its first due row, so the first observation wins);
 3. **gather/advance** — all registered rows are gathered into flat
    ``(rows, width)`` zero-padded arrays and every needed estimator kind
    advances once over the whole batch;
@@ -49,9 +52,13 @@ Causality notes (why each report equals the chosen estimator's
   report row — memoryless kernels need nothing else.  The prune state
   is read during planning and updated only after finalize, so all
   drafts of one flush see the state as of the previous flush;
-* feature extraction at a selection-opening row rebuilds the causal
-  trajectory view with :func:`~repro.engine.run.live_pipeline_run` at
-  that row, which reads only log rows up to it.
+* each selection opening's features come from the causal trajectory
+  view :func:`~repro.engine.run.live_pipeline_run` builds at its row,
+  which reads only log rows up to it.  All openings of a round, across
+  sessions, go through one ``extract`` call per selector kind after
+  planning — the logs do not grow inside a flush, and a pipeline's
+  feature row does not depend on what else shares its batch, so each
+  vector equals extracting that opening alone.
 """
 
 from __future__ import annotations
@@ -137,33 +144,34 @@ class VectorizedFlush:
         slot_meta: dict[int, object] = {}
         slot_session: dict[int, object] = {}
         slot_recs: dict[int, _SlotRec] = {}
+        #: (session, kind, pipeline, row) of every selection opening
+        openings: list[tuple[object, str, object, int]] = []
         planned = [
             (session, self._plan_session(session, slot_lists, slot_meta,
-                                         slot_session, slot_recs))
+                                         slot_session, slot_recs, openings))
             for session in drafted]
 
-        # batched selection resolve; first observation of a key wins
-        requests: list[tuple[str, object]] = []
-        targets: list[tuple[object, int, str]] = []
-        for session, per in planned:
-            seen: set[tuple[int, str]] = set()
-            for draft, _items in per:
-                for snap in draft.pending_selections(session.state):
-                    key = (snap.pid, snap.kind)
-                    if key in seen:
-                        continue  # first observation wins, as in solo mode
-                    seen.add(key)
-                    requests.append((snap.kind, snap.features))
-                    targets.append((session, snap.pid, snap.kind))
+        # one feature extraction per selector kind over the round's
+        # openings, then one batched scoring pass
+        monitor = self.monitor
+        requests: list[tuple[str, np.ndarray]] = []
+        targets: list[tuple[object, str, object, int]] = []
+        for kind, extractor in monitor.extractors.items():
+            mine = [o for o in openings if o[1] == kind]
+            if mine:
+                X = extractor.extract([
+                    live_pipeline_run(session.handle_ctx, pipe, R)
+                    for session, _, pipe, R in mine])
+                requests += [(kind, x) for x in X]
+                targets += mine
         if requests:
             names = scorer.resolve(requests)
-            for (session, pid, kind), name in zip(targets, names):
+            for (session, kind, pipe, _), name in zip(targets, names):
                 made = (session.state.dynamic_choices if kind == DYNAMIC
                         else session.state.static_choices)
-                made[pid] = name
+                made[pipe.pid] = name
 
         # peek each item's (now committed) choice; the kinds to advance
-        monitor = self.monitor
         no_dynamic = monitor.dynamic_selector is None
         needed: set[str] = set()
         final: set[_SlotRec] = set()
@@ -233,7 +241,7 @@ class VectorizedFlush:
     # -- phase 1: causal planning --------------------------------------------
 
     def _plan_session(self, session, slot_lists, slot_meta, slot_session,
-                      slot_recs):
+                      slot_recs, openings):
         monitor = self.monitor
         state = session.state
         ctx = session.handle_ctx
@@ -303,17 +311,12 @@ class VectorizedFlush:
                     slot_recs[rec.slot] = rec
                 lst.extend(range(lo_row, R + 1))
                 pos = len(lst) - 1
-
-                def fraction(meta=meta, R=R):
-                    return meta.driver_fraction(K[R], D[R])
-
-                def make_pr(pipe=pipe, R=R):
-                    return live_pipeline_run(ctx, pipe, R)
-
-                kind, features = monitor._selection_needs(
-                    pid, state, fraction, make_pr)
-                snap = PipeSnapshot(pid, weight, "running", kind=kind,
-                                    features=features)
+                kind, opens = monitor._selection_needs(
+                    pid, state,
+                    lambda: meta.driver_fraction(K[R], D[R]))
+                if opens:
+                    openings.append((session, kind, pipe, R))
+                snap = PipeSnapshot(pid, weight, "running", kind=kind)
                 pipes.append(snap)
                 items.append(_Item(snap, rec, pos))
             per.append((ReportDraft(time=float(times[R]), pipes=pipes),

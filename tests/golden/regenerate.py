@@ -81,7 +81,7 @@ def report_monitors(pipelines) -> dict[str, ProgressMonitor]:
                                    FeatureExtractor("static"))
     dynamic = collect_training_data(
         pipelines, estimators,
-        FeatureExtractor("dynamic", estimators=estimators))
+        FeatureExtractor("dynamic"))
     return {
         "luo": ProgressMonitor(fallback="luo", refresh_every=1),
         "trained": ProgressMonitor(
@@ -133,7 +133,7 @@ def record_family(suite: WorkloadSuite, family: str, workload: str,
             expected[f"p{i}_{est.name}"] = est.estimate(pr)
     data = collect_training_data(
         pipelines, estimators,
-        FeatureExtractor("dynamic", estimators=estimators))
+        FeatureExtractor("dynamic"))
     expected["X"] = data.X
     expected["errors_l1"] = data.errors_l1
     expected["errors_l2"] = data.errors_l2

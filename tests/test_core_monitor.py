@@ -36,7 +36,7 @@ def trained_selectors(pipeline_runs):
         pipeline_runs, estimators, FeatureExtractor("static"))
     dynamic_data = collect_training_data(
         pipeline_runs, estimators,
-        FeatureExtractor("dynamic", estimators=estimators))
+        FeatureExtractor("dynamic"))
     return (train_selector(static_data, FAST_MART),
             train_selector(dynamic_data, FAST_MART))
 

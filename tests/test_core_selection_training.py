@@ -113,7 +113,7 @@ class TestTrainingData:
 class TestCollection:
     def test_collect_training_data(self, pipeline_runs):
         estimators = all_estimators()
-        extractor = FeatureExtractor("dynamic", estimators=estimators)
+        extractor = FeatureExtractor("dynamic")
         data = collect_training_data(pipeline_runs, estimators, extractor)
         assert data.n_examples == len(pipeline_runs)
         assert data.X.shape[1] == extractor.n_features

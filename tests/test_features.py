@@ -7,18 +7,15 @@ import pytest
 
 from repro.core.training import runs_to_pipelines
 
-from repro.features.dynamic import (
+from repro.features.vector import (
     MISSING,
-    dynamic_feature_names,
-    dynamic_features,
-)
-from repro.features.static import (
     OPS_UNIVERSE,
+    FeatureExtractor,
     _ancestor_matrix,
+    dynamic_feature_names,
+    marker_rows,
     static_feature_names,
-    static_features,
 )
-from repro.features.vector import FeatureExtractor
 from repro.plan.nodes import Op
 from repro.progress.registry import all_estimators
 from repro.trace import read_trace
@@ -50,6 +47,22 @@ def golden_pipelines():
         out += runs_to_pipelines(
             runs, min_observations=manifest["meta"]["min_observations"])
     return out
+
+
+def static_features(pr):
+    """One pipeline's static row, by feature name."""
+    extractor = FeatureExtractor("static")
+    return dict(zip(extractor.feature_names, extractor.extract([pr])[0]))
+
+
+def dynamic_features(pr, estimates=None):
+    """One pipeline's §4.4 features (the columns after the static ones),
+    by feature name."""
+    extractor = FeatureExtractor("dynamic")
+    row = extractor.extract(
+        [pr], estimates=None if estimates is None else [estimates])[0]
+    tail = len(static_feature_names())
+    return dict(zip(extractor.feature_names[tail:], row[tail:]))
 
 
 class TestAncestorMatrix:
@@ -108,31 +121,31 @@ class TestDynamicFeatures:
     def estimators(self):
         return {e.name: e for e in all_estimators()}
 
-    def test_names_match_values(self, nlj_pipeline, estimators):
-        values = dynamic_features(nlj_pipeline, estimators)
+    def test_names_match_values(self, nlj_pipeline):
+        values = dynamic_features(nlj_pipeline)
         assert set(values) == set(dynamic_feature_names())
 
     def test_pairwise_disagreement_definition(self, nlj_pipeline, estimators):
-        values = dynamic_features(nlj_pipeline, estimators)
-        t = nlj_pipeline.observation_at_driver_fraction(10.0)
+        values = dynamic_features(nlj_pipeline)
+        (t,) = marker_rows(estimators["dne"].estimate(nlj_pipeline), [10.0])
         dne = estimators["dne"].estimate(nlj_pipeline)[t]
         tgn = estimators["tgn"].estimate(nlj_pipeline)[t]
         assert values["dne_vs_tgn_at_10"] == pytest.approx(abs(dne - tgn))
 
-    def test_missing_markers_are_sentinels(self, estimators):
+    def test_missing_markers_are_sentinels(self):
         # Driver never reaches 1%: all dynamic features are MISSING.
         K = np.zeros((5, 1))
         pr = make_pipeline_run([Op.INDEX_SCAN], K, drivers=[0],
                                E0=np.array([100.0]), N=np.array([100.0]),
                                table_rows=np.array([100.0]))
-        values = dynamic_features(pr, estimators)
+        values = dynamic_features(pr)
         assert all(v == MISSING for v in values.values())
 
     def test_uses_precomputed_estimates(self, nlj_pipeline, estimators):
         estimates = {name: est.estimate(nlj_pipeline)
                      for name, est in estimators.items()}
-        a = dynamic_features(nlj_pipeline, estimators, estimates)
-        b = dynamic_features(nlj_pipeline, estimators)
+        a = dynamic_features(nlj_pipeline, estimates)
+        b = dynamic_features(nlj_pipeline)
         assert a == b
 
 
@@ -143,8 +156,8 @@ class TestFeatureExtractor:
 
     def test_static_vector_length(self, nlj_pipeline):
         extractor = FeatureExtractor("static")
-        vec = extractor.extract(nlj_pipeline)
-        assert vec.shape == (extractor.n_features,)
+        vec = extractor.extract([nlj_pipeline])
+        assert vec.shape == (1, extractor.n_features)
         assert extractor.n_features == len(static_feature_names())
 
     def test_dynamic_extends_static(self, nlj_pipeline):
@@ -160,18 +173,20 @@ class TestFeatureExtractor:
 
     def test_matrix_stacking(self, pipeline_runs):
         extractor = FeatureExtractor("static")
-        matrix = extractor.extract_matrix(pipeline_runs)
+        matrix = extractor.extract(pipeline_runs)
         assert matrix.shape == (len(pipeline_runs), extractor.n_features)
 
     def test_empty_matrix(self):
-        extractor = FeatureExtractor("static")
-        assert extractor.extract_matrix([]).shape == (0, extractor.n_features)
+        for mode in ("static", "dynamic"):
+            extractor = FeatureExtractor(mode)
+            assert extractor.extract([]).shape == (0, extractor.n_features)
 
     @pytest.mark.parametrize("mode", ["static", "dynamic"])
     def test_batch_invariance(self, golden_pipelines, mode):
         """A pipeline's row does not depend on what shares its batch."""
         extractor = FeatureExtractor(mode)
-        matrix = extractor.extract_matrix(golden_pipelines)
+        matrix = extractor.extract(golden_pipelines)
         assert matrix.shape == (len(golden_pipelines), extractor.n_features)
         for i, pr in enumerate(golden_pipelines):
-            assert matrix[i].tobytes() == extractor.extract(pr).tobytes(), i
+            alone = extractor.extract([pr])[0]
+            assert matrix[i].tobytes() == alone.tobytes(), i

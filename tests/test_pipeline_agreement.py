@@ -188,7 +188,7 @@ def test_flush_features_equal_solo_extraction(family, monkeypatch):
         for i in unmatched:
             ctx, pipe, row = openings[i]
             alone = extractors[kind].extract(
-                live_pipeline_run(ctx, pipe, row))
+                [live_pipeline_run(ctx, pipe, row)])[0]
             if alone.tobytes() == np.asarray(features).tobytes():
                 unmatched.remove(i)
                 break

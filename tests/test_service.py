@@ -43,7 +43,7 @@ def trained_selectors(pipeline_runs):
         pipeline_runs, estimators, FeatureExtractor("static"))
     dynamic_data = collect_training_data(
         pipeline_runs, estimators,
-        FeatureExtractor("dynamic", estimators=estimators))
+        FeatureExtractor("dynamic"))
     return (train_selector(static_data, FAST_MART),
             train_selector(dynamic_data, FAST_MART))
 
@@ -231,7 +231,7 @@ class TestBatchedScorer:
     def test_batch_matches_single(self, trained_selectors, pipeline_runs):
         static_sel, _ = trained_selectors
         extractor = FeatureExtractor("static")
-        X = [extractor.extract(pr) for pr in pipeline_runs]
+        X = list(extractor.extract(pipeline_runs))
         scorer = BatchedSelectorScorer(static_sel, None)
         batched = scorer.resolve([("static", x) for x in X])
         singles = [static_sel.select_one(x) for x in X]

@@ -79,7 +79,7 @@ class TestGoldenTrace:
         _, _, pipelines, expected = _load(family)
         data = collect_training_data(
             pipelines, ESTIMATORS,
-            FeatureExtractor("dynamic", estimators=ESTIMATORS))
+            FeatureExtractor("dynamic"))
         assert np.array_equal(data.X, expected["X"]), family
         assert np.array_equal(data.errors_l1, expected["errors_l1"]), family
         assert np.array_equal(data.errors_l2, expected["errors_l2"]), family

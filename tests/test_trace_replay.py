@@ -37,7 +37,7 @@ def monitor(pipeline_runs):
         pipeline_runs, estimators, FeatureExtractor("static"))
     dynamic = collect_training_data(
         pipeline_runs, estimators,
-        FeatureExtractor("dynamic", estimators=estimators))
+        FeatureExtractor("dynamic"))
     return ProgressMonitor(static_selector=train_selector(static, FAST_MART),
                            dynamic_selector=train_selector(dynamic, FAST_MART),
                            refresh_every=3)

@@ -103,7 +103,7 @@ class TestRoundTrip:
         write_trace(tmp_path / "t", [join_run, scan_run])
         replayed, _ = read_trace(tmp_path / "t")
         estimators = all_estimators(include_worst_case=True)
-        extractor = FeatureExtractor("dynamic", estimators=estimators)
+        extractor = FeatureExtractor("dynamic")
         direct = collect_training_data(
             runs_to_pipelines([join_run, scan_run], 5), estimators, extractor)
         from_trace = collect_training_data(
