@@ -125,7 +125,11 @@ async def read_request(reader: asyncio.StreamReader,
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         raise BadRequest(f"malformed request line {request_line!r}")
     method, target, _version = parts
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError as exc:  # e.g. an unclosed IPv6 host bracket
+        raise BadRequest(f"malformed request target {target!r}: {exc}") \
+            from None
     query = {name: values[-1]
              for name, values in parse_qs(split.query).items()}
     headers: dict[str, str] = {}
@@ -141,12 +145,12 @@ async def read_request(reader: asyncio.StreamReader,
                          "body with Content-Length")
     body = b""
     if "content-length" in headers:
-        try:
-            length = int(headers["content-length"])
-        except ValueError:
-            raise BadRequest("non-numeric Content-Length") from None
-        if length < 0:
-            raise BadRequest("negative Content-Length")
+        value = headers["content-length"]
+        # RFC 9110 §8.6: 1*DIGIT — int() would also take signs, "_" and
+        # non-ASCII digits
+        if not (value.isascii() and value.isdigit()):
+            raise BadRequest(f"malformed Content-Length {value!r}")
+        length = int(value)
         if length > max_body_bytes:
             raise BadRequest(
                 f"body of {length} bytes exceeds the {max_body_bytes}-byte "

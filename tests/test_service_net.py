@@ -159,6 +159,20 @@ class TestHttpWire:
             self._parse(b"GET / HTTP/1.1\r\n"
                         b"Transfer-Encoding: chunked\r\n\r\n")
 
+    def test_unparsable_target_is_400(self):
+        with pytest.raises(http.BadRequest) as err:
+            self._parse(b"GET http://[::1/x HTTP/1.1\r\n\r\n")
+        assert err.value.status == 400
+
+    @pytest.mark.parametrize("value", [
+        b"+10", b"1_0", b"-1", b"0x0a", b"\xb2", b"", b"1 0"])
+    def test_content_length_is_ascii_digits_only(self, value):
+        # RFC 9110 §8.6: Content-Length = 1*DIGIT
+        with pytest.raises(http.BadRequest) as err:
+            self._parse(b"POST / HTTP/1.1\r\nContent-Length: " + value
+                        + b"\r\n\r\n" + b"x" * 10)
+        assert err.value.status == 400
+
     def test_oversized_body_is_413(self):
         with pytest.raises(http.BadRequest) as err:
             self._parse(b"POST / HTTP/1.1\r\nContent-Length: 100\r\n\r\n",
@@ -179,6 +193,29 @@ class TestHttpWire:
         assert status == 429
         assert headers["retry-after"] == "1"
         assert json.loads(body)["error"]["status"] == 429
+
+
+    def test_parse_errors_answer_400_over_a_live_server(self):
+        """A request ``read_request`` cannot parse gets a 400 reply and a
+        closed connection, never a dropped socket."""
+
+        async def scenario(server, client):
+            replies = []
+            for raw in (b"GET http://[::1/x HTTP/1.1\r\n\r\n",
+                        b"POST /v1/t/sessions HTTP/1.1\r\n"
+                        b"Content-Length: +2\r\n\r\n{}"):
+                reader, writer = await asyncio.open_connection(
+                    *server.address)
+                writer.write(raw)
+                await writer.drain()
+                status, headers, body = await http.read_response(reader)
+                replies.append((status, headers["connection"],
+                                json.loads(body)["error"]["status"]))
+                writer.close()
+                await writer.wait_closed()
+            return replies
+
+        assert _serve(scenario) == [(400, "close", 400)] * 2
 
 
 # ---------------------------------------------------------------------------
