@@ -84,6 +84,7 @@ _LADDER = [[_MARKERS.index(i * x / CORRELATION_LADDER_K)
            for i in range(1, CORRELATION_LADDER_K + 1)]
 _PAIR_A = [CORRELATED.index(a) for a, _ in PAIRWISE]
 _PAIR_B = [CORRELATED.index(b) for _, b in PAIRWISE]
+_DNE = CORRELATED.index("dne")
 
 _MODES = ("static", "dynamic")
 
@@ -207,9 +208,9 @@ def _dynamic_block(prs: list[PipelineRun],
     values = np.zeros((n, len(CORRELATED), n_markers))
     elapsed = np.zeros((n, n_markers))
     for b, (pr, trajs) in enumerate(zip(prs, trajectories)):
-        rows = marker_rows(trajs[0])
+        rows = marker_rows(trajs[_DNE])
         hit[b] = rows >= 0
-        if hit[b, 0]:
+        if hit[b].any():
             # an unreached marker reads a row its features mask out
             values[b] = np.stack(trajs)[:, rows]
             elapsed[b] = pr.times[rows] - pr.t_start

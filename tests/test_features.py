@@ -77,6 +77,40 @@ class TestAncestorMatrix:
         assert not anc[1, 2]
 
 
+def reference_static_features(pr):
+    """The per-pipeline loop the batched static features must equal bit
+    for bit: every masked sum is ``np.sum`` over the compacted selection."""
+    e0, m = pr.E0, pr.n_nodes
+    anc = np.zeros((m, m), dtype=bool)
+    for j in range(m):
+        p = pr.parent_local[j]
+        while p >= 0:
+            anc[p, j] = True
+            p = pr.parent_local[p]
+    total_e = float(e0.sum())
+    denom = max(total_e, 1e-9)
+    out = {}
+    for op in OPS_UNIVERSE:
+        at = np.array([o == op for o in pr.ops])
+        above = anc[:, at].any(axis=1)
+        below = anc[at, :].any(axis=0)
+        out[f"count_{op.value}"] = float(at.sum())
+        out[f"card_{op.value}"] = float(e0[at].sum())
+        out[f"sel_at_{op.value}"] = float(e0[at].sum()) / denom
+        out[f"sel_above_{op.value}"] = float(e0[above].sum()) / denom
+        out[f"sel_below_{op.value}"] = float(e0[below].sum()) / denom
+    driver_e = float(e0[pr.driver_mask].sum())
+    out.update(
+        sel_at_dn=driver_e / denom, n_nodes=float(m),
+        n_drivers=float(pr.driver_mask.sum()),
+        log_total_e=float(np.log1p(total_e)),
+        log_driver_e=float(np.log1p(max(driver_e, 0.0))),
+        expansion=total_e / max(driver_e, 1e-9),
+        driver_width=float(pr.widths[pr.driver_mask].mean())
+        if pr.driver_mask.any() else 0.0)
+    return out
+
+
 class TestStaticFeatures:
     def test_names_match_values(self, nlj_pipeline):
         values = static_features(nlj_pipeline)
@@ -108,6 +142,29 @@ class TestStaticFeatures:
     def test_expansion(self, nlj_pipeline):
         values = static_features(nlj_pipeline)
         assert values["expansion"] == pytest.approx(450.0 / 100.0)
+
+    def test_wide_selections_match_the_compacted_sums(self, rng):
+        """Selections of 8+ nodes leave NumPy's sequential summation; the
+        batch must still reproduce the compacted ``np.sum`` exactly."""
+        m = 13
+        ops = [Op.FILTER] * 10 + [Op.HASH_JOIN, Op.TABLE_SCAN, Op.TABLE_SCAN]
+        parents = [-1] + list(range(10)) + [10, 10]
+        # at 2**53 sequential addition drops what a pairwise tree keeps
+        E0 = np.r_[2.0 ** 53, 1.0 + rng.random(m - 1)]
+        widths = np.r_[2.0 ** 53, rng.random(m - 1)]
+        assert E0[:10].sum() != np.add.accumulate(E0[:10])[-1]
+        drivers = list(range(m))  # every node a driver: a 13-node mask
+        K = np.outer(np.linspace(0, 1, 6), E0)
+        wide = make_pipeline_run(ops, K, parents=parents, drivers=drivers,
+                                 E0=E0, widths=widths)
+        narrow = make_pipeline_run(ops[-3:], K[:, -3:], parents=[-1, 0, 0],
+                                   drivers=[1], E0=E0[-3:])
+        extractor = FeatureExtractor("static")
+        for pr in (wide, narrow):
+            want = reference_static_features(pr)
+            for batch, i in (([pr], 0), ([narrow, pr, wide], 1)):
+                row = extractor.extract(batch)[i]
+                assert dict(zip(extractor.feature_names, row)) == want
 
     def test_all_ops_in_universe_have_features(self):
         names = static_feature_names()
