@@ -26,6 +26,7 @@ from repro.fuzz.oracle import (
     check_trace_roundtrip,
 )
 from repro.progress.registry import all_estimators
+from repro.service import ProgressService
 from repro.trace import TRACE_FORMAT_VERSION, read_trace
 from repro.trace.format import run_to_manifest, run_to_members
 from repro.workloads.suite import WorkloadSuite
@@ -197,3 +198,36 @@ class TestOuterSemiAcceptance:
         check_service_parity(runs, streams, monitor,
                              OracleContext(seed=17, repro=repro),
                              slice_steps=3, max_live=2)
+
+
+@pytest.fixture(scope="module")
+def golden_report_monitors():
+    """Per family, the golden report monitors (LUO fallback, trained)."""
+    from golden.regenerate import report_monitors
+
+    out = {}
+    for family in FAMILIES:
+        runs, _, pipelines, _ = _load(family)
+        out[family] = runs, report_monitors(pipelines)
+    return out
+
+
+@pytest.mark.parametrize("refresh_every", [1, 2, 3, 5, 13])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_sparse_refresh_pooled_replay_parity(family, refresh_every,
+                                             golden_report_monitors):
+    """Pooled replay at sparse refresh rates serves ``estimate`` on the
+    causal prefix: LUO's speed window spans rows that are never
+    reported, and every report must still equal the batch definition."""
+    runs, monitors = golden_report_monitors[family]
+    for label, monitor in monitors.items():
+        monitor.refresh_every = refresh_every
+        service = ProgressService(monitor, slice_steps=3)
+        ids = [service.submit_replay(run) for run in runs]
+        results = service.run_until_complete()
+        for sid, run in zip(ids, runs):
+            _, reports = results[sid]
+            check_kernel_parity(run, reports, monitor, OracleContext(
+                seed=17, repro=f"python -m pytest tests/test_trace_golden.py"
+                               f" -k sparse_refresh ({label})",
+                query=run.query_name))
