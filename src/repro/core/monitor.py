@@ -17,8 +17,8 @@ only record *which* log rows are due a report; the service's flush
 report's causal :class:`ReportDraft` from those rows, extracts the
 features of every selection opening in one
 :meth:`~repro.features.vector.FeatureExtractor.extract` call per selector
-kind, scores them in one batched pass, advances the candidate estimators'
-structure-of-arrays kernels (:mod:`repro.progress.soa`) over the new rows
+kind, scores them in one batched pass, evaluates each chosen estimator's
+structure-of-arrays kernel (:mod:`repro.progress.soa`) at the report rows
 of every live pipeline, and hands the values to
 :meth:`ProgressMonitor.finalize`, which commits selections and assembles
 the report.  A tick costs O(active nodes), independent of how long the
@@ -44,11 +44,11 @@ from repro.catalog.table import Database
 from repro.core.selection import EstimatorSelector
 from repro.engine.executor import ExecutorConfig
 from repro.engine.run import QueryRun
-from repro.features.vector import FeatureExtractor
+from repro.features.vector import DYNAMIC_X_PERCENTS, FeatureExtractor
 from repro.plan.nodes import PlanNode
 from repro.progress.base import ProgressEstimator
 from repro.progress.registry import all_estimators
-from repro.progress.soa import PipelineMeta, kernel_class
+from repro.progress.soa import kernel_class
 
 #: engine steps (or replayed observations) per scheduler slice of the
 #: one-session service behind :meth:`ProgressMonitor.run` and
@@ -58,6 +58,10 @@ SOLO_SLICE_STEPS = 64
 
 #: selector kinds a draft may reference
 STATIC, DYNAMIC = "static", "dynamic"
+
+#: driver fraction at which the dynamic selection opens (§4.4): the last
+#: dynamic-feature marker, so every marker the features read is reached
+DYNAMIC_FRACTION = DYNAMIC_X_PERCENTS[-1] / 100.0
 
 
 @dataclass
@@ -74,13 +78,8 @@ class ProgressReport:
 
 @dataclass
 class MonitorState:
-    """Per-query mutable monitoring state.
-
-    Sticky selector choices and the tick counter, plus the flush's
-    per-pipeline capture bookkeeping: the next unconsumed observation-log
-    row (``cursors``) and the immutable metadata captured at first sight
-    (``metas``).
-    """
+    """Per-query selection state: sticky selector choices, the openings
+    still queued, the ΣE weights and the tick counter."""
 
     ticks: int = 0
     static_choices: dict[int, str] = field(default_factory=dict)
@@ -91,8 +90,6 @@ class MonitorState:
     requested: set[tuple[int, str]] = field(default_factory=set)
     #: per-pipeline ΣE weights (eq. 5), fixed once the plan is finalized
     weights: dict[int, float] | None = None
-    cursors: dict[int, int] = field(default_factory=dict)
-    metas: dict[int, PipelineMeta] = field(default_factory=dict)
 
 
 @dataclass
@@ -147,7 +144,6 @@ class ProgressMonitor:
                  dynamic_selector: EstimatorSelector | None = None,
                  estimators: list[ProgressEstimator] | None = None,
                  fallback: str = "dne",
-                 dynamic_percent: float = 20.0,
                  refresh_every: int = 5,
                  on_report: Callable[[ProgressReport], None] | None = None):
         self.static_selector = static_selector
@@ -159,7 +155,6 @@ class ProgressMonitor:
         if fallback not in self.estimators:
             raise ValueError(f"fallback estimator {fallback!r} not in pool")
         self.fallback = fallback
-        self.dynamic_percent = dynamic_percent
         self.refresh_every = max(1, refresh_every)
         self.on_report = on_report
         #: selector kind -> the extractor of its features
@@ -208,7 +203,7 @@ class ProgressMonitor:
             if (pid in state.dynamic_choices
                     or (pid, DYNAMIC) in state.requested):
                 return DYNAMIC, False
-            if fraction() >= self.dynamic_percent / 100.0:
+            if fraction() >= DYNAMIC_FRACTION:
                 state.requested.add((pid, DYNAMIC))
                 return DYNAMIC, True
         if (self.static_selector is None or pid in state.static_choices
@@ -240,9 +235,6 @@ class ProgressMonitor:
             if snap.status == "done":
                 pipeline_progress[pid] = 1.0
                 overall += snap.weight
-                # the pipeline will never be captured again
-                state.metas.pop(pid, None)
-                state.cursors.pop(pid, None)
                 continue
             name = self._chosen(snap, state)
             state.choices[pid] = name

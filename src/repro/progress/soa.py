@@ -22,12 +22,16 @@ estimator kind:
   estimator's ``estimate`` yields at that observation of its causal
   trajectory.
 
-``pack`` adopts a pipeline into the pool when the service first captures
-it and ``release`` frees the slot when the pipeline (or its session)
-finishes.  Only the exact estimator classes in ``_NATIVE`` have a kernel;
-the monitor refuses any other pool member at construction
-(:func:`kernel_class`).  :func:`kernel_estimates` drives one kernel over a
-completed run — the reference check against ``estimate``.
+Kernels keep no state of their own: each is a function of the rows it is
+handed.  LUO's speed over its trailing window reads one more row, the
+row the window opens at (:func:`window_starts`), which the batch carries
+as ``window_row``.  :meth:`SoAPool.pack` adopts a pipeline into the pool
+when the service first captures it and :meth:`SoAPool.release` frees the
+slot when the pipeline (or its session) finishes.  Only the exact
+estimator classes in ``_NATIVE`` have a kernel; the monitor refuses any
+other pool member at construction (:func:`kernel_class`).
+:func:`kernel_estimates` drives one kernel over a completed run — the
+reference check against ``estimate``.
 
 Why bit-parity holds
 --------------------
@@ -326,18 +330,20 @@ class SoAPool:
 class FlushBatch:
     """One flush's observation rows for every active slot, flattened.
 
-    Rows are grouped per slot (``slot_rows[slot] = (lo, hi)`` flat range)
-    in ascending time order; ``ordinals[s]`` lists the flat indices of
-    each slot's ``s``-th row, the iteration order stateful kernels need.
-    ``CK``/``CD`` overlay the out-of-pipeline build child's counter/done
-    columns at the blocking-source positions (``pool.childpos``).
+    Rows are grouped per slot (``slot_rows[slot] = (lo, hi)`` flat
+    range); within a slot they come in any order.  ``window_row[r]`` is
+    the flat index of the row LUO's speed window opens at for row ``r``
+    (:func:`window_starts`); a row whose LUO value is never read points
+    at itself.  ``CK``/``CD`` overlay the out-of-pipeline build child's
+    counter/done columns at the blocking-source positions
+    (``pool.childpos``).
     """
 
     def __init__(self, pool: SoAPool, slots: np.ndarray, times: np.ndarray,
                  K: np.ndarray, W: np.ndarray, LB: np.ndarray,
                  UB: np.ndarray, D: np.ndarray, CK: np.ndarray,
                  CD: np.ndarray, slot_rows: dict[int, tuple[int, int]],
-                 ordinals: list[np.ndarray]):
+                 window_row: np.ndarray):
         self.pool = pool
         self.slots = slots
         self.times = times
@@ -349,16 +355,19 @@ class FlushBatch:
         self.CK = CK
         self.CD = CD
         self.slot_rows = slot_rows
-        self.ordinals = ordinals
+        self.window_row = window_row
         self._cache: dict[str, np.ndarray] = {}
         self._fixes: dict[str, list[tuple[int, np.ndarray]]] = {}
 
     @classmethod
-    def of_pipeline_run(cls, pr: PipelineRun) -> "FlushBatch":
+    def of_pipeline_run(cls, pr: PipelineRun,
+                        speed_window: float | None = None) -> "FlushBatch":
         """A one-slot batch over a completed run, ``N`` fixed at the truth.
 
         Row ``t`` is observation ``t``: the layout in which every kernel
         must reproduce ``estimate(pr)`` (see :func:`kernel_estimates`).
+        With ``speed_window``, each row's ``window_row`` is its LUO window
+        start over that window.
         """
         pool = SoAPool(capacity=1)
         slot = pool.pack(PipelineMeta.from_pipeline_run(pr))
@@ -369,12 +378,15 @@ class FlushBatch:
             out[:, :m] = a
             return out
 
+        window_row = np.arange(rows)
+        if speed_window is not None:
+            window_row = window_starts(pr.times, pr.t_start, 0, window_row,
+                                       speed_window)
         unset = np.zeros((rows, width), dtype=bool)
         batch = cls(pool, np.full(rows, slot, dtype=np.int64), pr.times,
                     pad(pr.K), pad(pr.W), pad(pr.LB), pad(pr.UB),
                     D=unset, CK=np.zeros((rows, width)), CD=unset,
-                    slot_rows={slot: (0, rows)},
-                    ordinals=[np.array([t]) for t in range(rows)])
+                    slot_rows={slot: (0, rows)}, window_row=window_row)
         batch._cache["N"] = pad(np.broadcast_to(pr.N, (rows, m)))
         return batch
 
@@ -484,25 +496,16 @@ def _safe_div(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
 
 
 class BatchedStreamState:
-    """All packed pipelines' online state for ONE estimator kind.
+    """The kernel of ONE estimator kind over every packed pipeline.
 
-    Memoryless kinds share the pool's metadata and carry no per-slot
-    state; :meth:`advance` evaluates every row of a flush in one pass.
-    Stateful kinds (LUO) additionally keep per-slot history aligned to
-    the pool's slots, managed through :meth:`pack` / :meth:`release`.
+    Kernels are memoryless: they read the pool's metadata and the rows
+    of the batch they are handed, and :meth:`advance` evaluates every
+    row of a flush in one pass.
     """
-
-    stateful = False
 
     def __init__(self, estimator, pool: SoAPool):
         self.estimator = estimator
         self.pool = pool
-
-    def pack(self, slot: int) -> None:
-        """Initialize per-slot state (no-op for memoryless kinds)."""
-
-    def release(self, slot: int) -> None:
-        """Drop per-slot state (no-op for memoryless kinds)."""
 
     def advance(self, batch: FlushBatch) -> np.ndarray:
         raise NotImplementedError
@@ -590,128 +593,79 @@ class _BatchedBytesOracle(BatchedStreamState):
 
 
 class BatchedLuoState(BatchedStreamState):
-    """LUO's trailing speed window, one ring per slot.
+    """LUO: remaining bytes over the speed of its trailing window.
 
-    Each slot's window lives in a row of the ``(slots, cap)`` ring
-    arrays between ``head`` and ``wpos`` (monotone write cursor, no
-    wraparound) — the observations the batch loop's ``window_start``
-    pointer has not yet skipped.  When a row runs out of columns the live
-    entries of all rows are compacted to the front; every entry still
-    enters and leaves at most once, so a tick is amortized O(1).
+    Row ``r``'s window opens at row ``batch.window_row[r]`` (see
+    :func:`window_starts`), so its value reads two rows of the batch:
+    itself and that window start.
     """
-
-    stateful = True
 
     def __init__(self, estimator: LuoEstimator, pool: SoAPool):
         super().__init__(estimator, pool)
         self.speed_window = estimator.speed_window
-        self._cap = 8
-        self._rows = pool.capacity
-        self.ew = np.zeros((self._rows, self._cap))
-        self.dw = np.zeros((self._rows, self._cap))
-        self.head = np.zeros(self._rows, dtype=np.int64)
-        self.wpos = np.zeros(self._rows, dtype=np.int64)
 
-    @property
-    def count(self) -> np.ndarray:
-        return self.wpos - self.head
-
-    def pack(self, slot: int) -> None:
-        if slot >= self._rows:
-            rows = max(slot + 1, self._rows * 2)
-            for name in ("ew", "dw"):
-                out = np.zeros((rows, self._cap))
-                out[: self._rows] = getattr(self, name)
-                setattr(self, name, out)
-            for name in ("head", "wpos"):
-                out = np.zeros(rows, dtype=np.int64)
-                out[: self._rows] = getattr(self, name)
-                setattr(self, name, out)
-            self._rows = rows
-        self.head[slot] = self.wpos[slot] = 0
-
-    release = pack  # freeing and re-initializing a ring are the same reset
-
-    def _compact(self) -> None:
-        count = self.count
-        maxc = int(count.max()) if len(count) else 0
-        cap = self._cap
-        while cap // 2 >= maxc + 1 and cap > 8:
-            cap //= 2
-        while cap < maxc + 1:
-            cap *= 2
-        take = np.minimum(self.head[:, None] + np.arange(max(maxc, 1)),
-                          self._cap - 1)
-        rows = np.arange(self._rows)[:, None]
-        new_ew = np.zeros((self._rows, cap))
-        new_dw = np.zeros((self._rows, cap))
-        if maxc:
-            new_ew[:, :maxc] = self.ew[rows, take]
-            new_dw[:, :maxc] = self.dw[rows, take]
-        self.ew, self.dw = new_ew, new_dw
-        self.head[:] = 0
-        self.wpos = count
-        self._cap = cap
-
-    def advance(self, batch: FlushBatch,
-                row_mask: np.ndarray | None = None) -> np.ndarray:
-        """Advance the rings over a flush's rows, in per-slot tick order.
-
-        ``row_mask`` restricts to rows whose slot still carries a live
-        LUO state; other rows are left at 0 (their value is never read).
-        """
-        out = np.zeros(len(batch))
-        # per-row tick-invariant inputs, shared across the ordinal loop
+    def advance(self, batch: FlushBatch) -> np.ndarray:
         done = batch.bytes_done
-        elapsed = batch.times - batch.meta_rows("t_start")
+        el = batch.times - batch.meta_rows("t_start")
         base = (batch.rowsum("driver", batch.totals * batch.meta_rows("widths"))
                 + batch.meta_rows("mat_bytes"))
         alpha = batch.driver_value("driver")
         extrapolated = base.copy()
         np.divide(done, alpha, out=extrapolated, where=alpha > 1e-9)
         total = np.maximum(alpha * extrapolated + (1.0 - alpha) * base, done)
-        window = self.speed_window
-        for idx in batch.ordinals:
-            if row_mask is not None:
-                idx = idx[row_mask[idx]]
-            if not len(idx):
-                continue
-            sl = batch.slots[idx]
-            el = elapsed[idx]
-            dn = done[idx]
-            if (self.wpos[sl] >= self._cap).any():
-                self._compact()
-            self.ew[sl, self.wpos[sl]] = el
-            self.dw[sl, self.wpos[sl]] = dn
-            self.wpos[sl] += 1
-            active = el > 0  # the batch loop skips these before popping
-            while True:
-                pop = (active & (self.count[sl] > 1)
-                       & (el - self.ew[sl, self.head[sl]] > window))
-                if not pop.any():
-                    break
-                self.head[sl[pop]] += 1
-            dt = el - self.ew[sl, self.head[sl]]
-            db = dn - self.dw[sl, self.head[sl]]
-            speed = np.zeros(len(idx))
-            fast = (dt > 0) & (db > 0)
-            np.divide(db, dt, out=speed, where=fast)
-            lifetime = ~fast & (dn > 0) & active
-            np.divide(dn, el, out=speed, where=lifetime)
-            remaining = np.maximum(total[idx] - dn, 0.0)
-            moving = speed > 0
-            rt = np.zeros(len(idx))
-            # a near-zero speed overflows to inf: elapsed / inf is the
-            # defined 0.0 (as in LuoEstimator.estimate)
-            with np.errstate(over="ignore"):
-                np.divide(remaining, speed, out=rt, where=moving)
-            est = np.zeros(len(idx))
-            np.divide(el, el + rt, out=est, where=moving & active)
-            np.clip(est, 0.0, 1.0, out=est)
-            value = np.where(moving, est,
-                             np.where(remaining > 0, 0.0, 1.0))
-            out[idx] = np.where(active, value, 0.0)
-        return out
+        start = batch.window_row
+        dt = el - el[start]
+        db = done - done[start]
+        speed = np.zeros(len(batch))
+        fast = (dt > 0) & (db > 0)
+        np.divide(db, dt, out=speed, where=fast)
+        active = el > 0  # the batch loop leaves these rows at 0
+        lifetime = ~fast & (done > 0) & active
+        np.divide(done, el, out=speed, where=lifetime)
+        remaining = np.maximum(total - done, 0.0)
+        moving = speed > 0
+        rt = np.zeros(len(batch))
+        # a near-zero speed overflows to inf: elapsed / inf is the
+        # defined 0.0 (as in LuoEstimator.estimate)
+        with np.errstate(over="ignore"):
+            np.divide(remaining, speed, out=rt, where=moving)
+        est = np.zeros(len(batch))
+        np.divide(el, el + rt, out=est, where=moving & active)
+        np.clip(est, 0.0, 1.0, out=est)
+        value = np.where(moving, est, np.where(remaining > 0, 0.0, 1.0))
+        return np.where(active, value, 0.0)
+
+
+def window_starts(times: np.ndarray, t_start: float, first: int,
+                  rows: np.ndarray, speed_window: float) -> np.ndarray:
+    """Per row ``t`` of ``rows``, the row LUO's speed window opens at.
+
+    That is the first row ``j`` in ``[first, t]`` with ``elapsed[t] -
+    elapsed[j] <= speed_window`` (``elapsed = times - t_start``), the
+    comparison :meth:`LuoEstimator.estimate`'s window loop makes, or
+    ``t`` when no row qualifies.  ``times`` is a pipeline's logged times
+    (nondecreasing, ``first`` its first row), so the comparison is
+    monotone in ``j``: a ``searchsorted`` lands next to the boundary and
+    the exact comparison settles it, one block of tied times per step.
+    The cost is logarithmic in the log's length, never a scan of it.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    end = times[rows]
+    el = end - t_start
+    j = np.minimum(np.maximum(np.searchsorted(times, end - speed_window),
+                              first), rows)
+    while True:
+        prev = np.maximum(j - 1, first)
+        # the batch loop moves past row j while elapsed[t] - elapsed[j]
+        # exceeds the window
+        back = (j > first) & (el - (times[prev] - t_start) <= speed_window)
+        ahead = (j < rows) & (el - (times[j] - t_start) > speed_window)
+        if not (back.any() or ahead.any()):
+            return j
+        j = np.where(back, np.searchsorted(times, times[prev]), j)
+        j = np.where(ahead, np.searchsorted(times, times[j], side="right"),
+                     j)
+        j = np.minimum(np.maximum(j, first), rows)
 
 
 #: exact estimator classes each kernel mirrors; subclasses have none (their
@@ -753,7 +707,7 @@ def batched_states(estimators: dict[str, object], pool: SoAPool
 def kernel_estimates(estimator, pr: PipelineRun) -> np.ndarray:
     """The kernel of ``estimator`` over every observation of a completed
     run — equal to ``estimator.estimate(pr)`` bit-for-bit."""
-    batch = FlushBatch.of_pipeline_run(pr)
-    state = kernel_class(estimator)(estimator, batch.pool)
-    state.pack(0)
-    return state.advance(batch)
+    cls = kernel_class(estimator)
+    window = estimator.speed_window if cls is BatchedLuoState else None
+    batch = FlushBatch.of_pipeline_run(pr, window)
+    return cls(estimator, batch.pool).advance(batch)

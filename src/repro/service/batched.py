@@ -3,24 +3,26 @@ estimator kind.
 
 :class:`VectorizedFlush` is the only report producer — for the pooled
 service and, with one session, for the solo monitor and trace replay.
-Per round it runs four phases over all sessions at once, on the
+Per round it runs these phases over all sessions at once, on the
 structure-of-arrays kernels of :mod:`repro.progress.soa`:
 
 1. **plan** — sessions capture only *which* observation rows are due
    reports (:attr:`QuerySession.pending_reports`); the flush rebuilds
    each due report's :class:`~repro.core.monitor.ReportDraft` causally
-   from the log rows (pipeline status as of the row, cursor advancement,
-   selection bookkeeping through the monitor's own ``_selection_needs``),
-   registering every running pipeline's new rows against its pool slot
-   and collecting every (pipeline, row) where a selection opens;
+   from the log rows (pipeline status as of the row, selection
+   bookkeeping through the monitor's own ``_selection_needs``), packs
+   each newly running pipeline into a pool slot and collects every
+   (pipeline, row) where a selection opens;
 2. **resolve** — the openings of all sessions are extracted in one
    :meth:`~repro.features.vector.FeatureExtractor.extract` call per
    selector kind and scored in one batched pass (a pipeline's kind opens
    once, at its first due row, so the first observation wins);
-3. **gather/advance** — all registered rows are gathered into flat
-   ``(rows, width)`` zero-padded arrays and every needed estimator kind
+3. **choose** — each running pipeline's committed estimator per draft;
+4. **gather/advance** — every slot's report rows, plus the speed-window
+   start of each report row LUO serves, are gathered into flat
+   ``(rows, width)`` zero-padded arrays and every chosen estimator kind
    advances once over the whole batch;
-4. **finalize** — the per-row results are handed to
+5. **finalize** — the per-row results are handed to
    :meth:`ProgressMonitor.finalize` via its ``values`` argument, draft by
    draft in capture order.
 
@@ -47,11 +49,13 @@ Causality notes (why each report equals the chosen estimator's
 * *done* status comes from the logged done-flag row at the pipeline's
   terminal (``node_ids[0]``), which is what the callback-time capture
   read;
-* a slot's row set is every row since its cursor while any stateful
-  kernel (LUO's speed window) still advances for it, else only the
-  report row — memoryless kernels need nothing else.  The prune state
-  is read during planning and updated only after finalize, so all
-  drafts of one flush see the state as of the previous flush;
+* every kernel is a function of the rows it is handed, so a slot's
+  rows are its report rows, plus, for each report row LUO serves, the
+  first row of its trailing speed window
+  (:func:`~repro.progress.soa.window_starts`, found by a search over the
+  logged times rather than a scan).  That row lies in the pipeline's
+  causal view as of the report row, and what else shares the batch
+  does not change a row's value;
 * each selection opening's features come from the causal trajectory
   view :func:`~repro.engine.run.live_pipeline_run` builds at its row,
   which reads only log rows up to it.  All openings of a round, across
@@ -73,41 +77,39 @@ from repro.core.monitor import (
 )
 from repro.engine.run import live_pipeline_run, pipeline_static
 from repro.progress.soa import (
+    BatchedLuoState,
     FlushBatch,
     PipelineMeta,
     SoAPool,
     batched_states,
+    window_starts,
 )
 
 
 class _SlotRec:
-    """Per-(session, pipeline) flush bookkeeping: the slot's lifecycle."""
+    """One running pipeline's pool slot within one session."""
 
-    __slots__ = ("slot", "advanced", "pruned", "keep_all", "luo_alive")
+    __slots__ = ("slot", "meta", "first", "log")
 
-    def __init__(self, slot: int, has_stateful: bool):
+    def __init__(self, slot: int, meta: PipelineMeta, first: int, log):
         self.slot = slot
-        #: finalized at least once
-        self.advanced = False
-        #: selection became final; non-chosen kernels stop advancing
-        self.pruned = False
-        #: capture every row since the cursor (a stateful kernel still
-        #: advances for the slot)
-        self.keep_all = True
-        #: the stateful (LUO) slot state still advances
-        self.luo_alive = has_stateful
+        self.meta = meta
+        #: the first log row of the pipeline's causal view
+        self.first = first
+        self.log = log
 
 
 class _Item:
     """One running pipeline inside one draft."""
 
-    __slots__ = ("snap", "rec", "pos", "name")
+    __slots__ = ("snap", "rec", "row", "name", "flat")
 
-    def __init__(self, snap: PipeSnapshot, rec: _SlotRec, pos: int):
+    def __init__(self, snap: PipeSnapshot, rec: _SlotRec, row: int):
         self.snap = snap
         self.rec = rec
-        self.pos = pos  # index of the report row within the slot's rows
-        self.name = None
+        self.row = row  # the report's log row
+        self.name = None  # the chosen estimator
+        self.flat = -1  # the report row's index in the flush batch
 
 
 class VectorizedFlush:
@@ -117,9 +119,10 @@ class VectorizedFlush:
         self.monitor = monitor
         self.pool = SoAPool()
         self.states = batched_states(monitor.estimators, self.pool)
-        self._stateful_names = {n for n, s in self.states.items()
-                                if s.stateful}
-        self._has_stateful = bool(self._stateful_names)
+        #: the LUO kernel, if pooled: its report rows also gather the row
+        #: their speed window opens at
+        self._luo = next((st for st in self.states.values()
+                          if isinstance(st, BatchedLuoState)), None)
         #: session_id -> pid -> slot record
         self._recs: dict[int, dict[int, _SlotRec]] = {}
         self._to_release: list[_SlotRec] = []
@@ -129,27 +132,16 @@ class VectorizedFlush:
         recs = self._recs.pop(session.session_id, None)
         if recs:
             for rec in recs.values():
-                self._release(rec)
-
-    def _release(self, rec: _SlotRec) -> None:
-        self.pool.release(rec.slot)
-        for st in self.states.values():
-            st.release(rec.slot)
+                self.pool.release(rec.slot)
 
     # -- the flush -----------------------------------------------------------
 
     def flush(self, drafted, scorer, stats, on_report) -> None:
         """Produce every due report of ``drafted`` (ascending session id)."""
-        slot_lists: dict[int, list[int]] = {}
-        slot_meta: dict[int, object] = {}
-        slot_session: dict[int, object] = {}
-        slot_recs: dict[int, _SlotRec] = {}
         #: (session, kind, pipeline, row) of every selection opening
         openings: list[tuple[object, str, object, int]] = []
-        planned = [
-            (session, self._plan_session(session, slot_lists, slot_meta,
-                                         slot_session, slot_recs, openings))
-            for session in drafted]
+        planned = [(session, self._plan_session(session, openings))
+                   for session in drafted]
 
         # one feature extraction per selector kind over the round's
         # openings, then one batched scoring pass
@@ -171,77 +163,41 @@ class VectorizedFlush:
                         else session.state.static_choices)
                 made[pipe.pid] = name
 
-        # peek each item's (now committed) choice; the kinds to advance
-        no_dynamic = monitor.dynamic_selector is None
-        needed: set[str] = set()
-        final: set[_SlotRec] = set()
-        stateful: set[_SlotRec] = set()
+        # each item's (now committed) choice; the kinds to advance
+        by_rec: dict[_SlotRec, list[_Item]] = {}
         for session, per in planned:
             for _draft, items in per:
                 for it in items:
                     it.name = monitor._chosen(it.snap, session.state)
-                    needed.add(it.name)
-                    if it.snap.kind == DYNAMIC or no_dynamic:
-                        final.add(it.rec)
-                    if it.name in self._stateful_names:
-                        stateful.add(it.rec)
-        # a slot whose choice turns final on a memoryless kind in this
-        # flush never reads its stateful window again: stop it right away
-        for rec in final - stateful:
-            rec.luo_alive = False
+                    by_rec.setdefault(it.rec, []).append(it)
 
-        # gather all rows once; one advance per kind over the whole batch
+        # gather the rows once; one advance per kind over the whole batch
         arrs: dict[str, np.ndarray] = {}
-        flat_lo: dict[int, int] = {}
-        if slot_lists:
-            batch = self._gather(slot_lists, slot_meta, slot_session, flat_lo)
-            for name in needed - self._stateful_names:
+        if by_rec:
+            batch = self._gather(by_rec)
+            for name in {it.name for items in by_rec.values()
+                         for it in items}:
                 arrs[name] = self.states[name].advance(batch)
-            if self._has_stateful:
-                alive = np.zeros(len(batch), dtype=bool)
-                for slot, (lo, hi) in batch.slot_rows.items():
-                    if slot_recs[slot].luo_alive:
-                        alive[lo:hi] = True
-                if alive.any():
-                    for name in self._stateful_names:
-                        out = self.states[name].advance(batch,
-                                                        row_mask=alive)
-                        if name in needed:
-                            arrs[name] = out
 
-        # finalize in capture order; apply end-of-flush prune bookkeeping
+        # finalize in capture order
         for session, per in planned:
             for draft, items in per:
-                values = {
-                    it.snap.pid: float(arrs[it.name][flat_lo[it.rec.slot]
-                                                     + it.pos])
-                    for it in items}
+                values = {it.snap.pid: float(arrs[it.name][it.flat])
+                          for it in items}
                 report = monitor.finalize(draft, session.state, values=values)
                 session.reports.append(report)
                 stats.reports += 1
                 if on_report is not None:
                     on_report(session, report)
-                for it in items:
-                    rec = it.rec
-                    rec.advanced = True
-                    if not rec.pruned:
-                        if it.snap.kind == DYNAMIC or no_dynamic:
-                            rec.pruned = True
-                            alive_now = it.name in self._stateful_names
-                            rec.keep_all = alive_now
-                            rec.luo_alive = alive_now
-                        else:
-                            rec.keep_all = self._has_stateful
 
         # slots of pipelines that reported done are safe to recycle now
         for rec in self._to_release:
-            self._release(rec)
+            self.pool.release(rec.slot)
         self._to_release.clear()
 
     # -- phase 1: causal planning --------------------------------------------
 
-    def _plan_session(self, session, slot_lists, slot_meta, slot_session,
-                      slot_recs, openings):
+    def _plan_session(self, session, openings):
         monitor = self.monitor
         state = session.state
         ctx = session.handle_ctx
@@ -273,52 +229,30 @@ class VectorizedFlush:
                     if rec is not None:
                         self._to_release.append(rec)
                     continue
-                cursor = state.cursors.get(pid)
-                if cursor is None:
-                    # first sight: rows since the activity window opened,
-                    # evaluated against the log as of row R
-                    start = int(np.searchsorted(
+                rec = recs.get(pid)
+                if rec is None:
+                    # the causal view's rows: since the activity window
+                    # opened, evaluated against the log as of row R
+                    first = int(np.searchsorted(
                         times[:R + 1], ctx.pipe_first[pid], side="left"))
-                    if R - start + 1 < 2:
+                    if R - first + 1 < 2:
                         pipes.append(PipeSnapshot(pid, weight, "short"))
                         continue
-                meta = state.metas.get(pid)
-                if meta is None:
                     meta = PipelineMeta(
                         pid=pid, query_name="(online)", db_name=ctx.db_name,
                         t_start=float(ctx.pipe_first[pid]),
                         **pipeline_static(nodes, pipe))
-                    state.metas[pid] = meta
-                rec = recs.get(pid)
-                if rec is None:
-                    slot = self.pool.pack(meta)
-                    for st in self.states.values():
-                        st.pack(slot)
-                    rec = _SlotRec(slot, self._has_stateful)
+                    rec = _SlotRec(self.pool.pack(meta), meta, first,
+                                   ctx.log)
                     recs[pid] = rec
-                    slot_recs[slot] = rec
-                if cursor is None:
-                    lo_row = start
-                elif not rec.advanced or rec.keep_all:
-                    lo_row = cursor
-                else:
-                    lo_row = R  # memoryless-only: the report row suffices
-                state.cursors[pid] = R + 1
-                lst = slot_lists.setdefault(rec.slot, [])
-                if rec.slot not in slot_meta:
-                    slot_meta[rec.slot] = meta
-                    slot_session[rec.slot] = session
-                    slot_recs[rec.slot] = rec
-                lst.extend(range(lo_row, R + 1))
-                pos = len(lst) - 1
                 kind, opens = monitor._selection_needs(
                     pid, state,
-                    lambda: meta.driver_fraction(K[R], D[R]))
+                    lambda: rec.meta.driver_fraction(K[R], D[R]))
                 if opens:
                     openings.append((session, kind, pipe, R))
                 snap = PipeSnapshot(pid, weight, "running", kind=kind)
                 pipes.append(snap)
-                items.append(_Item(snap, rec, pos))
+                items.append(_Item(snap, rec, R))
             per.append((ReportDraft(time=float(times[R]), pipes=pipes),
                         items))
         session.pending_reports.clear()
@@ -326,11 +260,26 @@ class VectorizedFlush:
 
     # -- phase 3: gather ------------------------------------------------------
 
-    def _gather(self, slot_lists, slot_meta, slot_session,
-                flat_lo) -> FlushBatch:
-        order = list(slot_lists)
-        counts = [len(slot_lists[s]) for s in order]
-        total = sum(counts)
+    def _gather(self, by_rec: dict[_SlotRec, list[_Item]]) -> FlushBatch:
+        """Lay out every slot's rows: its report rows, then the window
+        start of each report row served by LUO."""
+        luo = self._luo
+        plans = []
+        total = 0
+        for rec, items in by_rec.items():
+            log = rec.log.as_arrays()
+            rows = np.array([it.row for it in items], dtype=np.int64)
+            timed = [i for i, it in enumerate(items)
+                     if self.states[it.name] is luo]
+            if timed:
+                starts = window_starts(log["times"], rec.meta.t_start,
+                                       rec.first, rows[timed],
+                                       luo.speed_window)
+                rows = np.concatenate([rows, starts])
+            for i, it in enumerate(items):
+                it.flat = total + i
+            plans.append((rec, log, rows, timed))
+            total += len(rows)
         w = self.pool.width
         slots = np.empty(total, dtype=np.int64)
         times = np.empty(total)
@@ -341,16 +290,17 @@ class VectorizedFlush:
         D = np.zeros((total, w), dtype=bool)
         CK = np.zeros((total, w))
         CD = np.zeros((total, w), dtype=bool)
+        window_row = np.arange(total)
         slot_rows: dict[int, tuple[int, int]] = {}
         lo = 0
-        for slot, cnt in zip(order, counts):
-            hi = lo + cnt
-            slots[lo:hi] = slot
-            slot_rows[slot] = (lo, hi)
-            flat_lo[slot] = lo
-            meta = slot_meta[slot]
-            log = slot_session[slot].handle_ctx.log.as_arrays()
-            r = np.asarray(slot_lists[slot])
+        for rec, log, r, timed in plans:
+            hi = lo + len(r)
+            slots[lo:hi] = rec.slot
+            slot_rows[rec.slot] = (lo, hi)
+            if timed:
+                window_row[lo + np.array(timed)] = np.arange(
+                    hi - len(timed), hi)
+            meta = rec.meta
             m = meta.n_nodes
             sel = np.ix_(r, meta.node_ids)
             times[lo:hi] = log["times"][r]
@@ -364,11 +314,5 @@ class VectorizedFlush:
                 CK[lo:hi, meta.mat_idx] = log["K"][csel]
                 CD[lo:hi, meta.mat_idx] = log["D"][csel]
             lo = hi
-        ordinals = []
-        for s_i in range(max(counts)):
-            ordinals.append(np.array(
-                [slot_rows[s][0] + s_i
-                 for s, c in zip(order, counts) if c > s_i],
-                dtype=np.int64))
         return FlushBatch(self.pool, slots, times, K, W, LB, UB, D, CK, CD,
-                          slot_rows, ordinals)
+                          slot_rows, window_row)

@@ -72,9 +72,9 @@ def report_monitors(pipelines) -> dict[str, ProgressMonitor]:
     """The online monitors whose served report bytes are pinned.
 
     ``luo``: no selectors, LUO fallback at every observation — the
-    stateful kernel on every report.  ``trained``: static and dynamic
+    speed-window kernel on every report.  ``trained``: static and dynamic
     selectors fitted on the family's own pipelines — selection, the 20%
-    revision, candidate pruning and LUO liveness.
+    revision and LUO served for some pipelines only.
     """
     estimators = all_estimators()
     static = collect_training_data(pipelines, estimators,

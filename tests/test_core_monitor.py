@@ -20,8 +20,10 @@ from repro.fuzz.oracle import (
 )
 from repro.learning.mart import MARTParams
 from repro.progress.dne import DNEEstimator
+from repro.progress.luo import LuoEstimator
 from repro.progress.registry import all_estimators, original_estimators
 from repro.service import ProgressService
+from repro.service.batched import VectorizedFlush
 from repro.service.session import SessionStatus
 from repro.trace import read_trace
 from repro.trace.replay import replay_monitor
@@ -171,13 +173,55 @@ class TestKernelLifecycle:
         flush = service._vector
         assert flush.pool.n_live == 0
         assert all(meta is None for meta in flush.pool.metas)
-        luo = flush.states["luo"]
-        assert (luo.count == 0).all() and (luo.wpos == 0).all()
-        for session in service.sessions:
-            # the final observation reports every pipeline done and drops
-            # its capture bookkeeping
-            assert session.state.metas == {}
-            assert session.state.cursors == {}
+        # every session's slot records went with its slots
+        assert flush._recs == {} and flush._to_release == []
+
+    @pytest.mark.parametrize("fallback", ["luo", "dne"])
+    def test_batch_holds_report_rows_and_luo_window_starts(
+            self, recordings, fallback, monkeypatch):
+        """A flush gathers exactly its report rows, plus one row per
+        report row LUO serves: the first row of its speed window."""
+        window = LuoEstimator().speed_window
+        gather = VectorizedFlush._gather
+        gathered = []
+
+        def spy(flush, by_rec):
+            batch = gather(flush, by_rec)
+            items = [it for its in by_rec.values() for it in its]
+            timed = [it for it in items if it.name == "luo"]
+            assert len(batch) == len(items) + len(timed)
+            for it in items:
+                rec, flat = it.rec, it.flat
+                log = rec.log.as_arrays()
+                m = rec.meta.n_nodes
+                assert batch.slots[flat] == rec.slot
+                assert np.array_equal(batch.K[flat, :m],
+                                      log["K"][it.row, rec.meta.node_ids])
+                start = batch.window_row[flat]
+                if it.name != "luo":
+                    assert start == flat
+                    continue
+                elapsed = log["times"] - rec.meta.t_start
+                want = rec.first
+                while (want < it.row
+                       and elapsed[it.row] - elapsed[want] > window):
+                    want += 1
+                assert start != flat and batch.slots[start] == rec.slot
+                assert batch.times[start] == log["times"][want]
+                assert np.array_equal(batch.K[start, :m],
+                                      log["K"][want, rec.meta.node_ids])
+            gathered.append(len(timed))
+            return batch
+
+        monkeypatch.setattr(VectorizedFlush, "_gather", spy)
+        service = ProgressService(ProgressMonitor(fallback=fallback,
+                                                  refresh_every=3),
+                                  slice_steps=4)
+        for run in recordings:
+            service.submit_replay(run)
+        service.run_until_complete(max_ticks=100_000)
+        assert gathered
+        assert (sum(gathered) > 0) == (fallback == "luo")
 
     def test_live_slots_bounded_by_running_pipelines(self, recordings):
         service = ProgressService(ProgressMonitor(refresh_every=1),

@@ -5,8 +5,9 @@ pipelines out as structure-of-arrays batches; the contract is that
 ``advance`` over a multi-slot :class:`FlushBatch` reproduces each
 pipeline's ``estimator.estimate(pr)`` trajectory *bit-for-bit* —
 including zero-padded mixed-width flushes, rows long enough to hit
-numpy's pairwise-sum unrolling, the stateful LUO ring (pops, compaction)
-and the pool's slot recycling.  The end-to-end report-stream parity of
+numpy's pairwise-sum unrolling, LUO's speed window read from the row it
+opens at (a batch need not hold the rows between) and the pool's slot
+recycling.  The end-to-end report-stream parity of
 the service built on these kernels is gated separately by
 tests/test_service.py and the fuzz oracle's ``kernel`` and ``service``
 layers; this module pins the kernels in isolation.
@@ -24,7 +25,7 @@ from repro.progress.batchdne import BatchDNEEstimator
 from repro.progress.dne import DNEEstimator
 from repro.progress.dneseek import DNESeekEstimator
 from repro.progress.gold import BytesProcessedOracle, GetNextOracle
-from repro.progress.luo import LuoEstimator, bytes_done
+from repro.progress.luo import DEFAULT_SPEED_WINDOW, LuoEstimator, bytes_done
 from repro.progress.refined_tgn import RefinedTGNEstimator
 from repro.progress.safe_pmax import PMaxEstimator, SafeEstimator
 from repro.progress.soa import (
@@ -34,6 +35,7 @@ from repro.progress.soa import (
     PipelineMeta,
     SoAPool,
     batched_states,
+    window_starts,
 )
 from repro.progress.tgn import TGNEstimator
 from repro.progress.tgnint import TGNIntEstimator
@@ -49,12 +51,14 @@ NATIVE_ESTIMATORS = [
 ]
 
 
-def batch_from_runs(pool, prs, metas=None, true_n=True):
+def batch_from_runs(pool, prs, metas=None, true_n=True,
+                    speed_window=DEFAULT_SPEED_WINDOW):
     """Pack completed pipeline runs and lay their ticks out as one flush.
 
     Mirrors the service's ``_gather``: rows grouped per slot in tick
     order, zero-padded to the pool width, per-node done flags raised
-    where the counter has reached the (known) final value.  ``true_n``
+    where the counter has reached the (known) final value, each row's
+    LUO window start over ``speed_window``.  ``true_n``
     fixes every row's ``N`` at the run's true totals, the view
     ``estimate(pr)`` has of a completed run; otherwise ``N`` follows the
     live rule from the done flags.
@@ -68,24 +72,23 @@ def batch_from_runs(pool, prs, metas=None, true_n=True):
     D = np.zeros((total, w), dtype=bool)
     CK = np.zeros((total, w))
     CD = np.zeros((total, w), dtype=bool)
+    window_row = np.zeros(total, dtype=np.int64)
     slot_rows, lo = {}, 0
     for pr, slot in zip(prs, slots):
         T, m = pr.K.shape
         hi = lo + T
         times[lo:hi] = pr.times
+        window_row[lo:hi] = lo + window_starts(pr.times, pr.t_start, 0,
+                                               np.arange(T), speed_window)
         for name in arrays:
             arrays[name][lo:hi, :m] = getattr(pr, name)
         D[lo:hi, :m] = pr.K >= pr.N[None, :]
         slot_rows[slot] = (lo, hi)
         lo = hi
-    depth = max(pr.n_observations for pr in prs)
-    ordinals = [np.array([slot_rows[s][0] + t for pr, s in zip(prs, slots)
-                          if t < pr.n_observations], dtype=np.int64)
-                for t in range(depth)]
     batch = FlushBatch(pool, np.repeat(slots, [pr.n_observations
                                                for pr in prs]),
                        times, arrays["K"], arrays["W"], arrays["LB"],
-                       arrays["UB"], D, CK, CD, slot_rows, ordinals)
+                       arrays["UB"], D, CK, CD, slot_rows, window_row)
     if true_n:
         N = np.zeros((total, w))
         for pr, slot in zip(prs, slots):
@@ -99,10 +102,8 @@ def assert_kernels_match(prs, estimators=None):
     pool = SoAPool()
     batch, slots, _ = batch_from_runs(pool, prs)
     for est in estimators or NATIVE_ESTIMATORS:
-        st = batched_states({est.name: est}, pool)[est.name]
-        for slot in slots:
-            st.pack(slot)
-        vector = st.advance(batch)
+        vector = batched_states({est.name: est}, pool)[est.name].advance(
+            batch)
         for pr, slot in zip(prs, slots):
             lo, hi = batch.slot_rows[slot]
             want = est.estimate(pr)
@@ -179,49 +180,66 @@ def test_batch_n_applies_mat_child_override():
     assert np.array_equal(N[lo:hi, 0], np.full(hi - lo, meta.E0[0]))
 
 
-def test_luo_ring_matches_batch_estimate():
-    """The LUO ring (pops + compaction) reproduces the batch loop, and
-    ends holding exactly its trailing speed window."""
+def _reference_window_starts(pr, window):
+    """The window pointer of :meth:`LuoEstimator.estimate`'s loop."""
+    elapsed = pr.times - pr.t_start
+    out, start = [], 0
+    for t in range(pr.n_observations):
+        while start < t and elapsed[t] - elapsed[start] > window:
+            start += 1
+        out.append(start)
+    return np.array(out)
+
+
+def test_luo_window_rows_match_batch_estimate():
+    """Over a multi-slot flush whose windows span many rows, each row's
+    window start is the batch loop's pointer and LUO equals
+    ``estimate``."""
     window = 5.0
     est = LuoEstimator(speed_window=window)
-    prs = [linear_two_node_run(n_obs=51),      # 2s spacing: many pops
+    prs = [linear_two_node_run(n_obs=51),      # 2s spacing: 2-row windows
            linear_two_node_run(n_obs=26, total=60.0)]
     pool = SoAPool()
-    batch, slots, _ = batch_from_runs(pool, prs)
-    st = BatchedLuoState(est, pool)
-    for slot in slots:
-        st.pack(slot)
-    vector = st.advance(batch)
+    batch, slots, _ = batch_from_runs(pool, prs, speed_window=window)
+    vector = BatchedLuoState(est, pool).advance(batch)
     for pr, slot in zip(prs, slots):
         lo, hi = batch.slot_rows[slot]
+        assert np.array_equal(batch.window_row[lo:hi] - lo,
+                              _reference_window_starts(pr, window))
         assert np.array_equal(vector[lo:hi], est.estimate(pr))
-        elapsed = pr.times - pr.t_start
-        start = int(np.argmax(elapsed[-1] - elapsed <= window))
-        ring = slice(st.head[slot], st.wpos[slot])
-        assert np.array_equal(st.ew[slot, ring], elapsed[start:])
-        assert np.array_equal(st.dw[slot, ring], bytes_done(pr)[start:])
-    # 51 appends through a ring of 8 columns: compaction must have run
-    # (the write cursor is monotone between compactions)
-    assert st.wpos[slots[0]] < prs[0].n_observations
 
 
-def test_luo_row_mask_freezes_masked_slots():
-    est = LuoEstimator(speed_window=5.0)
-    prs = [linear_two_node_run(n_obs=9), linear_two_node_run(n_obs=9)]
+def test_luo_reads_only_its_row_and_window_row():
+    """A slot holding only some of its rows, each with its window start,
+    gets ``estimate`` at those rows next to a slot holding all of its
+    rows: no kernel needs the rows in between."""
+    window = 5.0
+    est = LuoEstimator(speed_window=window)
+    full, sparse = linear_two_node_run(n_obs=31), linear_two_node_run(n_obs=41)
     pool = SoAPool()
-    batch, slots, metas = batch_from_runs(pool, prs)
-    st = BatchedLuoState(est, pool)
-    for slot in slots:
-        st.pack(slot)
-    mask = np.zeros(len(batch), dtype=bool)
-    lo, hi = batch.slot_rows[slots[0]]
-    mask[lo:hi] = True
-    vector = st.advance(batch, row_mask=mask)
-    assert np.array_equal(vector[lo:hi], est.estimate(prs[0]))
-    # the masked slot's ring never advanced and its rows stayed zero
-    assert st.wpos[slots[1]] == 0
-    mlo, mhi = batch.slot_rows[slots[1]]
-    assert not vector[mlo:mhi].any()
+    batch, slots, _ = batch_from_runs(pool, [full, sparse],
+                                      speed_window=window)
+    picked = np.array([3, 17, 40])
+    starts = window_starts(sparse.times, sparse.t_start, 0, picked, window)
+    assert (starts < picked).all() and (starts > 0).all()
+    lo, _ = batch.slot_rows[slots[1]]
+    keep = np.r_[np.arange(*batch.slot_rows[slots[0]]), lo + picked,
+                 lo + starts]
+    n_full = full.n_observations
+    window_row = np.r_[batch.window_row[:n_full],
+                       n_full + len(picked) + np.arange(len(picked)),
+                       n_full + len(picked) + np.arange(len(picked))]
+    sub = FlushBatch(pool, batch.slots[keep], batch.times[keep],
+                     batch.K[keep], batch.W[keep], batch.LB[keep],
+                     batch.UB[keep], batch.D[keep], batch.CK[keep],
+                     batch.CD[keep],
+                     {slots[0]: (0, n_full),
+                      slots[1]: (n_full, len(keep))}, window_row)
+    sub._cache["N"] = batch.N[keep]
+    vector = BatchedLuoState(est, pool).advance(sub)
+    assert np.array_equal(vector[:n_full], est.estimate(full))
+    assert np.array_equal(vector[n_full:n_full + len(picked)],
+                          est.estimate(sparse)[picked])
 
 
 def test_pool_pack_release_grow_and_widen():
@@ -305,9 +323,7 @@ def test_empty_pipeline_batches_to_zero_rows():
     assert len(batch) == 0
     assert batch.slot_rows[slot] == (0, 0)
     for est in NATIVE_ESTIMATORS:
-        st = batched_states({est.name: est}, pool)[est.name]
-        st.pack(slot)
-        out = st.advance(batch)
+        out = batched_states({est.name: est}, pool)[est.name].advance(batch)
         assert out.shape == (0,)
 
 

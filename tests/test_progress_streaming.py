@@ -24,6 +24,7 @@ from repro.progress.soa import (
     PipelineMeta,
     batched_states,
     kernel_estimates,
+    window_starts,
 )
 
 from helpers import linear_two_node_run, truncate_run
@@ -129,18 +130,60 @@ def test_bytes_oracle_without_recorded_total_is_causal():
         assert value == (1.0 if t > 0 else 0.0)
 
 
-def test_luo_window_state_is_bounded_and_stateful():
-    est = LuoEstimator(speed_window=5.0)
+def test_luo_window_starts_stay_within_the_window():
+    """Every row's window start is the earliest row within the trailing
+    speed window (the row before it lies outside), so a window holds at
+    most ``speed_window / spacing + 1`` rows however long the run."""
+    window = 5.0
     pr = linear_two_node_run(n_obs=51)  # 2s tick spacing over 100s
-    batch = FlushBatch.of_pipeline_run(pr)
-    state = BatchedLuoState(est, batch.pool)
-    assert state.stateful
-    state.pack(0)
-    assert np.array_equal(state.advance(batch), est.estimate(pr))
-    # entries stay within the trailing speed window (+1 boundary row), and
-    # compaction keeps the ring far narrower than the run
-    assert state.count[0] <= int(5.0 / 2.0) + 2
-    assert state.ew.shape[1] < pr.n_observations
+    rows = np.arange(pr.n_observations)
+    starts = window_starts(pr.times, pr.t_start, 0, rows, window)
+    elapsed = pr.times - pr.t_start
+    assert (elapsed - elapsed[starts] <= window).all()
+    inside = starts > 0
+    assert (elapsed[inside] - elapsed[starts[inside] - 1] > window).all()
+    assert (rows - starts <= int(window / 2.0)).all()
+    est = LuoEstimator(speed_window=window)
+    assert np.array_equal(kernel_estimates(est, pr), est.estimate(pr))
+
+
+@st.composite
+def pipelines_with_tied_times(draw):
+    """Random pipelines whose times repeat, with a small speed window."""
+    pr = draw(random_pipeline())
+    # non-dyadic steps and offsets, so elapsed differences round
+    gaps = draw(st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.25, 0.3, 1.0]),
+                         min_size=pr.n_observations,
+                         max_size=pr.n_observations))
+    pr.times = pr.t_start + draw(st.sampled_from([0.0, 0.1, 1 / 3])) \
+        + np.cumsum(gaps)
+    window = draw(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.6, 1.0, 10.0]))
+    return pr, window
+
+
+@given(pipelines_with_tied_times(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_luo_kernel_on_row_subsets_matches_estimate(case, data):
+    """The LUO kernel over any subset of a pipeline's rows, each paired
+    with its window start, equals ``estimate`` at those rows — tied
+    times and windows as short as the tick spacing included."""
+    pr, window = case
+    est = LuoEstimator(speed_window=window)
+    n = pr.n_observations
+    picked = np.array(sorted(data.draw(st.sets(
+        st.integers(0, n - 1), min_size=1, max_size=n))))
+    starts = window_starts(pr.times, pr.t_start, 0, picked, window)
+    full = FlushBatch.of_pipeline_run(pr)
+    keep = np.r_[picked, starts]
+    k = len(picked)
+    batch = FlushBatch(
+        full.pool, full.slots[keep], full.times[keep], full.K[keep],
+        full.W[keep], full.LB[keep], full.UB[keep], full.D[keep],
+        full.CK[keep], full.CD[keep], {0: (0, 2 * k)},
+        np.r_[np.arange(k, 2 * k), np.arange(k, 2 * k)])
+    batch._cache["N"] = full.N[keep]
+    values = BatchedLuoState(est, full.pool).advance(batch)[:k]
+    assert np.array_equal(values, est.estimate(pr)[picked])
 
 
 def test_rebuilt_pipeline_run_roundtrips_fields():
@@ -159,8 +202,11 @@ def test_rebuilt_pipeline_run_roundtrips_fields():
     assert np.array_equal(batch.meta_rows("E0")[:, :m],
                           np.broadcast_to(pr.E0, pr.K.shape))
     assert batch.slot_rows == {0: (0, pr.n_observations)}
-    assert [list(o) for o in batch.ordinals] == [
-        [t] for t in range(pr.n_observations)]
+    rows = np.arange(pr.n_observations)
+    assert np.array_equal(batch.window_row, rows)  # no window: themselves
+    windowed = FlushBatch.of_pipeline_run(pr, speed_window=20.0)
+    assert np.array_equal(windowed.window_row, window_starts(
+        pr.times, pr.t_start, 0, rows, 20.0))
 
 
 def test_streaming_handles_unbounded_sentinels():
