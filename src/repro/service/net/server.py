@@ -79,6 +79,10 @@ ROUTES = (
 
 #: Tenant namespaces: short, url-safe, no ambiguity with route segments.
 TENANT_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
+#: a session id or report index: ASCII digits, no leading zero — int()
+#: would also take signs, "_", spaces and non-ASCII digits, so one
+#: session would answer at many URLs
+INDEX_RE = re.compile(r"0|[1-9][0-9]*")
 
 #: WebSocket close code for a session the server could not finish
 CLOSE_SERVER_ERROR = 1011
@@ -419,11 +423,9 @@ class ProgressServer:
 
     def _find(self, tenant: str, sid_text: str) -> SessionRecord:
         """Tenant-scoped session lookup; 404 outside the namespace."""
-        try:
-            sid = int(sid_text)
-        except ValueError:
-            raise BadRequest(f"no session {sid_text!r}",
-                             status=404) from None
+        if not INDEX_RE.fullmatch(sid_text):
+            raise BadRequest(f"no session {sid_text!r}", status=404)
+        sid = int(sid_text)
         record = self._records.get(sid)
         if record is None or record.tenant != tenant:
             raise BadRequest(f"no session {sid} under tenant {tenant!r}",
@@ -593,13 +595,11 @@ class ProgressServer:
             raise BadRequest(
                 "this endpoint only speaks WebSocket; send an Upgrade "
                 "handshake", status=426)
-        try:
-            cursor = int(request.query.get("from", "0"))
-        except ValueError:
-            raise BadRequest("'from' must be an integer report index") \
-                from None
-        if cursor < 0:
-            raise BadRequest("'from' must be non-negative")
+        cursor = request.query.get("from", "0")
+        if not INDEX_RE.fullmatch(cursor):
+            raise BadRequest("'from' must be a non-negative integer report "
+                             "index in canonical decimal form")
+        cursor = int(cursor)
         writer.write(ws.handshake_response(
             request.headers["sec-websocket-key"]))
         try:

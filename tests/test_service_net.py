@@ -15,6 +15,7 @@ No pytest-asyncio: each scenario is a coroutine driven by
 import asyncio
 import base64
 import json
+from urllib.parse import quote
 
 import pytest
 
@@ -402,6 +403,37 @@ class TestErrorPaths:
             with pytest.raises(ServiceError) as err:
                 await client.get_session("t", 7)
             assert err.value.status == 404
+
+        _serve(scenario)
+
+    def test_non_canonical_session_ids_and_from_are_rejected(
+            self, golden_runs):
+        """Only canonical decimal ids name a session (404 otherwise, for
+        GET and DELETE alike) and only a canonical ``from`` resumes a
+        stream (400 otherwise): ``int()`` would also take signs, "_",
+        spaces, leading zeros and non-ASCII digits."""
+        async def scenario(server, client):
+            sid = (await client.submit_runs("t", golden_runs[:1]))[0]
+            await client.stream("t", sid)
+            digits = str(sid)
+            arabic_indic = quote("".join(chr(0x660 + int(c))
+                                         for c in digits))
+            for text in (f"%2B{digits}", f"0{digits}", f"0_{digits}",
+                         f"%20{digits}", f"{digits}%20", arabic_indic):
+                for method in ("GET", "DELETE"):
+                    status, _, _ = await client.request(
+                        method, f"/v1/t/sessions/{text}")
+                    assert status == 404, (method, text)
+            assert (await client.get_session("t", sid))["status"] == "done"
+            upgrade = {"Upgrade": "websocket", "Connection": "Upgrade",
+                       "Sec-WebSocket-Key": "dGhlIHNhbXBsZSBub25jZQ==",
+                       "Sec-WebSocket-Version": "13"}
+            for text in ("%2B0", "+0", "-0", "00", "0_0", quote("\u0660")):
+                status, _, body = await client.request(
+                    "GET", f"/v1/t/sessions/{sid}/stream?from={text}",
+                    headers=upgrade)
+                assert status == 400, text
+                assert "'from'" in json.loads(body)["error"]["detail"]
 
         _serve(scenario)
 
