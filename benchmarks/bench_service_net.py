@@ -23,9 +23,7 @@ Contracts locked:
   small multiple of the median: subscriber fan-out must not turn tick
   rounds into stalls.
 
-Results persist via ``save_result`` to ``results/service_net.{json,md}``;
-the CI slow job folds the gated numbers into ``BENCH_summary.json``
-through ``phase_record_net`` in ``ci/phases.sh``.
+Results persist via ``save_result`` to ``results/service_net.{json,md}``.
 """
 
 import asyncio

@@ -18,9 +18,8 @@ contracts are locked:
   released at retirement; the soak would catch any leak in the
   release/budget path).
 
-Results (including the per-shard tick timings the CI slow job folds into
-``BENCH_summary.json``) persist via ``save_result`` to
-``results/service_soak.{json,md}``.
+Results (including the per-shard tick timings) persist via
+``save_result`` to ``results/service_soak.{json,md}``.
 """
 
 import os

@@ -8,7 +8,7 @@ bit-identical report streams.
 
 It prints a result table and persists it via ``save_result``; the slow
 CI job runs this module as an acceptance phase, so a broken gate fails
-the build and the phase timing lands in BENCH_summary.json.
+the build.
 """
 
 import time

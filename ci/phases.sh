@@ -7,10 +7,7 @@
 # Timings accumulate in $PHASES_FILE (tab-separated `seconds<TAB>name`)
 # so phases recorded by *different steps* of one job aggregate — GitHub
 # runs every step in a fresh shell.  `phase_summary` prints the familiar
-# per-phase table; `phase_summary_json <out>` turns the recorded phases
-# into the machine-readable BENCH_summary.json perf artifact that both
-# CI jobs upload (same shape as the one
-# `python -m repro.experiments.run_all` writes locally).
+# per-phase table.
 
 PHASES_FILE="${PHASES_FILE:-.ci-phases.tsv}"
 
@@ -23,61 +20,6 @@ phase() {
   return "$rc"
 }
 
-phase_record() {
-  # Append an externally measured timing as its own phase row — for
-  # numbers produced *inside* a benchmark (e.g. the soak's per-shard
-  # tick totals from results/service_soak.json) that should ride along
-  # in BENCH_summary.json.  Accepts fractional seconds.
-  printf '%s\t%s\n' "$1" "$2" >> "$PHASES_FILE"
-}
-
-phase_record_soak_shards() {
-  # Fold the fleet-soak benchmark's per-shard tick timings (written by
-  # benchmarks/bench_service_soak.py via save_result) into the phase
-  # file, one row per (fleet, shard).  No-op when the soak didn't run.
-  local soak_json="${1:-results/service_soak.json}"
-  [ -f "$soak_json" ] || { echo "(no soak result at $soak_json)"; return 0; }
-  python - "$soak_json" <<'PY' | while IFS=$'\t' read -r secs name; do
-import json
-import sys
-
-with open(sys.argv[1]) as handle:
-    soak = json.load(handle)
-for fleet in soak.get("fleets", []):
-    for shard in fleet.get("per_shard", []):
-        print(f"{shard['tick_seconds']}\t"
-              f"soak shard {shard['shard']}/{fleet['n_shards']} tick time "
-              f"({shard['ticks']} ticks, {shard['sessions']} sessions)")
-PY
-    phase_record "$secs" "$name"
-  done
-}
-
-phase_record_net() {
-  # Fold the network soak's gated numbers (written by
-  # benchmarks/bench_service_net.py via save_result) into the phase
-  # file: sustained sessions/sec and the lockstep-round / done-latency
-  # p99s become their own rows so BENCH_summary.json tracks the
-  # network front end per commit.  No-op when the soak didn't run.
-  local net_json="${1:-results/service_net.json}"
-  [ -f "$net_json" ] || { echo "(no network soak result at $net_json)"; return 0; }
-  python - "$net_json" <<'PY' | while IFS=$'\t' read -r secs name; do
-import json
-import sys
-
-with open(sys.argv[1]) as handle:
-    net = json.load(handle)
-label = (f"{net['sessions']} sessions, {net['n_shards']} shard(s), "
-         f"max_inflight {net['max_inflight']}, {net['backoffs']} backoffs")
-print(f"{net['wall_seconds']}\tnetwork soak wall clock ({label})")
-print(f"{net['sessions_per_second']}\tnetwork soak sessions/sec (gated)")
-print(f"{net['round_p99_ms'] / 1e3}\tnetwork soak round p99 seconds (gated)")
-print(f"{net['done_latency_p99_ms'] / 1e3}\tnetwork soak done-latency p99 seconds")
-PY
-    phase_record "$secs" "$name"
-  done
-}
-
 phase_summary() {
   echo "== per-phase timing summary =="
   if [ ! -f "$PHASES_FILE" ]; then
@@ -87,50 +29,4 @@ phase_summary() {
   while IFS=$'\t' read -r seconds name; do
     printf '%6ss  %s\n' "$seconds" "$name"
   done < "$PHASES_FILE"
-}
-
-phase_summary_json() {
-  # Emits the same schema-1 field set as
-  # repro.experiments.run_all.write_bench_summary — trajectory consumers
-  # must be able to read CI and local artifacts interchangeably.  Set
-  # BENCH_JOBS to record the worker count the timed phases actually used.
-  python - "$PHASES_FILE" "$1" <<'PY'
-import json
-import os
-import platform
-import subprocess
-import sys
-from datetime import datetime, timezone
-
-phases_file, out = sys.argv[1], sys.argv[2]
-benchmarks = {}
-if os.path.exists(phases_file):
-    with open(phases_file) as handle:
-        for line in handle:
-            seconds, _, name = line.rstrip("\n").partition("\t")
-            if name:
-                benchmarks[name] = float(seconds)
-sha = os.environ.get("GITHUB_SHA")
-if not sha:
-    probe = subprocess.run(["git", "rev-parse", "HEAD"],
-                           capture_output=True, text=True)
-    sha = probe.stdout.strip() if probe.returncode == 0 else None
-summary = {
-    "schema": 1,
-    "generated_at": datetime.now(timezone.utc).isoformat(
-        timespec="seconds"),
-    "job": os.environ.get("CI_JOB_NAME", "local"),
-    "git_sha": sha,
-    "python_version": platform.python_version(),
-    "jobs": int(os.environ.get("BENCH_JOBS", "1")),
-    "scale": os.environ.get("REPRO_SCALE", "small"),
-    "benchmarks": benchmarks,
-    "phases": {},
-    "failures": [],
-}
-with open(out, "w") as handle:
-    json.dump(summary, handle, indent=2)
-    handle.write("\n")
-print(f"wrote {out} ({len(benchmarks)} phases)")
-PY
 }

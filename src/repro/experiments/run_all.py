@@ -8,11 +8,7 @@ script with progress logging — convenient for full-size runs:
     python -m repro.experiments.run_all --jobs 4     # parallel dispatch
     python -m repro.experiments.run_all --only table --skip table7
 
-Artifacts land under ``results/`` (override with ``REPRO_RESULTS_DIR``),
-and every invocation writes the machine-readable perf artifact
-``BENCH_summary.json`` at the repo root — per-benchmark wall-clock plus
-provenance (git sha, Python version, jobs, scale) — the same shape the
-CI jobs assemble from their phase timings and upload (``ci/phases.sh``).
+Artifacts land under ``results/`` (override with ``REPRO_RESULTS_DIR``).
 
 With ``--jobs N`` the run splits into two phases.  Phase 1 *warm-starts*
 a shared trace store: the evaluation workloads are executed once —
@@ -28,15 +24,12 @@ serially after the parallel batch so pool contention cannot skew them.
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import platform
 import subprocess
 import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from datetime import datetime, timezone
 from pathlib import Path
 
 from repro.experiments.results import format_table
@@ -84,53 +77,6 @@ TIMING_SENSITIVE = {
     "bench_parallel_execution.py",
     "bench_incremental_monitor.py",
 }
-
-#: the machine-readable perf artifact, written at the repo root (CI
-#: uploads it from both jobs so the perf trajectory accumulates)
-BENCH_SUMMARY = "BENCH_summary.json"
-
-
-def git_sha() -> str | None:
-    """Commit under measurement: CI's pinned sha, else the local HEAD."""
-    sha = os.environ.get("GITHUB_SHA")
-    if sha:
-        return sha
-    try:
-        probe = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=str(BENCH_DIR.parent),
-            capture_output=True, text=True, timeout=10)
-    except OSError:
-        return None
-    return probe.stdout.strip() if probe.returncode == 0 else None
-
-
-def write_bench_summary(path: Path, timings: "Timings", *, jobs: int,
-                        scale: str, failures: list[str],
-                        phase_seconds: dict[str, float],
-                        job: str | None = None) -> None:
-    """One perf-trajectory sample: per-benchmark wall-clock + provenance.
-
-    ``ci/phases.sh`` emits the identical schema-1 field set from a CI
-    job's phase timings, so trajectory consumers read local and CI
-    artifacts interchangeably — keep the two writers in lockstep.
-    """
-    summary = {
-        "schema": 1,
-        "generated_at": datetime.now(timezone.utc).isoformat(
-            timespec="seconds"),
-        "job": job or os.environ.get("CI_JOB_NAME", "local"),
-        "git_sha": git_sha(),
-        "python_version": platform.python_version(),
-        "jobs": jobs,
-        "scale": scale,
-        "benchmarks": {name: round(seconds, 3)
-                       for name, seconds in sorted(timings.elapsed.items())},
-        "phases": {name: round(seconds, 3)
-                   for name, seconds in phase_seconds.items()},
-        "failures": sorted(failures),
-    }
-    path.write_text(json.dumps(summary, indent=2) + "\n")
-
 
 def select_benchmarks(names: list[str], only: list[str],
                       skip: list[str]) -> list[str]:
@@ -295,13 +241,9 @@ def main(argv: list[str] | None = None) -> int:
     if temp_store is not None:
         temp_store.cleanup()
     elapsed = time.perf_counter() - started
-    summary_path = BENCH_DIR.parent / BENCH_SUMMARY
-    write_bench_summary(summary_path, timings, jobs=jobs, scale=scale.name,
-                        failures=failures, phase_seconds=phase_seconds)
     succeeded = len(selected) - len([f for f in failures if f not in missing])
     print(f"\nfinished in {elapsed/60:.1f} minutes; "
-          f"{succeeded}/{len(selected)} benchmarks succeeded; "
-          f"perf artifact at {summary_path.name}")
+          f"{succeeded}/{len(selected)} benchmarks succeeded")
     for phase, seconds in phase_seconds.items():
         print(f"  phase {phase}: {seconds:.1f}s")
     if timings.elapsed:
