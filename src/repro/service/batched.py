@@ -164,19 +164,20 @@ class VectorizedFlush:
                 made[pipe.pid] = name
 
         # each item's (now committed) choice; the kinds to advance
+        needed: set[str] = set()
         by_rec: dict[_SlotRec, list[_Item]] = {}
         for session, per in planned:
             for _draft, items in per:
                 for it in items:
                     it.name = monitor._chosen(it.snap, session.state)
+                    needed.add(it.name)
                     by_rec.setdefault(it.rec, []).append(it)
 
         # gather the rows once; one advance per kind over the whole batch
         arrs: dict[str, np.ndarray] = {}
         if by_rec:
             batch = self._gather(by_rec)
-            for name in {it.name for items in by_rec.values()
-                         for it in items}:
+            for name in needed:
                 arrs[name] = self.states[name].advance(batch)
 
         # finalize in capture order
