@@ -1,11 +1,11 @@
-"""Docs health gate: dead relative links, stale file paths and
-network-API route coverage.
+"""Docs health gate: dead relative links, stale file paths, network-API
+route coverage and stale class members.
 
 Run from the repo root (CI fast job, docs phase)::
 
     python ci/check_docs.py
 
-Three checks, all hard failures:
+Four checks, all hard failures:
 
 1. **Dead relative links.**  Every markdown link target in README.md,
    DESIGN.md and docs/*.md that is not an absolute URL must resolve to
@@ -23,10 +23,17 @@ Three checks, all hard failures:
    ``repro.service.net.server.ROUTES`` must appear verbatim — as the
    ``METHOD /path`` string — somewhere in ``docs/api.md``.  Adding a
    route without documenting it fails CI.
+4. **Stale class members.**  Every backticked ``Class.attr`` or
+   ``Class.method()`` span in the same documents whose class is defined
+   under ``src/repro`` must name a member of that class or of a base
+   class defined there: a method or property, a class attribute or
+   dataclass field, a ``__slots__`` entry or a ``self.<attr>``
+   assignment.  Renamed or deleted members otherwise linger in prose.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -114,16 +121,83 @@ def check_route_coverage() -> list[str]:
     ]
 
 
+#: backticked spans that are exactly ``Class.attr`` or ``Class.method()``
+_MEMBER_RE = re.compile(r"`([A-Z]\w*)\.([A-Za-z_]\w*)(?:\(\))?`")
+
+
+def _declared(cls: ast.ClassDef) -> set[str]:
+    """Member names one class body declares."""
+    names = set()
+    for stmt in cls.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target])
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+            if "__slots__" in names and isinstance(stmt.value,
+                                                   (ast.Tuple, ast.List)):
+                names.update(e.value for e in stmt.value.elts
+                             if isinstance(e, ast.Constant))
+    names.update(node.attr for node in ast.walk(cls)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Store)
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id == "self")
+    return names
+
+
+def class_members(root: Path = REPO / "src" / "repro") -> dict[str, set[str]]:
+    """Per class defined under ``root``: its members, inherited ones from
+    base classes defined there included."""
+    own: dict[str, set[str]] = {}
+    bases: dict[str, set[str]] = {}
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                own.setdefault(node.name, set()).update(_declared(node))
+                bases.setdefault(node.name, set()).update(
+                    b.id if isinstance(b, ast.Name) else b.attr
+                    for b in node.bases
+                    if isinstance(b, (ast.Name, ast.Attribute)))
+
+    def resolve(name: str, seen: frozenset = frozenset()) -> set[str]:
+        out = set(own.get(name, ()))
+        for base in bases.get(name, ()):
+            if base in own and base not in seen:
+                out |= resolve(base, seen | {name})
+        return out
+
+    return {name: resolve(name) for name in own}
+
+
+def check_members(docs: list[Path] | None = None) -> list[str]:
+    members = class_members()
+    problems = []
+    for doc in _doc_files() if docs is None else docs:
+        where = (doc.relative_to(REPO) if doc.is_relative_to(REPO)
+                 else doc)
+        for lineno, line in enumerate(doc.read_text().splitlines(), 1):
+            for cls, attr in _MEMBER_RE.findall(line):
+                if cls in members and attr not in members[cls]:
+                    problems.append(
+                        f"{where}:{lineno}: stale member '{cls}.{attr}' "
+                        f"({cls} defines no '{attr}')")
+    return problems
+
+
 def main() -> int:
-    problems = check_links() + check_paths() + check_route_coverage()
+    problems = (check_links() + check_paths() + check_route_coverage()
+                + check_members())
     for problem in problems:
         print(f"FAIL: {problem}")
     docs = ", ".join(str(p.relative_to(REPO)) for p in _doc_files())
     if problems:
         print(f"\n{len(problems)} docs problem(s) across {docs}")
         return 1
-    print(f"docs ok: links + paths + {len(ROUTES)} routes covered "
-          f"({docs})")
+    print(f"docs ok: links + paths + {len(ROUTES)} routes covered + "
+          f"class members ({docs})")
     return 0
 
 
