@@ -424,7 +424,6 @@ class ShardedProgressService:
         self.keep_reports = keep_reports
         self.stats = FleetStats([ShardStats(i) for i in range(n_shards)])
         self._runs: dict[int, QueryRun] = {}
-        self._names: dict[int, str | None] = {}
         self._n_submitted = 0
         #: per-shard buffered submissions awaiting the next tick's frame;
         #: ``_outbox_lock`` guards the append against the swap, since a
@@ -488,7 +487,6 @@ class ShardedProgressService:
         shard = place_session(sid, query_name or run.query_name,
                               self.n_shards, self.placement)
         self._runs[sid] = run
-        self._names[sid] = query_name
         with self._outbox_lock:
             self._outbox[shard].append((sid, run, query_name))
         return sid
@@ -676,7 +674,6 @@ class ShardedProgressService:
             # retired sessions so supervisor memory stays flat too)
             for sid in completed:
                 self._runs.pop(sid, None)
-                self._names.pop(sid, None)
         if self.on_complete is not None:
             for sid in sorted(completed):
                 self.on_complete(sid)
