@@ -11,8 +11,8 @@ A :class:`ProgressMonitor` attaches to a query execution and, at every
   estimates (eq. 5).
 
 There is one report path, shared by the solo monitor, trace replay and the
-pooled multi-query service (:mod:`repro.service`).  Observation callbacks
-only record *which* log rows are due a report; the service's flush
+pooled multi-query service (:mod:`repro.service`).  Sessions only note
+*which* log rows are due a report; the service's flush
 (:class:`~repro.service.batched.VectorizedFlush`) rebuilds each due
 report's causal :class:`ReportDraft` from those rows, extracts the
 features of every selection opening in one
@@ -79,9 +79,8 @@ class ProgressReport:
 @dataclass
 class MonitorState:
     """Per-query selection state: sticky selector choices, the openings
-    still queued, the ΣE weights and the tick counter."""
+    still queued and the ΣE weights."""
 
-    ticks: int = 0
     static_choices: dict[int, str] = field(default_factory=dict)
     dynamic_choices: dict[int, str] = field(default_factory=dict)
     choices: dict[int, str] = field(default_factory=dict)
@@ -96,8 +95,8 @@ class MonitorState:
 class PipeSnapshot:
     """Causal capture of one pipeline at one observation.
 
-    Carries no counters: the flush advances the pipeline's kernel slot
-    over the log rows themselves.
+    Carries no counters: the flush evaluates the pipeline's kernel on
+    the log rows themselves.
     """
 
     pid: int

@@ -288,9 +288,9 @@ def pipeline_static(nodes: list[NodeInfo], pipe) -> dict:
     (terminal first) and ``driver_ids`` — a recorded :class:`PipelineInfo`
     or a live :class:`~repro.plan.pipelines.Pipeline`.  The keys are
     :class:`PipelineRun` field names.  Offline (:meth:`QueryRun.pipeline_run`),
-    live and replayed (:func:`live_pipeline_run`) views and the kernels'
-    slot metadata (``repro.progress.soa.PipelineMeta``) all take their
-    static fields from here, so what training saw is what serving scores.
+    live and replayed (:func:`live_pipeline_run`) views and
+    ``repro.progress.soa.PipelineMeta`` all take their static fields from
+    here, so what training saw is what serving scores.
     """
     ids = list(pipe.node_ids)
     members = [nodes[i] for i in ids]

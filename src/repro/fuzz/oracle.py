@@ -255,7 +255,7 @@ def check_kernel_parity(run: QueryRun, reports: list[ProgressReport],
     """The kernels must reproduce batch ``estimate`` bit-for-bit.
 
     Two granularities: per estimator, the kernel over each completed
-    pipeline (one slot, ``N`` at the truth) against ``estimate(pr)``;
+    pipeline (one batch, ``N`` at the truth) against ``estimate(pr)``;
     and per served report, every pipeline's value against
     :func:`reference_progress`.
     """

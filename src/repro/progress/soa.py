@@ -3,33 +3,32 @@
 Every online consumer — the solo :class:`~repro.core.monitor.ProgressMonitor`,
 trace replay and the pooled service — advances the candidate estimators
 through the kernels here; the batch ``estimate(pr)`` of each estimator
-stays the definition they must reproduce bit-for-bit.  The state of all
-live pipelines is laid out as *structure-of-arrays* batches keyed by
-estimator kind:
+stays the definition they must reproduce bit-for-bit.  One flush's rows
+of every live pipeline are laid out as *structure-of-arrays* batches and
+evaluated per estimator kind:
 
 * a :class:`PipelineMeta` captures everything about a pipeline that is
   immutable once it starts — operator kinds, optimizer estimates, row
-  widths, table cardinalities, the driver mask;
-* a :class:`SoAPool` holds the metadata of every packed pipeline as
-  zero-padded ``(slots, width)`` arrays — optimizer estimates,
-  driver/widened masks, known-source totals, materialized positions — one
-  row per (session, pipeline) slot;
-* a :class:`FlushBatch` carries one service flush's observation rows for
-  all slots as flat ``(rows, width)`` arrays plus the shared derived
-  quantities (``n_partial`` totals, masked row sums) every kernel needs;
+  widths, table cardinalities, the driver mask — and derives its kernel
+  metadata once, at its own width: known-source totals, the per-family
+  selection masks, materialized positions and the columns of each family
+  long enough to need the sum fix-up;
+* a :class:`FlushBatch` carries one flush's observation rows for a set of
+  pipelines as flat ``(rows, width)`` arrays, zero-padded to the widest
+  pipeline it holds, lays out each row's metadata next to them on demand
+  and caches the derived quantities (``n_partial`` totals, masked row
+  sums) every kernel shares;
 * a :class:`BatchedStreamState` per estimator kind advances *all* rows in
   one NumPy pass — ``advance(batch)`` returns, per row, the value the
   estimator's ``estimate`` yields at that observation of its causal
   trajectory.
 
 Kernels keep no state of their own: each is a function of the rows it is
-handed.  LUO's speed over its trailing window reads one more row, the
-row the window opens at (:func:`window_starts`), which the batch carries
-as ``window_row``.  :meth:`SoAPool.pack` adopts a pipeline into the pool
-when the service first captures it and :meth:`SoAPool.release` frees the
-slot when the pipeline (or its session) finishes.  Only the exact
-estimator classes in ``_NATIVE`` have a kernel; the monitor refuses any
-other pool member at construction (:func:`kernel_class`).
+handed and of their pipelines' metadata.  LUO's speed over its trailing
+window reads one more row, the row the window opens at
+(:func:`window_starts`), which the batch carries as ``window_row``.  Only
+the exact estimator classes in ``_NATIVE`` have a kernel; the monitor
+refuses any other pool member at construction (:func:`kernel_class`).
 :func:`kernel_estimates` drives one kernel over a completed run — the
 reference check against ``estimate``.
 
@@ -40,10 +39,11 @@ NumPy's ``sum`` adds sequentially below its 8-way pairwise-unroll
 threshold (starting from ``0.0``), and every quantity summed here is
 nonnegative, so summing a zero-padded row column-by-column is a bitwise
 no-op relative to summing the compacted selection — each padded position
-contributes an exact ``x + 0.0 == x``.  Rows whose *selected* length
-reaches the threshold would hit NumPy's unrolled accumulator tree
-instead; those (rare) rows are precomputed at pack time and fixed up by
-re-summing the compacted selection with ``np.sum`` itself
+contributes an exact ``x + 0.0 == x``, whatever the batch's width.  Rows
+whose *selected* length reaches the threshold would hit NumPy's unrolled
+accumulator tree instead; their pipelines record those columns when the
+metadata is built (``PipelineMeta.big``) and the batch fixes the rows up
+by re-summing the compacted selection with ``np.sum`` itself
 (:meth:`FlushBatch.rowsum`), so every row sum is produced by exactly the
 reduction ``estimate`` applies to that observation's row.  All remaining
 kernel arithmetic is elementwise and mirrors the batch formulas
@@ -84,18 +84,23 @@ _FAMILIES = ("valid", "driver", "bdrv", "sdrv")
 class PipelineMeta:
     """Immutable per-pipeline metadata, captured once when it starts.
 
-    Mirrors the time-invariant fields of :class:`PipelineRun`; the derived
-    index arrays pre-resolve the per-node branches of
-    :meth:`PipelineRun.known_totals` so packing a slot (and the per-row
-    ``N`` rule) is a couple of vectorized assignments.
+    Mirrors the time-invariant fields of :class:`PipelineRun` and derives
+    the kernels' per-node metadata from them once, at the pipeline's own
+    width: ``known_base`` (the totals of :meth:`PipelineRun.known_totals`
+    that never change), one selection mask per row-sum family
+    (``valid``, ``driver``, ``bdrv``, ``sdrv``), the ``matpos`` /
+    ``childpos`` positions of the per-row ``N`` rule, and ``big``: per
+    family with :data:`_PAIRWISE_UNROLL` or more selected columns, those
+    columns.
     """
 
     __slots__ = (
         "pid", "query_name", "db_name", "t_start", "node_ids", "ops",
         "E0", "widths", "table_rows", "driver_mask", "parent_local",
-        "materialized_bytes_est", "oracle_bytes_total",
-        "known_source_idx", "materialized_idx",
+        "materialized_bytes_est", "oracle_bytes_total", "materialized_idx",
         "mat_idx", "mat_child_ids",
+        "known_base", "valid", "driver", "bdrv", "sdrv", "matpos",
+        "childpos", "big", "e0_sum", "oracle_total", "has_oracle",
     )
 
     def __init__(self, pid: int, query_name: str, db_name: str,
@@ -122,10 +127,6 @@ class PipelineMeta:
         #: runs — lets the §6.7 Bytes-Processed oracle's kernel match its
         #: ``estimate`` (see :class:`~repro.progress.gold.BytesProcessedOracle`)
         self.oracle_bytes_total = oracle_bytes_total
-        self.known_source_idx = np.array(
-            [j for j, op in enumerate(ops)
-             if op in _KNOWN_SOURCE_OPS and np.isfinite(table_rows[j])],
-            dtype=np.int64)
         self.materialized_idx = np.array(
             [j for j, op in enumerate(ops) if op in _MATERIALIZED_OPS],
             dtype=np.int64)
@@ -135,6 +136,37 @@ class PipelineMeta:
         none = np.zeros(0, dtype=np.int64)
         self.mat_idx = none if mat_idx is None else mat_idx
         self.mat_child_ids = none if mat_child_ids is None else mat_child_ids
+
+        # -- kernel metadata ---------------------------------------------
+        m = len(ops)
+        known = np.array(
+            [j for j, op in enumerate(ops)
+             if op in _KNOWN_SOURCE_OPS and np.isfinite(table_rows[j])],
+            dtype=np.int64)
+        self.known_base = E0.copy()
+        self.known_base[known] = table_rows[known]
+        self.valid = np.ones(m, dtype=bool)
+        self.driver = np.asarray(driver_mask, dtype=bool)
+        # the widened families mirror BATCHDNE's / DNESEEK's node_mask
+        self.bdrv = self.driver | np.array([op == Op.BATCH_SORT for op in ops],
+                                           dtype=bool)
+        self.sdrv = self.driver | np.array([op == Op.INDEX_SEEK for op in ops],
+                                           dtype=bool)
+        self.matpos = np.zeros(m, dtype=bool)
+        self.matpos[self.materialized_idx] = True
+        self.childpos = np.zeros(m, dtype=bool)
+        self.childpos[self.mat_idx] = True
+        self.big = {}
+        for f in _FAMILIES:
+            idx = np.flatnonzero(getattr(self, f))
+            if len(idx) >= _PAIRWISE_UNROLL:
+                self.big[f] = idx
+        # TGNINT's estimate sums E0 once per trajectory; the sum is
+        # tick-invariant, so one np.sum here is bit-identical
+        self.e0_sum = float(E0.sum())
+        self.has_oracle = oracle_bytes_total is not None
+        self.oracle_total = 0.0 if oracle_bytes_total is None \
+            else oracle_bytes_total
 
     @property
     def n_nodes(self) -> int:
@@ -174,10 +206,7 @@ class PipelineMeta:
         """
         cols = self.node_ids
         k = K[cols]
-        totals = self.E0.copy()
-        idx = self.known_source_idx
-        if len(idx):
-            totals[idx] = self.table_rows[idx]
+        totals = self.known_base.copy()
         idx = self.materialized_idx
         if len(idx):
             totals[idx] = partial_totals(K, D, cols, self.E0, self.mat_idx,
@@ -189,163 +218,26 @@ class PipelineMeta:
         return float(np.clip(k[mask].sum() / denom, 0.0, 1.0))
 
 
-
-class SoAPool:
-    """Slot table of packed pipelines, shared by every batched kind.
-
-    One slot per live (session, pipeline) pair; rows are zero-padded to
-    the pool's current ``width`` (the widest member count seen).  The
-    table grows by doubling and recycles released slots.
-    """
-
-    def __init__(self, capacity: int = 16, width: int = 4):
-        self.capacity = capacity
-        self.width = width
-        self._free: list[int] = list(range(capacity - 1, -1, -1))
-        self.metas: list[PipelineMeta | None] = [None] * capacity
-        self.m = np.zeros(capacity, dtype=np.int64)
-        self.t_start = np.zeros(capacity)
-        self.mat_bytes = np.zeros(capacity)
-        self.e0_sum = np.zeros(capacity)
-        self.oracle_total = np.zeros(capacity)
-        self.has_oracle = np.zeros(capacity, dtype=bool)
-        shape = (capacity, width)
-        self.E0 = np.zeros(shape)
-        self.widths = np.zeros(shape)
-        self.known_base = np.zeros(shape)
-        self.sel = {f: np.zeros(shape, dtype=bool) for f in _FAMILIES}
-        self.matpos = np.zeros(shape, dtype=bool)
-        self.childpos = np.zeros(shape, dtype=bool)
-        #: per family: slot -> local column indices of rows long enough to
-        #: hit numpy's unrolled reduction (fixed up via np.sum directly)
-        self.big: dict[str, dict[int, np.ndarray]] = {f: {} for f in _FAMILIES}
-
-    @property
-    def n_live(self) -> int:
-        return self.capacity - len(self._free)
-
-    def _widen(self, width: int) -> None:
-        def grow2(a):
-            out = np.zeros((self.capacity, width), dtype=a.dtype)
-            out[:, : self.width] = a
-            return out
-
-        self.E0 = grow2(self.E0)
-        self.widths = grow2(self.widths)
-        self.known_base = grow2(self.known_base)
-        self.sel = {f: grow2(a) for f, a in self.sel.items()}
-        self.matpos = grow2(self.matpos)
-        self.childpos = grow2(self.childpos)
-        self.width = width
-
-    def _grow(self) -> None:
-        old = self.capacity
-        cap = old * 2
-        self._free.extend(range(cap - 1, old - 1, -1))
-        self.metas.extend([None] * old)
-
-        def grow1(a):
-            out = np.zeros(cap, dtype=a.dtype)
-            out[:old] = a
-            return out
-
-        def grow2(a):
-            out = np.zeros((cap, self.width), dtype=a.dtype)
-            out[:old] = a
-            return out
-
-        self.m = grow1(self.m)
-        self.t_start = grow1(self.t_start)
-        self.mat_bytes = grow1(self.mat_bytes)
-        self.e0_sum = grow1(self.e0_sum)
-        self.oracle_total = grow1(self.oracle_total)
-        self.has_oracle = grow1(self.has_oracle)
-        self.E0 = grow2(self.E0)
-        self.widths = grow2(self.widths)
-        self.known_base = grow2(self.known_base)
-        self.sel = {f: grow2(a) for f, a in self.sel.items()}
-        self.matpos = grow2(self.matpos)
-        self.childpos = grow2(self.childpos)
-        self.capacity = cap
-
-    def pack(self, meta: PipelineMeta) -> int:
-        """Adopt one pipeline's immutable metadata; returns its slot."""
-        if not self._free:
-            self._grow()
-        m = meta.n_nodes
-        if m > self.width:
-            self._widen(max(m, self.width * 2))
-        slot = self._free.pop()
-        self.metas[slot] = meta
-        self.m[slot] = m
-        self.t_start[slot] = meta.t_start
-        self.mat_bytes[slot] = meta.materialized_bytes_est
-        # TGNINT's estimate sums E0 once per trajectory; the sum is
-        # tick-invariant, so one np.sum at pack time is bit-identical
-        self.e0_sum[slot] = float(meta.E0.sum())
-        oracle = meta.oracle_bytes_total
-        self.has_oracle[slot] = oracle is not None
-        self.oracle_total[slot] = 0.0 if oracle is None else oracle
-        for name in ("E0", "widths", "known_base"):
-            getattr(self, name)[slot] = 0.0
-        self.E0[slot, :m] = meta.E0
-        self.widths[slot, :m] = meta.widths
-        base = meta.E0.copy()
-        if len(meta.known_source_idx):
-            base[meta.known_source_idx] = meta.table_rows[meta.known_source_idx]
-        self.known_base[slot, :m] = base
-        ops = meta.ops
-        sel = self.sel
-        for f in _FAMILIES:
-            sel[f][slot] = False
-        sel["valid"][slot, :m] = True
-        sel["driver"][slot, :m] = meta.driver_mask
-        # the widened families mirror BATCHDNE's / DNESEEK's node_mask
-        sel["bdrv"][slot, :m] = meta.driver_mask | np.array(
-            [op == Op.BATCH_SORT for op in ops])
-        sel["sdrv"][slot, :m] = meta.driver_mask | np.array(
-            [op == Op.INDEX_SEEK for op in ops])
-        self.matpos[slot] = False
-        self.childpos[slot] = False
-        if len(meta.materialized_idx):
-            self.matpos[slot, meta.materialized_idx] = True
-        if len(meta.mat_idx):
-            self.childpos[slot, meta.mat_idx] = True
-        for f in _FAMILIES:
-            idx = np.flatnonzero(sel[f][slot, :m])
-            if len(idx) >= _PAIRWISE_UNROLL:
-                self.big[f][slot] = idx
-            else:
-                self.big[f].pop(slot, None)
-        return slot
-
-    def release(self, slot: int) -> None:
-        """Free a slot when its pipeline (or session) completes."""
-        self.metas[slot] = None
-        for f in _FAMILIES:
-            self.big[f].pop(slot, None)
-        self._free.append(slot)
-
-
 class FlushBatch:
-    """One flush's observation rows for every active slot, flattened.
+    """One flush's observation rows for a set of pipelines, flattened.
 
-    Rows are grouped per slot (``slot_rows[slot] = (lo, hi)`` flat
-    range); within a slot they come in any order.  ``window_row[r]`` is
-    the flat index of the row LUO's speed window opens at for row ``r``
-    (:func:`window_starts`); a row whose LUO value is never read points
-    at itself.  ``CK``/``CD`` overlay the out-of-pipeline build child's
-    counter/done columns at the blocking-source positions
-    (``pool.childpos``).
+    Pipeline ``i`` (``metas[i]``) owns the flat rows ``ranges[i] = (lo,
+    hi)``; the ranges tile the batch in order, and within one range rows
+    come in any order.  Row arrays are ``(rows, width)``, zero-padded to
+    the widest pipeline.  ``window_row[r]`` is the flat index of the row
+    LUO's speed window opens at for row ``r`` (:func:`window_starts`); a
+    row whose LUO value is never read points at itself.  ``CK``/``CD``
+    overlay the out-of-pipeline build child's counter/done columns at the
+    blocking-source positions (``PipelineMeta.childpos``).
     """
 
-    def __init__(self, pool: SoAPool, slots: np.ndarray, times: np.ndarray,
+    def __init__(self, metas: list[PipelineMeta],
+                 ranges: list[tuple[int, int]], times: np.ndarray,
                  K: np.ndarray, W: np.ndarray, LB: np.ndarray,
                  UB: np.ndarray, D: np.ndarray, CK: np.ndarray,
-                 CD: np.ndarray, slot_rows: dict[int, tuple[int, int]],
-                 window_row: np.ndarray):
-        self.pool = pool
-        self.slots = slots
+                 CD: np.ndarray, window_row: np.ndarray):
+        self.metas = metas
+        self.ranges = ranges
         self.times = times
         self.K = K
         self.W = W
@@ -354,53 +246,61 @@ class FlushBatch:
         self.D = D
         self.CK = CK
         self.CD = CD
-        self.slot_rows = slot_rows
         self.window_row = window_row
+        #: per row, the index of its pipeline in ``metas``
+        self.owner = np.repeat(np.arange(len(metas)),
+                               [hi - lo for lo, hi in ranges])
         self._cache: dict[str, np.ndarray] = {}
         self._fixes: dict[str, list[tuple[int, np.ndarray]]] = {}
 
     @classmethod
     def of_pipeline_run(cls, pr: PipelineRun,
                         speed_window: float | None = None) -> "FlushBatch":
-        """A one-slot batch over a completed run, ``N`` fixed at the truth.
+        """A one-pipeline batch over a completed run, ``N`` fixed at the
+        truth.
 
         Row ``t`` is observation ``t``: the layout in which every kernel
         must reproduce ``estimate(pr)`` (see :func:`kernel_estimates`).
         With ``speed_window``, each row's ``window_row`` is its LUO window
         start over that window.
         """
-        pool = SoAPool(capacity=1)
-        slot = pool.pack(PipelineMeta.from_pipeline_run(pr))
-        rows, m, width = pr.n_observations, pr.n_nodes, pool.width
-
-        def pad(a: np.ndarray) -> np.ndarray:
-            out = np.zeros((rows, width), dtype=a.dtype)
-            out[:, :m] = a
-            return out
-
+        rows = pr.n_observations
         window_row = np.arange(rows)
         if speed_window is not None:
             window_row = window_starts(pr.times, pr.t_start, 0, window_row,
                                        speed_window)
-        unset = np.zeros((rows, width), dtype=bool)
-        batch = cls(pool, np.full(rows, slot, dtype=np.int64), pr.times,
-                    pad(pr.K), pad(pr.W), pad(pr.LB), pad(pr.UB),
-                    D=unset, CK=np.zeros((rows, width)), CD=unset,
-                    slot_rows={slot: (0, rows)}, window_row=window_row)
-        batch._cache["N"] = pad(np.broadcast_to(pr.N, (rows, m)))
+        unset = np.zeros(pr.K.shape, dtype=bool)
+        batch = cls([PipelineMeta.from_pipeline_run(pr)], [(0, rows)],
+                    pr.times, pr.K, pr.W, pr.LB, pr.UB, D=unset,
+                    CK=np.zeros(pr.K.shape), CD=unset, window_row=window_row)
+        batch._cache["N"] = np.broadcast_to(pr.N, pr.K.shape)
         return batch
 
     def __len__(self) -> int:
-        return len(self.slots)
+        return len(self.times)
+
+    @property
+    def width(self) -> int:
+        return self.K.shape[1]
 
     # -- shared derived rows -------------------------------------------------
 
     def meta_rows(self, name: str) -> np.ndarray:
-        """Per-row view of a pool metadata array (cached gather)."""
+        """Per-row layout of one :class:`PipelineMeta` kernel field: a
+        scalar per row, or the pipeline's node array zero-padded to
+        ``width`` (cached)."""
         key = "meta:" + name
         out = self._cache.get(key)
         if out is None:
-            out = getattr(self.pool, name)[self.slots]
+            values = [getattr(meta, name) for meta in self.metas]
+            if np.ndim(values[0]):
+                dtype = bool if values[0].dtype == bool else float
+                table = np.zeros((len(values), self.width), dtype=dtype)
+                for i, value in enumerate(values):
+                    table[i, :len(value)] = value
+            else:
+                table = np.array(values)
+            out = table[self.owner]
             self._cache[key] = out
         return out
 
@@ -439,13 +339,14 @@ class FlushBatch:
         return out
 
     def fixes(self, family: str) -> list[tuple[int, np.ndarray]]:
+        """``(row, columns)`` of every row whose ``family`` selection is
+        long enough to need the compacted re-sum (``PipelineMeta.big``)."""
         out = self._fixes.get(family)
         if out is None:
-            out = []
-            for slot, idx in self.pool.big[family].items():
-                rng = self.slot_rows.get(slot)
-                if rng is not None:
-                    out.extend((r, idx) for r in range(rng[0], rng[1]))
+            out = [(r, meta.big[family])
+                   for meta, (lo, hi) in zip(self.metas, self.ranges)
+                   if family in meta.big
+                   for r in range(lo, hi)]
             self._fixes[family] = out
         return out
 
@@ -456,7 +357,7 @@ class FlushBatch:
         for selections below numpy's unroll threshold — see the module
         docstring), with threshold-length rows re-summed compacted.
         """
-        masked = np.where(self.pool.sel[family][self.slots], Z, 0.0)
+        masked = np.where(self.meta_rows(family), Z, 0.0)
         out = np.zeros(len(masked))
         for j in range(masked.shape[1]):
             out += masked[:, j]
@@ -496,16 +397,15 @@ def _safe_div(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
 
 
 class BatchedStreamState:
-    """The kernel of ONE estimator kind over every packed pipeline.
+    """The kernel of ONE estimator kind over every pipeline of a batch.
 
-    Kernels are memoryless: they read the pool's metadata and the rows
-    of the batch they are handed, and :meth:`advance` evaluates every
-    row of a flush in one pass.
+    Kernels are memoryless: they read the rows of the batch they are
+    handed and their pipelines' metadata, and :meth:`advance` evaluates
+    every row of a flush in one pass.
     """
 
-    def __init__(self, estimator, pool: SoAPool):
+    def __init__(self, estimator):
         self.estimator = estimator
-        self.pool = pool
 
     def advance(self, batch: FlushBatch) -> np.ndarray:
         raise NotImplementedError
@@ -600,15 +500,15 @@ class BatchedLuoState(BatchedStreamState):
     itself and that window start.
     """
 
-    def __init__(self, estimator: LuoEstimator, pool: SoAPool):
-        super().__init__(estimator, pool)
+    def __init__(self, estimator: LuoEstimator):
+        super().__init__(estimator)
         self.speed_window = estimator.speed_window
 
     def advance(self, batch: FlushBatch) -> np.ndarray:
         done = batch.bytes_done
         el = batch.times - batch.meta_rows("t_start")
         base = (batch.rowsum("driver", batch.totals * batch.meta_rows("widths"))
-                + batch.meta_rows("mat_bytes"))
+                + batch.meta_rows("materialized_bytes_est"))
         alpha = batch.driver_value("driver")
         extrapolated = base.copy()
         np.divide(done, alpha, out=extrapolated, where=alpha > 1e-9)
@@ -697,10 +597,10 @@ def kernel_class(estimator) -> type[BatchedStreamState]:
     return cls
 
 
-def batched_states(estimators: dict[str, object], pool: SoAPool
+def batched_states(estimators: dict[str, object]
                    ) -> dict[str, BatchedStreamState]:
-    """Batched state per estimator kind, all over ``pool``."""
-    return {name: kernel_class(est)(est, pool)
+    """Batched state per estimator kind."""
+    return {name: kernel_class(est)(est)
             for name, est in estimators.items()}
 
 
@@ -710,4 +610,4 @@ def kernel_estimates(estimator, pr: PipelineRun) -> np.ndarray:
     cls = kernel_class(estimator)
     window = estimator.speed_window if cls is BatchedLuoState else None
     batch = FlushBatch.of_pipeline_run(pr, window)
-    return cls(estimator, batch.pool).advance(batch)
+    return cls(estimator).advance(batch)

@@ -10,18 +10,20 @@ structure-of-arrays kernels of :mod:`repro.progress.soa`:
    reports (:attr:`QuerySession.pending_reports`); the flush rebuilds
    each due report's :class:`~repro.core.monitor.ReportDraft` causally
    from the log rows (pipeline status as of the row, selection
-   bookkeeping through the monitor's own ``_selection_needs``), packs
-   each newly running pipeline into a pool slot and collects every
-   (pipeline, row) where a selection opens;
+   bookkeeping through the monitor's own ``_selection_needs``), builds
+   the kernel metadata of each newly running pipeline into a record on
+   its session and collects every (pipeline, row) where a selection
+   opens;
 2. **resolve** — the openings of all sessions are extracted in one
    :meth:`~repro.features.vector.FeatureExtractor.extract` call per
    selector kind and scored in one batched pass (a pipeline's kind opens
    once, at its first due row, so the first observation wins);
 3. **choose** — each running pipeline's committed estimator per draft;
-4. **gather/advance** — every slot's report rows, plus the speed-window
-   start of each report row LUO serves, are gathered into flat
-   ``(rows, width)`` zero-padded arrays and every chosen estimator kind
-   advances once over the whole batch;
+4. **gather/advance** — every running pipeline's report rows, plus the
+   speed-window start of each report row LUO serves, are gathered into
+   flat ``(rows, width)`` arrays zero-padded to the flush's widest
+   pipeline, next to each row's pipeline metadata, and every chosen
+   estimator kind advances once over the whole batch;
 5. **finalize** — the per-row results are handed to
    :meth:`ProgressMonitor.finalize` via its ``values`` argument, draft by
    draft in capture order.
@@ -42,14 +44,16 @@ Causality notes (why each report equals the chosen estimator's
   observation ``R`` fired do not count; replay keeps its recorded rule
   ``t_start <= times[R]``;
 * a pipeline's kernel metadata
-  (:class:`~repro.progress.soa.PipelineMeta`) is packed from
+  (:class:`~repro.progress.soa.PipelineMeta`) is built from
   :func:`~repro.engine.run.pipeline_static`, the static fields
-  training's offline view is built from; the ΣE weights sum
-  ``ctx.nodes`` in preorder;
-* *done* status comes from the logged done-flag row at the pipeline's
-  terminal (``node_ids[0]``), which is what the callback-time capture
-  read;
-* every kernel is a function of the rows it is handed, so a slot's
+  training's offline view is built from, once per session: the record
+  (:class:`_PipeRec`) lives in ``QuerySession.pipe_records`` from the
+  pipeline's first running report row until its done report is built,
+  or until the session's last rows are planned.  The flush itself keeps
+  nothing across rounds; the ΣE weights sum ``ctx.nodes`` in preorder;
+* *done* status comes from the report row's logged done flag at the
+  pipeline's terminal (``node_ids[0]``);
+* every kernel is a function of the rows it is handed, so a pipeline's
   rows are its report rows, plus, for each report row LUO serves, the
   first row of its trailing speed window
   (:func:`~repro.progress.soa.window_starts`, found by a search over the
@@ -80,19 +84,17 @@ from repro.progress.soa import (
     BatchedLuoState,
     FlushBatch,
     PipelineMeta,
-    SoAPool,
     batched_states,
     window_starts,
 )
 
 
-class _SlotRec:
-    """One running pipeline's pool slot within one session."""
+class _PipeRec:
+    """One running pipeline of one session, as the flush reads it."""
 
-    __slots__ = ("slot", "meta", "first", "log")
+    __slots__ = ("meta", "first", "log")
 
-    def __init__(self, slot: int, meta: PipelineMeta, first: int, log):
-        self.slot = slot
+    def __init__(self, meta: PipelineMeta, first: int, log):
         self.meta = meta
         #: the first log row of the pipeline's causal view
         self.first = first
@@ -104,7 +106,7 @@ class _Item:
 
     __slots__ = ("snap", "rec", "row", "name", "flat")
 
-    def __init__(self, snap: PipeSnapshot, rec: _SlotRec, row: int):
+    def __init__(self, snap: PipeSnapshot, rec: _PipeRec, row: int):
         self.snap = snap
         self.rec = rec
         self.row = row  # the report's log row
@@ -117,27 +119,20 @@ class VectorizedFlush:
 
     def __init__(self, monitor: ProgressMonitor):
         self.monitor = monitor
-        self.pool = SoAPool()
-        self.states = batched_states(monitor.estimators, self.pool)
+        self.states = batched_states(monitor.estimators)
         #: the LUO kernel, if pooled: its report rows also gather the row
         #: their speed window opens at
         self._luo = next((st for st in self.states.values()
                           if isinstance(st, BatchedLuoState)), None)
-        #: session_id -> pid -> slot record
-        self._recs: dict[int, dict[int, _SlotRec]] = {}
-        self._to_release: list[_SlotRec] = []
-
-    def release_session(self, session) -> None:
-        """Free every slot a completed session still holds."""
-        recs = self._recs.pop(session.session_id, None)
-        if recs:
-            for rec in recs.values():
-                self.pool.release(rec.slot)
 
     # -- the flush -----------------------------------------------------------
 
     def flush(self, drafted, scorer, stats, on_report) -> None:
-        """Produce every due report of ``drafted`` (ascending session id)."""
+        """Produce every due report of ``drafted`` (ascending session id).
+
+        A finished session in ``drafted`` may have no rows left; planning
+        it drops its pipeline records.
+        """
         #: (session, kind, pipeline, row) of every selection opening
         openings: list[tuple[object, str, object, int]] = []
         planned = [(session, self._plan_session(session, openings))
@@ -165,7 +160,7 @@ class VectorizedFlush:
 
         # each item's (now committed) choice; the kinds to advance
         needed: set[str] = set()
-        by_rec: dict[_SlotRec, list[_Item]] = {}
+        by_rec: dict[_PipeRec, list[_Item]] = {}
         for session, per in planned:
             for _draft, items in per:
                 for it in items:
@@ -191,18 +186,13 @@ class VectorizedFlush:
                 if on_report is not None:
                     on_report(session, report)
 
-        # slots of pipelines that reported done are safe to recycle now
-        for rec in self._to_release:
-            self.pool.release(rec.slot)
-        self._to_release.clear()
-
     # -- phase 1: causal planning --------------------------------------------
 
     def _plan_session(self, session, openings):
         monitor = self.monitor
         state = session.state
         ctx = session.handle_ctx
-        recs = self._recs.setdefault(session.session_id, {})
+        recs = session.pipe_records
         nodes = ctx.nodes
         if state.weights is None:
             total_e = sum(max(n.est_rows, 0.0) for n in nodes) or 1.0
@@ -226,9 +216,7 @@ class VectorizedFlush:
                     continue
                 if D[R, terminals[pid]]:
                     pipes.append(PipeSnapshot(pid, weight, "done"))
-                    rec = recs.pop(pid, None)
-                    if rec is not None:
-                        self._to_release.append(rec)
+                    recs.pop(pid, None)
                     continue
                 rec = recs.get(pid)
                 if rec is None:
@@ -243,9 +231,7 @@ class VectorizedFlush:
                         pid=pid, query_name="(online)", db_name=ctx.db_name,
                         t_start=float(ctx.pipe_first[pid]),
                         **pipeline_static(nodes, pipe))
-                    rec = _SlotRec(self.pool.pack(meta), meta, first,
-                                   ctx.log)
-                    recs[pid] = rec
+                    rec = recs[pid] = _PipeRec(meta, first, ctx.log)
                 kind, opens = monitor._selection_needs(
                     pid, state,
                     lambda: rec.meta.driver_fraction(K[R], D[R]))
@@ -257,12 +243,15 @@ class VectorizedFlush:
             per.append((ReportDraft(time=float(times[R]), pipes=pipes),
                         items))
         session.pending_reports.clear()
+        if session.done:
+            # its last rows are planned: no flush reads its records again
+            recs.clear()
         return per
 
     # -- phase 3: gather ------------------------------------------------------
 
-    def _gather(self, by_rec: dict[_SlotRec, list[_Item]]) -> FlushBatch:
-        """Lay out every slot's rows: its report rows, then the window
+    def _gather(self, by_rec: dict[_PipeRec, list[_Item]]) -> FlushBatch:
+        """Lay out every pipeline's rows: its report rows, then the window
         start of each report row served by LUO."""
         luo = self._luo
         plans = []
@@ -279,10 +268,9 @@ class VectorizedFlush:
                 rows = np.concatenate([rows, starts])
             for i, it in enumerate(items):
                 it.flat = total + i
-            plans.append((rec, log, rows, timed))
+            plans.append((rec.meta, log, rows, timed))
             total += len(rows)
-        w = self.pool.width
-        slots = np.empty(total, dtype=np.int64)
+        w = max(meta.n_nodes for meta, *_ in plans)
         times = np.empty(total)
         K = np.zeros((total, w))
         W = np.zeros((total, w))
@@ -292,16 +280,14 @@ class VectorizedFlush:
         CK = np.zeros((total, w))
         CD = np.zeros((total, w), dtype=bool)
         window_row = np.arange(total)
-        slot_rows: dict[int, tuple[int, int]] = {}
+        ranges = []
         lo = 0
-        for rec, log, r, timed in plans:
+        for meta, log, r, timed in plans:
             hi = lo + len(r)
-            slots[lo:hi] = rec.slot
-            slot_rows[rec.slot] = (lo, hi)
+            ranges.append((lo, hi))
             if timed:
                 window_row[lo + np.array(timed)] = np.arange(
                     hi - len(timed), hi)
-            meta = rec.meta
             m = meta.n_nodes
             sel = np.ix_(r, meta.node_ids)
             times[lo:hi] = log["times"][r]
@@ -315,5 +301,5 @@ class VectorizedFlush:
                 CK[lo:hi, meta.mat_idx] = log["K"][csel]
                 CD[lo:hi, meta.mat_idx] = log["D"][csel]
             lo = hi
-        return FlushBatch(self.pool, slots, times, K, W, LB, UB, D, CK, CD,
-                          slot_rows, window_row)
+        return FlushBatch([meta for meta, *_ in plans], ranges, times, K, W,
+                          LB, UB, D, CK, CD, window_row)

@@ -39,11 +39,4 @@ class RoundRobinScheduler:
 
     def run_slice(self, session: QuerySession) -> int:
         """Step one session for up to ``slice_steps``; returns steps used."""
-        if session.can_bulk:
-            return session.step_bulk(self.slice_steps)
-        used = 0
-        while used < self.slice_steps:
-            used += 1
-            if not session.step():
-                break
-        return used
+        return session.run_slice(self.slice_steps)

@@ -16,9 +16,8 @@ one session.
 A tick is one scheduler round:
 
 1. admission — pending sessions are started while live slots are free;
-2. execution — every live session runs for ``slice_steps`` engine steps;
-   observation callbacks fire inside the steps and queue the due report
-   rows on their session;
+2. execution — every live session runs for ``slice_steps`` engine steps,
+   then queues the log rows its slice made due a report;
 3. flush — the due rows' causal drafts are rebuilt, pending estimator
    selections of this round's sessions are deduplicated (first
    observation wins) and scored in one batch per selector kind, the
@@ -205,14 +204,9 @@ class ProgressService:
         if round_sessions:
             self.stats.ticks += 1
         self._flush(round_sessions)
-        # slots are freed only after the retiring sessions' final reports
-        # have flushed through them
-        for session in round_sessions:
-            if session.done:
-                self._vector.release_session(session)
         if self.on_complete is not None:
-            # fires after the flush (and kernel slot release): the session's
-            # final reports are already emitted, so the hook may drain it
+            # fires after the flush: the session's final reports are
+            # already emitted, so the hook may drain it
             for session in round_sessions:
                 if session.done:
                     self.on_complete(session)
@@ -265,11 +259,14 @@ class ProgressService:
 
         Only this round's sessions can hold unflushed rows (every flush
         drains completely), so the scan is bounded by the round — not by
-        the total ever submitted.  Sessions are flushed in submission
-        order, undoing the scheduler's rotation, so report emission order
-        does not depend on the rotation.
+        the total ever submitted.  Sessions that finished this round are
+        flushed even with no rows due, so the flush drops their pipeline
+        records.  Sessions are flushed in submission order, undoing the
+        scheduler's rotation, so report emission order does not depend on
+        the rotation.
         """
-        drafted = sorted((s for s in round_sessions if s.pending_reports),
+        drafted = sorted((s for s in round_sessions
+                          if s.pending_reports or s.done),
                          key=lambda s: s.session_id)
         if drafted:
             self._vector.flush(drafted, self.scorer, self.stats,

@@ -3,19 +3,20 @@
 A :class:`QuerySession` bundles everything the service tracks per query:
 the resumable :class:`~repro.engine.executor.ExecutionHandle`, the
 per-query :class:`~repro.core.monitor.MonitorState` (sticky estimator
-choices + tick counter), the observation rows due a report, and the
-finalized :class:`~repro.core.monitor.ProgressReport` stream.
+choices), the observation rows due a report, the flush's records of its
+running pipelines and the finalized
+:class:`~repro.core.monitor.ProgressReport` stream.
 
 Sessions are passive: the :class:`~repro.service.service.ProgressService`
-steps their handles and its flush turns their due rows into reports.
-The observation callback only records which log row is due
-(``pending_reports``), the same way for live executions and replayed
-recordings; the flush rebuilds each report draft from the log as of that
-row and the context's write-once ``pipe_first_row`` vector (a pipeline
-has started at row ``R`` iff ``pipe_first_row[pid] <= R``).  Handles
-that can skip ahead (replay) additionally support *bulk* stepping: a
-whole time slice advances in one seek, with the due report rows derived
-arithmetically, skipping per-observation callbacks entirely.
+steps their handles and its flush turns their due rows into reports.  No
+observation callback is bound: every observation appends exactly one
+log row, for live executions and replayed recordings alike, so after
+each slice the session reads the due rows off the log's length — row
+``r`` is due when ``(r + 1) % refresh_every == 0``, the cadence of solo
+monitoring.  The flush rebuilds each report draft from the log as of
+that row and the context's write-once ``pipe_first_row`` vector (a
+pipeline has started at row ``R`` iff ``pipe_first_row[pid] <= R``).
+Handles that can skip ahead (replay) advance a whole slice in one seek.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ class QuerySession:
 
     ``executor`` is either a live :class:`QueryExecutor` or a
     :class:`~repro.trace.replay.ReplayExecutor` over a recorded run — the
-    session only relies on the shared ``begin()`` / ``on_observation``
-    surface, so live and replayed queries are scheduled identically.
+    session only relies on the shared ``begin()`` surface and the
+    context's observation log, so live and replayed queries are
+    scheduled identically.
     """
 
     def __init__(self, session_id: int, executor: "QueryExecutor | object",
@@ -51,12 +53,18 @@ class QuerySession:
         self.reports: list[ProgressReport] = []
         #: observation-log row index per due report
         self.pending_reports: list[int] = []
+        #: pid -> the flush's record of a running pipeline (kernel
+        #: metadata, first causal row, log), from its first running report
+        #: row until its done report or the session's last flush
+        self.pipe_records: dict[int, object] = {}
         self.steps = 0
         self.released = False
         self._monitor = monitor
         self._executor = executor
         self._plan = plan
         self._handle: ExecutionHandle | None = None
+        #: log rows already scanned for due reports
+        self._scanned = 0
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -64,51 +72,31 @@ class QuerySession:
         """Create the execution handle (runs the t=0 observation)."""
         assert self.status is SessionStatus.PENDING
         self.status = SessionStatus.RUNNING
-        # Binding on_observation per-session: the executor instance is owned
-        # by this session, so the callback can close over its state.
-        self._executor.on_observation = self._observe
         self._handle = self._executor.begin(self._plan, self.query_name)
 
-    def step(self) -> bool:
-        """Advance by one unit of work; returns False when the query ends."""
-        assert self._handle is not None
-        self.steps += 1
-        more = self._handle.step()
-        if not more:
-            self.status = SessionStatus.DONE
-        return more
+    def run_slice(self, k: int) -> int:
+        """Advance up to ``k`` steps, then queue the rows due a report;
+        returns the steps used.
 
-    @property
-    def can_bulk(self) -> bool:
-        """True when a slice can advance without per-observation callbacks
-        (the handle can ``skip``, as a replay handle can)."""
-        return hasattr(self._handle, "skip")
-
-    def step_bulk(self, k: int) -> int:
-        """Advance up to ``k`` replay steps in one seek; steps used.
-
-        Mirrors ``k`` iterations of :meth:`step`:
-        the tick counter advances per skipped observation and the due
-        report rows (every ``refresh_every``-th tick) are derived from
-        the tick arithmetic instead of callbacks.  Relies on the replay
-        invariant ``ticks == len(log)`` (every observation, including the
-        t=0 emit, bumps the counter exactly once).
+        A replay handle skips ahead in one seek; a step past its last
+        observation (or the live engine's last unit of work) ends the
+        query.
         """
-        assert self._handle is not None
-        index = len(self._handle.ctx.log) - 1
-        take = self._handle.skip(k)
-        if take:
-            self.steps += take
-            ticks = self.state.ticks
-            self.state.ticks = ticks + take
-            refresh = self._monitor.refresh_every
-            first = (ticks // refresh + 1) * refresh
-            for t in range(first, ticks + take + 1, refresh):
-                self.pending_reports.append(index + (t - ticks))
-        used = take
-        if take < k:
-            self.step()  # the terminal transition past the last observation
+        handle = self._handle
+        assert handle is not None
+        used = handle.skip(k) if hasattr(handle, "skip") else 0
+        while used < k:
             used += 1
+            if not handle.step():
+                self.status = SessionStatus.DONE
+                break
+        self.steps += used
+        # observation r is the (r + 1)-th: due at every refresh_every-th
+        rows = len(handle.ctx.log)
+        every = self._monitor.refresh_every
+        first = (self._scanned + every) // every * every - 1
+        self.pending_reports.extend(range(first, rows, every))
+        self._scanned = rows
         return used
 
     @property
@@ -146,17 +134,3 @@ class QuerySession:
         """The execution/replay context (flush-side accessor)."""
         assert self._handle is not None
         return self._handle.ctx
-
-    # -- observation capture -------------------------------------------------
-
-    def _observe(self, ctx) -> None:
-        """Observation callback: record only *which* row is due a report.
-
-        Mirrors the ``refresh_every`` cadence of solo monitoring; the
-        service's flush builds, scores and finalizes the reports of all
-        sessions at the end of the scheduler round.
-        """
-        self.state.ticks += 1
-        if self.state.ticks % self._monitor.refresh_every:
-            return
-        self.pending_reports.append(len(ctx.log) - 1)

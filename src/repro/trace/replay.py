@@ -1,7 +1,7 @@
 """Replaying recorded runs through the monitoring stack.
 
-A recorded :class:`~repro.engine.run.QueryRun` holds everything the
-observation callback ever saw: counter matrices per snapshot, done flags
+A recorded :class:`~repro.engine.run.QueryRun` holds everything an
+observation ever saw: counter matrices per snapshot, done flags
 (``D``), pipeline windows and plan metadata.  :class:`ReplayContext`
 presents the same surface as :class:`~repro.engine.executor.ExecContext`
 to the service's flush (:class:`~repro.service.batched.VectorizedFlush`)
@@ -23,13 +23,12 @@ touching the engine.
 :class:`~repro.service.session.QuerySession` (and therefore the whole
 :class:`~repro.service.service.ProgressService`) can be driven by
 recordings: each :meth:`ReplayHandle.step` advances one recorded
-observation and fires the ``on_observation`` callback, exactly as the live
-engine fires it from inside ``charge``.
+observation, growing the log by one row exactly as a live engine step
+that observes does, and :meth:`ReplayHandle.skip` advances many in one
+seek.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -102,18 +101,11 @@ class ReplayHandle:
     recording: each step replays one observation instead of one unit of
     engine work."""
 
-    def __init__(self, run: QueryRun,
-                 on_observation: Callable[[ReplayContext], None] | None = None,
-                 query_name: str | None = None):
+    def __init__(self, run: QueryRun, query_name: str | None = None):
         self.query_name = query_name or run.query_name
+        # positioned at the t=0 snapshot, as ExecutionHandle.__init__ is
         self.ctx = ReplayContext(run, query_name=self.query_name)
-        self._on_observation = on_observation
         self._run: QueryRun | None = None
-        self._emit()  # the t=0 snapshot, as ExecutionHandle.__init__ does
-
-    def _emit(self) -> None:
-        if self._on_observation is not None:
-            self._on_observation(self.ctx)
 
     @property
     def done(self) -> bool:
@@ -133,19 +125,17 @@ class ReplayHandle:
         nxt = self.ctx.observation_index + 1
         if nxt < self.ctx.n_observations:
             self.ctx.seek(nxt)
-            self._emit()
             return True
         self._run = self.ctx.run
         return False
 
     def skip(self, k: int) -> int:
-        """Advance up to ``k`` observations without firing callbacks.
+        """Advance up to ``k`` observations in one seek.
 
-        The service's bulk-stepping primitive: its flush reconstructs
-        report rows from the recording directly, so per-observation
-        emission is pure overhead.  Returns
-        the number of observations actually advanced (the terminal
-        transition past the last observation still requires :meth:`step`).
+        The service's bulk-stepping primitive: its flush reads report
+        rows from the recording directly.  Returns the number of
+        observations actually advanced (the terminal transition past the
+        last observation still requires :meth:`step`).
         """
         if self._run is not None or k <= 0:
             return 0
@@ -170,11 +160,9 @@ class ReplayExecutor:
             raise ValueError("run lacks the done-flag matrix D and cannot "
                              "be replayed")
         self.run = run
-        self.on_observation: Callable[[ReplayContext], None] | None = None
 
     def begin(self, plan=None, query_name: str | None = None) -> ReplayHandle:
-        return ReplayHandle(self.run, self.on_observation,
-                            query_name=query_name)
+        return ReplayHandle(self.run, query_name=query_name)
 
     def execute(self, plan=None, query_name: str | None = None) -> QueryRun:
         return self.begin(plan, query_name).run_to_completion()

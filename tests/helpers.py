@@ -10,6 +10,7 @@ import numpy as np
 
 from repro.engine.run import PipelineRun
 from repro.plan.nodes import Op
+from repro.progress.soa import PipelineMeta
 
 
 def make_pipeline_run(
@@ -120,3 +121,15 @@ def truncate_run(pr: PipelineRun, upto: int) -> PipelineRun:
         node_ids=pr.node_ids,
         materialized_bytes_est=pr.materialized_bytes_est,
     )
+
+
+def meta_of(pr: PipelineRun, **fields) -> PipelineMeta:
+    """:meth:`PipelineMeta.from_pipeline_run` with some constructor
+    fields replaced (the kernel metadata is derived from them)."""
+    meta = PipelineMeta.from_pipeline_run(pr)
+    kwargs = {name: getattr(meta, name) for name in (
+        "pid", "query_name", "db_name", "t_start", "node_ids", "ops", "E0",
+        "widths", "table_rows", "driver_mask", "parent_local",
+        "materialized_bytes_est", "oracle_bytes_total", "mat_idx",
+        "mat_child_ids")}
+    return PipelineMeta(**{**kwargs, **fields})

@@ -150,7 +150,7 @@ class TestIncrementalMonitor:
 
 
 class TestKernelLifecycle:
-    """Kernel slots follow pipeline lifetimes; pools need kernels."""
+    """Pipeline records follow pipeline lifetimes; pools need kernels."""
 
     @pytest.fixture(scope="class")
     def recordings(self, tpch_db, tpch_planner, join_query):
@@ -159,22 +159,24 @@ class TestKernelLifecycle:
                 ).execute(tpch_planner.plan(join_query), f"seed{seed}")
                 for seed in (5, 6, 7)]
 
-    def test_slots_released_after_drain(self, tpch_db, tpch_planner,
-                                        join_query, recordings):
-        service = ProgressService(ProgressMonitor(fallback="luo",
-                                                  refresh_every=1),
-                                  slice_steps=4, max_live=2)
-        for run in recordings:
-            service.submit_replay(run)
-        service.submit(tpch_db, tpch_planner.plan(join_query), "live",
-                       ExecutorConfig(batch_size=256, target_observations=40,
-                                      seed=8))
-        service.run_until_complete(max_ticks=100_000)
-        flush = service._vector
-        assert flush.pool.n_live == 0
-        assert all(meta is None for meta in flush.pool.metas)
-        # every session's slot records went with its slots
-        assert flush._recs == {} and flush._to_release == []
+    def test_no_records_after_drain(self, tpch_db, tpch_planner,
+                                    join_query, recordings):
+        # refresh_every=7: a session may end on a row no report is due at
+        for refresh_every in (1, 7):
+            service = ProgressService(
+                ProgressMonitor(fallback="luo", refresh_every=refresh_every),
+                slice_steps=4, max_live=2)
+            for run in recordings:
+                service.submit_replay(run)
+            service.submit(tpch_db, tpch_planner.plan(join_query), "live",
+                           ExecutorConfig(batch_size=256,
+                                          target_observations=40, seed=8))
+            service.run_until_complete(max_ticks=100_000)
+            assert all(s.done for s in service.sessions)
+            assert all(s.pipe_records == {} for s in service.sessions)
+            # the flush keeps nothing of its own across rounds
+            assert set(vars(service._vector)) == {"monitor", "states",
+                                                  "_luo"}
 
     @pytest.mark.parametrize("fallback", ["luo", "dne"])
     def test_batch_holds_report_rows_and_luo_window_starts(
@@ -194,7 +196,7 @@ class TestKernelLifecycle:
                 rec, flat = it.rec, it.flat
                 log = rec.log.as_arrays()
                 m = rec.meta.n_nodes
-                assert batch.slots[flat] == rec.slot
+                assert batch.metas[batch.owner[flat]] is rec.meta
                 assert np.array_equal(batch.K[flat, :m],
                                       log["K"][it.row, rec.meta.node_ids])
                 start = batch.window_row[flat]
@@ -206,7 +208,8 @@ class TestKernelLifecycle:
                 while (want < it.row
                        and elapsed[it.row] - elapsed[want] > window):
                     want += 1
-                assert start != flat and batch.slots[start] == rec.slot
+                assert start != flat
+                assert batch.metas[batch.owner[start]] is rec.meta
                 assert batch.times[start] == log["times"][want]
                 assert np.array_equal(batch.K[start, :m],
                                       log["K"][want, rec.meta.node_ids])
@@ -223,30 +226,30 @@ class TestKernelLifecycle:
         assert gathered
         assert (sum(gathered) > 0) == (fallback == "luo")
 
-    def test_live_slots_bounded_by_running_pipelines(self, recordings):
+    def test_records_only_for_running_pipelines(self, recordings):
         service = ProgressService(ProgressMonitor(refresh_every=1),
                                   slice_steps=3)
         for run in recordings:
             service.submit_replay(run)
         peak = 0
         while service.tick():
-            # refresh_every=1: every replayed row was reported, so a slot
+            # refresh_every=1: every replayed row was reported, so a record
             # exists only for a pipeline running at its session's last row
-            running = 0
+            held = 0
             for session in service.sessions:
                 if session.status is not SessionStatus.RUNNING:
+                    assert session.pipe_records == {}
                     continue
                 ctx = session.handle_ctx
                 R = len(ctx.log) - 1
                 done = ctx.log.as_arrays()["D"][R]
-                for pipe in ctx.pipelines:
-                    if (ctx.pipe_first_row[pipe.pid] <= R
-                            and not done[pipe.node_ids[0]]):
-                        running += 1
-            live = service._vector.pool.n_live
-            assert live <= running
-            peak = max(peak, live)
-        assert peak >= 2, "the drain never held concurrent slots"
+                running = {pipe.pid for pipe in ctx.pipelines
+                           if ctx.pipe_first_row[pipe.pid] <= R
+                           and not done[pipe.node_ids[0]]}
+                assert set(session.pipe_records) <= running
+                held += len(session.pipe_records)
+            peak = max(peak, held)
+        assert peak >= 2, "the drain never held concurrent records"
 
     def test_pool_without_kernel_rejected(self):
         class Tweaked(DNEEstimator):

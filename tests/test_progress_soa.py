@@ -2,12 +2,12 @@
 
 :mod:`repro.progress.soa` lays the online estimator state of many
 pipelines out as structure-of-arrays batches; the contract is that
-``advance`` over a multi-slot :class:`FlushBatch` reproduces each
+``advance`` over a multi-pipeline :class:`FlushBatch` reproduces each
 pipeline's ``estimator.estimate(pr)`` trajectory *bit-for-bit* —
-including zero-padded mixed-width flushes, rows long enough to hit
-numpy's pairwise-sum unrolling, LUO's speed window read from the row it
-opens at (a batch need not hold the rows between) and the pool's slot
-recycling.  The end-to-end report-stream parity of
+including zero-padded mixed-width flushes (whatever width a flush pads
+to), rows long enough to hit numpy's pairwise-sum unrolling and LUO's
+speed window read from the row it opens at (a batch need not hold the
+rows between).  The end-to-end report-stream parity of
 the service built on these kernels is gated separately by
 tests/test_service.py and the fuzz oracle's ``kernel`` and ``service``
 layers; this module pins the kernels in isolation.
@@ -33,14 +33,13 @@ from repro.progress.soa import (
     BatchedLuoState,
     FlushBatch,
     PipelineMeta,
-    SoAPool,
     batched_states,
     window_starts,
 )
 from repro.progress.tgn import TGNEstimator
 from repro.progress.tgnint import TGNIntEstimator
 
-from helpers import linear_two_node_run, make_pipeline_run
+from helpers import linear_two_node_run, make_pipeline_run, meta_of
 from strategies import random_pipeline
 
 NATIVE_ESTIMATORS = [
@@ -51,12 +50,12 @@ NATIVE_ESTIMATORS = [
 ]
 
 
-def batch_from_runs(pool, prs, metas=None, true_n=True,
+def batch_from_runs(prs, metas=None, true_n=True,
                     speed_window=DEFAULT_SPEED_WINDOW):
-    """Pack completed pipeline runs and lay their ticks out as one flush.
+    """Lay completed pipeline runs' ticks out as one flush.
 
-    Mirrors the service's ``_gather``: rows grouped per slot in tick
-    order, zero-padded to the pool width, per-node done flags raised
+    Mirrors the service's ``_gather``: rows grouped per pipeline in tick
+    order, zero-padded to the widest pipeline, per-node done flags raised
     where the counter has reached the (known) final value, each row's
     LUO window start over ``speed_window``.  ``true_n``
     fixes every row's ``N`` at the run's true totals, the view
@@ -64,17 +63,16 @@ def batch_from_runs(pool, prs, metas=None, true_n=True,
     live rule from the done flags.
     """
     metas = metas or [PipelineMeta.from_pipeline_run(pr) for pr in prs]
-    slots = [pool.pack(meta) for meta in metas]
     total = sum(pr.n_observations for pr in prs)
-    w = pool.width
+    w = max(meta.n_nodes for meta in metas)
     times = np.zeros(total)
     arrays = {n: np.zeros((total, w)) for n in ("K", "W", "LB", "UB")}
     D = np.zeros((total, w), dtype=bool)
     CK = np.zeros((total, w))
     CD = np.zeros((total, w), dtype=bool)
     window_row = np.zeros(total, dtype=np.int64)
-    slot_rows, lo = {}, 0
-    for pr, slot in zip(prs, slots):
+    ranges, lo = [], 0
+    for pr in prs:
         T, m = pr.K.shape
         hi = lo + T
         times[lo:hi] = pr.times
@@ -83,29 +81,27 @@ def batch_from_runs(pool, prs, metas=None, true_n=True,
         for name in arrays:
             arrays[name][lo:hi, :m] = getattr(pr, name)
         D[lo:hi, :m] = pr.K >= pr.N[None, :]
-        slot_rows[slot] = (lo, hi)
+        ranges.append((lo, hi))
         lo = hi
-    batch = FlushBatch(pool, np.repeat(slots, [pr.n_observations
-                                               for pr in prs]),
-                       times, arrays["K"], arrays["W"], arrays["LB"],
-                       arrays["UB"], D, CK, CD, slot_rows, window_row)
+    batch = FlushBatch(metas, ranges, times, arrays["K"], arrays["W"],
+                       arrays["LB"], arrays["UB"], D, CK, CD, window_row)
     if true_n:
         N = np.zeros((total, w))
-        for pr, slot in zip(prs, slots):
-            lo, hi = slot_rows[slot]
+        for pr, (lo, hi) in zip(prs, ranges):
             N[lo:hi, :pr.n_nodes] = pr.N
         batch._cache["N"] = N
-    return batch, slots, metas
+    return batch
+
+
+def advance(est, batch):
+    return batched_states({est.name: est})[est.name].advance(batch)
 
 
 def assert_kernels_match(prs, estimators=None):
-    pool = SoAPool()
-    batch, slots, _ = batch_from_runs(pool, prs)
+    batch = batch_from_runs(prs)
     for est in estimators or NATIVE_ESTIMATORS:
-        vector = batched_states({est.name: est}, pool)[est.name].advance(
-            batch)
-        for pr, slot in zip(prs, slots):
-            lo, hi = batch.slot_rows[slot]
+        vector = advance(est, batch)
+        for pr, (lo, hi) in zip(prs, batch.ranges):
             want = est.estimate(pr)
             assert np.array_equal(vector[lo:hi], want), (
                 f"{est.name}: max |delta| = "
@@ -142,9 +138,9 @@ def test_kernels_match_scalar_past_pairwise_unroll():
                            drivers=[m - 1, m - 2],
                            table_rows=np.r_[np.full(m - 1, np.nan),
                                             K[-1, -1]])
-    pool = SoAPool()
-    batch, (slot,), _ = batch_from_runs(pool, [pr])
-    assert slot in pool.big["valid"], "fixture must exercise the fixup"
+    batch = batch_from_runs([pr])
+    assert "valid" in batch.metas[0].big, "fixture must exercise the fixup"
+    assert batch.fixes("valid")
     assert_kernels_match([pr])
 
 
@@ -164,13 +160,10 @@ def test_batch_n_applies_mat_child_override():
     """A blocked source whose out-of-pipeline build finished reports the
     build child's counter as its total (the live ``n_partial`` rule)."""
     pr = linear_two_node_run(n_obs=5)
-    meta = PipelineMeta.from_pipeline_run(pr)
-    meta.mat_idx = np.array([1], dtype=np.int64)
-    meta.mat_child_ids = np.array([9], dtype=np.int64)
-    pool = SoAPool()
-    batch, (slot,), _ = batch_from_runs(pool, [pr], metas=[meta],
-                                        true_n=False)
-    lo, hi = batch.slot_rows[slot]
+    meta = meta_of(pr, mat_idx=np.array([1], dtype=np.int64),
+                   mat_child_ids=np.array([9], dtype=np.int64))
+    batch = batch_from_runs([pr], metas=[meta], true_n=False)
+    (lo, hi), = batch.ranges
     batch.D[:, :] = False
     batch.CD[lo + 2:hi, 1] = True
     batch.CK[lo + 2:hi, 1] = 37.0
@@ -192,77 +185,68 @@ def _reference_window_starts(pr, window):
 
 
 def test_luo_window_rows_match_batch_estimate():
-    """Over a multi-slot flush whose windows span many rows, each row's
+    """Over a multi-pipeline flush whose windows span many rows, each row's
     window start is the batch loop's pointer and LUO equals
     ``estimate``."""
     window = 5.0
     est = LuoEstimator(speed_window=window)
     prs = [linear_two_node_run(n_obs=51),      # 2s spacing: 2-row windows
            linear_two_node_run(n_obs=26, total=60.0)]
-    pool = SoAPool()
-    batch, slots, _ = batch_from_runs(pool, prs, speed_window=window)
-    vector = BatchedLuoState(est, pool).advance(batch)
-    for pr, slot in zip(prs, slots):
-        lo, hi = batch.slot_rows[slot]
+    batch = batch_from_runs(prs, speed_window=window)
+    vector = BatchedLuoState(est).advance(batch)
+    for pr, (lo, hi) in zip(prs, batch.ranges):
         assert np.array_equal(batch.window_row[lo:hi] - lo,
                               _reference_window_starts(pr, window))
         assert np.array_equal(vector[lo:hi], est.estimate(pr))
 
 
 def test_luo_reads_only_its_row_and_window_row():
-    """A slot holding only some of its rows, each with its window start,
-    gets ``estimate`` at those rows next to a slot holding all of its
-    rows: no kernel needs the rows in between."""
+    """A pipeline holding only some of its rows, each with its window
+    start, gets ``estimate`` at those rows next to a pipeline holding all
+    of its rows: no kernel needs the rows in between."""
     window = 5.0
     est = LuoEstimator(speed_window=window)
     full, sparse = linear_two_node_run(n_obs=31), linear_two_node_run(n_obs=41)
-    pool = SoAPool()
-    batch, slots, _ = batch_from_runs(pool, [full, sparse],
-                                      speed_window=window)
+    batch = batch_from_runs([full, sparse], speed_window=window)
     picked = np.array([3, 17, 40])
     starts = window_starts(sparse.times, sparse.t_start, 0, picked, window)
     assert (starts < picked).all() and (starts > 0).all()
-    lo, _ = batch.slot_rows[slots[1]]
-    keep = np.r_[np.arange(*batch.slot_rows[slots[0]]), lo + picked,
-                 lo + starts]
+    lo, _ = batch.ranges[1]
+    keep = np.r_[np.arange(*batch.ranges[0]), lo + picked, lo + starts]
     n_full = full.n_observations
     window_row = np.r_[batch.window_row[:n_full],
                        n_full + len(picked) + np.arange(len(picked)),
                        n_full + len(picked) + np.arange(len(picked))]
-    sub = FlushBatch(pool, batch.slots[keep], batch.times[keep],
-                     batch.K[keep], batch.W[keep], batch.LB[keep],
-                     batch.UB[keep], batch.D[keep], batch.CK[keep],
-                     batch.CD[keep],
-                     {slots[0]: (0, n_full),
-                      slots[1]: (n_full, len(keep))}, window_row)
+    sub = FlushBatch(batch.metas, [(0, n_full), (n_full, len(keep))],
+                     batch.times[keep], batch.K[keep], batch.W[keep],
+                     batch.LB[keep], batch.UB[keep], batch.D[keep],
+                     batch.CK[keep], batch.CD[keep], window_row)
     sub._cache["N"] = batch.N[keep]
-    vector = BatchedLuoState(est, pool).advance(sub)
+    vector = BatchedLuoState(est).advance(sub)
     assert np.array_equal(vector[:n_full], est.estimate(full))
     assert np.array_equal(vector[n_full:n_full + len(picked)],
                           est.estimate(sparse)[picked])
 
 
-def test_pool_pack_release_grow_and_widen():
-    pool = SoAPool(capacity=2, width=2)
-    pr = linear_two_node_run(n_obs=5)
-    meta = PipelineMeta.from_pipeline_run(pr)
-    a, b = pool.pack(meta), pool.pack(meta)
-    assert pool.n_live == 2
-    c = pool.pack(meta)  # forces capacity doubling
-    assert pool.capacity == 4 and pool.n_live == 3
-    pool.release(b)
-    assert pool.n_live == 2 and pool.metas[b] is None
-    assert pool.pack(meta) == b  # freed slots are recycled
-    m = 5
-    wide = make_pipeline_run([Op.FILTER] * (m - 1) + [Op.TABLE_SCAN],
-                             np.cumsum(np.ones((4, m)), axis=0),
-                             table_rows=np.r_[np.full(m - 1, np.nan), 4.0])
-    d = pool.pack(PipelineMeta.from_pipeline_run(wide))
-    assert pool.width >= m
-    assert np.array_equal(pool.E0[a, :2], meta.E0)  # survivors intact
-    assert not pool.sel["valid"][a, 2:].any()       # padding stays off
-    assert pool.sel["valid"][d, :m].all()
-    assert a != b != c != d
+def test_width_is_set_per_flush():
+    """A pipeline's kernel values are bit-identical whether it is flushed
+    alone, at its own width, or beside a pipeline wide enough (past the
+    unroll) to pad it: zero-padding to any width is exact."""
+    narrow = linear_two_node_run(n_obs=9)
+    m = _PAIRWISE_UNROLL + 2
+    K = np.cumsum(np.linspace(0.5, 3.0, m)[None, :] * np.ones((11, 1)),
+                  axis=0)
+    wide = make_pipeline_run([Op.FILTER] * (m - 1) + [Op.TABLE_SCAN], K,
+                             table_rows=np.r_[np.full(m - 1, np.nan),
+                                              K[-1, -1]])
+    alone = batch_from_runs([narrow])
+    beside = batch_from_runs([wide, narrow])
+    assert alone.width == narrow.n_nodes and beside.width == m
+    assert beside.fixes("valid"), "the wide pipeline must hit the fixup"
+    lo, hi = beside.ranges[1]
+    for est in NATIVE_ESTIMATORS:
+        assert np.array_equal(advance(est, beside)[lo:hi],
+                              advance(est, alone)), est.name
 
 
 # -- per-row helper mirrors (properties + edge cases) ------------------------
@@ -291,9 +275,8 @@ def test_tick_helpers_match_batch_mirrors(pr):
     ``driver_value`` mirrors :meth:`PipelineRun.driver_fraction` — as
     does :meth:`PipelineMeta.driver_fraction` on one live log row."""
     meta = PipelineMeta.from_pipeline_run(pr)
-    pool = SoAPool()
-    batch, (slot,), _ = batch_from_runs(pool, [pr], metas=[meta])
-    lo, hi = batch.slot_rows[slot]
+    batch = batch_from_runs([pr], metas=[meta])
+    (lo, hi), = batch.ranges
     m = meta.n_nodes
     c, d = driver_consumed(pr)
     cw, dw = driver_consumed(pr, extra_mask=pr.node_mask(Op.BATCH_SORT))
@@ -305,26 +288,24 @@ def test_tick_helpers_match_batch_mirrors(pr):
     assert (batch.sums("bdrv", "totals")[lo:hi] == dw).all()
     assert np.array_equal(batch.driver_value("driver")[lo:hi],
                           pr.driver_fraction())
-    live, _, _ = batch_from_runs(SoAPool(), [pr], metas=[meta],
-                                 true_n=False)
+    live = batch_from_runs([pr], metas=[meta], true_n=False)
     fraction = live.driver_value("driver")
     for t in range(pr.n_observations):
         assert meta.driver_fraction(*log_row(pr, t)) == fraction[t]
 
 
 def test_empty_pipeline_batches_to_zero_rows():
-    """A never-observed pipeline packs fine, records the 0.0 oracle-bytes
-    no-observation path, and every kernel advances an empty flush."""
+    """A never-observed pipeline batches fine, records the 0.0
+    oracle-bytes no-observation path, and every kernel advances an empty
+    flush."""
     pr = _empty_run()
     meta = PipelineMeta.from_pipeline_run(pr)
     assert meta.oracle_bytes_total == 0.0
-    pool = SoAPool()
-    batch, (slot,), _ = batch_from_runs(pool, [pr], metas=[meta])
+    batch = batch_from_runs([pr], metas=[meta])
     assert len(batch) == 0
-    assert batch.slot_rows[slot] == (0, 0)
+    assert batch.ranges == [(0, 0)]
     for est in NATIVE_ESTIMATORS:
-        out = batched_states({est.name: est}, pool)[est.name].advance(batch)
-        assert out.shape == (0,)
+        assert advance(est, batch).shape == (0,)
 
 
 def test_zero_denominator_pipeline_parity():
@@ -336,8 +317,7 @@ def test_zero_denominator_pipeline_parity():
                            LB=np.zeros((6, 2)), UB=np.zeros((6, 2)),
                            table_rows=np.array([np.nan, 0.0]))
     meta = PipelineMeta.from_pipeline_run(pr)
-    pool = SoAPool()
-    batch, (slot,), _ = batch_from_runs(pool, [pr], metas=[meta])
+    batch = batch_from_runs([pr], metas=[meta])
     assert not batch.driver_value("driver").any()
     for t in range(pr.n_observations):
         assert meta.driver_fraction(*log_row(pr, t)) == 0.0
@@ -352,8 +332,7 @@ def test_all_materialized_source_pipeline_parity():
     pr = make_pipeline_run([Op.HASH_AGG, Op.SORT], K, drivers=[1])
     meta = PipelineMeta.from_pipeline_run(pr)
     assert len(meta.materialized_idx) == meta.n_nodes
-    pool = SoAPool()
-    batch, (slot,), _ = batch_from_runs(pool, [pr], metas=[meta])
+    batch = batch_from_runs([pr], metas=[meta])
     assert np.array_equal(batch.totals[:, :2], batch.N[:, :2])
     assert_kernels_match([pr])
 
@@ -363,24 +342,17 @@ def test_bytes_oracle_zero_total_matches_scalar():
     the kernel must not fall back to the causal bytes-done total, but
     apply the batch formula with a 0.0 denominator."""
     pr = linear_two_node_run(n_obs=7)
-    meta = PipelineMeta.from_pipeline_run(pr)
-    meta.oracle_bytes_total = 0.0
-    est = BytesProcessedOracle()
-    pool = SoAPool()
-    batch, (slot,), _ = batch_from_runs(pool, [pr], metas=[meta])
-    st = batched_states({est.name: est}, pool)[est.name]
-    vector = st.advance(batch)
-    lo, hi = batch.slot_rows[slot]
+    meta = meta_of(pr, oracle_bytes_total=0.0)
+    batch = batch_from_runs([pr], metas=[meta])
     want = clip_progress(safe_divide(bytes_done(pr), 1e-12))
-    assert np.array_equal(vector[lo:hi], want)
+    assert np.array_equal(advance(BytesProcessedOracle(), batch), want)
 
 
 def test_batched_states_requires_native_kernels():
     class Tweaked(DNEEstimator):
         name = "tweaked"
 
-    pool = SoAPool()
-    assert set(batched_states({"dne": DNEEstimator()}, pool)) == {"dne"}
+    assert set(batched_states({"dne": DNEEstimator()})) == {"dne"}
     # a subclass may override behaviour the kernels cannot mirror
     with pytest.raises(ValueError, match="Tweaked"):
-        batched_states({"dne": DNEEstimator(), "tweaked": Tweaked()}, pool)
+        batched_states({"dne": DNEEstimator(), "tweaked": Tweaked()})

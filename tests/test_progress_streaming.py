@@ -27,7 +27,7 @@ from repro.progress.soa import (
     window_starts,
 )
 
-from helpers import linear_two_node_run, truncate_run
+from helpers import linear_two_node_run, meta_of, truncate_run
 from strategies import random_pipeline
 
 REGISTRY_ESTIMATORS = all_estimators(include_worst_case=True,
@@ -122,9 +122,8 @@ def test_bytes_oracle_without_recorded_total_is_causal():
     pr = linear_two_node_run()
     est = BytesProcessedOracle()
     batch = FlushBatch.of_pipeline_run(pr)
-    batch.pool.has_oracle[:] = False
-    values = batched_states({est.name: est}, batch.pool)[est.name].advance(
-        batch)
+    batch.metas = [meta_of(pr, oracle_bytes_total=None)]
+    values = batched_states({est.name: est})[est.name].advance(batch)
     for t, value in enumerate(values):
         assert value == est.estimate(truncate_run(pr, t))[-1]
         assert value == (1.0 if t > 0 else 0.0)
@@ -177,31 +176,30 @@ def test_luo_kernel_on_row_subsets_matches_estimate(case, data):
     keep = np.r_[picked, starts]
     k = len(picked)
     batch = FlushBatch(
-        full.pool, full.slots[keep], full.times[keep], full.K[keep],
+        full.metas, [(0, 2 * k)], full.times[keep], full.K[keep],
         full.W[keep], full.LB[keep], full.UB[keep], full.D[keep],
-        full.CK[keep], full.CD[keep], {0: (0, 2 * k)},
+        full.CK[keep], full.CD[keep],
         np.r_[np.arange(k, 2 * k), np.arange(k, 2 * k)])
     batch._cache["N"] = full.N[keep]
-    values = BatchedLuoState(est, full.pool).advance(batch)[:k]
+    values = BatchedLuoState(est).advance(batch)[:k]
     assert np.array_equal(values, est.estimate(pr)[picked])
 
 
 def test_rebuilt_pipeline_run_roundtrips_fields():
-    """The one-slot reference batch mirrors the run it was built from."""
+    """The one-pipeline reference batch mirrors the run it was built
+    from, at the pipeline's own width."""
     pr = linear_two_node_run(n_obs=7)
     batch = FlushBatch.of_pipeline_run(pr)
-    m = pr.n_nodes
+    assert batch.width == pr.n_nodes
     assert np.array_equal(batch.times, pr.times)
     for name in ("K", "W", "LB", "UB"):
-        assert np.array_equal(getattr(batch, name)[:, :m],
-                              getattr(pr, name)), name
-        assert not getattr(batch, name)[:, m:].any(), name
-    assert np.array_equal(batch.N[:, :m], np.broadcast_to(pr.N, pr.K.shape))
-    meta = batch.pool.metas[0]
+        assert np.array_equal(getattr(batch, name), getattr(pr, name)), name
+    assert np.array_equal(batch.N, np.broadcast_to(pr.N, pr.K.shape))
+    meta, = batch.metas
     assert meta.ops == pr.ops and meta.t_start == pr.t_start
-    assert np.array_equal(batch.meta_rows("E0")[:, :m],
+    assert np.array_equal(batch.meta_rows("E0"),
                           np.broadcast_to(pr.E0, pr.K.shape))
-    assert batch.slot_rows == {0: (0, pr.n_observations)}
+    assert batch.ranges == [(0, pr.n_observations)]
     rows = np.arange(pr.n_observations)
     assert np.array_equal(batch.window_row, rows)  # no window: themselves
     windowed = FlushBatch.of_pipeline_run(pr, speed_window=20.0)

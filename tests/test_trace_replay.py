@@ -58,15 +58,19 @@ def live(tpch_db, tpch_planner, join_query, monitor):
 class TestReplayHandle:
     def test_steps_through_all_observations(self, live):
         run, _ = live[SEEDS[0]]
-        seen = []
-        handle = ReplayHandle(
-            run, lambda ctx: seen.append(ctx.log.as_arrays()["times"][-1]))
+        handle = ReplayHandle(run)
+
+        def last_time():
+            return handle.ctx.log.as_arrays()["times"][-1]
+
+        seen = [last_time()]  # the t=0 snapshot is there at __init__
         assert not handle.done
         steps = 0
         while handle.step():
             steps += 1
+            seen.append(last_time())
         assert handle.done
-        assert steps == len(run.times) - 1  # t=0 fires inside __init__
+        assert steps == len(run.times) - 1
         assert seen == list(run.times)
         assert handle.result is run
 
