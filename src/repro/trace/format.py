@@ -94,7 +94,8 @@ def run_to_manifest(run: QueryRun) -> dict[str, Any]:
 
 
 def run_to_members(run: QueryRun, prefix: str = "") -> dict[str, np.ndarray]:
-    """The run's trajectory matrices as prefixed ``.npz`` member arrays."""
+    """The run's trajectory matrices as prefixed member arrays (the
+    ``runs.npz`` members on disk, the raw-buffer members on the wire)."""
     if run.D is None:
         raise ValueError(
             "QueryRun lacks the per-observation done-flag matrix D; "
@@ -172,7 +173,9 @@ def check_trace_version(manifest: dict[str, Any]) -> None:
 
 # -- report rows (the sharded service's wire format) --------------------------
 
-#: Per-batch ``.npz`` member names of the report-row codec.
+#: Per-batch member names of the report-row codec: raw-buffer members of
+#: a ``reports_to_payload`` body (:mod:`repro.runtime.transport`), listed
+#: in its member table next to the ``sids`` member.
 REPORT_MEMBER_KEYS = ("time", "progress", "active_pid", "active_est",
                       "pp_off", "pp_pid", "pp_val", "pe_off", "pe_pid",
                       "pe_est")
@@ -247,23 +250,22 @@ def reports_from_columns(entry: dict[str, Any],
     from repro.core.monitor import ProgressReport
 
     names = list(entry["estimators"])
-    col = {key: members[f"{prefix}{key}"] for key in REPORT_MEMBER_KEYS}
+    col = {key: members[f"{prefix}{key}"].tolist()
+           for key in REPORT_MEMBER_KEYS}
     reports = []
     for i in range(int(entry["count"])):
-        pp_lo, pp_hi = int(col["pp_off"][i]), int(col["pp_off"][i + 1])
-        pe_lo, pe_hi = int(col["pe_off"][i]), int(col["pe_off"][i + 1])
-        est = int(col["active_est"][i])
+        pp_lo, pp_hi = col["pp_off"][i], col["pp_off"][i + 1]
+        pe_lo, pe_hi = col["pe_off"][i], col["pe_off"][i + 1]
+        est = col["active_est"][i]
         reports.append(ProgressReport(
-            time=float(col["time"][i]),
-            progress=float(col["progress"][i]),
-            active_pid=int(col["active_pid"][i]),
+            time=col["time"][i],
+            progress=col["progress"][i],
+            active_pid=col["active_pid"][i],
             active_estimator=None if est < 0 else names[est],
-            pipeline_progress={
-                int(pid): float(value)
-                for pid, value in zip(col["pp_pid"][pp_lo:pp_hi],
-                                      col["pp_val"][pp_lo:pp_hi])},
+            pipeline_progress=dict(zip(col["pp_pid"][pp_lo:pp_hi],
+                                       col["pp_val"][pp_lo:pp_hi])),
             pipeline_estimator={
-                int(pid): names[int(at)]
+                pid: names[at]
                 for pid, at in zip(col["pe_pid"][pe_lo:pe_hi],
                                    col["pe_est"][pe_lo:pe_hi])},
         ))

@@ -9,8 +9,12 @@ codec), and the harness tests lock the end-to-end guarantee:
 exactly — runs, TrainingData matrices and recorded traces alike.
 """
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.monitor import ProgressReport
 from repro.engine.run import QueryRun
@@ -26,7 +30,8 @@ from repro.runtime import (
     runs_to_payload,
 )
 from repro.runtime import pool as pool_mod
-from repro.trace.store import TraceStore
+from repro.trace.store import TraceStore, read_trace
+from test_trace_golden import GOLDEN_DIR
 from test_trace_store import UNIT_SCALE, assert_runs_identical
 
 
@@ -171,6 +176,24 @@ class TestRunTasks:
 # trace-format transport
 # ---------------------------------------------------------------------------
 
+def _split(payload):
+    """A payload's JSON header and its member bytes."""
+    header_len = int.from_bytes(payload[:8], "little")
+    return json.loads(payload[8:8 + header_len]), payload[8 + header_len:]
+
+
+def _join(header, body):
+    head = json.dumps(header).encode()
+    return len(head).to_bytes(8, "little") + head + body
+
+
+def _retable(payload, edit, body_suffix=b""):
+    """``payload`` with ``edit`` applied to its parsed JSON header."""
+    header, body = _split(payload)
+    edit(header)
+    return _join(header, body + body_suffix)
+
+
 class TestTransport:
     def test_round_trip_bit_identical(self, join_run, scan_run):
         payload = runs_to_payload([join_run, scan_run])
@@ -182,6 +205,23 @@ class TestTransport:
         for clone in clones:
             assert isinstance(clone, QueryRun)
 
+    def test_reencoding_a_decoded_payload_is_byte_identical(
+            self, join_run, scan_run):
+        runs, _ = read_trace(GOLDEN_DIR / "outer_semi")
+        payload = runs_to_payload([join_run, scan_run, *runs])
+        assert runs_to_payload(runs_from_payload(payload)) == payload
+
+    def test_decoded_arrays_own_their_memory(self, join_run):
+        clone, = runs_from_payload(runs_to_payload([join_run]))
+        for array in (clone.times, clone.N, clone.D):
+            assert array.flags.owndata and array.flags.writeable
+        # the five counter matrices are rows of the one decoded C block
+        block = clone.K.base
+        assert block.flags.owndata and block.shape[0] == 5
+        for array in (clone.K, clone.R, clone.W, clone.LB, clone.UB):
+            assert array.base is block and array.flags.writeable
+        assert clone.nbytes == join_run.nbytes
+
     def test_empty_payload_round_trips(self):
         assert runs_from_payload(runs_to_payload([])) == []
 
@@ -191,17 +231,32 @@ class TestTransport:
             runs_from_payload(payload[:4])
         with pytest.raises(ValueError, match="missing header"):
             runs_from_payload(payload[:12])
+        with pytest.raises(ValueError, match="past the"):
+            runs_from_payload(payload[:-1])
 
     def test_foreign_format_version_rejected(self, join_run):
-        import json
-        payload = runs_to_payload([join_run])
-        header_len = int.from_bytes(payload[:8], "little")
-        header = json.loads(payload[8:8 + header_len].decode())
-        header["format_version"] = 999
-        tampered = json.dumps(header).encode()
-        payload = (len(tampered).to_bytes(8, "little") + tampered
-                   + payload[8 + header_len:])
+        payload = _retable(runs_to_payload([join_run]),
+                           lambda h: h.update(format_version=999))
         with pytest.raises(ValueError, match="unsupported trace format"):
+            runs_from_payload(payload)
+
+    @pytest.mark.parametrize("version", [None, 0, 2, "1"])
+    def test_foreign_wire_version_rejected(self, join_run, version):
+        def stamp(header):
+            if version is None:
+                del header["wire_format_version"]
+            else:
+                header["wire_format_version"] = version
+        payload = _retable(runs_to_payload([join_run]), stamp)
+        with pytest.raises(ValueError, match="wire format version"):
+            runs_from_payload(payload)
+
+    def test_npz_framed_payload_rejected(self):
+        """The framing before the wire version: a trace-versioned header
+        followed by a zip archive (here an empty one)."""
+        empty_zip = b"PK\x05\x06" + bytes(18)
+        payload = _join({"format_version": 3, "runs": []}, empty_zip)
+        with pytest.raises(ValueError, match="wire format version None"):
             runs_from_payload(payload)
 
 
@@ -239,6 +294,12 @@ class TestReportTransport:
             # dataclass equality covers every field, dicts included; the
             # floats crossed as binary float64, so == means bit-identical
             assert clone == report
+            assert type(c_sid) is int and type(clone.time) is float
+            assert all(type(pid) is int for pid in clone.pipeline_progress)
+
+    def test_reencoding_a_decoded_payload_is_byte_identical(self):
+        payload = reports_to_payload(_sample_reports())
+        assert reports_to_payload(reports_from_payload(payload)) == payload
 
     def test_empty_batch_round_trips(self):
         assert reports_from_payload(reports_to_payload([])) == []
@@ -251,38 +312,193 @@ class TestReportTransport:
             reports_from_payload(payload[:12])
 
     def test_foreign_format_version_rejected(self):
-        import json
-        payload = reports_to_payload(_sample_reports())
-        header_len = int.from_bytes(payload[:8], "little")
-        header = json.loads(payload[8:8 + header_len].decode())
-        header["format_version"] = 999
-        tampered = json.dumps(header).encode()
-        payload = (len(tampered).to_bytes(8, "little") + tampered
-                   + payload[8 + header_len:])
+        payload = _retable(reports_to_payload(_sample_reports()),
+                           lambda h: h.update(format_version=999))
         with pytest.raises(ValueError, match="unsupported trace format"):
             reports_from_payload(payload)
 
-    @pytest.mark.parametrize("decode, payload", [
-        (reports_from_payload, reports_to_payload(_sample_reports())),
-        (runs_from_payload, runs_to_payload([])),
-    ], ids=["reports", "runs"])
-    def test_decoders_take_turns_across_threads(self, decode, payload):
-        """A decode in a second thread waits while another holds the
-        ``np.load`` lock, then finishes once it is released."""
-        import threading
+    def test_foreign_wire_version_rejected(self):
+        payload = _retable(reports_to_payload(_sample_reports()),
+                           lambda h: h.update(wire_format_version=2))
+        with pytest.raises(ValueError, match="wire format version 2"):
+            reports_from_payload(payload)
 
-        from repro.runtime import transport
 
-        decoded = []
-        worker = threading.Thread(target=lambda: decoded.append(
-            decode(payload)))
-        with transport.NPZ_LOCK:  # a decode in progress
-            worker.start()
-            worker.join(timeout=0.3)
-            assert worker.is_alive() and not decoded
-        worker.join(timeout=10)
-        assert not worker.is_alive()
-        assert decoded == [decode(payload)]
+def test_decoders_run_concurrently(join_run):
+    """The decoders share no state: eight threads decoding both payload
+    kinds at a short switch interval all get the single-thread result."""
+    import sys
+    import threading
+
+    jobs = [(runs_from_payload, runs_to_payload([join_run])),
+            (reports_from_payload, reports_to_payload(_sample_reports()))]
+    expected = [runs_to_payload(runs_from_payload(jobs[0][1])),
+                reports_from_payload(jobs[1][1])]
+    results, errors = [], []
+
+    def work(kind):
+        decode, payload = jobs[kind]
+        try:
+            for _ in range(20):
+                got = decode(payload)
+                results.append((kind, runs_to_payload(got) if kind == 0
+                                else got))
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i % 2,))
+                   for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(results) == 8 * 20
+    assert all(got == expected[kind] for kind, got in results)
+
+
+# ---------------------------------------------------------------------------
+# the member table: checked in full before any member is read
+# ---------------------------------------------------------------------------
+
+def _edit_row(index, slot, value):
+    """A header edit setting one field of one member table row."""
+    def edit(header):
+        header["members"][index][slot] = value
+    return edit
+
+
+def _swap_rows(header):
+    rows = header["members"]
+    rows[0], rows[1] = rows[1], rows[0]
+
+
+class TestMemberTable:
+    """One case per rule; both decoders share the check, so each rule
+    runs against a reports payload (first member ``time``, float64)."""
+
+    @pytest.mark.parametrize("dtype", ["<f4", ">f8", "|O", "<U1", "<c16",
+                                       "|V8", 8, None, ["<f8"]])
+    def test_only_the_codecs_dtypes(self, dtype):
+        payload = _retable(reports_to_payload(_sample_reports()),
+                           _edit_row(0, 1, dtype))
+        with pytest.raises(ValueError, match="the wire carries only"):
+            reports_from_payload(payload)
+
+    @pytest.mark.parametrize("shape", [[-3], [1.5], ["3"], [True], [None],
+                                       3, None])
+    def test_shapes_are_non_negative_integers(self, shape):
+        payload = _retable(reports_to_payload(_sample_reports()),
+                           _edit_row(0, 2, shape))
+        with pytest.raises(ValueError, match="dimensions must be"):
+            reports_from_payload(payload)
+
+    @pytest.mark.parametrize("offset", [-8, 0.0, "0", None, False])
+    def test_offsets_are_non_negative_integers(self, offset):
+        payload = _retable(reports_to_payload(_sample_reports()),
+                           _edit_row(0, 3, offset))
+        with pytest.raises(ValueError, match="offsets must be"):
+            reports_from_payload(payload)
+
+    def test_gap_rejected(self):
+        payload = _retable(reports_to_payload(_sample_reports()),
+                           _edit_row(1, 3, 3 * 8 + 8), body_suffix=bytes(8))
+        with pytest.raises(ValueError, match="no gap or overlap"):
+            reports_from_payload(payload)
+
+    def test_overlap_rejected(self):
+        payload = _retable(reports_to_payload(_sample_reports()),
+                           _edit_row(1, 3, 8))
+        with pytest.raises(ValueError, match="no gap or overlap"):
+            reports_from_payload(payload)
+
+    def test_out_of_order_rejected(self):
+        payload = _retable(reports_to_payload(_sample_reports()), _swap_rows)
+        with pytest.raises(ValueError, match="no gap or overlap"):
+            reports_from_payload(payload)
+
+    def test_member_past_the_body_rejected(self):
+        def grow_last(header):
+            header["members"][-1][2] = [1000]
+        payload = _retable(reports_to_payload(_sample_reports()), grow_last)
+        with pytest.raises(ValueError, match="past the"):
+            reports_from_payload(payload)
+
+    def test_trailing_bytes_rejected(self):
+        payload = reports_to_payload(_sample_reports()) + bytes(8)
+        with pytest.raises(ValueError, match="8 trailing bytes"):
+            reports_from_payload(payload)
+        payload = runs_to_payload([]) + b"x"
+        with pytest.raises(ValueError, match="1 trailing bytes"):
+            runs_from_payload(payload)
+
+    @pytest.mark.parametrize("table", [None, {}, [["time", "<f8", [3]]],
+                                       [[1, "<f8", [0], 0]]])
+    def test_malformed_table_rejected(self, table):
+        payload = _retable(reports_to_payload([]),
+                           lambda h: h.update(members=table))
+        with pytest.raises(ValueError, match="member"):
+            reports_from_payload(payload)
+
+    def test_repeated_member_name_rejected(self):
+        def repeat(header):
+            header["members"][1][0] = header["members"][0][0]
+        payload = _retable(reports_to_payload(_sample_reports()), repeat)
+        with pytest.raises(ValueError, match="repeated"):
+            reports_from_payload(payload)
+
+    def test_missing_member_is_a_value_error(self):
+        def drop_sids(header):
+            header["members"].pop()
+        header, body = _split(reports_to_payload(_sample_reports()))
+        drop_sids(header)
+        payload = _join(header, body[:-8 * 3])
+        with pytest.raises(ValueError, match="malformed report payload"):
+            reports_from_payload(payload)
+
+
+# ---------------------------------------------------------------------------
+# byte-level fuzz: a damaged payload decodes or raises ValueError
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def wire_payloads(join_run):
+    return {"runs": (runs_from_payload, runs_to_payload([join_run])),
+            "reports": (reports_from_payload,
+                        reports_to_payload(_sample_reports()))}
+
+
+def _damage(data, payload):
+    """A truncation or a one-byte overwrite of ``payload``; half the
+    overwrites land in the length prefix or the JSON header."""
+    if data.draw(st.booleans(), label="truncate"):
+        return payload[:data.draw(st.integers(0, len(payload) - 1),
+                                  label="length")]
+    header_end = 8 + int.from_bytes(payload[:8], "little")
+    at = data.draw(st.one_of(st.integers(0, header_end - 1),
+                             st.integers(0, len(payload) - 1)), label="at")
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != payload[at]),
+                     label="byte")
+    return payload[:at] + bytes([byte]) + payload[at + 1:]
+
+
+@pytest.mark.parametrize("kind", ["runs", "reports"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_damaged_payload_decodes_or_raises_value_error(wire_payloads, kind,
+                                                       data):
+    decode, payload = wire_payloads[kind]
+    damaged = _damage(data, payload)
+    try:
+        decode(damaged)
+    except ValueError:
+        pass
 
 
 # ---------------------------------------------------------------------------

@@ -386,6 +386,26 @@ class TestErrorPaths:
 
         _serve(scenario)
 
+    def test_member_table_past_the_body_is_400(self, golden_runs):
+        """A runs payload whose member table claims more bytes than the
+        body holds is refused before any member is read."""
+        payload = runs_to_payload(golden_runs[:1])
+        header_len = int.from_bytes(payload[:8], "little")
+        header = json.loads(payload[8:8 + header_len])
+        header["members"][-1][2] = [10 ** 6]
+        head = json.dumps(header).encode()
+        body = (len(head).to_bytes(8, "little") + head
+                + payload[8 + header_len:])
+
+        async def scenario(server, client):
+            status, _, reply = await client.request(
+                "POST", "/v1/t/sessions", body, content_type=http.RUNS_TYPE)
+            assert status == 400
+            assert "past the" in json.loads(reply)["error"]["detail"]
+            assert (await client.list_sessions("t")) == []
+
+        _serve(scenario)
+
     def test_wrong_content_type_is_415(self):
         async def scenario(server, client):
             status, _, _ = await client.request(
