@@ -18,7 +18,6 @@ from repro.core.monitor import (
     MonitorState,
     ProgressMonitor,
     ProgressReport,
-    ReportDraft,
 )
 from repro.core.selection import EstimatorSelector
 from repro.core.training import (
@@ -39,5 +38,4 @@ __all__ = [
     "ProgressMonitor",
     "ProgressReport",
     "MonitorState",
-    "ReportDraft",
 ]

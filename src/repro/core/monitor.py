@@ -13,15 +13,16 @@ A :class:`ProgressMonitor` attaches to a query execution and, at every
 There is one report path, shared by the solo monitor, trace replay and the
 pooled multi-query service (:mod:`repro.service`).  Sessions only note
 *which* log rows are due a report; the service's flush
-(:class:`~repro.service.batched.VectorizedFlush`) rebuilds each due
-report's causal :class:`ReportDraft` from those rows, extracts the
-features of every selection opening in one
+(:class:`~repro.service.batched.VectorizedFlush`) reads each due row's
+pipeline status causally from the log, asks the monitor's selection
+policy (:meth:`ProgressMonitor.selection_needs`,
+:meth:`ProgressMonitor.chosen`) which selector applies and whether it
+opens, extracts the features of every opening in one
 :meth:`~repro.features.vector.FeatureExtractor.extract` call per selector
 kind, scores them in one batched pass, evaluates each chosen estimator's
 structure-of-arrays kernel (:mod:`repro.progress.soa`) at the report rows
-of every live pipeline, and hands the values to
-:meth:`ProgressMonitor.finalize`, which commits selections and assembles
-the report.  A tick costs O(active nodes), independent of how long the
+of every live pipeline and assembles each :class:`ProgressReport` from
+those values.  A tick costs O(active nodes), independent of how long the
 query has run.  :meth:`ProgressMonitor.run` is a one-session service over
 a live execution; :func:`~repro.trace.replay.replay_monitor` the same over
 a recording.  Either way the flush reads the plan from the context's
@@ -56,7 +57,7 @@ from repro.progress.soa import kernel_class
 #: any slice size, this only sets how many rows one flush advances
 SOLO_SLICE_STEPS = 64
 
-#: selector kinds a draft may reference
+#: the selector kinds
 STATIC, DYNAMIC = "static", "dynamic"
 
 #: driver fraction at which the dynamic selection opens (§4.4): the last
@@ -78,39 +79,14 @@ class ProgressReport:
 
 @dataclass
 class MonitorState:
-    """Per-query selection state: sticky selector choices, the openings
-    still queued and the ΣE weights."""
+    """Per-query selection state: sticky selector choices and the ΣE
+    weights."""
 
     static_choices: dict[int, str] = field(default_factory=dict)
     dynamic_choices: dict[int, str] = field(default_factory=dict)
     choices: dict[int, str] = field(default_factory=dict)
-    #: (pid, kind) pairs whose selection already opened in a queued
-    #: draft — suppresses a second opening until the choice commits
-    requested: set[tuple[int, str]] = field(default_factory=set)
     #: per-pipeline ΣE weights (eq. 5), fixed once the plan is finalized
     weights: dict[int, float] | None = None
-
-
-@dataclass
-class PipeSnapshot:
-    """Causal capture of one pipeline at one observation.
-
-    Carries no counters: the flush evaluates the pipeline's kernel on
-    the log rows themselves.
-    """
-
-    pid: int
-    weight: float
-    status: str  # "unstarted" | "done" | "short" | "running"
-    kind: str | None = None  # selector kind applying at this tick
-
-
-@dataclass
-class ReportDraft:
-    """Everything needed to produce one report, captured causally."""
-
-    time: float
-    pipes: list[PipeSnapshot]
 
 
 class ProgressMonitor:
@@ -182,10 +158,11 @@ class ProgressMonitor:
             on_report=None if hook is None
             else lambda _session, report: hook(report))
 
-    # -- selection bookkeeping (called by the flush) --------------------------
+    # -- selection policy (called by the flush) ------------------------------
 
-    def _selection_needs(self, pid: int, state: MonitorState,
-                         fraction) -> tuple[str, bool]:
+    def selection_needs(self, pid: int, state: MonitorState,
+                        requested: set[tuple[int, str]],
+                        fraction) -> tuple[str, bool]:
         """Selector kind applying now, and whether its selection opens.
 
         Static choice at pipeline start, revised once at the 20% marker
@@ -193,70 +170,30 @@ class ProgressMonitor:
         consulted while the dynamic revision is still ahead — the
         fraction is monotone on executed trajectories, so a pipeline past
         the marker stays past it.  A kind opens at most once per
-        pipeline: once its sticky choice is committed (or its opening is
-        already queued), later snapshots report none.  Nothing is
-        extracted here: the flush collects every opening of a round and
-        extracts each selector kind's features in one call.
+        pipeline: once its sticky choice is committed, or its opening is
+        in ``requested`` (the ``(pid, kind)`` pairs opened earlier in the
+        same flush, which resolves them all), later rows report none.
+        Nothing is extracted here: the flush collects every opening of a
+        round and extracts each selector kind's features in one call.
         """
         if self.dynamic_selector is not None:
-            if (pid in state.dynamic_choices
-                    or (pid, DYNAMIC) in state.requested):
+            if pid in state.dynamic_choices or (pid, DYNAMIC) in requested:
                 return DYNAMIC, False
             if fraction() >= DYNAMIC_FRACTION:
-                state.requested.add((pid, DYNAMIC))
+                requested.add((pid, DYNAMIC))
                 return DYNAMIC, True
         if (self.static_selector is None or pid in state.static_choices
-                or (pid, STATIC) in state.requested):
+                or (pid, STATIC) in requested):
             return STATIC, False
-        state.requested.add((pid, STATIC))
+        requested.add((pid, STATIC))
         return STATIC, True
 
-    # -- finalization ---------------------------------------------------------
-
-    def finalize(self, draft: ReportDraft, state: MonitorState,
-                 values: dict[int, float]) -> ProgressReport:
-        """Turn a draft into a report, committing selections into ``state``.
-
-        ``values`` maps each running pipeline to its chosen estimator's
-        kernel value at the draft's row, advanced by the flush for all
-        sessions at once; the flush also resolved every open selection
-        into ``state`` in one batched scoring pass.  Drafts must be
-        finalized in capture order.
-        """
-        overall = 0.0
-        pipeline_progress: dict[int, float] = {}
-        active_pid, active_name = -1, None
-        for snap in draft.pipes:
-            pid = snap.pid
-            if snap.status in ("unstarted", "short"):
-                pipeline_progress[pid] = 0.0
-                continue
-            if snap.status == "done":
-                pipeline_progress[pid] = 1.0
-                overall += snap.weight
-                continue
-            name = self._chosen(snap, state)
-            state.choices[pid] = name
-            value = values[pid]
-            pipeline_progress[pid] = value
-            overall += snap.weight * value
-            if pid > active_pid:
-                active_pid, active_name = pid, name
-        return ProgressReport(
-            time=draft.time,
-            progress=float(min(overall, 1.0)),
-            active_pid=active_pid,
-            active_estimator=active_name,
-            pipeline_progress=pipeline_progress,
-            pipeline_estimator=dict(state.choices),
-        )
-
-    def _chosen(self, snap: PipeSnapshot, state: MonitorState) -> str:
-        """The estimator a running snapshot reports with; its selection
-        is already resolved into ``state`` (or falls back)."""
-        if snap.kind == DYNAMIC:
-            return state.dynamic_choices[snap.pid]
+    def chosen(self, pid: int, kind: str, state: MonitorState) -> str:
+        """The estimator a running pipeline reports with under selector
+        ``kind``; its selection is already resolved into ``state`` (or
+        falls back)."""
+        if kind == DYNAMIC:
+            return state.dynamic_choices[pid]
         if self.static_selector is None:
             return self.fallback
-        return state.static_choices[snap.pid]
-
+        return state.static_choices[pid]

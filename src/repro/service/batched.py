@@ -7,26 +7,30 @@ Per round it runs these phases over all sessions at once, on the
 structure-of-arrays kernels of :mod:`repro.progress.soa`:
 
 1. **plan** — sessions capture only *which* observation rows are due
-   reports (:attr:`QuerySession.pending_reports`); the flush rebuilds
-   each due report's :class:`~repro.core.monitor.ReportDraft` causally
-   from the log rows (pipeline status as of the row, selection
-   bookkeeping through the monitor's own ``_selection_needs``), builds
-   the kernel metadata of each newly running pipeline into a record on
-   its session and collects every (pipeline, row) where a selection
-   opens;
+   reports (:attr:`QuerySession.pending_reports`); the flush reads each
+   pipeline's status at each due row causally from the log rows and
+   records it as a ``(pid, weight, x)`` part: ``x`` is ``0.0`` for a
+   pipeline not yet started or with too short a view, ``1.0`` for a
+   done one and an :class:`_Item` for a running one, whose selector kind
+   comes from the monitor's policy
+   (:meth:`~repro.core.monitor.ProgressMonitor.selection_needs`).  It
+   builds the kernel metadata of each newly running pipeline into a
+   record on its session and collects every (pipeline, row) where a
+   selection opens;
 2. **resolve** — the openings of all sessions are extracted in one
    :meth:`~repro.features.vector.FeatureExtractor.extract` call per
    selector kind and scored in one batched pass (a pipeline's kind opens
    once, at its first due row, so the first observation wins);
-3. **choose** — each running pipeline's committed estimator per draft;
+3. **choose** — each running item's committed estimator
+   (:meth:`~repro.core.monitor.ProgressMonitor.chosen`);
 4. **gather/advance** — every running pipeline's report rows, plus the
    speed-window start of each report row LUO serves, are gathered into
    flat ``(rows, width)`` arrays zero-padded to the flush's widest
    pipeline, next to each row's pipeline metadata, and every chosen
    estimator kind advances once over the whole batch;
-5. **finalize** — the per-row results are handed to
-   :meth:`ProgressMonitor.finalize` via its ``values`` argument, draft by
-   draft in capture order.
+5. **assemble** — row by row in capture order, each
+   :class:`~repro.core.monitor.ProgressReport` sums the ΣE-weighted
+   pipeline values (eq. 5) and commits each running pipeline's choice.
 
 Causality notes (why each report equals the chosen estimator's
 ``estimate`` on the causal prefix of its row):
@@ -73,12 +77,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.monitor import (
-    DYNAMIC,
-    PipeSnapshot,
-    ProgressMonitor,
-    ReportDraft,
-)
+from repro.core.monitor import DYNAMIC, ProgressMonitor, ProgressReport
 from repro.engine.run import live_pipeline_run, pipeline_static
 from repro.progress.soa import (
     BatchedLuoState,
@@ -102,12 +101,13 @@ class _PipeRec:
 
 
 class _Item:
-    """One running pipeline inside one draft."""
+    """One running pipeline at one report row."""
 
-    __slots__ = ("snap", "rec", "row", "name", "flat")
+    __slots__ = ("pid", "kind", "rec", "row", "name", "flat")
 
-    def __init__(self, snap: PipeSnapshot, rec: _PipeRec, row: int):
-        self.snap = snap
+    def __init__(self, pid: int, kind: str, rec: _PipeRec, row: int):
+        self.pid = pid
+        self.kind = kind  # the selector kind applying at this row
         self.rec = rec
         self.row = row  # the report's log row
         self.name = None  # the chosen estimator
@@ -127,16 +127,16 @@ class VectorizedFlush:
 
     # -- the flush -----------------------------------------------------------
 
-    def flush(self, drafted, scorer, stats, on_report) -> None:
-        """Produce every due report of ``drafted`` (ascending session id).
+    def flush(self, sessions, scorer, stats, on_report) -> None:
+        """Produce every due report of ``sessions`` (ascending session id).
 
-        A finished session in ``drafted`` may have no rows left; planning
+        A finished session in ``sessions`` may have no rows left; planning
         it drops its pipeline records.
         """
         #: (session, kind, pipeline, row) of every selection opening
         openings: list[tuple[object, str, object, int]] = []
         planned = [(session, self._plan_session(session, openings))
-                   for session in drafted]
+                   for session in sessions]
 
         # one feature extraction per selector kind over the round's
         # openings, then one batched scoring pass
@@ -162,11 +162,12 @@ class VectorizedFlush:
         needed: set[str] = set()
         by_rec: dict[_PipeRec, list[_Item]] = {}
         for session, per in planned:
-            for _draft, items in per:
-                for it in items:
-                    it.name = monitor._chosen(it.snap, session.state)
-                    needed.add(it.name)
-                    by_rec.setdefault(it.rec, []).append(it)
+            for _time, parts in per:
+                for _pid, _weight, x in parts:
+                    if isinstance(x, _Item):
+                        x.name = monitor.chosen(x.pid, x.kind, session.state)
+                        needed.add(x.name)
+                        by_rec.setdefault(x.rec, []).append(x)
 
         # gather the rows once; one advance per kind over the whole batch
         arrs: dict[str, np.ndarray] = {}
@@ -175,12 +176,29 @@ class VectorizedFlush:
             for name in needed:
                 arrs[name] = self.states[name].advance(batch)
 
-        # finalize in capture order
+        # assemble in capture order (eq. 5), committing each choice
         for session, per in planned:
-            for draft, items in per:
-                values = {it.snap.pid: float(arrs[it.name][it.flat])
-                          for it in items}
-                report = monitor.finalize(draft, session.state, values=values)
+            choices = session.state.choices
+            for time, parts in per:
+                overall = 0.0
+                progress: dict[int, float] = {}
+                active_pid, active_name = -1, None
+                for pid, weight, x in parts:
+                    if not isinstance(x, _Item):
+                        progress[pid] = x
+                        if x:  # done
+                            overall += weight
+                        continue
+                    choices[pid] = x.name
+                    value = progress[pid] = float(arrs[x.name][x.flat])
+                    overall += weight * value
+                    if pid > active_pid:
+                        active_pid, active_name = pid, x.name
+                report = ProgressReport(
+                    time=time, progress=float(min(overall, 1.0)),
+                    active_pid=active_pid, active_estimator=active_name,
+                    pipeline_progress=progress,
+                    pipeline_estimator=dict(choices))
                 session.reports.append(report)
                 stats.reports += 1
                 if on_report is not None:
@@ -204,18 +222,20 @@ class VectorizedFlush:
         log = ctx.log.as_arrays()
         times, K, D = log["times"], log["K"], log["D"]
         first_row = ctx.pipe_first_row
+        #: (pid, kind) openings made in this planning; the flush resolves
+        #: them all, after which the committed choices guard instead
+        requested: set[tuple[int, str]] = set()
         per = []
         for R in session.pending_reports:
-            pipes: list[PipeSnapshot] = []
-            items: list[_Item] = []
+            parts = []
             for pipe in ctx.pipelines:
                 pid = pipe.pid
                 weight = state.weights[pid]
                 if first_row[pid] > R:
-                    pipes.append(PipeSnapshot(pid, weight, "unstarted"))
+                    parts.append((pid, weight, 0.0))
                     continue
                 if D[R, terminals[pid]]:
-                    pipes.append(PipeSnapshot(pid, weight, "done"))
+                    parts.append((pid, weight, 1.0))
                     recs.pop(pid, None)
                     continue
                 rec = recs.get(pid)
@@ -225,23 +245,20 @@ class VectorizedFlush:
                     first = int(np.searchsorted(
                         times[:R + 1], ctx.pipe_first[pid], side="left"))
                     if R - first + 1 < 2:
-                        pipes.append(PipeSnapshot(pid, weight, "short"))
+                        parts.append((pid, weight, 0.0))
                         continue
                     meta = PipelineMeta(
                         pid=pid, query_name="(online)", db_name=ctx.db_name,
                         t_start=float(ctx.pipe_first[pid]),
                         **pipeline_static(nodes, pipe))
                     rec = recs[pid] = _PipeRec(meta, first, ctx.log)
-                kind, opens = monitor._selection_needs(
-                    pid, state,
+                kind, opens = monitor.selection_needs(
+                    pid, state, requested,
                     lambda: rec.meta.driver_fraction(K[R], D[R]))
                 if opens:
                     openings.append((session, kind, pipe, R))
-                snap = PipeSnapshot(pid, weight, "running", kind=kind)
-                pipes.append(snap)
-                items.append(_Item(snap, rec, R))
-            per.append((ReportDraft(time=float(times[R]), pipes=pipes),
-                        items))
+                parts.append((pid, weight, _Item(pid, kind, rec, R)))
+            per.append((float(times[R]), parts))
         session.pending_reports.clear()
         if session.done:
             # its last rows are planned: no flush reads its records again

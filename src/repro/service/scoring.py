@@ -2,8 +2,8 @@
 
 This is the service's key speed win over per-query monitoring: instead of
 one :meth:`EstimatorSelector.predict_errors` pass per pipeline with an
-open selection (the solo monitor's behaviour — one pass per query when
-``finalize`` turns its drafts into reports), the scorer collects the
+open selection (what monitoring each query on its own would cost), the
+scorer collects the
 feature vectors of every pending selection across *all* live sessions and
 issues a single scoring pass per selector kind per tick.  A pass scores
 the selector's packed forest (:class:`~repro.learning.forest.PackedForest`):

@@ -18,11 +18,11 @@ A tick is one scheduler round:
 1. admission — pending sessions are started while live slots are free;
 2. execution — every live session runs for ``slice_steps`` engine steps,
    then queues the log rows its slice made due a report;
-3. flush — the due rows' causal drafts are rebuilt, pending estimator
-   selections of this round's sessions are deduplicated (first
-   observation wins) and scored in one batch per selector kind, the
-   kernels advance over every new row, and the drafts are finalized into
-   reports in capture order.
+3. flush — each pipeline's status at the due rows is read causally
+   from the log, pending estimator selections of this round's sessions
+   are deduplicated (first observation wins) and scored in one batch per
+   selector kind, the kernels advance over every due row, and the
+   reports are assembled in capture order.
 
 The service tracks sessions in three index structures so per-tick cost
 scales with *live* sessions, not with every session ever submitted:
@@ -265,9 +265,9 @@ class ProgressService:
         scheduler's rotation, so report emission order does not depend on
         the rotation.
         """
-        drafted = sorted((s for s in round_sessions
-                          if s.pending_reports or s.done),
-                         key=lambda s: s.session_id)
-        if drafted:
-            self._vector.flush(drafted, self.scorer, self.stats,
+        due = sorted((s for s in round_sessions
+                      if s.pending_reports or s.done),
+                     key=lambda s: s.session_id)
+        if due:
+            self._vector.flush(due, self.scorer, self.stats,
                                self.on_report)

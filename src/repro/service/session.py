@@ -4,8 +4,8 @@ A :class:`QuerySession` bundles everything the service tracks per query:
 the resumable :class:`~repro.engine.executor.ExecutionHandle`, the
 per-query :class:`~repro.core.monitor.MonitorState` (sticky estimator
 choices), the observation rows due a report, the flush's records of its
-running pipelines and the finalized
-:class:`~repro.core.monitor.ProgressReport` stream.
+running pipelines and the :class:`~repro.core.monitor.ProgressReport`
+stream.
 
 Sessions are passive: the :class:`~repro.service.service.ProgressService`
 steps their handles and its flush turns their due rows into reports.  No
@@ -13,9 +13,9 @@ observation callback is bound: every observation appends exactly one
 log row, for live executions and replayed recordings alike, so after
 each slice the session reads the due rows off the log's length — row
 ``r`` is due when ``(r + 1) % refresh_every == 0``, the cadence of solo
-monitoring.  The flush rebuilds each report draft from the log as of
-that row and the context's write-once ``pipe_first_row`` vector (a
-pipeline has started at row ``R`` iff ``pipe_first_row[pid] <= R``).
+monitoring.  The flush assembles each report from the log as of that
+row and the context's write-once ``pipe_first_row`` vector (a pipeline
+has started at row ``R`` iff ``pipe_first_row[pid] <= R``).
 Handles that can skip ahead (replay) advance a whole slice in one seek.
 """
 

@@ -317,7 +317,6 @@ def shard_worker_main(conn, shard_id: int, make_monitor,
     """
     try:
         worker = ShardWorker(shard_id, make_monitor(), **options)
-        shipped_ticks = 0
         while True:
             frame = conn.recv()
             cmd = frame[0]
@@ -328,12 +327,13 @@ def shard_worker_main(conn, shard_id: int, make_monitor,
                     worker.enqueue(global_sid, run, query_name)
             elif cmd == "tick":
                 more = worker.tick_rounds(frame[1])
-                ticks = worker.stats.tick_seconds
+                # ship the new durations and drop them: the supervisor
+                # keeps its copy, so the worker's list stays short
+                ticks, worker.stats.tick_seconds = worker.stats.tick_seconds, []
                 conn.send(("reports", more,
                            reports_to_payload(worker.take_emitted()),
-                           worker.stats.to_wire(), ticks[shipped_ticks:],
+                           worker.stats.to_wire(), ticks,
                            worker.take_completed()))
-                shipped_ticks = len(ticks)
             elif cmd == "stop":
                 conn.send(("bye",))
                 return

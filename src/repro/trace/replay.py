@@ -11,7 +11,8 @@ and :func:`~repro.engine.run.live_pipeline_run`:
   (``nodes``) and pipelines exposing ``pid`` / ``node_ids`` /
   ``driver_ids`` — the recording's own ``run.nodes`` / ``run.pipelines``,
   which the live context builds identically when its query begins;
-* an observation log that grows one recorded row per step;
+* an observation log that grows one recorded row per step
+  (:meth:`ReplayContext.seek` sets its row count);
 * the write-once pipeline-start vectors ``pipe_first`` /
   ``pipe_first_row``.
 
@@ -37,19 +38,26 @@ from repro.engine.run import QueryRun
 
 class _ReplayLog:
     """The recorded rows up to the current observation, shaped like the
-    live :class:`~repro.engine.counters.ObservationLog`."""
+    live :class:`~repro.engine.counters.ObservationLog`.
 
-    def __init__(self, ctx: "ReplayContext"):
-        self._ctx = ctx
+    It holds the run and its causal row count, which
+    :meth:`ReplayContext.seek` sets, and no reference back to the
+    context: a released replay session's run is freed by reference
+    counting, without waiting for the cyclic collector.
+    """
+
+    def __init__(self, run: QueryRun):
+        self._run = run
+        #: causal length: rows up to (and including) the current observation
+        self.rows = 1
 
     def __len__(self) -> int:
-        # causal length: rows up to (and including) the current observation
-        return self._ctx.observation_index + 1
+        return self.rows
 
     def as_arrays(self, stop: int | None = None) -> dict[str, np.ndarray]:
         """Prefix views of the recorded arrays (first ``stop`` rows)."""
-        stop = len(self) if stop is None else min(stop, len(self))
-        run = self._ctx.run
+        stop = self.rows if stop is None else min(stop, self.rows)
+        run = self._run
         return {name: getattr(run, name)[:stop]
                 for name in ("times", "K", "R", "W", "LB", "UB", "D")}
 
@@ -77,7 +85,7 @@ class ReplayContext:
         # the recording's plan description is the live context's own
         self.nodes = run.nodes
         self.pipelines = run.pipelines
-        self.log = _ReplayLog(self)
+        self.log = _ReplayLog(run)
         self.pipe_first = np.array([p.t_start for p in run.pipelines])
         # NaN (never started) sorts past every row
         self.pipe_first_row = np.searchsorted(run.times, self.pipe_first,
@@ -94,6 +102,7 @@ class ReplayContext:
             raise IndexError(f"observation index {index} out of range "
                              f"[0, {self.n_observations})")
         self.observation_index = index
+        self.log.rows = index + 1
 
 
 class ReplayHandle:

@@ -205,3 +205,49 @@ def test_flush_features_equal_solo_extraction(family, monkeypatch):
                 f"opening's solo extraction; openings left "
                 f"{[(openings[i][1].pid, openings[i][2]) for i in unmatched]}")
     assert not unmatched, family
+
+
+def _openings(monkeypatch, runs, monitor, slice_steps):
+    """(run index, pid, kind, row) of every selection the flush opens
+    while pooling ``runs``, in opening order."""
+    openings, kinds = [], []
+    snapshot, resolve = batched.live_pipeline_run, BatchedSelectorScorer.resolve
+
+    def record_opening(ctx, pipe, row, *args, **kwargs):
+        openings.append((ctx.run, pipe.pid, row))
+        return snapshot(ctx, pipe, row, *args, **kwargs)
+
+    def record_kinds(scorer, reqs):
+        kinds.extend(kind for kind, _ in reqs)
+        return resolve(scorer, reqs)
+
+    monkeypatch.setattr(batched, "live_pipeline_run", record_opening)
+    monkeypatch.setattr(BatchedSelectorScorer, "resolve", record_kinds)
+    service = ProgressService(monitor, slice_steps=slice_steps)
+    for run in runs:
+        service.submit_replay(run)
+    service.run_until_complete()
+    monkeypatch.undo()
+    # the flush scores each kind's openings in the order it extracted them
+    index = {id(run): i for i, run in enumerate(runs)}
+    return [(index[id(run)], pid, kind, row)
+            for (run, pid, row), kind in zip(openings, kinds, strict=True)]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_each_selection_opens_once(family, monkeypatch):
+    """Under its golden trained monitor, every (session, pipeline, kind)
+    of a pooled golden family opens its selection at most once, and at
+    the same row whether a flush covers one row or many."""
+    from golden.regenerate import MIN_OBSERVATIONS, report_monitors
+
+    runs, _ = read_trace(GOLDEN_DIR / family)
+    monitor = report_monitors(
+        runs_to_pipelines(runs, MIN_OBSERVATIONS))["trained"]
+    opened = {}
+    for slice_steps in (1, 64):
+        got = _openings(monkeypatch, runs, monitor, slice_steps)
+        keys = [opening[:3] for opening in got]
+        assert len(set(keys)) == len(keys), (family, slice_steps)
+        opened[slice_steps] = set(got)
+    assert opened[1] and opened[1] == opened[64], family

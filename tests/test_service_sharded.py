@@ -205,19 +205,25 @@ class TestProcessMode:
     """One process-backed pass in the fast suite: the wire protocol end to
     end (submit/tick/stop frames, codec payloads, graceful drain)."""
 
+    @pytest.mark.parametrize("n_shards", [1, 2])
     def test_streams_bit_identical_over_pipes(self, golden_runs,
-                                              solo_results):
+                                              solo_results, n_shards):
         with ShardedProgressService(
-                _monitor, n_shards=2, slice_steps=4,
+                _monitor, n_shards=n_shards, slice_steps=4,
                 processes=True) as service:
             sids = [service.submit_replay(run) for run in golden_runs]
-            assert len(service.worker_pids) == 2
+            assert len(service.worker_pids) == n_shards
             results = service.run_until_complete(max_ticks=100_000)
             for sid in sids:
                 assert results[sid][1] == solo_results[sid][1]
-            fleet = service.stats.service
-            assert fleet.sessions_completed == len(golden_runs)
-            assert service.stats.tick_latency(99) >= 0.0
+            stats = service.stats
+            assert stats.service.sessions_completed == len(golden_runs)
+            assert stats.tick_latency(99) >= 0.0
+            if n_shards == 1:
+                # one shard tick per lockstep round: each shipped
+                # duration arrives exactly once
+                assert (len(stats.shards[0].tick_seconds)
+                        == len(stats.round_seconds))
 
     def test_submissions_racing_a_ticking_thread_all_complete_once(
             self, golden_runs):

@@ -8,18 +8,26 @@ while never touching the engine.
 """
 
 import dataclasses
+import gc
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.monitor import ProgressMonitor
-from repro.core.training import collect_training_data, train_selector
+from repro.core.training import (
+    collect_training_data,
+    runs_to_pipelines,
+    train_selector,
+)
 from repro.engine.executor import ExecutorConfig
 from repro.features.vector import FeatureExtractor
 from repro.learning.mart import MARTParams
 from repro.progress.registry import all_estimators
+from repro.runtime.transport import runs_from_payload, runs_to_payload
 from repro.service import ProgressService
-from repro.trace import ReplayExecutor, ReplayHandle, replay_monitor
+from repro.trace import ReplayExecutor, ReplayHandle, read_trace, replay_monitor
 from repro.trace.replay import ReplayContext
 
 FAST_MART = MARTParams(n_trees=8, max_leaves=4)
@@ -161,3 +169,27 @@ class TestReplayTransparency:
         stats = service.scorer.stats
         assert stats.rows >= len(SEEDS)
         assert stats.batches < stats.rows
+
+
+def test_released_replay_session_frees_its_run_without_gc():
+    """A replay session holds its recording in no reference cycle: once it
+    has run to completion and been released, reference counting alone
+    frees the run."""
+    from golden.regenerate import MIN_OBSERVATIONS, report_monitors
+
+    runs, _ = read_trace(Path(__file__).resolve().parent / "golden" / "tpch")
+    monitor = report_monitors(
+        runs_to_pipelines(runs, MIN_OBSERVATIONS))["trained"]
+    run = runs_from_payload(runs_to_payload(runs[:1]))[0]
+    ref = weakref.ref(run)
+    gc.disable()
+    try:
+        service = ProgressService(monitor, slice_steps=4)
+        sid = service.submit_replay(run)
+        del run
+        assert service.run_until_complete()[sid][1]
+        assert ref() is not None  # still held by the finished session
+        service.release_session(sid)
+        assert ref() is None
+    finally:
+        gc.enable()
