@@ -145,9 +145,6 @@ class Table:
             return self.create_index(column)
         raise KeyError(f"no index on {self.name}.{column}")
 
-    def is_sorted_on(self, column: str) -> bool:
-        return self.clustered_on == column
-
 
 @dataclass
 class Database:
@@ -172,6 +169,3 @@ class Database:
 
     def table_of_column(self, column: str) -> Table:
         return self.table(self.schema.table_of_column(column).name)
-
-    def total_rows(self) -> int:
-        return sum(t.n_rows for t in self.tables.values())

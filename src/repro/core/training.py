@@ -20,6 +20,10 @@ from repro.learning.mart import MARTParams
 from repro.progress.base import ProgressEstimator
 from repro.progress.metrics import l1_error, l2_error
 
+#: pipelines per ``extract`` call: rows do not depend on their batch, and a
+#: kernel batch holds a few dozen arrays as large as all its observations
+_EXTRACT_CHUNK = 128
+
 
 @dataclass
 class TrainingData:
@@ -97,15 +101,14 @@ def collect_training_data(pipeline_runs: list[PipelineRun],
                           estimators: list[ProgressEstimator],
                           extractor: FeatureExtractor) -> TrainingData:
     """Score every estimator on every pipeline and extract features
-    (one :meth:`FeatureExtractor.extract` call over all pipelines)."""
+    (:meth:`FeatureExtractor.extract` over chunks of pipelines)."""
     names = [est.name for est in estimators]
-    estimates, rows_l1, rows_l2, meta = [], [], [], []
+    rows_l1, rows_l2, meta = [], [], []
     for pr in pipeline_runs:
         truth = pr.true_progress()
-        trajectories = {est.name: est.estimate(pr) for est in estimators}
-        rows_l1.append([l1_error(trajectories[n], truth) for n in names])
-        rows_l2.append([l2_error(trajectories[n], truth) for n in names])
-        estimates.append(trajectories)
+        trajectories = [est.estimate(pr) for est in estimators]
+        rows_l1.append([l1_error(t, truth) for t in trajectories])
+        rows_l2.append([l2_error(t, truth) for t in trajectories])
         meta.append({
             "query": pr.query_name,
             "db": pr.db_name,
@@ -114,7 +117,9 @@ def collect_training_data(pipeline_runs: list[PipelineRun],
             "total_getnext": float(pr.N.sum()),
         })
     return TrainingData(
-        X=extractor.extract(pipeline_runs, estimates=estimates),
+        X=np.vstack([extractor.extract(pipeline_runs[i:i + _EXTRACT_CHUNK])
+                     for i in range(0, max(len(pipeline_runs), 1),
+                                    _EXTRACT_CHUNK)]),
         errors_l1=np.asarray(rows_l1).reshape(len(rows_l1), len(names)),
         errors_l2=np.asarray(rows_l2).reshape(len(rows_l2), len(names)),
         feature_names=extractor.feature_names,

@@ -10,8 +10,9 @@ selection ("we report the error on the level of individual pipelines",
 
 :func:`live_pipeline_run` builds the same :class:`PipelineRun` view from a
 *still-executing* (or replayed) query's context as of one observation row —
-the causal snapshot the progress service extracts selection features from
-(a snapshot at row *R* only uses log rows up to *R*).
+the causal snapshot the progress service's selection features read
+through the SoA kernels (a snapshot at row *R* only uses log rows up to
+*R*, and fixes ``N`` at that row).
 
 Both views take their static fields (node ids, operators, ``E0``, widths,
 table rows, driver mask, parent links, blocking-source children) from
@@ -167,7 +168,6 @@ class QueryRun:
             t_start=info.t_start,
             t_end=info.t_end,
             K=self.K[sel],
-            R=self.R[sel],
             W=self.W[sel],
             LB=self.LB[sel],
             UB=self.UB[sel],
@@ -202,7 +202,6 @@ class PipelineRun:
     t_start: float
     t_end: float
     K: np.ndarray
-    R: np.ndarray
     W: np.ndarray
     LB: np.ndarray
     UB: np.ndarray
@@ -270,7 +269,7 @@ class PipelineRun:
         This is the paper's marker quantity for dynamic features: the first
         observation where it crosses x% defines ``t{x}``.  It is the DNE
         estimate's arithmetic, so the features read their markers off the
-        DNE trajectory (:mod:`repro.features.vector`).
+        DNE kernel's trajectory (:mod:`repro.features.vector`).
         """
         totals = self.known_totals()
         denom = float(totals[self.driver_mask].sum())
@@ -363,7 +362,6 @@ def live_pipeline_run(ctx, pipe, row: int, query_name: str = "(online)",
         t_start=t_start,
         t_end=float(arrays["times"][row]),
         K=arrays["K"][sel],
-        R=arrays["R"][sel],
         W=arrays["W"][sel],
         LB=arrays["LB"][sel],
         UB=arrays["UB"][sel],

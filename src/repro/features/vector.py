@@ -30,7 +30,8 @@ Features stop at x = 20%, the paper's choice, which also keeps them cheap
 online.  Missing markers are encoded as ``-1`` and left to the trees.
 The dynamic features are a fixed definition over six estimators
 (``PAIRWISE`` ∪ ``CORRELATED``), owned by the extractor, whatever pool a
-selector chooses among.  A row never depends on what shares its batch:
+selector chooses among, and read off their SoA kernels' trajectories
+(equal to ``estimate``).  A row never depends on what shares its batch:
 masked sums are ``values[mask].sum()`` bit for bit (:func:`_masked_sums`)
 and all other arithmetic is elementwise.
 """
@@ -42,7 +43,7 @@ import numpy as np
 from repro.engine.run import PipelineRun
 from repro.plan.nodes import Op
 from repro.progress.registry import all_estimators
-from repro.progress.soa import _PAIRWISE_UNROLL
+from repro.progress.soa import _PAIRWISE_UNROLL, FlushBatch, kernel_class
 
 #: Fixed operator vocabulary so feature vectors align across pipelines.
 OPS_UNIVERSE: tuple[Op, ...] = (
@@ -199,20 +200,21 @@ def _static_block(prs: list[PipelineRun]) -> np.ndarray:
     return np.hstack([per_op.reshape(n, -1), tail])
 
 
-def _dynamic_block(prs: list[PipelineRun],
-                   trajectories: list[list[np.ndarray]]) -> np.ndarray:
-    """The §4.4 features; ``trajectories[b]`` holds pipeline ``b``'s
-    ``estimate`` trajectory of each :data:`CORRELATED` estimator."""
+def _dynamic_block(prs: list[PipelineRun], trajectories: np.ndarray,
+                   ranges: list[tuple[int, int]]) -> np.ndarray:
+    """The §4.4 features; ``trajectories[e, lo:hi]`` is pipeline ``b``'s
+    :data:`CORRELATED` estimator ``e``, ``(lo, hi) = ranges[b]``."""
     n, n_markers = len(prs), len(_MARKERS)
     hit = np.zeros((n, n_markers), dtype=bool)
     values = np.zeros((n, len(CORRELATED), n_markers))
     elapsed = np.zeros((n, n_markers))
-    for b, (pr, trajs) in enumerate(zip(prs, trajectories)):
+    for b, (pr, (lo, hi)) in enumerate(zip(prs, ranges)):
+        trajs = trajectories[:, lo:hi]
         rows = marker_rows(trajs[_DNE])
         hit[b] = rows >= 0
         if hit[b].any():
             # an unreached marker reads a row its features mask out
-            values[b] = np.stack(trajs)[:, rows]
+            values[b] = trajs[:, rows]
             elapsed[b] = pr.times[rows] - pr.t_start
     at_x = hit[:, _AT_X]
     pairwise = np.where(
@@ -245,7 +247,9 @@ class FeatureExtractor:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
         self.mode = mode
         pool = {est.name: est for est in all_estimators()}
-        self._estimators = [pool[name] for name in CORRELATED]
+        self._kernels = [kernel_class(pool[name])(pool[name])
+                         for name in CORRELATED]
+        self._speed_window = pool["luo"].speed_window
         self._names = static_feature_names()
         if mode == "dynamic":
             self._names += dynamic_feature_names()
@@ -258,25 +262,20 @@ class FeatureExtractor:
     def n_features(self) -> int:
         return len(self._names)
 
-    def extract(self, pipeline_runs: list[PipelineRun],
-                estimates: list[dict[str, np.ndarray]] | None = None
-                ) -> np.ndarray:
+    def extract(self, pipeline_runs: list[PipelineRun]) -> np.ndarray:
         """The ``(len(pipeline_runs), n_features)`` feature matrix.
 
-        ``estimates`` optionally holds, per pipeline, precomputed full
-        ``estimate`` trajectories by estimator name; the dynamic features
-        compute whichever of theirs is missing (the estimators are causal,
-        so slicing a full trajectory at a marker equals computing it
-        online).
+        Each :data:`CORRELATED` kernel advances once over one batch of all
+        pipelines (causal, so a trajectory read at a marker is online).
         """
         if not pipeline_runs:
             return np.empty((0, self.n_features))
         X = _static_block(pipeline_runs)
         if self.mode == "dynamic":
-            given = estimates or [{}] * len(pipeline_runs)
-            trajectories = [
-                [have[est.name] if est.name in have else est.estimate(pr)
-                 for est in self._estimators]
-                for pr, have in zip(pipeline_runs, given)]
-            X = np.hstack([X, _dynamic_block(pipeline_runs, trajectories)])
+            batch = FlushBatch.of_pipeline_runs(pipeline_runs,
+                                                self._speed_window)
+            trajectories = np.stack([kernel.advance(batch)
+                                     for kernel in self._kernels])
+            X = np.hstack([X, _dynamic_block(pipeline_runs, trajectories,
+                                             batch.ranges)])
         return X

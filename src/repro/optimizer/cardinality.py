@@ -46,11 +46,6 @@ class CardinalityEstimator:
             sel *= self.filter_selectivity(spec)
         return sel
 
-    def table_cardinality(self, table: str,
-                          filters: list[FilterSpec]) -> float:
-        base = self.stats.table(table).n_rows
-        return max(base * self.conjunction_selectivity(filters), 0.0)
-
     # -- joins ---------------------------------------------------------------
 
     def ndv(self, table: str, column: str) -> int:

@@ -36,9 +36,6 @@ class Pipeline:
     def driver_ids(self) -> list[int]:
         return [n.node_id for n in self.driver_nodes]
 
-    def contains_op(self, op: Op) -> bool:
-        return any(n.op == op for n in self.nodes)
-
     def describe(self) -> str:
         ops = ", ".join(str(n.op) for n in self.nodes)
         drivers = ", ".join(str(n.op) for n in self.driver_nodes)

@@ -17,12 +17,13 @@ class ProgressEstimator(ABC):
     causal — the value at index ``t`` may only use counters at indices
     ``<= t`` — so a prefix of the trajectory yields the online value.
 
-    ``estimate`` is the definition: training, features, evaluation and
-    every test reference score through it.  Online monitoring needs a
-    structure-of-arrays kernel that reproduces it bit-for-bit
-    (:mod:`repro.progress.soa`); only the estimator classes shipped with
-    one can be monitored, and a :class:`~repro.core.monitor.ProgressMonitor`
-    over any other pool member refuses construction.
+    ``estimate`` is the definition: training errors, evaluation and every
+    test reference score through it.  Online monitoring and the dynamic
+    selection features run a structure-of-arrays kernel that reproduces
+    it bit-for-bit (:mod:`repro.progress.soa`); only the estimator classes
+    shipped with one can be monitored, and a
+    :class:`~repro.core.monitor.ProgressMonitor` over any other pool
+    member refuses construction.
     """
 
     #: short identifier used in reports, feature names and the registry

@@ -1,11 +1,11 @@
 """Structure-of-arrays estimator kernels: the one online estimation path.
 
 Every online consumer — the solo :class:`~repro.core.monitor.ProgressMonitor`,
-trace replay and the pooled service — advances the candidate estimators
-through the kernels here; the batch ``estimate(pr)`` of each estimator
-stays the definition they must reproduce bit-for-bit.  One flush's rows
-of every live pipeline are laid out as *structure-of-arrays* batches and
-evaluated per estimator kind:
+trace replay, the pooled service and the dynamic features — advances the
+estimators through the kernels here; the batch ``estimate(pr)`` of each
+estimator stays the definition they must reproduce bit-for-bit.  One
+flush's rows of every live pipeline are laid out as *structure-of-arrays*
+batches and evaluated per estimator kind:
 
 * a :class:`PipelineMeta` captures everything about a pipeline that is
   immutable once it starts — operator kinds, optimizer estimates, row
@@ -29,8 +29,9 @@ window reads one more row, the row the window opens at
 (:func:`window_starts`), which the batch carries as ``window_row``.  Only
 the exact estimator classes in ``_NATIVE`` have a kernel; the monitor
 refuses any other pool member at construction (:func:`kernel_class`).
-:func:`kernel_estimates` drives one kernel over a completed run — the
-reference check against ``estimate``.
+:meth:`FlushBatch.of_pipeline_runs` lays whole pipeline views out: the
+feature extractor's batch, and :func:`kernel_estimates`' check against
+``estimate``.
 
 Why bit-parity holds
 --------------------
@@ -254,26 +255,33 @@ class FlushBatch:
         self._fixes: dict[str, list[tuple[int, np.ndarray]]] = {}
 
     @classmethod
-    def of_pipeline_run(cls, pr: PipelineRun,
-                        speed_window: float | None = None) -> "FlushBatch":
-        """A one-pipeline batch over a completed run, ``N`` fixed at the
-        truth.
-
-        Row ``t`` is observation ``t``: the layout in which every kernel
-        must reproduce ``estimate(pr)`` (see :func:`kernel_estimates`).
-        With ``speed_window``, each row's ``window_row`` is its LUO window
-        start over that window.
+    def of_pipeline_runs(cls, prs: list[PipelineRun],
+                         speed_window: float | None = None) -> "FlushBatch":
+        """Range ``i`` holds every observation of ``prs[i]``, zero-padded
+        to the widest, with ``N`` fixed at ``prs[i].N`` (the truth
+        offline, the totals known at its row for a ``live_pipeline_run``
+        view): the layout in which each kernel reproduces ``estimate``.
+        With ``speed_window``, ``window_row`` holds LUO's window starts.
         """
-        rows = pr.n_observations
-        window_row = np.arange(rows)
-        if speed_window is not None:
-            window_row = window_starts(pr.times, pr.t_start, 0, window_row,
-                                       speed_window)
-        unset = np.zeros(pr.K.shape, dtype=bool)
-        batch = cls([PipelineMeta.from_pipeline_run(pr)], [(0, rows)],
-                    pr.times, pr.K, pr.W, pr.LB, pr.UB, D=unset,
-                    CK=np.zeros(pr.K.shape), CD=unset, window_row=window_row)
-        batch._cache["N"] = np.broadcast_to(pr.N, pr.K.shape)
+        bounds = np.cumsum([0] + [pr.n_observations for pr in prs])
+        ranges = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+        shape = (int(bounds[-1]), max((pr.n_nodes for pr in prs), default=0))
+        times = np.concatenate([np.zeros(0)] + [pr.times for pr in prs])
+        window_row = np.arange(shape[0])
+        rows = {name: np.zeros(shape) for name in ("K", "W", "LB", "UB", "N")}
+        for pr, (lo, hi) in zip(prs, ranges):
+            for name, out in rows.items():
+                out[lo:hi, :pr.n_nodes] = getattr(pr, name)
+            if speed_window is not None:
+                window_row[lo:hi] = lo + window_starts(
+                    pr.times, pr.t_start, 0, np.arange(hi - lo),
+                    speed_window)
+        unset = np.zeros(shape, dtype=bool)
+        batch = cls([PipelineMeta.from_pipeline_run(pr) for pr in prs],
+                    ranges, times, rows["K"], rows["W"], rows["LB"],
+                    rows["UB"], D=unset, CK=np.zeros(shape), CD=unset,
+                    window_row=window_row)
+        batch._cache["N"] = rows["N"]
         return batch
 
     def __len__(self) -> int:
@@ -605,9 +613,9 @@ def batched_states(estimators: dict[str, object]
 
 
 def kernel_estimates(estimator, pr: PipelineRun) -> np.ndarray:
-    """The kernel of ``estimator`` over every observation of a completed
-    run — equal to ``estimator.estimate(pr)`` bit-for-bit."""
+    """The kernel of ``estimator`` over every observation of the pipeline
+    view ``pr`` — equal to ``estimator.estimate(pr)`` bit-for-bit."""
     cls = kernel_class(estimator)
     window = estimator.speed_window if cls is BatchedLuoState else None
-    batch = FlushBatch.of_pipeline_run(pr, window)
+    batch = FlushBatch.of_pipeline_runs([pr], window)
     return cls(estimator).advance(batch)

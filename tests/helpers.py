@@ -69,7 +69,6 @@ def make_pipeline_run(
         t_start=float(times[0]),
         t_end=float(times[-1]),
         K=K,
-        R=np.zeros_like(K),
         W=np.asarray(W, dtype=np.float64),
         LB=np.asarray(LB, dtype=np.float64),
         UB=np.asarray(UB, dtype=np.float64),
@@ -107,7 +106,6 @@ def truncate_run(pr: PipelineRun, upto: int) -> PipelineRun:
         t_start=pr.t_start,
         t_end=float(pr.times[upto]),
         K=pr.K[:stop],
-        R=pr.R[:stop],
         W=pr.W[:stop],
         LB=pr.LB[:stop],
         UB=pr.UB[:stop],

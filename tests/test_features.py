@@ -7,11 +7,15 @@ import pytest
 
 from repro.core.training import runs_to_pipelines
 
+from repro.engine.run import live_pipeline_run
 from repro.features.vector import (
+    CORRELATED,
     MISSING,
     OPS_UNIVERSE,
     FeatureExtractor,
     _ancestor_matrix,
+    _dynamic_block,
+    _static_block,
     dynamic_feature_names,
     marker_rows,
     static_feature_names,
@@ -19,6 +23,7 @@ from repro.features.vector import (
 from repro.plan.nodes import Op
 from repro.progress.registry import all_estimators
 from repro.trace import read_trace
+from repro.trace.replay import ReplayContext
 
 from helpers import make_pipeline_run
 
@@ -37,16 +42,21 @@ def nlj_pipeline():
     )
 
 
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+FAMILIES = ("tpch", "tpcds", "real", "fuzz", "outer_semi")
+
+
+def family_pipelines(family):
+    """A golden family's recorded runs and scorable offline pipelines."""
+    runs, manifest = read_trace(GOLDEN_DIR / family)
+    return runs, runs_to_pipelines(
+        runs, min_observations=manifest["meta"]["min_observations"])
+
+
 @pytest.fixture(scope="module")
 def golden_pipelines():
     """Every scorable pipeline of every committed golden family."""
-    golden = Path(__file__).resolve().parent / "golden"
-    out = []
-    for family in ("tpch", "tpcds", "real", "fuzz", "outer_semi"):
-        runs, manifest = read_trace(golden / family)
-        out += runs_to_pipelines(
-            runs, min_observations=manifest["meta"]["min_observations"])
-    return out
+    return [pr for family in FAMILIES for pr in family_pipelines(family)[1]]
 
 
 def static_features(pr):
@@ -55,12 +65,11 @@ def static_features(pr):
     return dict(zip(extractor.feature_names, extractor.extract([pr])[0]))
 
 
-def dynamic_features(pr, estimates=None):
+def dynamic_features(pr):
     """One pipeline's §4.4 features (the columns after the static ones),
     by feature name."""
     extractor = FeatureExtractor("dynamic")
-    row = extractor.extract(
-        [pr], estimates=None if estimates is None else [estimates])[0]
+    row = extractor.extract([pr])[0]
     tail = len(static_feature_names())
     return dict(zip(extractor.feature_names[tail:], row[tail:]))
 
@@ -198,12 +207,38 @@ class TestDynamicFeatures:
         values = dynamic_features(pr)
         assert all(v == MISSING for v in values.values())
 
-    def test_uses_precomputed_estimates(self, nlj_pipeline, estimators):
-        estimates = {name: est.estimate(nlj_pipeline)
-                     for name, est in estimators.items()}
-        a = dynamic_features(nlj_pipeline, estimates)
-        b = dynamic_features(nlj_pipeline)
-        assert a == b
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_features_equal_their_estimate_definition(self, family,
+                                                      estimators):
+        """``extract`` reads its trajectories off the SoA kernels; its
+        rows are bit-equal to the feature blocks fed each pipeline's
+        ``estimate`` trajectories.  Checked on a golden family's offline
+        views (``N`` the truth) and on live views of its replayed runs
+        at a spread of rows (``N`` the totals known at the row), batched
+        together."""
+        runs, offline = family_pipelines(family)
+        views = list(offline)
+        for run in runs:
+            ctx = ReplayContext(run)
+            ctx.seek(len(run.times) - 1)
+            for pipe in ctx.pipelines:
+                first = ctx.pipe_first_row[pipe.pid]
+                if first >= len(run.times):
+                    continue
+                rows = np.linspace(first, len(run.times) - 1, 5).astype(int)
+                views += [view for view in (live_pipeline_run(ctx, pipe, R)
+                                            for R in sorted(set(rows)))
+                          if view is not None]
+        assert len(views) > len(offline), family
+        trajectories = np.hstack([
+            np.array([estimators[name].estimate(pr) for name in CORRELATED])
+            for pr in views])
+        bounds = np.cumsum([0] + [pr.n_observations for pr in views])
+        want = np.hstack([_static_block(views), _dynamic_block(
+            views, trajectories, list(zip(bounds[:-1], bounds[1:])))])
+        got = FeatureExtractor("dynamic").extract(views)
+        for i, (row, expected) in enumerate(zip(got, want)):
+            assert row.tobytes() == expected.tobytes(), (family, i)
 
 
 class TestFeatureExtractor:

@@ -37,7 +37,7 @@ FAMILIES = ("tpch", "tpcds", "real", "fuzz", "outer_semi")
 STATIC_FIELDS = ("pid", "db_name", "t_start", "node_ids", "ops", "E0",
                  "widths", "table_rows", "driver_mask", "parent_local",
                  "mat_idx", "mat_child_ids")
-ROW_FIELDS = ("times", "K", "R", "W", "LB", "UB")
+ROW_FIELDS = ("times", "K", "W", "LB", "UB")
 #: PipelineMeta slots the online capture legitimately differs on: the
 #: oracle byte total (and the kernel's view of it) needs the completed run,
 #: the online label is "(online)", and materialized bytes are left at 0.0

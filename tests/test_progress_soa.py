@@ -50,14 +50,14 @@ NATIVE_ESTIMATORS = [
 ]
 
 
-def batch_from_runs(prs, metas=None, true_n=True,
-                    speed_window=DEFAULT_SPEED_WINDOW):
-    """Lay completed pipeline runs' ticks out as one flush.
+def batch_from_runs(prs, metas=None, true_n=True):
+    """Lay completed pipeline runs' ticks out as one flush with hand-made
+    ``metas`` or the live ``N`` rule (everything else builds through
+    :meth:`FlushBatch.of_pipeline_runs`).
 
     Mirrors the service's ``_gather``: rows grouped per pipeline in tick
     order, zero-padded to the widest pipeline, per-node done flags raised
-    where the counter has reached the (known) final value, each row's
-    LUO window start over ``speed_window``.  ``true_n``
+    where the counter has reached the (known) final value.  ``true_n``
     fixes every row's ``N`` at the run's true totals, the view
     ``estimate(pr)`` has of a completed run; otherwise ``N`` follows the
     live rule from the done flags.
@@ -70,21 +70,19 @@ def batch_from_runs(prs, metas=None, true_n=True,
     D = np.zeros((total, w), dtype=bool)
     CK = np.zeros((total, w))
     CD = np.zeros((total, w), dtype=bool)
-    window_row = np.zeros(total, dtype=np.int64)
     ranges, lo = [], 0
     for pr in prs:
         T, m = pr.K.shape
         hi = lo + T
         times[lo:hi] = pr.times
-        window_row[lo:hi] = lo + window_starts(pr.times, pr.t_start, 0,
-                                               np.arange(T), speed_window)
         for name in arrays:
             arrays[name][lo:hi, :m] = getattr(pr, name)
         D[lo:hi, :m] = pr.K >= pr.N[None, :]
         ranges.append((lo, hi))
         lo = hi
     batch = FlushBatch(metas, ranges, times, arrays["K"], arrays["W"],
-                       arrays["LB"], arrays["UB"], D, CK, CD, window_row)
+                       arrays["LB"], arrays["UB"], D, CK, CD,
+                       np.arange(total))
     if true_n:
         N = np.zeros((total, w))
         for pr, (lo, hi) in zip(prs, ranges):
@@ -98,7 +96,7 @@ def advance(est, batch):
 
 
 def assert_kernels_match(prs, estimators=None):
-    batch = batch_from_runs(prs)
+    batch = FlushBatch.of_pipeline_runs(prs, DEFAULT_SPEED_WINDOW)
     for est in estimators or NATIVE_ESTIMATORS:
         vector = advance(est, batch)
         for pr, (lo, hi) in zip(prs, batch.ranges):
@@ -138,7 +136,7 @@ def test_kernels_match_scalar_past_pairwise_unroll():
                            drivers=[m - 1, m - 2],
                            table_rows=np.r_[np.full(m - 1, np.nan),
                                             K[-1, -1]])
-    batch = batch_from_runs([pr])
+    batch = FlushBatch.of_pipeline_runs([pr])
     assert "valid" in batch.metas[0].big, "fixture must exercise the fixup"
     assert batch.fixes("valid")
     assert_kernels_match([pr])
@@ -192,7 +190,7 @@ def test_luo_window_rows_match_batch_estimate():
     est = LuoEstimator(speed_window=window)
     prs = [linear_two_node_run(n_obs=51),      # 2s spacing: 2-row windows
            linear_two_node_run(n_obs=26, total=60.0)]
-    batch = batch_from_runs(prs, speed_window=window)
+    batch = FlushBatch.of_pipeline_runs(prs, speed_window=window)
     vector = BatchedLuoState(est).advance(batch)
     for pr, (lo, hi) in zip(prs, batch.ranges):
         assert np.array_equal(batch.window_row[lo:hi] - lo,
@@ -207,7 +205,7 @@ def test_luo_reads_only_its_row_and_window_row():
     window = 5.0
     est = LuoEstimator(speed_window=window)
     full, sparse = linear_two_node_run(n_obs=31), linear_two_node_run(n_obs=41)
-    batch = batch_from_runs([full, sparse], speed_window=window)
+    batch = FlushBatch.of_pipeline_runs([full, sparse], speed_window=window)
     picked = np.array([3, 17, 40])
     starts = window_starts(sparse.times, sparse.t_start, 0, picked, window)
     assert (starts < picked).all() and (starts > 0).all()
@@ -239,8 +237,8 @@ def test_width_is_set_per_flush():
     wide = make_pipeline_run([Op.FILTER] * (m - 1) + [Op.TABLE_SCAN], K,
                              table_rows=np.r_[np.full(m - 1, np.nan),
                                               K[-1, -1]])
-    alone = batch_from_runs([narrow])
-    beside = batch_from_runs([wide, narrow])
+    alone = FlushBatch.of_pipeline_runs([narrow], DEFAULT_SPEED_WINDOW)
+    beside = FlushBatch.of_pipeline_runs([wide, narrow], DEFAULT_SPEED_WINDOW)
     assert alone.width == narrow.n_nodes and beside.width == m
     assert beside.fixes("valid"), "the wide pipeline must hit the fixup"
     lo, hi = beside.ranges[1]
@@ -259,7 +257,7 @@ def _empty_run():
     return PipelineRun(
         pid=0, query_name="empty", db_name="synthetic",
         times=np.zeros(0), t_start=0.0, t_end=0.0,
-        K=z, R=z.copy(), W=z.copy(), LB=z.copy(), UB=z.copy(),
+        K=z, W=z.copy(), LB=z.copy(), UB=z.copy(),
         E0=base.E0, N=base.N, widths=base.widths,
         table_rows=base.table_rows, ops=base.ops,
         driver_mask=base.driver_mask, parent_local=base.parent_local,

@@ -103,7 +103,7 @@ def test_streaming_parity_on_fuzzed_workloads(seed):
 
 def test_tick_known_totals_matches_batch():
     pr = linear_two_node_run()
-    batch = FlushBatch.of_pipeline_run(pr)
+    batch = FlushBatch.of_pipeline_runs([pr])
     for row in batch.totals:
         assert np.array_equal(row[:pr.n_nodes], pr.known_totals())
 
@@ -121,7 +121,7 @@ def test_bytes_oracle_without_recorded_total_is_causal():
     value on each causal prefix: bytes so far over bytes so far."""
     pr = linear_two_node_run()
     est = BytesProcessedOracle()
-    batch = FlushBatch.of_pipeline_run(pr)
+    batch = FlushBatch.of_pipeline_runs([pr])
     batch.metas = [meta_of(pr, oracle_bytes_total=None)]
     values = batched_states({est.name: est})[est.name].advance(batch)
     for t, value in enumerate(values):
@@ -172,7 +172,7 @@ def test_luo_kernel_on_row_subsets_matches_estimate(case, data):
     picked = np.array(sorted(data.draw(st.sets(
         st.integers(0, n - 1), min_size=1, max_size=n))))
     starts = window_starts(pr.times, pr.t_start, 0, picked, window)
-    full = FlushBatch.of_pipeline_run(pr)
+    full = FlushBatch.of_pipeline_runs([pr])
     keep = np.r_[picked, starts]
     k = len(picked)
     batch = FlushBatch(
@@ -189,7 +189,7 @@ def test_rebuilt_pipeline_run_roundtrips_fields():
     """The one-pipeline reference batch mirrors the run it was built
     from, at the pipeline's own width."""
     pr = linear_two_node_run(n_obs=7)
-    batch = FlushBatch.of_pipeline_run(pr)
+    batch = FlushBatch.of_pipeline_runs([pr])
     assert batch.width == pr.n_nodes
     assert np.array_equal(batch.times, pr.times)
     for name in ("K", "W", "LB", "UB"):
@@ -202,7 +202,7 @@ def test_rebuilt_pipeline_run_roundtrips_fields():
     assert batch.ranges == [(0, pr.n_observations)]
     rows = np.arange(pr.n_observations)
     assert np.array_equal(batch.window_row, rows)  # no window: themselves
-    windowed = FlushBatch.of_pipeline_run(pr, speed_window=20.0)
+    windowed = FlushBatch.of_pipeline_runs([pr], speed_window=20.0)
     assert np.array_equal(windowed.window_row, window_starts(
         pr.times, pr.t_start, 0, rows, 20.0))
 
