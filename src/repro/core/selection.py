@@ -12,10 +12,12 @@ whenever the models are set.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from repro.learning.forest import PackedForest
-from repro.learning.mart import MARTParams, MARTRegressor
+from repro.learning.mart import BinnedFeatures, MARTParams, MARTRegressor
 
 
 class EstimatorSelector:
@@ -77,11 +79,18 @@ class EstimatorSelector:
         if errors.shape != (len(X), self.n_estimators):
             raise ValueError(
                 f"errors must be (n, {self.n_estimators}), got {errors.shape}")
+        # one binning of X serves every candidate; the first model's
+        # fit_seconds_ carries its cost
+        started = time.perf_counter()
+        binned = BinnedFeatures.of(X, self.mart_params.max_bins)
+        binning_seconds = time.perf_counter() - started
         models = {}
         self.training_seconds_ = 0.0
         for j, name in enumerate(self.estimator_names):
             model = MARTRegressor(self.mart_params)
-            model.fit(X, errors[:, j])
+            model.fit(X, errors[:, j], binned)
+            if j == 0:
+                model.fit_seconds_ += binning_seconds
             models[name] = model
             self.training_seconds_ += model.fit_seconds_
         self.models = models

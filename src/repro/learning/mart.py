@@ -43,6 +43,25 @@ class MARTParams:
             raise ValueError("subsample must be in (0, 1]")
 
 
+@dataclass(frozen=True)
+class BinnedFeatures:
+    """A feature matrix binned once, for every model fitted on it.
+
+    The selector fits one model per candidate estimator on the same ``X``;
+    each would fit an identical :class:`QuantileBinner`.
+    """
+
+    binner: QuantileBinner
+    Xb: np.ndarray       # (n, features) bins
+    Xb_off: np.ndarray   # offset_matrix(Xb, binner.total_bins)
+
+    @classmethod
+    def of(cls, X: np.ndarray, max_bins: int) -> "BinnedFeatures":
+        binner = QuantileBinner(max_bins)
+        Xb = binner.fit_transform(X)
+        return cls(binner, Xb, offset_matrix(Xb, binner.total_bins))
+
+
 @dataclass
 class MARTRegressor:
     """Gradient-boosted regression-tree ensemble."""
@@ -60,7 +79,10 @@ class MARTRegressor:
     def is_fitted(self) -> bool:
         return self.binner is not None
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "MARTRegressor":
+    def fit(self, X: np.ndarray, y: np.ndarray,
+            binned: BinnedFeatures | None = None) -> "MARTRegressor":
+        """Fit to ``(X, y)``; ``binned``, when given, is ``X`` already
+        binned (:meth:`BinnedFeatures.of`) and shared with other fits."""
         started = time.perf_counter()
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
@@ -68,11 +90,15 @@ class MARTRegressor:
             raise ValueError("X and y disagree on the number of samples")
         if len(y) == 0:
             raise ValueError("cannot fit on an empty training set")
+        if binned is None:
+            binned = BinnedFeatures.of(X, self.params.max_bins)
+        elif (binned.Xb.shape != X.shape
+              or binned.binner.max_bins != self.params.max_bins):
+            raise ValueError("binned features do not match X and max_bins")
         self._forest = None
-        self.binner = QuantileBinner(self.params.max_bins)
-        Xb = self.binner.fit_transform(X)
+        self.binner = binned.binner
+        Xb, Xb_off = binned.Xb, binned.Xb_off
         n_bins = self.binner.total_bins
-        Xb_off = offset_matrix(Xb, n_bins)
         rng = np.random.default_rng(self.params.random_state)
         self.init_ = float(y.mean())
         current = np.full(len(y), self.init_)

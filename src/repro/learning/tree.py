@@ -5,6 +5,16 @@ matching the paper's "each decision tree has 30 leaf nodes" — rather than
 to a fixed depth.  Split search is exact over the histogram of each
 feature; a child's histogram is obtained by subtracting its sibling's from
 the parent's, halving the work (the standard histogram-subtraction trick).
+
+A node holds few rows next to the ``(features, bins)`` grid of its
+histograms, so most thresholds leave a side with fewer than
+``min_samples_leaf`` rows.  The search scores only where a valid one
+lies: a node too small to split returns at once, and the gain formula
+runs on the block of features that have a valid threshold, over the span
+of bins that holds one.  It picks the same split, with the same gain
+bits, as scoring the whole grid would.  No histograms are built for two
+children that are both too small to split, nor for the children of the
+split that fills the leaf budget.
 """
 
 from __future__ import annotations
@@ -56,25 +66,42 @@ def _best_split(counts: np.ndarray, sums: np.ndarray,
     """Best (gain, feature, bin) over all features; gain < 0 if none valid.
 
     Gain is the SSE reduction of splitting, computed from sufficient
-    statistics: ``sumL²/nL + sumR²/nR - total²/n``.
+    statistics: ``sumL²/nL + sumR²/nR - total²/n``.  A threshold is valid
+    when both sides keep ``min_leaf`` rows.  The gain is evaluated only on
+    the block of features with a valid threshold and the span of bins
+    holding one; each feature's target sums are still accumulated from bin
+    0 and each gain is the same expression, so every gain in the block
+    has the bits the whole grid would give it.  Invalid thresholds in the
+    block score ``-inf``, and the row-major argmax picks the first best
+    threshold, as on the whole grid.
     """
     total_cnt = counts[0].sum()
-    total_sum = sums[0].sum()
-    cum_cnt = np.cumsum(counts, axis=1)[:, :-1]
-    cum_sum = np.cumsum(sums, axis=1)[:, :-1]
-    right_cnt = total_cnt - cum_cnt
-    right_sum = total_sum - cum_sum
-    valid = (cum_cnt >= min_leaf) & (right_cnt >= min_leaf)
-    if not valid.any():
+    if total_cnt < 2 * min_leaf:
         return -1.0, -1, -1
-    base = total_sum * total_sum / max(total_cnt, _EPS)
+    cum_cnt = np.cumsum(counts[:, :-1], axis=1)
+    valid = (cum_cnt >= min_leaf) & (cum_cnt <= total_cnt - min_leaf)
+    rows = np.flatnonzero(valid.any(axis=1))
+    if not len(rows):
+        return -1.0, -1, -1
+    cols = valid.any(axis=0)
+    lo = int(cols.argmax())
+    hi = len(cols) - int(cols[::-1].argmax())
+    cum_sum = np.cumsum(sums[rows, :hi], axis=1)[:, lo:]
+    cum_cnt = cum_cnt[rows, lo:hi]
+    total_sum = sums[0].sum()
+    right_sum = total_sum - cum_sum
+    base = total_sum * total_sum / total_cnt
+    # in place; an empty side (invalid, masked below) divides by zero
     with np.errstate(divide="ignore", invalid="ignore"):
-        gain = (cum_sum ** 2 / np.maximum(cum_cnt, _EPS)
-                + right_sum ** 2 / np.maximum(right_cnt, _EPS) - base)
-    gain = np.where(valid, gain, -np.inf)
-    flat_best = int(np.argmax(gain))
-    feature, bin_idx = divmod(flat_best, gain.shape[1])
-    return float(gain[feature, bin_idx]), feature, bin_idx
+        gain = np.square(cum_sum, out=cum_sum)
+        gain /= cum_cnt
+        np.square(right_sum, out=right_sum)
+        right_sum /= np.subtract(total_cnt, cum_cnt, out=cum_cnt)
+        gain += right_sum
+        gain -= base
+    np.copyto(gain, -np.inf, where=~valid[rows, lo:hi])
+    row, col = divmod(int(np.argmax(gain)), gain.shape[1])
+    return float(gain[row, col]), int(rows[row]), lo + col
 
 
 class RegressionTree:
@@ -118,6 +145,7 @@ class RegressionTree:
         root = add_node()
         value[root] = float(y.mean())
         counts, sums = _histograms(Xb_off, y, root_idx, n_bins)
+        min_split = 2 * self.params.min_samples_leaf
         heap: list[tuple] = []
         counter = 0  # tie-breaker, keeps heap comparisons away from arrays
 
@@ -145,6 +173,11 @@ class RegressionTree:
             left[node], right[node] = lnode, rnode
             value[lnode] = float(y[left_idx].mean())
             value[rnode] = float(y[right_idx].mean())
+            n_leaves += 1
+            if n_leaves == self.params.max_leaves:
+                break  # no split of either child could be taken
+            if max(len(left_idx), len(right_idx)) < min_split:
+                continue  # neither child can split
             # Histogram subtraction: compute the smaller child, derive the
             # larger one from the parent.
             if len(left_idx) <= len(right_idx):
@@ -155,7 +188,6 @@ class RegressionTree:
                 lc, ls = counts - rc, sums - rs
             consider(lnode, left_idx, lc, ls)
             consider(rnode, right_idx, rc, rs)
-            n_leaves += 1
         self.feature = np.asarray(feature, dtype=np.int64)
         self.threshold_bin = np.asarray(threshold, dtype=np.int64)
         self.left = np.asarray(left, dtype=np.int64)

@@ -1,5 +1,7 @@
 """Tests for the estimator-selection core: selector, training data."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from repro.core.training import (
     train_selector,
 )
 from repro.features.vector import FeatureExtractor
-from repro.learning.mart import MARTParams
+from repro.learning.mart import MARTParams, MARTRegressor
+from repro.learning.serialize import mart_to_dict
 from repro.progress.registry import all_estimators
 
 FAST_MART = MARTParams(n_trees=10, max_leaves=4)
@@ -69,6 +72,21 @@ class TestEstimatorSelector:
         selector = EstimatorSelector(data.estimator_names, FAST_MART)
         selector.fit(data.X, data.errors_l1)
         assert selector.training_seconds_ > 0
+        assert selector.training_seconds_ == sum(
+            model.fit_seconds_ for model in selector.models.values())
+
+    def test_candidates_share_one_binning(self, rng):
+        """One binning serves every candidate, and each model's bytes are
+        those of fitting it alone."""
+        data = synthetic_training_data(rng, n=80)
+        selector = EstimatorSelector(data.estimator_names, FAST_MART)
+        selector.fit(data.X, data.errors_l1)
+        binners = {id(model.binner) for model in selector.models.values()}
+        assert len(binners) == 1
+        for j, name in enumerate(data.estimator_names):
+            alone = MARTRegressor(FAST_MART).fit(data.X, data.errors_l1[:, j])
+            assert (json.dumps(mart_to_dict(selector.models[name]))
+                    == json.dumps(mart_to_dict(alone)))
 
 
 class TestTrainingData:

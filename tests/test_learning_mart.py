@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.learning.mart import MARTParams, MARTRegressor
+from repro.learning.mart import BinnedFeatures, MARTParams, MARTRegressor
 
 
 def toy_problem(rng, n=400, f=8):
@@ -70,6 +70,15 @@ class TestMARTRegressor:
                                          subsample=0.5)).fit(X, y)
         rmse = np.sqrt(np.mean((model.predict(X) - y) ** 2))
         assert rmse < 0.7 * y.std()
+
+    def test_binned_features_must_match(self, rng):
+        X, y = toy_problem(rng, n=60)
+        binned = BinnedFeatures.of(X, max_bins=32)
+        with pytest.raises(ValueError):
+            MARTRegressor(MARTParams(n_trees=2)).fit(X, y, binned)
+        with pytest.raises(ValueError):
+            MARTRegressor(MARTParams(n_trees=2, max_bins=32)).fit(
+                X[:, :4], y, binned)
 
     def test_fit_seconds_recorded(self, rng):
         X, y = toy_problem(rng, n=100)

@@ -1,10 +1,33 @@
 """Tests for the best-first regression tree."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import repro.learning.tree as tree_module
+from repro.core.training import (
+    collect_training_data,
+    runs_to_pipelines,
+    train_selector,
+)
+from repro.features.vector import FeatureExtractor
 from repro.learning.binning import QuantileBinner
-from repro.learning.tree import RegressionTree, TreeParams
+from repro.learning.mart import MARTParams, MARTRegressor
+from repro.learning.serialize import mart_to_dict, selector_to_dict
+from repro.learning.tree import (
+    RegressionTree,
+    TreeParams,
+    _best_split,
+    _histograms,
+    offset_matrix,
+)
+from repro.progress.registry import all_estimators
+from repro.trace import read_trace
+
+from golden.regenerate import FAMILIES, GOLDEN_DIR, SELECTOR_PARAMS
 
 
 def binned(X, max_bins=32):
@@ -97,3 +120,141 @@ class TestRegressionTree:
         tree = RegressionTree().fit(Xb, y, n_bins)
         extreme = np.full((3, 2), n_bins - 1, dtype=np.uint8)
         assert tree.predict_binned(extreme).shape == (3,)
+
+
+def dense_best_split(counts, sums, min_leaf):
+    """The whole-grid split search the valid-threshold one replaced: the
+    oracle its (gain, feature, bin) must equal bit for bit."""
+    total_cnt = counts[0].sum()
+    total_sum = sums[0].sum()
+    cum_cnt = np.cumsum(counts, axis=1)[:, :-1]
+    cum_sum = np.cumsum(sums, axis=1)[:, :-1]
+    right_cnt = total_cnt - cum_cnt
+    right_sum = total_sum - cum_sum
+    valid = (cum_cnt >= min_leaf) & (right_cnt >= min_leaf)
+    if not valid.any():
+        return -1.0, -1, -1
+    eps = tree_module._EPS
+    base = total_sum * total_sum / max(total_cnt, eps)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = (cum_sum ** 2 / np.maximum(cum_cnt, eps)
+                + right_sum ** 2 / np.maximum(right_cnt, eps) - base)
+    gain = np.where(valid, gain, -np.inf)
+    flat_best = int(np.argmax(gain))
+    feature, bin_idx = divmod(flat_best, gain.shape[1])
+    return float(gain[feature, bin_idx]), feature, bin_idx
+
+
+def node_histograms(seed, n_rows, n_features, n_bins, spread, duplicates,
+                    target, sibling):
+    """A node's histograms as the tree builds them.
+
+    Each feature's bins fill a random band of at most ``spread`` bins
+    (one bin: a constant feature), ``duplicates`` features copy another
+    one (exact gain ties), and ``sibling`` rows are split off and
+    subtracted, as the larger child's histograms are derived.
+    """
+    rng = np.random.default_rng(seed)
+    low = rng.integers(0, n_bins, n_features)
+    width = rng.integers(1, spread + 1, n_features)
+    high = np.minimum(low + width, n_bins)
+    Xb = (low + rng.random((n_rows + sibling, n_features))
+          * (high - low)).astype(np.uint8)
+    for j in rng.choice(n_features, min(duplicates, n_features),
+                        replace=False):
+        Xb[:, j] = Xb[:, rng.integers(n_features)]
+    if target == "normal":
+        y = rng.normal(scale=10.0 ** rng.integers(-3, 4),
+                       size=len(Xb))
+    elif target == "levels":
+        y = rng.integers(-2, 3, len(Xb)).astype(np.float64)
+    else:
+        y = np.full(len(Xb), 0.25)
+    Xb_off = offset_matrix(Xb, n_bins)
+    counts, sums = _histograms(Xb_off, y, np.arange(len(Xb)), n_bins)
+    if sibling:
+        sib_counts, sib_sums = _histograms(
+            Xb_off, y, np.arange(n_rows, len(Xb)), n_bins)
+        counts, sums = counts - sib_counts, sums - sib_sums
+    return counts, sums
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n_rows=st.integers(1, 160),
+       n_features=st.integers(1, 210), n_bins=st.integers(2, 64),
+       spread=st.integers(1, 64), duplicates=st.integers(0, 40),
+       target=st.sampled_from(["normal", "normal", "levels", "constant"]),
+       sibling=st.sampled_from([0, 0, 1, 7, 60]),
+       min_leaf=st.integers(1, 20))
+# a node smaller than 2 * min_leaf
+@example(seed=1, n_rows=9, n_features=30, n_bins=16, spread=16,
+         duplicates=0, target="normal", sibling=0, min_leaf=5)
+# every feature constant: no valid threshold at all
+@example(seed=2, n_rows=120, n_features=50, n_bins=32, spread=1,
+         duplicates=0, target="normal", sibling=60, min_leaf=1)
+# every feature overwritten by a copy of another: exact gain ties
+@example(seed=3, n_rows=100, n_features=12, n_bins=20, spread=20,
+         duplicates=12, target="levels", sibling=7, min_leaf=2)
+@settings(max_examples=400, deadline=None)
+def test_split_search_equals_dense_oracle(seed, n_rows, n_features, n_bins,
+                                          spread, duplicates, target,
+                                          sibling, min_leaf):
+    counts, sums = node_histograms(seed, n_rows, n_features, n_bins,
+                                   min(spread, n_bins), duplicates, target,
+                                   sibling)
+    gain, feature, bin_idx = _best_split(counts, sums, min_leaf)
+    want_gain, want_feature, want_bin = dense_best_split(counts, sums,
+                                                         min_leaf)
+    assert (feature, bin_idx) == (want_feature, want_bin)
+    assert float.hex(gain) == float.hex(want_gain)
+
+
+def golden_training_data(mode):
+    """Per golden family, its pipelines' training data for ``mode``."""
+    out = {}
+    for family in FAMILIES:
+        runs, manifest = read_trace(GOLDEN_DIR / family)
+        pipelines = runs_to_pipelines(
+            runs, min_observations=manifest["meta"]["min_observations"])
+        out[family] = collect_training_data(pipelines, all_estimators(),
+                                            FeatureExtractor(mode))
+    return out
+
+
+def fitted_with_oracle(monkeypatch, fit):
+    """``fit()`` as JSON bytes, with the tree module's split search and
+    then with the dense oracle in its place."""
+    fitted = json.dumps(fit())
+    with monkeypatch.context() as patched:
+        patched.setattr(tree_module, "_best_split", dense_best_split)
+        oracle = json.dumps(fit())
+    return fitted, oracle
+
+
+class TestFitParity:
+    """Whole fits with the valid-threshold split search serialize to the
+    bytes the dense search gives."""
+
+    @pytest.mark.parametrize("mode", ["static", "dynamic"])
+    def test_golden_selectors(self, mode, monkeypatch):
+        for family, data in golden_training_data(mode).items():
+            fitted, oracle = fitted_with_oracle(
+                monkeypatch,
+                lambda: selector_to_dict(train_selector(data,
+                                                        SELECTOR_PARAMS)))
+            assert fitted == oracle, family
+
+    @pytest.mark.parametrize("n_rows,n_features,spread", [
+        (3_000, 200, 64),   # dense: nearly every threshold is valid
+        (121, 202, 6),      # serving-shaped: few rows, narrow features
+    ])
+    def test_mart_regressor(self, n_rows, n_features, spread, monkeypatch,
+                            rng_factory):
+        rng = rng_factory(n_rows)
+        X = np.floor(rng.random((n_rows, n_features))
+                     * rng.integers(1, spread + 1, n_features))
+        y = np.sin(X[:, 0]) + X[:, 1] * X[:, 2] + rng.normal(size=n_rows)
+        params = MARTParams(n_trees=3)
+        fitted, oracle = fitted_with_oracle(
+            monkeypatch,
+            lambda: mart_to_dict(MARTRegressor(params).fit(X, y)))
+        assert fitted == oracle
