@@ -41,6 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from repro.catalog.table import Database
 from repro.core.selection import EstimatorSelector
 from repro.engine.executor import ExecutorConfig
@@ -85,8 +87,9 @@ class MonitorState:
     static_choices: dict[int, str] = field(default_factory=dict)
     dynamic_choices: dict[int, str] = field(default_factory=dict)
     choices: dict[int, str] = field(default_factory=dict)
-    #: per-pipeline ΣE weights (eq. 5), fixed once the plan is finalized
-    weights: dict[int, float] | None = None
+    #: per-pipeline ΣE weights (eq. 5) in pid order, fixed once the plan
+    #: is finalized
+    weights: np.ndarray | None = None
 
 
 class ProgressMonitor:
@@ -160,33 +163,33 @@ class ProgressMonitor:
 
     # -- selection policy (called by the flush) ------------------------------
 
-    def selection_needs(self, pid: int, state: MonitorState,
-                        requested: set[tuple[int, str]],
-                        fraction) -> tuple[str, bool]:
-        """Selector kind applying now, and whether its selection opens.
+    def selection_needs(self, pid: int, state: MonitorState, rows: int,
+                        fractions) -> tuple[int, bool, bool]:
+        """How one running pipeline's ``rows`` due rows of a flush select.
 
-        Static choice at pipeline start, revised once at the 20% marker
-        (§4.4).  ``fraction()`` (the current driver fraction) is only
-        consulted while the dynamic revision is still ahead — the
-        fraction is monotone on executed trajectories, so a pipeline past
-        the marker stays past it.  A kind opens at most once per
-        pipeline: once its sticky choice is committed, or its opening is
-        in ``requested`` (the ``(pid, kind)`` pairs opened earlier in the
-        same flush, which resolves them all), later rows report none.
-        Nothing is extracted here: the flush collects every opening of a
-        round and extracts each selector kind's features in one call.
+        Returns ``(split, static_opens, dynamic_opens)``: the rows before
+        ``split`` report under the static selector kind and the rest under
+        the dynamic one; the static selection opens at the first row, the
+        dynamic one at row ``split``.  Static choice at pipeline start,
+        revised once at the 20% marker (§4.4): the dynamic kind takes over
+        at the first row whose driver fraction reaches
+        :data:`DYNAMIC_FRACTION`.  ``fractions()`` (the driver fraction at
+        each row) is only consulted while the dynamic revision is still
+        ahead.  A kind opens at most once per pipeline: once its sticky
+        choice is committed, later flushes report none.  Nothing is
+        extracted here: the flush collects every opening of a round and
+        extracts each selector kind's features in one call.
         """
+        split = rows
         if self.dynamic_selector is not None:
-            if pid in state.dynamic_choices or (pid, DYNAMIC) in requested:
-                return DYNAMIC, False
-            if fraction() >= DYNAMIC_FRACTION:
-                requested.add((pid, DYNAMIC))
-                return DYNAMIC, True
-        if (self.static_selector is None or pid in state.static_choices
-                or (pid, STATIC) in requested):
-            return STATIC, False
-        requested.add((pid, STATIC))
-        return STATIC, True
+            if pid in state.dynamic_choices:
+                return 0, False, False
+            hit = np.flatnonzero(fractions() >= DYNAMIC_FRACTION)
+            if len(hit):
+                split = int(hit[0])
+        static_opens = (split > 0 and self.static_selector is not None
+                        and pid not in state.static_choices)
+        return split, static_opens, split < rows
 
     def chosen(self, pid: int, kind: str, state: MonitorState) -> str:
         """The estimator a running pipeline reports with under selector

@@ -2,13 +2,15 @@
 
 Every benchmark prints the reproduced table/figure series to stdout and
 mirrors it (with the raw numbers as JSON) under ``results/`` so
-EXPERIMENTS.md can reference frozen artifacts.
+EXPERIMENTS.md can reference frozen artifacts.  Each artifact carries the
+host it was measured on (:func:`host_info`).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
 from pathlib import Path
 from typing import Any
 
@@ -36,15 +38,54 @@ def format_table(headers: list[str], rows: list[list],
     return "\n".join(lines)
 
 
+def git_sha(start: Path | None = None) -> str:
+    """HEAD of the git checkout holding ``start`` (default: this
+    package), read from ``.git``; ``"unknown"`` outside git."""
+    here = (start or Path(__file__)).resolve()
+    for root in (here, *here.parents):
+        git = root / ".git"
+        if not git.is_dir():
+            continue
+        try:
+            head = (git / "HEAD").read_text().strip()
+            if not head.startswith("ref: "):
+                return head
+            ref = head[5:]
+            if (git / ref).is_file():
+                return (git / ref).read_text().strip()
+            for line in (git / "packed-refs").read_text().splitlines():
+                if line.endswith(" " + ref):
+                    return line.split()[0]
+        except OSError:
+            pass
+        break
+    return "unknown"
+
+
+def host_info() -> dict[str, Any]:
+    """What a measurement ran on: usable CPUs, Python and numpy versions
+    and the git sha of the code."""
+    import numpy as np
+
+    from repro.runtime import available_cpus
+
+    return {"cpus": available_cpus(), "python": platform.python_version(),
+            "numpy": np.__version__, "git_sha": git_sha()}
+
+
 def save_result(name: str, markdown: str,
                 data: dict | list | None = None) -> Path:
-    """Persist a reproduced artifact under ``results/``."""
+    """Persist a reproduced artifact under ``results/``, stamped with
+    :func:`host_info`: a footer line of the ``.md`` and the ``host`` key
+    of the ``.json`` (``{"host": ..., "data": data}``)."""
+    host = host_info()
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     md_path = RESULTS_DIR / f"{name}.md"
-    md_path.write_text(markdown + "\n")
+    footer = " ".join(f"{key}={value}" for key, value in host.items())
+    md_path.write_text(f"{markdown}\n\n_host: {footer}_\n")
     if data is not None:
-        (RESULTS_DIR / f"{name}.json").write_text(
-            json.dumps(data, indent=2, default=_jsonify))
+        (RESULTS_DIR / f"{name}.json").write_text(json.dumps(
+            {"host": host, "data": data}, indent=2, default=_jsonify))
     return md_path
 
 

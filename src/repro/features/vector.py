@@ -43,7 +43,7 @@ import numpy as np
 from repro.engine.run import PipelineRun
 from repro.plan.nodes import Op
 from repro.progress.registry import all_estimators
-from repro.progress.soa import _PAIRWISE_UNROLL, FlushBatch, kernel_class
+from repro.progress.soa import FlushBatch, kernel_class, masked_rowsums
 
 #: Fixed operator vocabulary so feature vectors align across pipelines.
 OPS_UNIVERSE: tuple[Op, ...] = (
@@ -142,18 +142,15 @@ def _masked_sums(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """``out[b, s] = values[b][masks[b, s]].sum()``, bit for bit.
 
     ``values`` is ``(n, width)`` and nonnegative; ``masks`` is
-    ``(n, S, width)``.  Zero-masked columns are accumulated sequentially,
-    which is exactly ``np.sum`` below its pairwise-unroll threshold; the
-    selections that reach it are re-summed compacted with ``np.sum``
-    itself (the rule of :mod:`repro.progress.soa`).
+    ``(n, S, width)``.  Every (pipeline, selection) is one row of
+    :func:`~repro.progress.soa.masked_rowsums`: zero-masked columns
+    accumulated in order, exactly ``np.sum`` below its pairwise-unroll
+    threshold, and the selections that reach it summed compacted in
+    ``np.sum``'s own order.
     """
-    picked = np.where(masks, values[:, None, :], 0.0)
-    out = np.zeros(masks.shape[:-1])
-    for j in range(masks.shape[-1]):
-        out += picked[..., j]
-    for b, s in zip(*np.nonzero(masks.sum(axis=-1) >= _PAIRWISE_UNROLL)):
-        out[b, s] = values[b][masks[b, s]].sum()
-    return out
+    n, S, width = masks.shape
+    Z = np.broadcast_to(values[:, None, :], masks.shape).reshape(n * S, width)
+    return masked_rowsums(Z, masks.reshape(n * S, width)).reshape(n, S)
 
 
 def _static_block(prs: list[PipelineRun]) -> np.ndarray:

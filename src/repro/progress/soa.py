@@ -11,8 +11,7 @@ batches and evaluated per estimator kind:
   immutable once it starts — operator kinds, optimizer estimates, row
   widths, table cardinalities, the driver mask — and derives its kernel
   metadata once, at its own width: known-source totals, the per-family
-  selection masks, materialized positions and the columns of each family
-  long enough to need the sum fix-up;
+  selection masks and materialized positions;
 * a :class:`FlushBatch` carries one flush's observation rows for a set of
   pipelines as flat ``(rows, width)`` arrays, zero-padded to the widest
   pipeline it holds, lays out each row's metadata next to them on demand
@@ -40,17 +39,22 @@ NumPy's ``sum`` adds sequentially below its 8-way pairwise-unroll
 threshold (starting from ``0.0``), and every quantity summed here is
 nonnegative, so summing a zero-padded row column-by-column is a bitwise
 no-op relative to summing the compacted selection — each padded position
-contributes an exact ``x + 0.0 == x``, whatever the batch's width.  Rows
-whose *selected* length reaches the threshold would hit NumPy's unrolled
-accumulator tree instead; their pipelines record those columns when the
-metadata is built (``PipelineMeta.big``) and the batch fixes the rows up
-by re-summing the compacted selection with ``np.sum`` itself
-(:meth:`FlushBatch.rowsum`), so every row sum is produced by exactly the
+contributes an exact ``x + 0.0 == x``, whatever the batch's width.  A
+selection of 8 to 127 columns takes NumPy's unrolled path instead: eight
+accumulators take every eighth column, are combined as
+``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, and the leftover columns are
+added in order.  :func:`masked_rowsums` finds such rows from the
+selection masks, gathers the rows of each width into one compacted
+``(rows, width)`` array and replays that order column by column
+(:func:`pairwise_rowsums`).  Wider
+selections, which NumPy splits recursively, are summed per row with
+``np.sum`` itself.  So every row sum is produced by exactly the
 reduction ``estimate`` applies to that observation's row.  All remaining
 kernel arithmetic is elementwise and mirrors the batch formulas
 operation-for-operation; the fuzz oracle's ``kernel`` layer gates both
 the per-estimator trajectories and the served report streams against
-``estimate``.
+``estimate``, and ``tests/test_progress_soa.py`` pins the emulated order
+against ``ndarray.sum``.
 """
 
 from __future__ import annotations
@@ -78,8 +82,10 @@ from repro.progress.tgnint import TGNIntEstimator
 #: are summed sequentially, where zero-padding cannot change a bit
 _PAIRWISE_UNROLL = 8
 
-#: mask families every kernel draws its row sums from
-_FAMILIES = ("valid", "driver", "bdrv", "sdrv")
+#: selections this wide are summed per row with ``np.sum`` (numpy's
+#: pairwise sum recurses past 128 columns, beyond the one 8-accumulator
+#: block :func:`pairwise_rowsums` replays)
+_PAIRWISE_BLOCK = 128
 
 
 class PipelineMeta:
@@ -90,9 +96,7 @@ class PipelineMeta:
     width: ``known_base`` (the totals of :meth:`PipelineRun.known_totals`
     that never change), one selection mask per row-sum family
     (``valid``, ``driver``, ``bdrv``, ``sdrv``), the ``matpos`` /
-    ``childpos`` positions of the per-row ``N`` rule, and ``big``: per
-    family with :data:`_PAIRWISE_UNROLL` or more selected columns, those
-    columns.
+    ``childpos`` positions of the per-row ``N`` rule.
     """
 
     __slots__ = (
@@ -101,7 +105,7 @@ class PipelineMeta:
         "materialized_bytes_est", "oracle_bytes_total", "materialized_idx",
         "mat_idx", "mat_child_ids",
         "known_base", "valid", "driver", "bdrv", "sdrv", "matpos",
-        "childpos", "big", "e0_sum", "oracle_total", "has_oracle",
+        "childpos", "e0_sum", "oracle_total", "has_oracle",
     )
 
     def __init__(self, pid: int, query_name: str, db_name: str,
@@ -128,9 +132,9 @@ class PipelineMeta:
         #: runs — lets the §6.7 Bytes-Processed oracle's kernel match its
         #: ``estimate`` (see :class:`~repro.progress.gold.BytesProcessedOracle`)
         self.oracle_bytes_total = oracle_bytes_total
-        self.materialized_idx = np.array(
-            [j for j, op in enumerate(ops) if op in _MATERIALIZED_OPS],
-            dtype=np.int64)
+        self.matpos = np.array([op in _MATERIALIZED_OPS for op in ops],
+                               dtype=bool)
+        self.materialized_idx = np.flatnonzero(self.matpos)
         # blocking sources (local index) whose totals become exact once the
         # *out-of-pipeline* build child (global node id) finishes —
         # consumed by the per-row N rule
@@ -140,12 +144,9 @@ class PipelineMeta:
 
         # -- kernel metadata ---------------------------------------------
         m = len(ops)
-        known = np.array(
-            [j for j, op in enumerate(ops)
-             if op in _KNOWN_SOURCE_OPS and np.isfinite(table_rows[j])],
-            dtype=np.int64)
-        self.known_base = E0.copy()
-        self.known_base[known] = table_rows[known]
+        known = np.array([op in _KNOWN_SOURCE_OPS for op in ops],
+                         dtype=bool) & np.isfinite(table_rows)
+        self.known_base = np.where(known, table_rows, E0)
         self.valid = np.ones(m, dtype=bool)
         self.driver = np.asarray(driver_mask, dtype=bool)
         # the widened families mirror BATCHDNE's / DNESEEK's node_mask
@@ -153,15 +154,8 @@ class PipelineMeta:
                                            dtype=bool)
         self.sdrv = self.driver | np.array([op == Op.INDEX_SEEK for op in ops],
                                            dtype=bool)
-        self.matpos = np.zeros(m, dtype=bool)
-        self.matpos[self.materialized_idx] = True
         self.childpos = np.zeros(m, dtype=bool)
         self.childpos[self.mat_idx] = True
-        self.big = {}
-        for f in _FAMILIES:
-            idx = np.flatnonzero(getattr(self, f))
-            if len(idx) >= _PAIRWISE_UNROLL:
-                self.big[f] = idx
         # TGNINT's estimate sums E0 once per trajectory; the sum is
         # tick-invariant, so one np.sum here is bit-identical
         self.e0_sum = float(E0.sum())
@@ -197,35 +191,35 @@ class PipelineMeta:
             mat_idx=pr.mat_idx, mat_child_ids=pr.mat_child_ids,
         )
 
-    def driver_fraction(self, K: np.ndarray, D: np.ndarray) -> float:
-        """Fraction of driver input consumed at one log row.
+    def driver_fraction(self, K: np.ndarray, D: np.ndarray) -> np.ndarray:
+        """Fraction of driver input consumed at each of some log rows.
 
-        ``K`` and ``D`` are the row's full-width counter and done-flag
-        vectors.  The dynamic-selection marker (§4.4), evaluated for one
-        row without a flush: :meth:`PipelineRun.driver_fraction` under the
-        live ``n_partial`` rule (:func:`~repro.engine.run.partial_totals`).
+        ``K`` and ``D`` are the rows' ``(rows, width)`` full-width counter
+        and done-flag arrays.  The dynamic-selection marker (§4.4),
+        evaluated without a flush: :meth:`PipelineRun.driver_fraction`
+        under the live ``n_partial`` rule
+        (:func:`~repro.engine.run.partial_totals`).
         """
         cols = self.node_ids
-        k = K[cols]
-        totals = self.known_base.copy()
+        k = K[:, cols]
+        totals = np.repeat(self.known_base[None, :], len(K), axis=0)
         idx = self.materialized_idx
         if len(idx):
-            totals[idx] = partial_totals(K, D, cols, self.E0, self.mat_idx,
-                                         self.mat_child_ids)[idx]
+            totals[:, idx] = partial_totals(K, D, cols, self.E0, self.mat_idx,
+                                            self.mat_child_ids)[:, idx]
         mask = self.driver_mask
-        denom = float(totals[mask].sum())
-        if denom <= 0:
-            return 0.0
-        return float(np.clip(k[mask].sum() / denom, 0.0, 1.0))
+        return _clipped_ratio(pairwise_rowsums(k[:, mask]),
+                              pairwise_rowsums(totals[:, mask]))
 
 
 class FlushBatch:
     """One flush's observation rows for a set of pipelines, flattened.
 
-    Pipeline ``i`` (``metas[i]``) owns the flat rows ``ranges[i] = (lo,
-    hi)``; the ranges tile the batch in order, and within one range rows
-    come in any order.  Row arrays are ``(rows, width)``, zero-padded to
-    the widest pipeline.  ``window_row[r]`` is the flat index of the row
+    Range ``i`` holds flat rows ``ranges[i] = (lo, hi)`` of the pipeline
+    ``metas[i]``; the ranges tile the batch in order, within one range
+    rows come in any order, and a pipeline may own several ranges (its
+    metadata listed once per range).  Row arrays are ``(rows, width)``,
+    zero-padded to the widest pipeline.  ``window_row[r]`` is the flat index of the row
     LUO's speed window opens at for row ``r`` (:func:`window_starts`); a
     row whose LUO value is never read points at itself.  ``CK``/``CD``
     overlay the out-of-pipeline build child's counter/done columns at the
@@ -252,7 +246,7 @@ class FlushBatch:
         self.owner = np.repeat(np.arange(len(metas)),
                                [hi - lo for lo, hi in ranges])
         self._cache: dict[str, np.ndarray] = {}
-        self._fixes: dict[str, list[tuple[int, np.ndarray]]] = {}
+        self._wide: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
 
     @classmethod
     def of_pipeline_runs(cls, prs: list[PipelineRun],
@@ -303,9 +297,7 @@ class FlushBatch:
             values = [getattr(meta, name) for meta in self.metas]
             if np.ndim(values[0]):
                 dtype = bool if values[0].dtype == bool else float
-                table = np.zeros((len(values), self.width), dtype=dtype)
-                for i, value in enumerate(values):
-                    table[i, :len(value)] = value
+                table = padded(values, self.width, 0, dtype)
             else:
                 table = np.array(values)
             out = table[self.owner]
@@ -346,32 +338,17 @@ class FlushBatch:
             self._cache["bytes_done"] = out
         return out
 
-    def fixes(self, family: str) -> list[tuple[int, np.ndarray]]:
-        """``(row, columns)`` of every row whose ``family`` selection is
-        long enough to need the compacted re-sum (``PipelineMeta.big``)."""
-        out = self._fixes.get(family)
+    def wide(self, family: str) -> list[tuple[np.ndarray, np.ndarray]]:
+        """:func:`wide_selections` of the ``family`` masks (cached)."""
+        out = self._wide.get(family)
         if out is None:
-            out = [(r, meta.big[family])
-                   for meta, (lo, hi) in zip(self.metas, self.ranges)
-                   if family in meta.big
-                   for r in range(lo, hi)]
-            self._fixes[family] = out
+            out = self._wide[family] = wide_selections(self.meta_rows(family))
         return out
 
     def rowsum(self, family: str, Z: np.ndarray) -> np.ndarray:
-        """Per-row ``Z[r, sel].sum()``, bit-identical to the batch sums.
-
-        Sequential column accumulation over the zero-masked rows (exact
-        for selections below numpy's unroll threshold — see the module
-        docstring), with threshold-length rows re-summed compacted.
-        """
-        masked = np.where(self.meta_rows(family), Z, 0.0)
-        out = np.zeros(len(masked))
-        for j in range(masked.shape[1]):
-            out += masked[:, j]
-        for r, idx in self.fixes(family):
-            out[r] = Z[r, idx].sum()
-        return out
+        """Per-row ``Z[r, sel].sum()`` over the ``family`` selection,
+        bit-identical to the batch sums (:func:`masked_rowsums`)."""
+        return masked_rowsums(Z, self.meta_rows(family), self.wide(family))
 
     def sums(self, family: str, source: str) -> np.ndarray:
         """Cached :meth:`rowsum` of a named source array family."""
@@ -388,10 +365,81 @@ class FlushBatch:
         key = "dnev:" + family
         out = self._cache.get(key)
         if out is None:
-            out = _safe_div(self.sums(family, "K"), self.sums(family, "totals"))
-            np.clip(out, 0.0, 1.0, out=out)
+            out = _clipped_ratio(self.sums(family, "K"),
+                                 self.sums(family, "totals"))
             self._cache[key] = out
         return out
+
+
+def padded(values: list[np.ndarray], width: int, fill, dtype) -> np.ndarray:
+    """``(len(values), width)`` table whose row ``i`` starts with
+    ``values[i]`` and holds ``fill`` after it."""
+    filled = np.arange(width) < np.array([len(v) for v in values])[:, None]
+    table = np.full(filled.shape, fill, dtype=dtype)
+    table[filled] = np.concatenate(values)
+    return table
+
+
+def masked_rowsums(Z: np.ndarray, mask: np.ndarray,
+                   wide: list | None = None) -> np.ndarray:
+    """Per row ``r`` of the nonnegative ``(rows, width)`` array ``Z``,
+    ``Z[r][mask[r]].sum()`` bit for bit.
+
+    The zero-masked columns are accumulated in order, which is numpy's
+    own order below :data:`_PAIRWISE_UNROLL` selected columns (see "Why
+    bit-parity holds"); the rows of wider selections (``wide``, by
+    default :func:`wide_selections` of ``mask``) are summed compacted by
+    :func:`pairwise_rowsums`.
+    """
+    masked = np.where(mask, Z, 0.0)
+    out = np.zeros(len(mask))
+    for j in range(mask.shape[1]):
+        out += masked[:, j]
+    for rows, cols in wide_selections(mask) if wide is None else wide:
+        out[rows] = pairwise_rowsums(Z[rows[:, None], cols])
+    return out
+
+
+def wide_selections(mask: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per selection width of :data:`_PAIRWISE_UNROLL` or more columns in
+    the boolean ``(rows, width)`` ``mask``: the rows selecting that many
+    columns and, row by row, their selected columns in order."""
+    counts = mask.sum(axis=1)
+    out = []
+    for width in np.unique(counts[counts >= _PAIRWISE_UNROLL]).tolist():
+        rows = np.flatnonzero(counts == width)
+        out.append((rows, np.nonzero(mask[rows])[1].reshape(len(rows),
+                                                             width)))
+    return out
+
+
+def pairwise_rowsums(C: np.ndarray) -> np.ndarray:
+    """Per row of the compacted ``(rows, width)`` array ``C``, that row's
+    ``ndarray.sum`` bit for bit (see "Why bit-parity holds").
+
+    Below :data:`_PAIRWISE_UNROLL` columns the columns are added in order
+    from ``0.0``; up to :data:`_PAIRWISE_BLOCK`, eight accumulators take
+    every eighth column and combine pairwise before the leftover columns
+    are added in order; wider rows are summed one by one.  Exact for the
+    nonnegative values every kernel sums.
+    """
+    rows, width = C.shape
+    if width >= _PAIRWISE_BLOCK:
+        return np.array([row.sum() for row in C])
+    if width < _PAIRWISE_UNROLL:
+        out = np.zeros(rows)
+        for j in range(width):
+            out += C[:, j]
+        return out
+    acc = C[:, :_PAIRWISE_UNROLL].copy()
+    end = width - width % _PAIRWISE_UNROLL
+    for j in range(_PAIRWISE_UNROLL, end, _PAIRWISE_UNROLL):
+        acc += C[:, j:j + _PAIRWISE_UNROLL]
+    r = acc.T
+    out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for j in range(end, width):
+        out += C[:, j]
+    return out
 
 
 def _safe_div(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
@@ -399,6 +447,12 @@ def _safe_div(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
     out = np.zeros(np.broadcast(num, denom).shape)
     np.divide(num, denom, out=out, where=denom > 0)
     return out
+
+
+def _clipped_ratio(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """:func:`_safe_div` clipped to ``[0, 1]`` (the DNE-family value)."""
+    out = _safe_div(num, denom)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 # -- per-kind batched states --------------------------------------------------

@@ -53,9 +53,10 @@ class QuerySession:
         self.reports: list[ProgressReport] = []
         #: observation-log row index per due report
         self.pending_reports: list[int] = []
-        #: pid -> the flush's record of a running pipeline (kernel
-        #: metadata, first causal row, log), from its first running report
-        #: row until its done report or the session's last flush
+        #: pid -> the kernel metadata of a running pipeline
+        #: (:class:`~repro.progress.soa.PipelineMeta`), from its first
+        #: running report row until its done report or the session's last
+        #: flush
         self.pipe_records: dict[int, object] = {}
         self.steps = 0
         self.released = False

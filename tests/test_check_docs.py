@@ -17,7 +17,7 @@ def _check_docs():
 def test_stale_member_span_fails_and_live_ones_pass(tmp_path):
     doc = tmp_path / "doc.md"
     doc.write_text(
-        "Live: `FlushBatch.rowsum()` (a method), `PipelineMeta.big` (a\n"
+        "Live: `FlushBatch.rowsum()` (a method), `PipelineMeta.childpos` (a\n"
         "`__slots__` entry), `ServiceStats.ticks` (a dataclass field),\n"
         "`QuerySession.pipe_records` (a `self.` assignment) and\n"
         "`BatchedLuoState.estimator` (inherited).  Not a repro class:\n"

@@ -187,33 +187,39 @@ class TestKernelLifecycle:
         gather = VectorizedFlush._gather
         gathered = []
 
-        def spy(flush, by_rec):
-            batch = gather(flush, by_rec)
-            items = [it for its in by_rec.values() for it in its]
-            timed = [it for it in items if it.name == "luo"]
-            assert len(batch) == len(items) + len(timed)
-            for it in items:
-                rec, flat = it.rec, it.flat
-                log = rec.log.as_arrays()
-                m = rec.meta.n_nodes
-                assert batch.metas[batch.owner[flat]] is rec.meta
-                assert np.array_equal(batch.K[flat, :m],
-                                      log["K"][it.row, rec.meta.node_ids])
-                start = batch.window_row[flat]
-                if it.name != "luo":
-                    assert start == flat
-                    continue
-                elapsed = log["times"] - rec.meta.t_start
-                want = rec.first
-                while (want < it.row
-                       and elapsed[it.row] - elapsed[want] > window):
-                    want += 1
-                assert start != flat
-                assert batch.metas[batch.owner[start]] is rec.meta
-                assert batch.times[start] == log["times"][want]
-                assert np.array_equal(batch.K[start, :m],
-                                      log["K"][want, rec.meta.node_ids])
-            gathered.append(len(timed))
+        def spy(flush, plan, segments):
+            batch = gather(flush, plan, segments)
+            timed = 0
+            luo = np.zeros(len(plan.cell_pid), dtype=bool)
+            for _, lo, hi in segments:
+                luo[lo:hi] = True
+            for run in plan.runs:
+                meta, log = run.meta, plan.logs[run.s]
+                first = plan.firsts[run.s, run.pid]
+                m = meta.n_nodes
+                for cell in range(run.c0, run.c0 + run.n):
+                    # batch row ``cell`` is the cell's report row
+                    row = plan.rows[plan.cell_report[cell]]
+                    assert batch.metas[batch.owner[cell]] is meta
+                    assert np.array_equal(batch.K[cell, :m],
+                                          log["K"][row, meta.node_ids])
+                    start = batch.window_row[cell]
+                    if not luo[cell]:
+                        assert start == cell
+                        continue
+                    timed += 1
+                    elapsed = log["times"] - meta.t_start
+                    want = first
+                    while (want < row
+                           and elapsed[row] - elapsed[want] > window):
+                        want += 1
+                    assert start != cell
+                    assert batch.metas[batch.owner[start]] is meta
+                    assert batch.times[start] == log["times"][want]
+                    assert np.array_equal(batch.K[start, :m],
+                                          log["K"][want, meta.node_ids])
+            assert len(batch) == len(plan.cell_pid) + timed
+            gathered.append(timed)
             return batch
 
         monkeypatch.setattr(VectorizedFlush, "_gather", spy)

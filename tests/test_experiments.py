@@ -88,9 +88,21 @@ class TestResults:
         import repro.experiments.results as results_mod
         monkeypatch.setattr(results_mod, "RESULTS_DIR", tmp_path)
         path = save_result("unit", "# hello", data={"x": np.float64(1.5)})
-        assert path.read_text().startswith("# hello")
+        text = path.read_text()
+        assert text.startswith("# hello")
         payload = json.loads((tmp_path / "unit.json").read_text())
-        assert payload["x"] == 1.5
+        assert payload["data"] == {"x": 1.5}
+        host = payload["host"]
+        assert set(host) == {"cpus", "python", "numpy", "git_sha"}
+        assert host["cpus"] >= 1 and host["numpy"] == np.__version__
+        assert text.splitlines()[-1] == (
+            f"_host: cpus={host['cpus']} python={host['python']} "
+            f"numpy={host['numpy']} git_sha={host['git_sha']}_")
+
+    def test_git_sha_outside_git_is_unknown(self, tmp_path):
+        from repro.experiments.results import git_sha
+
+        assert git_sha(tmp_path / "file.py") == "unknown"
 
     def test_ascii_series_renders(self):
         xs = np.linspace(0, 1, 50)

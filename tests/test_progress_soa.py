@@ -15,6 +15,8 @@ layers; this module pins the kernels in isolation.
 
 import numpy as np
 from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import pytest
 
@@ -28,12 +30,15 @@ from repro.progress.gold import BytesProcessedOracle, GetNextOracle
 from repro.progress.luo import DEFAULT_SPEED_WINDOW, LuoEstimator, bytes_done
 from repro.progress.refined_tgn import RefinedTGNEstimator
 from repro.progress.safe_pmax import PMaxEstimator, SafeEstimator
+from repro.features.vector import _masked_sums
 from repro.progress.soa import (
+    _PAIRWISE_BLOCK,
     _PAIRWISE_UNROLL,
     BatchedLuoState,
     FlushBatch,
     PipelineMeta,
     batched_states,
+    pairwise_rowsums,
     window_starts,
 )
 from repro.progress.tgn import TGNEstimator
@@ -106,11 +111,10 @@ def assert_kernels_match(prs, estimators=None):
                 f"{np.abs(vector[lo:hi] - want).max():.3e}")
 
 
-def log_row(pr, t):
-    """Observation ``t`` of ``pr`` as full-width log-row ``(K, D)``
-    vectors (node ids are the local columns), done flags by the live
-    rule."""
-    return pr.K[t], pr.K[t] >= pr.N
+def log_rows(pr):
+    """Every observation of ``pr`` as full-width log rows ``(K, D)``
+    (node ids are the local columns), done flags by the live rule."""
+    return pr.K, pr.K >= pr.N[None, :]
 
 
 def test_kernels_match_scalar_on_executed_pipelines(join_run, scan_run):
@@ -126,7 +130,7 @@ def test_kernels_match_scalar_on_synthetic_chain():
 
 def test_kernels_match_scalar_past_pairwise_unroll():
     """Rows whose selection reaches numpy's pairwise-sum threshold go
-    through the compacted-re-sum fixup and still match bitwise."""
+    through the compacted pairwise sums and still match bitwise."""
     m = _PAIRWISE_UNROLL + 3
     T = 13
     rng = np.random.default_rng(7)
@@ -137,8 +141,7 @@ def test_kernels_match_scalar_past_pairwise_unroll():
                            table_rows=np.r_[np.full(m - 1, np.nan),
                                             K[-1, -1]])
     batch = FlushBatch.of_pipeline_runs([pr])
-    assert "valid" in batch.metas[0].big, "fixture must exercise the fixup"
-    assert batch.fixes("valid")
+    assert batch.wide("valid"), "fixture must exercise the compacted sums"
     assert_kernels_match([pr])
 
 
@@ -240,11 +243,67 @@ def test_width_is_set_per_flush():
     alone = FlushBatch.of_pipeline_runs([narrow], DEFAULT_SPEED_WINDOW)
     beside = FlushBatch.of_pipeline_runs([wide, narrow], DEFAULT_SPEED_WINDOW)
     assert alone.width == narrow.n_nodes and beside.width == m
-    assert beside.fixes("valid"), "the wide pipeline must hit the fixup"
+    (rows, cols), = beside.wide("valid")
+    lo, hi = beside.ranges[0]
+    assert np.array_equal(rows, np.arange(lo, hi)), \
+        "the wide pipeline's rows, and only they, take the compacted sums"
+    assert cols.shape == (hi - lo, m)
     lo, hi = beside.ranges[1]
     for est in NATIVE_ESTIMATORS:
         assert np.array_equal(advance(est, beside)[lo:hi],
                               advance(est, alone)), est.name
+
+
+# -- numpy's summation order, replayed ---------------------------------------
+
+@st.composite
+def _summands(draw, shape):
+    """Nonnegative summands of ``shape``: magnitudes from 1e-8 to 1e8
+    (wide enough that the order of additions shows), a drawn share of
+    zeros and of repeats of one value."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    C = rng.uniform(1.0, 10.0, shape) * 10.0 ** rng.integers(-8, 9, shape)
+    C[rng.uniform(size=shape) < draw(st.floats(0.0, 1.0))] = 0.0
+    C[rng.uniform(size=shape) < draw(st.floats(0.0, 0.5))] = draw(
+        st.sampled_from([1.0, 0.1, 3.0e7, 7.0e-8]))
+    return C
+
+
+def _hexes(values):
+    return [float.hex(float(v)) for v in values]
+
+
+@given(st.tuples(st.integers(1, 12), st.integers(1, _PAIRWISE_BLOCK - 1))
+       .flatmap(_summands))
+@settings(max_examples=300, deadline=None)
+def test_pairwise_rowsums_replay_ndarray_sum(C):
+    """Below 128 columns the replayed order (sequential below 8 columns,
+    eight accumulators from 8 on) equals ``ndarray.sum`` of each row, bit
+    for bit.  A numpy that changes its summation order fails here."""
+    assert _hexes(pairwise_rowsums(C)) == _hexes(row.sum() for row in C)
+
+
+def test_pairwise_rowsums_wide_rows_fall_back_to_np_sum():
+    """From 128 columns numpy recurses; such rows are summed one by one."""
+    rng = np.random.default_rng(3)
+    for width in (_PAIRWISE_BLOCK, 300):
+        C = rng.uniform(0.0, 1.0, (5, width)) * 10.0 ** rng.integers(
+            -8, 9, (5, width))
+        assert _hexes(pairwise_rowsums(C)) == _hexes(row.sum() for row in C)
+
+
+@given(st.integers(1, 40).flatmap(lambda width: st.tuples(
+    _summands((4, width)), arrays(bool, (4, 3, width)))))
+@settings(max_examples=200, deadline=None)
+def test_masked_sums_equal_compacted_sums(case):
+    """``_masked_sums`` (the static features' sums) equals
+    ``values[b][masks[b, s]].sum()``, selections past the unroll
+    threshold included."""
+    values, masks = case
+    got = _masked_sums(values, masks)
+    for b, s in np.ndindex(*masks.shape[:2]):
+        assert float.hex(float(got[b, s])) == float.hex(
+            float(values[b][masks[b, s]].sum())), (b, s)
 
 
 # -- per-row helper mirrors (properties + edge cases) ------------------------
@@ -287,9 +346,8 @@ def test_tick_helpers_match_batch_mirrors(pr):
     assert np.array_equal(batch.driver_value("driver")[lo:hi],
                           pr.driver_fraction())
     live = batch_from_runs([pr], metas=[meta], true_n=False)
-    fraction = live.driver_value("driver")
-    for t in range(pr.n_observations):
-        assert meta.driver_fraction(*log_row(pr, t)) == fraction[t]
+    assert np.array_equal(meta.driver_fraction(*log_rows(pr)),
+                          live.driver_value("driver"))
 
 
 def test_empty_pipeline_batches_to_zero_rows():
@@ -317,8 +375,7 @@ def test_zero_denominator_pipeline_parity():
     meta = PipelineMeta.from_pipeline_run(pr)
     batch = batch_from_runs([pr], metas=[meta])
     assert not batch.driver_value("driver").any()
-    for t in range(pr.n_observations):
-        assert meta.driver_fraction(*log_row(pr, t)) == 0.0
+    assert not meta.driver_fraction(*log_rows(pr)).any()
     assert_kernels_match([pr])
 
 
