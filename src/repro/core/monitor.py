@@ -17,7 +17,8 @@ pooled multi-query service (:mod:`repro.service`).  Sessions only note
 pipeline status causally from the log, asks the monitor's selection
 policy (:meth:`ProgressMonitor.selection_needs`,
 :meth:`ProgressMonitor.chosen`) which selector applies and whether it
-opens, extracts the features of every opening in one
+opens, lays out every opening's causal view from the log and extracts
+its features in one
 :meth:`~repro.features.vector.FeatureExtractor.extract` call per selector
 kind, scores them in one batched pass, evaluates each chosen estimator's
 structure-of-arrays kernel (:mod:`repro.progress.soa`) at the report rows

@@ -19,6 +19,7 @@ from repro.features.vector import FeatureExtractor
 from repro.learning.mart import MARTParams
 from repro.progress.base import ProgressEstimator
 from repro.progress.metrics import l1_error, l2_error
+from repro.progress.soa import FlushBatch
 
 #: pipelines per ``extract`` call: rows do not depend on their batch, and a
 #: kernel batch holds a few dozen arrays as large as all its observations
@@ -117,9 +118,9 @@ def collect_training_data(pipeline_runs: list[PipelineRun],
             "total_getnext": float(pr.N.sum()),
         })
     return TrainingData(
-        X=np.vstack([extractor.extract(pipeline_runs[i:i + _EXTRACT_CHUNK])
-                     for i in range(0, max(len(pipeline_runs), 1),
-                                    _EXTRACT_CHUNK)]),
+        X=np.vstack([extractor.extract(FlushBatch.of_pipeline_runs(
+            pipeline_runs[i:i + _EXTRACT_CHUNK], extractor.speed_window))
+            for i in range(0, max(len(pipeline_runs), 1), _EXTRACT_CHUNK)]),
         errors_l1=np.asarray(rows_l1).reshape(len(rows_l1), len(names)),
         errors_l2=np.asarray(rows_l2).reshape(len(rows_l2), len(names)),
         feature_names=extractor.feature_names,

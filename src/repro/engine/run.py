@@ -9,10 +9,10 @@ selection ("we report the error on the level of individual pipelines",
 §6).
 
 :func:`live_pipeline_run` builds the same :class:`PipelineRun` view from a
-*still-executing* (or replayed) query's context as of one observation row —
-the causal snapshot the progress service's selection features read
-through the SoA kernels (a snapshot at row *R* only uses log rows up to
-*R*, and fixes ``N`` at that row).
+*still-executing* (or replayed) query's context as of one observation row
+(a snapshot at row *R* only uses log rows up to *R*, and fixes ``N`` at
+that row): the reference served reports and features are checked
+against.  The flush lays the same views out from its own log reads.
 
 Both views take their static fields (node ids, operators, ``E0``, widths,
 table rows, driver mask, parent links, blocking-source children) from
@@ -330,8 +330,7 @@ def partial_totals(K: np.ndarray, D: np.ndarray, node_ids: np.ndarray,
     return out
 
 
-def live_pipeline_run(ctx, pipe, row: int, query_name: str = "(online)",
-                      min_observations: int = 2) -> "PipelineRun | None":
+def live_pipeline_run(ctx, pipe, row: int) -> "PipelineRun | None":
     """Causal :class:`PipelineRun` snapshot of a pipeline as of log ``row``.
 
     ``ctx`` is a live :class:`~repro.engine.executor.ExecContext` or a
@@ -341,7 +340,7 @@ def live_pipeline_run(ctx, pipe, row: int, query_name: str = "(online)",
     read.  Unlike :meth:`QueryRun.pipeline_run`, true totals are unknown
     mid-flight: ``N`` holds the best knowledge at the row
     (:func:`partial_totals`).  Returns ``None`` while the pipeline has
-    fewer than ``min_observations`` snapshots.
+    fewer than two snapshots (too short to report on).
 
     ``materialized_bytes_est`` stays 0.0 here, while the offline view
     estimates it from the plan: a known train/serve skew in the LUO
@@ -351,13 +350,13 @@ def live_pipeline_run(ctx, pipe, row: int, query_name: str = "(online)",
     arrays = ctx.log.as_arrays(row + 1)
     t_start = float(ctx.pipe_first[pipe.pid])
     mask = arrays["times"] >= t_start
-    if int(mask.sum()) < min_observations:
+    if int(mask.sum()) < 2:
         return None
     static = pipeline_static(ctx.nodes, pipe)
     sel = np.ix_(mask, static["node_ids"])
     return PipelineRun(
         pid=pipe.pid,
-        query_name=query_name,
+        query_name="(online)",
         db_name=ctx.db_name,
         times=arrays["times"][mask],
         t_start=t_start,

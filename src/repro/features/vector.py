@@ -1,10 +1,11 @@
 """Pipeline features for estimator selection: one batched definition.
 
-:meth:`FeatureExtractor.extract` maps a list of pipelines to their
-``(pipelines × features)`` matrix.  Training calls it once over all its
-pipelines; the service's flush, once per selector kind over every
-selection that opens in a scheduler round.  Static mode encodes §4.3;
-dynamic mode appends §4.4 (≈200 dimensions, the paper's "about 200
+:meth:`FeatureExtractor.extract` maps a :class:`FlushBatch` of pipeline
+views, one per range, to their ``(pipelines × features)`` matrix.
+Training lays its views out with :meth:`FlushBatch.of_pipeline_runs`;
+the service's flush lays out, per selector kind, every selection that
+opens in a scheduler round from the logs it reads.  Static mode encodes
+§4.3; dynamic mode appends §4.4 (≈200 dimensions, the paper's "about 200
 double values" per training record).
 
 **Static (§4.3).**  Per operator type ``op``: ``count_op`` ([11]'s
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.run import PipelineRun
 from repro.plan.nodes import Op
 from repro.progress.registry import all_estimators
 from repro.progress.soa import FlushBatch, kernel_class, masked_rowsums
@@ -153,22 +153,22 @@ def _masked_sums(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return masked_rowsums(Z, masks.reshape(n * S, width)).reshape(n, S)
 
 
-def _static_block(prs: list[PipelineRun]) -> np.ndarray:
+def _static_block(metas: list) -> np.ndarray:
     """The §4.3 features of every pipeline, padded to the widest one."""
-    n = len(prs)
-    width = max((pr.n_nodes for pr in prs), default=0)
+    n = len(metas)
+    width = max((meta.n_nodes for meta in metas), default=0)
     e0 = np.zeros((n, width))
     widths = np.zeros((n, width))
     code = np.full((n, width), -1)
     parent = np.full((n, width), -1)
     driver = np.zeros((n, width), dtype=bool)
-    for b, pr in enumerate(prs):
-        m = pr.n_nodes
-        e0[b, :m] = pr.E0
-        widths[b, :m] = pr.widths
-        code[b, :m] = [_OP_CODE.get(op, len(OPS_UNIVERSE)) for op in pr.ops]
-        parent[b, :m] = pr.parent_local
-        driver[b, :m] = pr.driver_mask
+    for b, meta in enumerate(metas):
+        m = meta.n_nodes
+        e0[b, :m] = meta.E0
+        widths[b, :m] = meta.widths
+        code[b, :m] = [_OP_CODE.get(op, len(OPS_UNIVERSE)) for op in meta.ops]
+        parent[b, :m] = meta.parent_local
+        driver[b, :m] = meta.driver_mask
     n_ops = len(OPS_UNIVERSE)
     at = code[:, None, :] == np.arange(n_ops)[:, None]   # (n, ops, width)
     anc = _ancestor_matrix(parent)[:, None]              # (n, 1, i, j)
@@ -187,7 +187,7 @@ def _static_block(prs: list[PipelineRun]) -> np.ndarray:
     width_sum = _masked_sums(widths, driver[:, None])[:, 0]
     tail = np.column_stack([
         driver_e / denom[:, 0],
-        [pr.n_nodes for pr in prs],
+        [meta.n_nodes for meta in metas],
         n_drivers,
         np.log1p(total_e),
         np.log1p(np.maximum(driver_e, 0.0)),
@@ -197,22 +197,21 @@ def _static_block(prs: list[PipelineRun]) -> np.ndarray:
     return np.hstack([per_op.reshape(n, -1), tail])
 
 
-def _dynamic_block(prs: list[PipelineRun], trajectories: np.ndarray,
-                   ranges: list[tuple[int, int]]) -> np.ndarray:
-    """The §4.4 features; ``trajectories[e, lo:hi]`` is pipeline ``b``'s
-    :data:`CORRELATED` estimator ``e``, ``(lo, hi) = ranges[b]``."""
-    n, n_markers = len(prs), len(_MARKERS)
+def _dynamic_block(batch: FlushBatch, trajectories: np.ndarray) -> np.ndarray:
+    """The §4.4 features; ``trajectories[e, lo:hi]`` is the
+    :data:`CORRELATED` estimator ``e`` of ``batch``'s range ``(lo, hi)``."""
+    n, n_markers = len(batch.metas), len(_MARKERS)
     hit = np.zeros((n, n_markers), dtype=bool)
     values = np.zeros((n, len(CORRELATED), n_markers))
     elapsed = np.zeros((n, n_markers))
-    for b, (pr, (lo, hi)) in enumerate(zip(prs, ranges)):
+    for b, (meta, (lo, hi)) in enumerate(zip(batch.metas, batch.ranges)):
         trajs = trajectories[:, lo:hi]
         rows = marker_rows(trajs[_DNE])
         hit[b] = rows >= 0
         if hit[b].any():
             # an unreached marker reads a row its features mask out
             values[b] = trajs[:, rows]
-            elapsed[b] = pr.times[rows] - pr.t_start
+            elapsed[b] = batch.times[lo:hi][rows] - meta.t_start
     at_x = hit[:, _AT_X]
     pairwise = np.where(
         at_x[:, None, :],
@@ -246,7 +245,8 @@ class FeatureExtractor:
         pool = {est.name: est for est in all_estimators()}
         self._kernels = [kernel_class(pool[name])(pool[name])
                          for name in CORRELATED]
-        self._speed_window = pool["luo"].speed_window
+        #: the LUO window the batches' ``window_row`` is laid out for
+        self.speed_window = pool["luo"].speed_window
         self._names = static_feature_names()
         if mode == "dynamic":
             self._names += dynamic_feature_names()
@@ -259,20 +259,18 @@ class FeatureExtractor:
     def n_features(self) -> int:
         return len(self._names)
 
-    def extract(self, pipeline_runs: list[PipelineRun]) -> np.ndarray:
-        """The ``(len(pipeline_runs), n_features)`` feature matrix.
+    def extract(self, batch: FlushBatch) -> np.ndarray:
+        """The ``(len(batch.ranges), n_features)`` feature matrix.
 
-        Each :data:`CORRELATED` kernel advances once over one batch of all
-        pipelines (causal, so a trajectory read at a marker is online).
+        Each range is a pipeline's causal view with ``N`` fixed at its
+        last row.  Each :data:`CORRELATED` kernel advances once over the
+        whole batch (causal, so a trajectory read at a marker is online).
         """
-        if not pipeline_runs:
+        if not batch.ranges:
             return np.empty((0, self.n_features))
-        X = _static_block(pipeline_runs)
+        X = _static_block(batch.metas)
         if self.mode == "dynamic":
-            batch = FlushBatch.of_pipeline_runs(pipeline_runs,
-                                                self._speed_window)
             trajectories = np.stack([kernel.advance(batch)
                                      for kernel in self._kernels])
-            X = np.hstack([X, _dynamic_block(pipeline_runs, trajectories,
-                                             batch.ranges)])
+            X = np.hstack([X, _dynamic_block(batch, trajectories)])
         return X

@@ -23,8 +23,7 @@ pins a different subsystem against a different source of truth:
    selector scoring) must reproduce each solo report stream bit-identically;
    the sharded variant partitions them across a
    :class:`~repro.service.sharded.ShardedProgressService` (report batches
-   round-tripped through the wire codec) under both placements and makes
-   the same demand.
+   round-tripped through the wire codec) and makes the same demand.
 6. **Network parity** — serving the same runs through the asyncio front
    end (:class:`~repro.service.net.ProgressServer`) and subscribing over
    real sockets must deliver every session's stream *byte*-identically to
@@ -392,31 +391,29 @@ def check_sharded_parity(runs: list[QueryRun],
     (inline shards, but every report batch still round-trips through the
     wire codec) and requires each session's stream to be bit-identical to
     its solo stream — under an arbitrary shard count, slice size and
-    per-shard admission bound.  Both placements are exercised: they remap
-    sessions to shards, which per-session parity must not notice.
+    per-shard admission bound.
     """
     layer = "service"
-    for placement in ("round_robin", "hash"):
-        service = ShardedProgressService(
-            monitor, n_shards=shards, slice_steps=slice_steps,
-            max_live=max_live, placement=placement)
-        ids = [service.submit_replay(run) for run in runs]
-        results = service.run_until_complete(max_ticks=1_000_000)
-        service.close()
-        for sid, solo, run in zip(ids, solo_reports, runs):
-            _, reports = results[sid]
-            _require(report_streams_equal(solo, reports), layer, ctx,
-                     f"sharded reports ({shards} shards, {placement}) for "
-                     f"{run.query_name!r} diverge from solo monitoring "
-                     f"({len(reports)} vs {len(solo)} reports; "
-                     f"slice_steps={slice_steps}, max_live={max_live})")
-        fleet = service.stats.service
-        _require(fleet.sessions_completed == fleet.sessions_submitted
-                 == len(runs), layer, ctx,
-                 f"sharded service drained ({shards} shards, {placement}) "
-                 f"but completed {fleet.sessions_completed} of "
-                 f"{fleet.sessions_submitted} submitted sessions "
-                 f"({len(runs)} expected)")
+    service = ShardedProgressService(
+        monitor, n_shards=shards, slice_steps=slice_steps,
+        max_live=max_live)
+    ids = [service.submit_replay(run) for run in runs]
+    results = service.run_until_complete(max_ticks=1_000_000)
+    service.close()
+    for sid, solo, run in zip(ids, solo_reports, runs):
+        _, reports = results[sid]
+        _require(report_streams_equal(solo, reports), layer, ctx,
+                 f"sharded reports ({shards} shards) for "
+                 f"{run.query_name!r} diverge from solo monitoring "
+                 f"({len(reports)} vs {len(solo)} reports; "
+                 f"slice_steps={slice_steps}, max_live={max_live})")
+    fleet = service.stats.service
+    _require(fleet.sessions_completed == fleet.sessions_submitted
+             == len(runs), layer, ctx,
+             f"sharded service drained ({shards} shards) "
+             f"but completed {fleet.sessions_completed} of "
+             f"{fleet.sessions_submitted} submitted sessions "
+             f"({len(runs)} expected)")
 
 
 # -- layer 6: network serving vs. solo monitoring ----------------------------

@@ -28,9 +28,10 @@ window reads one more row, the row the window opens at
 (:func:`window_starts`), which the batch carries as ``window_row``.  Only
 the exact estimator classes in ``_NATIVE`` have a kernel; the monitor
 refuses any other pool member at construction (:func:`kernel_class`).
-:meth:`FlushBatch.of_pipeline_runs` lays whole pipeline views out: the
-feature extractor's batch, and :func:`kernel_estimates`' check against
-``estimate``.
+:meth:`FlushBatch.of_pipeline_runs` lays whole pipeline views out:
+training's feature batch, and :func:`kernel_estimates`' check against
+``estimate``; the flush lays its openings' views out from the log
+(:meth:`FlushBatch.as_views`).
 
 Why bit-parity holds
 --------------------
@@ -100,7 +101,7 @@ class PipelineMeta:
     """
 
     __slots__ = (
-        "pid", "query_name", "db_name", "t_start", "node_ids", "ops",
+        "pid", "t_start", "node_ids", "ops",
         "E0", "widths", "table_rows", "driver_mask", "parent_local",
         "materialized_bytes_est", "oracle_bytes_total", "materialized_idx",
         "mat_idx", "mat_child_ids",
@@ -108,17 +109,15 @@ class PipelineMeta:
         "childpos", "e0_sum", "oracle_total", "has_oracle",
     )
 
-    def __init__(self, pid: int, query_name: str, db_name: str,
-                 t_start: float, node_ids: np.ndarray, ops: list[Op],
-                 E0: np.ndarray, widths: np.ndarray, table_rows: np.ndarray,
-                 driver_mask: np.ndarray, parent_local: np.ndarray,
+    def __init__(self, pid: int, t_start: float, node_ids: np.ndarray,
+                 ops: list[Op], E0: np.ndarray, widths: np.ndarray,
+                 table_rows: np.ndarray, driver_mask: np.ndarray,
+                 parent_local: np.ndarray,
                  materialized_bytes_est: float = 0.0,
                  oracle_bytes_total: float | None = None,
                  mat_idx: np.ndarray | None = None,
                  mat_child_ids: np.ndarray | None = None):
         self.pid = pid
-        self.query_name = query_name
-        self.db_name = db_name
         self.t_start = t_start
         self.node_ids = node_ids
         self.ops = ops
@@ -182,8 +181,7 @@ class PipelineMeta:
         else:
             oracle_bytes = 0.0
         return cls(
-            pid=pr.pid, query_name=pr.query_name, db_name=pr.db_name,
-            t_start=pr.t_start, node_ids=pr.node_ids, ops=pr.ops,
+            pid=pr.pid, t_start=pr.t_start, node_ids=pr.node_ids, ops=pr.ops,
             E0=pr.E0, widths=pr.widths, table_rows=pr.table_rows,
             driver_mask=pr.driver_mask, parent_local=pr.parent_local,
             materialized_bytes_est=pr.materialized_bytes_est,
@@ -304,11 +302,19 @@ class FlushBatch:
             self._cache[key] = out
         return out
 
+    def as_views(self) -> "FlushBatch":
+        """Fix each range's ``N`` at its last row: a range of a
+        pipeline's consecutive rows becomes its causal view as of that
+        row (what ``FeatureExtractor.extract`` reads).  Returns self."""
+        last = np.array([hi - 1 for _, hi in self.ranges], dtype=np.int64)
+        self._cache["N"] = self.N[last[self.owner]]
+        return self
+
     @property
     def N(self) -> np.ndarray:
         """Per-row ``n_partial``: a finished node's counter; a blocking
         source whose build child finished, the child's counter; else E0
-        (the rule :func:`~repro.engine.run.live_pipeline_run` applies)."""
+        (:func:`~repro.engine.run.partial_totals` at each row)."""
         out = self._cache.get("N")
         if out is None:
             out = np.where(self.D, self.K, self.meta_rows("E0"))

@@ -17,12 +17,13 @@ structure-of-arrays kernels of :mod:`repro.progress.soa`:
    (:meth:`~repro.core.monitor.ProgressMonitor.selection_needs`) is
    applied once per run, from the driver fractions of its rows, and
    splits its cells into a static and a dynamic segment.  Newly running
-   pipelines get their kernel metadata on their session, and every
-   (pipeline, row) where a selection opens is collected;
-2. **resolve** — the openings of all sessions are extracted in one
-   :meth:`~repro.features.vector.FeatureExtractor.extract` call per
-   selector kind and scored in one batched pass (a pipeline's kind opens
-   once, at its first due row, so the first observation wins);
+   pipelines get their kernel metadata on their session, and every cell
+   where a selection opens is collected;
+2. **resolve** — per selector kind, the openings' causal views are laid
+   out by the gather of phase 4 and extracted in one
+   :meth:`~repro.features.vector.FeatureExtractor.extract` call, then
+   scored in one batched pass (a pipeline's kind opens once, at its
+   first due row, so the first observation wins);
 3. **choose** — each segment's committed estimator
    (:meth:`~repro.core.monitor.ProgressMonitor.chosen`);
 4. **gather/advance** — every running cell's report row, then the
@@ -72,13 +73,12 @@ Causality notes (why each report equals the chosen estimator's
   logged times rather than a scan).  That row lies in the pipeline's
   causal view as of the report row, and what else shares the batch
   does not change a row's value;
-* each selection opening's features come from the causal trajectory
-  view :func:`~repro.engine.run.live_pipeline_run` builds at its row,
-  which reads only log rows up to it.  All openings of a round, across
-  sessions, go through one ``extract`` call per selector kind after
-  planning — the logs do not grow inside a flush, and a pipeline's
-  feature row does not depend on what else shares its batch, so each
-  vector equals extracting that opening alone.
+* a selection opening's view is its pipeline's log rows from
+  ``firsts`` through the opening's row, with the session's metadata and
+  ``N`` fixed at that row: :func:`~repro.engine.run.live_pipeline_run`'s
+  view there.  All openings of a round, across sessions, go through one
+  ``extract`` call per selector kind — the logs do not grow inside a
+  flush, and a feature row does not depend on what shares its batch.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.monitor import DYNAMIC, STATIC, ProgressMonitor, ProgressReport
-from repro.engine.run import live_pipeline_run, pipeline_static
+from repro.engine.run import pipeline_static
 from repro.progress.soa import (
     BatchedLuoState,
     FlushBatch,
@@ -117,12 +117,13 @@ class _Plan:
     The ``(reports, pipelines)`` status arrays are padded to the session
     with the most pipelines.  A running *cell* is a (report, pipeline)
     whose value a kernel gives; cells are sorted by session, pipeline and
-    row, so each :class:`_Run` owns consecutive cells.
+    row, so each :class:`_Run` owns consecutive cells.  ``openings``
+    lists each selection opening's ``(kind, run, cell)``.
     """
 
     __slots__ = ("sessions", "logs", "bounds", "rows", "sess", "times",
                  "weights", "firsts", "done", "running", "cell_report",
-                 "cell_pid", "runs")
+                 "cell_pid", "runs", "openings")
 
 
 class VectorizedFlush:
@@ -144,31 +145,29 @@ class VectorizedFlush:
         A finished session in ``sessions`` may have no rows left; planning
         it drops its pipeline records.
         """
-        #: (session, kind, pipeline, row) of every selection opening
-        openings: list[tuple[object, str, object, int]] = []
-        plan = self._plan(sessions, openings)
+        plan = self._plan(sessions)
+        if plan is None:
+            return
 
         # one feature extraction per selector kind over the round's
         # openings, then one batched scoring pass
         monitor = self.monitor
         requests: list[tuple[str, np.ndarray]] = []
-        targets: list[tuple[object, str, object, int]] = []
+        targets: list[tuple[str, _Run, int]] = []
         for kind, extractor in monitor.extractors.items():
-            mine = [o for o in openings if o[1] == kind]
+            mine = [o for o in plan.openings if o[0] == kind]
             if mine:
-                X = extractor.extract([
-                    live_pipeline_run(session.handle_ctx, pipe, R)
-                    for session, _, pipe, R in mine])
+                X = extractor.extract(
+                    self._views(plan, mine, extractor.speed_window))
                 requests += [(kind, x) for x in X]
                 targets += mine
         if requests:
             names = scorer.resolve(requests)
-            for (session, kind, pipe, _), name in zip(targets, names):
-                made = (session.state.dynamic_choices if kind == DYNAMIC
-                        else session.state.static_choices)
-                made[pipe.pid] = name
-        if plan is None:
-            return
+            for (kind, run, _), name in zip(targets, names):
+                state = plan.sessions[run.s].state
+                made = (state.dynamic_choices if kind == DYNAMIC
+                        else state.static_choices)
+                made[run.pid] = name
 
         # each run's (now committed) choice per kind: the cells of a kind
         # form one segment
@@ -207,9 +206,10 @@ class VectorizedFlush:
 
     # -- phase 1: causal planning --------------------------------------------
 
-    def _plan(self, sessions, openings) -> _Plan | None:
+    def _plan(self, sessions) -> _Plan | None:
         """Each pipeline's status at every due row, read causally from the
-        logs; records the openings.  None when no session has due rows."""
+        logs, and the selection openings.  None when no session has due
+        rows."""
         planned = []
         for session in sessions:
             if session.pending_reports:
@@ -280,24 +280,20 @@ class VectorizedFlush:
             if meta is None:
                 ctx = session.handle_ctx
                 meta = recs[p] = PipelineMeta(
-                    pid=p, query_name="(online)", db_name=ctx.db_name,
-                    t_start=float(ctx.pipe_first[p]),
+                    pid=p, t_start=float(ctx.pipe_first[p]),
                     **pipeline_static(ctx.nodes, ctx.pipelines[p]))
             R = rows[report[c0:c1]]
             log = logs[s]
             split, static_opens, dynamic_opens = monitor.selection_needs(
                 p, session.state, c1 - c0,
                 lambda: meta.driver_fraction(log["K"][R], log["D"][R]))
-            if static_opens:
-                opened.append((int(report[c0]), p, STATIC))
-            if dynamic_opens:
-                opened.append((int(report[c0 + split]), p, DYNAMIC))
             runs.append(_Run(s, p, meta, c0, c1 - c0, split))
+            if static_opens:
+                opened.append((STATIC, runs[-1], c0))
+            if dynamic_opens:
+                opened.append((DYNAMIC, runs[-1], c0 + split))
         # in session, then row, then pid order
-        for i, p, kind in sorted(opened):
-            session = planned[sess[i]]
-            openings.append((session, kind, session.handle_ctx.pipelines[p],
-                             int(rows[i])))
+        opened.sort(key=lambda o: (report[o[2]], o[1].pid))
 
         ended = np.logical_or.reduceat(done, bounds[:-1], axis=0)
         for s, session in enumerate(planned):
@@ -315,19 +311,35 @@ class VectorizedFlush:
         plan.weights, plan.firsts = weights, firsts
         plan.done, plan.running = done, running
         plan.cell_report, plan.cell_pid, plan.runs = report, pid, runs
+        plan.openings = opened
         return plan
 
-    # -- phase 4: gather ------------------------------------------------------
+    # -- phases 2 and 4: the layout of flush rows ---------------------------
+
+    def _views(self, plan: _Plan, openings, speed_window) -> FlushBatch:
+        """Each opening's causal view as one range: its pipeline's log
+        rows from ``plan.firsts`` through the opening's row, LUO's window
+        starts inside the range and ``N`` fixed at the opening's row."""
+        log_rows, window_row, top = [], [], 0
+        for _, run, cell in openings:
+            first = int(plan.firsts[run.s, run.pid])
+            rows = np.arange(first, plan.rows[plan.cell_report[cell]] + 1)
+            window_row.append(top - first + window_starts(
+                plan.logs[run.s]["times"], run.meta.t_start, first, rows,
+                speed_window))
+            log_rows.append(rows)
+            top += len(rows)
+        return self._layout(plan, [run for _, run, _ in openings],
+                            [len(r) for r in log_rows], log_rows,
+                            np.concatenate(window_row)).as_views()
 
     def _gather(self, plan: _Plan, timed) -> FlushBatch:
         """Lay out every cell's report row, in cell order, then the window
         start of each cell LUO serves: ``timed`` lists those cells as
         ``(run, lo, hi)`` segments."""
-        runs = plan.runs
         cells = len(plan.cell_pid)
-        metas = [run.meta for run in runs]
-        ranges = [(run.c0, run.c0 + run.n) for run in runs]
-        sources = [run.s for run in runs]  # each range's session
+        owners = list(plan.runs)
+        counts = [run.n for run in owners]
         log_rows = [plan.rows[plan.cell_report]]
         window_row = np.arange(cells + sum(hi - lo for _, lo, hi in timed))
         top = cells
@@ -337,15 +349,24 @@ class VectorizedFlush:
                 int(plan.firsts[run.s, run.pid]),
                 plan.rows[plan.cell_report[lo:hi]], self._luo.speed_window))
             window_row[lo:hi] = np.arange(top, top + hi - lo)
-            metas.append(run.meta)
-            ranges.append((top, top + hi - lo))
-            sources.append(run.s)
+            owners.append(run)
+            counts.append(hi - lo)
             top += hi - lo
+        return self._layout(plan, owners, counts, log_rows, window_row)
+
+    @staticmethod
+    def _layout(plan: _Plan, owners, counts, log_rows,
+                window_row) -> FlushBatch:
+        """One :class:`FlushBatch` of the concatenated ``log_rows``, whose
+        range ``i`` holds the next ``counts[i]`` of them, rows of the
+        pipeline ``owners[i]`` (a :class:`_Run`) in its session's log."""
+        bounds = np.cumsum([0] + counts).tolist()
+        ranges = list(zip(bounds[:-1], bounds[1:]))
+        metas = [run.meta for run in owners]
         log_rows = np.concatenate(log_rows)
-        owner = np.repeat(np.arange(len(metas)),
-                          [hi - lo for lo, hi in ranges])
+        owner = np.repeat(np.arange(len(metas)), counts)
         # the batch rows of each session
-        session_of = np.array(sources)[owner]
+        session_of = np.array([run.s for run in owners])[owner]
         order = np.argsort(session_of, kind="stable")
         edges = np.flatnonzero(np.diff(session_of[order], prepend=-1))
 

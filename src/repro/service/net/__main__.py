@@ -21,7 +21,6 @@ import sys
 
 from repro.core.monitor import ProgressMonitor
 from repro.service.net.server import ProgressServer
-from repro.service.sharded import PLACEMENTS
 
 
 def _make_monitor(refresh_every: int) -> ProgressMonitor:
@@ -42,10 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="shard count (default: %(default)s)")
     parser.add_argument("--processes", action="store_true",
                         help="run shards in worker processes")
-    parser.add_argument("--placement", choices=PLACEMENTS,
-                        default="round_robin",
-                        help="session->shard placement "
-                        "(default: %(default)s)")
     parser.add_argument("--slice-steps", type=int, default=8,
                         help="engine steps per session per tick "
                         "(default: %(default)s)")
@@ -71,7 +66,7 @@ async def serve(args: argparse.Namespace) -> None:
         host=args.host, port=args.port, n_shards=args.shards,
         slice_steps=args.slice_steps, max_live=args.max_live,
         memory_budget_bytes=args.memory_budget_bytes,
-        placement=args.placement, processes=args.processes,
+        processes=args.processes,
         max_inflight=args.max_inflight, retry_after=args.retry_after)
     host, port = await server.start()
     print(f"progress server listening on http://{host}:{port} "

@@ -138,8 +138,7 @@ class ProgressServer:
     host / port:
         Listen address; ``port=0`` binds an ephemeral port (tests and
         benchmarks), :attr:`address` reports the bound one.
-    n_shards / slice_steps / max_live / memory_budget_bytes / placement /
-    processes:
+    n_shards / slice_steps / max_live / memory_budget_bytes / processes:
         Fleet knobs, forwarded verbatim to :class:`ShardedProgressService`.
     max_inflight:
         Supervisor-level admission bound: submissions that would push the
@@ -156,7 +155,7 @@ class ProgressServer:
                  n_shards: int = 1, slice_steps: int = 8,
                  max_live: int | None = None,
                  memory_budget_bytes: int | None = None,
-                 placement: str = "round_robin", processes: bool = False,
+                 processes: bool = False,
                  max_inflight: int | None = None,
                  retry_after: float = 1.0,
                  max_body_bytes: int = http.MAX_BODY_BYTES):
@@ -170,7 +169,7 @@ class ProgressServer:
         self._service = ShardedProgressService(
             monitor, n_shards=n_shards, slice_steps=slice_steps,
             max_live=max_live, memory_budget_bytes=memory_budget_bytes,
-            placement=placement, processes=processes,
+            processes=processes,
             on_report=self._staged_reports_append,
             on_complete=self._staged_completed_append,
             keep_reports=False)
@@ -453,7 +452,6 @@ class ProgressServer:
                                       for sid in sids)},
             "fleet": {
                 "n_shards": self._service.n_shards,
-                "placement": self._service.placement,
                 "processes": self._service.processes,
                 "draining": self._draining,
                 "sessions_submitted": self._service.sessions_submitted,

@@ -9,11 +9,9 @@ their report streams in submission order.
 
 Design rules, all inherited from :mod:`repro.runtime`:
 
-* **Deterministic placement** — a session's shard depends only on its
-  submission index (``round_robin``, the default) or on a stable CRC32 of
-  its query name (``hash``); never on scheduling, load, or Python's
-  salted ``hash()``.  The same submissions land on the same shards in
-  every run.
+* **Deterministic placement** — a session's shard is its global
+  submission index mod the shard count; never scheduling or load.  The
+  same submissions land on the same shards in every run.
 * **Trace-codec transport** — recorded runs reach their shard through
   :func:`~repro.runtime.transport.runs_to_payload` and finished report
   rows come back through
@@ -60,7 +58,6 @@ from __future__ import annotations
 
 import threading
 import time
-import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
@@ -78,8 +75,6 @@ from repro.runtime.transport import (
 )
 from repro.service.service import ProgressService, ServiceStats
 
-PLACEMENTS = ("round_robin", "hash")
-
 
 class ShardLost(RuntimeError):
     """A shard worker process died or failed; ``shard_id`` names it."""
@@ -94,22 +89,11 @@ class MemoryBudgetExceeded(RuntimeError):
     it could never be admitted, so it is rejected at submit time."""
 
 
-def place_session(index: int, query_name: str, n_shards: int,
-                  placement: str = "round_robin") -> int:
-    """Deterministic session→shard placement.
-
-    ``round_robin`` spreads by submission index; ``hash`` pins by a
-    stable CRC32 of the query name (so resubmissions of a named query
-    always land on the same shard — cache affinity for the calibration
-    layer to come).  Both are pure functions of their arguments:
-    placement is reproducible across runs, processes, and Python builds.
-    """
-    if placement == "round_robin":
-        return index % n_shards
-    if placement == "hash":
-        return zlib.crc32(query_name.encode()) % n_shards
-    raise ValueError(
-        f"unknown placement {placement!r}; choose from {PLACEMENTS}")
+def place_session(index: int, n_shards: int) -> int:
+    """Deterministic session→shard placement: round robin by global
+    submission index, so local submission order stays aligned with
+    global order on every shard."""
+    return index % n_shards
 
 
 @dataclass
@@ -373,9 +357,6 @@ class ShardedProgressService:
         sessions.  Over-budget admissions queue FIFO and retry as
         sessions retire; a session that could never fit raises
         :class:`MemoryBudgetExceeded` at submit time.
-    placement:
-        ``round_robin`` (by submission index, default) or ``hash`` (by
-        CRC32 of the query name).  Deterministic either way.
     processes:
         Run shards in worker processes (the scaling deployment).
         ``False`` runs the identical shard code inline — serial semantics
@@ -402,7 +383,6 @@ class ShardedProgressService:
     def __init__(self, monitor, n_shards: int | None = None,
                  slice_steps: int = 8, max_live: int | None = None,
                  memory_budget_bytes: int | None = None,
-                 placement: str = "round_robin",
                  processes: bool = False,
                  on_report: Callable[[int, ProgressReport], None]
                  | None = None,
@@ -412,11 +392,7 @@ class ShardedProgressService:
             n_shards = available_cpus()
         if n_shards <= 0:
             raise ValueError("n_shards must be positive")
-        if placement not in PLACEMENTS:
-            raise ValueError(
-                f"unknown placement {placement!r}; choose from {PLACEMENTS}")
         self.n_shards = n_shards
-        self.placement = placement
         self.memory_budget_bytes = memory_budget_bytes
         self.processes = processes
         self.on_report = on_report
@@ -484,8 +460,7 @@ class ShardedProgressService:
                 f"bytes but the per-shard budget is {budget}")
         sid = self._n_submitted
         self._n_submitted += 1
-        shard = place_session(sid, query_name or run.query_name,
-                              self.n_shards, self.placement)
+        shard = place_session(sid, self.n_shards)
         self._runs[sid] = run
         with self._outbox_lock:
             self._outbox[shard].append((sid, run, query_name))

@@ -2,6 +2,7 @@
 
 Building synthetic :class:`PipelineRun` objects lets estimator and feature
 tests assert exact values without going through the executor.
+:func:`extract` is the feature extraction training does over views.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import numpy as np
 
 from repro.engine.run import PipelineRun
 from repro.plan.nodes import Op
-from repro.progress.soa import PipelineMeta
+from repro.progress.soa import FlushBatch, PipelineMeta
 
 
 def make_pipeline_run(
@@ -126,8 +127,15 @@ def meta_of(pr: PipelineRun, **fields) -> PipelineMeta:
     fields replaced (the kernel metadata is derived from them)."""
     meta = PipelineMeta.from_pipeline_run(pr)
     kwargs = {name: getattr(meta, name) for name in (
-        "pid", "query_name", "db_name", "t_start", "node_ids", "ops", "E0",
+        "pid", "t_start", "node_ids", "ops", "E0",
         "widths", "table_rows", "driver_mask", "parent_local",
         "materialized_bytes_est", "oracle_bytes_total", "mat_idx",
         "mat_child_ids")}
     return PipelineMeta(**{**kwargs, **fields})
+
+
+def extract(extractor, prs: list[PipelineRun]) -> np.ndarray:
+    """``extractor``'s feature rows of the pipeline views ``prs``, laid
+    out as training lays them (:meth:`FlushBatch.of_pipeline_runs`)."""
+    return extractor.extract(
+        FlushBatch.of_pipeline_runs(prs, extractor.speed_window))

@@ -22,10 +22,11 @@ from repro.features.vector import (
 )
 from repro.plan.nodes import Op
 from repro.progress.registry import all_estimators
+from repro.progress.soa import FlushBatch
 from repro.trace import read_trace
 from repro.trace.replay import ReplayContext
 
-from helpers import make_pipeline_run
+from helpers import extract, make_pipeline_run
 
 
 @pytest.fixture(scope="module")
@@ -62,14 +63,14 @@ def golden_pipelines():
 def static_features(pr):
     """One pipeline's static row, by feature name."""
     extractor = FeatureExtractor("static")
-    return dict(zip(extractor.feature_names, extractor.extract([pr])[0]))
+    return dict(zip(extractor.feature_names, extract(extractor, [pr])[0]))
 
 
 def dynamic_features(pr):
     """One pipeline's §4.4 features (the columns after the static ones),
     by feature name."""
     extractor = FeatureExtractor("dynamic")
-    row = extractor.extract([pr])[0]
+    row = extract(extractor, [pr])[0]
     tail = len(static_feature_names())
     return dict(zip(extractor.feature_names[tail:], row[tail:]))
 
@@ -172,7 +173,7 @@ class TestStaticFeatures:
         for pr in (wide, narrow):
             want = reference_static_features(pr)
             for batch, i in (([pr], 0), ([narrow, pr, wide], 1)):
-                row = extractor.extract(batch)[i]
+                row = extract(extractor, batch)[i]
                 assert dict(zip(extractor.feature_names, row)) == want
 
     def test_all_ops_in_universe_have_features(self):
@@ -233,10 +234,9 @@ class TestDynamicFeatures:
         trajectories = np.hstack([
             np.array([estimators[name].estimate(pr) for name in CORRELATED])
             for pr in views])
-        bounds = np.cumsum([0] + [pr.n_observations for pr in views])
         want = np.hstack([_static_block(views), _dynamic_block(
-            views, trajectories, list(zip(bounds[:-1], bounds[1:])))])
-        got = FeatureExtractor("dynamic").extract(views)
+            FlushBatch.of_pipeline_runs(views), trajectories)])
+        got = extract(FeatureExtractor("dynamic"), views)
         for i, (row, expected) in enumerate(zip(got, want)):
             assert row.tobytes() == expected.tobytes(), (family, i)
 
@@ -248,7 +248,7 @@ class TestFeatureExtractor:
 
     def test_static_vector_length(self, nlj_pipeline):
         extractor = FeatureExtractor("static")
-        vec = extractor.extract([nlj_pipeline])
+        vec = extract(extractor, [nlj_pipeline])
         assert vec.shape == (1, extractor.n_features)
         assert extractor.n_features == len(static_feature_names())
 
@@ -265,20 +265,20 @@ class TestFeatureExtractor:
 
     def test_matrix_stacking(self, pipeline_runs):
         extractor = FeatureExtractor("static")
-        matrix = extractor.extract(pipeline_runs)
+        matrix = extract(extractor, pipeline_runs)
         assert matrix.shape == (len(pipeline_runs), extractor.n_features)
 
     def test_empty_matrix(self):
         for mode in ("static", "dynamic"):
             extractor = FeatureExtractor(mode)
-            assert extractor.extract([]).shape == (0, extractor.n_features)
+            assert extract(extractor, []).shape == (0, extractor.n_features)
 
     @pytest.mark.parametrize("mode", ["static", "dynamic"])
     def test_batch_invariance(self, golden_pipelines, mode):
         """A pipeline's row does not depend on what shares its batch."""
         extractor = FeatureExtractor(mode)
-        matrix = extractor.extract(golden_pipelines)
+        matrix = extract(extractor, golden_pipelines)
         assert matrix.shape == (len(golden_pipelines), extractor.n_features)
         for i, pr in enumerate(golden_pipelines):
-            alone = extractor.extract([pr])[0]
+            alone = extract(extractor, [pr])[0]
             assert matrix[i].tobytes() == alone.tobytes(), i

@@ -1,17 +1,18 @@
 """Offline, live and replayed runs describe a pipeline the same way.
 
 Three builders produce a pipeline's view: :meth:`QueryRun.pipeline_run`
-(what training sees), :func:`~repro.engine.run.live_pipeline_run` (what
-selection features are extracted from while serving) and the flush's
+(what training sees), :func:`~repro.engine.run.live_pipeline_run` (the
+causal view at one row, the reference for serving) and the flush's
 :class:`~repro.progress.soa.PipelineMeta` (what the kernels read).  A
 selector only scores what it was trained on if all three agree
 on every static field and, up to the snapshot row, on the trajectories.
 Checked on every golden family through :class:`ReplayContext` and on one
 live execution, whose snapshots are taken from ``on_observation``.  The
-features the flush scores must equal extracting each opening's snapshot
-alone, whatever else shares its batch.  The flush's array planner and
-assembly reproduce, report for report, the row-by-row planner they
-replaced, kept here as an oracle.
+views the flush lays out for its selection openings must equal the
+layout of each opening's live view, and the features it scores must
+equal extracting that view alone, whatever else shares its batch.  The
+flush's array planner and assembly reproduce, report for report, the
+row-by-row planner they replaced, kept here as an oracle.
 """
 
 from pathlib import Path
@@ -39,6 +40,8 @@ from repro.service.service import ProgressService
 from repro.trace import read_trace
 from repro.trace.replay import ReplayContext
 
+from helpers import extract
+
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 FAMILIES = ("tpch", "tpcds", "real", "fuzz", "outer_semi")
 
@@ -48,10 +51,9 @@ STATIC_FIELDS = ("pid", "db_name", "t_start", "node_ids", "ops", "E0",
 ROW_FIELDS = ("times", "K", "W", "LB", "UB")
 #: PipelineMeta slots the online capture legitimately differs on: the
 #: oracle byte total (and the kernel's view of it) needs the completed run,
-#: the online label is "(online)", and materialized bytes are left at 0.0
-#: online (see ROADMAP)
+#: and materialized bytes are left at 0.0 online (see ROADMAP)
 META_SKIP = {"oracle_bytes_total", "oracle_total", "has_oracle",
-             "materialized_bytes_est", "query_name"}
+             "materialized_bytes_est"}
 
 
 def _assert_same(got, want, where):
@@ -167,79 +169,143 @@ def test_live_views_agree_with_offline(tpch_db, tpch_planner,
     _assert_metas_match(metas, run, "live")
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_flush_features_equal_solo_extraction(family, monkeypatch):
-    """Every feature vector the flush hands the scorer, pooled over all of
-    a family's recordings under its golden trained monitor, is bit-equal
-    to extracting that opening's causal snapshot on its own."""
+def _record_views(monkeypatch):
+    """Record every selection opening the flush lays out, in extraction
+    order, as ``(ctx, pipe, row, batch, i)``: range ``i`` of ``batch`` is
+    its view."""
+    opened = []
+    views = batched.VectorizedFlush._views
+
+    def record(flush, plan, openings, speed_window):
+        batch = views(flush, plan, openings, speed_window)
+        for i, (_, run, cell) in enumerate(openings):
+            ctx = plan.sessions[run.s].handle_ctx
+            opened.append((ctx, ctx.pipelines[run.pid],
+                           int(plan.rows[plan.cell_report[cell]]), batch, i))
+        return batch
+
+    monkeypatch.setattr(batched.VectorizedFlush, "_views", record)
+    return opened
+
+
+def _serve_trained(family, monkeypatch, slice_steps=3):
+    """Pool a family's recordings under its golden trained monitor;
+    returns the recorded openings and the ``(kind, features)`` the flush
+    scored, in the same order."""
     from golden.regenerate import MIN_OBSERVATIONS, report_monitors
 
     runs, _ = read_trace(GOLDEN_DIR / family)
     monitor = report_monitors(
         runs_to_pipelines(runs, MIN_OBSERVATIONS))["trained"]
-    openings, requests = [], []
-    snapshot, resolve = batched.live_pipeline_run, BatchedSelectorScorer.resolve
-
-    def record_opening(ctx, pipe, row, *args, **kwargs):
-        openings.append((ctx, pipe, row))
-        return snapshot(ctx, pipe, row, *args, **kwargs)
+    requests = []
+    resolve = BatchedSelectorScorer.resolve
 
     def record_requests(scorer, reqs):
         requests.extend(reqs)
         return resolve(scorer, reqs)
 
-    monkeypatch.setattr(batched, "live_pipeline_run", record_opening)
+    opened = _record_views(monkeypatch)
     monkeypatch.setattr(BatchedSelectorScorer, "resolve", record_requests)
-    service = ProgressService(monitor, slice_steps=3)
+    service = ProgressService(monitor, slice_steps=slice_steps)
     for run in runs:
         service.submit_replay(run)
     service.run_until_complete()
+    monkeypatch.undo()
+    assert requests, family
+    return opened, requests
 
-    assert requests and len(requests) == len(openings), family
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_flush_features_equal_solo_extraction(family, monkeypatch):
+    """Every feature vector the flush hands the scorer, pooled over all of
+    a family's recordings under its golden trained monitor, is bit-equal
+    to extracting that opening's live view on its own, for flushes of one
+    to several rows."""
     extractors = {kind: FeatureExtractor(kind)
                   for kind in ("static", "dynamic")}
-    unmatched = list(range(len(openings)))
-    for kind, features in requests:
-        for i in unmatched:
-            ctx, pipe, row = openings[i]
-            alone = extractors[kind].extract(
-                [live_pipeline_run(ctx, pipe, row)])[0]
-            if alone.tobytes() == np.asarray(features).tobytes():
-                unmatched.remove(i)
-                break
-        else:
-            raise AssertionError(
-                f"{family}: a scored {kind} feature vector equals no "
-                f"opening's solo extraction; openings left "
-                f"{[(openings[i][1].pid, openings[i][2]) for i in unmatched]}")
-    assert not unmatched, family
+    for slice_steps in (1, 3, 8):
+        opened, requests = _serve_trained(family, monkeypatch, slice_steps)
+        for (kind, features), (ctx, pipe, row, *_) in zip(
+                requests, opened, strict=True):
+            alone = extract(extractors[kind],
+                            [live_pipeline_run(ctx, pipe, row)])[0]
+            assert alone.tobytes() == np.asarray(features).tobytes(), (
+                family, slice_steps, kind, pipe.pid, row)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_views_batch_equals_live_view_layout(family, monkeypatch):
+    """Laid out at every running cell of every flush, not only where a
+    selection opens, each range of the flush's views batch holds what
+    :meth:`FlushBatch.of_pipeline_runs` lays out for the live view at
+    that row: the same times, counters, bounds, ``N`` and window rows
+    (the columns past the pipeline's width are zero).  Among the golden
+    pipelines, one of ``outer_semi`` finishes a member node while still
+    running, so its ``N`` changes inside a view."""
+    runs, _ = read_trace(GOLDEN_DIR / family)
+    window = FeatureExtractor("dynamic").speed_window
+    plan_rows = batched.VectorizedFlush._plan
+    checked = []
+
+    def check(flush, sessions):
+        plan = plan_rows(flush, sessions)
+        if plan is None or not plan.runs:
+            return plan
+        cells = [(None, run, cell) for run in plan.runs
+                 for cell in range(run.c0, run.c0 + run.n)]
+        batch = flush._views(plan, cells, window)
+        for (_, run, cell), meta, (lo, hi) in zip(cells, batch.metas,
+                                                  batch.ranges, strict=True):
+            ctx = plan.sessions[run.s].handle_ctx
+            row = int(plan.rows[plan.cell_report[cell]])
+            want = FlushBatch.of_pipeline_runs(
+                [live_pipeline_run(ctx, ctx.pipelines[run.pid], row)],
+                window)
+            where = (family, run.pid, row)
+            assert meta is run.meta and hi - lo == len(want), where
+            assert batch.times[lo:hi].tobytes() == want.times.tobytes(), \
+                where
+            assert np.array_equal(batch.window_row[lo:hi] - lo,
+                                  want.window_row), where
+            m = want.width
+            for name in ("K", "W", "LB", "UB", "N"):
+                got = getattr(batch, name)[lo:hi]
+                assert got[:, :m].tobytes() == \
+                    getattr(want, name).tobytes(), (where, name)
+                assert not got[:, m:].any(), (where, name)
+            checked.append(where)
+        return plan
+
+    monkeypatch.setattr(batched.VectorizedFlush, "_plan", check)
+    service = ProgressService(ProgressMonitor(refresh_every=1),
+                              slice_steps=3)
+    for run in runs:
+        service.submit_replay(run)
+    service.run_until_complete()
+    assert checked, family
 
 
 def _openings(monkeypatch, runs, monitor, slice_steps):
     """(run index, pid, kind, row) of every selection the flush opens
     while pooling ``runs``, in opening order."""
-    openings, kinds = [], []
-    snapshot, resolve = batched.live_pipeline_run, BatchedSelectorScorer.resolve
-
-    def record_opening(ctx, pipe, row, *args, **kwargs):
-        openings.append((ctx.run, pipe.pid, row))
-        return snapshot(ctx, pipe, row, *args, **kwargs)
+    kinds = []
+    resolve = BatchedSelectorScorer.resolve
 
     def record_kinds(scorer, reqs):
         kinds.extend(kind for kind, _ in reqs)
         return resolve(scorer, reqs)
 
-    monkeypatch.setattr(batched, "live_pipeline_run", record_opening)
+    opened = _record_views(monkeypatch)
     monkeypatch.setattr(BatchedSelectorScorer, "resolve", record_kinds)
     service = ProgressService(monitor, slice_steps=slice_steps)
     for run in runs:
         service.submit_replay(run)
     service.run_until_complete()
     monkeypatch.undo()
-    # the flush scores each kind's openings in the order it extracted them
+    # the flush scores each kind's openings in the order it laid them out
     index = {id(run): i for i, run in enumerate(runs)}
-    return [(index[id(run)], pid, kind, row)
-            for (run, pid, row), kind in zip(openings, kinds, strict=True)]
+    return [(index[id(ctx.run)], pipe.pid, kind, row)
+            for (ctx, pipe, row, *_), kind in zip(opened, kinds, strict=True)]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -326,7 +392,7 @@ class _OracleFlush(batched.VectorizedFlush):
         for kind, extractor in monitor.extractors.items():
             mine = [o for o in openings if o[1] == kind]
             if mine:
-                X = extractor.extract([
+                X = extract(extractor, [
                     live_pipeline_run(session.handle_ctx, pipe, R)
                     for session, _, pipe, R in mine])
                 requests += [(kind, x) for x in X]
@@ -417,8 +483,7 @@ class _OracleFlush(batched.VectorizedFlush):
                         parts.append((pid, weight, 0.0))
                         continue
                     meta = PipelineMeta(
-                        pid=pid, query_name="(online)", db_name=ctx.db_name,
-                        t_start=float(ctx.pipe_first[pid]),
+                        pid=pid, t_start=float(ctx.pipe_first[pid]),
                         **pipeline_static(nodes, pipe))
                     rec = recs[pid] = _OracleRec(meta, first, ctx.log)
                 kind, opens = _oracle_needs(
@@ -486,11 +551,13 @@ class _NotingExtractor:
 
     def __init__(self, extractor, kind, opened):
         self.extractor, self.kind, self.opened = extractor, kind, opened
+        self.speed_window = extractor.speed_window
 
-    def extract(self, views):
-        self.opened += [(self.kind, view.pid, view.n_observations,
-                         float.hex(float(view.times[-1]))) for view in views]
-        return self.extractor.extract(views)
+    def extract(self, batch):
+        self.opened += [(self.kind, meta.pid, hi - lo,
+                         float.hex(float(batch.times[hi - 1])))
+                        for meta, (lo, hi) in zip(batch.metas, batch.ranges)]
+        return self.extractor.extract(batch)
 
 
 def _report_key(report):

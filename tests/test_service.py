@@ -30,6 +30,8 @@ from repro.service import (
 )
 from repro.trace.replay import replay_monitor
 
+from helpers import extract
+
 pytestmark = pytest.mark.slow  # execution-backed: live multi-query runs
 
 FAST_MART = MARTParams(n_trees=8, max_leaves=4)
@@ -231,7 +233,7 @@ class TestBatchedScorer:
     def test_batch_matches_single(self, trained_selectors, pipeline_runs):
         static_sel, _ = trained_selectors
         extractor = FeatureExtractor("static")
-        X = list(extractor.extract(pipeline_runs))
+        X = list(extract(extractor, pipeline_runs))
         scorer = BatchedSelectorScorer(static_sel, None)
         batched = scorer.resolve([("static", x) for x in X])
         singles = [static_sel.select_one(x) for x in X]

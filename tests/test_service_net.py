@@ -360,8 +360,7 @@ class TestErrorPaths:
 
         _serve(scenario)
 
-    @pytest.mark.parametrize("placement", ["round_robin", "hash"])
-    def test_non_string_json_name_is_400(self, golden_runs, placement):
+    def test_non_string_json_name_is_400(self, golden_runs):
         body = json.dumps({
             "runs_b64": base64.b64encode(
                 runs_to_payload(golden_runs[:1])).decode("ascii"),
@@ -374,7 +373,7 @@ class TestErrorPaths:
             assert "'name'" in json.loads(reply)["error"]["detail"]
             assert (await client.list_sessions("t")) == []
 
-        _serve(scenario, placement=placement)
+        _serve(scenario)
 
     def test_undecodable_runs_payload_is_400(self):
         async def scenario(server, client):

@@ -49,30 +49,8 @@ def solo_results(golden_runs):
 
 class TestPlacement:
     def test_round_robin_by_submission_index(self):
-        assert [place_session(i, "q", 3) for i in range(7)] \
+        assert [place_session(i, 3) for i in range(7)] \
             == [0, 1, 2, 0, 1, 2, 0]
-
-    def test_hash_is_stable_and_name_keyed(self):
-        a = place_session(0, "query_a", 4, "hash")
-        # independent of submission index, pure in the name
-        assert all(place_session(i, "query_a", 4, "hash") == a
-                   for i in range(5))
-        spread = {place_session(0, f"q{i}", 4, "hash") for i in range(32)}
-        assert len(spread) > 1, "hash placement must actually spread names"
-
-    def test_hash_matches_crc32_not_salted_hash(self):
-        # the placement contract: CRC32 of the utf-8 name, so the same
-        # submission lands on the same shard in every process and run
-        import zlib
-        name = "tpch_q7"
-        assert place_session(9, name, 5, "hash") \
-            == zlib.crc32(name.encode()) % 5
-
-    def test_unknown_placement_rejected(self):
-        with pytest.raises(ValueError, match="unknown placement"):
-            place_session(0, "q", 2, "sticky")
-        with pytest.raises(ValueError, match="unknown placement"):
-            ShardedProgressService(_monitor(), n_shards=2, placement="nope")
 
     def test_invalid_shard_count_rejected(self):
         with pytest.raises(ValueError, match="n_shards"):
@@ -81,12 +59,10 @@ class TestPlacement:
 
 class TestInlineParity:
     @pytest.mark.parametrize("n_shards", [1, 2, 3])
-    @pytest.mark.parametrize("placement", ["round_robin", "hash"])
     def test_streams_bit_identical_to_pooled(self, golden_runs, solo_results,
-                                             n_shards, placement):
+                                             n_shards):
         service = ShardedProgressService(
-            _monitor(), n_shards=n_shards, slice_steps=4,
-            placement=placement)
+            _monitor(), n_shards=n_shards, slice_steps=4)
         sids = [service.submit_replay(run) for run in golden_runs]
         results = service.run_until_complete(max_ticks=100_000)
         service.close()

@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.monitor import ProgressMonitor
 from repro.core.training import collect_training_data, runs_to_pipelines
+from repro.engine import run as engine_run
 from repro.engine.executor import ExecutorConfig
 from repro.features.vector import FeatureExtractor
 from repro.fuzz.oracle import (
@@ -26,9 +27,12 @@ from repro.fuzz.oracle import (
     check_trace_roundtrip,
 )
 from repro.progress.registry import all_estimators
+from repro.progress.soa import FlushBatch, PipelineMeta
+from repro.runtime.transport import reports_to_payload
 from repro.service import ProgressService
 from repro.trace import TRACE_FORMAT_VERSION, read_trace
 from repro.trace.format import run_to_manifest, run_to_members
+from repro.trace.replay import replay_monitor
 from repro.workloads.suite import WorkloadSuite
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -94,6 +98,32 @@ class TestGoldenTrace:
                 f"{family}: report bytes of the {label!r} monitor diverged "
                 f"from the golden stream; if intentional, regenerate via "
                 f"tests/golden/regenerate.py")
+
+    def test_served_report_bytes_need_no_offline_view(self, family,
+                                                      monkeypatch):
+        """Serving builds no :class:`PipelineRun` view and no second
+        :class:`PipelineMeta`: with ``live_pipeline_run``,
+        ``PipelineMeta.from_pipeline_run`` and
+        ``FlushBatch.of_pipeline_runs`` patched to raise once the
+        selectors are trained, every monitor still serves the golden
+        report bytes."""
+        from golden.regenerate import report_monitors
+
+        runs, _, pipelines, expected = _load(family)
+        monitors = report_monitors(pipelines)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the serving path built an offline view")
+
+        monkeypatch.setattr(engine_run, "live_pipeline_run", refuse)
+        monkeypatch.setattr(PipelineMeta, "from_pipeline_run", refuse)
+        monkeypatch.setattr(FlushBatch, "of_pipeline_runs", refuse)
+        for label, monitor in monitors.items():
+            payload = reports_to_payload([
+                (i, report) for i, run in enumerate(runs)
+                for report in replay_monitor(monitor, run)])
+            assert payload == expected[f"reports_{label}"].tobytes(), (
+                family, label)
 
     def test_expectations_cover_every_estimator(self, family):
         _, _, pipelines, expected = _load(family)
