@@ -112,7 +112,8 @@ class ProgressMonitor:
         (:mod:`repro.features.vector`).
     refresh_every:
         Recompute selections/estimates every k-th observation (estimates
-        between refreshes are cheap to interpolate but we simply skip).
+        between refreshes are cheap to interpolate but we simply skip);
+        ``ValueError`` below 1.
     on_report:
         Called with each report of :meth:`run` / ``replay_monitor``, in
         order, as each slice of the execution is flushed.
@@ -134,7 +135,9 @@ class ProgressMonitor:
         if fallback not in self.estimators:
             raise ValueError(f"fallback estimator {fallback!r} not in pool")
         self.fallback = fallback
-        self.refresh_every = max(1, refresh_every)
+        if refresh_every < 1:
+            raise ValueError(f"refresh_every must be >= 1: {refresh_every}")
+        self.refresh_every = refresh_every
         self.on_report = on_report
         #: selector kind -> the extractor of its features
         self.extractors = {kind: FeatureExtractor(kind)
@@ -164,28 +167,28 @@ class ProgressMonitor:
 
     # -- selection policy (called by the flush) ------------------------------
 
-    def selection_needs(self, pid: int, state: MonitorState, rows: int,
-                        fractions) -> tuple[int, bool, bool]:
-        """How one running pipeline's ``rows`` due rows of a flush select.
+    def selection_needs(self, pid: int, state: MonitorState,
+                        fractions: np.ndarray) -> tuple[int, bool, bool]:
+        """How one running pipeline's due rows of a flush select.
 
-        Returns ``(split, static_opens, dynamic_opens)``: the rows before
-        ``split`` report under the static selector kind and the rest under
-        the dynamic one; the static selection opens at the first row, the
-        dynamic one at row ``split``.  Static choice at pipeline start,
-        revised once at the 20% marker (§4.4): the dynamic kind takes over
-        at the first row whose driver fraction reaches
-        :data:`DYNAMIC_FRACTION`.  ``fractions()`` (the driver fraction at
-        each row) is only consulted while the dynamic revision is still
-        ahead.  A kind opens at most once per pipeline: once its sticky
-        choice is committed, later flushes report none.  Nothing is
-        extracted here: the flush collects every opening of a round and
-        extracts each selector kind's features in one call.
+        ``fractions`` is the driver fraction at each row, read off the
+        flush's report batch.  Returns ``(split, static_opens,
+        dynamic_opens)``: the rows before ``split`` report under the
+        static selector kind and the rest under the dynamic one; the
+        static selection opens at the first row, the dynamic one at row
+        ``split``.  Static choice at pipeline start, revised once at the
+        20% marker (§4.4): the dynamic kind takes over at the first row
+        whose driver fraction reaches :data:`DYNAMIC_FRACTION`.  A kind
+        opens at most once per pipeline: once its sticky choice is
+        committed, later flushes report none.  Nothing is extracted here:
+        the flush collects every opening of a round and extracts each
+        selector kind's features in one call.
         """
-        split = rows
+        split = rows = len(fractions)
         if self.dynamic_selector is not None:
             if pid in state.dynamic_choices:
                 return 0, False, False
-            hit = np.flatnonzero(fractions() >= DYNAMIC_FRACTION)
+            hit = np.flatnonzero(fractions >= DYNAMIC_FRACTION)
             if len(hit):
                 split = int(hit[0])
         static_opens = (split > 0 and self.static_selector is not None

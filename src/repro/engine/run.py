@@ -314,19 +314,18 @@ def pipeline_static(nodes: list[NodeInfo], pipe) -> dict:
 def partial_totals(K: np.ndarray, D: np.ndarray, node_ids: np.ndarray,
                    E0: np.ndarray, mat_idx: np.ndarray,
                    mat_child_ids: np.ndarray) -> np.ndarray:
-    """Best per-node totals of a running pipeline at log rows.
+    """Best per-node totals of a running pipeline at one log row.
 
-    ``K`` and ``D`` are full-width counter and done-flag rows: one row's
-    vectors, or ``(rows, width)`` arrays of several.  The ``n_partial``
-    rule: a finished node's counter; a blocking source whose build child
-    finished, the child's counter; the optimizer estimate ``E0`` otherwise.
+    ``K`` and ``D`` are the row's full-width counter and done-flag
+    vectors.  The ``n_partial`` rule (``FlushBatch.N`` over many rows): a
+    finished node's counter; a blocking source whose build child
+    finished, the child's counter; the optimizer estimate ``E0``.
     """
-    done = D[..., node_ids]
-    out = np.where(done, K[..., node_ids], E0)
+    done = D[node_ids]
+    out = np.where(done, K[node_ids], E0)
     if len(mat_idx):
-        child_done = D[..., mat_child_ids] & ~done[..., mat_idx]
-        out[..., mat_idx] = np.where(child_done, K[..., mat_child_ids],
-                                     out[..., mat_idx])
+        child_done = D[mat_child_ids] & ~done[mat_idx]
+        out[mat_idx] = np.where(child_done, K[mat_child_ids], out[mat_idx])
     return out
 
 

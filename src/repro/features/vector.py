@@ -252,6 +252,11 @@ class FeatureExtractor:
             self._names += dynamic_feature_names()
 
     @property
+    def reads_rows(self) -> bool:
+        """Whether :meth:`extract` reads rows, not only range metadata."""
+        return self.mode == "dynamic"
+
+    @property
     def feature_names(self) -> list[str]:
         return list(self._names)
 

@@ -25,7 +25,8 @@ batches and evaluated per estimator kind:
 Kernels keep no state of their own: each is a function of the rows it is
 handed and of their pipelines' metadata.  LUO's speed over its trailing
 window reads one more row, the row the window opens at
-(:func:`window_starts`), which the batch carries as ``window_row``.  Only
+(:func:`window_starts`): row ``window_row[r]`` of the batch's
+``window``, the flush's window-start rows, or of the batch itself.  Only
 the exact estimator classes in ``_NATIVE`` have a kernel; the monitor
 refuses any other pool member at construction (:func:`kernel_class`).
 :meth:`FlushBatch.of_pipeline_runs` lays whole pipeline views out:
@@ -62,12 +63,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.run import (
-    _KNOWN_SOURCE_OPS,
-    _MATERIALIZED_OPS,
-    PipelineRun,
-    partial_totals,
-)
+from repro.engine.run import _KNOWN_SOURCE_OPS, _MATERIALIZED_OPS, PipelineRun
 from repro.plan.nodes import Op
 from repro.progress.batchdne import BatchDNEEstimator
 from repro.progress.dne import DNEEstimator
@@ -103,8 +99,8 @@ class PipelineMeta:
     __slots__ = (
         "pid", "t_start", "node_ids", "ops",
         "E0", "widths", "table_rows", "driver_mask", "parent_local",
-        "materialized_bytes_est", "oracle_bytes_total", "materialized_idx",
-        "mat_idx", "mat_child_ids",
+        "materialized_bytes_est", "oracle_bytes_total", "mat_idx",
+        "mat_child_ids",
         "known_base", "valid", "driver", "bdrv", "sdrv", "matpos",
         "childpos", "e0_sum", "oracle_total", "has_oracle",
     )
@@ -133,7 +129,6 @@ class PipelineMeta:
         self.oracle_bytes_total = oracle_bytes_total
         self.matpos = np.array([op in _MATERIALIZED_OPS for op in ops],
                                dtype=bool)
-        self.materialized_idx = np.flatnonzero(self.matpos)
         # blocking sources (local index) whose totals become exact once the
         # *out-of-pipeline* build child (global node id) finishes —
         # consumed by the per-row N rule
@@ -189,37 +184,18 @@ class PipelineMeta:
             mat_idx=pr.mat_idx, mat_child_ids=pr.mat_child_ids,
         )
 
-    def driver_fraction(self, K: np.ndarray, D: np.ndarray) -> np.ndarray:
-        """Fraction of driver input consumed at each of some log rows.
-
-        ``K`` and ``D`` are the rows' ``(rows, width)`` full-width counter
-        and done-flag arrays.  The dynamic-selection marker (§4.4),
-        evaluated without a flush: :meth:`PipelineRun.driver_fraction`
-        under the live ``n_partial`` rule
-        (:func:`~repro.engine.run.partial_totals`).
-        """
-        cols = self.node_ids
-        k = K[:, cols]
-        totals = np.repeat(self.known_base[None, :], len(K), axis=0)
-        idx = self.materialized_idx
-        if len(idx):
-            totals[:, idx] = partial_totals(K, D, cols, self.E0, self.mat_idx,
-                                            self.mat_child_ids)[:, idx]
-        mask = self.driver_mask
-        return _clipped_ratio(pairwise_rowsums(k[:, mask]),
-                              pairwise_rowsums(totals[:, mask]))
-
 
 class FlushBatch:
     """One flush's observation rows for a set of pipelines, flattened.
 
     Range ``i`` holds flat rows ``ranges[i] = (lo, hi)`` of the pipeline
-    ``metas[i]``; the ranges tile the batch in order, within one range
-    rows come in any order, and a pipeline may own several ranges (its
-    metadata listed once per range).  Row arrays are ``(rows, width)``,
-    zero-padded to the widest pipeline.  ``window_row[r]`` is the flat index of the row
-    LUO's speed window opens at for row ``r`` (:func:`window_starts`); a
-    row whose LUO value is never read points at itself.  ``CK``/``CD``
+    ``metas[i]``; the ranges tile the batch in order and within one range
+    rows come in any order.  Row arrays are ``(rows, width)``, zero-padded
+    to the widest pipeline.  LUO's speed window for row ``r`` opens at
+    row ``window_row[r]`` of ``window``, or of the batch itself while
+    ``window`` is ``None`` (no self-reference cycle); only the flush's
+    report batch, holding report rows only, gets its window-start rows
+    as a batch of their own.  ``CK``/``CD``
     overlay the out-of-pipeline build child's counter/done columns at the
     blocking-source positions (``PipelineMeta.childpos``).
     """
@@ -240,6 +216,7 @@ class FlushBatch:
         self.CK = CK
         self.CD = CD
         self.window_row = window_row
+        self.window = None
         #: per row, the index of its pipeline in ``metas``
         self.owner = np.repeat(np.arange(len(metas)),
                                [hi - lo for lo, hi in ranges])
@@ -563,9 +540,9 @@ class _BatchedBytesOracle(BatchedStreamState):
 class BatchedLuoState(BatchedStreamState):
     """LUO: remaining bytes over the speed of its trailing window.
 
-    Row ``r``'s window opens at row ``batch.window_row[r]`` (see
-    :func:`window_starts`), so its value reads two rows of the batch:
-    itself and that window start.
+    Row ``r``'s window opens at row ``batch.window_row[r]`` of
+    ``batch.window`` (the batch itself if ``None``; :func:`window_starts`),
+    so its value reads two rows: itself and that window start.
     """
 
     def __init__(self, estimator: LuoEstimator):
@@ -582,8 +559,9 @@ class BatchedLuoState(BatchedStreamState):
         np.divide(done, alpha, out=extrapolated, where=alpha > 1e-9)
         total = np.maximum(alpha * extrapolated + (1.0 - alpha) * base, done)
         start = batch.window_row
-        dt = el - el[start]
-        db = done - done[start]
+        window = batch if batch.window is None else batch.window
+        dt = el - (window.times - window.meta_rows("t_start"))[start]
+        db = done - window.bytes_done[start]
         speed = np.zeros(len(batch))
         fast = (dt > 0) & (db > 0)
         np.divide(db, dt, out=speed, where=fast)

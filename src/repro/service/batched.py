@@ -3,8 +3,8 @@ estimator kind.
 
 :class:`VectorizedFlush` is the only report producer — for the pooled
 service and, with one session, for the solo monitor and trace replay.
-Per round it runs these phases over all sessions at once, on the
-structure-of-arrays kernels of :mod:`repro.progress.soa`:
+Per round it runs these phases over all sessions at once, in data
+order, on the structure-of-arrays kernels of :mod:`repro.progress.soa`:
 
 1. **plan** — sessions capture only *which* observation rows are due
    reports (:attr:`QuerySession.pending_reports`).  The flush reads
@@ -13,25 +13,24 @@ structure-of-arrays kernels of :mod:`repro.progress.soa`:
    (``pipe_first_row``), *done* (the terminal's logged done flag), *too
    short* (a causal view of one row, found by ``searchsorted`` over the
    logged times) or *running*.  Each running (session, pipeline) is a
-   run over consecutive running cells; the monitor's §4.4 policy
-   (:meth:`~repro.core.monitor.ProgressMonitor.selection_needs`) is
-   applied once per run, from the driver fractions of its rows, and
-   splits its cells into a static and a dynamic segment.  Newly running
-   pipelines get their kernel metadata on their session, and every cell
-   where a selection opens is collected;
-2. **resolve** — per selector kind, the openings' causal views are laid
-   out by the gather of phase 4 and extracted in one
-   :meth:`~repro.features.vector.FeatureExtractor.extract` call, then
-   scored in one batched pass (a pipeline's kind opens once, at its
-   first due row, so the first observation wins);
-3. **choose** — each segment's committed estimator
-   (:meth:`~repro.core.monitor.ProgressMonitor.chosen`);
-4. **gather/advance** — every running cell's report row, then the
-   speed-window start of each cell LUO serves, are gathered as index
+   run over consecutive running cells; newly running pipelines get
+   their kernel metadata on their session;
+2. **gather** — every running cell's report row is gathered as index
    arrays into flat ``(rows, width)`` arrays zero-padded to the flush's
    widest pipeline (one full-width log read per session, then one
-   column gather), next to each row's pipeline metadata, and every
-   chosen estimator kind advances once over the whole batch;
+   column gather), next to each row's pipeline metadata;
+3. **select** — the monitor's §4.4 policy
+   (:meth:`~repro.core.monitor.ProgressMonitor.selection_needs`) splits
+   each run into a static and a dynamic segment, from the batch's
+   driver fractions (cached for the kernels).  Per selector kind, the
+   openings' causal views are laid out by the same gather, extracted in
+   one :meth:`~repro.features.vector.FeatureExtractor.extract` call and
+   scored in one batched pass (a pipeline's kind opens once, at its
+   first due row, so the first observation wins); then each segment's
+   estimator is chosen (:meth:`~repro.core.monitor.ProgressMonitor.chosen`);
+4. **advance** — the speed-window start of each cell LUO serves is
+   gathered as a batch of its own, then every chosen estimator kind
+   advances once over the report rows;
 5. **assemble** — per (report, pipeline) the value is ``1.0`` done, the
    kernel's value running and ``+0.0`` otherwise; ``overall`` sums the
    ΣE-weighted values (eq. 5) column by column in pid order, bit for bit
@@ -67,18 +66,20 @@ Causality notes (why each report equals the chosen estimator's
 * *done* status comes from the report row's logged done flag at the
   pipeline's terminal (``node_ids[0]``);
 * every kernel is a function of the rows it is handed, so a pipeline's
-  rows are its report rows, plus, for each report row LUO serves, the
-  first row of its trailing speed window
+  rows are its report rows, plus, in the window batch, the first row of
+  the trailing speed window of each report row LUO serves
   (:func:`~repro.progress.soa.window_starts`, found by a search over the
   logged times rather than a scan).  That row lies in the pipeline's
-  causal view as of the report row, and what else shares the batch
-  does not change a row's value;
+  causal view as of the report row, and what else shares a batch does
+  not change a row's value;
 * a selection opening's view is its pipeline's log rows from
   ``firsts`` through the opening's row, with the session's metadata and
   ``N`` fixed at that row: :func:`~repro.engine.run.live_pipeline_run`'s
-  view there.  All openings of a round, across sessions, go through one
-  ``extract`` call per selector kind — the logs do not grow inside a
-  flush, and a feature row does not depend on what shares its batch.
+  view there.  Static features read only the metadata, so a static
+  opening's range is empty.  All openings of a round, across sessions,
+  go through one ``extract`` call per selector kind — the logs do not
+  grow inside a flush, and a feature row does not depend on what shares
+  its batch.
 """
 
 from __future__ import annotations
@@ -99,14 +100,14 @@ from repro.progress.soa import (
 
 class _Run:
     """One running pipeline of one session over a flush's due rows: the
-    plan's cells ``c0 .. c0 + n - 1``, those before ``split`` under the
-    static selector kind, the rest under the dynamic one."""
+    plan's cells ``c0 .. c0 + n - 1``, those before ``split`` (set by the
+    §4.4 policy) under the static selector kind, the rest dynamic."""
 
     __slots__ = ("s", "pid", "meta", "c0", "n", "split")
 
-    def __init__(self, s, pid, meta, c0, n, split):
+    def __init__(self, s, pid, meta, c0, n):
         self.s, self.pid, self.meta = s, pid, meta
-        self.c0, self.n, self.split = c0, n, split
+        self.c0, self.n = c0, n
 
 
 class _Plan:
@@ -117,13 +118,12 @@ class _Plan:
     The ``(reports, pipelines)`` status arrays are padded to the session
     with the most pipelines.  A running *cell* is a (report, pipeline)
     whose value a kernel gives; cells are sorted by session, pipeline and
-    row, so each :class:`_Run` owns consecutive cells.  ``openings``
-    lists each selection opening's ``(kind, run, cell)``.
+    row, so each :class:`_Run` owns consecutive cells.
     """
 
     __slots__ = ("sessions", "logs", "bounds", "rows", "sess", "times",
                  "weights", "firsts", "done", "running", "cell_report",
-                 "cell_pid", "runs", "openings")
+                 "cell_pid", "runs")
 
 
 class VectorizedFlush:
@@ -132,8 +132,8 @@ class VectorizedFlush:
     def __init__(self, monitor: ProgressMonitor):
         self.monitor = monitor
         self.states = batched_states(monitor.estimators)
-        #: the LUO kernel, if pooled: its report rows also gather the row
-        #: their speed window opens at
+        #: the LUO kernel, if pooled: the cells it serves also gather the
+        #: row their speed window opens at
         self._luo = next((st for st in self.states.values()
                           if isinstance(st, BatchedLuoState)), None)
 
@@ -148,68 +148,56 @@ class VectorizedFlush:
         plan = self._plan(sessions)
         if plan is None:
             return
-
-        # one feature extraction per selector kind over the round's
-        # openings, then one batched scoring pass
-        monitor = self.monitor
-        requests: list[tuple[str, np.ndarray]] = []
-        targets: list[tuple[str, _Run, int]] = []
-        for kind, extractor in monitor.extractors.items():
-            mine = [o for o in plan.openings if o[0] == kind]
-            if mine:
-                X = extractor.extract(
-                    self._views(plan, mine, extractor.speed_window))
-                requests += [(kind, x) for x in X]
-                targets += mine
-        if requests:
-            names = scorer.resolve(requests)
-            for (kind, run, _), name in zip(targets, names):
-                state = plan.sessions[run.s].state
-                made = (state.dynamic_choices if kind == DYNAMIC
-                        else state.static_choices)
-                made[run.pid] = name
-
-        # each run's (now committed) choice per kind: the cells of a kind
-        # form one segment
         names = list(self.states)
-        index = {name: c for c, name in enumerate(names)}
-        segments = []
-        for run in plan.runs:
-            state = plan.sessions[run.s].state
-            for kind, lo, hi in ((STATIC, 0, run.split),
-                                 (DYNAMIC, run.split, run.n)):
-                if lo < hi:
-                    segments.append((run, run.c0 + lo, run.c0 + hi, index[
-                        monitor.chosen(run.pid, kind, state)]))
-        starts = [lo for _, lo, _, _ in segments]
-        codes = [c for *_, c in segments]
         cells = len(plan.cell_pid)
-        # per cell, the index of its estimator in ``names``
-        code = np.repeat(np.array(codes, dtype=np.int64),
-                         np.diff(starts + [cells]))
-        # gather the rows once (batch row c is cell c); one advance per
-        # kind over the whole batch
         values = np.zeros(cells)
+        code = np.zeros(cells, dtype=np.int64)
+        commits = []
         if cells:
-            batch = self._gather(plan, [
-                (run, lo, hi) for run, lo, hi, c in segments
-                if self.states[names[c]] is self._luo])
+            # batch row c is cell c's report row, one range per run
+            batch = self._layout(plan, plan.runs,
+                                 [run.n for run in plan.runs],
+                                 plan.rows[plan.cell_report])
+            self._select(plan, batch.driver_value("driver"), scorer)
+
+            # each run's (now committed) choice per kind: the cells of a
+            # kind form one segment
+            index = {name: c for c, name in enumerate(names)}
+            segments = []
+            for run in plan.runs:
+                state = plan.sessions[run.s].state
+                for kind, lo, hi in ((STATIC, 0, run.split),
+                                     (DYNAMIC, run.split, run.n)):
+                    if lo < hi:
+                        segments.append((run, run.c0 + lo, run.c0 + hi, index[
+                            self.monitor.chosen(run.pid, kind, state)]))
+            starts = [lo for _, lo, _, _ in segments]
+            codes = [c for *_, c in segments]
+            # per cell, the index of its estimator in ``names``
+            code = np.repeat(np.array(codes, dtype=np.int64),
+                             np.diff(starts + [cells]))
+            timed = [(run, lo, hi) for run, lo, hi, c in segments
+                     if self.states[names[c]] is self._luo]
+            if timed:
+                batch.window = self._windows(plan, timed)
+                # served cells index it by rank; others' LUO values go unread
+                served = code == index[self._luo.estimator.name]
+                batch.window_row = np.maximum(np.cumsum(served) - 1, 0)
+            # one advance per kind over the report rows
             for c in np.unique(code).tolist():
                 mine = code == c
-                values[mine] = self.states[names[c]].advance(batch)[
-                    :cells][mine]
-        # the rows at which each segment's choice is (re)committed
-        commits = sorted(zip(plan.cell_report[starts].tolist(),
-                             plan.cell_pid[starts].tolist(),
-                             [names[c] for c in codes]))
+                values[mine] = self.states[names[c]].advance(batch)[mine]
+            # the rows at which each segment's choice is (re)committed
+            commits = sorted(zip(plan.cell_report[starts].tolist(),
+                                 plan.cell_pid[starts].tolist(),
+                                 [names[c] for c in codes]))
         self._assemble(plan, values, code, names, commits, stats, on_report)
 
     # -- phase 1: causal planning --------------------------------------------
 
     def _plan(self, sessions) -> _Plan | None:
         """Each pipeline's status at every due row, read causally from the
-        logs, and the selection openings.  None when no session has due
-        rows."""
+        logs.  None when no session has due rows."""
         planned = []
         for session in sessions:
             if session.pending_reports:
@@ -268,32 +256,18 @@ class VectorizedFlush:
         report, pid = report[order], pid[order]
         heads = np.flatnonzero(np.diff(sess[report] * P + pid, prepend=-1))
 
-        monitor = self.monitor
         runs = []
-        opened = []
         for c0, c1, s, p in zip(heads.tolist(), heads[1:].tolist() + [len(pid)],
                                 sess[report[heads]].tolist(),
                                 pid[heads].tolist()):
-            session = planned[s]
-            recs = session.pipe_records
+            recs = planned[s].pipe_records
             meta = recs.get(p)
             if meta is None:
-                ctx = session.handle_ctx
+                ctx = planned[s].handle_ctx
                 meta = recs[p] = PipelineMeta(
                     pid=p, t_start=float(ctx.pipe_first[p]),
                     **pipeline_static(ctx.nodes, ctx.pipelines[p]))
-            R = rows[report[c0:c1]]
-            log = logs[s]
-            split, static_opens, dynamic_opens = monitor.selection_needs(
-                p, session.state, c1 - c0,
-                lambda: meta.driver_fraction(log["K"][R], log["D"][R]))
-            runs.append(_Run(s, p, meta, c0, c1 - c0, split))
-            if static_opens:
-                opened.append((STATIC, runs[-1], c0))
-            if dynamic_opens:
-                opened.append((DYNAMIC, runs[-1], c0 + split))
-        # in session, then row, then pid order
-        opened.sort(key=lambda o: (report[o[2]], o[1].pid))
+            runs.append(_Run(s, p, meta, c0, c1 - c0))
 
         ended = np.logical_or.reduceat(done, bounds[:-1], axis=0)
         for s, session in enumerate(planned):
@@ -311,59 +285,87 @@ class VectorizedFlush:
         plan.weights, plan.firsts = weights, firsts
         plan.done, plan.running = done, running
         plan.cell_report, plan.cell_pid, plan.runs = report, pid, runs
-        plan.openings = opened
         return plan
 
-    # -- phases 2 and 4: the layout of flush rows ---------------------------
+    # -- phase 3: the §4.4 policy and the openings' scores -----------------
 
-    def _views(self, plan: _Plan, openings, speed_window) -> FlushBatch:
+    def _select(self, plan: _Plan, fractions, scorer) -> None:
+        """Split every run by the §4.4 policy from the driver fraction at
+        each cell, then extract each selector kind's openings in one call,
+        score them in one pass and commit the choices."""
+        monitor = self.monitor
+        opened = []
+        for run in plan.runs:
+            run.split, static_opens, dynamic_opens = monitor.selection_needs(
+                run.pid, plan.sessions[run.s].state,
+                fractions[run.c0:run.c0 + run.n])
+            if static_opens:
+                opened.append((STATIC, run, run.c0))
+            if dynamic_opens:
+                opened.append((DYNAMIC, run, run.c0 + run.split))
+        # static first, then in session, then row, then pid order
+        opened.sort(key=lambda o: (o[0] == DYNAMIC, plan.cell_report[o[2]],
+                                   o[1].pid))
+        requests: list[tuple[str, np.ndarray]] = []
+        for kind in (STATIC, DYNAMIC):
+            mine = [o for o in opened if o[0] == kind]
+            if mine:
+                extractor = monitor.extractors[kind]
+                X = extractor.extract(self._views(plan, mine, extractor))
+                requests += [(kind, x) for x in X]
+        if requests:
+            for (kind, run, _), name in zip(opened, scorer.resolve(requests)):
+                state = plan.sessions[run.s].state
+                made = (state.dynamic_choices if kind == DYNAMIC
+                        else state.static_choices)
+                made[run.pid] = name
+
+    # -- the layout of flush rows (phases 2 to 4) --------------------------
+
+    def _views(self, plan: _Plan, openings, extractor) -> FlushBatch:
         """Each opening's causal view as one range: its pipeline's log
         rows from ``plan.firsts`` through the opening's row, LUO's window
-        starts inside the range and ``N`` fixed at the opening's row."""
+        starts inside the range and ``N`` fixed at the opening's row.
+        The range is empty where ``extractor`` reads no rows."""
+        runs = [run for _, run, _ in openings]
+        if not extractor.reads_rows:
+            return self._layout(plan, runs, [0] * len(runs),
+                                np.zeros(0, dtype=np.int64))
         log_rows, window_row, top = [], [], 0
         for _, run, cell in openings:
             first = int(plan.firsts[run.s, run.pid])
             rows = np.arange(first, plan.rows[plan.cell_report[cell]] + 1)
             window_row.append(top - first + window_starts(
                 plan.logs[run.s]["times"], run.meta.t_start, first, rows,
-                speed_window))
+                extractor.speed_window))
             log_rows.append(rows)
             top += len(rows)
-        return self._layout(plan, [run for _, run, _ in openings],
-                            [len(r) for r in log_rows], log_rows,
-                            np.concatenate(window_row)).as_views()
+        batch = self._layout(plan, runs, [len(r) for r in log_rows],
+                             np.concatenate(log_rows))
+        batch.window_row = np.concatenate(window_row)
+        return batch.as_views()
 
-    def _gather(self, plan: _Plan, timed) -> FlushBatch:
-        """Lay out every cell's report row, in cell order, then the window
-        start of each cell LUO serves: ``timed`` lists those cells as
-        ``(run, lo, hi)`` segments."""
-        cells = len(plan.cell_pid)
-        owners = list(plan.runs)
-        counts = [run.n for run in owners]
-        log_rows = [plan.rows[plan.cell_report]]
-        window_row = np.arange(cells + sum(hi - lo for _, lo, hi in timed))
-        top = cells
-        for run, lo, hi in timed:
-            log_rows.append(window_starts(
+    def _windows(self, plan: _Plan, timed) -> FlushBatch:
+        """The row each LUO-served cell's speed window opens at, in cell
+        order: ``timed`` lists those cells as ``(run, lo, hi)``
+        segments."""
+        return self._layout(
+            plan, [run for run, _, _ in timed],
+            [hi - lo for _, lo, hi in timed], np.concatenate([window_starts(
                 plan.logs[run.s]["times"], run.meta.t_start,
                 int(plan.firsts[run.s, run.pid]),
-                plan.rows[plan.cell_report[lo:hi]], self._luo.speed_window))
-            window_row[lo:hi] = np.arange(top, top + hi - lo)
-            owners.append(run)
-            counts.append(hi - lo)
-            top += hi - lo
-        return self._layout(plan, owners, counts, log_rows, window_row)
+                plan.rows[plan.cell_report[lo:hi]], self._luo.speed_window)
+                for run, lo, hi in timed]))
 
     @staticmethod
-    def _layout(plan: _Plan, owners, counts, log_rows,
-                window_row) -> FlushBatch:
-        """One :class:`FlushBatch` of the concatenated ``log_rows``, whose
-        range ``i`` holds the next ``counts[i]`` of them, rows of the
-        pipeline ``owners[i]`` (a :class:`_Run`) in its session's log."""
+    def _layout(plan: _Plan, owners, counts, log_rows) -> FlushBatch:
+        """One :class:`FlushBatch` of the ``log_rows``, whose range ``i``
+        holds the next ``counts[i]`` of them, rows of the pipeline
+        ``owners[i]`` (a :class:`_Run`) in its session's log.  Each row's
+        ``window_row`` is itself."""
         bounds = np.cumsum([0] + counts).tolist()
         ranges = list(zip(bounds[:-1], bounds[1:]))
         metas = [run.meta for run in owners]
-        log_rows = np.concatenate(log_rows)
         owner = np.repeat(np.arange(len(metas)), counts)
         # the batch rows of each session
         session_of = np.array([run.s for run in owners])[owner]
@@ -402,7 +404,7 @@ class VectorizedFlush:
         CK = np.take_along_axis(full["K"], child, axis=1)
         CD = np.take_along_axis(full["D"], child, axis=1)
         return FlushBatch(metas, ranges, times, K, W, LB, UB, D, CK, CD,
-                          window_row)
+                          np.arange(total))
 
     # -- phase 5: assemble ----------------------------------------------------
 

@@ -28,6 +28,14 @@ def _make_monitor(refresh_every: int) -> ProgressMonitor:
     return ProgressMonitor(refresh_every=refresh_every)
 
 
+def positive_int(text: str) -> int:
+    """An argument of at least 1; anything else is a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service.net",
@@ -37,14 +45,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--port", type=int, default=8765,
                         help="listen port, 0 for ephemeral "
                         "(default: %(default)s)")
-    parser.add_argument("--shards", type=int, default=1,
+    parser.add_argument("--shards", type=positive_int, default=1,
                         help="shard count (default: %(default)s)")
     parser.add_argument("--processes", action="store_true",
                         help="run shards in worker processes")
-    parser.add_argument("--slice-steps", type=int, default=8,
+    parser.add_argument("--slice-steps", type=positive_int, default=8,
                         help="engine steps per session per tick "
                         "(default: %(default)s)")
-    parser.add_argument("--max-live", type=int, default=None,
+    parser.add_argument("--max-live", type=positive_int, default=None,
                         help="live-session cap per shard")
     parser.add_argument("--memory-budget-bytes", type=int, default=None,
                         help="per-shard admission budget in bytes")
@@ -54,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--retry-after", type=float, default=1.0,
                         help="seconds advertised in Retry-After headers "
                         "(default: %(default)s)")
-    parser.add_argument("--refresh-every", type=int, default=5,
+    parser.add_argument("--refresh-every", type=positive_int, default=5,
                         help="monitor report cadence in engine steps "
                         "(default: %(default)s)")
     return parser

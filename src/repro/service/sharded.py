@@ -392,6 +392,10 @@ class ShardedProgressService:
             n_shards = available_cpus()
         if n_shards <= 0:
             raise ValueError("n_shards must be positive")
+        if slice_steps <= 0:  # before any worker spawns
+            raise ValueError("slice_steps must be positive")
+        if max_live is not None and max_live <= 0:
+            raise ValueError("max_live must be positive (or None)")
         self.n_shards = n_shards
         self.memory_budget_bytes = memory_budget_bytes
         self.processes = processes

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.monitor import ProgressMonitor
+from repro.core.monitor import DYNAMIC, STATIC, ProgressMonitor
 from repro.core.training import (
     collect_training_data,
     runs_to_pipelines,
@@ -24,6 +24,7 @@ from repro.progress.luo import LuoEstimator
 from repro.progress.registry import all_estimators, original_estimators
 from repro.service import ProgressService
 from repro.service.batched import VectorizedFlush
+from repro.service.scoring import BatchedSelectorScorer
 from repro.service.session import SessionStatus
 from repro.trace import read_trace
 from repro.trace.replay import replay_monitor
@@ -58,6 +59,11 @@ class TestProgressMonitor:
     def test_fallback_validation(self):
         with pytest.raises(ValueError):
             ProgressMonitor(fallback="nonexistent")
+
+    @pytest.mark.parametrize("refresh_every", [0, -1])
+    def test_refresh_every_below_one_rejected(self, refresh_every):
+        with pytest.raises(ValueError, match="refresh_every"):
+            ProgressMonitor(refresh_every=refresh_every)
 
     def test_produces_reports(self, monitored):
         _, reports = monitored
@@ -178,59 +184,84 @@ class TestKernelLifecycle:
             assert set(vars(service._vector)) == {"monitor", "states",
                                                   "_luo"}
 
-    @pytest.mark.parametrize("fallback", ["luo", "dne"])
+    @pytest.mark.parametrize("serving", ["luo", "dne", "mixed"])
     def test_batch_holds_report_rows_and_luo_window_starts(
-            self, recordings, fallback, monkeypatch):
-        """A flush gathers exactly its report rows, plus one row per
-        report row LUO serves: the first row of its speed window."""
+            self, recordings, serving, trained_selectors, monkeypatch):
+        """The kernels advance over exactly the running cells' report
+        rows, one row per cell; LUO reads its window starts from a batch
+        of their own, one row per cell it serves, at the first row of the
+        cell's speed window.  ``mixed`` resolves every other selection to
+        LUO and the rest to DNE."""
         window = LuoEstimator().speed_window
-        gather = VectorizedFlush._gather
-        gathered = []
+        if serving == "mixed":
+            monitor = ProgressMonitor(*trained_selectors, refresh_every=3)
+            monkeypatch.setattr(
+                BatchedSelectorScorer, "resolve", lambda scorer, requests: [
+                    ("luo", "dne")[i % 2] for i in range(len(requests))])
+        else:
+            monitor = ProgressMonitor(fallback=serving, refresh_every=3)
+        plans = []
+        plan_rows = VectorizedFlush._plan
 
-        def spy(flush, plan, segments):
-            batch = gather(flush, plan, segments)
-            timed = 0
-            luo = np.zeros(len(plan.cell_pid), dtype=bool)
-            for _, lo, hi in segments:
-                luo[lo:hi] = True
+        def spy_plan(flush, sessions):
+            plans.append(plan_rows(flush, sessions))
+            return plans[-1]
+
+        def check(name, batch):
+            plan = plans[-1]
+            assert len(batch) == len(plan.cell_pid)
+            served = 0
             for run in plan.runs:
                 meta, log = run.meta, plan.logs[run.s]
+                state = plan.sessions[run.s].state
                 first = plan.firsts[run.s, run.pid]
                 m = meta.n_nodes
                 for cell in range(run.c0, run.c0 + run.n):
                     # batch row ``cell`` is the cell's report row
                     row = plan.rows[plan.cell_report[cell]]
                     assert batch.metas[batch.owner[cell]] is meta
+                    assert batch.times[cell] == log["times"][row]
                     assert np.array_equal(batch.K[cell, :m],
                                           log["K"][row, meta.node_ids])
-                    start = batch.window_row[cell]
-                    if not luo[cell]:
-                        assert start == cell
+                    kind = STATIC if cell - run.c0 < run.split else DYNAMIC
+                    if (name != "luo"
+                            or monitor.chosen(run.pid, kind, state) != name):
                         continue
-                    timed += 1
                     elapsed = log["times"] - meta.t_start
                     want = first
                     while (want < row
                            and elapsed[row] - elapsed[want] > window):
                         want += 1
-                    assert start != cell
-                    assert batch.metas[batch.owner[start]] is meta
-                    assert batch.times[start] == log["times"][want]
-                    assert np.array_equal(batch.K[start, :m],
+                    start = batch.window_row[cell]
+                    # the served cells' window rows, in cell order
+                    assert start == served
+                    served += 1
+                    win = batch.window
+                    assert win.metas[win.owner[start]] is meta
+                    assert win.times[start] == log["times"][want]
+                    assert np.array_equal(win.K[start, :m],
                                           log["K"][want, meta.node_ids])
-            assert len(batch) == len(plan.cell_pid) + timed
-            gathered.append(timed)
-            return batch
+            if name == "luo":
+                assert batch.window is not None
+                assert len(batch.window) == served > 0
+                shared.append(served < len(batch))
+            advanced.append(name)
 
-        monkeypatch.setattr(VectorizedFlush, "_gather", spy)
-        service = ProgressService(ProgressMonitor(fallback=fallback,
-                                                  refresh_every=3),
-                                  slice_steps=4)
+        advanced, shared = [], []
+        monkeypatch.setattr(VectorizedFlush, "_plan", spy_plan)
+        service = ProgressService(monitor, slice_steps=4)
+        for name, state in service._vector.states.items():
+            def spy(batch, name=name, advance=state.advance):
+                check(name, batch)
+                return advance(batch)
+            state.advance = spy
         for run in recordings:
             service.submit_replay(run)
         service.run_until_complete(max_ticks=100_000)
-        assert gathered
-        assert (sum(gathered) > 0) == (fallback == "luo")
+        want = {"luo": {"luo"}, "dne": {"dne"}, "mixed": {"luo", "dne"}}
+        assert set(advanced) == want[serving]
+        # mixed: LUO advanced over batches holding cells it does not serve
+        assert any(shared) == (serving == "mixed")
 
     def test_records_only_for_running_pipelines(self, recordings):
         # the golden TPC-H recordings finish pipelines while others of

@@ -29,7 +29,12 @@ from repro.core.monitor import (
 )
 from repro.core.training import runs_to_pipelines
 from repro.engine.executor import QueryExecutor
-from repro.engine.run import live_pipeline_run, partial_totals, pipeline_static
+from repro.engine.run import (
+    _MATERIALIZED_OPS,
+    live_pipeline_run,
+    partial_totals,
+    pipeline_static,
+)
 from repro.features.vector import FeatureExtractor
 from repro.progress.soa import FlushBatch, PipelineMeta, window_starts
 from repro.query.logical import JoinEdge, QuerySpec
@@ -176,8 +181,8 @@ def _record_views(monkeypatch):
     opened = []
     views = batched.VectorizedFlush._views
 
-    def record(flush, plan, openings, speed_window):
-        batch = views(flush, plan, openings, speed_window)
+    def record(flush, plan, openings, extractor):
+        batch = views(flush, plan, openings, extractor)
         for i, (_, run, cell) in enumerate(openings):
             ctx = plan.sessions[run.s].handle_ctx
             opened.append((ctx, ctx.pipelines[run.pid],
@@ -233,6 +238,23 @@ def test_flush_features_equal_solo_extraction(family, monkeypatch):
                 family, slice_steps, kind, pipe.pid, row)
 
 
+def test_static_openings_lay_out_no_rows(monkeypatch):
+    """Static features read only the pipelines' metadata, so a static
+    opening's range is empty and a static-kind batch holds no rows; a
+    dynamic opening's range holds its view, two rows or more."""
+    kinds = set()
+    for family in FAMILIES:
+        opened, requests = _serve_trained(family, monkeypatch)
+        for (kind, _), (*_, batch, i) in zip(requests, opened, strict=True):
+            lo, hi = batch.ranges[i]
+            if kind == STATIC:
+                assert len(batch) == 0, family
+            else:
+                assert hi - lo >= 2, family
+            kinds.add(kind)
+    assert kinds == {STATIC, DYNAMIC}
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_views_batch_equals_live_view_layout(family, monkeypatch):
     """Laid out at every running cell of every flush, not only where a
@@ -243,7 +265,8 @@ def test_views_batch_equals_live_view_layout(family, monkeypatch):
     pipelines, one of ``outer_semi`` finishes a member node while still
     running, so its ``N`` changes inside a view."""
     runs, _ = read_trace(GOLDEN_DIR / family)
-    window = FeatureExtractor("dynamic").speed_window
+    extractor = FeatureExtractor("dynamic")
+    window = extractor.speed_window
     plan_rows = batched.VectorizedFlush._plan
     checked = []
 
@@ -253,7 +276,7 @@ def test_views_batch_equals_live_view_layout(family, monkeypatch):
             return plan
         cells = [(None, run, cell) for run in plan.runs
                  for cell in range(run.c0, run.c0 + run.n)]
-        batch = flush._views(plan, cells, window)
+        batch = flush._views(plan, cells, extractor)
         for (_, run, cell), meta, (lo, hi) in zip(cells, batch.metas,
                                                   batch.ranges, strict=True):
             ctx = plan.sessions[run.s].handle_ctx
@@ -334,7 +357,7 @@ def _oracle_fraction(meta, K, D):
     """Driver fraction at one full-width log row (``K``, ``D`` vectors)."""
     cols = meta.node_ids
     totals = meta.known_base.copy()
-    idx = meta.materialized_idx
+    idx = np.flatnonzero([op in _MATERIALIZED_OPS for op in meta.ops])
     if len(idx):
         totals[idx] = partial_totals(K, D, cols, meta.E0, meta.mat_idx,
                                      meta.mat_child_ids)[idx]
@@ -373,15 +396,31 @@ class _OracleItem:
         self.name, self.flat = None, -1
 
 
+class _NotingFlush(batched.VectorizedFlush):
+    """The array flush, noting each selection opening it lays out as
+    ``(session, pid, kind, row)``."""
+
+    def __init__(self, monitor, opened):
+        super().__init__(monitor)
+        self.opened = opened
+
+    def _views(self, plan, openings, extractor):
+        self.opened += [(plan.sessions[run.s].session_id, run.pid, kind,
+                         int(plan.rows[plan.cell_report[cell]]))
+                        for kind, run, cell in openings]
+        return super()._views(plan, openings, extractor)
+
+
 class _OracleFlush(batched.VectorizedFlush):
     """The flush as it was before it became array code: each (row,
     pipeline) planned as a ``(pid, weight, x)`` part, running ones as
     items, gathered per record and assembled row by row.  ``seen`` notes
-    the edge cases the sweep met."""
+    the edge cases the sweep met, ``opened`` each selection opening as
+    :class:`_NotingFlush` does."""
 
-    def __init__(self, monitor, seen):
+    def __init__(self, monitor, seen, opened):
         super().__init__(monitor)
-        self.seen = seen
+        self.seen, self.opened = seen, opened
 
     def flush(self, sessions, scorer, stats, on_report):
         openings = []
@@ -392,6 +431,8 @@ class _OracleFlush(batched.VectorizedFlush):
         for kind, extractor in monitor.extractors.items():
             mine = [o for o in openings if o[1] == kind]
             if mine:
+                self.opened += [(session.session_id, pipe.pid, kind, R)
+                                for session, kind, pipe, R in mine]
                 X = extract(extractor, [
                     live_pipeline_run(session.handle_ctx, pipe, R)
                     for session, _, pipe, R in mine])
@@ -546,20 +587,6 @@ class _OracleFlush(batched.VectorizedFlush):
                           arrays["UB"], D, arrays["CK"], CD, window_row)
 
 
-class _NotingExtractor:
-    """An extractor that notes which view each opening extracts."""
-
-    def __init__(self, extractor, kind, opened):
-        self.extractor, self.kind, self.opened = extractor, kind, opened
-        self.speed_window = extractor.speed_window
-
-    def extract(self, batch):
-        self.opened += [(self.kind, meta.pid, hi - lo,
-                         float.hex(float(batch.times[hi - 1])))
-                        for meta, (lo, hi) in zip(batch.metas, batch.ranges)]
-        return self.extractor.extract(batch)
-
-
 def _report_key(report):
     return (float.hex(report.time), float.hex(report.progress),
             [(pid, float.hex(v)) for pid, v in
@@ -593,13 +620,11 @@ def test_array_flush_equals_row_by_row_oracle():
                         monitor = ProgressMonitor(
                             static, dynamic, fallback=fallback,
                             refresh_every=refresh_every)
-                        monitor.extractors = {
-                            kind: _NotingExtractor(ex, kind, opened[oracle])
-                            for kind, ex in monitor.extractors.items()}
                         service = ProgressService(monitor,
                                                   slice_steps=slice_steps)
-                        if oracle:
-                            service._vector = _OracleFlush(monitor, seen)
+                        service._vector = (
+                            _OracleFlush(monitor, seen, opened[1]) if oracle
+                            else _NotingFlush(monitor, opened[0]))
                         for run in runs:
                             service.submit_replay(run)
                         services.append(service)

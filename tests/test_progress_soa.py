@@ -13,6 +13,8 @@ tests/test_service.py and the fuzz oracle's ``kernel`` and ``service``
 layers; this module pins the kernels in isolation.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,10 +113,14 @@ def assert_kernels_match(prs, estimators=None):
                 f"{np.abs(vector[lo:hi] - want).max():.3e}")
 
 
-def log_rows(pr):
-    """Every observation of ``pr`` as full-width log rows ``(K, D)``
-    (node ids are the local columns), done flags by the live rule."""
-    return pr.K, pr.K >= pr.N[None, :]
+def live_fractions(pr, live):
+    """Per row ``t``, :meth:`PipelineRun.driver_fraction` at ``t`` of
+    ``pr`` with ``N`` set to the live rule's totals at ``t``: row ``t`` of
+    ``live``, ``pr`` laid out alone under that rule."""
+    m = pr.n_nodes
+    return np.array([
+        replace(pr, N=live.N[t, :m], _known=None).driver_fraction()[t]
+        for t in range(pr.n_observations)])
 
 
 def test_kernels_match_scalar_on_executed_pipelines(join_run, scan_run):
@@ -329,8 +335,8 @@ def test_tick_helpers_match_batch_mirrors(pr):
     """`FlushBatch` derived rows are the batch helpers, row for row:
     ``totals`` mirrors :meth:`PipelineRun.known_totals`, the driver sums
     mirror :func:`driver_consumed` (plain and widened masks), and
-    ``driver_value`` mirrors :meth:`PipelineRun.driver_fraction` — as
-    does :meth:`PipelineMeta.driver_fraction` on one live log row."""
+    ``driver_value`` mirrors :meth:`PipelineRun.driver_fraction`, under
+    the true totals and under the live ``N`` rule row by row."""
     meta = PipelineMeta.from_pipeline_run(pr)
     batch = batch_from_runs([pr], metas=[meta])
     (lo, hi), = batch.ranges
@@ -346,8 +352,8 @@ def test_tick_helpers_match_batch_mirrors(pr):
     assert np.array_equal(batch.driver_value("driver")[lo:hi],
                           pr.driver_fraction())
     live = batch_from_runs([pr], metas=[meta], true_n=False)
-    assert np.array_equal(meta.driver_fraction(*log_rows(pr)),
-                          live.driver_value("driver"))
+    assert np.array_equal(live.driver_value("driver"),
+                          live_fractions(pr, live))
 
 
 def test_empty_pipeline_batches_to_zero_rows():
@@ -373,9 +379,9 @@ def test_zero_denominator_pipeline_parity():
                            LB=np.zeros((6, 2)), UB=np.zeros((6, 2)),
                            table_rows=np.array([np.nan, 0.0]))
     meta = PipelineMeta.from_pipeline_run(pr)
-    batch = batch_from_runs([pr], metas=[meta])
-    assert not batch.driver_value("driver").any()
-    assert not meta.driver_fraction(*log_rows(pr)).any()
+    for true_n in (True, False):
+        batch = batch_from_runs([pr], metas=[meta], true_n=true_n)
+        assert not batch.driver_value("driver").any()
     assert_kernels_match([pr])
 
 
@@ -386,9 +392,13 @@ def test_all_materialized_source_pipeline_parity():
     K = np.column_stack([ramp * 0.25, ramp])
     pr = make_pipeline_run([Op.HASH_AGG, Op.SORT], K, drivers=[1])
     meta = PipelineMeta.from_pipeline_run(pr)
-    assert len(meta.materialized_idx) == meta.n_nodes
+    assert meta.matpos.all()
     batch = batch_from_runs([pr], metas=[meta])
     assert np.array_equal(batch.totals[:, :2], batch.N[:, :2])
+    live = batch_from_runs([pr], metas=[meta], true_n=False)
+    assert np.array_equal(live.totals[:, :2], live.N[:, :2])
+    assert np.array_equal(live.driver_value("driver"),
+                          live_fractions(pr, live))
     assert_kernels_match([pr])
 
 

@@ -593,6 +593,17 @@ class TestSurface:
         assert args.shards == 1
         assert not args.processes
 
+    @pytest.mark.parametrize("flag", ["--shards", "--slice-steps",
+                                      "--max-live", "--refresh-every"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_cli_rejects_non_positive_counts(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([flag, value])
+        assert exit_info.value.code == 2
+        assert f"{flag}: must be at least 1" in capsys.readouterr().err
+        assert getattr(build_parser().parse_args([flag, "3"]),
+                       flag[2:].replace("-", "_")) == 3
+
     def test_submission_payload_is_trace_codec(self, golden_runs):
         # the documented wire contract: POST bodies are runs_to_payload
         # bytes and stream frames decode with reports_from_payload

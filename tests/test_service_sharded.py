@@ -10,6 +10,8 @@ suite; live-execution churn coverage lives in ``test_service.py`` and the
 randomized sweep in the fuzz oracle's ``service`` layer.
 """
 
+import multiprocessing
+
 import pytest
 
 from repro.core.monitor import ProgressMonitor
@@ -286,6 +288,19 @@ class TestProcessMode:
     def test_monitor_instance_rejected_for_processes(self):
         with pytest.raises(ValueError, match="factory"):
             ShardedProgressService(_monitor(), n_shards=2, processes=True)
+
+    @pytest.mark.parametrize("processes", [False, True])
+    @pytest.mark.parametrize("option", [{"slice_steps": 0},
+                                        {"slice_steps": -3},
+                                        {"max_live": 0}])
+    def test_bad_serving_options_rejected_before_spawning(self, processes,
+                                                          option):
+        before = len(multiprocessing.active_children())
+        name, = option
+        with pytest.raises(ValueError, match=name):
+            ShardedProgressService(_monitor, n_shards=2,
+                                   processes=processes, **option)
+        assert len(multiprocessing.active_children()) == before
 
     def test_inline_mode_has_no_worker_pids(self):
         service = ShardedProgressService(_monitor(), n_shards=2)
