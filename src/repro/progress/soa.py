@@ -12,11 +12,14 @@ batches and evaluated per estimator kind:
   widths, table cardinalities, the driver mask — and derives its kernel
   metadata once, at its own width: known-source totals, the per-family
   selection masks and materialized positions;
+* a :class:`MetaTable` lays each :class:`PipelineMeta` kernel field out
+  once over a list of pipelines — the flush's running pipelines, shared
+  by every batch of the flush;
 * a :class:`FlushBatch` carries one flush's observation rows for a set of
   pipelines as flat ``(rows, width)`` arrays, zero-padded to the widest
-  pipeline it holds, lays out each row's metadata next to them on demand
-  and caches the derived quantities (``n_partial`` totals, masked row
-  sums) every kernel shares;
+  pipeline it holds, reads each row's metadata off a :class:`MetaTable`
+  on demand and caches the derived quantities (``n_partial`` totals,
+  masked row sums) every kernel shares;
 * a :class:`BatchedStreamState` per estimator kind advances *all* rows in
   one NumPy pass — ``advance(batch)`` returns, per row, the value the
   estimator's ``estimate`` yields at that observation of its causal
@@ -31,8 +34,8 @@ the exact estimator classes in ``_NATIVE`` have a kernel; the monitor
 refuses any other pool member at construction (:func:`kernel_class`).
 :meth:`FlushBatch.of_pipeline_runs` lays whole pipeline views out:
 training's feature batch, and :func:`kernel_estimates`' check against
-``estimate``; the flush lays its openings' views out from the log
-(:meth:`FlushBatch.as_views`).
+``estimate``; the flush indexes its openings' views out of its own row
+table (:meth:`FlushBatch.as_views`).
 
 Why bit-parity holds
 --------------------
@@ -185,6 +188,33 @@ class PipelineMeta:
         )
 
 
+class MetaTable:
+    """Each :class:`PipelineMeta` kernel field laid out once over a list
+    of pipelines: a scalar per pipeline, or the node arrays zero-padded
+    to ``width`` (at least the widest pipeline).  The flush lays one out
+    over its running pipelines and every batch of the flush indexes it
+    (:meth:`FlushBatch.meta_rows`)."""
+
+    def __init__(self, metas: list[PipelineMeta], width: int):
+        self.metas = metas
+        self.width = width
+        self._fields: dict[str, np.ndarray] = {}
+
+    def field(self, name: str) -> np.ndarray:
+        """The ``(pipelines,)`` or ``(pipelines, width)`` table of one
+        field (cached)."""
+        out = self._fields.get(name)
+        if out is None:
+            values = [getattr(meta, name) for meta in self.metas]
+            if np.ndim(values[0]):
+                dtype = bool if values[0].dtype == bool else float
+                out = padded(values, self.width, 0, dtype)
+            else:
+                out = np.array(values)
+            self._fields[name] = out
+        return out
+
+
 class FlushBatch:
     """One flush's observation rows for a set of pipelines, flattened.
 
@@ -204,7 +234,9 @@ class FlushBatch:
                  ranges: list[tuple[int, int]], times: np.ndarray,
                  K: np.ndarray, W: np.ndarray, LB: np.ndarray,
                  UB: np.ndarray, D: np.ndarray, CK: np.ndarray,
-                 CD: np.ndarray, window_row: np.ndarray):
+                 CD: np.ndarray, window_row: np.ndarray,
+                 meta_table: MetaTable | None = None,
+                 meta_index: np.ndarray | None = None):
         self.metas = metas
         self.ranges = ranges
         self.times = times
@@ -220,6 +252,10 @@ class FlushBatch:
         #: per row, the index of its pipeline in ``metas``
         self.owner = np.repeat(np.arange(len(metas)),
                                [hi - lo for lo, hi in ranges])
+        #: the metadata table ``meta_rows`` reads (by default laid out
+        #: over ``metas`` on first use) and, per range, its entry there
+        self.meta_table = meta_table
+        self.meta_index = meta_index
         self._cache: dict[str, np.ndarray] = {}
         self._wide: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
 
@@ -232,19 +268,20 @@ class FlushBatch:
         view): the layout in which each kernel reproduces ``estimate``.
         With ``speed_window``, ``window_row`` holds LUO's window starts.
         """
-        bounds = np.cumsum([0] + [pr.n_observations for pr in prs])
+        counts = [pr.n_observations for pr in prs]
+        bounds = np.cumsum([0] + counts)
         ranges = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
         shape = (int(bounds[-1]), max((pr.n_nodes for pr in prs), default=0))
         times = np.concatenate([np.zeros(0)] + [pr.times for pr in prs])
         window_row = np.arange(shape[0])
+        if speed_window is not None and prs:
+            window_row = window_starts(
+                times, np.repeat([pr.t_start for pr in prs], counts),
+                np.repeat(bounds[:-1], counts), window_row, speed_window)
         rows = {name: np.zeros(shape) for name in ("K", "W", "LB", "UB", "N")}
         for pr, (lo, hi) in zip(prs, ranges):
             for name, out in rows.items():
                 out[lo:hi, :pr.n_nodes] = getattr(pr, name)
-            if speed_window is not None:
-                window_row[lo:hi] = lo + window_starts(
-                    pr.times, pr.t_start, 0, np.arange(hi - lo),
-                    speed_window)
         unset = np.zeros(shape, dtype=bool)
         batch = cls([PipelineMeta.from_pipeline_run(pr) for pr in prs],
                     ranges, times, rows["K"], rows["W"], rows["LB"],
@@ -265,18 +302,19 @@ class FlushBatch:
     def meta_rows(self, name: str) -> np.ndarray:
         """Per-row layout of one :class:`PipelineMeta` kernel field: a
         scalar per row, or the pipeline's node array zero-padded to
-        ``width`` (cached)."""
+        ``width`` (cached): row ``meta_index[owner]`` of the metadata
+        table, sliced to the batch's width."""
         key = "meta:" + name
         out = self._cache.get(key)
         if out is None:
-            values = [getattr(meta, name) for meta in self.metas]
-            if np.ndim(values[0]):
-                dtype = bool if values[0].dtype == bool else float
-                table = padded(values, self.width, 0, dtype)
-            else:
-                table = np.array(values)
-            out = table[self.owner]
-            self._cache[key] = out
+            if self.meta_table is None:
+                self.meta_table = MetaTable(self.metas, self.width)
+            field = self.meta_table.field(name)
+            if field.ndim > 1:
+                field = field[:, :self.width]
+            at = (self.owner if self.meta_index is None
+                  else self.meta_index[self.owner])
+            out = self._cache[key] = field[at]
         return out
 
     def as_views(self) -> "FlushBatch":
@@ -582,36 +620,33 @@ class BatchedLuoState(BatchedStreamState):
         return np.where(active, value, 0.0)
 
 
-def window_starts(times: np.ndarray, t_start: float, first: int,
-                  rows: np.ndarray, speed_window: float) -> np.ndarray:
+def window_starts(times: np.ndarray, t_start, first, rows: np.ndarray,
+                  speed_window: float) -> np.ndarray:
     """Per row ``t`` of ``rows``, the row LUO's speed window opens at.
 
     That is the first row ``j`` in ``[first, t]`` with ``elapsed[t] -
     elapsed[j] <= speed_window`` (``elapsed = times - t_start``), the
     comparison :meth:`LuoEstimator.estimate`'s window loop makes, or
-    ``t`` when no row qualifies.  ``times`` is a pipeline's logged times
-    (nondecreasing, ``first`` its first row), so the comparison is
-    monotone in ``j``: a ``searchsorted`` lands next to the boundary and
-    the exact comparison settles it, one block of tied times per step.
-    The cost is logarithmic in the log's length, never a scan of it.
+    ``t`` when no row qualifies.  ``t_start`` and ``first`` are scalars
+    or one per row, so one call serves rows of many pipelines, of one
+    log or of several logs laid end to end in ``times``.  Each row's
+    ``times[first:t + 1]`` is nondecreasing, so ``times[j] - t_start``
+    is too (rounding is monotone) and the comparison holds from some
+    ``j`` on: one vectorized bisection over every row's ``[first, t]``
+    finds that ``j`` exactly, tied times included, in as many steps as
+    the longest range has bits, never a scan of the log.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    end = times[rows]
-    el = end - t_start
-    j = np.minimum(np.maximum(np.searchsorted(times, end - speed_window),
-                              first), rows)
-    while True:
-        prev = np.maximum(j - 1, first)
-        # the batch loop moves past row j while elapsed[t] - elapsed[j]
-        # exceeds the window
-        back = (j > first) & (el - (times[prev] - t_start) <= speed_window)
-        ahead = (j < rows) & (el - (times[j] - t_start) > speed_window)
-        if not (back.any() or ahead.any()):
-            return j
-        j = np.where(back, np.searchsorted(times, times[prev]), j)
-        j = np.where(ahead, np.searchsorted(times, times[j], side="right"),
-                     j)
-        j = np.minimum(np.maximum(j, first), rows)
+    el = times[rows] - t_start
+    lo, hi = np.minimum(first, rows), rows
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        # the batch loop moves past row mid while elapsed[t] -
+        # elapsed[mid] exceeds the window
+        inside = el - (times[mid] - t_start) <= speed_window
+        hi = np.where(inside, mid, hi)
+        lo = np.where(inside, lo, np.minimum(mid + 1, hi))
+    return lo
 
 
 #: exact estimator classes each kernel mirrors; subclasses have none (their

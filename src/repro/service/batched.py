@@ -15,22 +15,36 @@ order, on the structure-of-arrays kernels of :mod:`repro.progress.soa`:
    logged times) or *running*.  Each running (session, pipeline) is a
    run over consecutive running cells; newly running pipelines get
    their kernel metadata on their session;
-2. **gather** — every running cell's report row is gathered as index
-   arrays into flat ``(rows, width)`` arrays zero-padded to the flush's
-   widest pipeline (one full-width log read per session, then one
-   column gather), next to each row's pipeline metadata;
+2. **gather** — the flush lays out two tables once.  Its row table
+   holds every log row a batch of the flush can read, keyed by
+   (session, log row): each running cell's report row, the row its LUO
+   speed window opens at (one :func:`~repro.progress.soa.window_starts`
+   call over all cells) and, for each run still waiting for a dynamic
+   choice, its view rows from ``firsts`` through its last due row —
+   gathered full-width in one loop over the sessions.  Its metadata
+   table (:class:`~repro.progress.soa.MetaTable`) lays each
+   :class:`~repro.progress.soa.PipelineMeta` field out once over the
+   runs.  Every batch is an index into them: a ``searchsorted`` of its
+   rows' keys, one fancy index per array through each run's node
+   columns, and its metadata rows read off the table by run, sliced to
+   the batch's width.  The report batch is one row per running cell,
+   zero-padded to its widest pipeline;
 3. **select** — the monitor's §4.4 policy
    (:meth:`~repro.core.monitor.ProgressMonitor.selection_needs`) splits
    each run into a static and a dynamic segment, from the batch's
    driver fractions (cached for the kernels).  Per selector kind, the
-   openings' causal views are laid out by the same gather, extracted in
+   openings' causal views are indexed out of the same tables (one
+   window search over the batch), extracted in
    one :meth:`~repro.features.vector.FeatureExtractor.extract` call and
    scored in one batched pass (a pipeline's kind opens once, at its
    first due row, so the first observation wins); then each segment's
    estimator is chosen (:meth:`~repro.core.monitor.ProgressMonitor.chosen`);
-4. **advance** — the speed-window start of each cell LUO serves is
-   gathered as a batch of its own, then every chosen estimator kind
-   advances once over the report rows;
+4. **advance** — the speed-window starts of the cells LUO serves are
+   indexed out as a batch of their own, then every chosen estimator kind
+   advances once over the whole report batch and keeps the cells it
+   serves: the kinds share the batch's cached row sums, which advancing
+   each kind over only its own cells would rebuild per kind, and that
+   measured no faster;
 5. **assemble** — per (report, pipeline) the value is ``1.0`` done, the
    kernel's value running and ``+0.0`` otherwise; ``overall`` sums the
    ΣE-weighted values (eq. 5) column by column in pid order, bit for bit
@@ -68,8 +82,8 @@ Causality notes (why each report equals the chosen estimator's
 * every kernel is a function of the rows it is handed, so a pipeline's
   rows are its report rows, plus, in the window batch, the first row of
   the trailing speed window of each report row LUO serves
-  (:func:`~repro.progress.soa.window_starts`, found by a search over the
-  logged times rather than a scan).  That row lies in the pipeline's
+  (:func:`~repro.progress.soa.window_starts`, found by a bisection over
+  the logged times rather than a scan).  That row lies in the pipeline's
   causal view as of the report row, and what else shares a batch does
   not change a row's value;
 * a selection opening's view is its pipeline's log rows from
@@ -86,11 +100,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.catalog.table import _expand_ranges
 from repro.core.monitor import DYNAMIC, STATIC, ProgressMonitor, ProgressReport
 from repro.engine.run import pipeline_static
 from repro.progress.soa import (
     BatchedLuoState,
     FlushBatch,
+    MetaTable,
     PipelineMeta,
     batched_states,
     padded,
@@ -99,14 +115,15 @@ from repro.progress.soa import (
 
 
 class _Run:
-    """One running pipeline of one session over a flush's due rows: the
-    plan's cells ``c0 .. c0 + n - 1``, those before ``split`` (set by the
-    §4.4 policy) under the static selector kind, the rest dynamic."""
+    """One running pipeline of one session over a flush's due rows, run
+    ``i`` of the plan: the plan's cells ``c0 .. c0 + n - 1``, those
+    before ``split`` (set by the §4.4 policy) under the static selector
+    kind, the rest dynamic."""
 
-    __slots__ = ("s", "pid", "meta", "c0", "n", "split")
+    __slots__ = ("i", "s", "pid", "meta", "c0", "n", "split")
 
-    def __init__(self, s, pid, meta, c0, n):
-        self.s, self.pid, self.meta = s, pid, meta
+    def __init__(self, i, s, pid, meta, c0, n):
+        self.i, self.s, self.pid, self.meta = i, s, pid, meta
         self.c0, self.n = c0, n
 
 
@@ -118,12 +135,24 @@ class _Plan:
     The ``(reports, pipelines)`` status arrays are padded to the session
     with the most pipelines.  A running *cell* is a (report, pipeline)
     whose value a kernel gives; cells are sorted by session, pipeline and
-    row, so each :class:`_Run` owns consecutive cells.
+    row, so each :class:`_Run` owns consecutive cells (``cell_run``).
+
+    A log row's *key* is ``offsets[s] + row`` for row ``row`` of session
+    ``s``: its index in ``log_times``, the sessions' logged times laid
+    end to end.  ``cell_key`` is each cell's report row and ``run_first``
+    each run's first view row (``firsts``), as keys.  The row table
+    (:meth:`VectorizedFlush._gather`) holds the rows ``keys`` (sorted)
+    as ``table`` arrays at the widest log's width plus an all-zero pad
+    column; ``cols`` and ``child`` hold, per run, its node columns and
+    its blocking sources' build-child columns there (the pad elsewhere),
+    and ``metas`` its kernel metadata.
     """
 
     __slots__ = ("sessions", "logs", "bounds", "rows", "sess", "times",
                  "weights", "firsts", "done", "running", "cell_report",
-                 "cell_pid", "runs")
+                 "cell_pid", "runs", "offsets", "log_times", "cell_run",
+                 "cell_key", "run_first", "cell_window", "metas", "keys",
+                 "table", "cols", "child")
 
 
 class VectorizedFlush:
@@ -154,10 +183,17 @@ class VectorizedFlush:
         code = np.zeros(cells, dtype=np.int64)
         commits = []
         if cells:
+            monitor = self.monitor
+            viewed = []
+            if (monitor.dynamic_selector is not None
+                    and monitor.extractors[DYNAMIC].reads_rows):
+                # the runs a dynamic selection can still open on
+                viewed = [run for run in plan.runs if run.pid not in
+                          plan.sessions[run.s].state.dynamic_choices]
+            self._gather(plan, viewed)
             # batch row c is cell c's report row, one range per run
-            batch = self._layout(plan, plan.runs,
-                                 [run.n for run in plan.runs],
-                                 plan.rows[plan.cell_report])
+            batch = self._layout(plan, np.arange(len(plan.runs)),
+                                 [run.n for run in plan.runs], plan.cell_key)
             self._select(plan, batch.driver_value("driver"), scorer)
 
             # each run's (now committed) choice per kind: the cells of a
@@ -169,21 +205,22 @@ class VectorizedFlush:
                 for kind, lo, hi in ((STATIC, 0, run.split),
                                      (DYNAMIC, run.split, run.n)):
                     if lo < hi:
-                        segments.append((run, run.c0 + lo, run.c0 + hi, index[
-                            self.monitor.chosen(run.pid, kind, state)]))
-            starts = [lo for _, lo, _, _ in segments]
-            codes = [c for *_, c in segments]
+                        segments.append((run.c0 + lo, index[
+                            monitor.chosen(run.pid, kind, state)]))
+            starts = [lo for lo, _ in segments]
+            codes = [c for _, c in segments]
             # per cell, the index of its estimator in ``names``
             code = np.repeat(np.array(codes, dtype=np.int64),
                              np.diff(starts + [cells]))
-            timed = [(run, lo, hi) for run, lo, hi, c in segments
-                     if self.states[names[c]] is self._luo]
-            if timed:
-                batch.window = self._windows(plan, timed)
-                # served cells index it by rank; others' LUO values go unread
+            if self._luo is not None:
                 served = code == index[self._luo.estimator.name]
-                batch.window_row = np.maximum(np.cumsum(served) - 1, 0)
-            # one advance per kind over the report rows
+                if served.any():
+                    batch.window = self._windows(plan, served)
+                    # served cells index it by rank; others' LUO values go
+                    # unread
+                    batch.window_row = np.maximum(np.cumsum(served) - 1, 0)
+            # one advance per kind over the report rows: the kinds share
+            # the batch's cached row sums
             for c in np.unique(code).tolist():
                 mine = code == c
                 values[mine] = self.states[names[c]].advance(batch)[mine]
@@ -255,11 +292,12 @@ class VectorizedFlush:
         order = np.argsort(sess[report], kind="stable")
         report, pid = report[order], pid[order]
         heads = np.flatnonzero(np.diff(sess[report] * P + pid, prepend=-1))
+        lengths = np.diff(np.append(heads, len(pid)))
 
         runs = []
-        for c0, c1, s, p in zip(heads.tolist(), heads[1:].tolist() + [len(pid)],
-                                sess[report[heads]].tolist(),
-                                pid[heads].tolist()):
+        for i, (c0, n, s, p) in enumerate(zip(
+                heads.tolist(), lengths.tolist(),
+                sess[report[heads]].tolist(), pid[heads].tolist())):
             recs = planned[s].pipe_records
             meta = recs.get(p)
             if meta is None:
@@ -267,7 +305,7 @@ class VectorizedFlush:
                 meta = recs[p] = PipelineMeta(
                     pid=p, t_start=float(ctx.pipe_first[p]),
                     **pipeline_static(ctx.nodes, ctx.pipelines[p]))
-            runs.append(_Run(s, p, meta, c0, c1 - c0))
+            runs.append(_Run(i, s, p, meta, c0, n))
 
         ended = np.logical_or.reduceat(done, bounds[:-1], axis=0)
         for s, session in enumerate(planned):
@@ -285,7 +323,90 @@ class VectorizedFlush:
         plan.weights, plan.firsts = weights, firsts
         plan.done, plan.running = done, running
         plan.cell_report, plan.cell_pid, plan.runs = report, pid, runs
+        plan.offsets = np.cumsum([0] + [len(log["times"]) for log in logs])
+        plan.log_times = np.concatenate([log["times"] for log in logs])
+        plan.cell_run = np.repeat(np.arange(len(runs)), lengths)
+        plan.cell_key = plan.offsets[sess[report]] + rows[report]
+        head_s = sess[report[heads]]
+        plan.run_first = plan.offsets[head_s] + firsts[head_s, pid[heads]]
         return plan
+
+    # -- phase 2: the flush's row and metadata tables ----------------------
+
+    def _gather(self, plan: _Plan, viewed) -> None:
+        """Lay out the tables every batch of the flush indexes: each run's
+        kernel metadata, once (``plan.metas``), and every log row a batch
+        can read, gathered in one pass over the sessions.  Those rows are
+        the running cells' report rows, with the LUO kernel pooled the row
+        each cell's speed window opens at (``plan.cell_window``, one
+        search over all cells), and the view rows from ``plan.firsts``
+        through the last due row of each run in ``viewed``."""
+        runs = plan.runs
+        metas = plan.metas = MetaTable(
+            [run.meta for run in runs],
+            max((run.meta.n_nodes for run in runs), default=0))
+        needed = [plan.cell_key]
+        if self._luo is not None:
+            at = plan.cell_run
+            plan.cell_window = window_starts(
+                plan.log_times, metas.field("t_start")[at],
+                plan.run_first[at], plan.cell_key, self._luo.speed_window)
+            needed.append(plan.cell_window)
+        if viewed:
+            first = plan.run_first[[run.i for run in viewed]]
+            needed.append(_expand_ranges(first, plan.cell_key[
+                [run.c0 + run.n - 1 for run in viewed]] + 1 - first))
+        keys = plan.keys = np.unique(np.concatenate(needed))
+
+        # one gather per session; column ``width`` is an all-zero pad
+        # every run's column table can point at
+        width = max(log["K"].shape[1] for log in plan.logs)
+        table = plan.table = {
+            name: np.zeros((len(keys), width + 1),
+                           dtype=bool if name == "D" else float)
+            for name in ("K", "W", "LB", "UB", "D")}
+        offsets = plan.offsets.tolist()
+        bounds = np.searchsorted(keys, offsets).tolist()
+        for s, log in enumerate(plan.logs):
+            lo, hi = bounds[s], bounds[s + 1]
+            if lo < hi:
+                r = keys[lo:hi] - offsets[s]
+                m = log["K"].shape[1]
+                for name, arr in table.items():
+                    arr[lo:hi, :m] = log[name][r]
+
+        plan.cols = padded([meta.node_ids for meta in metas.metas],
+                           metas.width, width, np.int64)
+        plan.child = np.full((len(runs), metas.width), width)
+        for j, meta in enumerate(metas.metas):
+            if len(meta.mat_idx):
+                plan.child[j, meta.mat_idx] = meta.mat_child_ids
+
+    @staticmethod
+    def _layout(plan: _Plan, owners, counts, keys) -> FlushBatch:
+        """One :class:`FlushBatch` of the table rows ``keys``, whose range
+        ``i`` holds the next ``counts[i]`` of them, rows of the run
+        ``owners[i]``: a search over the table's keys and one fancy index
+        per array.  Each row's ``window_row`` is itself."""
+        at = plan.keys.searchsorted(keys)
+        if not np.array_equal(plan.keys[np.minimum(at, len(plan.keys) - 1)],
+                              keys):
+            raise LookupError("a batch reads a log row the flush's row "
+                              "table does not hold")
+        bounds = np.cumsum(np.append(0, counts)).tolist()
+        owner = np.repeat(owners, counts)
+        w = int(plan.metas.field("n_nodes")[owners].max(initial=0))
+        row = at[:, None]
+        cols = plan.cols[:, :w][owner]
+        child = plan.child[:, :w][owner]
+        table = plan.table
+        K, W, LB, UB, D = (table[name][row, cols]
+                           for name in ("K", "W", "LB", "UB", "D"))
+        return FlushBatch(
+            [plan.metas.metas[i] for i in owners.tolist()],
+            list(zip(bounds[:-1], bounds[1:])), plan.log_times[keys],
+            K, W, LB, UB, D, table["K"][row, child], table["D"][row, child],
+            np.arange(len(keys)), plan.metas, owners)
 
     # -- phase 3: the §4.4 policy and the openings' scores -----------------
 
@@ -320,91 +441,39 @@ class VectorizedFlush:
                         else state.static_choices)
                 made[run.pid] = name
 
-    # -- the layout of flush rows (phases 2 to 4) --------------------------
+    # -- batches of the tables (phases 2 to 4) -----------------------------
 
     def _views(self, plan: _Plan, openings, extractor) -> FlushBatch:
         """Each opening's causal view as one range: its pipeline's log
         rows from ``plan.firsts`` through the opening's row, LUO's window
         starts inside the range and ``N`` fixed at the opening's row.
         The range is empty where ``extractor`` reads no rows."""
-        runs = [run for _, run, _ in openings]
+        owners = np.array([run.i for _, run, _ in openings])
         if not extractor.reads_rows:
-            return self._layout(plan, runs, [0] * len(runs),
+            return self._layout(plan, owners, np.zeros_like(owners),
                                 np.zeros(0, dtype=np.int64))
-        log_rows, window_row, top = [], [], 0
-        for _, run, cell in openings:
-            first = int(plan.firsts[run.s, run.pid])
-            rows = np.arange(first, plan.rows[plan.cell_report[cell]] + 1)
-            window_row.append(top - first + window_starts(
-                plan.logs[run.s]["times"], run.meta.t_start, first, rows,
-                extractor.speed_window))
-            log_rows.append(rows)
-            top += len(rows)
-        batch = self._layout(plan, runs, [len(r) for r in log_rows],
-                             np.concatenate(log_rows))
-        batch.window_row = np.concatenate(window_row)
+        lo = plan.run_first[owners]
+        counts = plan.cell_key[[cell for *_, cell in openings]] + 1 - lo
+        keys = _expand_ranges(lo, counts)
+        batch = self._layout(plan, owners, counts, keys)
+        at = batch.owner
+        # a window start's batch row: its range's first row plus its
+        # offset from the view's first row
+        batch.window_row = window_starts(
+            plan.log_times, plan.metas.field("t_start")[owners[at]], lo[at],
+            keys, extractor.speed_window) - (lo - np.cumsum(counts)
+                                             + counts)[at]
         return batch.as_views()
 
-    def _windows(self, plan: _Plan, timed) -> FlushBatch:
-        """The row each LUO-served cell's speed window opens at, in cell
-        order: ``timed`` lists those cells as ``(run, lo, hi)``
-        segments."""
-        return self._layout(
-            plan, [run for run, _, _ in timed],
-            [hi - lo for _, lo, hi in timed], np.concatenate([window_starts(
-                plan.logs[run.s]["times"], run.meta.t_start,
-                int(plan.firsts[run.s, run.pid]),
-                plan.rows[plan.cell_report[lo:hi]], self._luo.speed_window)
-                for run, lo, hi in timed]))
-
-    @staticmethod
-    def _layout(plan: _Plan, owners, counts, log_rows) -> FlushBatch:
-        """One :class:`FlushBatch` of the ``log_rows``, whose range ``i``
-        holds the next ``counts[i]`` of them, rows of the pipeline
-        ``owners[i]`` (a :class:`_Run`) in its session's log.  Each row's
-        ``window_row`` is itself."""
-        bounds = np.cumsum([0] + counts).tolist()
-        ranges = list(zip(bounds[:-1], bounds[1:]))
-        metas = [run.meta for run in owners]
-        owner = np.repeat(np.arange(len(metas)), counts)
-        # the batch rows of each session
-        session_of = np.array([run.s for run in owners])[owner]
-        order = np.argsort(session_of, kind="stable")
-        edges = np.flatnonzero(np.diff(session_of[order], prepend=-1))
-
-        # full-width log rows, one gather per session; column ``width`` is
-        # an all-zero pad every run's column table can point at
-        total = len(log_rows)
-        width = max(log["K"].shape[1] for log in plan.logs)
-        full = {name: np.empty((total, width + 1),
-                               dtype=bool if name == "D" else float)
-                for name in ("K", "W", "LB", "UB", "D")}
-        for arr in full.values():
-            arr[:, width] = 0
-        times = np.empty(total)
-        for a, b in zip(edges.tolist(), edges[1:].tolist() + [total]):
-            at = order[a:b]
-            log = plan.logs[session_of[at[0]]]
-            r = log_rows[at]
-            times[at] = log["times"][r]
-            m = log["K"].shape[1]
-            for name, arr in full.items():
-                arr[at, :m] = log[name][r]
-
-        w = max(meta.n_nodes for meta in metas)
-        cols = padded([meta.node_ids for meta in metas], w, width,
-                      np.int64)[owner]
-        K, W, LB, UB, D = (np.take_along_axis(full[name], cols, axis=1)
-                           for name in ("K", "W", "LB", "UB", "D"))
-        child = np.full((len(metas), w), width)
-        for j, meta in enumerate(metas):
-            if len(meta.mat_idx):
-                child[j, meta.mat_idx] = meta.mat_child_ids
-        child = child[owner]
-        CK = np.take_along_axis(full["K"], child, axis=1)
-        CD = np.take_along_axis(full["D"], child, axis=1)
-        return FlushBatch(metas, ranges, times, K, W, LB, UB, D, CK, CD,
-                          np.arange(total))
+    def _windows(self, plan: _Plan, served) -> FlushBatch:
+        """The row each cell of the mask ``served`` has its LUO speed
+        window open at, in cell order."""
+        cells = np.flatnonzero(served)
+        owner = plan.cell_run[cells]
+        heads = np.flatnonzero(np.diff(owner, prepend=-1))
+        return self._layout(plan, owner[heads],
+                            np.diff(np.append(heads, len(cells))),
+                            plan.cell_window[cells])
 
     # -- phase 5: assemble ----------------------------------------------------
 

@@ -36,7 +36,7 @@ from repro.engine.run import (
     pipeline_static,
 )
 from repro.features.vector import FeatureExtractor
-from repro.progress.soa import FlushBatch, PipelineMeta, window_starts
+from repro.progress.soa import FlushBatch, PipelineMeta, padded, window_starts
 from repro.query.logical import JoinEdge, QuerySpec
 from repro.query.predicates import FilterSpec
 from repro.service import batched
@@ -258,7 +258,8 @@ def test_static_openings_lay_out_no_rows(monkeypatch):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_views_batch_equals_live_view_layout(family, monkeypatch):
     """Laid out at every running cell of every flush, not only where a
-    selection opens, each range of the flush's views batch holds what
+    selection opens (the flush's row table gathered with every run's
+    view rows), each range of the flush's views batch holds what
     :meth:`FlushBatch.of_pipeline_runs` lays out for the live view at
     that row: the same times, counters, bounds, ``N`` and window rows
     (the columns past the pipeline's width are zero).  Among the golden
@@ -276,6 +277,9 @@ def test_views_batch_equals_live_view_layout(family, monkeypatch):
             return plan
         cells = [(None, run, cell) for run in plan.runs
                  for cell in range(run.c0, run.c0 + run.n)]
+        # the flush gathers view rows only for the runs a dynamic
+        # selection can open on; ask the same step for every run's
+        flush._gather(plan, plan.runs)
         batch = flush._views(plan, cells, extractor)
         for (_, run, cell), meta, (lo, hi) in zip(cells, batch.metas,
                                                   batch.ranges, strict=True):
@@ -306,6 +310,55 @@ def test_views_batch_equals_live_view_layout(family, monkeypatch):
         service.submit_replay(run)
     service.run_until_complete()
     assert checked, family
+
+
+#: PipelineMeta kernel fields the batches lay out per row, node arrays
+#: and scalars, boolean and float
+META_ROW_FIELDS = ("E0", "widths", "known_base", "valid", "driver", "bdrv",
+                   "sdrv", "matpos", "childpos", "t_start", "e0_sum",
+                   "materialized_bytes_est", "oracle_total", "has_oracle")
+
+
+def test_meta_rows_equal_each_batch_laid_out_alone(monkeypatch):
+    """Every batch of a multi-session flush — report rows, LUO window
+    starts, openings' views — reads its metadata off the flush's one
+    table, sliced to its own width; each field's rows are bit for bit
+    the batch's own metas laid out with :func:`padded`, for boolean and
+    float fields alike, in batches narrower than the flush's widest
+    pipeline too."""
+    from golden.regenerate import MIN_OBSERVATIONS, report_monitors
+
+    layout = batched.VectorizedFlush._layout
+    seen = []
+
+    def check(plan, owners, counts, keys):
+        batch = layout(plan, owners, counts, keys)
+        seen.append((len(plan.sessions), batch.width < plan.metas.width))
+        for name in META_ROW_FIELDS:
+            values = [getattr(meta, name) for meta in batch.metas]
+            if np.ndim(values[0]):
+                dtype = bool if values[0].dtype == bool else float
+                want = padded(values, batch.width, 0, dtype)[batch.owner]
+            else:
+                want = np.array(values)[batch.owner]
+            got = batch.meta_rows(name)
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+        return batch
+
+    monkeypatch.setattr(batched.VectorizedFlush, "_layout",
+                        staticmethod(check))
+    # every golden family pooled: pipelines of one to nine nodes
+    runs = [run for family in FAMILIES
+            for run in read_trace(GOLDEN_DIR / family)[0]]
+    trained = report_monitors(
+        runs_to_pipelines(runs, MIN_OBSERVATIONS))["trained"]
+    for monitor in (trained, ProgressMonitor(fallback="luo")):
+        service = ProgressService(monitor, slice_steps=3)
+        for run in runs:
+            service.submit_replay(run)
+        service.run_until_complete()
+    assert any(sessions > 1 and narrower for sessions, narrower in seen)
 
 
 def _openings(monkeypatch, runs, monitor, slice_steps):

@@ -180,11 +180,12 @@ def test_batch_n_applies_mat_child_override():
     assert np.array_equal(N[lo:hi, 0], np.full(hi - lo, meta.E0[0]))
 
 
-def _reference_window_starts(pr, window):
-    """The window pointer of :meth:`LuoEstimator.estimate`'s loop."""
-    elapsed = pr.times - pr.t_start
+def _reference_window_starts(times, t_start, window):
+    """The window pointer of :meth:`LuoEstimator.estimate`'s loop over a
+    pipeline's ``times``."""
+    elapsed = times - t_start
     out, start = [], 0
-    for t in range(pr.n_observations):
+    for t in range(len(times)):
         while start < t and elapsed[t] - elapsed[start] > window:
             start += 1
         out.append(start)
@@ -203,8 +204,61 @@ def test_luo_window_rows_match_batch_estimate():
     vector = BatchedLuoState(est).advance(batch)
     for pr, (lo, hi) in zip(prs, batch.ranges):
         assert np.array_equal(batch.window_row[lo:hi] - lo,
-                              _reference_window_starts(pr, window))
+                              _reference_window_starts(
+                                  pr.times, pr.t_start, window))
         assert np.array_equal(vector[lo:hi], est.estimate(pr))
+
+
+@st.composite
+def logs_with_tied_times(draw):
+    """One to three logs laid end to end, each with nondecreasing times in
+    blocks of ties, and one to four pipelines on them: each a log, its
+    first row (past the log's first), its start time and rows from its
+    first on in any order, repeats included."""
+    offsets, chunks = [0], []
+    for _ in range(draw(st.integers(1, 3))):
+        # non-dyadic steps and offsets, so elapsed differences round
+        gaps = draw(st.lists(st.sampled_from([0.0, 0.0, 0.0, 0.1, 0.25,
+                                              0.3, 1.0]),
+                             min_size=2, max_size=40))
+        chunks.append(draw(st.sampled_from([0.0, 0.1, 1 / 3]))
+                      + np.cumsum(gaps))
+        offsets.append(offsets[-1] + len(gaps))
+    pipelines = []
+    for _ in range(draw(st.integers(1, 4))):
+        log = draw(st.integers(0, len(chunks) - 1))
+        n = len(chunks[log])
+        first = draw(st.integers(1, n - 1))
+        t_start = chunks[log][first] - draw(st.sampled_from(
+            [0.0, 0.05, 1 / 3, 0.7]))
+        rows = draw(st.lists(st.integers(first, n - 1), min_size=1,
+                             max_size=12))
+        pipelines.append((offsets[log], n, first, t_start, np.array(rows)))
+    window = draw(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.6, 1.0, 10.0]))
+    return np.concatenate(chunks), pipelines, window
+
+
+@given(logs_with_tied_times())
+@settings(max_examples=120, deadline=None)
+def test_window_starts_match_luo_loop_over_many_pipelines(case):
+    """One search over the rows of several pipelines, each with its own
+    first row and start time, on logs laid end to end with tied times,
+    gives every row the pointer of ``estimate``'s window loop over that
+    pipeline's times from its first row."""
+    times, pipelines, window = case
+    counts = [len(rows) for *_, rows in pipelines]
+    got = window_starts(
+        times, np.repeat([t_start for *_, t_start, _ in pipelines], counts),
+        np.repeat([offset + first for offset, _, first, *_ in pipelines],
+                  counts),
+        np.concatenate([offset + rows for offset, *_, rows in pipelines]),
+        window)
+    want = np.concatenate([
+        first + _reference_window_starts(
+            times[offset + first:offset + n], t_start, window)[rows - first]
+        for offset, n, first, t_start, rows in pipelines])
+    offsets = np.repeat([offset for offset, *_ in pipelines], counts)
+    assert np.array_equal(got - offsets, want)
 
 
 def test_luo_reads_only_its_row_and_window_row():
