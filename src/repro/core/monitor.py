@@ -82,15 +82,11 @@ class ProgressReport:
 
 @dataclass
 class MonitorState:
-    """Per-query selection state: sticky selector choices and the ΣE
-    weights."""
+    """Per-query selection state: sticky selector choices."""
 
     static_choices: dict[int, str] = field(default_factory=dict)
     dynamic_choices: dict[int, str] = field(default_factory=dict)
     choices: dict[int, str] = field(default_factory=dict)
-    #: per-pipeline ΣE weights (eq. 5) in pid order, fixed once the plan
-    #: is finalized
-    weights: np.ndarray | None = None
 
 
 class ProgressMonitor:

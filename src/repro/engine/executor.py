@@ -25,7 +25,7 @@ from repro.engine.clock import CostModel, SimClock
 from repro.engine.counters import CounterStore, ObservationLog, UNBOUNDED
 from repro.engine.iterators import build_iterator
 from repro.engine.memory import MemoryManager
-from repro.engine.run import NodeInfo, PipelineInfo, QueryRun
+from repro.engine.run import NodeInfo, PipelineInfo, PlanStatic, QueryRun
 from repro.plan.nodes import Op, PlanNode
 from repro.plan.pipelines import decompose_pipelines, node_to_pipeline
 
@@ -98,6 +98,9 @@ class ExecContext:
             is_build_side=node.node_id in build_side,
             join_kind=node.params.get("join_kind", "inner"),
         ) for node in self._nodes]
+        #: what this execution shares with any other of its plan (built
+        #: here: live executions share no record)
+        self.plan_static = PlanStatic(self.nodes, self.pipelines)
         self._table_rows = np.array([n.table_rows for n in self.nodes])
         # Probe-side nodes of nested-loop joins, bottom-up, paired with
         # their join's outer child: duplicate probe keys fan a seek out

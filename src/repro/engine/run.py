@@ -19,11 +19,14 @@ table rows, driver mask, parent links, blocking-source children) from
 :func:`pipeline_static`, which reads the plan as a preorder
 :class:`NodeInfo` list: the executor builds that list when a query
 begins, and a recording carries it, so offline, live and replayed runs
-describe every pipeline from the same data.
+describe every pipeline from the same data.  :class:`PlanStatic` keeps
+what every execution of a plan shares about its pipelines — terminals,
+ΣE weights and the serving kernels' metadata — once per plan.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,6 +113,12 @@ class QueryRun:
         if self.D is not None:
             total += self.D.nbytes
         return total
+
+    @functools.cached_property
+    def plan_static(self) -> "PlanStatic":
+        """The run's :class:`PlanStatic`, built on first use and kept as
+        long as the run: every replay of this recording shares it."""
+        return PlanStatic(self.nodes, self.pipelines)
 
     # -- persistence (repro.trace) ------------------------------------------
 
@@ -289,7 +298,9 @@ def pipeline_static(nodes: list[NodeInfo], pipe) -> dict:
     :class:`PipelineRun` field names.  Offline (:meth:`QueryRun.pipeline_run`),
     live and replayed (:func:`live_pipeline_run`) views and
     ``repro.progress.soa.PipelineMeta`` all take their static fields from
-    here, so what training saw is what serving scores.
+    here, so what training saw is what serving scores.  The serving flush
+    calls it once per pipeline of a :class:`PlanStatic` (once per
+    recording, or per live execution), not once per session.
     """
     ids = list(pipe.node_ids)
     members = [nodes[i] for i in ids]
@@ -309,6 +320,38 @@ def pipeline_static(nodes: list[NodeInfo], pipe) -> dict:
         mat_idx=np.array(mat, dtype=np.int64),
         mat_child_ids=np.array([ids[j] + 1 for j in mat], dtype=np.int64),
     )
+
+
+class PlanStatic:
+    """What every execution of one plan shares about its pipelines.
+
+    Built from the plan alone, before any row is logged: each pipeline's
+    terminal node id (``terminals``, whose logged done flag says the
+    pipeline is done) and ΣE weight (``weights``, eq. 5's share of the
+    plan's summed estimated cardinality), in pid order.  ``metas`` holds,
+    per pipeline, the serving flush's kernel metadata
+    (``repro.progress.soa.PipelineMeta``, which also caches the
+    pipeline's §4.3 static-feature row), filled on first use.  Nothing
+    here reads a log, an execution's start times or a selector.
+
+    A recording keeps its own (:attr:`QueryRun.plan_static`), shared by
+    every replay of it and freed with it; a live execution context builds
+    its own.  The record holds no reference back to either.
+    """
+
+    __slots__ = ("nodes", "pipelines", "terminals", "weights", "metas",
+                 "__weakref__")
+
+    def __init__(self, nodes: list[NodeInfo], pipelines: list):
+        self.nodes = nodes
+        self.pipelines = pipelines
+        self.terminals = np.array([pipe.node_ids[0] for pipe in pipelines],
+                                  dtype=np.int64)
+        total_e = sum(max(n.est_rows, 0.0) for n in nodes) or 1.0
+        self.weights = np.array([
+            sum(max(nodes[i].est_rows, 0.0) for i in pipe.node_ids)
+            / total_e for pipe in pipelines])
+        self.metas: list = [None] * len(pipelines)
 
 
 def partial_totals(K: np.ndarray, D: np.ndarray, node_ids: np.ndarray,

@@ -154,7 +154,8 @@ def _masked_sums(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
 
 
 def _static_block(metas: list) -> np.ndarray:
-    """The §4.3 features of every pipeline, padded to the widest one."""
+    """The §4.3 features of every pipeline, padded to the widest one:
+    the one definition :func:`static_rows` caches."""
     n = len(metas)
     width = max((meta.n_nodes for meta in metas), default=0)
     e0 = np.zeros((n, width))
@@ -197,6 +198,26 @@ def _static_block(metas: list) -> np.ndarray:
     return np.hstack([per_op.reshape(n, -1), tail])
 
 
+def static_rows(metas: list) -> np.ndarray:
+    """The §4.3 feature rows of ``metas``, one per meta, stacked.
+
+    A meta's row is :func:`_static_block`'s, computed the first time the
+    meta is asked for and kept on it (``PipelineMeta.static_features``):
+    the features read only the plan, and a row does not depend on what
+    shares its block, so a cached row is bit for bit the one a fresh
+    block would hold.  Every session over a plan record shares the rows.
+    """
+    # each missing meta once, even when sessions of one plan share a batch
+    missing = list({id(meta): meta for meta in metas
+                    if meta.static_features is None}.values())
+    if missing:
+        block = _static_block(missing)
+        block.setflags(write=False)
+        for meta, row in zip(missing, block):
+            meta.static_features = row
+    return np.stack([meta.static_features for meta in metas])
+
+
 def _dynamic_block(batch: FlushBatch, trajectories: np.ndarray) -> np.ndarray:
     """The §4.4 features; ``trajectories[e, lo:hi]`` is the
     :data:`CORRELATED` estimator ``e`` of ``batch``'s range ``(lo, hi)``."""
@@ -204,14 +225,15 @@ def _dynamic_block(batch: FlushBatch, trajectories: np.ndarray) -> np.ndarray:
     hit = np.zeros((n, n_markers), dtype=bool)
     values = np.zeros((n, len(CORRELATED), n_markers))
     elapsed = np.zeros((n, n_markers))
-    for b, (meta, (lo, hi)) in enumerate(zip(batch.metas, batch.ranges)):
+    since_start = batch.times - batch.meta_rows("t_start")
+    for b, (lo, hi) in enumerate(batch.ranges):
         trajs = trajectories[:, lo:hi]
         rows = marker_rows(trajs[_DNE])
         hit[b] = rows >= 0
         if hit[b].any():
             # an unreached marker reads a row its features mask out
             values[b] = trajs[:, rows]
-            elapsed[b] = batch.times[lo:hi][rows] - meta.t_start
+            elapsed[b] = since_start[lo:hi][rows]
     at_x = hit[:, _AT_X]
     pairwise = np.where(
         at_x[:, None, :],
@@ -273,7 +295,7 @@ class FeatureExtractor:
         """
         if not batch.ranges:
             return np.empty((0, self.n_features))
-        X = _static_block(batch.metas)
+        X = static_rows(batch.metas)
         if self.mode == "dynamic":
             trajectories = np.stack([kernel.advance(batch)
                                      for kernel in self._kernels])

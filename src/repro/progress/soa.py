@@ -7,14 +7,18 @@ estimator stays the definition they must reproduce bit-for-bit.  One
 flush's rows of every live pipeline are laid out as *structure-of-arrays*
 batches and evaluated per estimator kind:
 
-* a :class:`PipelineMeta` captures everything about a pipeline that is
-  immutable once it starts — operator kinds, optimizer estimates, row
-  widths, table cardinalities, the driver mask — and derives its kernel
-  metadata once, at its own width: known-source totals, the per-family
-  selection masks and materialized positions;
+* a :class:`PipelineMeta` captures everything about a pipeline that its
+  plan fixes — operator kinds, optimizer estimates, row widths, table
+  cardinalities, the driver mask — and derives its kernel metadata once,
+  at its own width: known-source totals, the per-family selection masks
+  and materialized positions.  It holds nothing of one execution, so the
+  flush builds it once per plan (:class:`~repro.engine.run.PlanStatic`)
+  and every session over that plan shares it;
 * a :class:`MetaTable` lays each :class:`PipelineMeta` kernel field out
   once over a list of pipelines — the flush's running pipelines, shared
-  by every batch of the flush;
+  by every batch of the flush — plus the one per-execution column,
+  ``t_start``, each pipeline's start time in the execution whose rows
+  the batches hold;
 * a :class:`FlushBatch` carries one flush's observation rows for a set of
   pipelines as flat ``(rows, width)`` arrays, zero-padded to the widest
   pipeline it holds, reads each row's metadata off a :class:`MetaTable`
@@ -89,26 +93,33 @@ _PAIRWISE_BLOCK = 128
 
 
 class PipelineMeta:
-    """Immutable per-pipeline metadata, captured once when it starts.
+    """Immutable per-pipeline metadata: what the plan fixes.
 
-    Mirrors the time-invariant fields of :class:`PipelineRun` and derives
+    Mirrors the plan-static fields of :class:`PipelineRun` and derives
     the kernels' per-node metadata from them once, at the pipeline's own
     width: ``known_base`` (the totals of :meth:`PipelineRun.known_totals`
     that never change), one selection mask per row-sum family
     (``valid``, ``driver``, ``bdrv``, ``sdrv``), the ``matpos`` /
-    ``childpos`` positions of the per-row ``N`` rule.
+    ``childpos`` positions of the per-row ``N`` rule.  Nothing here
+    belongs to one execution — the start time ``t_start`` is a
+    :class:`MetaTable` column — so the flush builds one per pipeline of a
+    plan record (:class:`~repro.engine.run.PlanStatic`) and every session
+    over that plan reads it.  ``static_features`` is the pipeline's §4.3
+    feature row, filled the first time a selector extracts it
+    (:func:`repro.features.vector.static_rows`).
     """
 
     __slots__ = (
-        "pid", "t_start", "node_ids", "ops",
+        "pid", "node_ids", "ops",
         "E0", "widths", "table_rows", "driver_mask", "parent_local",
         "materialized_bytes_est", "oracle_bytes_total", "mat_idx",
         "mat_child_ids",
         "known_base", "valid", "driver", "bdrv", "sdrv", "matpos",
         "childpos", "e0_sum", "oracle_total", "has_oracle",
+        "static_features",
     )
 
-    def __init__(self, pid: int, t_start: float, node_ids: np.ndarray,
+    def __init__(self, pid: int, node_ids: np.ndarray,
                  ops: list[Op], E0: np.ndarray, widths: np.ndarray,
                  table_rows: np.ndarray, driver_mask: np.ndarray,
                  parent_local: np.ndarray,
@@ -117,7 +128,6 @@ class PipelineMeta:
                  mat_idx: np.ndarray | None = None,
                  mat_child_ids: np.ndarray | None = None):
         self.pid = pid
-        self.t_start = t_start
         self.node_ids = node_ids
         self.ops = ops
         self.E0 = E0
@@ -159,6 +169,7 @@ class PipelineMeta:
         self.has_oracle = oracle_bytes_total is not None
         self.oracle_total = 0.0 if oracle_bytes_total is None \
             else oracle_bytes_total
+        self.static_features: np.ndarray | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -179,7 +190,7 @@ class PipelineMeta:
         else:
             oracle_bytes = 0.0
         return cls(
-            pid=pr.pid, t_start=pr.t_start, node_ids=pr.node_ids, ops=pr.ops,
+            pid=pr.pid, node_ids=pr.node_ids, ops=pr.ops,
             E0=pr.E0, widths=pr.widths, table_rows=pr.table_rows,
             driver_mask=pr.driver_mask, parent_local=pr.parent_local,
             materialized_bytes_est=pr.materialized_bytes_est,
@@ -193,12 +204,20 @@ class MetaTable:
     of pipelines: a scalar per pipeline, or the node arrays zero-padded
     to ``width`` (at least the widest pipeline).  The flush lays one out
     over its running pipelines and every batch of the flush indexes it
-    (:meth:`FlushBatch.meta_rows`)."""
+    (:meth:`FlushBatch.meta_rows`).
 
-    def __init__(self, metas: list[PipelineMeta], width: int):
+    ``t_start`` is the one per-execution column: per pipeline, its start
+    time in the execution whose rows the batches hold (the flush's
+    ``ctx.pipe_first``, a pipeline view's ``PipelineRun.t_start``).  The
+    metas are plan-static and may be shared by executions that started
+    them at different times.
+    """
+
+    def __init__(self, metas: list[PipelineMeta], width: int, t_start):
         self.metas = metas
         self.width = width
-        self._fields: dict[str, np.ndarray] = {}
+        self._fields: dict[str, np.ndarray] = {
+            "t_start": np.asarray(t_start, dtype=float)}
 
     def field(self, name: str) -> np.ndarray:
         """The ``(pipelines,)`` or ``(pipelines, width)`` table of one
@@ -225,7 +244,9 @@ class FlushBatch:
     row ``window_row[r]`` of ``window``, or of the batch itself while
     ``window`` is ``None`` (no self-reference cycle); only the flush's
     report batch, holding report rows only, gets its window-start rows
-    as a batch of their own.  ``CK``/``CD``
+    as a batch of their own.  Row metadata comes from ``meta_table``
+    (range ``i`` is its entry ``meta_index[i]``), by default ``metas``
+    laid out with ``t_start``, one start time per range.  ``CK``/``CD``
     overlay the out-of-pipeline build child's counter/done columns at the
     blocking-source positions (``PipelineMeta.childpos``).
     """
@@ -235,7 +256,7 @@ class FlushBatch:
                  K: np.ndarray, W: np.ndarray, LB: np.ndarray,
                  UB: np.ndarray, D: np.ndarray, CK: np.ndarray,
                  CD: np.ndarray, window_row: np.ndarray,
-                 meta_table: MetaTable | None = None,
+                 t_start=None, meta_table: MetaTable | None = None,
                  meta_index: np.ndarray | None = None):
         self.metas = metas
         self.ranges = ranges
@@ -253,9 +274,11 @@ class FlushBatch:
         self.owner = np.repeat(np.arange(len(metas)),
                                [hi - lo for lo, hi in ranges])
         #: the metadata table ``meta_rows`` reads (by default laid out
-        #: over ``metas`` on first use) and, per range, its entry there
+        #: over ``metas`` and ``t_start`` on first use) and, per range,
+        #: its entry there
         self.meta_table = meta_table
         self.meta_index = meta_index
+        self._t_start = t_start
         self._cache: dict[str, np.ndarray] = {}
         self._wide: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
 
@@ -286,7 +309,8 @@ class FlushBatch:
         batch = cls([PipelineMeta.from_pipeline_run(pr) for pr in prs],
                     ranges, times, rows["K"], rows["W"], rows["LB"],
                     rows["UB"], D=unset, CK=np.zeros(shape), CD=unset,
-                    window_row=window_row)
+                    window_row=window_row,
+                    t_start=[pr.t_start for pr in prs])
         batch._cache["N"] = rows["N"]
         return batch
 
@@ -300,15 +324,17 @@ class FlushBatch:
     # -- shared derived rows -------------------------------------------------
 
     def meta_rows(self, name: str) -> np.ndarray:
-        """Per-row layout of one :class:`PipelineMeta` kernel field: a
-        scalar per row, or the pipeline's node array zero-padded to
-        ``width`` (cached): row ``meta_index[owner]`` of the metadata
-        table, sliced to the batch's width."""
+        """Per-row layout of one :class:`MetaTable` field (a
+        :class:`PipelineMeta` kernel field or ``t_start``): a scalar per
+        row, or the pipeline's node array zero-padded to ``width``
+        (cached): row ``meta_index[owner]`` of the metadata table, sliced
+        to the batch's width."""
         key = "meta:" + name
         out = self._cache.get(key)
         if out is None:
             if self.meta_table is None:
-                self.meta_table = MetaTable(self.metas, self.width)
+                self.meta_table = MetaTable(self.metas, self.width,
+                                            self._t_start)
             field = self.meta_table.field(name)
             if field.ndim > 1:
                 field = field[:, :self.width]

@@ -11,10 +11,11 @@ order, on the structure-of-arrays kernels of :mod:`repro.progress.soa`:
    each session's log once and lays the due rows of all sessions out as
    ``(reports, pipelines)`` status arrays: a pipeline is *unstarted*
    (``pipe_first_row``), *done* (the terminal's logged done flag), *too
-   short* (a causal view of one row, found by ``searchsorted`` over the
-   logged times) or *running*.  Each running (session, pipeline) is a
-   run over consecutive running cells; newly running pipelines get
-   their kernel metadata on their session;
+   short* (a causal view of one row: its first row, found once per
+   session and pipeline by a ``searchsorted`` over the logged times,
+   is the report row) or *running*.  Each running (session, pipeline)
+   is a run over consecutive running cells; a pipeline's kernel
+   metadata, terminal and ΣE weight are read off its plan record;
 2. **gather** — the flush lays out two tables once.  Its row table
    holds every log row a batch of the flush can read, keyed by
    (session, log row): each running cell's report row, the row its LUO
@@ -72,11 +73,20 @@ Causality notes (why each report equals the chosen estimator's
 * a pipeline's kernel metadata
   (:class:`~repro.progress.soa.PipelineMeta`) is built from
   :func:`~repro.engine.run.pipeline_static`, the static fields
-  training's offline view is built from, once per session: it lives in
-  ``QuerySession.pipe_records`` from the pipeline's first running report
-  row until its done report is built, or until the session's last rows
-  are planned.  The flush itself keeps nothing across rounds; the ΣE
-  weights sum ``ctx.nodes`` in preorder;
+  training's offline view is built from, once per plan record
+  (:class:`~repro.engine.run.PlanStatic`, ``ctx.plan_static``): a
+  recording's is shared by every session replaying it and lives as long
+  as the recording, a live execution builds its own.  The record holds
+  only what the plan fixes — the metadata, the terminals, the ΣE
+  weights (``ctx.nodes`` summed in preorder) and the §4.3 static-feature
+  rows — and nothing read from a log or a selector.  Each execution's
+  pipeline start times (``ctx.pipe_first``) are laid out per run as the
+  flush's :class:`~repro.progress.soa.MetaTable` ``t_start`` column,
+  and each started pipeline's first view row is kept on its session
+  (``QuerySession.view_first``); the session holds its running
+  pipelines' metadata in ``QuerySession.pipe_records`` from the first
+  running report row until the done report is built, or until its last
+  rows are planned.  The flush itself keeps nothing across rounds;
 * *done* status comes from the report row's logged done flag at the
   pipeline's terminal (``node_ids[0]``);
 * every kernel is a function of the rows it is handed, so a pipeline's
@@ -112,6 +122,7 @@ from repro.progress.soa import (
     padded,
     window_starts,
 )
+from repro.service.session import NEVER
 
 
 class _Run:
@@ -140,7 +151,8 @@ class _Plan:
     A log row's *key* is ``offsets[s] + row`` for row ``row`` of session
     ``s``: its index in ``log_times``, the sessions' logged times laid
     end to end.  ``cell_key`` is each cell's report row and ``run_first``
-    each run's first view row (``firsts``), as keys.  The row table
+    each run's first view row (``firsts``), as keys; ``run_start`` is each
+    run's start time in its session's execution.  The row table
     (:meth:`VectorizedFlush._gather`) holds the rows ``keys`` (sorted)
     as ``table`` arrays at the widest log's width plus an all-zero pad
     column; ``cols`` and ``child`` hold, per run, its node columns and
@@ -151,8 +163,8 @@ class _Plan:
     __slots__ = ("sessions", "logs", "bounds", "rows", "sess", "times",
                  "weights", "firsts", "done", "running", "cell_report",
                  "cell_pid", "runs", "offsets", "log_times", "cell_run",
-                 "cell_key", "run_first", "cell_window", "metas", "keys",
-                 "table", "cols", "child")
+                 "cell_key", "run_first", "run_start", "cell_window",
+                 "metas", "keys", "table", "cols", "child")
 
 
 class VectorizedFlush:
@@ -246,26 +258,19 @@ class VectorizedFlush:
         counts = [len(session.pending_reports) for session in planned]
         S, T = len(planned), sum(counts)
         P = max(len(session.handle_ctx.pipelines) for session in planned)
-        never = np.iinfo(np.int64).max  # a slot a session has no pipeline at
         rows = np.empty(T, dtype=np.int64)
         times = np.empty(T)
         terminal_done = np.zeros((T, P), dtype=bool)
-        first_row = np.full((S, P), never)
-        firsts = np.full((S, P), never)
+        first_row = np.full((S, P), NEVER)
+        firsts = np.full((S, P), NEVER)
+        starts = np.zeros((S, P))
         weights = np.zeros((S, P))
         logs = []
         lo = 0
         for s, session in enumerate(planned):
             ctx = session.handle_ctx
-            pipes = ctx.pipelines
-            p = len(pipes)
-            state = session.state
-            if state.weights is None:
-                nodes = ctx.nodes
-                total_e = sum(max(n.est_rows, 0.0) for n in nodes) or 1.0
-                state.weights = np.array([
-                    sum(max(nodes[i].est_rows, 0.0) for i in pipe.node_ids)
-                    / total_e for pipe in pipes])
+            static = ctx.plan_static
+            p = len(static.terminals)
             log = ctx.log.as_arrays()
             logs.append(log)
             hi = lo + counts[s]
@@ -273,14 +278,21 @@ class VectorizedFlush:
             r[:] = session.pending_reports
             session.pending_reports.clear()
             times[lo:hi] = log["times"][r]
-            terminal_done[lo:hi, :p] = log["D"][
-                r[:, None], [pipe.node_ids[0] for pipe in pipes]]
+            terminal_done[lo:hi, :p] = log["D"][r[:, None], static.terminals]
             first_row[s, :p] = ctx.pipe_first_row
-            # the causal view's first row: since the activity window opened
-            firsts[s, :p] = np.searchsorted(log["times"], ctx.pipe_first,
-                                            side="left")
-            weights[s, :p] = state.weights
+            firsts[s, :p] = session.view_first
+            starts[s, :p] = ctx.pipe_first
+            weights[s, :p] = static.weights
             lo = hi
+        sizes = [len(log["times"]) for log in logs]
+        # the causal view's first row (since the activity window opened),
+        # found once per pipeline: at the first flush whose log holds a
+        # row that sees it started, it is already final
+        fresh = (firsts == NEVER) & (first_row < np.array(sizes)[:, None])
+        for s in np.flatnonzero(fresh.any(axis=1)).tolist():
+            new = np.flatnonzero(fresh[s])
+            firsts[s, new] = planned[s].view_first[new] = np.searchsorted(
+                logs[s]["times"], starts[s, new], side="left")
         bounds = np.cumsum([0] + counts)
         sess = np.repeat(np.arange(S), counts)
         at = rows[:, None]
@@ -301,10 +313,14 @@ class VectorizedFlush:
             recs = planned[s].pipe_records
             meta = recs.get(p)
             if meta is None:
-                ctx = planned[s].handle_ctx
-                meta = recs[p] = PipelineMeta(
-                    pid=p, t_start=float(ctx.pipe_first[p]),
-                    **pipeline_static(ctx.nodes, ctx.pipelines[p]))
+                static = planned[s].handle_ctx.plan_static
+                meta = static.metas[p]
+                if meta is None:
+                    # the first session over this plan to run it
+                    meta = static.metas[p] = PipelineMeta(
+                        pid=p, **pipeline_static(static.nodes,
+                                                 static.pipelines[p]))
+                recs[p] = meta
             runs.append(_Run(i, s, p, meta, c0, n))
 
         ended = np.logical_or.reduceat(done, bounds[:-1], axis=0)
@@ -323,12 +339,13 @@ class VectorizedFlush:
         plan.weights, plan.firsts = weights, firsts
         plan.done, plan.running = done, running
         plan.cell_report, plan.cell_pid, plan.runs = report, pid, runs
-        plan.offsets = np.cumsum([0] + [len(log["times"]) for log in logs])
+        plan.offsets = np.cumsum([0] + sizes)
         plan.log_times = np.concatenate([log["times"] for log in logs])
         plan.cell_run = np.repeat(np.arange(len(runs)), lengths)
         plan.cell_key = plan.offsets[sess[report]] + rows[report]
-        head_s = sess[report[heads]]
-        plan.run_first = plan.offsets[head_s] + firsts[head_s, pid[heads]]
+        head = sess[report[heads]], pid[heads]
+        plan.run_first = plan.offsets[head[0]] + firsts[head]
+        plan.run_start = starts[head]
         return plan
 
     # -- phase 2: the flush's row and metadata tables ----------------------
@@ -344,7 +361,8 @@ class VectorizedFlush:
         runs = plan.runs
         metas = plan.metas = MetaTable(
             [run.meta for run in runs],
-            max((run.meta.n_nodes for run in runs), default=0))
+            max((run.meta.n_nodes for run in runs), default=0),
+            plan.run_start)
         needed = [plan.cell_key]
         if self._luo is not None:
             at = plan.cell_run
@@ -406,7 +424,7 @@ class VectorizedFlush:
             [plan.metas.metas[i] for i in owners.tolist()],
             list(zip(bounds[:-1], bounds[1:])), plan.log_times[keys],
             K, W, LB, UB, D, table["K"][row, child], table["D"][row, child],
-            np.arange(len(keys)), plan.metas, owners)
+            np.arange(len(keys)), meta_table=plan.metas, meta_index=owners)
 
     # -- phase 3: the §4.4 policy and the openings' scores -----------------
 

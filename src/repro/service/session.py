@@ -4,8 +4,10 @@ A :class:`QuerySession` bundles everything the service tracks per query:
 the resumable :class:`~repro.engine.executor.ExecutionHandle`, the
 per-query :class:`~repro.core.monitor.MonitorState` (sticky estimator
 choices), the observation rows due a report, the flush's records of its
-running pipelines and the :class:`~repro.core.monitor.ProgressReport`
-stream.
+pipelines — each started pipeline's first causal-view row and the kernel
+metadata of each running one, shared with every other session over its
+plan (:class:`~repro.engine.run.PlanStatic`) — and the
+:class:`~repro.core.monitor.ProgressReport` stream.
 
 Sessions are passive: the :class:`~repro.service.service.ProgressService`
 steps their handles and its flush turns their due rows into reports.  No
@@ -23,9 +25,14 @@ from __future__ import annotations
 
 import enum
 
+import numpy as np
+
 from repro.core.monitor import MonitorState, ProgressMonitor, ProgressReport
 from repro.engine.executor import ExecutionHandle, QueryExecutor
 from repro.engine.run import QueryRun
+
+#: a row index past every log: a pipeline slot not (yet) filled
+NEVER = np.iinfo(np.int64).max
 
 
 class SessionStatus(enum.Enum):
@@ -54,10 +61,14 @@ class QuerySession:
         #: observation-log row index per due report
         self.pending_reports: list[int] = []
         #: pid -> the kernel metadata of a running pipeline
-        #: (:class:`~repro.progress.soa.PipelineMeta`), from its first
-        #: running report row until its done report or the session's last
-        #: flush
+        #: (:class:`~repro.progress.soa.PipelineMeta`, its plan record's),
+        #: from its first running report row until its done report or the
+        #: session's last flush
         self.pipe_records: dict[int, object] = {}
+        #: per pipeline, the first row of its causal view: set by the
+        #: first flush whose log holds a row that sees it started (fixed
+        #: from then on), :data:`NEVER` before
+        self.view_first: np.ndarray | None = None
         self.steps = 0
         self.released = False
         self._monitor = monitor
@@ -74,6 +85,7 @@ class QuerySession:
         assert self.status is SessionStatus.PENDING
         self.status = SessionStatus.RUNNING
         self._handle = self._executor.begin(self._plan, self.query_name)
+        self.view_first = np.full(len(self._handle.ctx.pipelines), NEVER)
 
     def run_slice(self, k: int) -> int:
         """Advance up to ``k`` steps, then queue the rows due a report;

@@ -10,7 +10,9 @@ and :func:`~repro.engine.run.live_pipeline_run`:
 * the plan as a preorder :class:`~repro.engine.run.NodeInfo` list
   (``nodes``) and pipelines exposing ``pid`` / ``node_ids`` /
   ``driver_ids`` — the recording's own ``run.nodes`` / ``run.pipelines``,
-  which the live context builds identically when its query begins;
+  which the live context builds identically when its query begins, and
+  the recording's :class:`~repro.engine.run.PlanStatic`
+  (``plan_static``), shared by every replay of it;
 * an observation log that grows one recorded row per step
   (:meth:`ReplayContext.seek` sets its row count);
 * the write-once pipeline-start vectors ``pipe_first`` /
@@ -85,6 +87,8 @@ class ReplayContext:
         # the recording's plan description is the live context's own
         self.nodes = run.nodes
         self.pipelines = run.pipelines
+        #: the recording's plan record, shared by every replay of it
+        self.plan_static = run.plan_static
         self.log = _ReplayLog(run)
         self.pipe_first = np.array([p.t_start for p in run.pipelines])
         # NaN (never started) sorts past every row

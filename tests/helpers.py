@@ -127,7 +127,7 @@ def meta_of(pr: PipelineRun, **fields) -> PipelineMeta:
     fields replaced (the kernel metadata is derived from them)."""
     meta = PipelineMeta.from_pipeline_run(pr)
     kwargs = {name: getattr(meta, name) for name in (
-        "pid", "t_start", "node_ids", "ops", "E0",
+        "pid", "node_ids", "ops", "E0",
         "widths", "table_rows", "driver_mask", "parent_local",
         "materialized_bytes_est", "oracle_bytes_total", "mat_idx",
         "mat_child_ids")}

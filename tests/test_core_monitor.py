@@ -227,7 +227,8 @@ class TestKernelLifecycle:
                     if (name != "luo"
                             or monitor.chosen(run.pid, kind, state) != name):
                         continue
-                    elapsed = log["times"] - meta.t_start
+                    ctx = plan.sessions[run.s].handle_ctx
+                    elapsed = log["times"] - ctx.pipe_first[run.pid]
                     want = first
                     while (want < row
                            and elapsed[row] - elapsed[want] > window):

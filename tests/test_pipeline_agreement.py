@@ -312,8 +312,9 @@ def test_views_batch_equals_live_view_layout(family, monkeypatch):
     assert checked, family
 
 
-#: PipelineMeta kernel fields the batches lay out per row, node arrays
-#: and scalars, boolean and float
+#: MetaTable fields the batches lay out per row, node arrays and
+#: scalars, boolean and float: the PipelineMeta kernel fields and the
+#: per-execution t_start
 META_ROW_FIELDS = ("E0", "widths", "known_base", "valid", "driver", "bdrv",
                    "sdrv", "matpos", "childpos", "t_start", "e0_sum",
                    "materialized_bytes_est", "oracle_total", "has_oracle")
@@ -334,8 +335,15 @@ def test_meta_rows_equal_each_batch_laid_out_alone(monkeypatch):
     def check(plan, owners, counts, keys):
         batch = layout(plan, owners, counts, keys)
         seen.append((len(plan.sessions), batch.width < plan.metas.width))
+        runs = [plan.runs[i] for i in owners.tolist()]
         for name in META_ROW_FIELDS:
-            values = [getattr(meta, name) for meta in batch.metas]
+            if name == "t_start":
+                # the per-execution column: each run's start in its own
+                # session's execution
+                values = [plan.sessions[run.s].handle_ctx.pipe_first[run.pid]
+                          for run in runs]
+            else:
+                values = [getattr(meta, name) for meta in batch.metas]
             if np.ndim(values[0]):
                 dtype = bool if values[0].dtype == bool else float
                 want = padded(values, batch.width, 0, dtype)[batch.owner]
@@ -437,8 +445,9 @@ def _oracle_needs(monitor, pid, state, requested, fraction):
 
 
 class _OracleRec:
-    def __init__(self, meta, first, log):
-        self.meta, self.first, self.log = meta, first, log
+    def __init__(self, meta, t_start, first, log):
+        self.meta, self.t_start, self.first, self.log = \
+            meta, t_start, first, log
 
 
 class _OracleItem:
@@ -576,10 +585,10 @@ class _OracleFlush(batched.VectorizedFlush):
                         self.seen.add("one-row view")
                         parts.append((pid, weight, 0.0))
                         continue
-                    meta = PipelineMeta(
-                        pid=pid, t_start=float(ctx.pipe_first[pid]),
-                        **pipeline_static(nodes, pipe))
-                    rec = recs[pid] = _OracleRec(meta, first, ctx.log)
+                    meta = PipelineMeta(pid=pid,
+                                        **pipeline_static(nodes, pipe))
+                    rec = recs[pid] = _OracleRec(
+                        meta, float(ctx.pipe_first[pid]), first, ctx.log)
                 kind, opens = _oracle_needs(
                     monitor, pid, state, requested,
                     lambda: _oracle_fraction(rec.meta, K[R], D[R]))
@@ -605,11 +614,11 @@ class _OracleFlush(batched.VectorizedFlush):
                      if self.states[it.name] is luo]
             if timed:
                 rows = np.concatenate([rows, window_starts(
-                    log["times"], rec.meta.t_start, rec.first, rows[timed],
+                    log["times"], rec.t_start, rec.first, rows[timed],
                     luo.speed_window)])
             for i, it in enumerate(items):
                 it.flat = total + i
-            plans.append((rec.meta, log, rows, timed))
+            plans.append((rec.meta, log, rows, timed, rec.t_start))
             total += len(rows)
         w = max(meta.n_nodes for meta, *_ in plans)
         arrays = {name: np.zeros((total, w)) for name in ("K", "W", "LB",
@@ -619,7 +628,7 @@ class _OracleFlush(batched.VectorizedFlush):
         times = np.empty(total)
         window_row = np.arange(total)
         ranges, lo = [], 0
-        for meta, log, r, timed in plans:
+        for meta, log, r, timed, _ in plans:
             hi = lo + len(r)
             ranges.append((lo, hi))
             if timed:
@@ -637,7 +646,8 @@ class _OracleFlush(batched.VectorizedFlush):
             lo = hi
         return FlushBatch([meta for meta, *_ in plans], ranges, times,
                           arrays["K"], arrays["W"], arrays["LB"],
-                          arrays["UB"], D, arrays["CK"], CD, window_row)
+                          arrays["UB"], D, arrays["CK"], CD, window_row,
+                          t_start=[t_start for *_, t_start in plans])
 
 
 def _report_key(report):

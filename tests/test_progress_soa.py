@@ -89,7 +89,7 @@ def batch_from_runs(prs, metas=None, true_n=True):
         lo = hi
     batch = FlushBatch(metas, ranges, times, arrays["K"], arrays["W"],
                        arrays["LB"], arrays["UB"], D, CK, CD,
-                       np.arange(total))
+                       np.arange(total), t_start=[pr.t_start for pr in prs])
     if true_n:
         N = np.zeros((total, w))
         for pr, (lo, hi) in zip(prs, ranges):
@@ -281,7 +281,8 @@ def test_luo_reads_only_its_row_and_window_row():
     sub = FlushBatch(batch.metas, [(0, n_full), (n_full, len(keep))],
                      batch.times[keep], batch.K[keep], batch.W[keep],
                      batch.LB[keep], batch.UB[keep], batch.D[keep],
-                     batch.CK[keep], batch.CD[keep], window_row)
+                     batch.CK[keep], batch.CD[keep], window_row,
+                     t_start=[full.t_start, sparse.t_start])
     sub._cache["N"] = batch.N[keep]
     vector = BatchedLuoState(est).advance(sub)
     assert np.array_equal(vector[:n_full], est.estimate(full))

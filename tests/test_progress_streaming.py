@@ -113,7 +113,10 @@ def test_meta_from_pipeline_run_carries_oracle_bytes():
     meta = PipelineMeta.from_pipeline_run(pr)
     assert meta.oracle_bytes_total == float(bytes_done(pr)[-1])
     assert meta.n_nodes == pr.n_nodes
-    assert meta.t_start == pr.t_start
+    # the start time is the execution's, laid out beside the metadata
+    assert not hasattr(meta, "t_start")
+    batch = FlushBatch.of_pipeline_runs([pr])
+    assert (batch.meta_rows("t_start") == pr.t_start).all()
 
 
 def test_bytes_oracle_without_recorded_total_is_causal():
@@ -179,7 +182,7 @@ def test_luo_kernel_on_row_subsets_matches_estimate(case, data):
         full.metas, [(0, 2 * k)], full.times[keep], full.K[keep],
         full.W[keep], full.LB[keep], full.UB[keep], full.D[keep],
         full.CK[keep], full.CD[keep],
-        np.r_[np.arange(k, 2 * k), np.arange(k, 2 * k)])
+        np.r_[np.arange(k, 2 * k), np.arange(k, 2 * k)], t_start=[pr.t_start])
     batch._cache["N"] = full.N[keep]
     values = BatchedLuoState(est).advance(batch)[:k]
     assert np.array_equal(values, est.estimate(pr)[picked])
@@ -196,7 +199,9 @@ def test_rebuilt_pipeline_run_roundtrips_fields():
         assert np.array_equal(getattr(batch, name), getattr(pr, name)), name
     assert np.array_equal(batch.N, np.broadcast_to(pr.N, pr.K.shape))
     meta, = batch.metas
-    assert meta.ops == pr.ops and meta.t_start == pr.t_start
+    assert meta.ops == pr.ops
+    assert np.array_equal(batch.meta_rows("t_start"),
+                          np.full(pr.n_observations, pr.t_start))
     assert np.array_equal(batch.meta_rows("E0"),
                           np.broadcast_to(pr.E0, pr.K.shape))
     assert batch.ranges == [(0, pr.n_observations)]
