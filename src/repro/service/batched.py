@@ -83,10 +83,8 @@ Causality notes (why each report equals the chosen estimator's
   pipeline start times (``ctx.pipe_first``) are laid out per run as the
   flush's :class:`~repro.progress.soa.MetaTable` ``t_start`` column,
   and each started pipeline's first view row is kept on its session
-  (``QuerySession.view_first``); the session holds its running
-  pipelines' metadata in ``QuerySession.pipe_records`` from the first
-  running report row until the done report is built, or until its last
-  rows are planned.  The flush itself keeps nothing across rounds;
+  (``QuerySession.view_first``).  Each run reads its metadata off the
+  plan record; the flush itself keeps nothing across rounds;
 * *done* status comes from the report row's logged done flag at the
   pipeline's terminal (``node_ids[0]``);
 * every kernel is a function of the rows it is handed, so a pipeline's
@@ -181,14 +179,9 @@ class VectorizedFlush:
     # -- the flush -----------------------------------------------------------
 
     def flush(self, sessions, scorer, stats, on_report) -> None:
-        """Produce every due report of ``sessions`` (ascending session id).
-
-        A finished session in ``sessions`` may have no rows left; planning
-        it drops its pipeline records.
-        """
+        """Produce every due report of ``sessions`` (ascending session id,
+        each with rows due)."""
         plan = self._plan(sessions)
-        if plan is None:
-            return
         names = list(self.states)
         cells = len(plan.cell_pid)
         values = np.zeros(cells)
@@ -244,17 +237,9 @@ class VectorizedFlush:
 
     # -- phase 1: causal planning --------------------------------------------
 
-    def _plan(self, sessions) -> _Plan | None:
+    def _plan(self, planned) -> _Plan:
         """Each pipeline's status at every due row, read causally from the
-        logs.  None when no session has due rows."""
-        planned = []
-        for session in sessions:
-            if session.pending_reports:
-                planned.append(session)
-            elif session.done:
-                session.pipe_records.clear()
-        if not planned:
-            return None
+        logs."""
         counts = [len(session.pending_reports) for session in planned]
         S, T = len(planned), sum(counts)
         P = max(len(session.handle_ctx.pipelines) for session in planned)
@@ -310,28 +295,14 @@ class VectorizedFlush:
         for i, (c0, n, s, p) in enumerate(zip(
                 heads.tolist(), lengths.tolist(),
                 sess[report[heads]].tolist(), pid[heads].tolist())):
-            recs = planned[s].pipe_records
-            meta = recs.get(p)
+            static = planned[s].handle_ctx.plan_static
+            meta = static.metas[p]
             if meta is None:
-                static = planned[s].handle_ctx.plan_static
-                meta = static.metas[p]
-                if meta is None:
-                    # the first session over this plan to run it
-                    meta = static.metas[p] = PipelineMeta(
-                        pid=p, **pipeline_static(static.nodes,
-                                                 static.pipelines[p]))
-                recs[p] = meta
+                # the first session over this plan to run it
+                meta = static.metas[p] = PipelineMeta(
+                    pid=p, **pipeline_static(static.nodes,
+                                             static.pipelines[p]))
             runs.append(_Run(i, s, p, meta, c0, n))
-
-        ended = np.logical_or.reduceat(done, bounds[:-1], axis=0)
-        for s, session in enumerate(planned):
-            recs = session.pipe_records
-            if session.done:
-                # its last rows are planned: no flush reads its records
-                recs.clear()
-            else:
-                for p in np.flatnonzero(ended[s]).tolist():
-                    recs.pop(p, None)
 
         plan = _Plan()
         plan.sessions, plan.logs, plan.bounds = planned, logs, bounds

@@ -3,9 +3,11 @@
 The scheduler decides which sessions run during a service tick and for how
 many engine steps.  Slices are counted in :meth:`ExecutionHandle.step`
 units (one opened iterator tree or one root chunk), the granularity at
-which the simulated engine can be preempted.  The rotation offset advances
-every round so no session is systematically favoured when slices don't
-divide work evenly.
+which the simulated engine can be preempted.  Every live session gets a
+full slice every round and sessions share no engine state (each
+execution has its own memory manager and seeded rng, and the cost model
+is stateless), so the order they run in within a round changes nothing
+they compute: a round runs them in submission order.
 """
 
 from __future__ import annotations
@@ -26,16 +28,11 @@ class RoundRobinScheduler:
         if slice_steps <= 0:
             raise ValueError("slice_steps must be positive")
         self.slice_steps = slice_steps
-        self._offset = 0
 
     def plan_round(self, sessions: list[QuerySession]) -> list[QuerySession]:
-        """The sessions to run this round, in rotated submission order."""
-        live = [s for s in sessions if s.status is SessionStatus.RUNNING]
-        if not live:
-            return []
-        k = self._offset % len(live)
-        self._offset += 1
-        return live[k:] + live[:k]
+        """The sessions to run this round: the running ones, in
+        submission order."""
+        return [s for s in sessions if s.status is SessionStatus.RUNNING]
 
     def run_slice(self, session: QuerySession) -> int:
         """Step one session for up to ``slice_steps``; returns steps used."""

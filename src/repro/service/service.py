@@ -259,15 +259,10 @@ class ProgressService:
 
         Only this round's sessions can hold unflushed rows (every flush
         drains completely), so the scan is bounded by the round — not by
-        the total ever submitted.  Sessions that finished this round are
-        flushed even with no rows due, so the flush drops their pipeline
-        records.  Sessions are flushed in submission order, undoing the
-        scheduler's rotation, so report emission order does not depend on
-        the rotation.
+        the total ever submitted.  The round is in submission order, so
+        reports are emitted in ascending session id.
         """
-        due = sorted((s for s in round_sessions
-                      if s.pending_reports or s.done),
-                     key=lambda s: s.session_id)
+        due = [s for s in round_sessions if s.pending_reports]
         if due:
             self._vector.flush(due, self.scorer, self.stats,
                                self.on_report)

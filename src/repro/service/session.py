@@ -3,11 +3,10 @@
 A :class:`QuerySession` bundles everything the service tracks per query:
 the resumable :class:`~repro.engine.executor.ExecutionHandle`, the
 per-query :class:`~repro.core.monitor.MonitorState` (sticky estimator
-choices), the observation rows due a report, the flush's records of its
-pipelines — each started pipeline's first causal-view row and the kernel
-metadata of each running one, shared with every other session over its
-plan (:class:`~repro.engine.run.PlanStatic`) — and the
-:class:`~repro.core.monitor.ProgressReport` stream.
+choices), the observation rows due a report, each started pipeline's
+first causal-view row and the :class:`~repro.core.monitor.ProgressReport`
+stream.  A pipeline's kernel metadata lives on its plan record
+(:class:`~repro.engine.run.PlanStatic`), not on the session.
 
 Sessions are passive: the :class:`~repro.service.service.ProgressService`
 steps their handles and its flush turns their due rows into reports.  No
@@ -60,11 +59,6 @@ class QuerySession:
         self.reports: list[ProgressReport] = []
         #: observation-log row index per due report
         self.pending_reports: list[int] = []
-        #: pid -> the kernel metadata of a running pipeline
-        #: (:class:`~repro.progress.soa.PipelineMeta`, its plan record's),
-        #: from its first running report row until its done report or the
-        #: session's last flush
-        self.pipe_records: dict[int, object] = {}
         #: per pipeline, the first row of its causal view: set by the
         #: first flush whose log holds a row that sees it started (fixed
         #: from then on), :data:`NEVER` before

@@ -270,16 +270,6 @@ class ShardWorker:
         self.stats.tick_seconds.append(time.perf_counter() - started)
         return self.active
 
-    def tick_rounds(self, rounds: int) -> bool:
-        """Up to ``rounds`` :meth:`tick` calls, stopping once idle; True
-        while work remains."""
-        more = False
-        for _ in range(rounds):
-            more = self.tick()
-            if not more:
-                break
-        return more
-
     def take_emitted(self) -> list[tuple[int, ProgressReport]]:
         emitted, self._emitted = self._emitted, []
         return emitted
@@ -310,7 +300,7 @@ def shard_worker_main(conn, shard_id: int, make_monitor,
                                                          strict=True):
                     worker.enqueue(global_sid, run, query_name)
             elif cmd == "tick":
-                more = worker.tick_rounds(frame[1])
+                more = worker.tick()
                 # ship the new durations and drop them: the supervisor
                 # keeps its copy, so the worker's list stays short
                 ticks, worker.stats.tick_seconds = worker.stats.tick_seconds, []
@@ -488,10 +478,9 @@ class ShardedProgressService:
         admission-control headroom the network front end budgets against."""
         return self._n_submitted - self.stats.service.sessions_completed
 
-    def tick(self, rounds: int = 1) -> bool:
-        """One lockstep round across all shards (``rounds`` shard ticks
-        per frame amortize IPC for drain-heavy phases).  Returns True
-        while any shard still has work."""
+    def tick(self) -> bool:
+        """One lockstep round across all shards.  Returns True while any
+        shard still has work."""
         if self._closed:
             raise RuntimeError("service is closed")
         started = time.perf_counter()
@@ -500,7 +489,7 @@ class ShardedProgressService:
         if self.processes:
             polled = [i for i in range(self.n_shards) if self._shard_active[i]]
             for i in polled:  # all sends first: shards tick concurrently
-                self._send(i, ("tick", rounds))
+                self._send(i, ("tick",))
             batches = []
             for i in polled:
                 reply = self._recv(i)
@@ -514,7 +503,7 @@ class ShardedProgressService:
                 if not self._shard_active[i]:
                     continue
                 shard = self._shards[i]
-                self._shard_active[i] = shard.tick_rounds(rounds)
+                self._shard_active[i] = shard.tick()
                 # inline batches still cross the wire codec (bit-exact),
                 # so parity tests cover the exact process-mode bytes
                 batches.append(reports_from_payload(
@@ -524,8 +513,7 @@ class ShardedProgressService:
         self.stats.round_seconds.append(time.perf_counter() - started)
         return self.active
 
-    def run_until_complete(self, max_ticks: int | None = None,
-                           rounds: int = 1
+    def run_until_complete(self, max_ticks: int | None = None
                            ) -> dict[int, tuple[QueryRun, list[ProgressReport]]]:
         """Drain the fleet; per-session ``(run, reports)`` by global id.
 
@@ -537,7 +525,7 @@ class ShardedProgressService:
         merged emission *order* matches it too.
         """
         ticks = 0
-        while self.tick(rounds=rounds):
+        while self.tick():
             ticks += 1
             if max_ticks is not None and ticks >= max_ticks:
                 raise RuntimeError(

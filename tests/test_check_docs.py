@@ -19,7 +19,7 @@ def test_stale_member_span_fails_and_live_ones_pass(tmp_path):
     doc.write_text(
         "Live: `FlushBatch.rowsum()` (a method), `PipelineMeta.childpos` (a\n"
         "`__slots__` entry), `ServiceStats.ticks` (a dataclass field),\n"
-        "`QuerySession.pipe_records` (a `self.` assignment) and\n"
+        "`QuerySession.view_first` (a `self.` assignment) and\n"
         "`BatchedLuoState.estimator` (inherited).  Not a repro class:\n"
         "`Counter.most_common()`.\n"
         "Stale: `FlushBatch.pool`.\n")

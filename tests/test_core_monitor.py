@@ -25,11 +25,15 @@ from repro.progress.registry import all_estimators, original_estimators
 from repro.service import ProgressService
 from repro.service.batched import VectorizedFlush
 from repro.service.scoring import BatchedSelectorScorer
-from repro.service.session import SessionStatus
 from repro.trace import read_trace
 from repro.trace.replay import replay_monitor
 
 FAST_MART = MARTParams(n_trees=8, max_leaves=4)
+#: every attribute a ``QuerySession`` holds, from submission on
+SESSION_ATTRIBUTES = {
+    "session_id", "query_name", "status", "state", "reports",
+    "pending_reports", "view_first", "steps", "released", "_monitor",
+    "_executor", "_plan", "_handle", "_scanned"}
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +160,8 @@ class TestIncrementalMonitor:
 
 
 class TestKernelLifecycle:
-    """Pipeline records follow pipeline lifetimes; pools need kernels."""
+    """Neither a session nor the flush keeps a per-pipeline record;
+    pools need kernels."""
 
     @pytest.fixture(scope="class")
     def recordings(self, tpch_db, tpch_planner, join_query):
@@ -177,9 +182,16 @@ class TestKernelLifecycle:
             service.submit(tpch_db, tpch_planner.plan(join_query), "live",
                            ExecutorConfig(batch_size=256,
                                           target_observations=40, seed=8))
-            service.run_until_complete(max_ticks=100_000)
+            ticks = 0
+            while service.tick():
+                ticks += 1
+                assert ticks < 100_000
+                # a session holds its own capture state and each started
+                # pipeline's first view row; a pipeline's metadata lives
+                # on its plan record
+                for session in service.sessions:
+                    assert set(vars(session)) == SESSION_ATTRIBUTES
             assert all(s.done for s in service.sessions)
-            assert all(s.pipe_records == {} for s in service.sessions)
             # the flush keeps nothing of its own across rounds
             assert set(vars(service._vector)) == {"monitor", "states",
                                                   "_luo"}
@@ -263,38 +275,6 @@ class TestKernelLifecycle:
         assert set(advanced) == want[serving]
         # mixed: LUO advanced over batches holding cells it does not serve
         assert any(shared) == (serving == "mixed")
-
-    def test_records_only_for_running_pipelines(self, recordings):
-        # the golden TPC-H recordings finish pipelines while others of
-        # their query still run, so a finished pipeline's kept record shows
-        golden, _ = read_trace(Path(__file__).resolve().parent / "golden"
-                               / "tpch")
-        for runs, slice_steps in ((recordings, 3), (golden, 1), (golden, 3)):
-            service = ProgressService(ProgressMonitor(refresh_every=1),
-                                      slice_steps=slice_steps)
-            for run in runs:
-                service.submit_replay(run)
-            peak = 0
-            while service.tick():
-                # refresh_every=1: every replayed row was reported, so a
-                # record exists only for a pipeline running at its
-                # session's last row
-                held = 0
-                for session in service.sessions:
-                    if session.status is not SessionStatus.RUNNING:
-                        assert session.pipe_records == {}
-                        continue
-                    ctx = session.handle_ctx
-                    R = len(ctx.log) - 1
-                    done = ctx.log.as_arrays()["D"][R]
-                    running = {pipe.pid for pipe in ctx.pipelines
-                               if ctx.pipe_first_row[pipe.pid] <= R
-                               and not done[pipe.node_ids[0]]}
-                    assert set(session.pipe_records) <= running, (
-                        slice_steps, session.session_id, R)
-                    held += len(session.pipe_records)
-                peak = max(peak, held)
-            assert peak >= 2, "the drain never held concurrent records"
 
     def test_pool_without_kernel_rejected(self):
         class Tweaked(DNEEstimator):

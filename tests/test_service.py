@@ -192,17 +192,36 @@ class TestScheduling:
             assert live <= 2
         assert service.stats.sessions_completed == len(SEEDS)
 
-    def test_round_robin_rotation(self):
+    def test_round_robin_rotation(self, tpch_db, tpch_planner, join_query):
+        """Every round runs the running sessions in submission order, so
+        sessions that finish in one round complete in ascending id."""
         scheduler = RoundRobinScheduler(slice_steps=3)
 
         class Stub:
             status = SessionStatus.RUNNING
 
+        class Finished:
+            status = SessionStatus.DONE
+
         a, b, c = Stub(), Stub(), Stub()
-        first = scheduler.plan_round([a, b, c])
-        second = scheduler.plan_round([a, b, c])
-        assert first == [a, b, c]
-        assert second == [b, c, a]
+        for _ in range(4):
+            assert scheduler.plan_round([a, Finished(), b, c]) == [a, b, c]
+
+        run = QueryExecutor(tpch_db, _config(2)).execute(
+            tpch_planner.plan(join_query))
+        completed = []
+        service = ProgressService(
+            ProgressMonitor(fallback="dne"), slice_steps=4,
+            on_complete=lambda session: completed.append(
+                (service.stats.ticks, session.session_id)))
+        for _ in range(3):
+            service.submit_replay(run)
+        service.run_until_complete(max_ticks=10_000)
+        tick = completed[0][0]
+        # the three finish in one round that rotating each round's start
+        # by its index would not leave in submission order
+        assert (tick - 1) % 3 != 0
+        assert completed == [(tick, 0), (tick, 1), (tick, 2)]
 
     def test_invalid_parameters(self, monitor):
         with pytest.raises(ValueError):
