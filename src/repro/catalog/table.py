@@ -9,28 +9,111 @@ expressed through:
 * :class:`SortedIndex` secondary indexes — position lists sorted by key that
   serve equality/range seeks, including the inner side of index
   nested-loop joins.
+
+:class:`SortedMatcher` is the one equality matcher over a sorted key column:
+index seeks, hash joins and merge joins all match through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from repro.catalog.schema import DatabaseSchema, TableSchema
 
 
-class SortedIndex:
+class SortedMatcher:
+    """Equality matching of probe keys against one key column, sorted once.
+
+    Hash joins (build side), merge joins (buffered inner side) and index
+    seeks all answer the same question for a batch of probe keys: which
+    rows of the key column equal each probe.  The definition is two binary
+    searches over the sorted keys: ``lo``/``hi`` are a probe's left and
+    right insertion points, ``hi - lo`` its partner count and
+    ``arange(lo, hi)`` its partners' sorted positions.
+
+    When the sorted keys are *unique* — each strictly greater than the one
+    before, and none NaN — ``hi - lo`` is 0 or 1, and the left search alone
+    decides it: every key before ``lo`` is below the probe, so the probe's
+    one possible partner sits at ``lo``, and it matches exactly when
+    ``sorted[min(lo, n - 1)] == probe`` (``==`` agrees with the searches'
+    ordering: ``-0.0`` equals ``0.0``; a NaN probe sorts past every non-NaN
+    key and equals none).  The flag is computed once per matcher, lazily on
+    its first match, and any duplicate or NaN key keeps the two-search
+    path.  Both paths return the same positions, probe indices and counts,
+    dtypes included.
+
+    ``presorted=True`` takes ``keys`` as already in ascending order
+    (positions then index ``keys`` itself); otherwise they are sorted here
+    and positions index the original order.
+    """
+
+    def __init__(self, keys: np.ndarray, presorted: bool = False):
+        if presorted:
+            self.order = None
+            self.sorted_keys = keys
+        else:
+            self.order = np.argsort(keys, kind="stable")
+            self.sorted_keys = keys[self.order]
+
+    @cached_property
+    def unique(self) -> bool:
+        """True when the sorted keys are strictly increasing and not NaN."""
+        sk = self.sorted_keys
+        return (len(sk) > 0 and bool(sk[-1] == sk[-1])
+                and bool(np.all(sk[1:] > sk[:-1])))
+
+    def _unique_hits(self, probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Left insertion points, and which probes equal the key there."""
+        sk = self.sorted_keys
+        lo = np.searchsorted(sk, probe, side="left")
+        return lo, sk[np.minimum(lo, len(sk) - 1)] == probe
+
+    def match_with_counts(
+            self, probe: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Like :meth:`match`, plus the per-probe-row partner counts."""
+        if self.unique:
+            lo, hit = self._unique_hits(probe)
+            probe_idx = np.flatnonzero(hit)
+            pos = lo[probe_idx]
+            counts = hit.astype(np.intp)
+        else:
+            lo = np.searchsorted(self.sorted_keys, probe, side="left")
+            counts = np.searchsorted(self.sorted_keys, probe,
+                                     side="right") - lo
+            pos = _expand_ranges(lo, counts)
+            probe_idx = np.repeat(np.arange(len(probe)), counts)
+        if self.order is not None:
+            pos = self.order[pos]
+        return pos, probe_idx, counts
+
+    def match(self, probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Return (positions-into-original, probe-row-indices) of all matches."""
+        pos, probe_idx, _ = self.match_with_counts(probe)
+        return pos, probe_idx
+
+    def counts(self, probe: np.ndarray) -> np.ndarray:
+        """Partner count per probe row (all a semi/anti join needs)."""
+        if self.unique:
+            return self._unique_hits(probe)[1].astype(np.intp)
+        return (np.searchsorted(self.sorted_keys, probe, side="right")
+                - np.searchsorted(self.sorted_keys, probe, side="left"))
+
+
+class SortedIndex(SortedMatcher):
     """A secondary index: row positions ordered by key value.
 
     Lookups are vectorized over a batch of probe keys, which is what the
-    executor's index-nested-loop join needs (one ``seek`` per outer batch).
+    executor's index-nested-loop join needs (one ``seek`` per outer batch);
+    they are :class:`SortedMatcher`'s, unique-key path included.
     """
 
     def __init__(self, key: str, values: np.ndarray):
+        super().__init__(values)
         self.key = key
-        self.order = np.argsort(values, kind="stable")
-        self.sorted_values = np.ascontiguousarray(values[self.order])
         self.n_rows = len(values)
 
     def lookup_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -40,23 +123,18 @@ class SortedIndex:
         matches for ``keys[j]`` and ``positions`` concatenates the matching
         row positions in probe order.
         """
-        lo = np.searchsorted(self.sorted_values, keys, side="left")
-        hi = np.searchsorted(self.sorted_values, keys, side="right")
-        counts = hi - lo
-        positions = self.order[_expand_ranges(lo, counts)]
+        positions, _, counts = self.match_with_counts(keys)
         return positions, counts
 
     def lookup_range(self, low, high) -> np.ndarray:
         """Row positions with ``low <= key <= high`` (inclusive both ends)."""
-        lo = int(np.searchsorted(self.sorted_values, low, side="left"))
-        hi = int(np.searchsorted(self.sorted_values, high, side="right"))
+        lo = int(np.searchsorted(self.sorted_keys, low, side="left"))
+        hi = int(np.searchsorted(self.sorted_keys, high, side="right"))
         return self.order[lo:hi]
 
     def match_counts(self, keys: np.ndarray) -> np.ndarray:
         """Per-key match counts without materializing positions."""
-        lo = np.searchsorted(self.sorted_values, keys, side="left")
-        hi = np.searchsorted(self.sorted_values, keys, side="right")
-        return hi - lo
+        return self.counts(keys)
 
 
 def _expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

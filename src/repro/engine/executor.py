@@ -76,7 +76,6 @@ class ExecContext:
         self.pipe_first_row = np.full(n_pipes, np.iinfo(np.int64).max)
         self.pipe_last = np.full(n_pipes, np.nan)
         self._nodes = list(plan.walk())
-        self._bottom_up = list(reversed(self._nodes))
         parent = {child.node_id: node.node_id
                   for node in self._nodes for child in node.children}
         build_side = {node.children[1].node_id for node in self._nodes
@@ -101,18 +100,7 @@ class ExecContext:
         #: what this execution shares with any other of its plan (built
         #: here: live executions share no record)
         self.plan_static = PlanStatic(self.nodes, self.pipelines)
-        self._table_rows = np.array([n.table_rows for n in self.nodes])
-        # Probe-side nodes of nested-loop joins, bottom-up, paired with
-        # their join's outer child: duplicate probe keys fan a seek out
-        # past its table's cardinality, so these nodes get their own
-        # bound rule in _compute_bounds.
-        self._probe_side: list[tuple[PlanNode, int]] = []
-        for node in self._nodes:
-            if node.op is Op.NESTED_LOOP_JOIN:
-                outer_id = node.children[0].node_id
-                chain = list(node.children[1].walk())
-                self._probe_side.extend(
-                    (inner, outer_id) for inner in reversed(chain))
+        self._bound_rules = _plan_bound_rules(self._nodes, self.nodes)
         self._tick = self._initial_tick()
         self._next_obs = 0.0
 
@@ -196,72 +184,116 @@ class ExecContext:
         the bounds momentarily unsound.  A finished node's total is its
         counter.  Spill-induced GetNext calls are outside the bounds by
         design (they are unpredictable extra work; see the engine docs).
+
+        The plan's part of every bound is fixed per execution, so
+        ``__init__`` lays it out once as a rule table (see
+        :func:`_plan_bound_rules`); each observation runs that table over
+        the counters as Python floats, reading no plan node and walking no
+        tree.  It applies the per-node float operations in the order the
+        table lists them, so the bounds are the same bits a walk of the
+        plan gives.
         """
         K = self.counters.K
-        done = self.counters.done
-        lb = K.copy()
-        ub = np.full(self.plan.n_nodes, UNBOUNDED)
-        for node in self._bottom_up:
-            i = node.node_id
+        k = K.tolist()
+        done = self.counters.done.tolist()
+        ub = [UNBOUNDED] * len(k)
+        for i, rule, a, b, c in self._bound_rules:
             if done[i]:
-                ub[i] = K[i]
-                continue
-            op = node.op
-            if op in (Op.TABLE_SCAN, Op.INDEX_SCAN, Op.INDEX_SEEK):
-                ub[i] = self._table_rows[i]
-            elif op in (Op.FILTER, Op.BATCH_SORT):
-                ub[i] = ub[node.children[0].node_id]
-            elif op in (Op.SORT, Op.HASH_AGG):
-                # Blocking: once the input finished, the materialized row
-                # count (and hence the output total) is known exactly.
-                c = node.children[0].node_id
-                ub[i] = max(K[i], K[c]) if done[c] else ub[c]
-            elif op == Op.STREAM_AGG:
-                c = node.children[0].node_id
-                if node.params.get("group_cols"):
-                    # at most one accumulated group is still pending
-                    ub[i] = K[i] + 1.0 if done[c] else ub[c]
-                else:
-                    ub[i] = 1.0
-            elif op == Op.TOP:
-                ub[i] = min(float(node.params["k"]),
-                            ub[node.children[0].node_id])
-            elif op in (Op.HASH_JOIN, Op.MERGE_JOIN, Op.NESTED_LOOP_JOIN):
-                outer = ub[node.children[0].node_id]
-                if node.params.get("join_kind", "inner") in ("semi", "anti"):
-                    # Each probe row is emitted at most once, so the
-                    # outer-side bound alone is sound — and much tighter
-                    # than the inner-join product.
-                    ub[i] = outer
-                else:
-                    # Inner: at most outer × inner matches.  LEFT OUTER is
-                    # covered by the same product: k matched outer rows
-                    # yield ≤ k·inner rows and the outer−k unmatched rows
-                    # one padded row each, which totals ≤ outer·inner for
-                    # inner ≥ 1, and exactly `outer` (the max(·,1) floor)
-                    # once an empty inner side is proven.
-                    inner = ub[node.children[1].node_id]
-                    ub[i] = min(max(outer, 1.0) * max(inner, 1.0), UNBOUNDED)
-            else:  # pragma: no cover - defensive
-                ub[i] = UNBOUNDED
-        # Second pass: nested-loop probe sides.  An inner INDEX_SEEK is
-        # driven once per outer row, so its total is bounded by
-        # outer-bound × table rows, not by the table alone (duplicate
-        # probe keys revisit rows); residual FILTERs inherit.  The outer
-        # subtree precedes the inner in preorder, so its bound is final
-        # by the time this pass runs.
-        for node, outer_id in self._probe_side:
-            i = node.node_id
-            if done[i]:
-                continue
-            if node.op is Op.INDEX_SEEK:
-                ub[i] = min(max(ub[outer_id], 1.0)
-                            * max(self._table_rows[i], 1.0), UNBOUNDED)
-            else:  # residual FILTER above the seek
-                ub[i] = ub[node.children[0].node_id]
+                ub[i] = k[i]
+            elif rule == _CONST:
+                ub[i] = c
+            elif rule == _PASS:
+                ub[i] = ub[a]
+            elif rule == _PRODUCT:
+                ub[i] = min(max(ub[a], 1.0) * max(ub[b], 1.0), UNBOUNDED)
+            elif rule == _PROBE:
+                ub[i] = min(max(ub[a], 1.0) * c, UNBOUNDED)
+            elif rule == _BLOCKING:
+                ub[i] = max(k[i], k[a]) if done[a] else ub[a]
+            elif rule == _GROUPS:
+                ub[i] = k[i] + 1.0 if done[a] else ub[a]
+            else:  # _TOP
+                ub[i] = min(c, ub[a])
+        ub = np.array(ub)
         np.minimum(ub, UNBOUNDED, out=ub)
-        np.maximum(ub, lb, out=ub)
-        return lb, ub
+        np.maximum(ub, K, out=ub)
+        return K.copy(), ub
+
+
+#: bound rules: what an unfinished node's ``ub[i]`` is computed from
+#: (``a``/``b`` are the node ids a rule reads, ``c`` its constant)
+_CONST = 0      # c: table rows of a scan or seek, 1 for a scalar aggregate
+_PASS = 1       # ub[a]: filters, batch sorts, semi/anti joins (a = outer)
+_PRODUCT = 2    # min(max(ub[a], 1) * max(ub[b], 1), UNBOUNDED): joins
+_PROBE = 3      # min(max(ub[a], 1) * c, UNBOUNDED): nested-loop seek
+_BLOCKING = 4   # sort / hash aggregate over child a
+_GROUPS = 5     # grouped stream aggregate over child a
+_TOP = 6        # min(c, ub[a]), c = k
+
+
+def _plan_bound_rules(
+        plan_nodes: list[PlanNode], nodes: list[NodeInfo]
+) -> tuple[tuple[int, int, int, int, float], ...]:
+    """The plan's bound rules ``(i, rule, a, b, c)`` in evaluation order.
+
+    First every node bottom-up (reversed preorder: each child before its
+    parent).  Then a second pass over nested-loop probe sides: an inner
+    INDEX_SEEK is driven once per outer row, so its total is bounded by
+    outer-bound × table rows, not by the table alone (duplicate probe keys
+    revisit rows), and residual FILTERs above it inherit.  The join itself
+    reads its inner side's first-pass bound; the outer subtree precedes
+    the inner in preorder, so its bound is final by the second pass.
+    ``plan_nodes`` and ``nodes`` are the plan's nodes and their
+    :class:`NodeInfo` in preorder (index = node id).
+    """
+    rules = []
+    for node in reversed(plan_nodes):
+        i, op = node.node_id, node.op
+        kids = [child.node_id for child in node.children]
+        if op in (Op.TABLE_SCAN, Op.INDEX_SCAN, Op.INDEX_SEEK):
+            rules.append((i, _CONST, -1, -1, nodes[i].table_rows))
+        elif op in (Op.FILTER, Op.BATCH_SORT):
+            rules.append((i, _PASS, kids[0], -1, 0.0))
+        elif op in (Op.SORT, Op.HASH_AGG):
+            # Blocking: once the input finished, the materialized row
+            # count (and hence the output total) is known exactly.
+            rules.append((i, _BLOCKING, kids[0], -1, 0.0))
+        elif op == Op.STREAM_AGG:
+            if node.params.get("group_cols"):
+                # at most one accumulated group is still pending
+                rules.append((i, _GROUPS, kids[0], -1, 0.0))
+            else:
+                rules.append((i, _CONST, -1, -1, 1.0))
+        elif op == Op.TOP:
+            rules.append((i, _TOP, kids[0], -1, float(node.params["k"])))
+        elif op in (Op.HASH_JOIN, Op.MERGE_JOIN, Op.NESTED_LOOP_JOIN):
+            if node.params.get("join_kind", "inner") in ("semi", "anti"):
+                # Each probe row is emitted at most once, so the
+                # outer-side bound alone is sound — and much tighter
+                # than the inner-join product.
+                rules.append((i, _PASS, kids[0], -1, 0.0))
+            else:
+                # Inner: at most outer × inner matches.  LEFT OUTER is
+                # covered by the same product: k matched outer rows
+                # yield ≤ k·inner rows and the outer−k unmatched rows
+                # one padded row each, which totals ≤ outer·inner for
+                # inner ≥ 1, and exactly `outer` (the max(·,1) floor)
+                # once an empty inner side is proven.
+                rules.append((i, _PRODUCT, kids[0], kids[1], 0.0))
+        else:  # pragma: no cover - defensive
+            rules.append((i, _CONST, -1, -1, UNBOUNDED))
+    for node in plan_nodes:
+        if node.op is Op.NESTED_LOOP_JOIN:
+            outer_id = node.children[0].node_id
+            for inner in reversed(list(node.children[1].walk())):
+                i = inner.node_id
+                if inner.op is Op.INDEX_SEEK:
+                    rules.append((i, _PROBE, outer_id, -1,
+                                  max(nodes[i].table_rows, 1.0)))
+                else:  # residual FILTER above the seek
+                    rules.append((i, _PASS, inner.children[0].node_id,
+                                  -1, 0.0))
+    return tuple(rules)
 
 
 class ExecutionHandle:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.catalog.table import Table, _expand_ranges
+from repro.catalog.table import SortedMatcher, Table
 from repro.engine.chunk import Chunk
 from repro.plan.nodes import Op, PlanNode
 from repro.query.logical import NULL_FLOAT, NULL_INT
@@ -310,42 +310,6 @@ class BatchSortIterator(BatchIterator):
 # joins
 # ---------------------------------------------------------------------------
 
-class _SortedMatcher:
-    """Join matching against a sorted key column (shared by hash/merge/seek)."""
-
-    def __init__(self, keys: np.ndarray, presorted: bool = False):
-        if presorted:
-            self.order = None
-            self.sorted_keys = keys
-        else:
-            self.order = np.argsort(keys, kind="stable")
-            self.sorted_keys = keys[self.order]
-
-    def match_with_counts(
-            self, probe: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Like :meth:`match`, plus the per-probe-row partner counts."""
-        lo = np.searchsorted(self.sorted_keys, probe, side="left")
-        hi = np.searchsorted(self.sorted_keys, probe, side="right")
-        counts = hi - lo
-        pos = _expand_ranges(lo, counts)
-        if self.order is not None:
-            pos = self.order[pos]
-        probe_idx = np.repeat(np.arange(len(probe)), counts)
-        return pos, probe_idx, counts
-
-    def match(self, probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (positions-into-original, probe-row-indices) of all matches."""
-        pos, probe_idx, _ = self.match_with_counts(probe)
-        return pos, probe_idx
-
-    def counts(self, probe: np.ndarray) -> np.ndarray:
-        """Partner count per probe row (all a semi/anti join needs)."""
-        lo = np.searchsorted(self.sorted_keys, probe, side="left")
-        hi = np.searchsorted(self.sorted_keys, probe, side="right")
-        return hi - lo
-
-
 def _source_columns(node: PlanNode, ctx) -> dict[str, np.dtype]:
     """Column name -> dtype for the base tables feeding a plan subtree.
 
@@ -427,7 +391,7 @@ class HashJoinIterator(BatchIterator):
             self._pending_spill_read = spill.spilled_bytes
             self._pending_spill_rows = spill.spilled_rows
         if n_build:
-            self._matcher = _SortedMatcher(self._build.column(
+            self._matcher = SortedMatcher(self._build.column(
                 self.node.params["build_key"]))
         else:
             self._matcher = None
@@ -575,7 +539,7 @@ class MergeJoinIterator(BatchIterator):
             self.ctx.charge(self.node, rows=0, cpu_rows=len(outer_chunk))
             return Chunk.empty(outer_chunk.columns)
         inner_keys = self._buffer.column(self.node.params["inner_key"])
-        matcher = _SortedMatcher(inner_keys, presorted=True)
+        matcher = SortedMatcher(inner_keys, presorted=True)
         if self._kind == "left":
             pos, probe_idx, counts = matcher.match_with_counts(outer_keys)
             out = _left_outer_combine(outer_chunk, probe_idx,
@@ -626,10 +590,9 @@ class IndexSeekProbe(ProbeSide):
         self._locality_key = None
 
     def probe(self, keys: np.ndarray) -> tuple[Chunk, np.ndarray]:
-        positions, counts = self.index.lookup_many(keys)
+        positions, probe_idx, _ = self.index.match_with_counts(keys)
         chunk = Chunk({name: arr[positions]
                        for name, arr in self.table.data.items()})
-        probe_idx = np.repeat(np.arange(len(keys)), counts)
         # Sorted (batch-sorted) probe keys hit warm pages: distinct keys
         # dominate I/O, duplicates and near-duplicates are cache hits.
         sorted_probes = bool(len(keys)) and bool(np.all(np.diff(keys) >= 0))

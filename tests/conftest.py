@@ -9,7 +9,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.catalog.schema import Column, DatabaseSchema, TableSchema
 from repro.catalog.statistics import build_statistics
+from repro.catalog.table import Database, Table
 from repro.datagen.tpch import generate_tpch
 from repro.engine.executor import ExecutorConfig, QueryExecutor
 from repro.optimizer.planner import Planner
@@ -105,3 +107,28 @@ def rng_factory():
 @pytest.fixture()
 def rng(rng_factory):
     return rng_factory()
+
+
+@pytest.fixture(scope="module")
+def unit_db(rng_factory):
+    """Two small joinable tables with controlled contents: ``dim`` (40
+    rows, clustered on ``d_key``) and ``fact`` (1,200 rows, clustered on
+    ``f_key``, its sorted ``f_dim`` foreign key indexed)."""
+    rng = rng_factory(0)
+    n_dim, n_fact = 40, 1200
+    dim = Table(
+        TableSchema("dim", (Column("d_key"), Column("d_group"))),
+        {"d_key": np.arange(n_dim), "d_group": rng.integers(0, 5, n_dim)},
+        clustered_on="d_key")
+    fact_fk = np.sort(rng.integers(0, n_dim, n_fact))
+    fact = Table(
+        TableSchema("fact", (Column("f_key"), Column("f_dim"),
+                             Column("f_value", "float64"))),
+        {"f_key": np.arange(n_fact), "f_dim": fact_fk,
+         "f_value": rng.uniform(0, 100, n_fact)},
+        clustered_on="f_key")
+    fact.create_index("f_dim")
+    database = Database(schema=DatabaseSchema(name="unit"))
+    database.add(dim)
+    database.add(fact)
+    return database

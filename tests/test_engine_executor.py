@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.counters import UNBOUNDED
 from repro.engine.executor import ExecutorConfig, QueryExecutor
-from repro.plan.nodes import Op
+from repro.plan.nodes import Op, PlanNode
+from repro.query.logical import Aggregate
+from repro.query.predicates import FilterSpec
 
 
 class TestExecutorConfig:
@@ -131,3 +134,153 @@ class TestPipelineStartRow:
         for R, recorded in seen:
             assert np.array_equal(np.isfinite(recorded),
                                   ctx.pipe_first_row <= R), R
+
+
+# ---------------------------------------------------------------------------
+# the online bounds, held to a walk of the plan
+# ---------------------------------------------------------------------------
+
+def reference_bounds(ctx, seen: set) -> tuple[np.ndarray, np.ndarray]:
+    """[6]'s worst-case bounds by walking the plan node by node.
+
+    The executor lays each execution's rules out once and runs that table;
+    this is the per-node definition it must equal bit for bit.  ``seen``
+    collects the rule cases the walk took.
+    """
+    K = ctx.counters.K
+    done = ctx.counters.done
+    table_rows = np.array([n.table_rows for n in ctx.nodes])
+    nodes = list(ctx.plan.walk())
+    lb = K.copy()
+    ub = np.full(ctx.plan.n_nodes, UNBOUNDED)
+    for node in reversed(nodes):
+        i = node.node_id
+        if done[i]:
+            seen.add("finished")
+            ub[i] = K[i]
+            continue
+        op = node.op
+        seen.add(op.name)
+        if op in (Op.TABLE_SCAN, Op.INDEX_SCAN, Op.INDEX_SEEK):
+            ub[i] = table_rows[i]
+        elif op in (Op.FILTER, Op.BATCH_SORT):
+            ub[i] = ub[node.children[0].node_id]
+        elif op in (Op.SORT, Op.HASH_AGG):
+            c = node.children[0].node_id
+            seen.add(f"{op.name} child done={bool(done[c])}")
+            ub[i] = max(K[i], K[c]) if done[c] else ub[c]
+        elif op == Op.STREAM_AGG:
+            c = node.children[0].node_id
+            if node.params.get("group_cols"):
+                seen.add(f"grouped STREAM_AGG child done={bool(done[c])}")
+                ub[i] = K[i] + 1.0 if done[c] else ub[c]
+            else:
+                seen.add("scalar STREAM_AGG")
+                ub[i] = 1.0
+        elif op == Op.TOP:
+            ub[i] = min(float(node.params["k"]),
+                        ub[node.children[0].node_id])
+        elif op in (Op.HASH_JOIN, Op.MERGE_JOIN, Op.NESTED_LOOP_JOIN):
+            kind = node.params.get("join_kind", "inner")
+            seen.add(f"{kind} join")
+            outer = ub[node.children[0].node_id]
+            if kind in ("semi", "anti"):
+                ub[i] = outer
+            else:
+                inner = ub[node.children[1].node_id]
+                ub[i] = min(max(outer, 1.0) * max(inner, 1.0), UNBOUNDED)
+        else:
+            ub[i] = UNBOUNDED
+    for node in nodes:
+        if node.op is not Op.NESTED_LOOP_JOIN:
+            continue
+        outer_id = node.children[0].node_id
+        for inner in reversed(list(node.children[1].walk())):
+            i = inner.node_id
+            if done[i]:
+                continue
+            seen.add(f"probe-side {inner.op.name}")
+            if inner.op is Op.INDEX_SEEK:
+                ub[i] = min(max(ub[outer_id], 1.0)
+                            * max(table_rows[i], 1.0), UNBOUNDED)
+            else:
+                ub[i] = ub[inner.children[0].node_id]
+    np.minimum(ub, UNBOUNDED, out=ub)
+    np.maximum(ub, lb, out=ub)
+    return lb, ub
+
+
+def _scan(table):
+    return PlanNode(Op.INDEX_SCAN, table=table)
+
+
+def _low_dims():
+    return PlanNode(Op.FILTER, [PlanNode(Op.TABLE_SCAN, table="dim")],
+                    predicates=[FilterSpec("dim", "d_key", "<", 20)])
+
+
+def _bound_plans():
+    """(name, plan, memory budget): between them every bound rule, each
+    blocking operator before and after its input finishes, and spills."""
+    probe = PlanNode(Op.FILTER,
+                     [PlanNode(Op.INDEX_SEEK, table="fact", column="f_dim")],
+                     predicates=[FilterSpec("fact", "f_value", "<=", 60.0)])
+    outer = PlanNode(Op.BATCH_SORT, [_low_dims()], keys=["d_key"],
+                     initial_batch=4, growth=2.0)
+    nlj = PlanNode(Op.NESTED_LOOP_JOIN, [outer, probe], outer_key="d_key")
+    yield "top over a nested-loop probe chain", PlanNode(
+        Op.TOP, [PlanNode(Op.FILTER, [nlj], predicates=[
+            FilterSpec("fact", "f_value", ">=", 5.0)])], k=300), 1 << 22
+    left = PlanNode(Op.HASH_JOIN, [_scan("fact"), _low_dims()],
+                    probe_key="f_dim", build_key="d_key", join_kind="left")
+    yield "hash aggregate over a left join, spilling", PlanNode(
+        Op.HASH_AGG, [left], group_cols=["f_key"],
+        aggs=[Aggregate("count")]), 2048
+    semi = PlanNode(Op.HASH_JOIN, [_scan("fact"), _low_dims()],
+                    probe_key="f_dim", build_key="d_key", join_kind="semi")
+    yield "grouped stream aggregate over a sorted semi join", PlanNode(
+        Op.STREAM_AGG, [PlanNode(Op.SORT, [semi], keys=["f_key"])],
+        group_cols=["f_key"], aggs=[Aggregate("sum", "f_value")]), 1 << 22
+    anti = PlanNode(Op.HASH_JOIN, [_scan("fact"), _low_dims()],
+                    probe_key="f_dim", build_key="d_key", join_kind="anti")
+    yield "scalar aggregate over an anti join", PlanNode(
+        Op.STREAM_AGG, [anti], group_cols=[],
+        aggs=[Aggregate("count")]), 1 << 22
+    seek = PlanNode(Op.INDEX_SEEK, table="fact", column="f_dim",
+                    low=5, high=30)
+    yield "merge join over a range seek", PlanNode(
+        Op.MERGE_JOIN, [_scan("dim"), seek],
+        outer_key="d_key", inner_key="f_dim"), 1 << 22
+
+
+def test_bounds_equal_per_node_walk_at_every_observation(unit_db):
+    """At every observation of executions that cover every bound rule, the
+    logged ``LB``/``UB`` are the bits of the per-node walk of the plan.
+    A rule table out of bottom-up order reads a child's bound before it
+    is set and fails here."""
+    seen: set = set()
+    spilled = 0
+
+    def check(ctx):
+        lb, ub = reference_bounds(ctx, seen)
+        logged = ctx.log.as_arrays()
+        assert logged["LB"][-1].tobytes() == lb.tobytes()
+        assert logged["UB"][-1].tobytes() == ub.tobytes()
+
+    for name, plan, budget in _bound_plans():
+        config = ExecutorConfig(batch_size=64, seed=3,
+                                memory_budget_bytes=float(budget),
+                                target_observations=2000,
+                                max_observations=4000)
+        run = QueryExecutor(unit_db, config, on_observation=check).execute(
+            plan.finalize(), query_name=name)
+        spilled += run.spill_events
+    assert spilled > 0
+    assert seen >= {
+        "finished", "TABLE_SCAN", "INDEX_SCAN", "INDEX_SEEK", "FILTER",
+        "BATCH_SORT", "SORT child done=False", "SORT child done=True",
+        "HASH_AGG child done=False", "HASH_AGG child done=True",
+        "grouped STREAM_AGG child done=False",
+        "grouped STREAM_AGG child done=True", "scalar STREAM_AGG", "TOP",
+        "inner join", "left join", "semi join", "anti join",
+        "probe-side INDEX_SEEK", "probe-side FILTER"}, seen

@@ -7,36 +7,21 @@ counters, costs and spills are exercised too).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.catalog.schema import Column, DatabaseSchema, TableSchema
-from repro.catalog.table import Database, Table
+from repro.catalog.table import (
+    Database, SortedIndex, SortedMatcher, Table, _expand_ranges)
 from repro.engine.executor import ExecutorConfig, QueryExecutor
 from repro.plan.nodes import Op, PlanNode
-from repro.query.logical import NULL_INT, Aggregate
+from repro.query.logical import NULL_FLOAT, NULL_INT, Aggregate
 from repro.query.predicates import FilterSpec
 
 
 @pytest.fixture(scope="module")
-def db(rng_factory):
-    """Two small joinable tables with controlled contents."""
-    rng = rng_factory(0)
-    n_dim, n_fact = 40, 1200
-    dim = Table(
-        TableSchema("dim", (Column("d_key"), Column("d_group"))),
-        {"d_key": np.arange(n_dim), "d_group": rng.integers(0, 5, n_dim)},
-        clustered_on="d_key")
-    fact_fk = np.sort(rng.integers(0, n_dim, n_fact))
-    fact = Table(
-        TableSchema("fact", (Column("f_key"), Column("f_dim"),
-                             Column("f_value", "float64"))),
-        {"f_key": np.arange(n_fact), "f_dim": fact_fk,
-         "f_value": rng.uniform(0, 100, n_fact)},
-        clustered_on="f_key")
-    fact.create_index("f_dim")
-    database = Database(schema=DatabaseSchema(name="unit"))
-    database.add(dim)
-    database.add(fact)
-    return database
+def db(unit_db):
+    return unit_db
 
 
 def execute(db, plan, **config):
@@ -430,3 +415,90 @@ class TestAggregates:
         run = execute(db, plan)
         assert run.output_rows == 1
         assert run.output.column("count_star")[0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the sorted matcher: one search for unique keys, two otherwise
+# ---------------------------------------------------------------------------
+
+#: small pools so draws repeat keys and probes hit them; the float pool has
+#: both zeros, NaN and the NULL sentinel
+_INT_KEYS = st.sampled_from([-3, -1, 0, 1, 2, 5, 7, NULL_INT])
+_FLOAT_KEYS = st.sampled_from(
+    [-2.5, -0.0, 0.0, 1.0, 1.5, 7.0, np.nan, NULL_FLOAT])
+
+
+def _two_searches(matcher, probe):
+    """The matcher's definition: left and right insertion points."""
+    lo = np.searchsorted(matcher.sorted_keys, probe, side="left")
+    counts = np.searchsorted(matcher.sorted_keys, probe, side="right") - lo
+    pos = _expand_ranges(lo, counts)
+    if matcher.order is not None:
+        pos = matcher.order[pos]
+    return pos, np.repeat(np.arange(len(probe)), counts), counts
+
+
+def _strictly_increasing(sorted_keys) -> bool:
+    """Each key NaN-free and below the next (a NaN equals nothing)."""
+    values = sorted_keys.tolist()
+    return (len(values) > 0 and all(v == v for v in values)
+            and all(a < b for a, b in zip(values, values[1:])))
+
+
+class _CountingMatcher(SortedMatcher):
+    """Counts the searches that take the one-search path."""
+
+    fast = 0
+
+    def _unique_hits(self, probe):
+        self.fast += 1
+        return super()._unique_hits(probe)
+
+
+@st.composite
+def _match_case(draw):
+    keys_of = draw(st.sampled_from([(_INT_KEYS, np.int64),
+                                    (_FLOAT_KEYS, np.float64)]))
+    pool, dtype = keys_of
+    build = draw(st.lists(pool, max_size=12,
+                          unique_by=(lambda v: v) if draw(st.booleans())
+                          else None))
+    probe = draw(st.lists(pool, max_size=12))
+    return (np.array(build, dtype=dtype), np.array(probe, dtype=dtype),
+            draw(st.booleans()))
+
+
+@given(_match_case())
+@settings(max_examples=300, deadline=None)
+def test_one_search_matches_two_search_definition(case):
+    """Positions, probe indices and counts equal the two-search definition,
+    dtypes included, for both matcher forms (``presorted`` as merge joins
+    build it, unsorted as hash joins and index seeks do); the one-search
+    path runs exactly when the sorted keys are strictly increasing."""
+    build, probe, presorted = case
+    if presorted:
+        build = np.sort(build)
+    matcher = _CountingMatcher(build, presorted=presorted)
+    unique = _strictly_increasing(matcher.sorted_keys)
+    expected = _two_searches(matcher, probe)
+    got = matcher.match_with_counts(probe)
+    for name, e, g in zip(("pos", "probe_idx", "counts"), expected, got):
+        assert g.dtype == e.dtype, name
+        assert np.array_equal(g, e), name
+    counts = matcher.counts(probe)
+    assert counts.dtype == expected[2].dtype
+    assert np.array_equal(counts, expected[2])
+    assert matcher.unique == unique
+    assert matcher.fast == (2 if unique else 0)
+
+
+def test_index_seeks_share_the_matcher():
+    """An index answers seeks through its matcher: a unique key column
+    takes the one-search path, a duplicated one the two-search path."""
+    unique = SortedIndex("k", np.array([4, 1, 3, 0]))
+    positions, counts = unique.lookup_many(np.array([3, 2, 0, 9]))
+    assert unique.unique
+    assert positions.tolist() == [2, 3] and counts.tolist() == [1, 0, 1, 0]
+    duplicated = SortedIndex("k", np.array([4, 1, 4, 0]))
+    assert not duplicated.unique
+    assert duplicated.match_counts(np.array([4, 1])).tolist() == [2, 1]
