@@ -68,32 +68,43 @@ class SortedMatcher:
     def _unique_hits(self, probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Left insertion points, and which probes equal the key there."""
         sk = self.sorted_keys
-        lo = np.searchsorted(sk, probe, side="left")
+        lo = sk.searchsorted(probe, side="left")
         return lo, sk[np.minimum(lo, len(sk) - 1)] == probe
 
     def match_with_counts(
             self, probe: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Like :meth:`match`, plus the per-probe-row partner counts."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+        """Every match of each probe row: ``(pos, probe_idx, counts, identity)``.
+
+        ``pos`` are the partners' positions (into the original key order),
+        ``probe_idx`` the probe row of each match in probe order, and
+        ``counts`` each probe row's partner count.  ``identity`` says that
+        every probe row has exactly one partner — ``probe_idx`` is then
+        ``arange(len(probe))``, and a join can reuse the probe rows as they
+        are instead of gathering them.  It is decided exactly, from the
+        hits or counts (``hit.all()``; all ``counts == 1``), never from the
+        number of matches alone.
+        """
         if self.unique:
             lo, hit = self._unique_hits(probe)
-            probe_idx = np.flatnonzero(hit)
-            pos = lo[probe_idx]
+            identity = bool(hit.all())
+            if identity:  # every probe hit: the partners are at ``lo``
+                probe_idx = np.arange(len(probe), dtype=np.intp)
+                pos = lo
+            else:
+                probe_idx = np.flatnonzero(hit)
+                pos = lo[probe_idx]
             counts = hit.astype(np.intp)
         else:
             lo = np.searchsorted(self.sorted_keys, probe, side="left")
             counts = np.searchsorted(self.sorted_keys, probe,
                                      side="right") - lo
+            identity = bool(np.all(counts == 1))
             pos = _expand_ranges(lo, counts)
             probe_idx = np.repeat(np.arange(len(probe)), counts)
         if self.order is not None:
             pos = self.order[pos]
-        return pos, probe_idx, counts
-
-    def match(self, probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (positions-into-original, probe-row-indices) of all matches."""
-        pos, probe_idx, _ = self.match_with_counts(probe)
-        return pos, probe_idx
+        return pos, probe_idx, counts, identity
 
     def counts(self, probe: np.ndarray) -> np.ndarray:
         """Partner count per probe row (all a semi/anti join needs)."""
@@ -123,7 +134,7 @@ class SortedIndex(SortedMatcher):
         matches for ``keys[j]`` and ``positions`` concatenates the matching
         row positions in probe order.
         """
-        positions, _, counts = self.match_with_counts(keys)
+        positions, _, counts, _ = self.match_with_counts(keys)
         return positions, counts
 
     def lookup_range(self, low, high) -> np.ndarray:
@@ -171,6 +182,8 @@ class Table:
         if missing:
             raise ValueError(f"table {schema.name!r} missing columns {sorted(missing)}")
         self.schema = schema
+        #: logical bytes per row (every scan and seek charges reads by it)
+        self.row_width: int = schema.row_width
         self.data = {name: np.asarray(data[name]) for name in schema.column_names}
         self.n_rows = 0 if not data else len(next(iter(self.data.values())))
         self.clustered_on = clustered_on
@@ -179,10 +192,6 @@ class Table:
     @property
     def name(self) -> str:
         return self.schema.name
-
-    @property
-    def row_width(self) -> int:
-        return self.schema.row_width
 
     def column(self, name: str) -> np.ndarray:
         return self.data[name]

@@ -16,6 +16,7 @@ estimator genuinely useful on some queries and misleading on others.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,14 +72,39 @@ class CostModel:
         return self.cpu_per_row[Op.SORT] * rows * self.sort_log_factor * log_n
 
 
+#: standard normals a :class:`SimClock` draws from its generator at a time
+NORMAL_BLOCK = 256
+
+
 class SimClock:
-    """Simulated time plus the stochastic load process."""
+    """Simulated time plus the stochastic load process.
+
+    Every noise and load factor is a lognormal draw ``exp(0.0 + sigma *
+    z)`` from a standard normal ``z`` — the formula of the generator's own
+    ``lognormal(0.0, sigma)``.  The clock draws the normals in blocks of
+    :data:`NORMAL_BLOCK` and applies the formula with ``math.exp``, which
+    gives the same bits as one ``rng.lognormal`` call per factor: a
+    block of standard normals is the same stream as that many single
+    draws.  Only the generator's state after a partly used block differs,
+    so the clock must be the generator's only consumer.
+    """
 
     def __init__(self, cost_model: CostModel, rng: np.random.Generator):
         self.cost = cost_model
         self.rng = rng
         self.now = 0.0
         self._load = 1.0
+        self._normals: list[float] = []
+        self._next = 0
+
+    def _normal(self) -> float:
+        """The next standard normal of the generator's stream."""
+        i = self._next
+        if i == len(self._normals):
+            self._normals = self.rng.standard_normal(NORMAL_BLOCK).tolist()
+            i = 0
+        self._next = i + 1
+        return self._normals[i]
 
     def advance(self, seconds: float) -> float:
         """Advance time by ``seconds`` perturbed by noise/load; returns dt."""
@@ -86,12 +112,13 @@ class SimClock:
             raise ValueError("cannot advance the clock backwards")
         if seconds == 0:
             return 0.0
-        dt = seconds * self.cost.time_scale
-        if self.cost.noise_sigma > 0:
-            dt *= self.rng.lognormal(0.0, self.cost.noise_sigma)
-        if self.cost.load_sigma > 0:
-            rho = self.cost.load_rho
-            target = self.rng.lognormal(0.0, self.cost.load_sigma)
+        cost = self.cost
+        dt = seconds * cost.time_scale
+        if cost.noise_sigma > 0:
+            dt *= math.exp(0.0 + cost.noise_sigma * self._normal())
+        if cost.load_sigma > 0:
+            rho = cost.load_rho
+            target = math.exp(0.0 + cost.load_sigma * self._normal())
             self._load = rho * self._load + (1.0 - rho) * target
             dt *= self._load
         self.now += dt

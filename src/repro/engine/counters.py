@@ -21,21 +21,27 @@ _MATRICES = ("K", "R", "W", "LB", "UB", "D")
 
 
 class CounterStore:
-    """Live per-node counters for one query execution."""
+    """Live per-node counters for one query execution.
+
+    ``K``/``R``/``W`` are Python lists of floats and ``done`` a list of
+    bools, indexed by node id.  The executor updates one node per charge,
+    and on a Python float that is the same IEEE double operation as on a
+    float64 array element, minus the NumPy scalar round trip.  They become
+    arrays only where they are read as such: each :meth:`ObservationLog.
+    snapshot` copies them into its float64/bool rows, and the final ``N``
+    is ``np.array(K)`` — the same bits either way.
+    """
 
     def __init__(self, n_nodes: int):
         self.n_nodes = n_nodes
-        self.K = np.zeros(n_nodes)
-        self.R = np.zeros(n_nodes)
-        self.W = np.zeros(n_nodes)
-        self.done = np.zeros(n_nodes, dtype=bool)
-        self.first_activity = np.full(n_nodes, np.nan)
-        self.last_activity = np.full(n_nodes, np.nan)
+        self.K = [0.0] * n_nodes
+        self.R = [0.0] * n_nodes
+        self.W = [0.0] * n_nodes
+        self.done = [False] * n_nodes
 
-    def record_activity(self, node_id: int, now: float) -> None:
-        if np.isnan(self.first_activity[node_id]):
-            self.first_activity[node_id] = now
-        self.last_activity[node_id] = now
+    def finish(self) -> None:
+        """Mark every node done (the query has produced its last row)."""
+        self.done[:] = [True] * self.n_nodes
 
 
 class ObservationLog:

@@ -23,7 +23,7 @@ import numpy as np
 from repro.catalog.table import Database
 from repro.engine.clock import CostModel, SimClock
 from repro.engine.counters import CounterStore, ObservationLog, UNBOUNDED
-from repro.engine.iterators import build_iterator
+from repro.engine.iterators import build_iterator, emitted_columns
 from repro.engine.memory import MemoryManager
 from repro.engine.run import NodeInfo, PipelineInfo, PlanStatic, QueryRun
 from repro.plan.nodes import Op, PlanNode
@@ -74,7 +74,9 @@ class ExecContext:
         #: pipeline started (the log length when ``pipe_first`` was set);
         #: int64 max while it has not started
         self.pipe_first_row = np.full(n_pipes, np.iinfo(np.int64).max)
-        self.pipe_last = np.full(n_pipes, np.nan)
+        #: the hot per-charge pipeline state, as Python bools and floats
+        self._pipe_started = [False] * n_pipes
+        self.pipe_last = [np.nan] * n_pipes
         self._nodes = list(plan.walk())
         parent = {child.node_id: node.node_id
                   for node in self._nodes for child in node.children}
@@ -101,6 +103,8 @@ class ExecContext:
         #: here: live executions share no record)
         self.plan_static = PlanStatic(self.nodes, self.pipelines)
         self._bound_rules = _plan_bound_rules(self._nodes, self.nodes)
+        #: the columns each source emits (what some operator above reads)
+        self.emitted_columns = emitted_columns(plan, db)
         self._tick = self._initial_tick()
         self._next_obs = 0.0
 
@@ -120,22 +124,29 @@ class ExecContext:
         overrides the row count used for CPU costing (e.g. a filter pays for
         input rows but produces fewer).  ``pid`` attributes the work to a
         pipeline other than the node's own (used by blocking builds).
+
+        The counters and the pipeline-started flags are Python floats and
+        bools (see :class:`~repro.engine.counters.CounterStore`): the same
+        float operations in the same order as on float64 arrays, without a
+        NumPy scalar round trip per charge.
         """
         i = node.node_id
+        cost = self.cost
         cpu_basis = rows if cpu_rows is None else cpu_rows
-        seconds = (self.cost.cpu_seconds(node.op, cpu_basis)
-                   + r_bytes * self.cost.seconds_per_byte_read
-                   + w_bytes * self.cost.seconds_per_byte_written
+        seconds = (cost.cpu_seconds(node.op, cpu_basis)
+                   + r_bytes * cost.seconds_per_byte_read
+                   + w_bytes * cost.seconds_per_byte_written
                    + extra_seconds)
         self.clock.advance(seconds)
+        counters = self.counters
         if count and rows:
-            self.counters.K[i] += rows
-        self.counters.R[i] += r_bytes
-        self.counters.W[i] += w_bytes
+            counters.K[i] += rows
+        counters.R[i] += r_bytes
+        counters.W[i] += w_bytes
         now = self.clock.now
-        self.counters.record_activity(i, now)
         p = self.node_pid[i] if pid is None else pid
-        if np.isnan(self.pipe_first[p]):
+        if not self._pipe_started[p]:
+            self._pipe_started[p] = True
             self.pipe_first[p] = now
             self.pipe_first_row[p] = len(self.log)
         self.pipe_last[p] = now
@@ -193,9 +204,8 @@ class ExecContext:
         table lists them, so the bounds are the same bits a walk of the
         plan gives.
         """
-        K = self.counters.K
-        k = K.tolist()
-        done = self.counters.done.tolist()
+        k = self.counters.K
+        done = self.counters.done
         ub = [UNBOUNDED] * len(k)
         for i, rule, a, b, c in self._bound_rules:
             if done[i]:
@@ -214,10 +224,11 @@ class ExecContext:
                 ub[i] = k[i] + 1.0 if done[a] else ub[a]
             else:  # _TOP
                 ub[i] = min(c, ub[a])
+        lb = np.array(k)
         ub = np.array(ub)
         np.minimum(ub, UNBOUNDED, out=ub)
-        np.maximum(ub, K, out=ub)
-        return K.copy(), ub
+        np.maximum(ub, lb, out=ub)
+        return lb, ub
 
 
 #: bound rules: what an unfinished node's ``ub[i]`` is computed from
@@ -350,7 +361,7 @@ class ExecutionHandle:
             if self._collected is not None and len(chunk):
                 self._collected.append(chunk)
             return True
-        self.ctx.counters.done[:] = True
+        self.ctx.counters.finish()
         self.ctx.maybe_observe(force=True)  # final snapshot
         run = self._executor._assemble(self.ctx, self.query_name,
                                        self._output_rows)
@@ -415,7 +426,7 @@ class QueryExecutor:
             W=arrays["W"],
             LB=arrays["LB"],
             UB=arrays["UB"],
-            N=ctx.counters.K.copy(),
+            N=np.array(ctx.counters.K),
             total_time=float(ctx.clock.now),
             output_rows=output_rows,
             spill_events=ctx.memory.spill_events,

@@ -16,6 +16,10 @@ Conventions that matter to progress estimation:
   node: once when written, once when re-read (§3.1, counter (1)).
 * The inner side of a nested-loop join implements a ``probe`` interface
   instead of free-running iteration; its nodes still count GetNext calls.
+* Sources emit only the columns some operator above them reads
+  (:func:`emitted_columns`); byte charges come from schema row widths and
+  plan estimates, never from the columns a chunk carries, so pruning moves
+  no counter.
 """
 
 from __future__ import annotations
@@ -61,19 +65,28 @@ class BatchIterator:
 # sources
 # ---------------------------------------------------------------------------
 
+def _emitted_arrays(node: PlanNode, table: Table,
+                    ctx) -> list[tuple[str, np.ndarray]]:
+    """``(name, table column)`` of every column source ``node`` emits."""
+    return [(name, table.data[name])
+            for name in ctx.emitted_columns[node.node_id]]
+
+
 class TableScanIterator(BatchIterator):
     """Sequential scan of a base table (heap or clustered order)."""
 
     def open(self) -> None:
         self.table: Table = self.ctx.db.table(self.node.params["table"])
+        self._columns = _emitted_arrays(self.node, self.table, self.ctx)
         self._pos = 0
 
     def _next(self) -> Chunk | None:
-        if self._pos >= self.table.n_rows:
+        start = self._pos
+        if start >= self.table.n_rows:
             return None
-        stop = min(self._pos + self.ctx.batch_size, self.table.n_rows)
-        chunk = Chunk({name: arr[self._pos:stop]
-                       for name, arr in self.table.data.items()})
+        stop = min(start + self.ctx.batch_size, self.table.n_rows)
+        chunk = Chunk({name: arr[start:stop] for name, arr in self._columns},
+                      stop - start)
         self._pos = stop
         self.ctx.charge(self.node, rows=len(chunk),
                         r_bytes=len(chunk) * self.table.row_width)
@@ -92,6 +105,7 @@ class IndexSeekSourceIterator(BatchIterator):
 
     def open(self) -> None:
         self.table = self.ctx.db.table(self.node.params["table"])
+        self._columns = _emitted_arrays(self.node, self.table, self.ctx)
         index = self.table.seek_index(self.node.params["column"])
         low, high = self.node.params["low"], self.node.params["high"]
         self._positions = index.lookup_range(low, high)
@@ -104,7 +118,8 @@ class IndexSeekSourceIterator(BatchIterator):
             return None
         stop = min(self._pos + self.ctx.batch_size, len(self._positions))
         take = self._positions[self._pos:stop]
-        chunk = Chunk({name: arr[take] for name, arr in self.table.data.items()})
+        chunk = Chunk({name: arr[take] for name, arr in self._columns},
+                      len(take))
         self._pos = stop
         r_bytes = len(chunk) * self.table.row_width
         penalty_seconds = (r_bytes * (self.ctx.cost.seek_read_penalty - 1.0)
@@ -311,17 +326,20 @@ class BatchSortIterator(BatchIterator):
 # ---------------------------------------------------------------------------
 
 def _source_columns(node: PlanNode, ctx) -> dict[str, np.dtype]:
-    """Column name -> dtype for the base tables feeding a plan subtree.
+    """Column name -> dtype of what the sources of a plan subtree emit.
 
     Used to NULL-pad a join's non-preserved side when it materialized to
-    zero rows (``Chunk.concat([])`` cannot preserve column names).
+    zero rows (``Chunk.concat([])`` cannot preserve column names).  The
+    layout is the sources' pruned one (:func:`emitted_columns`), so padded
+    rows carry exactly the columns matched rows do.
     """
     out: dict[str, np.dtype] = {}
     for sub in node.walk():
         table = sub.params.get("table")
         if table is not None:
-            for name, arr in ctx.db.table(table).data.items():
-                out.setdefault(name, arr.dtype)
+            data = ctx.db.table(table).data
+            for name in ctx.emitted_columns[sub.node_id]:
+                out.setdefault(name, data[name].dtype)
     return out
 
 
@@ -336,11 +354,20 @@ def _null_chunk(n: int, columns: dict[str, np.dtype]) -> Chunk:
     return Chunk(data)
 
 
+def _matched_probe_rows(probe_chunk: Chunk, probe_idx: np.ndarray,
+                        identity: bool) -> Chunk:
+    """The probe row of every match: the probe chunk itself when the
+    matcher says each probe row has exactly one partner, else a gather."""
+    return probe_chunk if identity else probe_chunk.take(probe_idx)
+
+
 def _left_outer_combine(probe_chunk: Chunk, probe_idx: np.ndarray,
-                        matched_rows: Chunk, counts: np.ndarray,
+                        identity: bool, matched_rows: Chunk,
+                        counts: np.ndarray,
                         pad_columns: dict[str, np.dtype]) -> Chunk:
     """Matched pairs plus NULL-padded unmatched probe rows, in probe order."""
-    matched = probe_chunk.take(probe_idx).merge(matched_rows)
+    matched = _matched_probe_rows(probe_chunk, probe_idx, identity).merge(
+        matched_rows)
     unmatched = np.flatnonzero(counts == 0)
     if len(unmatched) == 0:
         return matched
@@ -440,15 +467,16 @@ class HashJoinIterator(BatchIterator):
                             cpu_rows=len(chunk) + len(out))
             return out
         probe_keys = chunk.column(self.node.params["probe_key"])
-        if kind == "inner":
-            pos, probe_idx = self._matcher.match(probe_keys)
-            out = chunk.take(probe_idx).merge(self._build.take(pos))
-        elif kind == "left":
-            pos, probe_idx, counts = self._matcher.match_with_counts(
-                probe_keys)
-            out = _left_outer_combine(chunk, probe_idx,
-                                      self._build.take(pos), counts,
-                                      self._pad_columns())
+        if kind in ("inner", "left"):
+            pos, probe_idx, counts, identity = \
+                self._matcher.match_with_counts(probe_keys)
+            if kind == "inner":
+                out = _matched_probe_rows(chunk, probe_idx, identity).merge(
+                    self._build.take(pos))
+            else:
+                out = _left_outer_combine(chunk, probe_idx, identity,
+                                          self._build.take(pos), counts,
+                                          self._pad_columns())
         else:  # semi / anti: emit each probe row at most once, probe cols only
             counts = self._matcher.counts(probe_keys)
             mask = counts > 0 if kind == "semi" else counts == 0
@@ -539,15 +567,15 @@ class MergeJoinIterator(BatchIterator):
             self.ctx.charge(self.node, rows=0, cpu_rows=len(outer_chunk))
             return Chunk.empty(outer_chunk.columns)
         inner_keys = self._buffer.column(self.node.params["inner_key"])
-        matcher = SortedMatcher(inner_keys, presorted=True)
+        pos, probe_idx, counts, identity = SortedMatcher(
+            inner_keys, presorted=True).match_with_counts(outer_keys)
         if self._kind == "left":
-            pos, probe_idx, counts = matcher.match_with_counts(outer_keys)
-            out = _left_outer_combine(outer_chunk, probe_idx,
+            out = _left_outer_combine(outer_chunk, probe_idx, identity,
                                       self._buffer.take(pos), counts,
                                       self._pad_columns())
         else:
-            pos, probe_idx = matcher.match(outer_keys)
-            out = outer_chunk.take(probe_idx).merge(self._buffer.take(pos))
+            out = _matched_probe_rows(outer_chunk, probe_idx, identity).merge(
+                self._buffer.take(pos))
         # Trim buffered inner rows that can no longer match (keys strictly
         # below the largest outer key seen; ties kept for the next chunk).
         keep = inner_keys >= outer_keys[-1]
@@ -572,8 +600,9 @@ class ProbeSide:
     def open(self) -> None:
         raise NotImplementedError
 
-    def probe(self, keys: np.ndarray) -> tuple[Chunk, np.ndarray]:
-        """Rows matching each probe key, plus their probe-row indices."""
+    def probe(self, keys: np.ndarray) -> tuple[Chunk, np.ndarray, bool]:
+        """Rows matching each probe key, their probe-row indices, and
+        whether those indices are exactly ``arange(len(keys))``."""
         raise NotImplementedError
 
 
@@ -587,12 +616,12 @@ class IndexSeekProbe(ProbeSide):
     def open(self) -> None:
         self.table = self.ctx.db.table(self.node.params["table"])
         self.index = self.table.seek_index(self.node.params["column"])
-        self._locality_key = None
+        self._columns = _emitted_arrays(self.node, self.table, self.ctx)
 
-    def probe(self, keys: np.ndarray) -> tuple[Chunk, np.ndarray]:
-        positions, probe_idx, _ = self.index.match_with_counts(keys)
-        chunk = Chunk({name: arr[positions]
-                       for name, arr in self.table.data.items()})
+    def probe(self, keys: np.ndarray) -> tuple[Chunk, np.ndarray, bool]:
+        positions, probe_idx, _, identity = self.index.match_with_counts(keys)
+        chunk = Chunk({name: arr[positions] for name, arr in self._columns},
+                      len(positions))
         # Sorted (batch-sorted) probe keys hit warm pages: distinct keys
         # dominate I/O, duplicates and near-duplicates are cache hits.
         sorted_probes = bool(len(keys)) and bool(np.all(np.diff(keys) >= 0))
@@ -605,7 +634,7 @@ class IndexSeekProbe(ProbeSide):
             self.node, rows=len(chunk), r_bytes=r_bytes,
             extra_seconds=(self.ctx.cost.seek_probe_seconds * len(keys)
                            + penalty_seconds))
-        return chunk, probe_idx
+        return chunk, probe_idx, identity
 
 
 class FilterProbe(ProbeSide):
@@ -620,15 +649,16 @@ class FilterProbe(ProbeSide):
         self.child.open()
         self.predicates = self.node.params["predicates"]
 
-    def probe(self, keys: np.ndarray) -> tuple[Chunk, np.ndarray]:
-        chunk, probe_idx = self.child.probe(keys)
+    def probe(self, keys: np.ndarray) -> tuple[Chunk, np.ndarray, bool]:
+        chunk, probe_idx, identity = self.child.probe(keys)
         if len(chunk) == 0:
             self.ctx.charge(self.node, rows=0)
-            return chunk, probe_idx
+            return chunk, probe_idx, identity
         mask = evaluate_all(self.predicates, chunk.data)
         out = chunk.select(mask)
         self.ctx.charge(self.node, rows=len(out), cpu_rows=len(chunk))
-        return out, probe_idx[mask]
+        # a kept subset of an identity stays one only if nothing was dropped
+        return out, probe_idx[mask], identity and len(out) == len(chunk)
 
 
 class NestedLoopJoinIterator(BatchIterator):
@@ -651,8 +681,9 @@ class NestedLoopJoinIterator(BatchIterator):
         if len(outer_chunk) == 0:
             return outer_chunk
         keys = outer_chunk.column(self.node.params["outer_key"])
-        inner_chunk, probe_idx = self.probe_side.probe(keys)
-        out = outer_chunk.take(probe_idx).merge(inner_chunk)
+        inner_chunk, probe_idx, identity = self.probe_side.probe(keys)
+        out = _matched_probe_rows(outer_chunk, probe_idx, identity).merge(
+            inner_chunk)
         self.ctx.charge(self.node, rows=len(out),
                         cpu_rows=len(outer_chunk) + len(out))
         return out
@@ -839,6 +870,65 @@ class StreamAggIterator(BatchIterator):
 # ---------------------------------------------------------------------------
 # iterator construction
 # ---------------------------------------------------------------------------
+
+def _plus(need: set[str] | None, columns) -> set[str] | None:
+    """``need`` plus ``columns``; ``None`` (every column) stays ``None``."""
+    return None if need is None else need.union(columns)
+
+
+def emitted_columns(plan: PlanNode, db) -> dict[int, tuple[str, ...]]:
+    """The columns each source of ``plan`` emits, by node id, in table order.
+
+    One top-down pass per execution.  Each node hands its children the
+    columns its own output must carry plus those it reads: filter
+    predicates, sort keys, join keys.  The root's output carries every
+    column (``None``), since a query without an aggregate returns whole
+    rows.  An aggregate's output does not depend on any input column it
+    does not read, so below one only its group columns and aggregated
+    columns are needed (``count`` reads none, so ``count(*)`` over a bare
+    scan gets chunks with rows and no column).  A semi or anti join emits
+    probe rows only, so its build side needs just its key.  Scans, range
+    seeks and nested-loop index seeks keep the needed columns of their
+    table; every other operator passes its input's columns on, so each
+    operator's output carries only columns that it or an operator above
+    it reads.
+    """
+    out: dict[int, tuple[str, ...]] = {}
+    stack: list[tuple[PlanNode, set[str] | None]] = [(plan, None)]
+    while stack:
+        node, need = stack.pop()
+        op, params, kids = node.op, node.params, node.children
+        if op in (Op.TABLE_SCAN, Op.INDEX_SCAN, Op.INDEX_SEEK):
+            names = db.table(params["table"]).data
+            out[node.node_id] = tuple(
+                name for name in names if need is None or name in need)
+        elif op in (Op.HASH_AGG, Op.STREAM_AGG):
+            stack.append((kids[0], {*params["group_cols"], *(
+                agg.column for agg in params["aggs"] if agg.func != "count")}))
+        elif op is Op.FILTER:
+            stack.append((kids[0], _plus(
+                need, [spec.column for spec in params["predicates"]])))
+        elif op in (Op.SORT, Op.BATCH_SORT):
+            stack.append((kids[0], _plus(need, params["keys"])))
+        elif op is Op.TOP:
+            stack.append((kids[0], need))
+        elif op is Op.HASH_JOIN:
+            build_key = params["build_key"]
+            stack.append((kids[0], _plus(need, [params["probe_key"]])))
+            stack.append((kids[1], {build_key} if params.get(
+                "join_kind", "inner") in ("semi", "anti")
+                else _plus(need, [build_key])))
+        elif op is Op.MERGE_JOIN:
+            stack.append((kids[0], _plus(need, [params["outer_key"]])))
+            stack.append((kids[1], _plus(need, [params["inner_key"]])))
+        elif op is Op.NESTED_LOOP_JOIN:
+            # the inner seek matches through its index, not a chunk column
+            stack.append((kids[0], _plus(need, [params["outer_key"]])))
+            stack.append((kids[1], need))
+        else:
+            raise ValueError(f"no iterator for operator {op}")
+    return out
+
 
 def build_probe_side(node: PlanNode, ctx) -> ProbeSide:
     if node.op == Op.INDEX_SEEK:

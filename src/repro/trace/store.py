@@ -105,23 +105,33 @@ def write_trace(path: str | Path, runs: list[QueryRun],
     # trace is first rotated onto a process-private graveyard name, so
     # concurrent writers only ever rmtree directories they themselves
     # created (deleting `path` directly would race another writer's
-    # rename and can fail half-way, leaving a corrupt trace visible).
-    for attempt in range(8):
-        try:
-            os.replace(tmp, path)
-            return path
-        except OSError:
-            pass  # path exists and is non-empty: rotate it aside
-        graveyard = path.parent / f".{path.name}.old-{os.getpid()}-{attempt}"
-        try:
-            os.rename(path, graveyard)
-        except OSError:
-            continue  # another writer rotated it first; retry the replace
-        shutil.rmtree(graveyard, ignore_errors=True)
-    # contended beyond reason: a concurrent writer's copy is in place and
-    # equivalent by construction of the content key — keep theirs
-    shutil.rmtree(tmp, ignore_errors=True)
-    return path
+    # rename and can fail half-way, leaving a corrupt trace visible).  The
+    # fresh copy goes in place right after the rotation, and graveyards
+    # are deleted only once the replace has succeeded or been given up,
+    # so a reader never waits on an rmtree: the key is missing only
+    # between two renames.
+    graveyards = []
+    try:
+        for attempt in range(8):
+            try:
+                os.replace(tmp, path)
+                return path
+            except OSError:
+                pass  # path exists and is non-empty: rotate it aside
+            graveyard = (path.parent
+                         / f".{path.name}.old-{os.getpid()}-{attempt}")
+            try:
+                os.rename(path, graveyard)
+            except OSError:
+                continue  # another writer rotated it first; retry
+            graveyards.append(graveyard)
+        # contended beyond reason: a concurrent writer's copy is in place
+        # and equivalent by construction of the content key — keep theirs
+        shutil.rmtree(tmp, ignore_errors=True)
+        return path
+    finally:
+        for graveyard in graveyards:
+            shutil.rmtree(graveyard, ignore_errors=True)
 
 
 def read_manifest(path: str | Path) -> dict[str, Any]:

@@ -90,3 +90,22 @@ class TestChunk:
 
     def test_repr(self):
         assert "2 rows" in repr(make(2))
+
+
+class TestRowsWithoutColumns:
+    """A source nothing reads a column of (``count(*)``) emits rows and no
+    column, so every operation states the row count it produces."""
+
+    def test_constructor_takes_the_row_count(self):
+        assert len(Chunk({}, 7)) == 7
+        assert Chunk({}, 7).columns == []
+
+    def test_operations_carry_the_row_count(self):
+        rows = Chunk({}, 5)
+        assert len(rows.select(np.array([True, False, True, True, False]))) == 3
+        assert len(rows.take(np.array([4, 4, 0, 1]))) == 4
+        assert len(rows.slice(1, 3)) == 2
+        assert len(rows.slice(3, 99)) == 2
+        assert len(rows.merge(Chunk({}, 5))) == 5
+        assert len(Chunk.concat([rows, Chunk({}, 0), Chunk({}, 2)])) == 7
+

@@ -1,8 +1,9 @@
 """Unit tests for the simulated clock, cost model and memory manager."""
 
+import numpy as np
 import pytest
 
-from repro.engine.clock import CostModel, SimClock
+from repro.engine.clock import NORMAL_BLOCK, CostModel, SimClock
 from repro.engine.memory import MemoryManager
 from repro.plan.nodes import Op
 
@@ -64,6 +65,45 @@ class TestSimClock:
         clock = SimClock(quiet_cost(load_sigma=0.5), rng_factory(3))
         for _ in range(500):
             assert clock.advance(0.01) > 0
+
+
+def scalar_clock_times(cost, rng, seconds):
+    """The clock's definition: one ``rng.lognormal`` call per factor."""
+    now, load, times = 0.0, 1.0, []
+    for s in seconds:
+        if s != 0:
+            dt = s * cost.time_scale
+            if cost.noise_sigma > 0:
+                dt *= rng.lognormal(0.0, cost.noise_sigma)
+            if cost.load_sigma > 0:
+                rho = cost.load_rho
+                target = rng.lognormal(0.0, cost.load_sigma)
+                load = rho * load + (1.0 - rho) * target
+                dt *= load
+            now += dt
+        times.append(now)
+    return times
+
+
+@pytest.mark.parametrize("cost", [
+    CostModel(), CostModel(noise_sigma=0.0), CostModel(load_sigma=0.0)],
+    ids=["default", "no-noise", "no-load"])
+def test_block_draws_equal_scalar_lognormal(cost, rng_factory):
+    """Over 12,000 charges — zero-second ones draw nothing — the clock's
+    ``now`` is the bits of one scalar ``rng.lognormal`` draw per factor,
+    across many block boundaries."""
+    seconds = rng_factory(99).exponential(1e-3, 12_000)
+    seconds[::7] = 0.0
+    clock = SimClock(cost, rng_factory(5))
+    times = []
+    for s in seconds.tolist():
+        clock.advance(s)
+        times.append(clock.now)
+    expected = scalar_clock_times(cost, rng_factory(5), seconds.tolist())
+    assert np.array(times).tobytes() == np.array(expected).tobytes()
+    draws = np.count_nonzero(seconds) * (
+        (cost.noise_sigma > 0) + (cost.load_sigma > 0))
+    assert draws > 10 * NORMAL_BLOCK
 
 
 class TestMemoryManager:

@@ -14,17 +14,14 @@ from repro.engine.counters import (
 class TestCounterStore:
     def test_initial_state(self):
         store = CounterStore(3)
-        assert store.K.tolist() == [0, 0, 0]
-        assert not store.done.any()
-        assert np.isnan(store.first_activity).all()
+        assert store.K == [0, 0, 0]
+        assert not any(store.done)
 
-    def test_record_activity_first_and_last(self):
-        store = CounterStore(2)
-        store.record_activity(0, 1.0)
-        store.record_activity(0, 5.0)
-        assert store.first_activity[0] == 1.0
-        assert store.last_activity[0] == 5.0
-        assert np.isnan(store.first_activity[1])
+    def test_finish_marks_every_node_done(self):
+        store = CounterStore(3)
+        store.done[1] = True
+        store.finish()
+        assert store.done == [True, True, True]
 
 
 class TestObservationLog:
@@ -79,15 +76,15 @@ class TestColumnarStorage:
     @staticmethod
     def _fill(log, store, t):
         n = store.n_nodes
-        store.K[:] = t + np.arange(n)
-        store.R[:] = 2.0 * t
-        store.W[:] = 0.5 * t
+        store.K[:] = (t + np.arange(n, dtype=float)).tolist()
+        store.R[:] = [2.0 * t] * n
+        store.W[:] = [0.5 * t] * n
         store.done[t % n] = True
-        lb = store.K.copy()
+        lb = np.array(store.K)
         log.snapshot(0.25 * t, store, lb, lb + 1.0)
-        return {"times": 0.25 * t, "K": store.K.copy(),
-                "R": store.R.copy(), "W": store.W.copy(), "LB": lb,
-                "UB": lb + 1.0, "D": store.done.copy()}
+        return {"times": 0.25 * t, "K": np.array(store.K),
+                "R": np.array(store.R), "W": np.array(store.W), "LB": lb,
+                "UB": lb + 1.0, "D": np.array(store.done)}
 
     def test_rows_survive_two_doublings(self):
         n = 3

@@ -147,7 +147,7 @@ def reference_bounds(ctx, seen: set) -> tuple[np.ndarray, np.ndarray]:
     this is the per-node definition it must equal bit for bit.  ``seen``
     collects the rule cases the walk took.
     """
-    K = ctx.counters.K
+    K = np.array(ctx.counters.K)
     done = ctx.counters.done
     table_rows = np.array([n.table_rows for n in ctx.nodes])
     nodes = list(ctx.plan.walk())

@@ -7,13 +7,16 @@ counters, costs and spills are exercised too).
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.schema import Column, DatabaseSchema, TableSchema
 from repro.catalog.table import (
     Database, SortedIndex, SortedMatcher, Table, _expand_ranges)
+from repro.engine import executor as executor_module
 from repro.engine.executor import ExecutorConfig, QueryExecutor
+from repro.engine.iterators import (
+    BatchIterator, FilterProbe, IndexSeekProbe, emitted_columns)
 from repro.plan.nodes import Op, PlanNode
 from repro.query.logical import NULL_FLOAT, NULL_INT, Aggregate
 from repro.query.predicates import FilterSpec
@@ -502,3 +505,239 @@ def test_index_seeks_share_the_matcher():
     duplicated = SortedIndex("k", np.array([4, 1, 4, 0]))
     assert not duplicated.unique
     assert duplicated.match_counts(np.array([4, 1])).tolist() == [2, 1]
+
+
+@st.composite
+def _identity_case(draw):
+    """A :func:`_match_case` whose probe side often draws only build keys,
+    so every probe row may have exactly one partner (or, with duplicated
+    build keys, not)."""
+    build, probe, presorted = draw(_match_case())
+    if len(build) and draw(st.booleans()):
+        picks = draw(st.lists(st.integers(0, len(build) - 1), max_size=12))
+        probe = build[np.array(picks, dtype=np.intp)]
+    return build, probe, presorted
+
+
+@given(_identity_case())
+@example((np.array([3, 1, 2]), np.array([1, 2, 3]), False))  # one search
+@example((np.array([1, 1, 2]), np.array([2, 2]), True))  # two searches
+@example((np.array([1, 1, 2]), np.array([1, 2]), True))  # a count of 2
+@example((np.array([1, 1, 2]), np.array([1, 3]), False))  # n matches, not 1:1
+@example((np.array([1.0, np.nan]), np.array([np.nan]), True))  # NaN misses
+@example((np.array([5]), np.array([], dtype=np.int64), False))  # no probes
+@example((np.array([], dtype=np.int64), np.array([5]), False))  # no keys
+@settings(max_examples=300, deadline=None)
+def test_identity_signal_is_exact(case):
+    """``identity`` is set exactly when ``probe_idx`` is
+    ``arange(len(probe))``, on both search paths, and the matches it comes
+    with are still the two-search definition's."""
+    build, probe, presorted = case
+    if presorted:
+        build = np.sort(build)
+    matcher = SortedMatcher(build, presorted=presorted)
+    pos, probe_idx, counts, identity = matcher.match_with_counts(probe)
+    assert type(identity) is bool
+    assert identity == np.array_equal(probe_idx, np.arange(len(probe)))
+    for name, e, g in zip(("pos", "probe_idx", "counts"),
+                          _two_searches(matcher, probe),
+                          (pos, probe_idx, counts)):
+        assert g.dtype == e.dtype, name
+        assert np.array_equal(g, e), name
+
+
+# ---------------------------------------------------------------------------
+# column pruning: sources emit only what some operator above them reads
+# ---------------------------------------------------------------------------
+
+_SOURCES = (Op.TABLE_SCAN, Op.INDEX_SCAN, Op.INDEX_SEEK)
+
+
+def _every_column(plan, db):
+    """The unpruned layout: every source emits its whole table."""
+    return {node.node_id: tuple(db.table(node.params["table"]).data)
+            for node in plan.walk() if node.op in _SOURCES}
+
+
+@pytest.fixture()
+def layouts(monkeypatch):
+    """Node id -> the set of column layouts its output chunks carried."""
+    seen: dict[int, set[tuple[str, ...]]] = {}
+
+    def record(node, chunk):
+        seen.setdefault(node.node_id, set()).add(tuple(sorted(chunk.columns)))
+
+    next_chunk = BatchIterator.next_chunk
+
+    def recording_next_chunk(self):
+        chunk = next_chunk(self)
+        if chunk is not None:
+            record(self.node, chunk)
+        return chunk
+
+    monkeypatch.setattr(BatchIterator, "next_chunk", recording_next_chunk)
+    for cls in (IndexSeekProbe, FilterProbe):
+        def recording_probe(self, keys, _probe=cls.probe):
+            out = _probe(self, keys)
+            record(self.node, out[0])
+            return out
+
+        monkeypatch.setattr(cls, "probe", recording_probe)
+    return seen
+
+
+def _same_recording(db, plan, monkeypatch, seen):
+    """Execute ``plan`` unpruned, then pruned; every logged array, ``N``
+    and the output must be the same bits.  Returns the pruned run, whose
+    layouts alone are left in ``seen``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(executor_module, "emitted_columns", _every_column)
+        reference = execute(db, plan)
+    seen.clear()
+    run = execute(db, plan)
+    for name in ("times", "K", "R", "W", "LB", "UB", "D", "N"):
+        got, want = getattr(run, name), getattr(reference, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), \
+            name
+    assert run.total_time == reference.total_time
+    assert run.output_rows == reference.output_rows
+    for name in run.output.columns:
+        assert np.array_equal(run.output.column(name),
+                              reference.output.column(name)), name
+    return run
+
+
+def _assert_layouts(seen, expected):
+    """Each node in ``expected`` emitted exactly that column set."""
+    for node, columns in expected.items():
+        assert seen[node.node_id] == {tuple(sorted(columns))}, node.op
+
+
+class TestColumnPruning:
+    def test_aggregate_plans_carry_only_columns_read_above(
+            self, db, layouts, monkeypatch):
+        # hash aggregate over an inner hash join over a filtered scan
+        fact = scan("fact")
+        filt = PlanNode(Op.FILTER, [fact], predicates=[
+            FilterSpec("fact", "f_value", "<", 50.0)])
+        dim = scan("dim")
+        join = PlanNode(Op.HASH_JOIN, [filt, dim],
+                        probe_key="f_dim", build_key="d_key")
+        agg = PlanNode(Op.HASH_AGG, [join], group_cols=["d_group"],
+                       aggs=[Aggregate("sum", "f_value"), Aggregate("count")])
+        _same_recording(db, agg, monkeypatch, layouts)
+        _assert_layouts(layouts, {
+            fact: {"f_dim", "f_value"}, filt: {"f_dim", "f_value"},
+            dim: {"d_key", "d_group"},
+            join: {"f_dim", "f_value", "d_key", "d_group"},
+            agg: {"d_group", "sum_f_value", "count_star"}})
+        # scalar aggregate over an index nested-loop join: the seek matches
+        # through its index, so its key column is not emitted
+        dims = scan("dim")
+        low = PlanNode(Op.FILTER, [dims], predicates=[
+            FilterSpec("dim", "d_key", "<", 20)])
+        outer = PlanNode(Op.BATCH_SORT, [low], keys=["d_key"],
+                         initial_batch=4, growth=2.0)
+        seek = PlanNode(Op.INDEX_SEEK, table="fact", column="f_dim")
+        inner = PlanNode(Op.FILTER, [seek], predicates=[
+            FilterSpec("fact", "f_key", "<", 600)])
+        nlj = PlanNode(Op.NESTED_LOOP_JOIN, [outer, inner], outer_key="d_key")
+        scalar = PlanNode(Op.STREAM_AGG, [nlj], group_cols=[],
+                          aggs=[Aggregate("sum", "f_value")])
+        _same_recording(db, scalar, monkeypatch, layouts)
+        _assert_layouts(layouts, {
+            dims: {"d_key"}, low: {"d_key"}, outer: {"d_key"},
+            seek: {"f_key", "f_value"}, inner: {"f_key", "f_value"},
+            nlj: {"d_key", "f_key", "f_value"}, scalar: {"sum_f_value"}})
+        # a semi join emits probe rows only: its build side needs its key
+        probe, build = scan("fact"), scan("dim")
+        semi = PlanNode(Op.HASH_JOIN, [probe, build], probe_key="f_dim",
+                        build_key="d_key", join_kind="semi")
+        grouped = PlanNode(Op.HASH_AGG, [semi], group_cols=["f_dim"],
+                           aggs=[Aggregate("count")])
+        _same_recording(db, grouped, monkeypatch, layouts)
+        _assert_layouts(layouts, {probe: {"f_dim"}, build: {"d_key"},
+                                  semi: {"f_dim"}})
+        # a sort below an aggregate keeps its keys, read by nothing else
+        fact = scan("fact")
+        sort = PlanNode(Op.SORT, [fact], keys=["f_dim", "f_key"])
+        stream = PlanNode(Op.STREAM_AGG, [sort], group_cols=["f_dim"],
+                          aggs=[Aggregate("max", "f_value")])
+        _same_recording(db, stream, monkeypatch, layouts)
+        _assert_layouts(layouts, {fact: {"f_dim", "f_key", "f_value"},
+                                  sort: {"f_dim", "f_key", "f_value"},
+                                  stream: {"f_dim", "max_f_value"}})
+
+    def test_select_star_root_keeps_every_column(self, db, layouts,
+                                                 monkeypatch):
+        fact, dim = scan("fact"), scan("dim")
+        join = PlanNode(Op.HASH_JOIN, [fact, dim],
+                        probe_key="f_dim", build_key="d_key")
+        root = PlanNode(Op.TOP, [PlanNode(
+            Op.SORT, [PlanNode(Op.FILTER, [join], predicates=[
+                FilterSpec("dim", "d_group", "<=", 2)])],
+            keys=["f_value"])], k=500)
+        run = _same_recording(db, root, monkeypatch, layouts)
+        every = {"f_key", "f_dim", "f_value", "d_key", "d_group"}
+        assert set(run.output.columns) == every
+        assert run.output_rows == 500
+        _assert_layouts(layouts, {fact: {"f_key", "f_dim", "f_value"},
+                                  dim: {"d_key", "d_group"}, root: every})
+        # a semi join's hidden build side needs only its key, even here
+        fact, dim = scan("fact"), scan("dim")
+        semi = PlanNode(Op.HASH_JOIN, [fact, dim], probe_key="f_dim",
+                        build_key="d_key", join_kind="semi")
+        run = _same_recording(db, semi, monkeypatch, layouts)
+        assert set(run.output.columns) == {"f_key", "f_dim", "f_value"}
+        _assert_layouts(layouts, {fact: {"f_key", "f_dim", "f_value"},
+                                  dim: {"d_key"}})
+
+    def test_count_star_over_an_unread_table(self, db, layouts, monkeypatch):
+        fact = scan("fact")
+        plan = PlanNode(Op.STREAM_AGG, [fact], group_cols=[],
+                        aggs=[Aggregate("count")])
+        run = _same_recording(db, plan, monkeypatch, layouts)
+        assert emitted_columns(plan, db) == {fact.node_id: ()}
+        assert layouts[fact.node_id] == {()}  # rows but no column
+        assert run.output.column("count_star").tolist() == [1200.0]
+        assert run.N[fact.node_id] == 1200.0
+
+    @pytest.mark.parametrize("op", [Op.HASH_JOIN, Op.MERGE_JOIN])
+    def test_left_outer_empty_inner_pads_the_pruned_layout(
+            self, db, layouts, monkeypatch, op):
+        fact, dim = scan("fact"), scan("dim")
+        empty = PlanNode(Op.FILTER, [dim], predicates=[
+            FilterSpec("dim", "d_key", "<", 0)])
+        if op is Op.HASH_JOIN:
+            join = PlanNode(op, [fact, empty], probe_key="f_dim",
+                            build_key="d_key", join_kind="left")
+        else:
+            join = PlanNode(op, [fact, empty], outer_key="f_key",
+                            inner_key="d_key", join_kind="left")
+        plan = PlanNode(Op.HASH_AGG, [join], group_cols=["d_key"],
+                        aggs=[Aggregate("count")])
+        run = _same_recording(db, plan, monkeypatch, layouts)
+        probe_key = "f_dim" if op is Op.HASH_JOIN else "f_key"
+        # every batch: the probe key plus the inner side's pruned layout,
+        # without the unread d_group
+        _assert_layouts(layouts, {fact: {probe_key},
+                                  join: {probe_key, "d_key"}})
+        assert run.output.column("d_key").tolist() == [NULL_INT]
+        assert run.output.column("count_star").tolist() == [1200.0]
+
+    def test_top_and_order_by_over_an_aggregate(self, db, layouts,
+                                                monkeypatch):
+        fact = scan("fact")
+        agg = PlanNode(Op.HASH_AGG, [fact], group_cols=["f_dim"],
+                       aggs=[Aggregate("sum", "f_value")])
+        plan = PlanNode(Op.TOP, [PlanNode(Op.SORT, [agg],
+                                          keys=["sum_f_value"])], k=3)
+        run = _same_recording(db, plan, monkeypatch, layouts)
+        _assert_layouts(layouts, {fact: {"f_dim", "f_value"}})
+        table = db.table("fact")
+        keys, values = table.column("f_dim"), table.column("f_value")
+        groups = np.unique(keys)
+        sums = np.array([values[keys == g].sum() for g in groups])
+        lowest = np.argsort(sums, kind="stable")[:3]
+        assert run.output.column("f_dim").tolist() == groups[lowest].tolist()
+        assert np.allclose(run.output.column("sum_f_value"), sums[lowest])
