@@ -22,8 +22,8 @@ pins a different subsystem against a different source of truth:
    :class:`~repro.service.service.ProgressService` (time-sliced, batched
    selector scoring) must reproduce each solo report stream bit-identically;
    the sharded variant partitions them across a
-   :class:`~repro.service.sharded.ShardedProgressService` (report batches
-   round-tripped through the wire codec) and makes the same demand.
+   :class:`~repro.service.sharded.ShardedProgressService` (runs and report
+   batches cross the shard frames' codec) and makes the same demand.
 6. **Network parity** — serving the same runs through the asyncio front
    end (:class:`~repro.service.net.ProgressServer`) and subscribing over
    real sockets must deliver every session's stream *byte*-identically to
@@ -388,8 +388,8 @@ def check_sharded_parity(runs: list[QueryRun],
     """Layer 5, sharded: partitioned serving must match solo monitoring.
 
     Runs the same submissions through a :class:`ShardedProgressService`
-    (inline shards, but every report batch still round-trips through the
-    wire codec) and requires each session's stream to be bit-identical to
+    (inline shards, speaking the worker processes' frames and codec) and
+    requires each session's stream to be bit-identical to
     its solo stream — under an arbitrary shard count, slice size and
     per-shard admission bound.
     """

@@ -177,8 +177,8 @@ class ProgressServer:
         self._tenants: dict[str, list[int]] = {}
         #: rows/completions captured during one tick() call; applied to the
         #: records (and subscriber events) on the event loop afterwards, so
-        #: a process-mode tick may run in a worker thread without touching
-        #: asyncio primitives off-loop
+        #: the tick runs in a worker thread without touching asyncio
+        #: primitives off-loop
         self._staged: list = []
         self._staged_done: list[int] = []
         self._work = asyncio.Event()
@@ -297,18 +297,15 @@ class ProgressServer:
     async def _drive(self) -> None:
         """Drive the fleet while work exists; park on ``_work`` when idle.
 
-        Process-mode rounds block on pipe IPC, so they run in a worker
-        thread; inline rounds run directly on the loop.  Either way the
-        staged rows are applied on-loop and a zero sleep lets handlers
-        and stream tasks run between rounds.
+        Every round blocks on its shards, inline or in worker processes,
+        so it runs in a worker thread; its staged rows are applied on-loop
+        and a zero sleep lets handlers and stream tasks run between
+        rounds.
         """
         service = self._service
         while True:
             if service.active:
-                if service.processes:
-                    await asyncio.to_thread(service.tick)
-                else:
-                    service.tick()
+                await asyncio.to_thread(service.tick)
                 self._apply_staged()
                 await asyncio.sleep(0)
             elif self._draining:

@@ -12,9 +12,10 @@ Design rules, all inherited from :mod:`repro.runtime`:
 * **Deterministic placement** — a session's shard is its global
   submission index mod the shard count; never scheduling or load.  The
   same submissions land on the same shards in every run.
-* **Trace-codec transport** — recorded runs reach their shard through
-  :func:`~repro.runtime.transport.runs_to_payload` and finished report
-  rows come back through
+* **One protocol, trace-codec transport** — in both modes
+  :meth:`ShardWorker.handle` serves every frame.  Recorded runs reach
+  their shard through :func:`~repro.runtime.transport.runs_to_payload`
+  and finished report rows come back through
   :func:`~repro.runtime.transport.reports_to_payload`; engine objects are
   never pickled across the boundary.  Commands and reports are *batched*:
   one submit frame carries a whole wave of runs, one tick frame drives a
@@ -42,10 +43,10 @@ reports ship (``release_session``), so shard memory tracks *live*
 sessions; ``keep_reports=False`` additionally drops the supervisor-side
 buffers for soak-style runs where only the stats matter.
 
-**Shard loss**: a worker process that dies (its pipe closes) or reports
-a failure surfaces from :meth:`~ShardedProgressService.tick` as
-:class:`ShardLost` carrying the shard id; the fleet does not recover the
-shard's sessions.
+**Shard loss**: a shard that raises (it replies ``error``, then closes)
+or whose worker process dies surfaces from
+:meth:`~ShardedProgressService.tick` as :class:`ShardLost` carrying the
+shard id, in either mode; the fleet does not recover its sessions.
 
 Streaming consumers observe the fleet through the ``on_report(sid, report)``
 and ``on_complete(sid)`` supervisor hooks — ``on_complete`` fires after
@@ -56,6 +57,7 @@ bit-identical streams (see ``docs/api.md``).
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from collections import deque
@@ -75,9 +77,11 @@ from repro.runtime.transport import (
 )
 from repro.service.service import ProgressService, ServiceStats
 
+_log = logging.getLogger(__name__)
+
 
 class ShardLost(RuntimeError):
-    """A shard worker process died or failed; ``shard_id`` names it."""
+    """A shard failed or its worker process died; ``shard_id`` names it."""
 
     def __init__(self, shard_id: int, reason: str):
         super().__init__(f"shard {shard_id} lost: {reason}")
@@ -115,24 +119,16 @@ class ShardStats:
     tick_seconds: list[float] = field(default_factory=list)
 
     def to_wire(self) -> dict:
-        """JSON-safe snapshot (``tick_seconds`` ships as deltas)."""
-        return {
-            "shard_id": self.shard_id,
-            "service": vars(self.service).copy(),
-            "bytes_live": self.bytes_live,
-            "bytes_peak": self.bytes_peak,
-            "deferred": self.deferred,
-            "deferrals": self.deferrals,
-        }
+        """JSON-safe snapshot (a shard ships ``tick_seconds`` as deltas)."""
+        return dict(vars(self), service=vars(self.service).copy())
 
-    def absorb(self, wire: dict, new_tick_seconds: list[float]) -> None:
-        """Overwrite from a worker's :meth:`to_wire` snapshot."""
-        self.service = ServiceStats(**wire["service"])
-        self.bytes_live = wire["bytes_live"]
-        self.bytes_peak = wire["bytes_peak"]
-        self.deferred = wire["deferred"]
-        self.deferrals = wire["deferrals"]
-        self.tick_seconds.extend(new_tick_seconds)
+    def absorb(self, wire: dict) -> None:
+        """Overwrite from a shard's :meth:`to_wire` snapshot, appending
+        its new tick durations."""
+        ticks = self.tick_seconds
+        vars(self).update(wire, service=ServiceStats(**wire["service"]),
+                          tick_seconds=ticks)
+        ticks.extend(wire["tick_seconds"])
 
 
 @dataclass
@@ -180,10 +176,11 @@ class ShardWorker:
     """One shard: a :class:`ProgressService` plus budgeted
     admission and per-tick report capture.
 
-    The same object backs both deployment modes — inline in the
-    supervisor's process (``processes=False``, the serial path) and
-    inside a worker process driven by :func:`shard_worker_main` — so the
-    sharded service has one shard implementation and one behaviour.
+    :meth:`handle` serves the supervisor's frames behind an
+    :class:`InlineShardConnection` in both deployment modes — in the
+    supervisor's process, or in a worker process that relays its pipe
+    (:func:`shard_worker_main`) — so the sharded service has one shard
+    implementation, one protocol and one behaviour.
     """
 
     def __init__(self, shard_id: int, monitor: ProgressMonitor,
@@ -266,63 +263,92 @@ class ShardWorker:
         self._admit_waiting()
         if self.service.active:
             self.service.tick()
-        self.stats.deferred = len(self._waiting)
         self.stats.tick_seconds.append(time.perf_counter() - started)
         return self.active
 
-    def take_emitted(self) -> list[tuple[int, ProgressReport]]:
-        emitted, self._emitted = self._emitted, []
-        return emitted
+    def handle(self, frame: tuple) -> tuple | None:
+        """Serve one supervisor frame; the reply to send back, if any.
 
-    def take_completed(self) -> list[int]:
-        """Global sids of sessions finished since the last call."""
-        completed, self._completed = self._completed, []
-        return completed
+        Frames are small and picklable; bulk traffic is trace-codec bytes.
+        ``("submit", runs_payload, [(global_sid, query_name), ...])``
+        enqueues a wave of runs (no reply); ``("tick",)`` runs one round
+        and replies ``("reports", more, reports_payload, stats_wire,
+        completed_sids)``; ``("stop",)`` replies ``("bye",)``.
+        """
+        cmd = frame[0]
+        if cmd == "submit":
+            runs = runs_from_payload(frame[1])
+            for (global_sid, query_name), run in zip(frame[2], runs,
+                                                     strict=True):
+                self.enqueue(global_sid, run, query_name)
+            return None
+        if cmd == "tick":
+            more = self.tick()
+            wire = self.stats.to_wire()
+            self.stats.tick_seconds = []  # shipped; keeps this list short
+            emitted, self._emitted = self._emitted, []
+            completed, self._completed = self._completed, []
+            return ("reports", more, reports_to_payload(emitted), wire,
+                    completed)
+        if cmd == "stop":
+            return ("bye",)
+        raise ValueError(f"unknown shard command {cmd!r}")
+
+
+class InlineShardConnection:
+    """A shard served in this process behind a pipe's interface: the
+    supervisor's inline shards are these, and a worker process relays its
+    pipe into one (:func:`shard_worker_main`).  ``send`` serves the frame
+    through :meth:`ShardWorker.handle` and queues the reply for ``recv``.
+    The connection closes after ``bye``; a frame that raises logs its
+    traceback and replies ``error`` before closing, so a failed shard
+    surfaces as :class:`ShardLost`.
+    """
+
+    def __init__(self, worker: ShardWorker):
+        self.worker: ShardWorker | None = worker  # None once closed
+        self._replies: deque[tuple] = deque()
+
+    def send(self, frame: tuple) -> None:
+        if self.worker is None:
+            raise BrokenPipeError("shard connection is closed")
+        try:
+            reply = self.worker.handle(frame)
+        except Exception as exc:
+            _log.exception("shard %d failed", self.worker.stats.shard_id)
+            reply = ("error", f"{type(exc).__name__}: {exc}")
+        if reply is not None:
+            self._replies.append(reply)
+            if reply[0] in ("bye", "error"):
+                self.worker = None
+
+    def recv(self) -> tuple:
+        if not self._replies:
+            raise EOFError("shard connection is closed")
+        return self._replies.popleft()
+
+    def poll(self) -> bool:
+        return bool(self._replies)
+
+    def close(self) -> None:
+        self.worker = None
 
 
 def shard_worker_main(conn, shard_id: int, make_monitor,
                       options: dict) -> None:
-    """Worker-process entry: serve one shard over a duplex connection.
-
-    Commands are small picklable frames; all bulk traffic (runs in,
-    report rows out) is trace-codec bytes.  The loop exits on ``stop`` —
-    the last leg of the drain protocol — or when the supervisor dies and
-    the pipe breaks.
-    """
-    try:
-        worker = ShardWorker(shard_id, make_monitor(), **options)
-        while True:
-            frame = conn.recv()
-            cmd = frame[0]
-            if cmd == "submit":
-                runs = runs_from_payload(frame[1])
-                for (global_sid, query_name), run in zip(frame[2], runs,
-                                                         strict=True):
-                    worker.enqueue(global_sid, run, query_name)
-            elif cmd == "tick":
-                more = worker.tick()
-                # ship the new durations and drop them: the supervisor
-                # keeps its copy, so the worker's list stays short
-                ticks, worker.stats.tick_seconds = worker.stats.tick_seconds, []
-                conn.send(("reports", more,
-                           reports_to_payload(worker.take_emitted()),
-                           worker.stats.to_wire(), ticks,
-                           worker.take_completed()))
-            elif cmd == "stop":
-                conn.send(("bye",))
-                return
-            else:
-                raise ValueError(f"unknown shard command {cmd!r}")
-    except EOFError:  # supervisor went away; nothing left to serve
-        pass
-    except Exception as exc:  # ship the failure instead of hanging the fleet
+    """Worker-process entry: relay the supervisor's pipe to one shard's
+    :class:`InlineShardConnection` until it closes (after ``bye`` or a
+    failure) or the supervisor dies and the pipe breaks."""
+    shard = InlineShardConnection(
+        ShardWorker(shard_id, make_monitor(), **options))
+    with conn:
         try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except OSError:
+            while shard.worker is not None:
+                shard.send(conn.recv())
+                if shard.poll():
+                    conn.send(shard.recv())
+        except (EOFError, OSError):  # the supervisor went away
             pass
-        raise
-    finally:
-        conn.close()
 
 
 class ShardedProgressService:
@@ -349,11 +375,10 @@ class ShardedProgressService:
         :class:`MemoryBudgetExceeded` at submit time.
     processes:
         Run shards in worker processes (the scaling deployment).
-        ``False`` runs the identical shard code inline — serial semantics
-        with zero IPC, mirroring the runtime pool's ``jobs <= 1``
-        contract.  Inline report batches still round-trip through the
-        wire codec, so parity checks exercise the exact bytes a process
-        deployment would ship.
+        ``False`` serves each shard in this process through an
+        :class:`InlineShardConnection` — serial semantics, mirroring the
+        runtime pool's ``jobs <= 1`` contract — over the same protocol:
+        the same frames and codec bytes, stats and :class:`ShardLost`.
     on_report:
         ``on_report(global_sid, report)``, fired in merged order (global
         submission order within each lockstep round).
@@ -397,7 +422,7 @@ class ShardedProgressService:
         self._n_submitted = 0
         #: per-shard buffered submissions awaiting the next tick's frame;
         #: ``_outbox_lock`` guards the append against the swap, since a
-        #: process-mode tick may run in another thread than the submitter
+        #: tick may run in another thread than the submitter
         self._outbox: list[list[tuple[int, QueryRun, str | None]]] = [
             [] for _ in range(n_shards)]
         self._outbox_lock = threading.Lock()
@@ -408,6 +433,9 @@ class ShardedProgressService:
         options = dict(slice_steps=slice_steps, max_live=max_live,
                        memory_budget_bytes=memory_budget_bytes)
         make_monitor = monitor if callable(monitor) else None
+        #: per shard, a pipe to its worker process or an inline connection
+        self._conns: list = []
+        self._workers: list = []  # the worker processes (none inline)
         if processes:
             if make_monitor is None:
                 raise ValueError(
@@ -415,8 +443,6 @@ class ShardedProgressService:
                     "a ProgressMonitor instance — each worker builds its "
                     "own monitor so models never cross the pipe as state")
             ctx = _mp_context()
-            self._conns = []
-            self._workers = []
             for shard_id in range(n_shards):
                 parent, child = ctx.Pipe(duplex=True)
                 proc = ctx.Process(
@@ -427,15 +453,10 @@ class ShardedProgressService:
                 child.close()
                 self._conns.append(parent)
                 self._workers.append(proc)
-            self._shards = None
         else:
-            self._conns = self._workers = None
-            self._shards = [
-                ShardWorker(i, make_monitor() if make_monitor else monitor,
-                            **options)
+            self._conns = [InlineShardConnection(ShardWorker(
+                i, make_monitor() if make_monitor else monitor, **options))
                 for i in range(n_shards)]
-            for shard_id, shard in enumerate(self._shards):
-                self.stats.shards[shard_id] = shard.stats
 
     # -- submission ----------------------------------------------------------
 
@@ -445,8 +466,11 @@ class ShardedProgressService:
 
         Oversized runs (``run.nbytes`` beyond the per-shard budget) are
         rejected here, synchronously; everything else is buffered and
-        ships to its shard in one batched frame on the next tick.
+        ships to its shard in one batched frame on the next tick.  A
+        closed service refuses every submission.
         """
+        if self._closed:
+            raise RuntimeError("service is closed")
         budget = self.memory_budget_bytes
         if budget is not None and run.nbytes > budget:
             raise MemoryBudgetExceeded(
@@ -464,8 +488,7 @@ class ShardedProgressService:
 
     @property
     def active(self) -> bool:
-        return (any(self._shard_active)
-                or any(self._outbox[i] for i in range(self.n_shards)))
+        return any(self._shard_active) or any(self._outbox)
 
     @property
     def sessions_submitted(self) -> int:
@@ -485,30 +508,17 @@ class ShardedProgressService:
             raise RuntimeError("service is closed")
         started = time.perf_counter()
         self._flush_outboxes()
+        polled = [i for i in range(self.n_shards) if self._shard_active[i]]
+        for i in polled:  # all sends first: process shards tick concurrently
+            self._send(i, ("tick",))
+        batches = []
         completed: list[int] = []
-        if self.processes:
-            polled = [i for i in range(self.n_shards) if self._shard_active[i]]
-            for i in polled:  # all sends first: shards tick concurrently
-                self._send(i, ("tick",))
-            batches = []
-            for i in polled:
-                reply = self._recv(i)
-                self._shard_active[i] = reply[1]
-                batches.append(reports_from_payload(reply[2]))
-                self.stats.shards[i].absorb(reply[3], reply[4])
-                completed.extend(reply[5])
-        else:
-            batches = []
-            for i in range(self.n_shards):
-                if not self._shard_active[i]:
-                    continue
-                shard = self._shards[i]
-                self._shard_active[i] = shard.tick()
-                # inline batches still cross the wire codec (bit-exact),
-                # so parity tests cover the exact process-mode bytes
-                batches.append(reports_from_payload(
-                    reports_to_payload(shard.take_emitted())))
-                completed.extend(shard.take_completed())
+        for i in polled:
+            _, more, payload, stats, done = self._recv(i)
+            self._shard_active[i] = more
+            batches.append(reports_from_payload(payload))
+            self.stats.shards[i].absorb(stats)
+            completed.extend(done)
         self._merge(batches, completed)
         self.stats.round_seconds.append(time.perf_counter() - started)
         return self.active
@@ -549,27 +559,26 @@ class ShardedProgressService:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Stop the shard workers (no-op inline, idempotent)."""
+        """Stop every shard and join any worker processes (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        if self.processes:
-            for conn in self._conns:
-                try:
-                    conn.send(("stop",))
-                except OSError:
-                    continue
-            for conn in self._conns:
-                try:
-                    while conn.recv()[0] != "bye":
-                        pass  # the reply to a tick abandoned by ShardLost
-                except (EOFError, OSError):
-                    pass
-                conn.close()
-            for proc in self._workers:
-                proc.join(timeout=30)
-                if proc.is_alive():  # pragma: no cover - drain-stuck guard
-                    proc.terminate()
+        for conn in self._conns:
+            try:
+                conn.send(("stop",))
+            except OSError:
+                continue
+        for conn in self._conns:
+            try:
+                while conn.recv()[0] != "bye":
+                    pass  # the reply to a tick abandoned by ShardLost
+            except (EOFError, OSError):
+                pass
+            conn.close()
+        for proc in self._workers:
+            proc.join(timeout=30)
+            if proc.is_alive():  # pragma: no cover - drain-stuck guard
+                proc.terminate()
 
     def __enter__(self) -> "ShardedProgressService":
         return self
@@ -580,8 +589,6 @@ class ShardedProgressService:
     @property
     def worker_pids(self) -> list[int]:
         """Shard worker process ids (empty inline) — for RSS sampling."""
-        if not self.processes:
-            return []
         return [proc.pid for proc in self._workers]
 
     # -- internals -----------------------------------------------------------
@@ -594,13 +601,9 @@ class ShardedProgressService:
             if not batch:
                 continue
             self._shard_active[shard_id] = True
-            if self.processes:
-                payload = runs_to_payload([run for _, run, _ in batch])
-                metas = [(sid, name) for sid, _, name in batch]
-                self._send(shard_id, ("submit", payload, metas))
-            else:
-                for sid, run, name in batch:
-                    self._shards[shard_id].enqueue(sid, run, name)
+            payload = runs_to_payload([run for _, run, _ in batch])
+            metas = [(sid, name) for sid, _, name in batch]
+            self._send(shard_id, ("submit", payload, metas))
 
     def _send(self, shard_id: int, frame: tuple) -> None:
         try:
@@ -616,7 +619,7 @@ class ShardedProgressService:
             raise ShardLost(shard_id, f"worker connection closed "
                             f"({type(exc).__name__})") from exc
         if reply[0] == "error":
-            raise ShardLost(shard_id, f"worker failed: {reply[1]}")
+            raise ShardLost(shard_id, f"shard failed: {reply[1]}")
         return reply
 
     def _merge(self, batches: list[list[tuple[int, ProgressReport]]],

@@ -447,8 +447,8 @@ class TestShardedChurn:
         service.run_until_complete(max_ticks=100_000)
         completed = service.stats.service.sessions_completed
         assert completed == len(replay_runs)
-        for shard in service._shards:
-            inner = shard.service
+        for conn in service._conns:
+            inner = conn.worker.service
             for session in inner.sessions:
                 assert session.done and session.released
                 inner._retire(session)       # second retirement: no-op

@@ -32,6 +32,25 @@ def _monitor():
     return ProgressMonitor(refresh_every=2)
 
 
+#: pipelines from this id up make :class:`_FailingMonitor` raise
+_FAIL_PID = 3
+
+
+class _FailingMonitor(ProgressMonitor):
+    """Raises when asked to select for pipeline ``_FAIL_PID`` or later:
+    a shard serving a run with that many pipelines fails mid-drain."""
+
+    def selection_needs(self, pid, state, fractions):
+        if pid >= _FAIL_PID:
+            raise RuntimeError("injected shard failure")
+        return super().selection_needs(pid, state, fractions)
+
+
+def _failing_monitor():
+    """Module-level factory, so worker processes build the same monitor."""
+    return _FailingMonitor(refresh_every=2)
+
+
 @pytest.fixture(scope="module")
 def golden_runs():
     runs, _ = read_trace(GOLDEN_DIR / "fuzz")
@@ -130,6 +149,11 @@ class TestInlineParity:
         service.close()  # idempotent
         with pytest.raises(RuntimeError, match="closed"):
             service.tick()
+        with pytest.raises(RuntimeError, match="closed"):
+            service.submit_replay(golden_runs[0])
+        assert service.sessions_submitted == 0
+        assert service.sessions_inflight == 0
+        assert not service.active
 
 
 class TestMemoryBudget:
@@ -140,24 +164,35 @@ class TestMemoryBudget:
             service.submit_replay(golden_runs[0])
         service.close()
 
+    @pytest.mark.parametrize("processes", [False, True])
     def test_deferred_admissions_retry_after_retirement(self, golden_runs,
-                                                        solo_results):
+                                                        solo_results,
+                                                        processes):
         # budget fits exactly one of the biggest runs: later submissions
         # must wait in FIFO and admit as earlier sessions retire — with
         # streams (and merge order) unchanged
         budget = max(run.nbytes for run in golden_runs)
-        service = ShardedProgressService(_monitor(), n_shards=1,
-                                         slice_steps=4,
-                                         memory_budget_bytes=budget)
-        sids = [service.submit_replay(run) for run in golden_runs]
-        results = service.run_until_complete(max_ticks=100_000)
-        service.close()
+        with ShardedProgressService(_monitor, n_shards=1, slice_steps=4,
+                                    memory_budget_bytes=budget,
+                                    processes=processes) as service:
+            sids = [service.submit_replay(run) for run in golden_runs]
+            results = service.run_until_complete(max_ticks=100_000)
         stats = service.stats.shards[0]
         assert stats.deferrals > 0, "the budget never actually deferred"
         assert stats.bytes_peak <= budget
         assert stats.bytes_live == 0, "drained fleet still charges bytes"
         for sid in sids:
             assert results[sid][1] == solo_results[sid][1]
+        # both transports report what the shard itself counted
+        worker = ShardWorker(0, _monitor(), slice_steps=4,
+                             memory_budget_bytes=budget)
+        for sid, run in enumerate(golden_runs):
+            worker.enqueue(sid, run)
+        while worker.tick():
+            pass
+        assert (stats.deferrals, stats.bytes_peak, stats.bytes_live) == (
+            worker.stats.deferrals, worker.stats.bytes_peak,
+            worker.stats.bytes_live)
 
     def test_budget_charges_follow_admission_and_retirement(self,
                                                             golden_runs):
@@ -177,6 +212,33 @@ class TestMemoryBudget:
         worker = ShardWorker(0, _monitor(), memory_budget_bytes=8)
         with pytest.raises(MemoryBudgetExceeded):
             worker.enqueue(0, golden_runs[0])
+
+
+class TestShardLoss:
+    """Shard failure has one path in both transports."""
+
+    @pytest.mark.parametrize("processes", [False, True])
+    @pytest.mark.parametrize("victim", [0, 1])
+    def test_raising_shard_surfaces_as_shard_lost(self, golden_runs,
+                                                  processes, victim, caplog):
+        """A shard whose round raises mid-drain surfaces from ``tick`` as
+        :class:`ShardLost` naming that shard and carrying the error."""
+        small, big = sorted(golden_runs[:2], key=lambda r: len(r.pipelines))
+        assert len(small.pipelines) <= _FAIL_PID < len(big.pipelines)
+        with ShardedProgressService(
+                _failing_monitor, n_shards=2, slice_steps=1,
+                processes=processes) as service:
+            for shard in range(2):
+                service.submit_replay(big if shard == victim else small)
+            assert service.tick()  # both shards admitted and mid-drain
+            with pytest.raises(ShardLost) as lost:
+                while service.tick():
+                    pass
+        assert lost.value.shard_id == victim
+        assert f"shard {victim} lost" in str(lost.value)
+        assert "injected shard failure" in str(lost.value)
+        if not processes:  # a worker process logs to its own stderr
+            assert any(record.exc_info for record in caplog.records)
 
 
 class TestProcessMode:
