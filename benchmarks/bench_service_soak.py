@@ -116,7 +116,7 @@ def _soak(base_runs, n_shards):
     low_watermark = wave_size // 2
     service = ShardedProgressService(
         _monitor_factory, n_shards=n_shards, slice_steps=SLICE_STEPS,
-        max_live=MAX_LIVE_PER_SHARD, processes=True, keep_reports=False)
+        max_live=MAX_LIVE_PER_SHARD, processes=True)
     rss_samples = []
     submitted = 0
     started = time.perf_counter()

@@ -401,7 +401,7 @@ def check_sharded_parity(runs: list[QueryRun],
     results = service.run_until_complete(max_ticks=1_000_000)
     service.close()
     for sid, solo, run in zip(ids, solo_reports, runs):
-        _, reports = results[sid]
+        reports = results[sid]
         _require(report_streams_equal(solo, reports), layer, ctx,
                  f"sharded reports ({shards} shards) for "
                  f"{run.query_name!r} diverge from solo monitoring "

@@ -62,7 +62,7 @@ from repro.service.net.http import (
     json_body,
     response_bytes,
 )
-from repro.service.sharded import MemoryBudgetExceeded, ShardedProgressService
+from repro.service.sharded import ShardedProgressService
 
 #: The served HTTP surface: ``(method, route pattern)``.  ``ci/check_docs.py``
 #: fails CI unless every row appears verbatim in ``docs/api.md``.
@@ -93,11 +93,12 @@ _log = logging.getLogger(__name__)
 class SessionRecord:
     """Supervisor-side state of one served session.
 
-    The sharded fleet runs with ``keep_reports=False`` — this record *is*
-    the report buffer: rows arrive through the service's ``on_report``
-    hook in merged submission order and stay until the tenant DELETEs the
-    session.  ``changed`` wakes every subscribed stream task whenever new
-    rows, completion or failure land.
+    The fleet keeps no reports once a round has returned, so this record
+    *is* the report buffer: each round's rows (returned by
+    :meth:`ShardedProgressService.tick` in merged submission order) are
+    appended here and stay until the tenant DELETEs the session.
+    ``changed`` wakes every subscribed stream task whenever new rows,
+    completion or failure land.
     """
 
     __slots__ = ("sid", "tenant", "name", "done", "failed", "reports",
@@ -169,18 +170,9 @@ class ProgressServer:
         self._service = ShardedProgressService(
             monitor, n_shards=n_shards, slice_steps=slice_steps,
             max_live=max_live, memory_budget_bytes=memory_budget_bytes,
-            processes=processes,
-            on_report=self._staged_reports_append,
-            on_complete=self._staged_completed_append,
-            keep_reports=False)
+            processes=processes)
         self._records: dict[int, SessionRecord] = {}
         self._tenants: dict[str, list[int]] = {}
-        #: rows/completions captured during one tick() call; applied to the
-        #: records (and subscriber events) on the event loop afterwards, so
-        #: the tick runs in a worker thread without touching asyncio
-        #: primitives off-loop
-        self._staged: list = []
-        self._staged_done: list[int] = []
         self._work = asyncio.Event()
         self._draining = False
         #: set once the tick loop has died (see :meth:`_fail_unfinished`)
@@ -251,22 +243,14 @@ class ProgressServer:
 
     # -- the tick loop -------------------------------------------------------
 
-    def _staged_reports_append(self, sid: int, report) -> None:
-        self._staged.append((sid, report))
-
-    def _staged_completed_append(self, sid: int) -> None:
-        self._staged_done.append(sid)
-
-    def _apply_staged(self) -> None:
-        """Fold one tick round's staged rows into the session records and
-        wake their subscribers — runs on the event loop, after tick()."""
-        staged, self._staged = self._staged, []
-        done, self._staged_done = self._staged_done, []
-        for sid, report in staged:
+    def _apply(self, rows: list, completed: list[int]) -> None:
+        """Fold one round's rows and completions into the session records
+        and wake their subscribers — runs on the event loop."""
+        for sid, report in rows:
             record = self._records[sid]
             record.reports.append(report)
             record.changed.set()
-        for sid in done:
+        for sid in completed:
             record = self._records[sid]
             record.done = True
             record.changed.set()
@@ -285,10 +269,10 @@ class ProgressServer:
 
     def _fail_unfinished(self) -> None:
         """Mark unfinished sessions failed, wake their subscribers and stop
-        admissions.  Rows staged by the failed round are dropped."""
+        admissions.  The failed round returned nothing, so no row of it
+        is ever served."""
         self._failed = True
         self._draining = True
-        self._staged, self._staged_done = [], []
         for record in self._records.values():
             if not record.done:
                 record.failed = True
@@ -298,15 +282,14 @@ class ProgressServer:
         """Drive the fleet while work exists; park on ``_work`` when idle.
 
         Every round blocks on its shards, inline or in worker processes,
-        so it runs in a worker thread; its staged rows are applied on-loop
-        and a zero sleep lets handlers and stream tasks run between
-        rounds.
+        so it runs in a worker thread and touches no asyncio primitive;
+        the round it returns is applied on-loop, and a zero sleep lets
+        handlers and stream tasks run between rounds.
         """
         service = self._service
         while True:
             if service.active:
-                await asyncio.to_thread(service.tick)
-                self._apply_staged()
+                self._apply(*await asyncio.to_thread(service.tick))
                 await asyncio.sleep(0)
             elif self._draining:
                 break
@@ -539,11 +522,7 @@ class ProgressServer:
                         headers=retry)
         created = []
         for run in runs:
-            try:
-                sid = self._service.submit_replay(run, query_name=name)
-            except MemoryBudgetExceeded as exc:  # pragma: no cover - raced
-                return response_bytes(503, error_body(503, str(exc)),
-                                      headers=retry)
+            sid = self._service.submit_replay(run, query_name=name)
             record = SessionRecord(sid, tenant, name or run.query_name)
             self._records[sid] = record
             self._tenants.setdefault(tenant, []).append(sid)

@@ -35,7 +35,7 @@ scanned again.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable
 
 from repro.catalog.table import Database
@@ -88,15 +88,9 @@ class ServiceStats:
         rounds: shards tick concurrently, so the merged ``ticks`` is
         total rounds *worked*, not wall-clock rounds.
         """
-        total = cls()
-        for part in parts:
-            total.ticks += part.ticks
-            total.steps += part.steps
-            total.reports += part.reports
-            total.sessions_submitted += part.sessions_submitted
-            total.sessions_completed += part.sessions_completed
-            total.sessions_scanned += part.sessions_scanned
-        return total
+        parts = list(parts)
+        return cls(**{f.name: sum(getattr(part, f.name) for part in parts)
+                      for f in fields(cls)})
 
 
 class ProgressService:

@@ -23,7 +23,7 @@ Design rules, all inherited from :mod:`repro.runtime`:
 * **Order-preserving merge** — within a tick round the shard replies are
   merged by global session id (each shard already emits in local
   submission order, which placement keeps aligned with global order), so
-  with unconstrained admission the merged stream is the bit-identical
+  with unconstrained admission the merged rows are the bit-identical
   sequence the single-process pooled service emits.  Per-session report
   streams are bit-identical under *any* shard count, budget, or slice
   size — pooling transparency (PR 1) makes a session's reports depend
@@ -36,23 +36,25 @@ does not currently fit waits in the shard's deferral queue and is retried
 as retiring sessions release their bytes (the
 :meth:`~repro.service.service.ProgressService` ``on_complete`` drain hook).
 
-**Graceful drain**: :meth:`run_until_complete` ticks every shard in
-lockstep until none has live, pending, or deferred work, then assembles
-per-session results.  Shards release finished sessions the tick their
-reports ship (``release_session``), so shard memory tracks *live*
-sessions; ``keep_reports=False`` additionally drops the supervisor-side
-buffers for soak-style runs where only the stats matter.
+**A round is a return value**: :meth:`~ShardedProgressService.tick`
+returns ``(rows, completed)`` — the round's merged ``(global_sid,
+report)`` rows in global submission order, and the sessions that
+finished in it, ascending.  The supervisor keeps nothing per session
+once a round has returned: shards release finished sessions the tick
+their reports ship (``release_session``), so fleet memory tracks *live*
+sessions however long it serves.  A streaming consumer (the network
+front end in :mod:`repro.service.net`) folds each round into its own
+records; because a round's ``completed`` arrives with its final rows,
+every consumer observes a session's full stream before its completion.
+
+**Graceful drain**: :meth:`~ShardedProgressService.run_until_complete`
+ticks every shard in lockstep until none has live, pending, or deferred
+work, and assembles the rounds it drove into per-session streams.
 
 **Shard loss**: a shard that raises (it replies ``error``, then closes)
 or whose worker process dies surfaces from
 :meth:`~ShardedProgressService.tick` as :class:`ShardLost` carrying the
 shard id, in either mode; the fleet does not recover its sessions.
-
-Streaming consumers observe the fleet through the ``on_report(sid, report)``
-and ``on_complete(sid)`` supervisor hooks — ``on_complete`` fires after
-all of a round's reports, in ascending session id, which is what lets
-:mod:`repro.service.net` serve this fleet over HTTP/WebSocket with
-bit-identical streams (see ``docs/api.md``).
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from operator import itemgetter
 
 import numpy as np
 
@@ -137,7 +139,7 @@ class FleetStats:
 
     shards: list[ShardStats]
     #: supervisor-side wall-clock seconds per lockstep round (includes
-    #: IPC, merge and callback time — what a client of the fleet feels)
+    #: IPC and merge time — what a client of the fleet feels)
     round_seconds: list[float] = field(default_factory=list)
 
     @property
@@ -379,30 +381,15 @@ class ShardedProgressService:
         :class:`InlineShardConnection` — serial semantics, mirroring the
         runtime pool's ``jobs <= 1`` contract — over the same protocol:
         the same frames and codec bytes, stats and :class:`ShardLost`.
-    on_report:
-        ``on_report(global_sid, report)``, fired in merged order (global
-        submission order within each lockstep round).
-    on_complete:
-        ``on_complete(global_sid)``, fired exactly once per session, in
-        ascending-sid order within the lockstep round the session
-        finished — strictly after every ``on_report`` of that round, so
-        the hook observes the session's full stream (the network front
-        end closes its live subscriptions here).
-    keep_reports:
-        ``False`` drops report frames after accounting (and after
-        ``on_report``), for soak runs where results would otherwise
-        accumulate without bound; :meth:`run_until_complete` then
-        returns ``{}``.
+
+    Each :meth:`tick` returns its round; the fleet retains no run or
+    report once the round that carried it has returned.
     """
 
     def __init__(self, monitor, n_shards: int | None = None,
                  slice_steps: int = 8, max_live: int | None = None,
                  memory_budget_bytes: int | None = None,
-                 processes: bool = False,
-                 on_report: Callable[[int, ProgressReport], None]
-                 | None = None,
-                 on_complete: Callable[[int], None] | None = None,
-                 keep_reports: bool = True):
+                 processes: bool = False):
         if n_shards is None:
             n_shards = available_cpus()
         if n_shards <= 0:
@@ -414,11 +401,7 @@ class ShardedProgressService:
         self.n_shards = n_shards
         self.memory_budget_bytes = memory_budget_bytes
         self.processes = processes
-        self.on_report = on_report
-        self.on_complete = on_complete
-        self.keep_reports = keep_reports
         self.stats = FleetStats([ShardStats(i) for i in range(n_shards)])
-        self._runs: dict[int, QueryRun] = {}
         self._n_submitted = 0
         #: per-shard buffered submissions awaiting the next tick's frame;
         #: ``_outbox_lock`` guards the append against the swap, since a
@@ -427,8 +410,6 @@ class ShardedProgressService:
             [] for _ in range(n_shards)]
         self._outbox_lock = threading.Lock()
         self._shard_active = [False] * n_shards
-        #: merged (global_sid, report) pairs, in emission order
-        self._collected: list[tuple[int, ProgressReport]] = []
         self._closed = False
         options = dict(slice_steps=slice_steps, max_live=max_live,
                        memory_budget_bytes=memory_budget_bytes)
@@ -479,7 +460,6 @@ class ShardedProgressService:
         sid = self._n_submitted
         self._n_submitted += 1
         shard = place_session(sid, self.n_shards)
-        self._runs[sid] = run
         with self._outbox_lock:
             self._outbox[shard].append((sid, run, query_name))
         return sid
@@ -501,9 +481,14 @@ class ShardedProgressService:
         admission-control headroom the network front end budgets against."""
         return self._n_submitted - self.stats.service.sessions_completed
 
-    def tick(self) -> bool:
-        """One lockstep round across all shards.  Returns True while any
-        shard still has work."""
+    def tick(self) -> tuple[list[tuple[int, ProgressReport]], list[int]]:
+        """One lockstep round across all shards: ``(rows, completed)``.
+
+        ``rows`` are the round's ``(global_sid, report)`` pairs in global
+        submission order; ``completed`` the sessions that finished this
+        round, ascending — each listed exactly once, in the round that
+        carries its final rows.  Drive the fleet ``while self.active``.
+        """
         if self._closed:
             raise RuntimeError("service is closed")
         started = time.perf_counter()
@@ -511,50 +496,48 @@ class ShardedProgressService:
         polled = [i for i in range(self.n_shards) if self._shard_active[i]]
         for i in polled:  # all sends first: process shards tick concurrently
             self._send(i, ("tick",))
-        batches = []
+        rows: list[tuple[int, ProgressReport]] = []
         completed: list[int] = []
         for i in polled:
             _, more, payload, stats, done = self._recv(i)
             self._shard_active[i] = more
-            batches.append(reports_from_payload(payload))
+            rows += reports_from_payload(payload)
             self.stats.shards[i].absorb(stats)
-            completed.extend(done)
-        self._merge(batches, completed)
+            completed += done
+        # each shard's rows are already sorted by global sid (local
+        # submission order, which placement keeps aligned with global
+        # order), so a stable sort of the concatenation is a k-way merge
+        rows.sort(key=itemgetter(0))
+        completed.sort()
         self.stats.round_seconds.append(time.perf_counter() - started)
-        return self.active
+        return rows, completed
 
     def run_until_complete(self, max_ticks: int | None = None
-                           ) -> dict[int, tuple[QueryRun, list[ProgressReport]]]:
-        """Drain the fleet; per-session ``(run, reports)`` by global id.
+                           ) -> dict[int, list[ProgressReport]]:
+        """Drain the fleet; the reports of every session that finished
+        during the drain, by global id (``[]`` if it never reported).
 
         The drain protocol: lockstep rounds until every shard reports no
-        live, pending, or budget-deferred work; per-session report
-        streams are then assembled from the merged frames.  Sessions'
-        streams are bit-identical to the single-process pooled path
-        regardless of ``n_shards`` — and with unconstrained admission the
-        merged emission *order* matches it too.
+        live, pending, or budget-deferred work.  Sessions' streams are
+        bit-identical to the single-process pooled path regardless of
+        ``n_shards`` — and with unconstrained admission the merged
+        emission *order* matches it too.  Rows returned by rounds driven
+        before this call are not repeated here.
         """
+        results: dict[int, list[ProgressReport]] = {}
         ticks = 0
-        while self.tick():
-            ticks += 1
-            if max_ticks is not None and ticks >= max_ticks:
+        while self.active:
+            if ticks == max_ticks:
                 raise RuntimeError(
                     f"sharded service did not drain within {max_ticks} "
                     f"tick rounds")
-        if not self.keep_reports:
-            return {}
-        out: dict[int, tuple[QueryRun, list[ProgressReport]]] = {}
-        for sid, report in self._collected:
-            if sid not in out:
-                out[sid] = (self._runs[sid], [])
-            out[sid][1].append(report)
-        # sessions that finished without emitting (too short for a single
-        # refresh) still completed; give them their empty stream
-        done = self.stats.service.sessions_completed
-        if done == self._n_submitted:
-            for sid, run in self._runs.items():
-                out.setdefault(sid, (run, []))
-        return out
+            rows, completed = self.tick()
+            ticks += 1
+            for sid, report in rows:
+                results.setdefault(sid, []).append(report)
+            for sid in completed:
+                results.setdefault(sid, [])
+        return results
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -621,29 +604,3 @@ class ShardedProgressService:
         if reply[0] == "error":
             raise ShardLost(shard_id, f"shard failed: {reply[1]}")
         return reply
-
-    def _merge(self, batches: list[list[tuple[int, ProgressReport]]],
-               completed: list[int]) -> None:
-        """Merge one round's shard batches in global submission order.
-
-        Each batch is already sorted by global sid (shards emit in local
-        submission order and placement preserves relative global order),
-        so a stable sort over the concatenation is a k-way merge.
-        Completion hooks fire last: a session's ``on_complete`` always
-        observes every report of its stream.
-        """
-        merged = sorted((pair for batch in batches for pair in batch),
-                        key=lambda pair: pair[0])
-        if self.on_report is not None:
-            for sid, report in merged:
-                self.on_report(sid, report)
-        if self.keep_reports:
-            self._collected.extend(merged)
-        else:
-            # soak mode: account, then drop (and release the run refs of
-            # retired sessions so supervisor memory stays flat too)
-            for sid in completed:
-                self._runs.pop(sid, None)
-        if self.on_complete is not None:
-            for sid in sorted(completed):
-                self.on_complete(sid)

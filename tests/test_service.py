@@ -407,17 +407,23 @@ class TestShardedChurn:
         service = ShardedProgressService(monitor, n_shards=2, slice_steps=3,
                                         max_live=1)
         first = [service.submit_replay(run) for run in replay_runs]
+        streams: dict[int, list] = {}
         ticks = 0
         while service.stats.service.sessions_completed < 2:
-            assert service.tick(), "fleet drained before the churn point"
+            rows, _ = service.tick()
+            assert service.active, "fleet drained before the churn point"
+            for sid, report in rows:
+                streams.setdefault(sid, []).append(report)
             ticks += 1
             assert ticks < 100_000
         second = [service.submit_replay(run) for run in replay_runs]
         results = service.run_until_complete(max_ticks=100_000)
         service.close()
+        for sid, reports in results.items():
+            streams.setdefault(sid, []).extend(reports)
         for wave in (first, second):
             for sid, solo in zip(wave, solo_streams):
-                assert results[sid][1] == solo
+                assert streams[sid] == solo
         assert service.stats.service.sessions_completed \
             == 2 * len(replay_runs)
 
@@ -434,7 +440,7 @@ class TestShardedChurn:
         assert shard.bytes_peak <= budget
         assert shard.bytes_live == 0
         for sid, solo in zip(sids, solo_streams):
-            assert results[sid][1] == solo
+            assert results[sid] == solo
 
     def test_retire_idempotent_under_sharded_drain(self, replay_runs,
                                                    monitor):

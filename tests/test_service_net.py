@@ -240,7 +240,7 @@ class TestNetworkParity:
         sids, streams, payloads = _serve(scenario)
         assert sids == sorted(sharded_results)
         for sid, (frames, done), payload in zip(sids, streams, payloads):
-            expected_rows = sharded_results[sid][1]
+            expected_rows = sharded_results[sid]
             expected = reports_to_payload(
                 [(sid, report) for report in expected_rows])
             rows = [pair for frame in frames
@@ -263,7 +263,7 @@ class TestNetworkParity:
         sids, payloads = _serve(scenario)
         for sid, payload in zip(sids, payloads):
             assert payload == reports_to_payload(
-                [(sid, report) for report in sharded_results[sid][1]])
+                [(sid, report) for report in sharded_results[sid]])
 
     def test_stream_resume_from_offset(self, golden_runs, sharded_results):
         async def scenario(server, client):
@@ -273,9 +273,9 @@ class TestNetworkParity:
             return sid, rows, done
 
         sid, rows, done = _serve(scenario)
-        expected = sharded_results[sid][1][3:]
+        expected = sharded_results[sid][3:]
         assert [pair[1] for pair in rows] == expected
-        assert done["reports"] == len(sharded_results[sid][1])
+        assert done["reports"] == len(sharded_results[sid])
 
     def test_processes_mode_parity(self, golden_runs, sharded_results):
         async def scenario(server, client):
@@ -285,7 +285,7 @@ class TestNetworkParity:
 
         sids, streams = _serve(scenario, processes=True)
         for sid, (rows, _) in zip(sids, streams):
-            assert [pair[1] for pair in rows] == sharded_results[sid][1]
+            assert [pair[1] for pair in rows] == sharded_results[sid]
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +537,10 @@ class TestErrorPaths:
         frame and a close frame, submissions get 503, shutdown returns."""
         armed = False
 
-        def tick(rounds: int = 1) -> bool:
+        def tick():
             if armed:
                 raise RuntimeError("shard exploded")
-            return True  # idle round: the session stays active
+            return [], []  # idle round: the session stays active
 
         async def scenario():
             nonlocal armed

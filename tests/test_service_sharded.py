@@ -10,7 +10,10 @@ suite; live-execution churn coverage lives in ``test_service.py`` and the
 randomized sweep in the fuzz oracle's ``service`` layer.
 """
 
+import copy
+import gc
 import multiprocessing
+import weakref
 
 import pytest
 
@@ -89,7 +92,7 @@ class TestInlineParity:
         service.close()
         assert set(results) == set(sids)
         for sid in sids:
-            assert results[sid][1] == solo_results[sid][1]
+            assert results[sid] == solo_results[sid][1]
 
     def test_default_shard_count_is_cpu_count(self):
         from repro.runtime import available_cpus
@@ -97,31 +100,58 @@ class TestInlineParity:
         assert service.n_shards == available_cpus()
         service.close()
 
-    def test_on_report_fires_in_merged_submission_order(self, golden_runs):
-        seen = []
-        service = ShardedProgressService(
-            _monitor(), n_shards=3, slice_steps=4,
-            on_report=lambda sid, report: seen.append((sid, report)))
+    def test_each_round_is_ordered(self, golden_runs, solo_results):
+        """Every round's rows are in global submission order and its
+        completions ascending; each session completes exactly once, and
+        no row of it arrives after the round that completes it."""
+        service = ShardedProgressService(_monitor(), n_shards=3,
+                                         slice_steps=4)
         sids = [service.submit_replay(run) for run in golden_runs]
-        results = service.run_until_complete(max_ticks=100_000)
+        streams: dict[int, list] = {sid: [] for sid in sids}
+        finished: set[int] = set()
+        widest = 0  # most sessions reporting in one round
+        rounds = 0
+        while service.active:
+            rows, completed = service.tick()
+            row_sids = [sid for sid, _ in rows]
+            assert row_sids == sorted(row_sids)
+            assert completed == sorted(completed)
+            widest = max(widest, len(set(row_sids)))
+            for sid, report in rows:
+                assert sid not in finished, "row after completion"
+                streams[sid].append(report)
+            for sid in completed:
+                assert sid not in finished, "completed twice"
+                finished.add(sid)
+            rounds += 1
+            assert rounds < 100_000
         service.close()
-        # per-session projection of the hook sequence = that session's stream
+        assert widest > 1, "no round merged rows of several sessions"
+        assert sorted(finished) == sids
         for sid in sids:
-            assert [r for s, r in seen if s == sid] == results[sid][1]
-        # within the whole soak, ids within each round are merged in
-        # ascending submission order: the global sequence is sorted within
-        # every contiguous tick window, which per-round capture guarantees
-        assert len(seen) == sum(len(v[1]) for v in results.values())
+            assert streams[sid] == solo_results[sid][1]
 
-    def test_keep_reports_false_drops_results(self, golden_runs):
-        service = ShardedProgressService(
-            _monitor(), n_shards=2, slice_steps=4, keep_reports=False)
-        for run in golden_runs:
-            service.submit_replay(run)
-        assert service.run_until_complete(max_ticks=100_000) == {}
-        fleet = service.stats.service
-        assert fleet.sessions_completed == len(golden_runs)
-        assert fleet.reports > 0  # the work still happened
+    def test_drained_fleet_retains_nothing(self, golden_runs):
+        """Once a round has returned, the fleet holds none of its reports,
+        and no run it was handed outlives the round that shipped it."""
+        service = ShardedProgressService(_monitor(), n_shards=2,
+                                         slice_steps=4)
+        run = copy.deepcopy(golden_runs[0])
+        refs = [weakref.ref(run)]
+        service.submit_replay(run)
+        for other in golden_runs[1:]:
+            service.submit_replay(other)
+        del run
+        n_rows = 0
+        while service.active:
+            rows, _ = service.tick()
+            refs += [weakref.ref(report) for _, report in rows]
+            n_rows += len(rows)
+        del rows
+        gc.collect()
+        assert n_rows > 0  # the work still happened
+        assert service.stats.service.sessions_completed == len(golden_runs)
+        assert [ref for ref in refs if ref() is not None] == []
         service.close()
 
     def test_resubmission_after_drain(self, golden_runs, solo_results):
@@ -133,7 +163,7 @@ class TestInlineParity:
         second = service.submit_replay(golden_runs[1])
         results = service.run_until_complete(max_ticks=100_000)
         service.close()
-        assert results[second][1] == solo_results[1][1]
+        assert results[second] == solo_results[1][1]
         assert service.stats.service.sessions_completed == 2
         assert first != second
 
@@ -182,7 +212,7 @@ class TestMemoryBudget:
         assert stats.bytes_peak <= budget
         assert stats.bytes_live == 0, "drained fleet still charges bytes"
         for sid in sids:
-            assert results[sid][1] == solo_results[sid][1]
+            assert results[sid] == solo_results[sid][1]
         # both transports report what the shard itself counted
         worker = ShardWorker(0, _monitor(), slice_steps=4,
                              memory_budget_bytes=budget)
@@ -230,10 +260,11 @@ class TestShardLoss:
                 processes=processes) as service:
             for shard in range(2):
                 service.submit_replay(big if shard == victim else small)
-            assert service.tick()  # both shards admitted and mid-drain
+            service.tick()
+            assert service.active  # both shards admitted and mid-drain
             with pytest.raises(ShardLost) as lost:
-                while service.tick():
-                    pass
+                while service.active:
+                    service.tick()
         assert lost.value.shard_id == victim
         assert f"shard {victim} lost" in str(lost.value)
         assert "injected shard failure" in str(lost.value)
@@ -255,7 +286,7 @@ class TestProcessMode:
             assert len(service.worker_pids) == n_shards
             results = service.run_until_complete(max_ticks=100_000)
             for sid in sids:
-                assert results[sid][1] == solo_results[sid][1]
+                assert results[sid] == solo_results[sid][1]
             stats = service.stats
             assert stats.service.sessions_completed == len(golden_runs)
             assert stats.tick_latency(99) >= 0.0
@@ -281,9 +312,8 @@ class TestProcessMode:
         sys.setswitchinterval(1e-5)
         try:
             with ShardedProgressService(
-                    _monitor, n_shards=1, slice_steps=4, processes=True,
-                    keep_reports=False,
-                    on_complete=completed.append) as service:
+                    _monitor, n_shards=1, slice_steps=4,
+                    processes=True) as service:
 
                 def submit():
                     try:
@@ -296,7 +326,7 @@ class TestProcessMode:
                 def drive():
                     try:
                         while not submitted.is_set() or service.active:
-                            service.tick()
+                            completed.extend(service.tick()[1])
                     except BaseException as exc:
                         errors.append(exc)
 
@@ -328,13 +358,14 @@ class TestProcessMode:
                 processes=True) as service:
             for run in golden_runs:
                 service.submit_replay(run)
-            assert service.tick()  # both shards admitted and mid-drain
+            service.tick()
+            assert service.active  # both shards admitted and mid-drain
             os.kill(service.worker_pids[victim], signal.SIGKILL)
 
             def drain():
                 try:
-                    while service.tick():
-                        pass
+                    while service.active:
+                        service.tick()
                 except BaseException as exc:
                     raised.append(exc)
 
