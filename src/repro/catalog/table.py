@@ -45,6 +45,12 @@ class SortedMatcher:
     path.  Both paths return the same positions, probe indices and counts,
     dtypes included.
 
+    Unique int64 keys that form one contiguous range (``last - first ==
+    n - 1``, as generated surrogate keys do) need no search at all: an
+    int64 probe's partner sits at ``probe - first``, and it has one
+    exactly when that offset lies in ``[0, n)``.  Probes of any other
+    dtype keep the search.
+
     ``presorted=True`` takes ``keys`` as already in ascending order
     (positions then index ``keys`` itself); otherwise they are sorted here
     and positions index the original order.
@@ -65,9 +71,32 @@ class SortedMatcher:
         return (len(sk) > 0 and bool(sk[-1] == sk[-1])
                 and bool(np.all(sk[1:] > sk[:-1])))
 
-    def _unique_hits(self, probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Left insertion points, and which probes equal the key there."""
+    @cached_property
+    def _dense_first(self) -> np.int64 | None:
+        """The first key when the sorted keys are exactly
+        ``arange(first, first + n)`` as int64, else ``None``."""
         sk = self.sorted_keys
+        if (sk.dtype == np.int64 and self.unique
+                and int(sk[-1]) - int(sk[0]) == len(sk) - 1):
+            return sk[0]
+        return None
+
+    def _unique_hits(self, probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which probes equal a key (``hit``), and where (``lo``).
+
+        ``lo`` is the sorted position of each hit probe's partner; where
+        ``hit`` is False it is unspecified.  Callers read ``lo`` only at
+        hits.  Over dense int64 keys an int64 probe's position is its
+        offset from the first key: the subtraction wraps modulo 2**64, so
+        ``offset < n`` as unsigned is exact over the whole int64 range.
+        Other probes take the left search, whose insertion point is the
+        partner's position where there is one.
+        """
+        sk = self.sorted_keys
+        first = self._dense_first
+        if first is not None and probe.dtype == np.int64:
+            lo = probe - first
+            return lo, lo.view(np.uint64) < np.uint64(len(sk))
         lo = sk.searchsorted(probe, side="left")
         return lo, sk[np.minimum(lo, len(sk) - 1)] == probe
 

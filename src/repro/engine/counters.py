@@ -19,6 +19,70 @@ INITIAL_CAPACITY = 64
 #: the log's per-node matrices, in snapshot order
 _MATRICES = ("K", "R", "W", "LB", "UB", "D")
 
+#: bound rules: what an unfinished node's ``ub[i]`` is computed from
+#: (``a``/``b`` are the node ids a rule reads, ``c`` its constant); the
+#: executor lays a plan out as a table of them
+#: (``repro.engine.executor._plan_bound_rules``)
+CONST = 0      # c: table rows of a scan or seek, 1 for a scalar aggregate
+PASS = 1       # ub[a]: filters, batch sorts, semi/anti joins (a = outer)
+PRODUCT = 2    # min(max(ub[a], 1) * max(ub[b], 1), UNBOUNDED): joins
+PROBE = 3      # min(max(ub[a], 1) * c, UNBOUNDED): nested-loop seek
+BLOCKING = 4   # sort / hash aggregate over child a
+GROUPS = 5     # grouped stream aggregate over child a
+TOP = 6        # min(c, ub[a]), c = k
+
+
+def fill_bounds(rules: tuple, K: np.ndarray, D: np.ndarray,
+                UB: np.ndarray) -> None:
+    """Worst-case bounds on ``N_i`` based on input sizes ([6]), row-wise.
+
+    ``K``/``D`` are a block of logged rows ``(m, n_nodes)``; ``UB`` (the
+    same shape) receives each row's upper bounds.  ``LB`` is ``K``.
+    Upper bounds are derived from *total* input cardinalities (known for
+    scans, bounded recursively elsewhere), never from "remaining"
+    arithmetic — rows in flight between operators would otherwise make
+    the bounds momentarily unsound.  A finished node's total is its
+    counter.  Spill-induced GetNext calls are outside the bounds by
+    design (they are unpredictable extra work; see the engine docs).
+
+    A row's bounds depend on that row's ``K`` and ``D`` alone, so each
+    rule ``(i, rule, a, b, c)`` is one column operation over every row of
+    the block, in the table's order: the per-node float operations of a
+    walk of the plan, so the same bits for every row.  A done flag that
+    holds on no row of the block, or on every row, selects without a
+    per-row choice.
+    """
+    k, d, ub = K.T, D.T, UB.T  # node-major views: ub[i] is node i's column
+    done_any = D.any(axis=0).tolist()
+    done_all = D.all(axis=0).tolist()
+    maximum, minimum = np.maximum, np.minimum
+    for i, rule, a, b, c in rules:
+        if done_all[i]:
+            ub[i] = k[i]
+            continue
+        if rule == CONST:
+            ub[i] = c
+        elif rule == PASS:
+            ub[i] = ub[a]
+        elif rule == PRODUCT:
+            minimum(maximum(ub[a], 1.0) * maximum(ub[b], 1.0), UNBOUNDED,
+                    out=ub[i])
+        elif rule == PROBE:
+            minimum(maximum(ub[a], 1.0) * c, UNBOUNDED, out=ub[i])
+        elif rule == BLOCKING or rule == GROUPS:
+            if not done_any[a]:
+                ub[i] = ub[a]
+            else:
+                known = (maximum(k[i], k[a]) if rule == BLOCKING
+                         else k[i] + 1.0)
+                ub[i] = known if done_all[a] else np.where(d[a], known, ub[a])
+        else:  # TOP
+            minimum(c, ub[a], out=ub[i])
+        if done_any[i]:
+            np.copyto(ub[i], k[i], where=d[i])
+    minimum(UB, UNBOUNDED, out=UB)
+    maximum(UB, K, out=UB)
+
 
 class CounterStore:
     """Live per-node counters for one query execution.
@@ -57,29 +121,50 @@ class ObservationLog:
     ``K, R, W, LB, UB, D (T, n_nodes)``.  Rows are append-only and a
     doubling copies into fresh buffers, so a prefix view handed out by
     :meth:`as_arrays` never changes afterwards.
+
+    A log given the plan's bound ``rules`` (see :func:`fill_bounds`)
+    defers the bounds: :meth:`snapshot` writes ``times``/``K``/``R``/
+    ``W``/``D`` only, and the log keeps a watermark of the rows whose
+    ``LB``/``UB`` are filled in.  :meth:`as_arrays` fills every row past
+    it in one pass before handing out a view, so every row a view covers
+    is final when the view is made.  A log without rules takes the
+    bounds with each snapshot.
     """
 
-    def __init__(self, n_nodes: int):
+    def __init__(self, n_nodes: int, rules: tuple | None = None):
         self.n_nodes = n_nodes
+        self._rules = rules
         self._len = 0
+        #: rows below this have their ``LB``/``UB`` filled in
+        self._filled = 0
         self._cols = {"times": np.empty(INITIAL_CAPACITY)}
         for name in _MATRICES:
             self._cols[name] = np.empty((INITIAL_CAPACITY, n_nodes),
                                         dtype=bool if name == "D" else float)
 
     def snapshot(self, now: float, counters: CounterStore,
-                 lb: np.ndarray, ub: np.ndarray) -> None:
+                 lb: np.ndarray | None = None,
+                 ub: np.ndarray | None = None) -> None:
+        """Append the counters as of ``now``: with explicit bounds
+        ``lb``/``ub``, or, on a log with bound rules, none (they are
+        filled in when the log is read)."""
         if counters.n_nodes != self.n_nodes:
             raise ValueError(
                 f"counter store tracks {counters.n_nodes} nodes but the "
                 f"observation log was sized for {self.n_nodes}")
-        lb = np.asarray(lb)
-        ub = np.asarray(ub)
-        expected = (self.n_nodes,)
-        if lb.shape != expected or ub.shape != expected:
-            raise ValueError(
-                f"bounds must have shape {expected}, got lb {lb.shape} / "
-                f"ub {ub.shape}")
+        if lb is None:
+            if self._rules is None:
+                raise ValueError("a log without bound rules needs the "
+                                 "bounds with each snapshot")
+        else:
+            lb = np.asarray(lb)
+            ub = np.asarray(ub)
+            expected = (self.n_nodes,)
+            if lb.shape != expected or ub.shape != expected:
+                raise ValueError(
+                    f"bounds must have shape {expected}, got lb {lb.shape} "
+                    f"/ ub {ub.shape}")
+            self._fill()
         i = self._len
         if i == len(self._cols["times"]):  # full: double into new buffers
             self._cols = {name: np.concatenate([col, np.empty_like(col)])
@@ -89,10 +174,22 @@ class ObservationLog:
         cols["K"][i] = counters.K
         cols["R"][i] = counters.R
         cols["W"][i] = counters.W
-        cols["LB"][i] = lb
-        cols["UB"][i] = ub
         cols["D"][i] = counters.done
+        if lb is not None:
+            cols["LB"][i] = lb
+            cols["UB"][i] = ub
+            self._filled = i + 1
         self._len = i + 1
+
+    def _fill(self) -> None:
+        """Fill in ``LB``/``UB`` of every row past the watermark."""
+        lo, hi = self._filled, self._len
+        if lo < hi:
+            cols = self._cols
+            K = cols["K"][lo:hi]
+            cols["LB"][lo:hi] = K
+            fill_bounds(self._rules, K, cols["D"][lo:hi], cols["UB"][lo:hi])
+            self._filled = hi
 
     def __len__(self) -> int:
         return self._len
@@ -112,5 +209,6 @@ class ObservationLog:
         prefix is exactly the historical log).  The arrays are views of
         the log's buffers, not copies — treat them as immutable.
         """
+        self._fill()
         stop = self._len if stop is None else min(stop, self._len)
         return {name: col[:stop] for name, col in self._cols.items()}

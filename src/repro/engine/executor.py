@@ -1,10 +1,13 @@
 """The query executor: drives a plan, produces a :class:`QueryRun`.
 
 The executor owns the execution context threaded through all operators: it
-advances the simulated clock on every charge, maintains the counter store,
-refreshes the online bounds ``LB_i``/``UB_i`` ([6]'s worst-case bounds based
-on input sizes and tuples seen so far), and snapshots observations at
-regular simulated-time ticks.
+advances the simulated clock on every charge, maintains the counter store
+and snapshots observations at regular simulated-time ticks.  The online
+bounds ``LB_i``/``UB_i`` ([6]'s worst-case bounds based on input sizes and
+tuples seen so far) are a function of each logged row, so the observation
+log fills them in when it is read, from the plan's bound-rule table.
+What depends on the plan alone is laid out once per plan and database
+(:class:`PlanLayout`) and shared by every execution of the plan.
 
 Execution is resumable: :meth:`QueryExecutor.begin` returns an
 :class:`ExecutionHandle` whose :meth:`~ExecutionHandle.step` advances the
@@ -15,6 +18,8 @@ the synchronous convenience wrapper that steps one handle to completion.
 
 from __future__ import annotations
 
+import copy
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,7 +27,18 @@ import numpy as np
 
 from repro.catalog.table import Database
 from repro.engine.clock import CostModel, SimClock
-from repro.engine.counters import CounterStore, ObservationLog, UNBOUNDED
+from repro.engine.counters import (
+    BLOCKING,
+    CONST,
+    GROUPS,
+    PASS,
+    PROBE,
+    PRODUCT,
+    TOP,
+    UNBOUNDED,
+    CounterStore,
+    ObservationLog,
+)
 from repro.engine.iterators import build_iterator, emitted_columns
 from repro.engine.memory import MemoryManager
 from repro.engine.run import NodeInfo, PipelineInfo, PlanStatic, QueryRun
@@ -48,39 +64,36 @@ class ExecutorConfig:
             raise ValueError("need at least 10 observations per query")
 
 
-class ExecContext:
-    """Execution state shared by all operators of one query."""
+class PlanLayout:
+    """What every execution of one plan over one database shares.
 
-    def __init__(self, db: Database, plan: PlanNode, config: ExecutorConfig,
-                 cost_model: CostModel,
-                 on_observation: Callable[["ExecContext"], None] | None = None):
-        self.db = db
-        self.plan = plan
-        self.config = config
-        self.cost = cost_model
-        self.batch_size = config.batch_size
-        self.rng = np.random.default_rng(config.seed)
-        self.clock = SimClock(cost_model, self.rng)
-        self.memory = MemoryManager(config.memory_budget_bytes)
+    The plan's static layout for execution: its nodes in preorder, the
+    pipelines and each node's pipeline, the recorded per-node metadata
+    (:class:`NodeInfo`), the bound-rule table the observation log fills
+    ``LB``/``UB`` from, the columns each source emits, and the
+    :class:`PlanStatic` record the serving flush reads.  All of it
+    depends on the plan and the database's tables alone, so
+    :func:`plan_layout` builds it on a plan's first execution over a
+    database and every later one reuses it; the plan's work estimate,
+    which also depends on the cost model, is remembered for the last
+    cost model it was asked for (:meth:`work_estimate`).  Nothing here
+    belongs to one execution: the rng, clock, memory, counters, log and
+    pipeline start and end times stay on the :class:`ExecContext`.
+    """
+
+    __slots__ = ("db", "plan_nodes", "pipelines", "node_pid", "nodes",
+                 "plan_static", "bound_rules", "emitted_columns", "_work",
+                 "__weakref__")
+
+    def __init__(self, plan: PlanNode, db: Database):
+        #: the database laid out for, held weakly: the plan may outlive it
+        self.db = weakref.ref(db)
+        self.plan_nodes = list(plan.walk())
         self.pipelines = decompose_pipelines(plan)
         self.node_pid = node_to_pipeline(self.pipelines)
-        n = plan.n_nodes
-        self.counters = CounterStore(n)
-        self.log = ObservationLog(n)
-        self.on_observation = on_observation
-        n_pipes = len(self.pipelines)
-        self.pipe_first = np.full(n_pipes, np.nan)
-        #: index of the first observation whose callback sees the
-        #: pipeline started (the log length when ``pipe_first`` was set);
-        #: int64 max while it has not started
-        self.pipe_first_row = np.full(n_pipes, np.iinfo(np.int64).max)
-        #: the hot per-charge pipeline state, as Python bools and floats
-        self._pipe_started = [False] * n_pipes
-        self.pipe_last = [np.nan] * n_pipes
-        self._nodes = list(plan.walk())
         parent = {child.node_id: node.node_id
-                  for node in self._nodes for child in node.children}
-        build_side = {node.children[1].node_id for node in self._nodes
+                  for node in self.plan_nodes for child in node.children}
+        build_side = {node.children[1].node_id for node in self.plan_nodes
                       if node.op == Op.HASH_JOIN}
         drivers = {i for pipe in self.pipelines for i in pipe.driver_ids}
         #: the plan as the run records it: static per-node metadata in
@@ -98,13 +111,88 @@ class ExecContext:
             is_driver=node.node_id in drivers,
             is_build_side=node.node_id in build_side,
             join_kind=node.params.get("join_kind", "inner"),
-        ) for node in self._nodes]
-        #: what this execution shares with any other of its plan (built
-        #: here: live executions share no record)
+        ) for node in self.plan_nodes]
+        #: what every execution of the plan shares with the flush
         self.plan_static = PlanStatic(self.nodes, self.pipelines)
-        self._bound_rules = _plan_bound_rules(self._nodes, self.nodes)
+        self.bound_rules = _plan_bound_rules(self.plan_nodes, self.nodes)
         #: the columns each source emits (what some operator above reads)
         self.emitted_columns = emitted_columns(plan, db)
+        #: (a copy of the cost model, the plan's work estimate under it)
+        self._work: tuple[CostModel, float] | None = None
+
+    def work_estimate(self, cost: CostModel) -> float:
+        """The plan's estimated simulated seconds under ``cost``, from the
+        optimizer's estimates: what the first observation tick is sized
+        from.  Remembered for the last cost model value asked for
+        (executors usually each hold an equal default one)."""
+        if self._work is not None and self._work[0] == cost:
+            return self._work[1]
+        est = 0.0
+        for node in self.plan_nodes:
+            rows = max(node.est_rows, 1.0)
+            est += cost.cpu_seconds(node.op, rows)
+            if node.op in (Op.TABLE_SCAN, Op.INDEX_SCAN, Op.INDEX_SEEK):
+                est += rows * node.est_row_width * cost.seconds_per_byte_read
+            if node.op == Op.SORT:
+                est += cost.sort_cpu_seconds(rows, rows)
+        est *= cost.time_scale
+        self._work = (copy.deepcopy(cost), est)
+        return est
+
+
+def plan_layout(plan: PlanNode, db: Database) -> PlanLayout:
+    """The :class:`PlanLayout` of the finalized ``plan`` over ``db``.
+
+    Kept on the plan root (``plan.layouts``, by database), so it lives and
+    dies with the plan (the layout's pipelines refer back to the plan's
+    nodes, so the collector frees the pair); a layout whose database is
+    gone is replaced.  A plan is not modified once it has executed.
+    """
+    layouts = plan.layouts
+    if layouts is None:
+        layouts = plan.layouts = {}
+    layout = layouts.get(id(db))
+    if layout is None or layout.db() is not db:
+        layout = layouts[id(db)] = PlanLayout(plan, db)
+    return layout
+
+
+class ExecContext:
+    """Execution state shared by all operators of one query."""
+
+    def __init__(self, db: Database, plan: PlanNode, config: ExecutorConfig,
+                 cost_model: CostModel,
+                 on_observation: Callable[["ExecContext"], None] | None = None):
+        self.db = db
+        self.plan = plan
+        self.config = config
+        self.cost = cost_model
+        self.batch_size = config.batch_size
+        self.rng = np.random.default_rng(config.seed)
+        self.clock = SimClock(cost_model, self.rng)
+        self.memory = MemoryManager(config.memory_budget_bytes)
+        layout = plan_layout(plan, db)
+        self.layout = layout
+        self.pipelines = layout.pipelines
+        self.node_pid = layout.node_pid
+        self.nodes = layout.nodes
+        self.plan_static = layout.plan_static
+        self.emitted_columns = layout.emitted_columns
+        n = len(layout.nodes)
+        self.counters = CounterStore(n)
+        # the log gets the rule table, never anything that refers back to
+        # this context: a finished context must die by reference count
+        self.log = ObservationLog(n, layout.bound_rules)
+        self.on_observation = on_observation
+        n_pipes = len(self.pipelines)
+        self.pipe_first = np.full(n_pipes, np.nan)
+        #: index of the first observation whose callback sees the
+        #: pipeline started (the log length when ``pipe_first`` was set);
+        #: int64 max while it has not started
+        self.pipe_first_row = np.full(n_pipes, np.iinfo(np.int64).max)
+        #: the hot per-charge pipeline state, as Python bools and floats
+        self._pipe_started = [False] * n_pipes
+        self.pipe_last = [np.nan] * n_pipes
         self._tick = self._initial_tick()
         self._next_obs = 0.0
 
@@ -168,78 +256,14 @@ class ExecContext:
             if not force:
                 self._next_obs = self.clock.now + self._tick
                 return
-        lb, ub = self._compute_bounds()
-        self.log.snapshot(self.clock.now, self.counters, lb, ub)
+        self.log.snapshot(self.clock.now, self.counters)
         self._next_obs = self.clock.now + self._tick
         if self.on_observation is not None:
             self.on_observation(self)
 
     def _initial_tick(self) -> float:
-        est = 0.0
-        for node in self._nodes:
-            rows = max(node.est_rows, 1.0)
-            est += self.cost.cpu_seconds(node.op, rows)
-            if node.op in (Op.TABLE_SCAN, Op.INDEX_SCAN, Op.INDEX_SEEK):
-                est += rows * node.est_row_width * self.cost.seconds_per_byte_read
-            if node.op == Op.SORT:
-                est += self.cost.sort_cpu_seconds(rows, rows)
-        est *= self.cost.time_scale
+        est = self.layout.work_estimate(self.cost)
         return max(est / self.config.target_observations, 1e-9)
-
-    def _compute_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Worst-case bounds on ``N_i`` based on input sizes ([6]).
-
-        Upper bounds are derived from *total* input cardinalities (known
-        for scans, bounded recursively elsewhere), never from "remaining"
-        arithmetic — rows in flight between operators would otherwise make
-        the bounds momentarily unsound.  A finished node's total is its
-        counter.  Spill-induced GetNext calls are outside the bounds by
-        design (they are unpredictable extra work; see the engine docs).
-
-        The plan's part of every bound is fixed per execution, so
-        ``__init__`` lays it out once as a rule table (see
-        :func:`_plan_bound_rules`); each observation runs that table over
-        the counters as Python floats, reading no plan node and walking no
-        tree.  It applies the per-node float operations in the order the
-        table lists them, so the bounds are the same bits a walk of the
-        plan gives.
-        """
-        k = self.counters.K
-        done = self.counters.done
-        ub = [UNBOUNDED] * len(k)
-        for i, rule, a, b, c in self._bound_rules:
-            if done[i]:
-                ub[i] = k[i]
-            elif rule == _CONST:
-                ub[i] = c
-            elif rule == _PASS:
-                ub[i] = ub[a]
-            elif rule == _PRODUCT:
-                ub[i] = min(max(ub[a], 1.0) * max(ub[b], 1.0), UNBOUNDED)
-            elif rule == _PROBE:
-                ub[i] = min(max(ub[a], 1.0) * c, UNBOUNDED)
-            elif rule == _BLOCKING:
-                ub[i] = max(k[i], k[a]) if done[a] else ub[a]
-            elif rule == _GROUPS:
-                ub[i] = k[i] + 1.0 if done[a] else ub[a]
-            else:  # _TOP
-                ub[i] = min(c, ub[a])
-        lb = np.array(k)
-        ub = np.array(ub)
-        np.minimum(ub, UNBOUNDED, out=ub)
-        np.maximum(ub, lb, out=ub)
-        return lb, ub
-
-
-#: bound rules: what an unfinished node's ``ub[i]`` is computed from
-#: (``a``/``b`` are the node ids a rule reads, ``c`` its constant)
-_CONST = 0      # c: table rows of a scan or seek, 1 for a scalar aggregate
-_PASS = 1       # ub[a]: filters, batch sorts, semi/anti joins (a = outer)
-_PRODUCT = 2    # min(max(ub[a], 1) * max(ub[b], 1), UNBOUNDED): joins
-_PROBE = 3      # min(max(ub[a], 1) * c, UNBOUNDED): nested-loop seek
-_BLOCKING = 4   # sort / hash aggregate over child a
-_GROUPS = 5     # grouped stream aggregate over child a
-_TOP = 6        # min(c, ub[a]), c = k
 
 
 def _plan_bound_rules(
@@ -262,27 +286,27 @@ def _plan_bound_rules(
         i, op = node.node_id, node.op
         kids = [child.node_id for child in node.children]
         if op in (Op.TABLE_SCAN, Op.INDEX_SCAN, Op.INDEX_SEEK):
-            rules.append((i, _CONST, -1, -1, nodes[i].table_rows))
+            rules.append((i, CONST, -1, -1, nodes[i].table_rows))
         elif op in (Op.FILTER, Op.BATCH_SORT):
-            rules.append((i, _PASS, kids[0], -1, 0.0))
+            rules.append((i, PASS, kids[0], -1, 0.0))
         elif op in (Op.SORT, Op.HASH_AGG):
             # Blocking: once the input finished, the materialized row
             # count (and hence the output total) is known exactly.
-            rules.append((i, _BLOCKING, kids[0], -1, 0.0))
+            rules.append((i, BLOCKING, kids[0], -1, 0.0))
         elif op == Op.STREAM_AGG:
             if node.params.get("group_cols"):
                 # at most one accumulated group is still pending
-                rules.append((i, _GROUPS, kids[0], -1, 0.0))
+                rules.append((i, GROUPS, kids[0], -1, 0.0))
             else:
-                rules.append((i, _CONST, -1, -1, 1.0))
+                rules.append((i, CONST, -1, -1, 1.0))
         elif op == Op.TOP:
-            rules.append((i, _TOP, kids[0], -1, float(node.params["k"])))
+            rules.append((i, TOP, kids[0], -1, float(node.params["k"])))
         elif op in (Op.HASH_JOIN, Op.MERGE_JOIN, Op.NESTED_LOOP_JOIN):
             if node.params.get("join_kind", "inner") in ("semi", "anti"):
                 # Each probe row is emitted at most once, so the
                 # outer-side bound alone is sound — and much tighter
                 # than the inner-join product.
-                rules.append((i, _PASS, kids[0], -1, 0.0))
+                rules.append((i, PASS, kids[0], -1, 0.0))
             else:
                 # Inner: at most outer × inner matches.  LEFT OUTER is
                 # covered by the same product: k matched outer rows
@@ -290,19 +314,19 @@ def _plan_bound_rules(
                 # one padded row each, which totals ≤ outer·inner for
                 # inner ≥ 1, and exactly `outer` (the max(·,1) floor)
                 # once an empty inner side is proven.
-                rules.append((i, _PRODUCT, kids[0], kids[1], 0.0))
+                rules.append((i, PRODUCT, kids[0], kids[1], 0.0))
         else:  # pragma: no cover - defensive
-            rules.append((i, _CONST, -1, -1, UNBOUNDED))
+            rules.append((i, CONST, -1, -1, UNBOUNDED))
     for node in plan_nodes:
         if node.op is Op.NESTED_LOOP_JOIN:
             outer_id = node.children[0].node_id
             for inner in reversed(list(node.children[1].walk())):
                 i = inner.node_id
                 if inner.op is Op.INDEX_SEEK:
-                    rules.append((i, _PROBE, outer_id, -1,
+                    rules.append((i, PROBE, outer_id, -1,
                                   max(nodes[i].table_rows, 1.0)))
                 else:  # residual FILTER above the seek
-                    rules.append((i, _PASS, inner.children[0].node_id,
+                    rules.append((i, PASS, inner.children[0].node_id,
                                   -1, 0.0))
     return tuple(rules)
 

@@ -879,7 +879,8 @@ def _plus(need: set[str] | None, columns) -> set[str] | None:
 def emitted_columns(plan: PlanNode, db) -> dict[int, tuple[str, ...]]:
     """The columns each source of ``plan`` emits, by node id, in table order.
 
-    One top-down pass per execution.  Each node hands its children the
+    One top-down pass per plan and database (the executor keeps it on the
+    plan's layout).  Each node hands its children the
     columns its own output must carry plus those it reads: filter
     predicates, sort keys, join keys.  The root's output carries every
     column (``None``), since a query without an aggregate returns whole

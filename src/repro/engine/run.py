@@ -300,7 +300,7 @@ def pipeline_static(nodes: list[NodeInfo], pipe) -> dict:
     ``repro.progress.soa.PipelineMeta`` all take their static fields from
     here, so what training saw is what serving scores.  The serving flush
     calls it once per pipeline of a :class:`PlanStatic` (once per
-    recording, or per live execution), not once per session.
+    recording, or per plan and database live), not once per session.
     """
     ids = list(pipe.node_ids)
     members = [nodes[i] for i in ids]
@@ -335,8 +335,10 @@ class PlanStatic:
     here reads a log, an execution's start times or a selector.
 
     A recording keeps its own (:attr:`QueryRun.plan_static`), shared by
-    every replay of it and freed with it; a live execution context builds
-    its own.  The record holds no reference back to either.
+    every replay of it and freed with it.  Live, the executor's plan
+    layout (``repro.engine.executor.PlanLayout``) holds one per plan and
+    database, shared by every execution of the plan there and freed with
+    the plan.  The record holds no reference back to any of them.
     """
 
     __slots__ = ("nodes", "pipelines", "terminals", "weights", "metas",

@@ -75,6 +75,9 @@ class PlanNode:
         self.node_id: int = -1
         self.est_rows: float = 0.0
         self.est_row_width: float = 8.0
+        #: a root's execution layouts by database (built and read by
+        #: ``repro.engine.executor.plan_layout``), freed with the plan
+        self.layouts: dict[int, Any] | None = None
 
     # -- tree structure -------------------------------------------------
 

@@ -76,7 +76,8 @@ Causality notes (why each report equals the chosen estimator's
   training's offline view is built from, once per plan record
   (:class:`~repro.engine.run.PlanStatic`, ``ctx.plan_static``): a
   recording's is shared by every session replaying it and lives as long
-  as the recording, a live execution builds its own.  The record holds
+  as the recording; live executions of one plan over one database share
+  their plan layout's, which lives as long as the plan.  The record holds
   only what the plan fixes — the metadata, the terminals, the ΣE
   weights (``ctx.nodes`` summed in preorder) and the §4.3 static-feature
   rows — and nothing read from a log or a selector.  Each execution's

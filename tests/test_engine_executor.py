@@ -1,15 +1,20 @@
 """Invariant tests for executed query runs."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.counters import UNBOUNDED
+from repro.core.monitor import ProgressMonitor
+from repro.engine.counters import INITIAL_CAPACITY, UNBOUNDED
 from repro.engine.executor import ExecutorConfig, QueryExecutor
 from repro.plan.nodes import Op, PlanNode
 from repro.query.logical import Aggregate
 from repro.query.predicates import FilterSpec
+from repro.service.service import ProgressService
 
 
 class TestExecutorConfig:
@@ -141,14 +146,22 @@ class TestPipelineStartRow:
 # ---------------------------------------------------------------------------
 
 def reference_bounds(ctx, seen: set) -> tuple[np.ndarray, np.ndarray]:
-    """[6]'s worst-case bounds by walking the plan node by node.
+    """[6]'s worst-case bounds of the live counters, by the per-node walk
+    (:func:`walk_bounds`)."""
+    return walk_bounds(ctx, np.array(ctx.counters.K),
+                       list(ctx.counters.done), seen)
 
-    The executor lays each execution's rules out once and runs that table;
-    this is the per-node definition it must equal bit for bit.  ``seen``
-    collects the rule cases the walk took.
+
+def walk_bounds(ctx, K: np.ndarray, done, seen: set
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """[6]'s worst-case bounds of counters ``K`` and done flags ``done``
+    by walking ``ctx``'s plan node by node.
+
+    The executor lays each plan's rules out once and the log runs that
+    table over blocks of rows; this is the per-node definition every row
+    must equal bit for bit.  ``seen`` collects the rule cases the walk
+    took.
     """
-    K = np.array(ctx.counters.K)
-    done = ctx.counters.done
     table_rows = np.array([n.table_rows for n in ctx.nodes])
     nodes = list(ctx.plan.walk())
     lb = K.copy()
@@ -284,3 +297,96 @@ def test_bounds_equal_per_node_walk_at_every_observation(unit_db):
         "grouped STREAM_AGG child done=True", "scalar STREAM_AGG", "TOP",
         "inner join", "left join", "semi join", "anti join",
         "probe-side INDEX_SEEK", "probe-side FILTER"}, seen
+
+
+def test_bounds_filled_when_read_equal_per_node_walk(unit_db):
+    """With no observation callback, the log fills bounds in only when it
+    is read.  Reads at seeded random points, whole or as a prefix, fill
+    blocks of rows that span buffer doublings and done-flag transitions;
+    at every read every row's ``LB``/``UB`` are the bits of the per-node
+    walk of that row's logged ``K``/``D``, and no view handed out earlier
+    ever changes."""
+    rng = np.random.default_rng(7)
+    seen: set = set()
+    spans = {"doubling": 0, "done flips": 0}
+    for name, plan, budget in _bound_plans():
+        config = ExecutorConfig(batch_size=64, seed=3,
+                                memory_budget_bytes=float(budget),
+                                target_observations=2000,
+                                max_observations=4000)
+        handle = QueryExecutor(unit_db, config).begin(plan.finalize(),
+                                                      query_name=name)
+        ctx = handle.ctx
+        want_lb, want_ub = [], []  # the walk of each row, once
+        views = []
+        filled = 0
+        working = True
+        while working:
+            working = handle.step()
+            if working and rng.random() < 0.7:
+                continue
+            T = len(ctx.log)
+            whole = not working or rng.random() < 0.5
+            stop = None if whole else int(rng.integers(0, T + 3))
+            arrays = ctx.log.as_arrays(stop)
+            assert len(arrays["times"]) == (T if whole else min(stop, T))
+            full = ctx.log.as_arrays()
+            for r in range(len(want_ub), T):
+                lb, ub = walk_bounds(ctx, full["K"][r], full["D"][r], seen)
+                want_lb.append(lb)
+                want_ub.append(ub)
+            for view in (arrays, full):
+                t = len(view["times"])
+                assert view["LB"].tobytes() == np.array(
+                    want_lb[:t]).reshape(t, -1).tobytes(), name
+                assert view["UB"].tobytes() == np.array(
+                    want_ub[:t]).reshape(t, -1).tobytes(), name
+            # the block of rows this read filled in: written before and
+            # after a doubling, or with a done flag changing inside it
+            if any(filled < INITIAL_CAPACITY << j < T for j in range(8)):
+                spans["doubling"] += 1
+            block = full["D"][filled:T]
+            if (block[1:] != block[:-1]).any():
+                spans["done flips"] += 1
+            filled = T
+            views.append((arrays, {k: v.copy() for k, v in arrays.items()}))
+        for view, frozen in views:
+            for key, column in view.items():
+                assert column.tobytes() == frozen[key].tobytes(), (name, key)
+        run = handle.result
+        assert run.UB.tobytes() == np.array(want_ub).tobytes(), name
+        assert run.LB.tobytes() == np.array(want_lb).tobytes(), name
+    assert spans["doubling"] > 0 and spans["done flips"] > 0, spans
+    assert {"finished", "probe-side INDEX_SEEK", "TOP",
+            "HASH_AGG child done=True"} <= seen, seen
+
+
+def test_finished_live_execution_dies_by_reference_count(unit_db):
+    """A live execution served to completion and released leaves no
+    reference cycle through its context: with the cyclic collector off,
+    its :class:`ExecContext` and :class:`ObservationLog` are freed as soon
+    as the service drops the handle.  (A log holding anything that refers
+    back to its context — a bound method, say — would keep both alive
+    until the next collection.)"""
+    _, plan, budget = next(_bound_plans())
+    plan.finalize()
+    config = ExecutorConfig(batch_size=64, seed=3,
+                            memory_budget_bytes=float(budget),
+                            target_observations=200)
+    gc.collect()
+    gc.disable()
+    try:
+        service = ProgressService(ProgressMonitor(fallback="dne",
+                                                  refresh_every=3))
+        sid = service.submit(unit_db, plan, "q", config)
+        results = service.run_until_complete()
+        assert results[sid][1], "the execution served no report"
+        ctx = service.sessions[sid].handle_ctx
+        ctx_ref, log_ref = weakref.ref(ctx), weakref.ref(ctx.log)
+        assert len(ctx.log) > 10
+        del ctx, results
+        service.release_session(sid)
+        assert ctx_ref() is None, "the execution context outlived its handle"
+        assert log_ref() is None, "the observation log outlived its handle"
+    finally:
+        gc.enable()

@@ -5,6 +5,8 @@ reference over hand-built tables, executed through the real engine (so
 counters, costs and spills are exercised too).
 """
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -471,13 +473,61 @@ def _match_case(draw):
             draw(st.booleans()))
 
 
-@given(_match_case())
-@settings(max_examples=300, deadline=None)
+_I64 = np.iinfo(np.int64)
+
+
+@st.composite
+def _dense_case(draw):
+    """Unique int64 keys forming one range ``arange(first, first + n)``
+    (shuffled, or presorted as merge joins build them), or the same with
+    one interior key dropped (a gap: no longer dense), from anywhere in
+    the int64 range.  Probes are int64 or float64, drawn from the keys,
+    just outside the range on both sides, ``NULL_INT`` and the int64
+    extremes; float64 probes stay where float64 is exact, since the
+    definition compares int64 keys and float64 probes as float64."""
+    n = draw(st.integers(1, 12))
+    gap = n >= 2 and draw(st.booleans())
+    span = n + gap
+    first = draw(st.sampled_from(
+        [-9, 0, 2**40, int(_I64.min), int(_I64.min) + 3,
+         int(_I64.max) - span + 1, NULL_INT - 2]))
+    keys = first + np.arange(span, dtype=np.int64)
+    if gap:
+        keys = np.delete(keys, draw(st.integers(1, span - 2)))
+    last = first + span - 1
+    near = [first - 1, first - 7, last + 1, last + 7, first, last,
+            NULL_INT, int(_I64.min), int(_I64.max), 0]
+    dtype = draw(st.sampled_from([np.int64, np.float64]))
+    pool = [int(k) for k in keys] + [
+        v for v in near if _I64.min <= v <= _I64.max]
+    if dtype is np.float64:
+        pool = [v for v in pool if abs(v) <= 2**53] or [0]
+    probe = np.array(draw(st.lists(st.sampled_from(pool), max_size=12)),
+                     dtype=dtype)
+    presorted = draw(st.booleans())
+    if not presorted:
+        keys = keys[draw(st.permutations(range(len(keys))))]
+    return keys, probe, presorted
+
+
+def _is_dense(sorted_keys) -> bool:
+    """Int64 keys, each one above the one before (Python ints: exact)."""
+    values = sorted_keys.tolist()
+    return (sorted_keys.dtype == np.int64 and len(values) > 0
+            and values == list(range(values[0], values[0] + len(values))))
+
+
+@given(st.one_of(_match_case(), _dense_case()))
+@example((np.array([3, 1, 2]), np.array([0.0, 1.0, 3.0, 4.0]), False))
+@example((np.array([_I64.max - 1, _I64.max]),
+          np.array([_I64.min, _I64.max, NULL_INT, -1]), True))
+@settings(max_examples=400, deadline=None)
 def test_one_search_matches_two_search_definition(case):
     """Positions, probe indices and counts equal the two-search definition,
     dtypes included, for both matcher forms (``presorted`` as merge joins
     build it, unsorted as hash joins and index seeks do); the one-search
-    path runs exactly when the sorted keys are strictly increasing."""
+    path runs exactly when the sorted keys are strictly increasing, and
+    matches by offset exactly when they are also one int64 range."""
     build, probe, presorted = case
     if presorted:
         build = np.sort(build)
@@ -493,6 +543,10 @@ def test_one_search_matches_two_search_definition(case):
     assert np.array_equal(counts, expected[2])
     assert matcher.unique == unique
     assert matcher.fast == (2 if unique else 0)
+    dense = _is_dense(matcher.sorted_keys)
+    assert (matcher._dense_first is not None) == dense
+    if dense:
+        assert matcher._dense_first == matcher.sorted_keys[0]
 
 
 def test_index_seeks_share_the_matcher():
@@ -519,7 +573,20 @@ def _identity_case(draw):
     return build, probe, presorted
 
 
-@given(_identity_case())
+@st.composite
+def _dense_identity_case(draw):
+    """A :func:`_dense_case` whose probe side often draws only keys (as
+    float64 only where float64 is exact)."""
+    build, probe, presorted = draw(_dense_case())
+    exact = build if probe.dtype == np.int64 else build[
+        np.abs(build.astype(np.float64)) <= 2**53]
+    if len(exact) and draw(st.booleans()):
+        picks = draw(st.lists(st.integers(0, len(exact) - 1), max_size=12))
+        probe = exact[np.array(picks, dtype=np.intp)].astype(probe.dtype)
+    return build, probe, presorted
+
+
+@given(st.one_of(_identity_case(), _dense_identity_case()))
 @example((np.array([3, 1, 2]), np.array([1, 2, 3]), False))  # one search
 @example((np.array([1, 1, 2]), np.array([2, 2]), True))  # two searches
 @example((np.array([1, 1, 2]), np.array([1, 2]), True))  # a count of 2
@@ -527,7 +594,10 @@ def _identity_case(draw):
 @example((np.array([1.0, np.nan]), np.array([np.nan]), True))  # NaN misses
 @example((np.array([5]), np.array([], dtype=np.int64), False))  # no probes
 @example((np.array([], dtype=np.int64), np.array([5]), False))  # no keys
-@settings(max_examples=300, deadline=None)
+@example((np.arange(4), np.array([3, 0, 2]), False))  # by offset, all hit
+@example((np.arange(4), np.array([3, 4]), True))  # by offset, one miss
+@example((np.arange(4), np.array([3.0, 0.0]), True))  # float: searched
+@settings(max_examples=400, deadline=None)
 def test_identity_signal_is_exact(case):
     """``identity`` is set exactly when ``probe_idx`` is
     ``arange(len(probe))``, on both search paths, and the matches it comes
@@ -589,10 +659,11 @@ def layouts(monkeypatch):
 def _same_recording(db, plan, monkeypatch, seen):
     """Execute ``plan`` unpruned, then pruned; every logged array, ``N``
     and the output must be the same bits.  Returns the pruned run, whose
-    layouts alone are left in ``seen``."""
+    layouts alone are left in ``seen``.  The unpruned run executes a copy
+    of the plan: a plan keeps the layout its first execution built."""
     with monkeypatch.context() as patch:
         patch.setattr(executor_module, "emitted_columns", _every_column)
-        reference = execute(db, plan)
+        reference = execute(db, copy.deepcopy(plan))
     seen.clear()
     run = execute(db, plan)
     for name in ("times", "K", "R", "W", "LB", "UB", "D", "N"):

@@ -3,16 +3,19 @@
 A pipeline's kernel metadata (:class:`~repro.progress.soa.PipelineMeta`),
 its ΣE weight, its terminal and its §4.3 static-feature row come from the
 plan alone, so they live in one :class:`~repro.engine.run.PlanStatic` per
-recording (or per live execution) that every session over it reads.
+recording (or per plan and database, in the executor's plan layout) that
+every session over it reads.
 What belongs to one execution — the pipelines' start times, their
 causal views' first rows, the selectors' choices — stays per session.
 These tests pin both halves: sharing (one build per recording and
 pipeline, streams equal to solo streams, the record freed with its
-recording), per-execution start times under a shared record, and the
+recording, one layout per plan and database, each freed with what it
+belongs to), per-execution start times under a shared record, and the
 cached static-feature rows' bit-equality with a fresh
 :func:`~repro.features.vector._static_block` over each batch.
 """
 
+import copy
 import gc
 import weakref
 from collections import Counter
@@ -27,8 +30,8 @@ from repro.core.training import (
     runs_to_pipelines,
     train_selector,
 )
-from repro.engine import executor as executor_module
-from repro.engine.executor import ExecutorConfig
+from repro.datagen.tpch import generate_tpch
+from repro.engine.executor import ExecutorConfig, QueryExecutor, plan_layout
 from repro.features.vector import (
     FeatureExtractor,
     _static_block,
@@ -133,12 +136,13 @@ def test_plan_record_dies_with_its_recording(selectors):
 
 
 def test_live_executions_keep_their_own_start_times(
-        tpch_db, tpch_planner, join_query, selectors, monkeypatch):
+        tpch_db, tpch_planner, join_query, selectors):
     """Two live executions of one plan under different executor seeds
     start their pipelines at different times.  Served in one service
-    over ONE shared plan record — valid, since the record reads only
-    the plan — each still serves its solo stream: the start times the
-    LUO kernel and the dynamic features read are the execution's own."""
+    they share the plan's ONE record — valid, since the record reads
+    only the plan — and each still serves its solo stream: the start
+    times the LUO kernel and the dynamic features read are the
+    execution's own."""
     plan = tpch_planner.plan(join_query)
     configs = [ExecutorConfig(batch_size=256, target_observations=40,
                               seed=seed) for seed in (5, 6)]
@@ -148,27 +152,103 @@ def test_live_executions_keep_their_own_start_times(
     solo = {(name, i): _keys(make().run(tpch_db, plan, "q", config)[1])
             for name, make in monitors.items()
             for i, config in enumerate(configs)}
-    records = []
-    real = executor_module.PlanStatic
-
-    def one_record(nodes, pipelines):
-        if not records:
-            records.append(real(nodes, pipelines))
-        return records[0]
-
-    monkeypatch.setattr(executor_module, "PlanStatic", one_record)
+    record = plan_layout(plan, tpch_db).plan_static
     for name, make in monitors.items():
-        records.clear()
         service = ProgressService(make(), slice_steps=2)
         sids = [service.submit(tpch_db, plan, "q", config)
                 for config in configs]
         served = _served(service)
         a, b = (service.sessions[sid].handle_ctx for sid in sids)
-        assert a.plan_static is b.plan_static is records[0]
+        assert a.plan_static is b.plan_static is record
         started = np.isfinite(a.pipe_first) & np.isfinite(b.pipe_first)
         assert (a.pipe_first[started] != b.pipe_first[started]).any()
         for i, sid in enumerate(sids):
             assert served[sid] == solo[name, i], (name, i)
+
+
+# ---------------------------------------------------------------------------
+# the execution layout: once per plan and database, freed with the plan
+# ---------------------------------------------------------------------------
+
+def _logged(run):
+    """Every logged array and scalar of a run, as bytes."""
+    return ([getattr(run, name).tobytes()
+             for name in ("times", "K", "R", "W", "LB", "UB", "D", "N")]
+            + [float.hex(run.total_time), run.output_rows, run.spill_events])
+
+
+def test_live_executions_share_one_layout(
+        tpch_db, tpch_planner, join_query, selectors, monkeypatch):
+    """Every execution of one plan over one database reads the layout
+    its first execution built, and so one :class:`PlanStatic`: served
+    together, ``pipeline_static`` runs once per pipeline of the plan."""
+    plan = tpch_planner.plan(join_query)
+    built = Counter()
+    static = batched.pipeline_static
+
+    def spy(nodes, pipe):
+        built[id(nodes), pipe.pid] += 1
+        return static(nodes, pipe)
+
+    monkeypatch.setattr(batched, "pipeline_static", spy)
+    service = ProgressService(_monitor(selectors), slice_steps=2)
+    sids = [service.submit(tpch_db, plan, "q", ExecutorConfig(
+        batch_size=256, target_observations=40, seed=seed))
+        for seed in (5, 6, 7)]
+    service.run_until_complete()
+    ctxs = [service.sessions[sid].handle_ctx for sid in sids]
+    layout = plan_layout(plan, tpch_db)
+    for ctx in ctxs:
+        assert ctx.layout is layout
+        assert ctx.plan_static is layout.plan_static
+        assert ctx.nodes is layout.nodes
+    # per-execution state stays per execution
+    assert len({id(ctx.log) for ctx in ctxs}) == 3
+    assert len({id(ctx.counters) for ctx in ctxs}) == 3
+    assert len({id(ctx.pipe_first) for ctx in ctxs}) == 3
+    assert built and set(built.values()) == {1}, built
+    assert {nodes for nodes, _ in built} == {id(layout.nodes)}
+
+
+def test_one_plan_over_two_databases_gets_two_layouts(
+        tpch_db, tpch_planner, join_query):
+    """One plan executed over two databases, interleaved, has one layout
+    per database, and every recording is bit for bit the recording of a
+    copy of the plan laid out cold."""
+    other = generate_tpch(lineitem_rows=3000, z=1.0, seed=43)
+    plan = tpch_planner.plan(join_query)
+    config = ExecutorConfig(batch_size=256, target_observations=40, seed=5)
+    for db in (tpch_db, other, tpch_db, other):
+        run = QueryExecutor(db, config).execute(plan, "q")
+        cold = QueryExecutor(db, config).execute(copy.deepcopy(plan), "q")
+        assert _logged(run) == _logged(cold)
+    first, second = plan_layout(plan, tpch_db), plan_layout(plan, other)
+    assert first is not second
+    assert set(plan.layouts) == {id(tpch_db), id(other)}
+    # the layouts differ where the databases do
+    assert ([n.table_rows for n in first.nodes]
+            != [n.table_rows for n in second.nodes])
+    assert plan_layout(plan, tpch_db) is first
+
+
+def test_plan_layout_dies_with_its_plan(tpch_db, tpch_planner, join_query,
+                                        selectors):
+    """Once the plan and the executions over it are dropped, so is its
+    layout and the plan record in it: nothing else holds them."""
+    plan = tpch_planner.plan(join_query)
+    service = ProgressService(_monitor(selectors), slice_steps=4)
+    for seed in (5, 6):
+        service.submit(tpch_db, plan, "q", ExecutorConfig(
+            batch_size=256, target_observations=40, seed=seed))
+    service.run_until_complete()
+    layout = weakref.ref(plan_layout(plan, tpch_db))
+    record = weakref.ref(layout().plan_static)
+    assert service.sessions[0].handle_ctx.layout is layout()
+    assert any(meta is not None for meta in record().metas)
+    del plan, service
+    gc.collect()
+    assert layout() is None
+    assert record() is None
 
 
 def test_one_recording_two_static_selectors(selectors):
