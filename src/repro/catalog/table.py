@@ -35,15 +35,20 @@ class SortedMatcher:
     ``arange(lo, hi)`` its partners' sorted positions.
 
     When the sorted keys are *unique* — each strictly greater than the one
-    before, and none NaN — ``hi - lo`` is 0 or 1, and the left search alone
-    decides it: every key before ``lo`` is below the probe, so the probe's
-    one possible partner sits at ``lo``, and it matches exactly when
+    before, and none NaN — and a probe compares with them in the keys' own
+    dtype, ``hi - lo`` is 0 or 1, and the left search alone decides it:
+    every key before ``lo`` is below the probe, so the probe's one
+    possible partner sits at ``lo``, and it matches exactly when
     ``sorted[min(lo, n - 1)] == probe`` (``==`` agrees with the searches'
     ordering: ``-0.0`` equals ``0.0``; a NaN probe sorts past every non-NaN
     key and equals none).  The flag is computed once per matcher, lazily on
     its first match, and any duplicate or NaN key keeps the two-search
-    path.  Both paths return the same positions, probe indices and counts,
-    dtypes included.
+    path.  So does a probe whose dtype the keys would be cast to for the
+    comparison (float64 probes over int64 keys): the cast can merge
+    distinct keys (beyond 2**53 in magnitude float64 skips integers), and
+    a merged key then has two partners.  Both paths
+    return the same positions, probe indices and counts, dtypes
+    included.
 
     Unique int64 keys that form one contiguous range (``last - first ==
     n - 1``, as generated surrogate keys do) need no search at all: an
@@ -81,6 +86,12 @@ class SortedMatcher:
             return sk[0]
         return None
 
+    def _one_search(self, probe: np.ndarray) -> bool:
+        """True when one search decides ``probe``: the keys are unique and
+        compare with the probe in their own dtype."""
+        return self.unique and np.result_type(
+            self.sorted_keys.dtype, probe.dtype) == self.sorted_keys.dtype
+
     def _unique_hits(self, probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Which probes equal a key (``hit``), and where (``lo``).
 
@@ -114,7 +125,7 @@ class SortedMatcher:
         hits or counts (``hit.all()``; all ``counts == 1``), never from the
         number of matches alone.
         """
-        if self.unique:
+        if self._one_search(probe):
             lo, hit = self._unique_hits(probe)
             identity = bool(hit.all())
             if identity:  # every probe hit: the partners are at ``lo``
@@ -137,7 +148,7 @@ class SortedMatcher:
 
     def counts(self, probe: np.ndarray) -> np.ndarray:
         """Partner count per probe row (all a semi/anti join needs)."""
-        if self.unique:
+        if self._one_search(probe):
             return self._unique_hits(probe)[1].astype(np.intp)
         return (np.searchsorted(self.sorted_keys, probe, side="right")
                 - np.searchsorted(self.sorted_keys, probe, side="left"))

@@ -156,10 +156,13 @@ class ProgressMonitor:
         from repro.service.service import ProgressService
 
         hook = self.on_report
-        return ProgressService(
-            self, slice_steps=SOLO_SLICE_STEPS,
-            on_report=None if hook is None
-            else lambda _session, report: hook(report))
+
+        def on_block(block):
+            for _, report in block:
+                hook(report)
+
+        return ProgressService(self, slice_steps=SOLO_SLICE_STEPS,
+                               on_block=None if hook is None else on_block)
 
     # -- selection policy (called by the flush) ------------------------------
 

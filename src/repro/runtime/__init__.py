@@ -27,6 +27,7 @@ layer without a determinism tax.
 from repro.runtime.partition import partition_indices
 from repro.runtime.pool import JOBS_ENV, available_cpus, resolve_jobs, run_tasks
 from repro.runtime.transport import (
+    block_from_payload,
     reports_from_payload,
     reports_to_payload,
     runs_from_payload,
@@ -36,6 +37,7 @@ from repro.runtime.transport import (
 __all__ = [
     "JOBS_ENV",
     "available_cpus",
+    "block_from_payload",
     "partition_indices",
     "resolve_jobs",
     "run_tasks",

@@ -38,9 +38,8 @@ import numpy as np
 from repro.engine.run import QueryRun
 from repro.trace.format import (
     TRACE_FORMAT_VERSION,
+    ReportBlock,
     check_trace_version,
-    reports_from_columns,
-    reports_to_columns,
     run_from_members,
     run_to_manifest,
     run_to_members,
@@ -177,23 +176,33 @@ def runs_from_payload(payload: bytes) -> list[QueryRun]:
                 for entry in header["runs"]]
 
 
-def reports_to_payload(tagged: "list[tuple[int, object]]") -> bytes:
-    """Encode ``(session_id, ProgressReport)`` pairs as one bytes payload.
+def reports_to_payload(rows) -> bytes:
+    """Encode report rows as one bytes payload.
 
-    The sharded service's per-tick report frame: the report rows cross in
-    the columnar trace codec (:func:`repro.trace.format.reports_to_columns`
-    — float64 bit-exact, estimator names interned) with the session ids as
-    one extra int64 member, under the same length-prefixed header framing
-    as :func:`runs_to_payload`.
+    ``rows`` is a :class:`~repro.trace.format.ReportBlock` or a sequence
+    of ``(session_id, ProgressReport)`` pairs (made into one first).  The
+    sharded service's per-tick report frame: the block's columns cross as
+    the codec's members (:meth:`ReportBlock.to_columns` — float64
+    bit-exact, estimator names interned) with the session ids as one
+    extra int64 member, under the same length-prefixed header framing as
+    :func:`runs_to_payload`.
     """
-    entry, members = reports_to_columns([report for _, report in tagged])
-    members["sids"] = np.asarray([sid for sid, _ in tagged], dtype=np.int64)
+    if not isinstance(rows, ReportBlock):
+        rows = ReportBlock.from_reports(rows)
+    entry, members = rows.to_columns()
+    members["sids"] = rows.sids
     return _frame({"reports": entry}, members)
 
 
-def reports_from_payload(payload: bytes) -> "list[tuple[int, object]]":
-    """Decode a :func:`reports_to_payload` payload back into tagged reports."""
+def block_from_payload(payload: bytes) -> ReportBlock:
+    """Decode a :func:`reports_to_payload` payload into one block."""
     header, members = _unframe(payload, "report")
     with _malformed("report"):
-        reports = reports_from_columns(header["reports"], members)
-        return list(zip(members["sids"].tolist(), reports))
+        return ReportBlock.from_columns(header["reports"], members)
+
+
+def reports_from_payload(payload: bytes) -> "list[tuple[int, object]]":
+    """Decode a :func:`reports_to_payload` payload into ``(session_id,
+    ProgressReport)`` pairs."""
+    with _malformed("report"):
+        return list(block_from_payload(payload))

@@ -50,10 +50,15 @@ order, on the structure-of-arrays kernels of :mod:`repro.progress.soa`:
    kernel's value running and ``+0.0`` otherwise; ``overall`` sums the
    ΣE-weighted values (eq. 5) column by column in pid order, bit for bit
    the sum over only the pipelines that contribute (every partial sum is
-   ``>= +0.0``, so the ``+0.0`` terms are exact).  Then, in capture
-   order, each :class:`~repro.core.monitor.ProgressReport` gets its own
-   per-pipeline dicts and commits each segment's choice at its first
-   row.
+   ``>= +0.0``, so the ``+0.0`` terms are exact).  The round's reports
+   are one :class:`~repro.trace.format.ReportBlock`, built with array
+   code and no per-report loop: a pipeline's committed choice at a row is
+   its running cell's estimator, else the last one above it in the
+   session, else the choice the session held before the round (a forward
+   fill down each session's rows); each row lists its choices in the
+   insertion order of the session's ``MonitorState.choices``, each
+   segment's choice committed at its first row; each row's values run
+   over the session's own pipelines.
 
 Causality notes (why each report equals the chosen estimator's
 ``estimate`` on the causal prefix of its row):
@@ -110,7 +115,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.catalog.table import _expand_ranges
-from repro.core.monitor import DYNAMIC, STATIC, ProgressMonitor, ProgressReport
+from repro.core.monitor import DYNAMIC, STATIC, ProgressMonitor
 from repro.engine.run import pipeline_static
 from repro.progress.soa import (
     BatchedLuoState,
@@ -122,6 +127,7 @@ from repro.progress.soa import (
     window_starts,
 )
 from repro.service.session import NEVER
+from repro.trace.format import ReportBlock
 
 
 class _Run:
@@ -143,9 +149,10 @@ class _Plan:
     Report ``i`` is log row ``rows[i]`` of session ``sess[i]``; each
     session's reports are consecutive (``bounds``), in session order.
     The ``(reports, pipelines)`` status arrays are padded to the session
-    with the most pipelines.  A running *cell* is a (report, pipeline)
-    whose value a kernel gives; cells are sorted by session, pipeline and
-    row, so each :class:`_Run` owns consecutive cells (``cell_run``).
+    with the most pipelines; ``widths`` holds each session's own count.
+    A running *cell* is a (report, pipeline) whose value a kernel gives;
+    cells are sorted by session, pipeline and row, so each :class:`_Run`
+    owns consecutive cells (``cell_run``).
 
     A log row's *key* is ``offsets[s] + row`` for row ``row`` of session
     ``s``: its index in ``log_times``, the sessions' logged times laid
@@ -163,7 +170,7 @@ class _Plan:
                  "weights", "firsts", "done", "running", "cell_report",
                  "cell_pid", "runs", "offsets", "log_times", "cell_run",
                  "cell_key", "run_first", "run_start", "cell_window",
-                 "metas", "keys", "table", "cols", "child")
+                 "metas", "keys", "table", "cols", "child", "widths")
 
 
 class VectorizedFlush:
@@ -172,6 +179,8 @@ class VectorizedFlush:
     def __init__(self, monitor: ProgressMonitor):
         self.monitor = monitor
         self.states = batched_states(monitor.estimators)
+        #: the estimator names, in the order of the codes the blocks carry
+        self.names = tuple(self.states)
         #: the LUO kernel, if pooled: the cells it serves also gather the
         #: row their speed window opens at
         self._luo = next((st for st in self.states.values()
@@ -179,11 +188,11 @@ class VectorizedFlush:
 
     # -- the flush -----------------------------------------------------------
 
-    def flush(self, sessions, scorer, stats, on_report) -> None:
-        """Produce every due report of ``sessions`` (ascending session id,
-        each with rows due)."""
+    def flush(self, sessions, scorer, stats) -> ReportBlock:
+        """Every due report of ``sessions`` (ascending session id, each
+        with rows due), as one block."""
         plan = self._plan(sessions)
-        names = list(self.states)
+        names = self.names
         cells = len(plan.cell_pid)
         values = np.zeros(cells)
         code = np.zeros(cells, dtype=np.int64)
@@ -234,7 +243,8 @@ class VectorizedFlush:
             commits = sorted(zip(plan.cell_report[starts].tolist(),
                                  plan.cell_pid[starts].tolist(),
                                  [names[c] for c in codes]))
-        self._assemble(plan, values, code, names, commits, stats, on_report)
+        stats.reports += len(plan.rows)
+        return self._assemble(plan, values, code, commits)
 
     # -- phase 1: causal planning --------------------------------------------
 
@@ -251,12 +261,13 @@ class VectorizedFlush:
         firsts = np.full((S, P), NEVER)
         starts = np.zeros((S, P))
         weights = np.zeros((S, P))
+        widths = np.empty(S, dtype=np.int64)
         logs = []
         lo = 0
         for s, session in enumerate(planned):
             ctx = session.handle_ctx
             static = ctx.plan_static
-            p = len(static.terminals)
+            p = widths[s] = len(static.terminals)
             log = ctx.log.as_arrays()
             logs.append(log)
             hi = lo + counts[s]
@@ -308,7 +319,7 @@ class VectorizedFlush:
         plan = _Plan()
         plan.sessions, plan.logs, plan.bounds = planned, logs, bounds
         plan.rows, plan.sess, plan.times = rows, sess, times
-        plan.weights, plan.firsts = weights, firsts
+        plan.weights, plan.firsts, plan.widths = weights, firsts, widths
         plan.done, plan.running = done, running
         plan.cell_report, plan.cell_pid, plan.runs = report, pid, runs
         plan.offsets = np.cumsum([0] + sizes)
@@ -467,55 +478,83 @@ class VectorizedFlush:
 
     # -- phase 5: assemble ----------------------------------------------------
 
-    def _assemble(self, plan: _Plan, values, code, names, commits, stats,
-                  on_report) -> None:
-        """Every report, in session then row order: the ΣE-weighted
-        pipeline values (eq. 5).  ``values`` and ``code`` hold each cell's
-        kernel value and estimator index in ``names``; ``commits`` the
-        ``(report, pid, name)`` at which a pipeline's choice is
-        (re)committed, sorted."""
+    def _assemble(self, plan: _Plan, values, code, commits) -> ReportBlock:
+        """Every report, in session then row order, as one block: the
+        ΣE-weighted pipeline values (eq. 5) and the committed choices.
+        ``values`` and ``code`` hold each cell's kernel value and
+        estimator code; ``commits`` the ``(report, pid, name)`` at which a
+        pipeline's choice is (re)committed, sorted.  Each session's
+        ``MonitorState.choices`` ends the round with every commit
+        applied."""
         T, P = plan.running.shape
+        S = len(plan.sessions)
         cell = plan.cell_report, plan.cell_pid
         # per (report, pipeline): 1.0 done, the kernel value running,
         # else +0.0
         X = plan.done.astype(float)
         X[cell] = values
-        chosen = np.full((T, P), len(names))
-        chosen[cell] = code
-        names = names + [None]
         # a sequential sum over the pipelines in pid order: every partial
         # sum is >= +0.0, so the +0.0 terms are exact
         weights = plan.weights[plan.sess]
         overall = np.zeros(T)
         for p in range(P):
             overall += weights[:, p] * X[:, p]
-        progress = np.minimum(overall, 1.0).tolist()
         running = plan.running
         active = np.where(running.any(axis=1),
                           P - 1 - running[:, ::-1].argmax(axis=1), -1)
-        active_names = [names[c] for c in
-                        chosen[np.arange(T), active].tolist()]
-        active = active.tolist()
-        times = plan.times.tolist()
+
+        # per session, the choices it held before the round (codes), and
+        # after the round's commits, its choices' pids in insertion order
+        # (padded with P)
+        bounds = plan.bounds.tolist()
+        index = {name: c for c, name in enumerate(self.names)}
+        held_at, held_pid, held_code = [], [], []
+        order_at, order_rank, order_pid = [], [], []
         commits.append((T, 0, None))
         k = 0
-        bounds = plan.bounds.tolist()
         for s, session in enumerate(plan.sessions):
             choices = session.state.choices
-            reports = session.reports
-            lo, hi = bounds[s], bounds[s + 1]
-            rows = X[lo:hi, :len(session.handle_ctx.pipelines)].tolist()
-            for i, row in enumerate(rows, lo):
-                while commits[k][0] == i:
-                    _, pid, name = commits[k]
-                    choices[pid] = name
-                    k += 1
-                report = ProgressReport(
-                    time=times[i], progress=progress[i],
-                    active_pid=active[i], active_estimator=active_names[i],
-                    pipeline_progress=dict(enumerate(row)),
-                    pipeline_estimator=dict(choices))
-                reports.append(report)
-                stats.reports += 1
-                if on_report is not None:
-                    on_report(session, report)
+            n = len(choices)
+            held_at += [s] * n
+            held_pid += choices
+            held_code += [index[name] for name in choices.values()]
+            while commits[k][0] < bounds[s + 1]:
+                _, pid, name = commits[k]
+                choices[pid] = name
+                k += 1
+            order_at += [s] * len(choices)
+            order_rank += range(len(choices))
+            order_pid += choices
+        held = np.full((S, P), -1)
+        held[held_at, held_pid] = held_code
+        order = np.full((S, P), P)
+        order[order_at, order_rank] = order_pid
+        # per (report, pipeline) its committed choice's code (-1: none):
+        # a running cell's own, else the last one above it in its session,
+        # else the held one; column P is a pad of -1s
+        chosen = np.full((T, P + 1), -1)
+        chosen[cell] = code
+        heads = plan.bounds[:-1]
+        chosen[heads, :P] = np.where(chosen[heads, :P] >= 0,
+                                     chosen[heads, :P], held)
+        defined = chosen >= 0
+        defined[heads] = True
+        above = np.where(defined, np.arange(T)[:, None], 0)
+        np.maximum.accumulate(above, axis=0, out=above)
+        chosen = np.take_along_axis(chosen, above, axis=0)
+        # a row's choices are a prefix of its session's insertion order
+        listed_pid = order[plan.sess]
+        listed = np.take_along_axis(chosen, listed_pid, axis=1)
+        has = listed >= 0
+        pe_off = np.zeros(T + 1, dtype=np.int64)
+        np.cumsum(has.sum(axis=1), out=pe_off[1:])
+        # each row's values run over its session's own pipelines
+        own = np.arange(P) < plan.widths[plan.sess][:, None]
+        pp_off = np.zeros(T + 1, dtype=np.int64)
+        np.cumsum(plan.widths[plan.sess], out=pp_off[1:])
+        sids = np.array([session.session_id for session in plan.sessions])
+        return ReportBlock(
+            sids[plan.sess], plan.times, np.minimum(overall, 1.0), active,
+            # the active cell's code; active -1 reads the pad column
+            chosen[np.arange(T), active], pp_off, np.nonzero(own)[1],
+            X[own], pe_off, listed_pid[has], listed[has], self.names)

@@ -12,10 +12,13 @@ rounds so request handling and stream delivery interleave with serving.
 columnar codec the shards use internally
 (:func:`~repro.runtime.transport.reports_to_payload`): the streaming
 endpoint frames each round's new rows as one binary payload, and the
-``reports`` route returns the whole stream as one payload.  Decoding and
-re-encoding a session's rows therefore reproduces the in-process bytes
-bit-for-bit — the network parity test and the fuzz oracle's ``network``
-layer both assert exactly that.
+``reports`` route returns the whole stream as one payload.  A session's
+rows are kept as the column blocks the fleet returned
+(:class:`~repro.trace.format.ReportLog`), and every reply frames a slice
+of them: no report is decoded into an object and encoded again.
+Decoding and re-encoding a session's rows reproduces the in-process
+bytes bit-for-bit — the network parity test and the fuzz oracle's
+``network`` layer both assert exactly that.
 
 **Admission control** maps the fleet's existing budgets onto status
 codes, always with ``Retry-After``:
@@ -63,6 +66,7 @@ from repro.service.net.http import (
     response_bytes,
 )
 from repro.service.sharded import ShardedProgressService
+from repro.trace.format import ReportBlock, ReportLog
 
 #: The served HTTP surface: ``(method, route pattern)``.  ``ci/check_docs.py``
 #: fails CI unless every row appears verbatim in ``docs/api.md``.
@@ -94,14 +98,14 @@ class SessionRecord:
     """Supervisor-side state of one served session.
 
     The fleet keeps no reports once a round has returned, so this record
-    *is* the report buffer: each round's rows (returned by
-    :meth:`ShardedProgressService.tick` in merged submission order) are
-    appended here and stay until the tenant DELETEs the session.
+    *is* the report buffer: each round's rows of the session (copied out
+    of the block :meth:`ShardedProgressService.tick` returns) are
+    appended to ``rows`` and stay until the tenant DELETEs the session.
     ``changed`` wakes every subscribed stream task whenever new rows,
     completion or failure land.
     """
 
-    __slots__ = ("sid", "tenant", "name", "done", "failed", "reports",
+    __slots__ = ("sid", "tenant", "name", "done", "failed", "rows",
                  "changed")
 
     def __init__(self, sid: int, tenant: str, name: str):
@@ -110,7 +114,7 @@ class SessionRecord:
         self.name = name
         self.done = False
         self.failed = False
-        self.reports: list = []
+        self.rows = ReportLog()
         self.changed = asyncio.Event()
 
     @property
@@ -122,9 +126,8 @@ class SessionRecord:
         status = ("failed" if self.failed
                   else "done" if self.done else "active")
         return {"session": self.sid, "name": self.name, "status": status,
-                "reports": len(self.reports),
-                "progress": (self.reports[-1].progress
-                             if self.reports else None)}
+                "reports": len(self.rows),
+                "progress": self.rows.last_progress()}
 
 
 class ProgressServer:
@@ -243,12 +246,20 @@ class ProgressServer:
 
     # -- the tick loop -------------------------------------------------------
 
-    def _apply(self, rows: list, completed: list[int]) -> None:
+    def _round(self) -> tuple[list[tuple[int, ReportBlock]], list[int]]:
+        """One fleet round, with each session's rows (consecutive in the
+        round's block) copied out, so no record keeps the block alive —
+        runs in the tick thread."""
+        block, completed = self._service.tick()
+        return (block.per_session() if len(block) else []), completed
+
+    def _apply(self, rows: list[tuple[int, ReportBlock]],
+               completed: list[int]) -> None:
         """Fold one round's rows and completions into the session records
         and wake their subscribers — runs on the event loop."""
-        for sid, report in rows:
+        for sid, block in rows:
             record = self._records[sid]
-            record.reports.append(report)
+            record.rows.append(block)
             record.changed.set()
         for sid in completed:
             record = self._records[sid]
@@ -282,14 +293,14 @@ class ProgressServer:
         """Drive the fleet while work exists; park on ``_work`` when idle.
 
         Every round blocks on its shards, inline or in worker processes,
-        so it runs in a worker thread and touches no asyncio primitive;
-        the round it returns is applied on-loop, and a zero sleep lets
-        handlers and stream tasks run between rounds.
+        so it runs in a worker thread and touches no asyncio primitive
+        (:meth:`_round`); the round it returns is applied on-loop, and a
+        zero sleep lets handlers and stream tasks run between rounds.
         """
         service = self._service
         while True:
             if service.active:
-                self._apply(*await asyncio.to_thread(service.tick))
+                self._apply(*await asyncio.to_thread(self._round))
                 await asyncio.sleep(0)
             elif self._draining:
                 break
@@ -428,7 +439,7 @@ class ProgressServer:
         done = sum(1 for sid in sids if self._records[sid].done)
         return response_bytes(200, json_body({
             "tenant": {"name": tenant, "sessions": len(sids), "done": done,
-                       "reports": sum(len(self._records[sid].reports)
+                       "reports": sum(len(self._records[sid].rows)
                                       for sid in sids)},
             "fleet": {
                 "n_shards": self._service.n_shards,
@@ -545,8 +556,7 @@ class ProgressServer:
         return response_bytes(200, json_body({"deleted": record.sid}))
 
     def _session_reports(self, record: SessionRecord) -> bytes:
-        payload = reports_to_payload(
-            [(record.sid, report) for report in record.reports])
+        payload = reports_to_payload(record.rows.block())
         return response_bytes(200, payload, content_type=REPORTS_TYPE,
                               headers={"X-Repro-Session-Done":
                                        "true" if record.done else "false"})
@@ -576,26 +586,25 @@ class ProgressServer:
         cursor = int(cursor)
         writer.write(ws.handshake_response(
             request.headers["sec-websocket-key"]))
+        rows = record.rows
         try:
             while True:
-                if cursor < len(record.reports):
-                    batch = record.reports[cursor:]
-                    cursor = len(record.reports)
+                if cursor < len(rows):
+                    batch = rows.block(cursor)
+                    cursor = len(rows)
                     writer.write(ws.encode_frame(
-                        ws.OP_BINARY,
-                        reports_to_payload([(record.sid, report)
-                                            for report in batch])))
+                        ws.OP_BINARY, reports_to_payload(batch)))
                     await writer.drain()
-                if record.finished and cursor >= len(record.reports):
+                if record.finished and cursor >= len(rows):
                     break
-                if not (cursor < len(record.reports) or record.finished):
+                if not (cursor < len(rows) or record.finished):
                     record.changed.clear()
                     await record.changed.wait()
             writer.write(ws.encode_frame(ws.OP_TEXT, json_body({
                 "type": "failed" if record.failed else "done",
                 "session": record.sid,
                 "tenant": record.tenant, "name": record.name,
-                "reports": len(record.reports)})))
+                "reports": len(rows)})))
             writer.write(ws.close_frame(CLOSE_SERVER_ERROR) if record.failed
                          else ws.close_frame())
             await writer.drain()

@@ -22,7 +22,10 @@ A tick is one scheduler round:
    from the log, pending estimator selections of this round's sessions
    are deduplicated (first observation wins) and scored in one batch per
    selector kind, the kernels advance over every due row, and the
-   reports are assembled in capture order.
+   round's reports are assembled in capture order as one
+   :class:`~repro.trace.format.ReportBlock`; each session keeps a copy
+   of its own rows (unless ``keep_rows`` is off), so none keeps the
+   round's block alive, and the ``on_block`` hook gets the block.
 
 The service tracks sessions in three index structures so per-tick cost
 scales with *live* sessions, not with every session ever submitted:
@@ -48,6 +51,7 @@ from repro.service.batched import VectorizedFlush
 from repro.service.scheduler import RoundRobinScheduler
 from repro.service.scoring import BatchedSelectorScorer
 from repro.service.session import QuerySession
+from repro.trace.format import ReportBlock
 from repro.trace.replay import ReplayExecutor
 
 
@@ -102,27 +106,33 @@ class ProgressService:
         The (stateless-per-query) :class:`ProgressMonitor` providing the
         selection policy, estimator pool and report logic shared by all
         sessions.  Its ``on_report`` hook is ignored here — use the
-        service-level ``on_report``.
+        service-level ``on_block``.
     slice_steps:
         Engine steps each live session gets per tick.
     max_live:
         Admission-control bound on concurrently executing sessions;
         ``None`` means unbounded.
-    on_report:
-        Called as ``on_report(session, report)`` for every finalized
-        report, in per-session capture order.
+    on_block:
+        Called as ``on_block(block)`` once per round that produced
+        reports, with the round's
+        :class:`~repro.trace.format.ReportBlock`: every report of the
+        round, in ascending session id, then capture order.
     on_complete:
         Called as ``on_complete(session)`` once per session, on the tick
         it finishes — strictly *after* its final reports flushed, so the
         hook may release the session (the sharded service frees its
         memory-budget share and drops heavy state here).
+    keep_rows:
+        Whether each session keeps its report rows
+        (:attr:`QuerySession.reports`).  A shard, which ships every
+        round's block and never reads a session's stream, turns it off.
     """
 
     def __init__(self, monitor: ProgressMonitor, slice_steps: int = 8,
                  max_live: int | None = None,
-                 on_report: Callable[[QuerySession, ProgressReport], None]
-                 | None = None,
-                 on_complete: Callable[[QuerySession], None] | None = None):
+                 on_block: Callable[[ReportBlock], None] | None = None,
+                 on_complete: Callable[[QuerySession], None] | None = None,
+                 keep_rows: bool = True):
         self.monitor = monitor
         self.scheduler = RoundRobinScheduler(slice_steps)
         self.scorer = BatchedSelectorScorer(monitor.static_selector,
@@ -130,8 +140,9 @@ class ProgressService:
         if max_live is not None and max_live <= 0:
             raise ValueError("max_live must be positive (or None)")
         self.max_live = max_live
-        self.on_report = on_report
+        self.on_block = on_block
         self.on_complete = on_complete
+        self.keep_rows = keep_rows
         self.sessions: list[QuerySession] = []
         self._pending: deque[QuerySession] = deque()
         self._live: list[QuerySession] = []
@@ -258,5 +269,9 @@ class ProgressService:
         """
         due = [s for s in round_sessions if s.pending_reports]
         if due:
-            self._vector.flush(due, self.scorer, self.stats,
-                               self.on_report)
+            block = self._vector.flush(due, self.scorer, self.stats)
+            if self.keep_rows:
+                for session, (_, rows) in zip(due, block.per_session()):
+                    session.report_rows.append(rows)
+            if self.on_block is not None:
+                self.on_block(block)

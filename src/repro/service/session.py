@@ -4,9 +4,13 @@ A :class:`QuerySession` bundles everything the service tracks per query:
 the resumable :class:`~repro.engine.executor.ExecutionHandle`, the
 per-query :class:`~repro.core.monitor.MonitorState` (sticky estimator
 choices), the observation rows due a report, each started pipeline's
-first causal-view row and the :class:`~repro.core.monitor.ProgressReport`
-stream.  A pipeline's kernel metadata lives on its plan record
-(:class:`~repro.engine.run.PlanStatic`), not on the session.
+first causal-view row and the report stream.  The stream is kept as
+columns (:class:`~repro.trace.format.ReportLog`, one block of rows per
+flush, copied out of the round's block); its
+:class:`~repro.core.monitor.ProgressReport` objects are built only when
+:attr:`QuerySession.reports` is read.  A pipeline's kernel metadata
+lives on its plan record (:class:`~repro.engine.run.PlanStatic`), not on
+the session.
 
 Sessions are passive: the :class:`~repro.service.service.ProgressService`
 steps their handles and its flush turns their due rows into reports.  No
@@ -29,6 +33,7 @@ import numpy as np
 from repro.core.monitor import MonitorState, ProgressMonitor, ProgressReport
 from repro.engine.executor import ExecutionHandle, QueryExecutor
 from repro.engine.run import QueryRun
+from repro.trace.format import ReportLog
 
 #: a row index past every log: a pipeline slot not (yet) filled
 NEVER = np.iinfo(np.int64).max
@@ -50,13 +55,21 @@ class QuerySession:
     scheduled identically.
     """
 
+    __slots__ = ("session_id", "query_name", "status", "state",
+                 "report_rows", "pending_reports", "view_first", "steps",
+                 "released", "_reports", "_monitor", "_executor", "_plan",
+                 "_handle", "_scanned")
+
     def __init__(self, session_id: int, executor: "QueryExecutor | object",
                  plan, query_name: str, monitor: ProgressMonitor):
         self.session_id = session_id
         self.query_name = query_name
         self.status = SessionStatus.PENDING
-        self.state = MonitorState()
-        self.reports: list[ProgressReport] = []
+        self.state: MonitorState | None = MonitorState()
+        #: the report stream as columns, a block per flush
+        self.report_rows: ReportLog | None = ReportLog()
+        #: the stream's reports built so far (:attr:`reports`)
+        self._reports: list[ProgressReport] | None = []
         #: observation-log row index per due report
         self.pending_reports: list[int] = []
         #: per pipeline, the first row of its causal view: set by the
@@ -110,23 +123,39 @@ class QuerySession:
     def done(self) -> bool:
         return self.status is SessionStatus.DONE
 
+    @property
+    def reports(self) -> list[ProgressReport]:
+        """The report stream so far, built from :attr:`report_rows` on
+        read (rows already built are not built again); ``[]`` once
+        released."""
+        rows = self.report_rows
+        if rows is None:
+            return []
+        built = self._reports
+        if len(built) < len(rows):
+            built += rows.block(len(built)).reports()
+        return built
+
     def release(self) -> None:
         """Drop everything but the tombstone (id, status, step count).
 
         The sharded service's drain protocol calls this once a finished
         session's reports have been shipped: the execution handle (which
-        pins the whole recorded run for replay sessions), the queued
-        capture state and the report list all go, so shard memory scales
-        with live sessions under churn.  Idempotent.
+        pins the whole recorded run for replay sessions), the selection
+        state, the queued rows and the report stream all go, and nothing
+        is allocated in their place, so shard memory scales with live
+        sessions under churn.  Idempotent.
         """
         if not self.done:
             raise RuntimeError(
                 f"session {self.session_id} is {self.status.value}; only "
                 f"completed sessions can be released")
         self.released = True
-        self.reports = []
-        self.pending_reports = []
-        self.state = MonitorState()
+        self.state = None
+        self.report_rows = None
+        self._reports = None
+        self.pending_reports = None
+        self.view_first = None
         self._executor = None
         self._plan = None
         self._handle = None

@@ -19,7 +19,9 @@ Design rules, all inherited from :mod:`repro.runtime`:
   :func:`~repro.runtime.transport.reports_to_payload`; engine objects are
   never pickled across the boundary.  Commands and reports are *batched*:
   one submit frame carries a whole wave of runs, one tick frame drives a
-  round and returns every report it produced.
+  round and returns every report it produced — the round's
+  :class:`~repro.trace.format.ReportBlock`, framed as it is, with no
+  report object built on the way.
 * **Order-preserving merge** — within a tick round the shard replies are
   merged by global session id (each shard already emits in local
   submission order, which placement keeps aligned with global order), so
@@ -37,9 +39,10 @@ as retiring sessions release their bytes (the
 :meth:`~repro.service.service.ProgressService` ``on_complete`` drain hook).
 
 **A round is a return value**: :meth:`~ShardedProgressService.tick`
-returns ``(rows, completed)`` — the round's merged ``(global_sid,
-report)`` rows in global submission order, and the sessions that
-finished in it, ascending.  The supervisor keeps nothing per session
+returns ``(block, completed)`` — the round's merged rows as one
+:class:`~repro.trace.format.ReportBlock` in global submission order
+(iterating it yields ``(global_sid, report)`` pairs), and the sessions
+that finished in it, ascending.  The supervisor keeps nothing per session
 once a round has returned: shards release finished sessions the tick
 their reports ship (``release_session``), so fleet memory tracks *live*
 sessions however long it serves.  A streaming consumer (the network
@@ -64,7 +67,6 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 import numpy as np
 
@@ -72,12 +74,13 @@ from repro.core.monitor import ProgressMonitor, ProgressReport
 from repro.engine.run import QueryRun
 from repro.runtime.pool import _mp_context, available_cpus
 from repro.runtime.transport import (
-    reports_from_payload,
+    block_from_payload,
     reports_to_payload,
     runs_from_payload,
     runs_to_payload,
 )
 from repro.service.service import ProgressService, ServiceStats
+from repro.trace.format import ReportBlock
 
 _log = logging.getLogger(__name__)
 
@@ -176,7 +179,7 @@ class FleetStats:
 
 class ShardWorker:
     """One shard: a :class:`ProgressService` plus budgeted
-    admission and per-tick report capture.
+    admission; each tick's reply frames the round's report block.
 
     :meth:`handle` serves the supervisor's frames behind an
     :class:`InlineShardConnection` in both deployment modes — in the
@@ -190,17 +193,18 @@ class ShardWorker:
                  memory_budget_bytes: int | None = None):
         self.stats = ShardStats(shard_id)
         self.memory_budget_bytes = memory_budget_bytes
+        #: the blocks flushed since the last tick reply
+        self._blocks: list[ReportBlock] = []
         self.service = ProgressService(
             monitor, slice_steps=slice_steps, max_live=max_live,
-            on_report=self._capture,
-            on_complete=self._complete)
+            on_block=self._blocks.append, on_complete=self._complete,
+            keep_rows=False)
         self.stats.service = self.service.stats
         #: budget-deferred admissions, FIFO: (global_sid, run, name, bytes)
         self._waiting: deque[tuple[int, QueryRun, str | None, int]] = deque()
         self._global_sid: dict[int, int] = {}      # local -> global
         self._session_bytes: dict[int, int] = {}   # local -> nbytes
-        self._emitted: list[tuple[int, ProgressReport]] = []
-        self._completed: list[int] = []            # global sids, finish order
+        self._completed: list[int] = []            # local sids, finish order
 
     # -- admission -----------------------------------------------------------
 
@@ -241,17 +245,28 @@ class ShardWorker:
 
     # -- service hooks -------------------------------------------------------
 
-    def _capture(self, session, report: ProgressReport) -> None:
-        self._emitted.append((self._global_sid[session.session_id], report))
-
     def _complete(self, session) -> None:
         """Drain hook: a session finished and its reports have flushed —
         release its budget share and its heavy state, and queue the
         completion for the supervisor (it rides the next tick reply)."""
         self.stats.bytes_live -= self._session_bytes.pop(
             session.session_id, 0)
-        self._completed.append(self._global_sid.pop(session.session_id))
+        self._completed.append(session.session_id)
         self.service.release_session(session.session_id)
+
+    def _round_block(self) -> ReportBlock:
+        """The rows flushed since the last reply, as one block under
+        global session ids (each session's rows are consecutive)."""
+        block = ReportBlock.concat(self._blocks)
+        self._blocks.clear()
+        if not len(block):
+            return block
+        local = block.sids
+        heads = np.flatnonzero(np.diff(local, prepend=-1))
+        sids = [self._global_sid[sid] for sid in local[heads].tolist()]
+        return block.relabel(np.repeat(
+            np.array(sids, dtype=np.int64),
+            np.diff(np.append(heads, len(local)))))
 
     # -- driving -------------------------------------------------------------
 
@@ -288,10 +303,10 @@ class ShardWorker:
             more = self.tick()
             wire = self.stats.to_wire()
             self.stats.tick_seconds = []  # shipped; keeps this list short
-            emitted, self._emitted = self._emitted, []
-            completed, self._completed = self._completed, []
-            return ("reports", more, reports_to_payload(emitted), wire,
-                    completed)
+            payload = reports_to_payload(self._round_block())
+            completed = [self._global_sid.pop(sid) for sid in self._completed]
+            self._completed = []
+            return ("reports", more, payload, wire, completed)
         if cmd == "stop":
             return ("bye",)
         raise ValueError(f"unknown shard command {cmd!r}")
@@ -481,13 +496,14 @@ class ShardedProgressService:
         admission-control headroom the network front end budgets against."""
         return self._n_submitted - self.stats.service.sessions_completed
 
-    def tick(self) -> tuple[list[tuple[int, ProgressReport]], list[int]]:
-        """One lockstep round across all shards: ``(rows, completed)``.
+    def tick(self) -> tuple[ReportBlock, list[int]]:
+        """One lockstep round across all shards: ``(block, completed)``.
 
-        ``rows`` are the round's ``(global_sid, report)`` pairs in global
-        submission order; ``completed`` the sessions that finished this
-        round, ascending — each listed exactly once, in the round that
-        carries its final rows.  Drive the fleet ``while self.active``.
+        ``block`` holds the round's rows in global submission order (its
+        iteration yields ``(global_sid, report)`` pairs); ``completed``
+        the sessions that finished this round, ascending — each listed
+        exactly once, in the round that carries its final rows.  Drive
+        the fleet ``while self.active``.
         """
         if self._closed:
             raise RuntimeError("service is closed")
@@ -496,21 +512,24 @@ class ShardedProgressService:
         polled = [i for i in range(self.n_shards) if self._shard_active[i]]
         for i in polled:  # all sends first: process shards tick concurrently
             self._send(i, ("tick",))
-        rows: list[tuple[int, ProgressReport]] = []
+        blocks: list[ReportBlock] = []
         completed: list[int] = []
         for i in polled:
             _, more, payload, stats, done = self._recv(i)
             self._shard_active[i] = more
-            rows += reports_from_payload(payload)
+            blocks.append(block_from_payload(payload))
             self.stats.shards[i].absorb(stats)
             completed += done
+        block = ReportBlock.concat(blocks)
         # each shard's rows are already sorted by global sid (local
         # submission order, which placement keeps aligned with global
         # order), so a stable sort of the concatenation is a k-way merge
-        rows.sort(key=itemgetter(0))
+        sids = block.sids
+        if np.any(sids[1:] < sids[:-1]):
+            block = block.take(np.argsort(sids, kind="stable"))
         completed.sort()
         self.stats.round_seconds.append(time.perf_counter() - started)
-        return rows, completed
+        return block, completed
 
     def run_until_complete(self, max_ticks: int | None = None
                            ) -> dict[int, list[ProgressReport]]:
@@ -531,9 +550,9 @@ class ShardedProgressService:
                 raise RuntimeError(
                     f"sharded service did not drain within {max_ticks} "
                     f"tick rounds")
-            rows, completed = self.tick()
+            block, completed = self.tick()
             ticks += 1
-            for sid, report in rows:
+            for sid, report in block:
                 results.setdefault(sid, []).append(report)
             for sid in completed:
                 results.setdefault(sid, [])

@@ -2,7 +2,8 @@
 
 Building synthetic :class:`PipelineRun` objects lets estimator and feature
 tests assert exact values without going through the executor.
-:func:`extract` is the feature extraction training does over views.
+:func:`extract` is the feature extraction training does over views, and
+:func:`reports_payload_oracle` the report codec's per-report definition.
 """
 
 from __future__ import annotations
@@ -139,3 +140,54 @@ def extract(extractor, prs: list[PipelineRun]) -> np.ndarray:
     out as training lays them (:meth:`FlushBatch.of_pipeline_runs`)."""
     return extractor.extract(
         FlushBatch.of_pipeline_runs(prs, extractor.speed_window))
+
+
+def reports_payload_oracle(tagged) -> bytes:
+    """``(session_id, ProgressReport)`` pairs framed one report at a time:
+    the report codec's definition.  Estimator names are interned in order
+    of first appearance (each report's active estimator, then its choices
+    in key order), the per-pipeline dicts flatten CSR-style and the
+    session ids ride as one more int64 member."""
+    from repro.runtime.transport import _frame
+
+    names: list[str] = []
+    index: dict[str, int] = {}
+
+    def intern(name):
+        if name is None:
+            return -1
+        if name not in index:
+            index[name] = len(names)
+            names.append(name)
+        return index[name]
+
+    n = len(tagged)
+    time = np.empty(n)
+    progress = np.empty(n)
+    active_pid = np.empty(n, dtype=np.int64)
+    active_est = np.empty(n, dtype=np.int64)
+    pp_off = np.zeros(n + 1, dtype=np.int64)
+    pe_off = np.zeros(n + 1, dtype=np.int64)
+    pp_pid, pp_val, pe_pid, pe_est = [], [], [], []
+    for i, (_, report) in enumerate(tagged):
+        time[i] = report.time
+        progress[i] = report.progress
+        active_pid[i] = report.active_pid
+        active_est[i] = intern(report.active_estimator)
+        for pid, value in report.pipeline_progress.items():
+            pp_pid.append(pid)
+            pp_val.append(value)
+        pp_off[i + 1] = len(pp_pid)
+        for pid, name in report.pipeline_estimator.items():
+            pe_pid.append(pid)
+            pe_est.append(intern(name))
+        pe_off[i + 1] = len(pe_pid)
+    members = {
+        "time": time, "progress": progress, "active_pid": active_pid,
+        "active_est": active_est, "pp_off": pp_off,
+        "pp_pid": np.asarray(pp_pid, dtype=np.int64),
+        "pp_val": np.asarray(pp_val, dtype=np.float64), "pe_off": pe_off,
+        "pe_pid": np.asarray(pe_pid, dtype=np.int64),
+        "pe_est": np.asarray(pe_est, dtype=np.int64),
+        "sids": np.asarray([sid for sid, _ in tagged], dtype=np.int64)}
+    return _frame({"reports": {"count": n, "estimators": names}}, members)

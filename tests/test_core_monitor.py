@@ -31,9 +31,9 @@ from repro.trace.replay import replay_monitor
 FAST_MART = MARTParams(n_trees=8, max_leaves=4)
 #: every attribute a ``QuerySession`` holds, from submission on
 SESSION_ATTRIBUTES = {
-    "session_id", "query_name", "status", "state", "reports",
-    "pending_reports", "view_first", "steps", "released", "_monitor",
-    "_executor", "_plan", "_handle", "_scanned"}
+    "session_id", "query_name", "status", "state", "report_rows",
+    "_reports", "pending_reports", "view_first", "steps", "released",
+    "_monitor", "_executor", "_plan", "_handle", "_scanned"}
 
 
 @pytest.fixture(scope="module")
@@ -190,11 +190,12 @@ class TestKernelLifecycle:
                 # pipeline's first view row; a pipeline's metadata lives
                 # on its plan record
                 for session in service.sessions:
-                    assert set(vars(session)) == SESSION_ATTRIBUTES
+                    assert not hasattr(session, "__dict__")
+                    assert set(type(session).__slots__) == SESSION_ATTRIBUTES
             assert all(s.done for s in service.sessions)
             # the flush keeps nothing of its own across rounds
             assert set(vars(service._vector)) == {"monitor", "states",
-                                                  "_luo"}
+                                                  "names", "_luo"}
 
     @pytest.mark.parametrize("serving", ["luo", "dne", "mixed"])
     def test_batch_holds_report_rows_and_luo_window_starts(

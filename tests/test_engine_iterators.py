@@ -483,8 +483,8 @@ def _dense_case(draw):
     one interior key dropped (a gap: no longer dense), from anywhere in
     the int64 range.  Probes are int64 or float64, drawn from the keys,
     just outside the range on both sides, ``NULL_INT`` and the int64
-    extremes; float64 probes stay where float64 is exact, since the
-    definition compares int64 keys and float64 probes as float64."""
+    extremes, over the whole int64 range: the definition compares int64
+    keys and float64 probes as float64, where keys beyond 2**53 merge."""
     n = draw(st.integers(1, 12))
     gap = n >= 2 and draw(st.booleans())
     span = n + gap
@@ -500,8 +500,6 @@ def _dense_case(draw):
     dtype = draw(st.sampled_from([np.int64, np.float64]))
     pool = [int(k) for k in keys] + [
         v for v in near if _I64.min <= v <= _I64.max]
-    if dtype is np.float64:
-        pool = [v for v in pool if abs(v) <= 2**53] or [0]
     probe = np.array(draw(st.lists(st.sampled_from(pool), max_size=12)),
                      dtype=dtype)
     presorted = draw(st.booleans())
@@ -521,13 +519,15 @@ def _is_dense(sorted_keys) -> bool:
 @example((np.array([3, 1, 2]), np.array([0.0, 1.0, 3.0, 4.0]), False))
 @example((np.array([_I64.max - 1, _I64.max]),
           np.array([_I64.min, _I64.max, NULL_INT, -1]), True))
+@example((np.array([_I64.min, _I64.min + 1]), np.array([-2.0**63]), True))
 @settings(max_examples=400, deadline=None)
 def test_one_search_matches_two_search_definition(case):
     """Positions, probe indices and counts equal the two-search definition,
     dtypes included, for both matcher forms (``presorted`` as merge joins
     build it, unsorted as hash joins and index seeks do); the one-search
-    path runs exactly when the sorted keys are strictly increasing, and
-    matches by offset exactly when they are also one int64 range."""
+    path runs exactly when the sorted keys are strictly increasing and
+    the probe compares with them in their own dtype, and matches by
+    offset exactly when they are also one int64 range."""
     build, probe, presorted = case
     if presorted:
         build = np.sort(build)
@@ -542,7 +542,8 @@ def test_one_search_matches_two_search_definition(case):
     assert counts.dtype == expected[2].dtype
     assert np.array_equal(counts, expected[2])
     assert matcher.unique == unique
-    assert matcher.fast == (2 if unique else 0)
+    own_dtype = np.result_type(build.dtype, probe.dtype) == build.dtype
+    assert matcher.fast == (2 if unique and own_dtype else 0)
     dense = _is_dense(matcher.sorted_keys)
     assert (matcher._dense_first is not None) == dense
     if dense:
@@ -576,13 +577,11 @@ def _identity_case(draw):
 @st.composite
 def _dense_identity_case(draw):
     """A :func:`_dense_case` whose probe side often draws only keys (as
-    float64 only where float64 is exact)."""
+    float64 too, where keys beyond 2**53 round onto their neighbours)."""
     build, probe, presorted = draw(_dense_case())
-    exact = build if probe.dtype == np.int64 else build[
-        np.abs(build.astype(np.float64)) <= 2**53]
-    if len(exact) and draw(st.booleans()):
-        picks = draw(st.lists(st.integers(0, len(exact) - 1), max_size=12))
-        probe = exact[np.array(picks, dtype=np.intp)].astype(probe.dtype)
+    if draw(st.booleans()):
+        picks = draw(st.lists(st.integers(0, len(build) - 1), max_size=12))
+        probe = build[np.array(picks, dtype=np.intp)].astype(probe.dtype)
     return build, probe, presorted
 
 

@@ -43,6 +43,7 @@ from repro.service import batched
 from repro.service.scoring import BatchedSelectorScorer
 from repro.service.service import ProgressService
 from repro.trace import read_trace
+from repro.trace.format import ReportBlock
 from repro.trace.replay import ReplayContext
 
 from helpers import extract
@@ -486,7 +487,7 @@ class _OracleFlush(batched.VectorizedFlush):
         self.seen, self.opened = seen, opened
         self.records = {}
 
-    def flush(self, sessions, scorer, stats, on_report):
+    def flush(self, sessions, scorer, stats):
         openings = []
         planned = [(session, self._plan_rows(session, openings))
                    for session in sessions]
@@ -521,8 +522,10 @@ class _OracleFlush(batched.VectorizedFlush):
             batch = self._gather_items(by_rec)
             for name in needed:
                 arrs[name] = self.states[name].advance(batch)
+        blocks = []
         for session, per in planned:
             choices = session.state.choices
+            reports = []
             for time, parts in per:
                 overall = 0.0
                 progress = {}
@@ -543,10 +546,10 @@ class _OracleFlush(batched.VectorizedFlush):
                     active_pid=active_pid, active_estimator=active_name,
                     pipeline_progress=progress,
                     pipeline_estimator=dict(choices))
-                session.reports.append(report)
+                reports.append((session.session_id, report))
                 stats.reports += 1
-                if on_report is not None:
-                    on_report(session, report)
+            blocks.append(ReportBlock.from_reports(reports))
+        return ReportBlock.concat(blocks)
 
     def _plan_rows(self, session, openings):
         monitor, state = self.monitor, session.state

@@ -28,6 +28,7 @@ from repro.service import (
     SessionStatus,
     ShardedProgressService,
 )
+from repro.trace.format import ReportBlock
 from repro.trace.replay import replay_monitor
 
 from helpers import extract
@@ -265,17 +266,20 @@ class TestBatchedScorer:
         with pytest.raises(RuntimeError):
             scorer.resolve([("static", np.zeros(4))])
 
-    def test_on_report_hook(self, tpch_db, tpch_planner, join_query, monitor):
-        seen = []
-        service = ProgressService(
-            monitor, slice_steps=4,
-            on_report=lambda session, report: seen.append(
-                (session.session_id, report)))
+    def test_on_block_hook(self, tpch_db, tpch_planner, join_query, monitor):
+        """The hook gets one block per round that reported; its rows, in
+        order, are the session's stream."""
+        blocks = []
+        service = ProgressService(monitor, slice_steps=4,
+                                  on_block=blocks.append)
         service.submit(tpch_db, tpch_planner.plan(join_query),
                        config=_config(2))
         results = service.run_until_complete(max_ticks=10_000)
         _, reports = results[0]
-        assert [r for _, r in seen] == reports
+        assert blocks and all(isinstance(block, ReportBlock)
+                              for block in blocks)
+        assert [pair for block in blocks for pair in block] == [
+            (0, report) for report in reports]
 
 
 @pytest.fixture(scope="module")
