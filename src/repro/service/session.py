@@ -66,7 +66,8 @@ class QuerySession:
         self.query_name = query_name
         self.status = SessionStatus.PENDING
         self.state: MonitorState | None = MonitorState()
-        #: the report stream as columns, a block per flush
+        #: the report rows not yet read as :attr:`reports`, as columns:
+        #: a block per flush
         self.report_rows: ReportLog | None = ReportLog()
         #: the stream's reports built so far (:attr:`reports`)
         self._reports: list[ProgressReport] | None = []
@@ -125,16 +126,15 @@ class QuerySession:
 
     @property
     def reports(self) -> list[ProgressReport]:
-        """The report stream so far, built from :attr:`report_rows` on
-        read (rows already built are not built again); ``[]`` once
-        released."""
-        rows = self.report_rows
-        if rows is None:
+        """The report stream so far; ``[]`` once released.  Rows are built
+        into reports when this is read and then leave
+        :attr:`report_rows`, so a stream is never held twice."""
+        if self.report_rows is None:
             return []
-        built = self._reports
-        if len(built) < len(rows):
-            built += rows.block(len(built)).reports()
-        return built
+        if len(self.report_rows):
+            self._reports += self.report_rows.block().reports()
+            self.report_rows = ReportLog()
+        return self._reports
 
     def release(self) -> None:
         """Drop everything but the tombstone (id, status, step count).

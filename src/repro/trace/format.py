@@ -425,15 +425,15 @@ class ReportBlock:
         rest[at] = False
         seq[at] = self.active_est
         seq[rest] = self.pe_est
-        used, first = np.unique(seq[seq >= 0], return_index=True)
-        order = used[np.argsort(first)]
+        # dict keys keep their first insertion: the codes in order of
+        # first appearance, -1 (no estimator) dropped
+        order = [c for c in dict.fromkeys(seq.tolist()) if c >= 0]
         active_est, pe_est = self.active_est, self.pe_est
-        if not np.array_equal(order, np.arange(len(self.names))):
+        if order != list(range(len(self.names))):
             lut = np.full(len(self.names) + 1, -1, dtype=np.int64)
             lut[order] = np.arange(len(order))
             active_est, pe_est = lut[active_est], lut[pe_est]
-        entry = {"count": n,
-                 "estimators": [self.names[c] for c in order.tolist()]}
+        entry = {"count": n, "estimators": [self.names[c] for c in order]}
         members = {key: getattr(self, key) for key in REPORT_MEMBER_KEYS}
         members.update(active_est=active_est, pe_est=pe_est)
         return entry, members
@@ -462,16 +462,13 @@ class ReportBlock:
         for prefix, value in (("pp", "val"), ("pe", "est")):
             off = cols[f"{prefix}_off"]
             size = len(cols[f"{prefix}_pid"])
-            if (off[0] != 0 or off[-1] != size or np.any(np.diff(off) < 0)
+            if (off[0] != 0 or off[-1] != size or (off[1:] < off[:-1]).any()
                     or len(cols[f"{prefix}_{value}"]) != size):
                 raise ValueError(f"report offsets {prefix}_off do not tile "
                                  f"their {size} values")
-        for key in ("active_est", "pe_est"):
-            codes = cols[key]
-            if len(codes) and not (-1 <= codes.min()
-                                   and codes.max() < len(names)):
-                raise ValueError(f"report column {key!r} names an "
-                                 f"estimator outside the table")
+        codes = np.concatenate([cols["active_est"], cols["pe_est"]])
+        if len(codes) and not (-1 <= codes.min() and codes.max() < len(names)):
+            raise ValueError("a report names an estimator outside the table")
         return cls(**cols, names=names)
 
 

@@ -194,9 +194,15 @@ class TestRetention:
                                       slice_steps=3)
             for i in range(n_sessions):
                 service.submit_replay(runs[i % len(runs)])
-            service.run_until_complete(max_ticks=100_000)
+            while service.tick():
+                pass
             session = service.session(0)
-            return len(session.report_rows), session.report_rows.nbytes
+            rows = session.report_rows
+            stored = len(rows), rows.nbytes
+            # reading the stream moves its rows into report objects
+            assert len(session.reports) == stored[0]
+            assert len(session.report_rows) == 0
+            return stored
 
         (rows, alone), (_, pooled) = stored(1), stored(5)
         assert rows > 0 and alone == pooled
