@@ -147,8 +147,8 @@ def _soak(base_runs, n_shards):
             "tick_p50_ms": round(1e3 * _pct(s.tick_seconds, 50), 4),
             "tick_p99_ms": round(1e3 * _pct(s.tick_seconds, 99), 4),
             "tick_seconds": round(sum(s.tick_seconds), 3),
-            "bytes_peak": s.bytes_peak,
-            "deferrals": s.deferrals,
+            "bytes_peak": s.service.bytes_peak,
+            "deferrals": s.service.deferrals,
         } for s in fleet.shards]
         return {
             "n_shards": n_shards,

@@ -104,9 +104,9 @@ class QueryRun:
     @property
     def nbytes(self) -> int:
         """Memory footprint of the recorded trajectories (array members
-        only — the dominant term; metadata is O(nodes)).  The sharded
-        service's admission control charges a replay session this many
-        bytes against its shard's memory budget."""
+        only — the dominant term; metadata is O(nodes)).  A
+        :class:`~repro.service.service.ProgressService` with a memory
+        budget charges a running replay session this many bytes."""
         total = (self.times.nbytes + self.K.nbytes + self.R.nbytes
                  + self.W.nbytes + self.LB.nbytes + self.UB.nbytes
                  + self.N.nbytes)

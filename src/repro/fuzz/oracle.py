@@ -391,12 +391,15 @@ def check_sharded_parity(runs: list[QueryRun],
     (inline shards, speaking the worker processes' frames and codec) and
     requires each session's stream to be bit-identical to
     its solo stream — under an arbitrary shard count, slice size and
-    per-shard admission bound.
+    per-shard admission bound, and a per-shard memory budget that fits
+    the largest run (the in-process layer serves unbudgeted, so both
+    sides of the budget rule are fuzzed).
     """
     layer = "service"
+    budget = max(run.nbytes for run in runs)
     service = ShardedProgressService(
         monitor, n_shards=shards, slice_steps=slice_steps,
-        max_live=max_live)
+        max_live=max_live, memory_budget_bytes=budget)
     ids = [service.submit_replay(run) for run in runs]
     results = service.run_until_complete(max_ticks=1_000_000)
     service.close()
@@ -406,7 +409,8 @@ def check_sharded_parity(runs: list[QueryRun],
                  f"sharded reports ({shards} shards) for "
                  f"{run.query_name!r} diverge from solo monitoring "
                  f"({len(reports)} vs {len(solo)} reports; "
-                 f"slice_steps={slice_steps}, max_live={max_live})")
+                 f"slice_steps={slice_steps}, max_live={max_live}, "
+                 f"memory_budget_bytes={budget})")
     fleet = service.stats.service
     _require(fleet.sessions_completed == fleet.sessions_submitted
              == len(runs), layer, ctx,
@@ -414,6 +418,10 @@ def check_sharded_parity(runs: list[QueryRun],
              f"but completed {fleet.sessions_completed} of "
              f"{fleet.sessions_submitted} submitted sessions "
              f"({len(runs)} expected)")
+    _require(fleet.bytes_live == 0 and fleet.bytes_peak <= shards * budget,
+             layer, ctx,
+             f"sharded service drained holding {fleet.bytes_live} budget "
+             f"bytes (peak {fleet.bytes_peak}, {shards} shards x {budget})")
 
 
 # -- layer 6: network serving vs. solo monitoring ----------------------------

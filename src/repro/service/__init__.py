@@ -19,7 +19,7 @@ layer for the reproduction:
 * :mod:`repro.service.sharded` — :class:`ShardedProgressService`,
   partitioning sessions deterministically across N worker processes
   (one ``ProgressService`` shard each, all IPC through the
-  trace codec) with per-shard memory budgets and a graceful drain that
+  trace codec) under per-shard memory budgets, and a graceful drain that
   reproduces the single-process report streams bit-for-bit;
 * :mod:`repro.service.net` — the asyncio HTTP + WebSocket front end
   (:class:`~repro.service.net.ProgressServer` /
@@ -35,11 +35,14 @@ the batching changes *when* model scoring happens, never its inputs.
 
 from repro.service.scheduler import RoundRobinScheduler
 from repro.service.scoring import BatchedSelectorScorer, ScoringStats
-from repro.service.service import ProgressService, ServiceStats
+from repro.service.service import (
+    MemoryBudgetExceeded,
+    ProgressService,
+    ServiceStats,
+)
 from repro.service.session import QuerySession, SessionStatus
 from repro.service.sharded import (
     FleetStats,
-    MemoryBudgetExceeded,
     ShardedProgressService,
     ShardLost,
     ShardStats,

@@ -24,12 +24,12 @@ bytes bit-for-bit — the network parity test and the fuzz oracle's
 codes, always with ``Retry-After``:
 
 * ``429 Too Many Requests`` — the fleet already has ``max_inflight``
-  submitted-but-uncompleted sessions (supervisor-level backpressure; the
-  per-shard FIFO deferral queues behind the memory budgets keep absorbing
-  bursts below this bound);
+  submitted-but-uncompleted sessions (supervisor-level backpressure;
+  below this bound each shard's FIFO pending queue, behind its live-slot
+  and memory budgets, keeps absorbing bursts);
 * ``503 Service Unavailable`` — the submission can never be admitted
   right now: a run whose footprint exceeds the per-shard memory budget
-  (:class:`~repro.service.sharded.MemoryBudgetExceeded`), or any
+  (:class:`~repro.service.service.MemoryBudgetExceeded`), or any
   submission while the server is draining.
 
 **Graceful drain**: :meth:`begin_drain` stops admissions (503) while the
@@ -65,6 +65,7 @@ from repro.service.net.http import (
     json_body,
     response_bytes,
 )
+from repro.service.service import MemoryBudgetExceeded, check_budget
 from repro.service.sharded import ShardedProgressService
 from repro.trace.format import ReportBlock, ReportLog
 
@@ -451,9 +452,9 @@ class ProgressServer:
                 "reports": service.reports,
                 "ticks": service.ticks,
                 "steps": service.steps,
-                "deferrals": fleet.deferrals,
-                "bytes_live": fleet.bytes_live,
-                "bytes_peak": fleet.bytes_peak,
+                "deferrals": service.deferrals,
+                "bytes_live": service.bytes_live,
+                "bytes_peak": service.bytes_peak,
                 "round_p50_ms": 1e3 * fleet.round_latency(50),
                 "round_p99_ms": 1e3 * fleet.round_latency(99),
                 "tick_p50_ms": 1e3 * fleet.tick_latency(50),
@@ -521,16 +522,12 @@ class ProgressServer:
                     f"{self._service.sessions_inflight} sessions in flight "
                     f"(max_inflight={self.max_inflight})"),
                 headers=retry)
-        budget = self._service.memory_budget_bytes
-        if budget is not None:
-            for run in runs:  # all-or-nothing: reject before any admission
-                if run.nbytes > budget:
-                    return response_bytes(
-                        503, error_body(
-                            503, f"run {run.query_name!r} needs "
-                            f"{run.nbytes} bytes but the per-shard budget "
-                            f"is {budget}"),
-                        headers=retry)
+        try:  # all-or-nothing: reject before any admission
+            for run in runs:
+                check_budget(run, self._service.memory_budget_bytes, name)
+        except MemoryBudgetExceeded as exc:
+            return response_bytes(503, error_body(503, str(exc)),
+                                  headers=retry)
         created = []
         for run in runs:
             sid = self._service.submit_replay(run, query_name=name)

@@ -15,7 +15,10 @@ one session.
 
 A tick is one scheduler round:
 
-1. admission — pending sessions are started while live slots are free;
+1. admission — pending sessions are started in submission order while
+   a live slot is free and the head fits the memory budget (a replay
+   session is charged its recording's ``nbytes`` from its start to its
+   retirement); the first that does not fit blocks the rest;
 2. execution — every live session runs for ``slice_steps`` engine steps,
    then queues the log rows its slice made due a report;
 3. flush — each pipeline's status at the due rows is read causally
@@ -55,6 +58,21 @@ from repro.trace.format import ReportBlock
 from repro.trace.replay import ReplayExecutor
 
 
+class MemoryBudgetExceeded(RuntimeError):
+    """A single session's footprint exceeds the memory budget — it could
+    never be admitted, so it is rejected at submit time."""
+
+
+def check_budget(run: QueryRun, budget: int | None,
+                 query_name: str | None = None) -> None:
+    """Raise :class:`MemoryBudgetExceeded` if ``run`` alone exceeds
+    ``budget`` (``None``: no budget)."""
+    if budget is not None and run.nbytes > budget:
+        raise MemoryBudgetExceeded(
+            f"run {query_name or run.query_name!r} needs {run.nbytes} "
+            f"bytes but the memory budget is {budget}")
+
+
 @dataclass
 class ServiceStats:
     """Cumulative work accounting across ticks.
@@ -63,7 +81,8 @@ class ServiceStats:
     ``sessions_completed == sessions_submitted``; ``ticks``, ``steps``
     and ``reports`` only ever grow; ``sessions_scanned`` grows by the
     number of *live* sessions per tick — flat as completed sessions
-    accumulate, which is the regression guard for the session indices.
+    accumulate, which is the regression guard for the session indices;
+    a drained service holds ``bytes_live == 0``.
     """
 
     ticks: int = 0
@@ -73,6 +92,12 @@ class ServiceStats:
     sessions_completed: int = 0
     #: sum over ticks of live sessions scanned that tick
     sessions_scanned: int = 0
+    #: bytes of running replay sessions' recordings
+    bytes_live: int = 0
+    #: high-water mark of ``bytes_live``
+    bytes_peak: int = 0
+    #: ticks on which the memory budget held the pending queue's head
+    deferrals: int = 0
 
     @property
     def reports_per_tick(self) -> float:
@@ -90,7 +115,9 @@ class ServiceStats:
         Hypothesis property in ``tests/test_service_stats.py``.  ``ticks``
         and ``sessions_scanned`` sum too, but count per-shard scheduler
         rounds: shards tick concurrently, so the merged ``ticks`` is
-        total rounds *worked*, not wall-clock rounds.
+        total rounds *worked*, not wall-clock rounds.  The merged
+        ``bytes_peak`` is the sum of per-shard peaks, an upper bound on
+        the fleet's peak.
         """
         parts = list(parts)
         return cls(**{f.name: sum(getattr(part, f.name) for part in parts)
@@ -112,6 +139,12 @@ class ProgressService:
     max_live:
         Admission-control bound on concurrently executing sessions;
         ``None`` means unbounded.
+    memory_budget_bytes:
+        Admission-control cap on the summed ``nbytes`` of running replay
+        sessions' recordings; ``None`` means unbounded.  The pending
+        queue's head waits until retiring sessions free enough bytes, and
+        a run that could never fit raises :class:`MemoryBudgetExceeded`
+        at :meth:`submit_replay`.
     on_block:
         Called as ``on_block(block)`` once per round that produced
         reports, with the round's
@@ -120,8 +153,8 @@ class ProgressService:
     on_complete:
         Called as ``on_complete(session)`` once per session, on the tick
         it finishes — strictly *after* its final reports flushed, so the
-        hook may release the session (the sharded service frees its
-        memory-budget share and drops heavy state here).
+        hook may release the session (a shard drops its heavy state
+        here).
     keep_rows:
         Whether each session keeps its report rows
         (:attr:`QuerySession.reports`).  A shard, which ships every
@@ -130,6 +163,7 @@ class ProgressService:
 
     def __init__(self, monitor: ProgressMonitor, slice_steps: int = 8,
                  max_live: int | None = None,
+                 memory_budget_bytes: int | None = None,
                  on_block: Callable[[ReportBlock], None] | None = None,
                  on_complete: Callable[[QuerySession], None] | None = None,
                  keep_rows: bool = True):
@@ -140,6 +174,7 @@ class ProgressService:
         if max_live is not None and max_live <= 0:
             raise ValueError("max_live must be positive (or None)")
         self.max_live = max_live
+        self.memory_budget_bytes = memory_budget_bytes
         self.on_block = on_block
         self.on_complete = on_complete
         self.keep_rows = keep_rows
@@ -174,10 +209,13 @@ class ProgressService:
         full service stack against recorded workloads (e.g. traces loaded
         via :mod:`repro.trace`) without paying engine cost.  Report
         streams are bit-identical to monitoring the original execution.
+        A run over the memory budget raises :class:`MemoryBudgetExceeded`.
         """
+        check_budget(run, self.memory_budget_bytes, query_name)
         executor = ReplayExecutor(run)
         session = QuerySession(len(self.sessions), executor, None,
                                query_name or run.query_name, self.monitor)
+        session.nbytes = run.nbytes
         self.sessions.append(session)
         self._pending.append(session)
         self.stats.sessions_submitted += 1
@@ -244,20 +282,34 @@ class ProgressService:
     # -- internals -----------------------------------------------------------
 
     def _admit(self) -> None:
+        """Start pending sessions FIFO while a live slot is free and the
+        head fits the memory budget; a head over budget counts one
+        deferral and blocks the rest."""
+        budget = self.memory_budget_bytes
+        stats = self.stats
         while self._pending:
             if self.max_live is not None and len(self._live) >= self.max_live:
                 break
-            session = self._pending.popleft()
+            session = self._pending[0]
+            if (budget is not None
+                    and stats.bytes_live + session.nbytes > budget):
+                stats.deferrals += 1
+                break
+            self._pending.popleft()
+            stats.bytes_live += session.nbytes
+            stats.bytes_peak = max(stats.bytes_peak, stats.bytes_live)
             session.start()
             self._live.append(session)
             self._live_set.add(session.session_id)
 
     def _retire(self, session: QuerySession) -> None:
-        """Move a finished session out of the live index, exactly once."""
+        """Move a finished session out of the live index and release its
+        bytes, exactly once."""
         if session.session_id in self._live_set:
             self._live_set.discard(session.session_id)
             self._live.remove(session)
             self.stats.sessions_completed += 1
+            self.stats.bytes_live -= session.nbytes
 
     def _flush(self, round_sessions: list[QuerySession]) -> None:
         """Produce every report due in this round's sessions.

@@ -57,8 +57,8 @@ class QuerySession:
 
     __slots__ = ("session_id", "query_name", "status", "state",
                  "report_rows", "pending_reports", "view_first", "steps",
-                 "released", "_reports", "_monitor", "_executor", "_plan",
-                 "_handle", "_scanned")
+                 "released", "nbytes", "_reports", "_monitor", "_executor",
+                 "_plan", "_handle", "_scanned")
 
     def __init__(self, session_id: int, executor: "QueryExecutor | object",
                  plan, query_name: str, monitor: ProgressMonitor):
@@ -79,6 +79,10 @@ class QuerySession:
         self.view_first: np.ndarray | None = None
         self.steps = 0
         self.released = False
+        #: bytes charged against the service's memory budget while the
+        #: session runs: its recording's ``nbytes`` for a replay, 0 live
+        #: (kept after :meth:`release`, which drops the executor)
+        self.nbytes = 0
         self._monitor = monitor
         self._executor = executor
         self._plan = plan

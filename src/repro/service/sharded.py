@@ -11,7 +11,9 @@ Design rules, all inherited from :mod:`repro.runtime`:
 
 * **Deterministic placement** — a session's shard is its global
   submission index mod the shard count; never scheduling or load.  The
-  same submissions land on the same shards in every run.
+  same submissions land on the same shards in every run, in global
+  order, so a shard's ``k``-th session is global ``k * n_shards +
+  shard`` (:func:`global_session`) and no id map is kept.
 * **One protocol, trace-codec transport** — in both modes
   :meth:`ShardWorker.handle` serves every frame.  Recorded runs reach
   their shard through :func:`~repro.runtime.transport.runs_to_payload`
@@ -20,23 +22,26 @@ Design rules, all inherited from :mod:`repro.runtime`:
   never pickled across the boundary.  Commands and reports are *batched*:
   one submit frame carries a whole wave of runs, one tick frame drives a
   round and returns every report it produced — the round's
-  :class:`~repro.trace.format.ReportBlock`, framed as it is, with no
-  report object built on the way.
+  :class:`~repro.trace.format.ReportBlock` under the shard's session
+  ids, framed as it is, with no report object built on the way.
 * **Order-preserving merge** — within a tick round the shard replies are
-  merged by global session id (each shard already emits in local
-  submission order, which placement keeps aligned with global order), so
+  relabelled to global session ids and merged by them (each shard
+  already emits in local submission order, which placement keeps
+  aligned with global order), so
   with unconstrained admission the merged rows are the bit-identical
   sequence the single-process pooled service emits.  Per-session report
   streams are bit-identical under *any* shard count, budget, or slice
   size — pooling transparency (PR 1) makes a session's reports depend
   only on its own recording and refresh cadence.
 
-**Admission control**: each shard enforces a memory budget.  A run whose
-trajectories alone exceed the budget is rejected at submit time
-(:class:`MemoryBudgetExceeded`); otherwise admission is FIFO — a run that
-does not currently fit waits in the shard's deferral queue and is retried
-as retiring sessions release their bytes (the
-:meth:`~repro.service.service.ProgressService` ``on_complete`` drain hook).
+**Admission control**: each shard's
+:class:`~repro.service.service.ProgressService` enforces the memory
+budget as one of its admission rules.  A run whose trajectories alone
+exceed the budget is rejected at submit time
+(:class:`~repro.service.service.MemoryBudgetExceeded`, raised by the
+fleet before the run ships); otherwise admission is FIFO — a session is
+charged its run's bytes when it starts running, the queue's head waits
+while it does not fit, and retiring sessions release their bytes.
 
 **A round is a return value**: :meth:`~ShardedProgressService.tick`
 returns ``(block, completed)`` — the round's merged rows as one
@@ -51,8 +56,8 @@ records; because a round's ``completed`` arrives with its final rows,
 every consumer observes a session's full stream before its completion.
 
 **Graceful drain**: :meth:`~ShardedProgressService.run_until_complete`
-ticks every shard in lockstep until none has live, pending, or deferred
-work, and assembles the rounds it drove into per-session streams.
+ticks every shard in lockstep until none has live or pending work, and
+assembles the rounds it drove into per-session streams.
 
 **Shard loss**: a shard that raises (it replies ``error``, then closes)
 or whose worker process dies surfaces from
@@ -79,7 +84,7 @@ from repro.runtime.transport import (
     runs_from_payload,
     runs_to_payload,
 )
-from repro.service.service import ProgressService, ServiceStats
+from repro.service.service import ProgressService, ServiceStats, check_budget
 from repro.trace.format import ReportBlock
 
 _log = logging.getLogger(__name__)
@@ -93,11 +98,6 @@ class ShardLost(RuntimeError):
         self.shard_id = shard_id
 
 
-class MemoryBudgetExceeded(RuntimeError):
-    """A single session's footprint exceeds the per-shard memory budget —
-    it could never be admitted, so it is rejected at submit time."""
-
-
 def place_session(index: int, n_shards: int) -> int:
     """Deterministic session→shard placement: round robin by global
     submission index, so local submission order stays aligned with
@@ -105,21 +105,19 @@ def place_session(index: int, n_shards: int) -> int:
     return index % n_shards
 
 
+def global_session(local, shard_id: int, n_shards: int):
+    """Inverse of :func:`place_session`: the global id of shard
+    ``shard_id``'s ``local``-th session (an int, or an array of them)."""
+    return local * n_shards + shard_id
+
+
 @dataclass
 class ShardStats:
-    """One shard's accounting: its service stats plus the memory/latency
-    bookkeeping the supervisor rolls into :class:`FleetStats`."""
+    """One shard's accounting: its service stats (budget counters
+    included) plus its tick latencies, rolled into :class:`FleetStats`."""
 
     shard_id: int
     service: ServiceStats = field(default_factory=ServiceStats)
-    #: bytes of admitted-but-not-yet-retired session trajectories
-    bytes_live: int = 0
-    #: high-water mark of ``bytes_live``
-    bytes_peak: int = 0
-    #: sessions currently waiting behind the memory budget
-    deferred: int = 0
-    #: cumulative count of ticks on which a session was budget-deferred
-    deferrals: int = 0
     #: shard-side wall-clock seconds per tick round
     tick_seconds: list[float] = field(default_factory=list)
 
@@ -150,19 +148,6 @@ class FleetStats:
         """Merged service counters (see :meth:`ServiceStats.merge`)."""
         return ServiceStats.merge(s.service for s in self.shards)
 
-    @property
-    def bytes_live(self) -> int:
-        return sum(s.bytes_live for s in self.shards)
-
-    @property
-    def bytes_peak(self) -> int:
-        """Sum of per-shard peaks (an upper bound on the fleet peak)."""
-        return sum(s.bytes_peak for s in self.shards)
-
-    @property
-    def deferrals(self) -> int:
-        return sum(s.deferrals for s in self.shards)
-
     def round_latency(self, q: float) -> float:
         """Supervisor round-latency percentile (``q`` in [0, 100])."""
         if not self.round_seconds:
@@ -178,8 +163,8 @@ class FleetStats:
 
 
 class ShardWorker:
-    """One shard: a :class:`ProgressService` plus budgeted
-    admission; each tick's reply frames the round's report block.
+    """One shard: a :class:`ProgressService` whose rounds ship as framed
+    report blocks.
 
     :meth:`handle` serves the supervisor's frames behind an
     :class:`InlineShardConnection` in both deployment modes — in the
@@ -189,123 +174,55 @@ class ShardWorker:
     """
 
     def __init__(self, shard_id: int, monitor: ProgressMonitor,
-                 slice_steps: int = 8, max_live: int | None = None,
-                 memory_budget_bytes: int | None = None):
+                 **options):
+        """``options`` are the shard's :class:`ProgressService` options
+        (``slice_steps``, ``max_live``, ``memory_budget_bytes``)."""
         self.stats = ShardStats(shard_id)
-        self.memory_budget_bytes = memory_budget_bytes
         #: the blocks flushed since the last tick reply
         self._blocks: list[ReportBlock] = []
         self.service = ProgressService(
-            monitor, slice_steps=slice_steps, max_live=max_live,
-            on_block=self._blocks.append, on_complete=self._complete,
-            keep_rows=False)
+            monitor, **options, on_block=self._blocks.append,
+            on_complete=self._complete, keep_rows=False)
         self.stats.service = self.service.stats
-        #: budget-deferred admissions, FIFO: (global_sid, run, name, bytes)
-        self._waiting: deque[tuple[int, QueryRun, str | None, int]] = deque()
-        self._global_sid: dict[int, int] = {}      # local -> global
-        self._session_bytes: dict[int, int] = {}   # local -> nbytes
-        self._completed: list[int] = []            # local sids, finish order
-
-    # -- admission -----------------------------------------------------------
-
-    def enqueue(self, global_sid: int, run: QueryRun,
-                query_name: str | None = None) -> None:
-        """Accept a replay session; admission happens on the next tick."""
-        nbytes = run.nbytes
-        if (self.memory_budget_bytes is not None
-                and nbytes > self.memory_budget_bytes):
-            raise MemoryBudgetExceeded(
-                f"session {global_sid} ({query_name or run.query_name!r}) "
-                f"needs {nbytes} bytes but the shard budget is "
-                f"{self.memory_budget_bytes}")
-        self._waiting.append((global_sid, run, query_name, nbytes))
-
-    def _admit_waiting(self) -> None:
-        """Admit deferred sessions FIFO while the budget allows.
-
-        The queue head blocks the rest, so local session ids are always
-        assigned in global submission order — the invariant the
-        supervisor's sorted merge relies on.
-        """
-        budget = self.memory_budget_bytes
-        while self._waiting:
-            global_sid, run, query_name, nbytes = self._waiting[0]
-            if (budget is not None
-                    and self.stats.bytes_live + nbytes > budget):
-                self.stats.deferrals += 1
-                break
-            self._waiting.popleft()
-            local = self.service.submit_replay(run, query_name=query_name)
-            self._global_sid[local] = global_sid
-            self._session_bytes[local] = nbytes
-            self.stats.bytes_live += nbytes
-            self.stats.bytes_peak = max(self.stats.bytes_peak,
-                                        self.stats.bytes_live)
-        self.stats.deferred = len(self._waiting)
-
-    # -- service hooks -------------------------------------------------------
+        self._completed: list[int] = []  # session ids, finish order
 
     def _complete(self, session) -> None:
         """Drain hook: a session finished and its reports have flushed —
-        release its budget share and its heavy state, and queue the
-        completion for the supervisor (it rides the next tick reply)."""
-        self.stats.bytes_live -= self._session_bytes.pop(
-            session.session_id, 0)
+        release its heavy state and queue the completion for the
+        supervisor (it rides the next tick reply)."""
         self._completed.append(session.session_id)
         self.service.release_session(session.session_id)
 
-    def _round_block(self) -> ReportBlock:
-        """The rows flushed since the last reply, as one block under
-        global session ids (each session's rows are consecutive)."""
-        block = ReportBlock.concat(self._blocks)
-        self._blocks.clear()
-        if not len(block):
-            return block
-        local = block.sids
-        heads = np.flatnonzero(np.diff(local, prepend=-1))
-        sids = [self._global_sid[sid] for sid in local[heads].tolist()]
-        return block.relabel(np.repeat(
-            np.array(sids, dtype=np.int64),
-            np.diff(np.append(heads, len(local)))))
-
-    # -- driving -------------------------------------------------------------
-
-    @property
-    def active(self) -> bool:
-        return bool(self._waiting) or self.service.active
-
     def tick(self) -> bool:
-        """One shard round: retry deferred admissions, tick the service."""
+        """One shard round; True while work remains."""
         started = time.perf_counter()
-        self._admit_waiting()
-        if self.service.active:
-            self.service.tick()
+        more = self.service.tick()
         self.stats.tick_seconds.append(time.perf_counter() - started)
-        return self.active
+        return more
 
     def handle(self, frame: tuple) -> tuple | None:
         """Serve one supervisor frame; the reply to send back, if any.
 
         Frames are small and picklable; bulk traffic is trace-codec bytes.
-        ``("submit", runs_payload, [(global_sid, query_name), ...])``
-        enqueues a wave of runs (no reply); ``("tick",)`` runs one round
-        and replies ``("reports", more, reports_payload, stats_wire,
+        Session ids in frames are the shard's own (its service's).
+        ``("submit", runs_payload, [query_name, ...])`` submits a wave of
+        runs (no reply); ``("tick",)`` runs one round and replies
+        ``("reports", more, reports_payload, stats_wire,
         completed_sids)``; ``("stop",)`` replies ``("bye",)``.
         """
         cmd = frame[0]
         if cmd == "submit":
             runs = runs_from_payload(frame[1])
-            for (global_sid, query_name), run in zip(frame[2], runs,
-                                                     strict=True):
-                self.enqueue(global_sid, run, query_name)
+            for run, query_name in zip(runs, frame[2], strict=True):
+                self.service.submit_replay(run, query_name=query_name)
             return None
         if cmd == "tick":
             more = self.tick()
             wire = self.stats.to_wire()
             self.stats.tick_seconds = []  # shipped; keeps this list short
-            payload = reports_to_payload(self._round_block())
-            completed = [self._global_sid.pop(sid) for sid in self._completed]
-            self._completed = []
+            payload = reports_to_payload(ReportBlock.concat(self._blocks))
+            self._blocks.clear()
+            completed, self._completed = self._completed, []
             return ("reports", more, payload, wire, completed)
         if cmd == "stop":
             return ("bye",)
@@ -386,10 +303,12 @@ class ShardedProgressService:
         Forwarded to each shard's inner :class:`ProgressService`
         (``max_live`` is per shard).
     memory_budget_bytes:
-        Per-shard cap on the summed trajectory bytes of admitted
-        sessions.  Over-budget admissions queue FIFO and retry as
-        sessions retire; a session that could never fit raises
-        :class:`MemoryBudgetExceeded` at submit time.
+        Per-shard cap on the summed trajectory bytes of running
+        sessions (each shard's :class:`ProgressService` option).
+        Sessions that do not fit wait FIFO until sessions retire; a run
+        that could never fit raises
+        :class:`~repro.service.service.MemoryBudgetExceeded` at submit
+        time.
     processes:
         Run shards in worker processes (the scaling deployment).
         ``False`` serves each shard in this process through an
@@ -419,9 +338,9 @@ class ShardedProgressService:
         self.stats = FleetStats([ShardStats(i) for i in range(n_shards)])
         self._n_submitted = 0
         #: per-shard buffered submissions awaiting the next tick's frame;
-        #: ``_outbox_lock`` guards the append against the swap, since a
-        #: tick may run in another thread than the submitter
-        self._outbox: list[list[tuple[int, QueryRun, str | None]]] = [
+        #: ``_outbox_lock`` guards numbering and append against the swap,
+        #: since a tick may run in another thread than the submitter
+        self._outbox: list[list[tuple[QueryRun, str | None]]] = [
             [] for _ in range(n_shards)]
         self._outbox_lock = threading.Lock()
         self._shard_active = [False] * n_shards
@@ -467,16 +386,12 @@ class ShardedProgressService:
         """
         if self._closed:
             raise RuntimeError("service is closed")
-        budget = self.memory_budget_bytes
-        if budget is not None and run.nbytes > budget:
-            raise MemoryBudgetExceeded(
-                f"run {query_name or run.query_name!r} needs {run.nbytes} "
-                f"bytes but the per-shard budget is {budget}")
-        sid = self._n_submitted
-        self._n_submitted += 1
-        shard = place_session(sid, self.n_shards)
+        check_budget(run, self.memory_budget_bytes, query_name)
         with self._outbox_lock:
-            self._outbox[shard].append((sid, run, query_name))
+            sid = self._n_submitted
+            self._n_submitted += 1
+            self._outbox[place_session(sid, self.n_shards)].append(
+                (run, query_name))
         return sid
 
     # -- driving -------------------------------------------------------------
@@ -514,12 +429,14 @@ class ShardedProgressService:
             self._send(i, ("tick",))
         blocks: list[ReportBlock] = []
         completed: list[int] = []
+        n = self.n_shards
         for i in polled:
             _, more, payload, stats, done = self._recv(i)
             self._shard_active[i] = more
-            blocks.append(block_from_payload(payload))
+            block = block_from_payload(payload)
+            blocks.append(block.relabel(global_session(block.sids, i, n)))
             self.stats.shards[i].absorb(stats)
-            completed += done
+            completed += [global_session(k, i, n) for k in done]
         block = ReportBlock.concat(blocks)
         # each shard's rows are already sorted by global sid (local
         # submission order, which placement keeps aligned with global
@@ -537,7 +454,7 @@ class ShardedProgressService:
         during the drain, by global id (``[]`` if it never reported).
 
         The drain protocol: lockstep rounds until every shard reports no
-        live, pending, or budget-deferred work.  Sessions' streams are
+        live or pending work.  Sessions' streams are
         bit-identical to the single-process pooled path regardless of
         ``n_shards`` — and with unconstrained admission the merged
         emission *order* matches it too.  Rows returned by rounds driven
@@ -603,9 +520,9 @@ class ShardedProgressService:
             if not batch:
                 continue
             self._shard_active[shard_id] = True
-            payload = runs_to_payload([run for _, run, _ in batch])
-            metas = [(sid, name) for sid, _, name in batch]
-            self._send(shard_id, ("submit", payload, metas))
+            payload = runs_to_payload([run for run, _ in batch])
+            names = [name for _, name in batch]
+            self._send(shard_id, ("submit", payload, names))
 
     def _send(self, shard_id: int, frame: tuple) -> None:
         try:

@@ -118,15 +118,17 @@ def run_from_members(manifest: dict[str, Any],
     handle or a plain dict).  The result is bit-identical to the executed
     original (modulo the deliberately-unrecorded ``output`` chunk): every
     matrix is the stored float64/bool binary, every scalar round-trips
-    exactly through JSON.
+    exactly through JSON.  A run whose parts do not fit together (see
+    :func:`_check_run_shape`) raises :class:`ValueError` before any
+    object is built.
     """
     try:
         arrays = {key: members[prefix + key] for key in MEMBER_KEYS}
     except KeyError as exc:
         raise ValueError(f"trace arrays missing member {exc}") from exc
+    _check_run_shape(manifest, {key: np.shape(member)
+                                for key, member in arrays.items()})
     C = np.asarray(arrays["C"], dtype=np.float64)
-    if C.ndim != 3 or C.shape[0] != len(COUNTER_KEYS):
-        raise ValueError(f"counter block must be (5, T, n), got {C.shape}")
     counters = dict(zip(COUNTER_KEYS, C))
     nodes = [NodeInfo(
         node_id=int(n["node_id"]),
@@ -165,6 +167,49 @@ def run_from_members(manifest: dict[str, Any],
         spill_events=int(manifest["spill_events"]),
         D=np.asarray(arrays["D"], dtype=bool),
     )
+
+
+def _check_run_shape(manifest: dict[str, Any],
+                     shapes: dict[str, tuple]) -> None:
+    """Raise :class:`ValueError` unless a run's members and manifest fit
+    together: ``C`` is ``(5, T, n)`` with ``T >= 1`` (the engine records
+    an observation at start), ``times`` ``(T,)``, ``D`` ``(T, n)`` and
+    ``N`` ``(n,)``; node ``i`` has id ``i``, a parent in ``[-1, n)``
+    and a pipeline in ``[0, P)``; pipeline ``i`` has pid ``i`` and its
+    node and driver ids in ``[0, n)``.  Replay indexes by all of these,
+    so a run that breaks one would fail mid-serving instead."""
+    c_shape = shapes["C"]
+    if len(c_shape) != 3 or c_shape[0] != len(COUNTER_KEYS):
+        raise ValueError(f"counter block must be (5, T, n), got {c_shape}")
+    _, T, n = c_shape
+    if T < 1:
+        raise ValueError("run has no recorded observations")
+    expected = {"times": (T,), "D": (T, n), "N": (n,)}
+    for key, shape in expected.items():
+        if tuple(shapes[key]) != shape:
+            raise ValueError(f"member {key} must be {shape} for a (5, {T}, "
+                             f"{n}) counter block, got {shapes[key]}")
+    nodes, pipelines = manifest["nodes"], manifest["pipelines"]
+    if len(nodes) != n:
+        raise ValueError(f"manifest lists {len(nodes)} nodes for {n} "
+                         f"counter columns")
+    P = len(pipelines)
+    for i, node in enumerate(nodes):
+        if int(node["node_id"]) != i:
+            raise ValueError(f"node {i} has node_id {node['node_id']}")
+        if not -1 <= int(node["parent"]) < n:
+            raise ValueError(f"node {i} has parent {node['parent']} "
+                             f"outside [-1, {n})")
+        if not 0 <= int(node["pid"]) < P:
+            raise ValueError(f"node {i} has pid {node['pid']} outside "
+                             f"[0, {P})")
+    for i, pipe in enumerate(pipelines):
+        if int(pipe["pid"]) != i:
+            raise ValueError(f"pipeline {i} has pid {pipe['pid']}")
+        for key in ("node_ids", "driver_ids"):
+            if any(not 0 <= int(j) < n for j in pipe[key]):
+                raise ValueError(f"pipeline {i} {key} {pipe[key]} outside "
+                                 f"[0, {n})")
 
 
 def check_trace_version(manifest: dict[str, Any]) -> None:

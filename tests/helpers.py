@@ -2,15 +2,19 @@
 
 Building synthetic :class:`PipelineRun` objects lets estimator and feature
 tests assert exact values without going through the executor.
-:func:`extract` is the feature extraction training does over views, and
-:func:`reports_payload_oracle` the report codec's per-report definition.
+:func:`extract` is the feature extraction training does over views,
+:func:`reports_payload_oracle` the report codec's per-report definition,
+and :data:`MALFORMED_RUNS` the ways a recorded run's parts can fail to
+fit together.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from repro.engine.run import PipelineRun
+from repro.engine.run import PipelineRun, QueryRun
 from repro.plan.nodes import Op
 from repro.progress.soa import FlushBatch, PipelineMeta
 
@@ -191,3 +195,42 @@ def reports_payload_oracle(tagged) -> bytes:
         "pe_est": np.asarray(pe_est, dtype=np.int64),
         "sids": np.asarray([sid for sid, _ in tagged], dtype=np.int64)}
     return _frame({"reports": {"count": n, "estimators": names}}, members)
+
+
+def _edit_node(run: QueryRun, i: int, **fields) -> QueryRun:
+    nodes = list(run.nodes)
+    nodes[i] = replace(nodes[i], **fields)
+    return replace(run, nodes=nodes)
+
+
+def _edit_pipeline(run: QueryRun, i: int, **fields) -> QueryRun:
+    pipelines = list(run.pipelines)
+    pipelines[i] = replace(pipelines[i], **fields)
+    return replace(run, pipelines=pipelines)
+
+
+#: A recorded run broken in one way each: the encoder frames every one of
+#: them, and decoding must refuse each with ``ValueError``.
+MALFORMED_RUNS = {
+    "D_one_column_short": lambda r: replace(r, D=r.D[:, :-1]),
+    "D_one_row_short": lambda r: replace(r, D=r.D[:-1]),
+    "times_one_short": lambda r: replace(r, times=r.times[:-1]),
+    "N_one_short": lambda r: replace(r, N=r.N[:-1]),
+    "no_observations": lambda r: replace(
+        r, times=r.times[:0], K=r.K[:0], R=r.R[:0], W=r.W[:0],
+        LB=r.LB[:0], UB=r.UB[:0], D=r.D[:0]),
+    "nodes_one_short": lambda r: replace(r, nodes=r.nodes[:-1]),
+    "node_id_not_its_index": lambda r: _edit_node(r, 0, node_id=1),
+    "parent_past_the_nodes": lambda r: _edit_node(
+        r, 0, parent=len(r.nodes)),
+    "parent_below_minus_one": lambda r: _edit_node(r, 0, parent=-2),
+    "pid_past_the_pipelines": lambda r: _edit_node(
+        r, 0, pid=len(r.pipelines)),
+    "pid_negative": lambda r: _edit_node(r, 0, pid=-1),
+    "pipeline_pid_not_its_index": lambda r: _edit_pipeline(
+        r, 0, pid=len(r.pipelines)),
+    "node_ids_past_the_nodes": lambda r: _edit_pipeline(
+        r, 0, node_ids=[*r.pipelines[0].node_ids, len(r.nodes)]),
+    "driver_ids_negative": lambda r: _edit_pipeline(
+        r, 0, driver_ids=[*r.pipelines[0].driver_ids, -1]),
+}

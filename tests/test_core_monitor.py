@@ -33,7 +33,7 @@ FAST_MART = MARTParams(n_trees=8, max_leaves=4)
 SESSION_ATTRIBUTES = {
     "session_id", "query_name", "status", "state", "report_rows",
     "_reports", "pending_reports", "view_first", "steps", "released",
-    "_monitor", "_executor", "_plan", "_handle", "_scanned"}
+    "nbytes", "_monitor", "_executor", "_plan", "_handle", "_scanned"}
 
 
 @pytest.fixture(scope="module")

@@ -31,6 +31,7 @@ from repro.runtime import (
 )
 from repro.runtime import pool as pool_mod
 from repro.trace.store import TraceStore, read_trace
+from helpers import MALFORMED_RUNS
 from test_trace_golden import GOLDEN_DIR
 from test_trace_store import UNIT_SCALE, assert_runs_identical
 
@@ -249,6 +250,16 @@ class TestTransport:
                 header["wire_format_version"] = version
         payload = _retable(runs_to_payload([join_run]), stamp)
         with pytest.raises(ValueError, match="wire format version"):
+            runs_from_payload(payload)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_RUNS))
+    def test_inconsistent_run_rejected(self, case):
+        """A well-framed run whose parts do not fit together fails to
+        decode, with ``ValueError``, instead of failing whoever serves
+        it later."""
+        run = read_trace(GOLDEN_DIR / "fuzz")[0][0]
+        payload = runs_to_payload([run, MALFORMED_RUNS[case](run)])
+        with pytest.raises(ValueError):
             runs_from_payload(payload)
 
     def test_npz_framed_payload_rejected(self):

@@ -403,13 +403,19 @@ class TestShardedChurn:
         results = service.run_until_complete(max_ticks=100_000)
         return [results[sid][1] for sid in range(len(replay_runs))]
 
+    @pytest.mark.parametrize("n_shards", [2, 3])
     def test_submissions_while_others_drain(self, replay_runs, monitor,
-                                            solo_streams):
+                                            solo_streams, n_shards):
         """A second wave submitted mid-drain (some first-wave sessions
         already retired) must neither disturb in-flight streams nor its
-        own — placement stays by global submission index."""
-        service = ShardedProgressService(monitor, n_shards=2, slice_steps=3,
-                                        max_live=1)
+        own — placement stays by global submission index, and a shard's
+        session ids map to global ones by arithmetic alone.  The budget
+        fits the largest run, so it binds before ``max_live`` does and
+        its deferral path is exercised."""
+        budget = max(run.nbytes for run in replay_runs)
+        service = ShardedProgressService(monitor, n_shards=n_shards,
+                                        slice_steps=3, max_live=2,
+                                        memory_budget_bytes=budget)
         first = [service.submit_replay(run) for run in replay_runs]
         streams: dict[int, list] = {}
         ticks = 0
@@ -430,6 +436,8 @@ class TestShardedChurn:
                 assert streams[sid] == solo
         assert service.stats.service.sessions_completed \
             == 2 * len(replay_runs)
+        assert service.stats.service.bytes_live == 0
+        assert service.stats.service.deferrals > 0
 
     def test_budget_deferred_admissions_retry_after_retirement(
             self, replay_runs, monitor, solo_streams):
@@ -439,7 +447,7 @@ class TestShardedChurn:
         sids = [service.submit_replay(run) for run in replay_runs]
         results = service.run_until_complete(max_ticks=100_000)
         service.close()
-        shard = service.stats.shards[0]
+        shard = service.stats.shards[0].service
         assert shard.deferrals > 0, "budget never bound: no churn exercised"
         assert shard.bytes_peak <= budget
         assert shard.bytes_live == 0

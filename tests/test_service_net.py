@@ -36,6 +36,7 @@ from repro.service.net import http, websocket as ws
 from repro.service.net.__main__ import build_parser
 from repro.trace.store import read_trace
 
+from helpers import MALFORMED_RUNS
 from test_trace_golden import GOLDEN_DIR
 
 
@@ -404,6 +405,34 @@ class TestErrorPaths:
             assert (await client.list_sessions("t")) == []
 
         _serve(scenario)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_RUNS))
+    def test_inconsistent_run_is_400_and_spares_the_fleet(
+            self, golden_runs, sharded_results, case):
+        """A well-framed run whose parts do not fit together is refused
+        with 400 before it reaches a shard: another tenant's session,
+        running meanwhile, completes with its in-process bytes, and the
+        server keeps admitting."""
+        bad = runs_to_payload([MALFORMED_RUNS[case](golden_runs[0])])
+
+        async def scenario(server, client):
+            sid = (await client.submit_runs("good", golden_runs[:1]))[0]
+            streaming = asyncio.create_task(client.stream("good", sid))
+            status, _, reply = await client.request(
+                "POST", "/v1/bad/sessions", bad,
+                content_type=http.RUNS_TYPE)
+            assert status == 400
+            assert "undecodable" in json.loads(reply)["error"]["detail"]
+            frames, done = await streaming
+            assert done["type"] == "done"
+            assert (await client.list_sessions("bad")) == []
+            later = await client.submit_runs("good", golden_runs[1:2])
+            await client.stream("good", later[0])
+            return sid, await client.reports_payload("good", sid)
+
+        sid, payload = _serve(scenario)
+        assert payload == reports_to_payload(
+            [(sid, report) for report in sharded_results[sid]])
 
     def test_wrong_content_type_is_415(self):
         async def scenario(server, client):

@@ -25,7 +25,7 @@ from repro.service import (
     ShardLost,
     place_session,
 )
-from repro.service.sharded import ShardWorker
+from repro.service.session import SessionStatus
 from repro.trace.store import read_trace
 
 from test_trace_golden import GOLDEN_DIR
@@ -187,6 +187,9 @@ class TestInlineParity:
 
 
 class TestMemoryBudget:
+    """The memory budget is an admission rule of :class:`ProgressService`;
+    a fleet's shards each enforce it on their own service."""
+
     def test_oversized_run_rejected_at_submit(self, golden_runs):
         service = ShardedProgressService(_monitor(), n_shards=1,
                                          memory_budget_bytes=16)
@@ -207,41 +210,100 @@ class TestMemoryBudget:
                                     processes=processes) as service:
             sids = [service.submit_replay(run) for run in golden_runs]
             results = service.run_until_complete(max_ticks=100_000)
-        stats = service.stats.shards[0]
+        stats = service.stats.shards[0].service
         assert stats.deferrals > 0, "the budget never actually deferred"
         assert stats.bytes_peak <= budget
         assert stats.bytes_live == 0, "drained fleet still charges bytes"
         for sid in sids:
             assert results[sid] == solo_results[sid][1]
-        # both transports report what the shard itself counted
-        worker = ShardWorker(0, _monitor(), slice_steps=4,
-                             memory_budget_bytes=budget)
-        for sid, run in enumerate(golden_runs):
-            worker.enqueue(sid, run)
-        while worker.tick():
-            pass
+        # both transports report what the shard's service counted
+        alone = ProgressService(_monitor(), slice_steps=4,
+                                memory_budget_bytes=budget)
+        for run in golden_runs:
+            alone.submit_replay(run)
+        alone.run_until_complete(max_ticks=100_000)
         assert (stats.deferrals, stats.bytes_peak, stats.bytes_live) == (
-            worker.stats.deferrals, worker.stats.bytes_peak,
-            worker.stats.bytes_live)
+            alone.stats.deferrals, alone.stats.bytes_peak,
+            alone.stats.bytes_live)
 
     def test_budget_charges_follow_admission_and_retirement(self,
                                                             golden_runs):
         run = golden_runs[0]
-        worker = ShardWorker(0, _monitor(), slice_steps=4,
-                             memory_budget_bytes=run.nbytes * 2)
-        worker.enqueue(0, run)
-        assert worker.stats.bytes_live == 0  # queued, not yet admitted
-        worker.tick()
-        assert worker.stats.bytes_live == run.nbytes
-        while worker.active:
-            worker.tick()
-        assert worker.stats.bytes_live == 0
-        assert worker.stats.bytes_peak == run.nbytes
+        service = ProgressService(_monitor(), slice_steps=4,
+                                  memory_budget_bytes=run.nbytes * 2)
+        sid = service.submit_replay(run)
+        assert service.session(sid).nbytes == run.nbytes
+        assert service.stats.bytes_live == 0  # pending, not yet started
+        service.tick()
+        assert service.stats.bytes_live == run.nbytes
+        while service.tick():
+            pass
+        assert service.stats.bytes_live == 0
+        assert service.stats.bytes_peak == run.nbytes
+        service.release_session(sid)  # the charge outlives the executor
+        assert service.session(sid).nbytes == run.nbytes
 
-    def test_worker_rejects_oversized_enqueue(self, golden_runs):
-        worker = ShardWorker(0, _monitor(), memory_budget_bytes=8)
-        with pytest.raises(MemoryBudgetExceeded):
-            worker.enqueue(0, golden_runs[0])
+    def test_live_sessions_are_charged_nothing(self, tpch_db, tpch_planner,
+                                               join_query, executor_config):
+        service = ProgressService(_monitor(), memory_budget_bytes=1)
+        sid = service.submit(tpch_db, tpch_planner.plan(join_query),
+                             config=executor_config)
+        service.run_until_complete(max_ticks=100_000)
+        assert service.session(sid).done
+        assert service.stats.bytes_peak == service.stats.deferrals == 0
+
+    def test_service_rejects_oversized_submit(self, golden_runs):
+        service = ProgressService(_monitor(), memory_budget_bytes=8)
+        with pytest.raises(MemoryBudgetExceeded, match="budget"):
+            service.submit_replay(golden_runs[0])
+        assert service.sessions == []
+        assert service.stats.sessions_submitted == 0
+
+    def test_fifo_head_blocks_and_deferrals_count_its_ticks(self,
+                                                            golden_runs):
+        """The queue's head waits while it does not fit, and sessions
+        behind it wait too, even one that would fit; every tick that
+        holds the head counts one deferral."""
+        big, small = sorted(golden_runs[:2], key=lambda r: r.nbytes,
+                            reverse=True)
+        budget = big.nbytes + small.nbytes
+        service = ProgressService(_monitor(), slice_steps=2,
+                                  memory_budget_bytes=budget)
+        sids = [service.submit_replay(run) for run in (big, big, small)]
+        started: dict[int, int] = {}
+        held = bypassable = ticks = 0
+        while service.active:
+            pending = [sid for sid in sids if sid not in started]
+            before = service.stats.bytes_live
+            service.tick()
+            ticks += 1
+            for sid in pending:
+                if service.session(sid).status is not SessionStatus.PENDING:
+                    started[sid] = ticks
+            if any(sid not in started for sid in pending):
+                held += 1  # no max_live: only the budget holds a session
+                bypassable += before + small.nbytes <= budget
+            assert service.stats.bytes_live <= budget
+        assert service.stats.deferrals == held > 0
+        assert bypassable, "no tick where the small run alone would fit"
+        assert started[sids[0]] <= started[sids[1]] <= started[sids[2]]
+        assert service.stats.bytes_live == 0
+        assert service.stats.bytes_peak <= budget
+
+    @pytest.mark.parametrize("slice_steps", [1, 4])
+    def test_streams_equal_the_unbudgeted_service(self, golden_runs,
+                                                  slice_steps):
+        budgets = [None, max(run.nbytes for run in golden_runs)]
+        streams = []
+        for budget in budgets:
+            service = ProgressService(_monitor(), slice_steps=slice_steps,
+                                      memory_budget_bytes=budget)
+            for run in golden_runs:
+                service.submit_replay(run)
+            results = service.run_until_complete(max_ticks=100_000)
+            streams.append([results[sid][1] for sid in sorted(results)])
+            assert (service.stats.deferrals > 0) == (budget is not None)
+        assert streams[0] == streams[1]
 
 
 class TestShardLoss:
