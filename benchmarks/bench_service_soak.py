@@ -119,6 +119,7 @@ def _soak(base_runs, n_shards):
         max_live=MAX_LIVE_PER_SHARD, processes=True)
     rss_samples = []
     submitted = 0
+    rounds = 0
     started = time.perf_counter()
     try:
         while submitted < N_SESSIONS or service.active:
@@ -134,7 +135,8 @@ def _soak(base_runs, n_shards):
                 in_flight = (submitted
                              - service.stats.service.sessions_completed)
             service.tick()
-            if len(service.stats.round_seconds) % 8 == 0:
+            rounds += 1
+            if rounds % 8 == 0:
                 rss_samples.append(_rss_bytes(service.worker_pids))
         wall = time.perf_counter() - started
         fleet = service.stats

@@ -122,16 +122,15 @@ class ObservationLog:
     doubling copies into fresh buffers, so a prefix view handed out by
     :meth:`as_arrays` never changes afterwards.
 
-    A log given the plan's bound ``rules`` (see :func:`fill_bounds`)
-    defers the bounds: :meth:`snapshot` writes ``times``/``K``/``R``/
+    The log defers the bounds to the plan's bound ``rules`` (see
+    :func:`fill_bounds`): :meth:`snapshot` writes ``times``/``K``/``R``/
     ``W``/``D`` only, and the log keeps a watermark of the rows whose
     ``LB``/``UB`` are filled in.  :meth:`as_arrays` fills every row past
     it in one pass before handing out a view, so every row a view covers
-    is final when the view is made.  A log without rules takes the
-    bounds with each snapshot.
+    is final when the view is made.
     """
 
-    def __init__(self, n_nodes: int, rules: tuple | None = None):
+    def __init__(self, n_nodes: int, rules: tuple):
         self.n_nodes = n_nodes
         self._rules = rules
         self._len = 0
@@ -142,29 +141,13 @@ class ObservationLog:
             self._cols[name] = np.empty((INITIAL_CAPACITY, n_nodes),
                                         dtype=bool if name == "D" else float)
 
-    def snapshot(self, now: float, counters: CounterStore,
-                 lb: np.ndarray | None = None,
-                 ub: np.ndarray | None = None) -> None:
-        """Append the counters as of ``now``: with explicit bounds
-        ``lb``/``ub``, or, on a log with bound rules, none (they are
-        filled in when the log is read)."""
+    def snapshot(self, now: float, counters: CounterStore) -> None:
+        """Append the counters as of ``now`` (the bounds are filled in
+        when the log is read)."""
         if counters.n_nodes != self.n_nodes:
             raise ValueError(
                 f"counter store tracks {counters.n_nodes} nodes but the "
                 f"observation log was sized for {self.n_nodes}")
-        if lb is None:
-            if self._rules is None:
-                raise ValueError("a log without bound rules needs the "
-                                 "bounds with each snapshot")
-        else:
-            lb = np.asarray(lb)
-            ub = np.asarray(ub)
-            expected = (self.n_nodes,)
-            if lb.shape != expected or ub.shape != expected:
-                raise ValueError(
-                    f"bounds must have shape {expected}, got lb {lb.shape} "
-                    f"/ ub {ub.shape}")
-            self._fill()
         i = self._len
         if i == len(self._cols["times"]):  # full: double into new buffers
             self._cols = {name: np.concatenate([col, np.empty_like(col)])
@@ -175,10 +158,6 @@ class ObservationLog:
         cols["R"][i] = counters.R
         cols["W"][i] = counters.W
         cols["D"][i] = counters.done
-        if lb is not None:
-            cols["LB"][i] = lb
-            cols["UB"][i] = ub
-            self._filled = i + 1
         self._len = i + 1
 
     def _fill(self) -> None:

@@ -204,8 +204,7 @@ class ExecContext:
 
     def charge(self, node: PlanNode, rows: float, *, cpu_rows: float | None = None,
                r_bytes: float = 0.0, w_bytes: float = 0.0,
-               extra_seconds: float = 0.0, pid: int | None = None,
-               count: bool = True) -> None:
+               extra_seconds: float = 0.0, pid: int | None = None) -> None:
         """Account for a unit of work at ``node``.
 
         ``rows`` are GetNext calls produced (added to ``K``); ``cpu_rows``
@@ -227,7 +226,7 @@ class ExecContext:
                    + extra_seconds)
         self.clock.advance(seconds)
         counters = self.counters
-        if count and rows:
+        if rows:
             counters.K[i] += rows
         counters.R[i] += r_bytes
         counters.W[i] += w_bytes

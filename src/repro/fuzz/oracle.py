@@ -49,7 +49,6 @@ from repro.core.monitor import ProgressMonitor, ProgressReport
 from repro.engine.counters import UNBOUNDED
 from repro.engine.run import QueryRun, live_pipeline_run
 from repro.fuzz.reference import ReferenceResult, compare_output
-from repro.progress.gold import BytesProcessedOracle, GetNextOracle
 from repro.progress.registry import all_estimators
 from repro.progress.soa import kernel_estimates
 from repro.query.logical import QuerySpec
@@ -69,13 +68,10 @@ _EPS = 1e-9
 #: fixed-totals variant of the same claim.
 MONOTONE_FUZZ = ("dne", "batch_dne", "dne_seek", "tgn_int")
 
+#: every estimator with an SoA kernel, the kernel-parity sweep's pool;
+#: the §6.7 oracles have none (they read the finished run) and stay out
 _ALL_ESTIMATORS = all_estimators(include_worst_case=True,
                                  include_extensions=True)
-
-#: the §6.7 idealized models join the kernel-parity sweep — their kernels
-#: are exercised nowhere else
-_PARITY_ESTIMATORS = _ALL_ESTIMATORS + [GetNextOracle(),
-                                        BytesProcessedOracle()]
 
 
 @dataclass(frozen=True)
@@ -260,7 +256,7 @@ def check_kernel_parity(run: QueryRun, reports: list[ProgressReport],
     """
     layer = "kernel"
     for pr in run.pipeline_runs(min_observations=min_observations):
-        for est in _PARITY_ESTIMATORS:
+        for est in _ALL_ESTIMATORS:
             batch = est.estimate(pr)
             kernel = kernel_estimates(est, pr)
             if not np.array_equal(batch, kernel):

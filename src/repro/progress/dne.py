@@ -12,17 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.run import PipelineRun
-from repro.progress.base import (
-    ProgressEstimator,
-    clip_progress,
-    driver_consumed,
-    safe_divide,
-)
+from repro.progress.base import ProgressEstimator
 
 
 class DNEEstimator(ProgressEstimator):
     name = "dne"
 
     def estimate(self, pr: PipelineRun) -> np.ndarray:
-        consumed, total = driver_consumed(pr)
-        return clip_progress(safe_divide(consumed, total))
+        return pr.driver_fraction()

@@ -33,12 +33,10 @@ class GetNextOracle(ProgressEstimator):
 class BytesProcessedOracle(ProgressEstimator):
     """Luo's bytes model with the true total bytes substituted.
 
-    The denominator is only known once the run completes; over a
-    completed run the kernel's metadata carries it
-    (:attr:`~repro.progress.soa.PipelineMeta.oracle_bytes_total`) and
-    matches ``estimate`` bit-for-bit.  Monitored *live* (no recorded
-    total) it degrades to ``estimate`` on the causal prefix — bytes so
-    far over bytes so far.
+    The denominator is only known once the run completes, so this model
+    is offline validation only: it has no SoA kernel and
+    :class:`~repro.core.monitor.ProgressMonitor` refuses it (as it does
+    :class:`GetNextOracle`).
     """
 
     name = "bytes_oracle"

@@ -25,14 +25,9 @@ def bounded_estimates(pr: PipelineRun) -> np.ndarray:
     return np.clip(e0, pr.LB, pr.UB)
 
 
-def driver_alpha(pr: PipelineRun) -> np.ndarray:
-    """Fraction of dominant input consumed, α of eq. (1), per observation."""
-    return pr.driver_fraction()
-
-
 def interpolated_estimates(pr: PipelineRun) -> np.ndarray:
     """``(T, m)`` estimates refined by Luo-style interpolation (eq. 2)."""
-    alpha = driver_alpha(pr)[:, None]          # (T, 1)
+    alpha = pr.driver_fraction()[:, None]      # α of eq. (1), (T, 1)
     extrapolated = safe_divide(pr.K, np.maximum(alpha, 1e-9))
     e0 = np.broadcast_to(pr.E0, pr.K.shape)
     refined = alpha * extrapolated + (1.0 - alpha) * e0

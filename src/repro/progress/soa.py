@@ -35,7 +35,9 @@ window reads one more row, the row the window opens at
 (:func:`window_starts`): row ``window_row[r]`` of the batch's
 ``window``, the flush's window-start rows, or of the batch itself.  Only
 the exact estimator classes in ``_NATIVE`` have a kernel; the monitor
-refuses any other pool member at construction (:func:`kernel_class`).
+refuses any other pool member at construction (:func:`kernel_class`),
+the §6.7 oracles of :mod:`repro.progress.gold` included: they read the
+finished run, so they are scored offline through ``estimate``.
 :meth:`FlushBatch.of_pipeline_runs` lays whole pipeline views out:
 training's feature batch, and :func:`kernel_estimates`' check against
 ``estimate``; the flush indexes its openings' views out of its own row
@@ -75,7 +77,6 @@ from repro.plan.nodes import Op
 from repro.progress.batchdne import BatchDNEEstimator
 from repro.progress.dne import DNEEstimator
 from repro.progress.dneseek import DNESeekEstimator
-from repro.progress.gold import BytesProcessedOracle, GetNextOracle
 from repro.progress.luo import LuoEstimator
 from repro.progress.refined_tgn import RefinedTGNEstimator
 from repro.progress.safe_pmax import PMaxEstimator, SafeEstimator
@@ -101,8 +102,9 @@ class PipelineMeta:
     that never change), one selection mask per row-sum family
     (``valid``, ``driver``, ``bdrv``, ``sdrv``), the ``matpos`` /
     ``childpos`` positions of the per-row ``N`` rule.  Nothing here
-    belongs to one execution — the start time ``t_start`` is a
-    :class:`MetaTable` column — so the flush builds one per pipeline of a
+    belongs to one execution — no total of a finished run, and the start
+    time ``t_start`` is a :class:`MetaTable` column — so the flush
+    builds one per pipeline of a
     plan record (:class:`~repro.engine.run.PlanStatic`) and every session
     over that plan reads it.  ``static_features`` is the pipeline's §4.3
     feature row, filled the first time a selector extracts it
@@ -112,11 +114,9 @@ class PipelineMeta:
     __slots__ = (
         "pid", "node_ids", "ops",
         "E0", "widths", "table_rows", "driver_mask", "parent_local",
-        "materialized_bytes_est", "oracle_bytes_total", "mat_idx",
-        "mat_child_ids",
+        "materialized_bytes_est", "mat_idx", "mat_child_ids",
         "known_base", "valid", "driver", "bdrv", "sdrv", "matpos",
-        "childpos", "e0_sum", "oracle_total", "has_oracle",
-        "static_features",
+        "childpos", "e0_sum", "static_features",
     )
 
     def __init__(self, pid: int, node_ids: np.ndarray,
@@ -124,7 +124,6 @@ class PipelineMeta:
                  table_rows: np.ndarray, driver_mask: np.ndarray,
                  parent_local: np.ndarray,
                  materialized_bytes_est: float = 0.0,
-                 oracle_bytes_total: float | None = None,
                  mat_idx: np.ndarray | None = None,
                  mat_child_ids: np.ndarray | None = None):
         self.pid = pid
@@ -136,10 +135,6 @@ class PipelineMeta:
         self.driver_mask = driver_mask
         self.parent_local = parent_local
         self.materialized_bytes_est = materialized_bytes_est
-        #: true total bytes of the pipeline, only known for *completed*
-        #: runs — lets the §6.7 Bytes-Processed oracle's kernel match its
-        #: ``estimate`` (see :class:`~repro.progress.gold.BytesProcessedOracle`)
-        self.oracle_bytes_total = oracle_bytes_total
         self.matpos = np.array([op in _MATERIALIZED_OPS for op in ops],
                                dtype=bool)
         # blocking sources (local index) whose totals become exact once the
@@ -166,9 +161,6 @@ class PipelineMeta:
         # TGNINT's estimate sums E0 once per trajectory; the sum is
         # tick-invariant, so one np.sum here is bit-identical
         self.e0_sum = float(E0.sum())
-        self.has_oracle = oracle_bytes_total is not None
-        self.oracle_total = 0.0 if oracle_bytes_total is None \
-            else oracle_bytes_total
         self.static_features: np.ndarray | None = None
 
     @property
@@ -177,24 +169,13 @@ class PipelineMeta:
 
     @classmethod
     def from_pipeline_run(cls, pr: PipelineRun) -> "PipelineMeta":
-        """Metadata of a *completed* pipeline run.
-
-        Includes the oracle byte total, so even the non-causal §6.7
-        Bytes-Processed model's kernel reproduces its batch ``estimate``
-        on this run.
-        """
-        if pr.n_observations:
-            mask = pr.driver_mask
-            oracle_bytes = float(
-                (pr.K[-1, mask] * pr.widths[mask]).sum() + pr.W[-1].sum())
-        else:
-            oracle_bytes = 0.0
+        """The metadata of a pipeline view (a recorded pipeline, or a
+        ``live_pipeline_run`` view): its plan-static fields only."""
         return cls(
             pid=pr.pid, node_ids=pr.node_ids, ops=pr.ops,
             E0=pr.E0, widths=pr.widths, table_rows=pr.table_rows,
             driver_mask=pr.driver_mask, parent_local=pr.parent_local,
             materialized_bytes_est=pr.materialized_bytes_est,
-            oracle_bytes_total=oracle_bytes,
             mat_idx=pr.mat_idx, mat_child_ids=pr.mat_child_ids,
         )
 
@@ -377,7 +358,7 @@ class FlushBatch:
 
     @property
     def bytes_done(self) -> np.ndarray:
-        """Per-row LUO/bytes-oracle numerator."""
+        """Per-row LUO numerator."""
         out = self._cache.get("bytes_done")
         if out is None:
             out = (self.rowsum("driver", self.K * self.meta_rows("widths"))
@@ -585,22 +566,6 @@ class _BatchedSafe(BatchedStreamState):
         return np.clip(out, 0.0, 1.0, out=out)
 
 
-class _BatchedGetNext(BatchedStreamState):
-    def advance(self, batch: FlushBatch) -> np.ndarray:
-        total = batch.sums("valid", "N")
-        out = _safe_div(batch.sums("valid", "K"), np.maximum(total, 1e-12))
-        return np.clip(out, 0.0, 1.0, out=out)
-
-
-class _BatchedBytesOracle(BatchedStreamState):
-    def advance(self, batch: FlushBatch) -> np.ndarray:
-        done = batch.bytes_done
-        total = np.where(batch.meta_rows("has_oracle"),
-                         batch.meta_rows("oracle_total"), done)
-        out = _safe_div(done, np.maximum(total, 1e-12))
-        return np.clip(out, 0.0, 1.0, out=out)
-
-
 class BatchedLuoState(BatchedStreamState):
     """LUO: remaining bytes over the speed of its trailing window.
 
@@ -686,8 +651,6 @@ _NATIVE = {
     RefinedTGNEstimator: _BatchedRefinedTGN,
     PMaxEstimator: _BatchedPMax,
     SafeEstimator: _BatchedSafe,
-    GetNextOracle: _BatchedGetNext,
-    BytesProcessedOracle: _BatchedBytesOracle,
     LuoEstimator: BatchedLuoState,
 }
 

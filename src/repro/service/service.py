@@ -181,7 +181,6 @@ class ProgressService:
         self.sessions: list[QuerySession] = []
         self._pending: deque[QuerySession] = deque()
         self._live: list[QuerySession] = []
-        self._live_set: set[int] = set()
         self._vector = VectorizedFlush(monitor)
         self.stats = ServiceStats()
 
@@ -240,10 +239,8 @@ class ProgressService:
         round_sessions = self.scheduler.plan_round(self._live)
         self.stats.sessions_scanned += len(self._live)
         for session in round_sessions:
-            used = self.scheduler.run_slice(session)
-            self.stats.steps += used
-            if session.done:
-                self._retire(session)
+            self.stats.steps += self.scheduler.run_slice(session)
+        self._retire(round_sessions)
         if round_sessions:
             self.stats.ticks += 1
         self._flush(round_sessions)
@@ -300,16 +297,21 @@ class ProgressService:
             stats.bytes_peak = max(stats.bytes_peak, stats.bytes_live)
             session.start()
             self._live.append(session)
-            self._live_set.add(session.session_id)
 
-    def _retire(self, session: QuerySession) -> None:
-        """Move a finished session out of the live index and release its
-        bytes, exactly once."""
-        if session.session_id in self._live_set:
-            self._live_set.discard(session.session_id)
-            self._live.remove(session)
-            self.stats.sessions_completed += 1
-            self.stats.bytes_live -= session.nbytes
+    def _retire(self, round_sessions: list[QuerySession]) -> None:
+        """Rebuild the live index from the round's sessions (every live
+        one) still running; each finished one counts as completed and
+        releases its bytes.  A session turns DONE once, inside its own
+        slice, so it is retired exactly once."""
+        stats = self.stats
+        live = []
+        for session in round_sessions:
+            if session.done:
+                stats.sessions_completed += 1
+                stats.bytes_live -= session.nbytes
+            else:
+                live.append(session)
+        self._live = live
 
     def _flush(self, round_sessions: list[QuerySession]) -> None:
         """Produce every report due in this round's sessions.

@@ -89,6 +89,14 @@ from repro.trace.format import ReportBlock
 
 _log = logging.getLogger(__name__)
 
+#: latency samples kept per list (the last rounds' or ticks'): the
+#: percentiles cover a bounded window however long the fleet serves
+LATENCY_WINDOW = 4096
+
+
+def _latency_window() -> deque:
+    return deque(maxlen=LATENCY_WINDOW)
+
 
 class ShardLost(RuntimeError):
     """A shard failed or its worker process died; ``shard_id`` names it."""
@@ -118,12 +126,14 @@ class ShardStats:
 
     shard_id: int
     service: ServiceStats = field(default_factory=ServiceStats)
-    #: shard-side wall-clock seconds per tick round
-    tick_seconds: list[float] = field(default_factory=list)
+    #: shard-side wall-clock seconds per tick round, the last
+    #: :data:`LATENCY_WINDOW`
+    tick_seconds: deque = field(default_factory=_latency_window)
 
     def to_wire(self) -> dict:
         """JSON-safe snapshot (a shard ships ``tick_seconds`` as deltas)."""
-        return dict(vars(self), service=vars(self.service).copy())
+        return dict(vars(self), service=vars(self.service).copy(),
+                    tick_seconds=list(self.tick_seconds))
 
     def absorb(self, wire: dict) -> None:
         """Overwrite from a shard's :meth:`to_wire` snapshot, appending
@@ -140,8 +150,9 @@ class FleetStats:
 
     shards: list[ShardStats]
     #: supervisor-side wall-clock seconds per lockstep round (includes
-    #: IPC and merge time — what a client of the fleet feels)
-    round_seconds: list[float] = field(default_factory=list)
+    #: IPC and merge time — what a client of the fleet feels), the last
+    #: :data:`LATENCY_WINDOW`
+    round_seconds: deque = field(default_factory=_latency_window)
 
     @property
     def service(self) -> ServiceStats:
@@ -219,7 +230,7 @@ class ShardWorker:
         if cmd == "tick":
             more = self.tick()
             wire = self.stats.to_wire()
-            self.stats.tick_seconds = []  # shipped; keeps this list short
+            self.stats.tick_seconds.clear()  # shipped as deltas
             payload = reports_to_payload(ReportBlock.concat(self._blocks))
             self._blocks.clear()
             completed, self._completed = self._completed, []

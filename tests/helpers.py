@@ -134,8 +134,7 @@ def meta_of(pr: PipelineRun, **fields) -> PipelineMeta:
     kwargs = {name: getattr(meta, name) for name in (
         "pid", "node_ids", "ops", "E0",
         "widths", "table_rows", "driver_mask", "parent_local",
-        "materialized_bytes_est", "oracle_bytes_total", "mat_idx",
-        "mat_child_ids")}
+        "materialized_bytes_est", "mat_idx", "mat_child_ids")}
     return PipelineMeta(**{**kwargs, **fields})
 
 

@@ -3,10 +3,11 @@
 Used by ``test_progress_properties.py`` (and available to any other
 property suite): randomized monotone counter trajectories over a small
 operator zoo, both as directly constructed :class:`PipelineRun` objects
-and as trajectories recorded through the real :class:`ObservationLog`
-snapshot path — plus :func:`executed_join_run`, which runs a randomly
-drawn tiny join of a chosen kind (inner / left / semi / anti) through
-the *real* engine so per-kind bound soundness can be property-tested.
+and as log-shaped arrays (the dict :meth:`ObservationLog.as_arrays`
+returns) with ragged, drawn bounds — plus :func:`executed_join_run`,
+which runs a randomly drawn tiny join of a chosen kind (inner / left /
+semi / anti) through the *real* engine so per-kind bound soundness can
+be property-tested.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.catalog.schema import Column, DatabaseSchema, TableSchema
 from repro.catalog.table import Database, Table
-from repro.engine.counters import UNBOUNDED, CounterStore, ObservationLog
+from repro.engine.counters import UNBOUNDED
 from repro.engine.executor import ExecutorConfig, QueryExecutor
 from repro.plan.nodes import Op, PlanNode
 
@@ -56,29 +57,37 @@ def random_pipeline(draw):
 
 @st.composite
 def random_observation_log(draw):
-    """Random monotone trajectories recorded through the real log path.
+    """Random monotone trajectories of a two-node pipeline, as a log.
 
-    Returns ``(log, totals)``; per node and snapshot the upper bound is
-    either finite (counter plus random slack — possibly tight) or the
-    unbounded sentinel, so bound-interval estimators see both regimes.
+    Returns ``(arrays, totals)``, ``arrays`` shaped like
+    :meth:`ObservationLog.as_arrays` (``times`` ``(T,)``; ``K``, ``R``,
+    ``W``, ``LB``, ``UB``, ``D`` ``(T, 2)``).  Per node and snapshot the
+    upper bound is either finite (counter plus random slack — possibly
+    tight) or the unbounded sentinel, so bound-interval estimators see
+    both regimes.
     """
-    ops = [Op.FILTER, Op.INDEX_SCAN]
-    m = len(ops)
+    m = 2
     n_obs = draw(st.integers(2, 15))
-    store = CounterStore(m)
-    log = ObservationLog(m)
+    K, R = np.zeros(m), np.zeros(m)
+    rows = {name: [] for name in ("times", "K", "R", "UB")}
     now = 0.0
     totals = np.array([draw(st.floats(1.0, 1e4)) for _ in range(m)])
     for _ in range(n_obs):
         now += draw(st.floats(0.01, 5.0))
-        store.K += np.array([draw(st.floats(0.0, 1e3)) for _ in range(m)])
-        store.R += np.array([draw(st.floats(0.0, 1e5)) for _ in range(m)])
+        K = K + np.array([draw(st.floats(0.0, 1e3)) for _ in range(m)])
+        R = R + np.array([draw(st.floats(0.0, 1e5)) for _ in range(m)])
         slack = np.array([
             draw(st.one_of(st.floats(0.0, 1e4), st.just(UNBOUNDED)))
             for _ in range(m)])
-        log.snapshot(now, store, store.K.copy(),
-                     np.minimum(store.K + slack, UNBOUNDED))
-    return log, totals
+        rows["times"].append(now)
+        rows["K"].append(K)
+        rows["R"].append(R)
+        rows["UB"].append(np.minimum(K + slack, UNBOUNDED))
+    arrays = {name: np.array(values) for name, values in rows.items()}
+    arrays["W"] = np.zeros((n_obs, m))
+    arrays["LB"] = arrays["K"].copy()
+    arrays["D"] = np.zeros((n_obs, m), dtype=bool)
+    return arrays, totals
 
 
 @st.composite

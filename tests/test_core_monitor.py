@@ -20,6 +20,7 @@ from repro.fuzz.oracle import (
 )
 from repro.learning.mart import MARTParams
 from repro.progress.dne import DNEEstimator
+from repro.progress.gold import BytesProcessedOracle, GetNextOracle
 from repro.progress.luo import LuoEstimator
 from repro.progress.registry import all_estimators, original_estimators
 from repro.service import ProgressService
@@ -285,6 +286,13 @@ class TestKernelLifecycle:
             ProgressMonitor(estimators=all_estimators() + [Tweaked()])
         with pytest.raises(ValueError, match="no SoA kernel"):
             ProgressMonitor(estimators=[Tweaked()], fallback="tweaked")
+
+    @pytest.mark.parametrize("oracle", [GetNextOracle, BytesProcessedOracle])
+    def test_section_6_7_oracles_rejected(self, oracle):
+        """The §6.7 models read the finished run: offline only."""
+        est = oracle()
+        with pytest.raises(ValueError, match="no SoA kernel"):
+            ProgressMonitor(estimators=[est], fallback=est.name)
 
 
 class TestNarrowedPool:

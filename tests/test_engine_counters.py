@@ -4,11 +4,22 @@ import numpy as np
 import pytest
 
 from repro.engine.counters import (
+    CONST,
     INITIAL_CAPACITY,
     UNBOUNDED,
     CounterStore,
     ObservationLog,
 )
+
+
+def const_rules(caps) -> tuple:
+    """One ``CONST`` bound rule per node: node ``i``'s bound is
+    ``caps[i]`` until it finishes."""
+    return tuple((i, CONST, 0, 0, float(c)) for i, c in enumerate(caps))
+
+
+def const_log(n: int) -> ObservationLog:
+    return ObservationLog(n, const_rules([UNBOUNDED] * n))
 
 
 class TestCounterStore:
@@ -26,7 +37,7 @@ class TestCounterStore:
 
 class TestObservationLog:
     def test_empty_log_arrays(self):
-        log = ObservationLog(2)
+        log = const_log(2)
         arrays = log.as_arrays()
         assert arrays["times"].shape == (0,)
         assert arrays["K"].shape == (0, 2)
@@ -34,19 +45,19 @@ class TestObservationLog:
 
     def test_snapshot_copies_state(self):
         store = CounterStore(2)
-        log = ObservationLog(2)
+        log = const_log(2)
         store.K[0] = 5.0
-        log.snapshot(1.0, store, np.zeros(2), np.full(2, UNBOUNDED))
+        log.snapshot(1.0, store)
         store.K[0] = 99.0  # later mutation must not leak into the snapshot
         arrays = log.as_arrays()
         assert arrays["K"][0, 0] == 5.0
 
     def test_snapshot_accumulates(self):
         store = CounterStore(1)
-        log = ObservationLog(1)
+        log = const_log(1)
         for t in (0.5, 1.5, 2.5):
             store.K[0] += 1
-            log.snapshot(t, store, store.K.copy(), store.K.copy())
+            log.snapshot(t, store)
         assert len(log) == 3
         arrays = log.as_arrays()
         assert arrays["times"].tolist() == [0.5, 1.5, 2.5]
@@ -55,16 +66,16 @@ class TestObservationLog:
 
     def test_snapshot_records_done_flags(self):
         store = CounterStore(2)
-        log = ObservationLog(2)
-        log.snapshot(1.0, store, np.zeros(2), np.full(2, UNBOUNDED))
+        log = const_log(2)
+        log.snapshot(1.0, store)
         store.done[1] = True
-        log.snapshot(2.0, store, np.zeros(2), np.full(2, UNBOUNDED))
+        log.snapshot(2.0, store)
         arrays = log.as_arrays()
         assert arrays["D"].dtype == bool
         assert arrays["D"].tolist() == [[False, False], [False, True]]
 
     def test_empty_log_has_done_matrix(self):
-        arrays = ObservationLog(3).as_arrays()
+        arrays = const_log(3).as_arrays()
         assert arrays["D"].shape == (0, 3)
         assert arrays["D"].dtype == bool
 
@@ -73,23 +84,30 @@ class TestColumnarStorage:
     """Rows live in capacity-doubling arrays; ``as_arrays`` hands out
     prefix views, which append-only rows keep valid across doublings."""
 
-    @staticmethod
-    def _fill(log, store, t):
+    #: the ``CONST`` rule of node ``i`` caps it at ``CAPS[i]``
+    CAPS = (100.0, 101.0, 102.0)
+
+    @classmethod
+    def _log(cls, n: int) -> ObservationLog:
+        return ObservationLog(n, const_rules(cls.CAPS[:n]))
+
+    @classmethod
+    def _fill(cls, log, store, t):
         n = store.n_nodes
         store.K[:] = (t + np.arange(n, dtype=float)).tolist()
         store.R[:] = [2.0 * t] * n
         store.W[:] = [0.5 * t] * n
         store.done[t % n] = True
-        lb = np.array(store.K)
-        log.snapshot(0.25 * t, store, lb, lb + 1.0)
-        return {"times": 0.25 * t, "K": np.array(store.K),
-                "R": np.array(store.R), "W": np.array(store.W), "LB": lb,
-                "UB": lb + 1.0, "D": np.array(store.done)}
+        log.snapshot(0.25 * t, store)
+        K, D = np.array(store.K), np.array(store.done)
+        return {"times": 0.25 * t, "K": K, "R": np.array(store.R),
+                "W": np.array(store.W), "LB": K,
+                "UB": np.where(D, K, np.maximum(cls.CAPS[:n], K)), "D": D}
 
     def test_rows_survive_two_doublings(self):
         n = 3
         store = CounterStore(n)
-        log = ObservationLog(n)
+        log = self._log(n)
         written = []
         before = None
         for t in range(4 * INITIAL_CAPACITY + 1):  # doubles at 1x and 2x
@@ -110,7 +128,7 @@ class TestColumnarStorage:
 
     def test_prefix_stop_clamps_to_length(self):
         store = CounterStore(2)
-        log = ObservationLog(2)
+        log = self._log(2)
         for t in range(5):
             self._fill(log, store, t)
         assert log.as_arrays(3)["K"].shape == (3, 2)
@@ -129,30 +147,17 @@ class TestColumnarStorage:
 
 
 class TestSnapshotValidation:
-    """A mis-sized bounds vector used to be stored silently and only blow
-    up much later inside estimator code; now it fails at the snapshot."""
-
-    def test_wrong_lb_shape_rejected(self):
-        log = ObservationLog(3)
-        with pytest.raises(ValueError, match=r"shape \(3,\)"):
-            log.snapshot(1.0, CounterStore(3), np.zeros(2),
-                         np.full(3, UNBOUNDED))
-
-    def test_wrong_ub_shape_rejected(self):
-        log = ObservationLog(3)
-        with pytest.raises(ValueError, match=r"shape \(3,\)"):
-            log.snapshot(1.0, CounterStore(3), np.zeros(3),
-                         np.full((3, 1), UNBOUNDED))
+    """A counter store of another size fails at the snapshot, not much
+    later inside estimator code."""
 
     def test_mismatched_counter_store_rejected(self):
-        log = ObservationLog(3)
+        log = const_log(3)
         with pytest.raises(ValueError, match="tracks 2 nodes"):
-            log.snapshot(1.0, CounterStore(2), np.zeros(3),
-                         np.full(3, UNBOUNDED))
+            log.snapshot(1.0, CounterStore(2))
 
     def test_nothing_stored_on_rejection(self):
-        log = ObservationLog(2)
+        log = const_log(2)
         with pytest.raises(ValueError):
-            log.snapshot(1.0, CounterStore(2), np.zeros(3), np.zeros(3))
+            log.snapshot(1.0, CounterStore(3))
         assert len(log) == 0
         assert log.as_arrays()["K"].shape == (0, 2)

@@ -1,6 +1,8 @@
 """Unit tests for QueryRun / PipelineRun slicing and derived quantities."""
 
 import numpy as np
+import pytest
+
 from repro.features.vector import marker_rows
 from repro.plan.nodes import Op
 from repro.progress.dne import DNEEstimator
@@ -34,6 +36,19 @@ class TestPipelineSlicing:
         # Ask for an absurd number of observations: always None.
         for info in join_run.pipelines:
             assert join_run.pipeline_run(info.pid, min_observations=10**6) is None
+
+
+class TestPipelineWeights:
+    """``PlanStatic.weights``: each pipeline's ΣE share (paper eq. 5)."""
+
+    def test_weights_sum_to_one(self, join_run):
+        weights = join_run.plan_static.weights
+        assert weights.sum() == pytest.approx(1.0)
+        assert (weights >= 0).all()
+
+    def test_every_pipeline_weighted(self, join_run):
+        weights = join_run.plan_static.weights
+        assert len(weights) == len(join_run.pipelines)
 
 
 class TestDerivedQuantities:

@@ -84,3 +84,34 @@ def test_engine_never_imports_progress():
         if rel.parts[0] == "engine":
             for module in _imports(tree, lazy=True):
                 assert not module.startswith("repro.progress"), (rel, module)
+
+
+#: the trees whose code may import the program; tests are not among them
+USERS = ("src", "bench", "benchmarks", "examples", "ci")
+
+#: modules run by name (``python -m``), which nothing imports
+ENTRY_POINTS = {"repro.experiments.run_all"}
+
+
+def test_every_module_is_imported_outside_the_tests():
+    """A module only the tests import serves no one: delete it, or use
+    it.  Package ``__init__``/``__main__`` modules and the entry points
+    run by name are exempt."""
+    modules = {"repro." + ".".join(p.relative_to(SRC).with_suffix("").parts)
+               for p in SRC.rglob("*.py")
+               if p.stem not in ("__init__", "__main__")}
+    imported = set()
+    for tree_name in USERS:
+        for path in (REPO / tree_name).rglob("*.py"):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported.update(a.name for a in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    # ``from package import module`` imports the module
+                    imported.add(node.module)
+                    imported.update(f"{node.module}.{a.name}"
+                                    for a in node.names)
+    unused = modules - imported - ENTRY_POINTS
+    assert not unused, (
+        f"modules no code outside tests/ imports: {sorted(unused)}")

@@ -55,11 +55,9 @@ STATIC_FIELDS = ("pid", "db_name", "t_start", "node_ids", "ops", "E0",
                  "widths", "table_rows", "driver_mask", "parent_local",
                  "mat_idx", "mat_child_ids")
 ROW_FIELDS = ("times", "K", "W", "LB", "UB")
-#: PipelineMeta slots the online capture legitimately differs on: the
-#: oracle byte total (and the kernel's view of it) needs the completed run,
-#: and materialized bytes are left at 0.0 online (see ROADMAP)
-META_SKIP = {"oracle_bytes_total", "oracle_total", "has_oracle",
-             "materialized_bytes_est"}
+#: PipelineMeta slots the online capture legitimately differs on:
+#: materialized bytes are left at 0.0 online (see ROADMAP)
+META_SKIP = {"materialized_bytes_est"}
 
 
 def _assert_same(got, want, where):
@@ -318,7 +316,7 @@ def test_views_batch_equals_live_view_layout(family, monkeypatch):
 #: per-execution t_start
 META_ROW_FIELDS = ("E0", "widths", "known_base", "valid", "driver", "bdrv",
                    "sdrv", "matpos", "childpos", "t_start", "e0_sum",
-                   "materialized_bytes_est", "oracle_total", "has_oracle")
+                   "materialized_bytes_est")
 
 
 def test_meta_rows_equal_each_batch_laid_out_alone(monkeypatch):

@@ -5,11 +5,14 @@ import pytest
 
 from repro.plan.nodes import Op
 from repro.progress import all_estimators
+from repro.progress.base import clip_progress, driver_consumed, safe_divide
 from repro.progress.batchdne import BatchDNEEstimator
 from repro.progress.dne import DNEEstimator
 from repro.progress.dneseek import DNESeekEstimator
 from repro.progress.gold import BytesProcessedOracle, GetNextOracle
 from repro.progress.luo import LuoEstimator
+from repro.progress.refined_tgn import RefinedTGNEstimator
+from repro.progress.registry import estimator_by_name, extension_estimators
 from repro.progress.safe_pmax import PMaxEstimator, SafeEstimator
 from repro.progress.tgn import TGNEstimator
 from repro.progress.tgnint import TGNIntEstimator
@@ -49,9 +52,13 @@ class TestDNE:
         assert np.allclose(est, np.linspace(0, 1, pr.n_observations))
 
     def test_exactly_driver_fraction(self, pipeline_runs):
+        """DNE serves ``PipelineRun.driver_fraction``, which must be the
+        bits of the family's ``driver_consumed`` ratio (BATCHDNE and
+        DNESEEK widen its mask)."""
         for pr in pipeline_runs:
-            assert np.allclose(DNEEstimator().estimate(pr),
-                               np.clip(pr.driver_fraction(), 0, 1))
+            want = clip_progress(safe_divide(*driver_consumed(pr)))
+            assert (DNEEstimator().estimate(pr).tobytes()
+                    == pr.driver_fraction().tobytes() == want.tobytes())
 
     def test_zero_driver_totals_give_zero(self):
         pr = make_pipeline_run([Op.INDEX_SCAN], np.zeros((3, 1)),
@@ -189,3 +196,24 @@ class TestOracles:
     def test_bytes_oracle_ends_at_one(self, pipeline_runs):
         for pr in pipeline_runs:
             assert BytesProcessedOracle().estimate(pr)[-1] == pytest.approx(1.0)
+
+
+class TestRefinedTGN:
+    def test_registered_as_extension(self):
+        assert any(e.name == "tgn_ref" for e in extension_estimators())
+        assert estimator_by_name("tgn_ref").name == "tgn_ref"
+
+    def test_bounded_and_causal(self, pipeline_runs):
+        est = RefinedTGNEstimator()
+        for pr in pipeline_runs:
+            values = est.estimate(pr)
+            assert ((0 <= values) & (values <= 1)).all()
+        pr = pipeline_runs[0]
+        cut = pr.n_observations // 2
+        assert np.allclose(est.estimate(truncate_run(pr, cut)),
+                           est.estimate(pr)[:cut + 1])
+
+    def test_converges_to_completion(self, pipeline_runs):
+        est = RefinedTGNEstimator()
+        for pr in pipeline_runs:
+            assert est.estimate(pr)[-1] >= 0.95

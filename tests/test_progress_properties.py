@@ -3,9 +3,9 @@
 Hypothesis generates arbitrary monotone counter trajectories for a small
 operator zoo (shared strategies in ``tests/strategies.py``); every
 estimator must stay within [0, 1], never produce NaN/inf, and remain
-causal.  A second family of properties drives the trajectories through
-the real :class:`ObservationLog` (snapshot → dense arrays →
-:class:`PipelineRun`), and GetNext-model estimators must be monotone
+causal.  A second family of properties reads the trajectories as a log's
+dense arrays (shaped like :meth:`ObservationLog.as_arrays`) into a
+:class:`PipelineRun`, and GetNext-model estimators must be monotone
 whenever the counters are.
 """
 
@@ -78,12 +78,13 @@ def test_getnext_estimators_monotone_under_monotone_counters(pr):
 @given(random_observation_log())
 @settings(max_examples=25, deadline=None)
 def test_estimators_defined_at_every_log_snapshot(log_and_totals):
-    """Every estimator yields a finite [0, 1] value at every recorded
-    snapshot of an :class:`ObservationLog`, however ragged the counters."""
-    log, totals = log_and_totals
-    arrays = log.as_arrays()
-    assert arrays["K"].shape == (len(log), log.n_nodes)
-    assert arrays["D"].shape == (len(log), log.n_nodes)
+    """Every estimator yields a finite [0, 1] value at every snapshot of
+    a log's arrays, however ragged the counters and bounds."""
+    arrays, totals = log_and_totals
+    T = len(arrays["times"])
+    for name in ("K", "R", "W", "LB", "UB", "D"):
+        assert arrays[name].shape == (T, 2), name
+    assert arrays["D"].dtype == bool
     pr = make_pipeline_run([Op.FILTER, Op.INDEX_SCAN], arrays["K"],
                            parents=[-1, 0], drivers=[1],
                            N=np.maximum(totals, arrays["K"][-1]),

