@@ -12,7 +12,8 @@ process-pool runtime with three hard guarantees:
   return :class:`~repro.engine.run.QueryRun` results through the exact
   on-disk trace codec (:mod:`repro.trace.format`) serialized to bytes —
   never a pickle of engine objects — so crossing a process boundary is
-  bit-identical to replaying a recording.
+  bit-identical to replaying a recording.  A payload can be checked
+  whole without decoding a run, and decoded in part.
 * **Order-preserving execution** (:mod:`repro.runtime.pool`): results
   come back in task order regardless of completion order, and the
   ``jobs <= 1`` path runs inline in the calling process, so serial and
@@ -32,6 +33,7 @@ from repro.runtime.transport import (
     reports_to_payload,
     runs_from_payload,
     runs_to_payload,
+    validate_runs_payload,
 )
 
 __all__ = [
@@ -45,4 +47,5 @@ __all__ = [
     "reports_to_payload",
     "runs_from_payload",
     "runs_to_payload",
+    "validate_runs_payload",
 ]

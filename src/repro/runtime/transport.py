@@ -19,9 +19,16 @@ Decoding checks the whole member table before it reads a byte: only the
 dtypes the codecs emit, non-negative integer shapes and offsets, and
 members that tile the body exactly, in order.  Every violation (and any
 malformed header) raises :class:`ValueError`, since the network front
-end decodes untrusted POST bodies.  Each member is then copied out of the
-payload once, so decoded arrays own their memory, are writable, and a
-decoded run's ``nbytes`` is what it really holds.  Because float64 and
+end takes untrusted POST bodies.  A run payload is checked whole —
+every run's manifest against its members' shapes
+(:func:`~repro.trace.format.check_run`) — before a run is built, and
+:func:`validate_runs_payload` makes exactly that check without copying
+a member, so the server can refuse a bad body and forward a good one as
+it is.  :func:`runs_from_payload` decodes all runs or the listed ones
+(a shard decodes its own runs out of a shared payload).  Each decoded
+member is copied out of the payload once, so decoded arrays own their
+memory, are writable, and a decoded run's ``nbytes`` is what it really
+holds (and what :func:`validate_runs_payload` reports).  Because float64 and
 bool arrays cross as their raw bytes, a run received from a worker is
 indistinguishable from one executed locally — the same guarantee replay
 already makes, reused as IPC.
@@ -32,15 +39,19 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.engine.run import QueryRun
 from repro.trace.format import (
+    MEMBER_KEYS,
     TRACE_FORMAT_VERSION,
     ReportBlock,
+    check_run,
     check_trace_version,
     run_from_members,
+    run_nbytes,
     run_to_manifest,
     run_to_members,
 )
@@ -74,20 +85,20 @@ def _is_count(value) -> bool:
     return type(value) is int and value >= 0
 
 
-def _member_layout(table, body_len: int, what: str) -> list:
-    """Check a member table against a body of ``body_len`` bytes and
-    return its ``(name, dtype, shape, count, offset)`` rows in body
-    order."""
+def _member_layout(table, body_start: int, body_len: int,
+                   what: str) -> dict[str, tuple]:
+    """Check a member table against a body of ``body_len`` bytes that
+    starts at payload byte ``body_start``; each member's ``(dtype,
+    shape, count, payload offset)`` by name, in body order."""
     if not isinstance(table, list):
         raise ValueError(f"{what} payload header lacks a member table")
-    layout = []
-    names = set()
+    layout = {}
     end = 0
     for row in table:
         if not (isinstance(row, list) and len(row) == 4):
             raise ValueError(f"malformed {what} member table row {row!r}")
         name, dtype, shape, offset = row
-        if not isinstance(name, str) or name in names:
+        if not isinstance(name, str) or name in layout:
             raise ValueError(f"bad or repeated {what} member name {name!r}")
         if not isinstance(dtype, str) or dtype not in _WIRE_DTYPES:
             raise ValueError(f"{what} member {name!r} has dtype {dtype!r}; "
@@ -109,18 +120,17 @@ def _member_layout(table, body_len: int, what: str) -> list:
         if end > body_len:
             raise ValueError(f"{what} member {name!r} ends at byte {end}, "
                              f"past the {body_len}-byte body")
-        names.add(name)
-        layout.append((name, dt, shape, count, offset))
+        layout[name] = (dt, shape, count, body_start + offset)
     if end != body_len:
         raise ValueError(f"{what} payload has {body_len - end} trailing "
                          f"bytes after its last member")
     return layout
 
 
-def _unframe(payload: bytes, what: str) -> tuple[dict, dict[str, np.ndarray]]:
+def _unframe(payload: bytes, what: str) -> tuple[dict, dict[str, tuple]]:
     """Split a :func:`_frame` payload into its version-checked header and
-    its members, each copied out of ``payload`` into its own array;
-    ``what`` names the payload in errors."""
+    its checked member layout (:func:`_member_layout`), reading no
+    member; ``what`` names the payload in errors."""
     if len(payload) < _LENGTH_BYTES:
         raise ValueError(f"truncated {what} payload: missing header length")
     header_len = int.from_bytes(payload[:_LENGTH_BYTES], "little")
@@ -136,13 +146,15 @@ def _unframe(payload: bytes, what: str) -> tuple[dict, dict[str, np.ndarray]]:
             f"unsupported wire format version {found!r} in {what} payload; "
             f"this build reads wire version {WIRE_FORMAT_VERSION}")
     check_trace_version(header)
-    layout = _member_layout(header.get("members"),
-                            len(payload) - body_start, what)
-    members = {
-        name: np.frombuffer(payload, dt, count,
-                            body_start + offset).reshape(shape).copy()
-        for name, dt, shape, count, offset in layout}
-    return header, members
+    return header, _member_layout(header.get("members"), body_start,
+                                  len(payload) - body_start, what)
+
+
+def _copy_member(payload: bytes, row: tuple) -> np.ndarray:
+    """One member of a :func:`_member_layout` row, copied out of
+    ``payload`` into its own array."""
+    dt, shape, count, offset = row
+    return np.frombuffer(payload, dt, count, offset).reshape(shape).copy()
 
 
 @contextmanager
@@ -168,12 +180,69 @@ def runs_to_payload(runs: list[QueryRun]) -> bytes:
     return _frame({"runs": entries}, members)
 
 
-def runs_from_payload(payload: bytes) -> list[QueryRun]:
-    """Decode a :func:`runs_to_payload` payload back into runs."""
-    header, members = _unframe(payload, "run")
+class RunSummary(NamedTuple):
+    """One run of a checked payload, as :func:`validate_runs_payload`
+    reports it: what the decoded run's ``query_name`` and ``nbytes``
+    will be."""
+
+    query_name: str
+    nbytes: int
+
+
+def _run_entries(header: dict) -> list:
+    entries = header["runs"]
+    if not isinstance(entries, list):
+        raise ValueError("run payload header lacks a run list")
+    return entries
+
+
+def _member_shapes(layout: dict[str, tuple], prefix: str) -> dict:
+    """A run's member shapes out of the payload's layout."""
+    try:
+        return {key: layout[prefix + key][1] for key in MEMBER_KEYS}
+    except KeyError as exc:
+        raise ValueError(f"trace arrays missing member {exc}") from None
+
+
+def validate_runs_payload(payload: bytes) -> list[RunSummary]:
+    """Check a :func:`runs_to_payload` payload as :func:`runs_from_payload`
+    does — the framing, both versions, the member table and every run
+    (:func:`~repro.trace.format.check_run`) — without copying a member or
+    building a run.  Each run's summary, in payload order; anything
+    :func:`runs_from_payload` would refuse raises :class:`ValueError`."""
+    header, layout = _unframe(payload, "run")
     with _malformed("run"):
-        return [run_from_members(entry, members, entry["prefix"])
-                for entry in header["runs"]]
+        summaries = []
+        for entry in _run_entries(header):
+            shapes = _member_shapes(layout, entry["prefix"])
+            check_run(entry, shapes)
+            summaries.append(RunSummary(entry["query_name"],
+                                        run_nbytes(shapes)))
+        return summaries
+
+
+def runs_from_payload(payload: bytes, indices=None) -> list[QueryRun]:
+    """Decode a :func:`runs_to_payload` payload back into runs: all of
+    them, or the runs at ``indices`` in that order.  The whole payload is
+    checked as :func:`validate_runs_payload` checks it; only the decoded
+    runs' members are copied out."""
+    header, layout = _unframe(payload, "run")
+    with _malformed("run"):
+        entries = _run_entries(header)
+        if indices is None:
+            indices = range(len(entries))
+        decoded = set(indices)
+        for i, entry in enumerate(entries):
+            if i not in decoded:  # decoded runs are checked as they build
+                check_run(entry, _member_shapes(layout, entry["prefix"]))
+        runs = []
+        for i in indices:
+            entry = entries[i]
+            prefix = entry["prefix"]
+            runs.append(run_from_members(entry, {
+                prefix + key: _copy_member(payload, layout[prefix + key])
+                for key in MEMBER_KEYS}, prefix))
+        return runs
 
 
 def reports_to_payload(rows) -> bytes:
@@ -196,7 +265,9 @@ def reports_to_payload(rows) -> bytes:
 
 def block_from_payload(payload: bytes) -> ReportBlock:
     """Decode a :func:`reports_to_payload` payload into one block."""
-    header, members = _unframe(payload, "report")
+    header, layout = _unframe(payload, "report")
+    members = {name: _copy_member(payload, row)
+               for name, row in layout.items()}
     with _malformed("report"):
         return ReportBlock.from_columns(header["reports"], members)
 

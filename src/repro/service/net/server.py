@@ -8,6 +8,13 @@ loop* — drives the sharded fleet exactly as :meth:`ShardedProgressService.
 run_until_complete` would, yielding to the event loop between lockstep
 rounds so request handling and stream delivery interleave with serving.
 
+**Decode once.**  A POSTed runs payload is checked in place on the
+event loop (:func:`~repro.runtime.transport.validate_runs_payload`: no
+member is copied and no run is built), and the body itself is handed to
+the fleet (:meth:`ShardedProgressService.submit_payload`), whose shards
+decode each run once.  So a submission is refused whole — 415/400, then
+429, then 503 — before any of its runs is admitted.
+
 **Wire parity.**  Every report row a client sees crossed the exact
 columnar codec the shards use internally
 (:func:`~repro.runtime.transport.reports_to_payload`): the streaming
@@ -52,7 +59,7 @@ import base64
 import logging
 import re
 
-from repro.runtime.transport import reports_to_payload, runs_from_payload
+from repro.runtime.transport import reports_to_payload, validate_runs_payload
 from repro.service.net import http
 from repro.service.net import websocket as ws
 from repro.service.net.http import (
@@ -65,7 +72,7 @@ from repro.service.net.http import (
     json_body,
     response_bytes,
 )
-from repro.service.service import MemoryBudgetExceeded, check_budget
+from repro.service.service import MemoryBudgetExceeded
 from repro.service.sharded import ShardedProgressService
 from repro.trace.format import ReportBlock, ReportLog
 
@@ -468,8 +475,11 @@ class ProgressServer:
             "tenant": tenant,
             "sessions": [self._records[sid].summary() for sid in sids]}))
 
-    def _decode_runs(self, request: Request):
-        """The two submission body formats -> list of runs (+ name)."""
+    def _validate_runs(self, request: Request):
+        """The two submission body formats -> ``(body, runs, name)``: the
+        run payload, its runs' summaries
+        (:func:`~repro.runtime.transport.validate_runs_payload`) and the
+        submission's name."""
         kind = request.content_type()
         name = request.query.get("name")
         if kind == RUNS_TYPE:
@@ -494,7 +504,7 @@ class ProgressServer:
                 f"unsupported submission content type {kind!r} (use "
                 f"{RUNS_TYPE} or {JSON_TYPE})", status=415)
         try:
-            runs = runs_from_payload(body)
+            runs = validate_runs_payload(body)
         except Exception as exc:
             raise BadRequest(f"undecodable runs payload: {exc}") from None
         if not runs:
@@ -502,9 +512,12 @@ class ProgressServer:
         if name is not None and len(runs) != 1:
             raise BadRequest("'name' applies to single-run submissions "
                              f"only (payload carries {len(runs)})")
-        return runs, name
+        return body, runs, name
 
     def _create_sessions(self, tenant: str, request: Request) -> bytes:
+        """Admit a submission whole or not at all.  The body is checked
+        here, on the loop, without decoding a run; the fleet forwards
+        the same bytes to the shards, which decode each run once."""
         retry = {"Retry-After": f"{self.retry_after:g}"}
         if self._draining:
             state = ("the tick loop failed" if self._failed
@@ -512,7 +525,7 @@ class ProgressServer:
             return response_bytes(
                 503, error_body(503, f"{state}; submissions are not "
                                 "admitted"), headers=retry)
-        runs, name = self._decode_runs(request)
+        body, runs, name = self._validate_runs(request)
         if (self.max_inflight is not None
                 and self._service.sessions_inflight + len(runs)
                 > self.max_inflight):
@@ -522,24 +535,22 @@ class ProgressServer:
                     f"{self._service.sessions_inflight} sessions in flight "
                     f"(max_inflight={self.max_inflight})"),
                 headers=retry)
-        try:  # all-or-nothing: reject before any admission
-            for run in runs:
-                check_budget(run, self._service.memory_budget_bytes, name)
+        try:  # all-or-nothing: the fleet rejects before any admission
+            sids = self._service.submit_payload(body, runs, query_name=name)
         except MemoryBudgetExceeded as exc:
             return response_bytes(503, error_body(503, str(exc)),
                                   headers=retry)
         created = []
-        for run in runs:
-            sid = self._service.submit_replay(run, query_name=name)
+        for sid, run in zip(sids, runs):
             record = SessionRecord(sid, tenant, name or run.query_name)
             self._records[sid] = record
             self._tenants.setdefault(tenant, []).append(sid)
             created.append({"session": sid, "name": record.name})
         self._work.set()
-        body = {"tenant": tenant, "sessions": created}
+        reply = {"tenant": tenant, "sessions": created}
         if len(created) == 1:
-            body["session"] = created[0]["session"]
-        return response_bytes(201, json_body(body))
+            reply["session"] = created[0]["session"]
+        return response_bytes(201, json_body(reply))
 
     def _delete_session(self, record: SessionRecord) -> bytes:
         if not record.finished:
@@ -606,11 +617,15 @@ class ProgressServer:
                          else ws.close_frame())
             await writer.drain()
             # half of the RFC close handshake: give the peer a moment to
-            # mirror the close frame, then tear down regardless
+            # mirror the close frame, then tear down regardless.  Only a
+            # control frame is expected, and those carry at most 125
+            # bytes (RFC 6455 §5.5): a larger frame ends the stream
+            # before its payload is read
             try:
                 async with asyncio.timeout(1.0):
                     while True:
-                        opcode, _ = await ws.read_frame(reader)
+                        opcode, _ = await ws.read_frame(
+                            reader, max_payload=ws.MAX_CONTROL_BYTES)
                         if opcode == ws.OP_CLOSE:
                             break
             except (TimeoutError, asyncio.IncompleteReadError,

@@ -12,7 +12,8 @@ Only the parts of the RFC the front end exercises are implemented:
 * the opening handshake (``Sec-WebSocket-Accept`` key transform);
 * unfragmented data frames with 7/16/64-bit payload lengths;
 * client-to-server masking (required by the RFC; the decoder unmasks,
-  the client encoder masks) and unmasked server-to-client frames;
+  the client encoder masks, both in one vectorized XOR) and unmasked
+  server-to-client frames;
 * CLOSE / PING / PONG control opcodes.
 
 Fragmented messages and extensions are rejected loudly — neither end of
@@ -27,6 +28,8 @@ import hashlib
 import os
 import struct
 
+import numpy as np
+
 #: Fixed GUID every WebSocket handshake concatenates (RFC 6455 §4.2.2).
 WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
@@ -38,6 +41,8 @@ OP_PONG = 0xA
 
 #: Largest frame payload either side will accept (one report batch).
 MAX_FRAME_BYTES = 256 * 1024 * 1024
+#: Largest control-frame payload (RFC 6455 §5.5).
+MAX_CONTROL_BYTES = 125
 
 
 class ProtocolError(Exception):
@@ -77,8 +82,15 @@ def encode_frame(opcode: int, payload: bytes, mask: bool = False) -> bytes:
         return bytes(head) + payload
     key = os.urandom(4)
     head += key
-    masked = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
-    return bytes(head) + masked
+    return bytes(head) + apply_mask(payload, key)
+
+
+def apply_mask(payload: bytes, key: bytes) -> bytes:
+    """``payload`` XORed with the 4-byte ``key`` repeated (RFC 6455
+    §5.3): masks and unmasks alike, in one vectorized pass."""
+    tiled = np.frombuffer(key * (len(payload) // 4 + 1), np.uint8,
+                          len(payload))
+    return (np.frombuffer(payload, np.uint8) ^ tiled).tobytes()
 
 
 async def read_frame(reader: asyncio.StreamReader,
@@ -109,7 +121,7 @@ async def read_frame(reader: asyncio.StreamReader,
     key = await reader.readexactly(4) if masked else None
     payload = await reader.readexactly(length) if length else b""
     if key is not None:
-        payload = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
+        payload = apply_mask(payload, key)
     return opcode, payload
 
 

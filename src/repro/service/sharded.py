@@ -16,12 +16,19 @@ Design rules, all inherited from :mod:`repro.runtime`:
   shard`` (:func:`global_session`) and no id map is kept.
 * **One protocol, trace-codec transport** — in both modes
   :meth:`ShardWorker.handle` serves every frame.  Recorded runs reach
-  their shard through :func:`~repro.runtime.transport.runs_to_payload`
+  their shard as :func:`~repro.runtime.transport.runs_to_payload` bytes
   and finished report rows come back through
   :func:`~repro.runtime.transport.reports_to_payload`; engine objects are
-  never pickled across the boundary.  Commands and reports are *batched*:
-  one submit frame carries a whole wave of runs, one tick frame drives a
-  round and returns every report it produced — the round's
+  never pickled across the boundary.  A submission is a checked run
+  payload (:meth:`~ShardedProgressService.submit_payload`; the network
+  front end passes a POST body as it arrived, and
+  :meth:`~ShardedProgressService.submit_replay` encodes its one run):
+  the fleet keeps one outbox of ``(payload, run index, name)`` entries
+  and never encodes or decodes a run, and each shard decodes its own
+  runs out of those bytes — once per run, in :meth:`ShardWorker.handle`.
+  Commands and reports are *batched*: one submit frame carries a whole
+  wave of runs as ``(payload, indices, names)`` groups, one tick frame
+  drives a round and returns every report it produced — the round's
   :class:`~repro.trace.format.ReportBlock` under the shard's session
   ids, framed as it is, with no report object built on the way.
 * **Order-preserving merge** — within a tick round the shard replies are
@@ -216,16 +223,19 @@ class ShardWorker:
 
         Frames are small and picklable; bulk traffic is trace-codec bytes.
         Session ids in frames are the shard's own (its service's).
-        ``("submit", runs_payload, [query_name, ...])`` submits a wave of
-        runs (no reply); ``("tick",)`` runs one round and replies
-        ``("reports", more, reports_payload, stats_wire,
-        completed_sids)``; ``("stop",)`` replies ``("bye",)``.
+        ``("submit", [(runs_payload, [index, ...], [query_name, ...]),
+        ...])`` submits a wave of runs, in order: the listed runs of each
+        payload, which are decoded here and nowhere else (no reply);
+        ``("tick",)`` runs one round and replies ``("reports", more,
+        reports_payload, stats_wire, completed_sids)``; ``("stop",)``
+        replies ``("bye",)``.
         """
         cmd = frame[0]
         if cmd == "submit":
-            runs = runs_from_payload(frame[1])
-            for run, query_name in zip(runs, frame[2], strict=True):
-                self.service.submit_replay(run, query_name=query_name)
+            for payload, indices, names in frame[1]:
+                runs = runs_from_payload(payload, indices)
+                for run, query_name in zip(runs, names, strict=True):
+                    self.service.submit_replay(run, query_name=query_name)
             return None
         if cmd == "tick":
             more = self.tick()
@@ -348,11 +358,12 @@ class ShardedProgressService:
         self.processes = processes
         self.stats = FleetStats([ShardStats(i) for i in range(n_shards)])
         self._n_submitted = 0
-        #: per-shard buffered submissions awaiting the next tick's frame;
-        #: ``_outbox_lock`` guards numbering and append against the swap,
-        #: since a tick may run in another thread than the submitter
-        self._outbox: list[list[tuple[QueryRun, str | None]]] = [
-            [] for _ in range(n_shards)]
+        #: the submissions awaiting the next tick's frames, in global
+        #: order: ``(runs_payload, run index, query_name)``, the last
+        #: entry being session ``_n_submitted - 1``.  ``_outbox_lock``
+        #: guards numbering and append against the swap, since a tick may
+        #: run in another thread than the submitter
+        self._outbox: list[tuple[bytes, int, str | None]] = []
         self._outbox_lock = threading.Lock()
         self._shard_active = [False] * n_shards
         self._closed = False
@@ -390,30 +401,47 @@ class ShardedProgressService:
                       query_name: str | None = None) -> int:
         """Register a recorded run for sharded serving; global session id.
 
-        Oversized runs (``run.nbytes`` beyond the per-shard budget) are
-        rejected here, synchronously; everything else is buffered and
-        ships to its shard in one batched frame on the next tick.  A
-        closed service refuses every submission.
+        The run ships as its own :func:`runs_to_payload` payload through
+        :meth:`submit_payload`, which rejects an oversized run
+        synchronously.
+        """
+        return self.submit_payload(runs_to_payload([run]), [run],
+                                   query_name)[0]
+
+    def submit_payload(self, payload: bytes, runs: list,
+                       query_name: str | None = None) -> list[int]:
+        """Register every run of a checked run payload; their global
+        session ids, in payload order.
+
+        ``runs`` is what :func:`~repro.runtime.transport.
+        validate_runs_payload` returned for ``payload``: each run's
+        ``query_name`` and ``nbytes``.  The payload itself is never
+        decoded here: each run's shard decodes it from these bytes.  If
+        any run alone exceeds the per-shard budget, none is registered
+        (:class:`~repro.service.service.MemoryBudgetExceeded`); the
+        others ship to their shards in one batched frame each on the
+        next tick.  A closed service refuses every submission.
         """
         if self._closed:
             raise RuntimeError("service is closed")
-        check_budget(run, self.memory_budget_bytes, query_name)
+        for run in runs:
+            check_budget(run, self.memory_budget_bytes, query_name)
         with self._outbox_lock:
-            sid = self._n_submitted
-            self._n_submitted += 1
-            self._outbox[place_session(sid, self.n_shards)].append(
-                (run, query_name))
-        return sid
+            first = self._n_submitted
+            self._n_submitted += len(runs)
+            self._outbox += [(payload, index, query_name)
+                             for index in range(len(runs))]
+        return list(range(first, first + len(runs)))
 
     # -- driving -------------------------------------------------------------
 
     @property
     def active(self) -> bool:
-        return any(self._shard_active) or any(self._outbox)
+        return any(self._shard_active) or bool(self._outbox)
 
     @property
     def sessions_submitted(self) -> int:
-        """Sessions ever accepted by :meth:`submit_replay`."""
+        """Sessions ever accepted by :meth:`submit_payload`."""
         return self._n_submitted
 
     @property
@@ -524,16 +552,24 @@ class ShardedProgressService:
     # -- internals -----------------------------------------------------------
 
     def _flush_outboxes(self) -> None:
+        """Send each shard its share of the buffered submissions as one
+        ``submit`` frame: consecutive runs of one payload travel as one
+        ``(payload, indices, names)`` group, so no run is re-encoded."""
         with self._outbox_lock:
-            batches = self._outbox
-            self._outbox = [[] for _ in range(self.n_shards)]
-        for shard_id, batch in enumerate(batches):
-            if not batch:
-                continue
-            self._shard_active[shard_id] = True
-            payload = runs_to_payload([run for run, _ in batch])
-            names = [name for _, name in batch]
-            self._send(shard_id, ("submit", payload, names))
+            entries, self._outbox = self._outbox, []
+            first = self._n_submitted - len(entries)
+        groups: list[list[tuple[bytes, list, list]]] = [
+            [] for _ in range(self.n_shards)]
+        for sid, (payload, index, name) in enumerate(entries, first):
+            shard = groups[place_session(sid, self.n_shards)]
+            if not shard or shard[-1][0] is not payload:
+                shard.append((payload, [], []))
+            shard[-1][1].append(index)
+            shard[-1][2].append(name)
+        for shard_id, shard in enumerate(groups):
+            if shard:
+                self._shard_active[shard_id] = True
+                self._send(shard_id, ("submit", shard))
 
     def _send(self, shard_id: int, frame: tuple) -> None:
         try:

@@ -24,6 +24,9 @@ with a single ``runs.npz`` holding every recorded run's members under an
 from __future__ import annotations
 
 import bisect
+import itertools
+import operator
+import sys
 from typing import Any, Mapping
 
 import numpy as np
@@ -119,40 +122,31 @@ def run_from_members(manifest: dict[str, Any],
     original (modulo the deliberately-unrecorded ``output`` chunk): every
     matrix is the stored float64/bool binary, every scalar round-trips
     exactly through JSON.  A run whose parts do not fit together (see
-    :func:`_check_run_shape`) raises :class:`ValueError` before any
-    object is built.
+    :func:`check_run`) raises :class:`ValueError` before any object is
+    built; the run is built from the values that check read, so one that
+    passes it always builds.
     """
     try:
         arrays = {key: members[prefix + key] for key in MEMBER_KEYS}
     except KeyError as exc:
         raise ValueError(f"trace arrays missing member {exc}") from exc
-    _check_run_shape(manifest, {key: np.shape(member)
-                                for key, member in arrays.items()})
+    head, node_rows, pipeline_rows = _checked_rows(
+        manifest, {key: np.shape(member) for key, member in arrays.items()})
+    query_name, db_name, total_time, output_rows, spill_events = head[:5]
     C = np.asarray(arrays["C"], dtype=np.float64)
     counters = dict(zip(COUNTER_KEYS, C))
-    nodes = [NodeInfo(
-        node_id=int(n["node_id"]),
-        op=Op(n["op"]),
-        table=n["table"],
-        est_rows=float(n["est_rows"]),
-        est_row_width=float(n["est_row_width"]),
-        table_rows=_decode_float(n["table_rows"]),
-        pid=int(n["pid"]),
-        parent=int(n["parent"]),
-        is_driver=bool(n["is_driver"]),
-        is_build_side=bool(n["is_build_side"]),
-        join_kind=str(n["join_kind"]),
-    ) for n in manifest["nodes"]]
-    pipelines = [PipelineInfo(
-        pid=int(p["pid"]),
-        node_ids=[int(i) for i in p["node_ids"]],
-        driver_ids=[int(i) for i in p["driver_ids"]],
-        t_start=_decode_float(p["t_start"]),
-        t_end=_decode_float(p["t_end"]),
-    ) for p in manifest["pipelines"]]
+    # rows are in the field order of NodeInfo and PipelineInfo (_NODE,
+    # _PIPELINE)
+    nodes = [NodeInfo(row[0], Op(row[1]), row[2], float(row[3]),
+                      float(row[4]), _decode_float(row[5]), *row[6:])
+             for row in node_rows]
+    pipelines = [PipelineInfo(pid, list(node_ids), list(driver_ids),
+                              _decode_float(t_start), _decode_float(t_end))
+                 for pid, node_ids, driver_ids, t_start, t_end
+                 in pipeline_rows]
     return QueryRun(
-        query_name=manifest["query_name"],
-        db_name=manifest["db_name"],
+        query_name=query_name,
+        db_name=db_name,
         nodes=nodes,
         pipelines=pipelines,
         times=np.asarray(arrays["times"], dtype=np.float64),
@@ -162,22 +156,107 @@ def run_from_members(manifest: dict[str, Any],
         LB=counters["LB"],
         UB=counters["UB"],
         N=np.asarray(arrays["N"], dtype=np.float64),
-        total_time=float(manifest["total_time"]),
-        output_rows=int(manifest["output_rows"]),
-        spill_events=int(manifest["spill_events"]),
+        total_time=float(total_time),
+        output_rows=output_rows,
+        spill_events=spill_events,
         D=np.asarray(arrays["D"], dtype=bool),
     )
 
 
-def _check_run_shape(manifest: dict[str, Any],
-                     shapes: dict[str, tuple]) -> None:
+def run_nbytes(shapes: dict[str, tuple]) -> int:
+    """``QueryRun.nbytes`` of the run :func:`run_from_members` builds from
+    members of these checked ``shapes``: the float64 counter block, times
+    and totals, and the bool done flags, whatever dtypes they were
+    stored in."""
+    _, T, n = shapes["C"]
+    return 8 * (len(COUNTER_KEYS) * T * n + T + n) + T * n
+
+
+_MISSING = object()
+
+
+class _Fields:
+    """The JSON type of every field :func:`run_from_members` reads of one
+    kind of manifest entry: ``(key, types)`` pairs."""
+
+    def __init__(self, what: str, fields):
+        self.what = what
+        self.fields = fields
+        self.values = operator.itemgetter(*(key for key, _ in fields))
+        #: the rows of value types accepted at a glance: every row but
+        #: those with an int in a float field, whose range
+        #: :meth:`_explain` checks
+        self.plain = frozenset(itertools.product(*(
+            tuple(t for t in types if t is not int or float not in types)
+            for _, types in fields)))
+
+    def rows(self, entries: list, what: str | None = None) -> list:
+        """Each entry's values of the fields, as a tuple in field order;
+        raise :class:`ValueError` unless every value has its type.
+        ``what`` names a lone entry in errors."""
+        try:
+            rows = list(map(self.values, entries))
+            types = set(map(tuple, map(map, itertools.repeat(type), rows)))
+            if types <= self.plain:
+                return rows
+        except (KeyError, TypeError):
+            pass
+        for i, entry in enumerate(entries):
+            self._explain(entry, what or f"{self.what} {i}")
+        return list(map(self.values, entries))
+
+    def _explain(self, entry, what: str) -> None:
+        if type(entry) is not dict:
+            raise ValueError(f"{what} is not a JSON object")
+        for key, types in self.fields:
+            value = entry.get(key, _MISSING)
+            if type(value) not in types:
+                raise ValueError(f"{what} lacks {key!r}" if value is _MISSING
+                                 else f"{what} has {key} {value!r}")
+            if (float in types and type(value) is int
+                    and abs(value) > sys.float_info.max):
+                raise ValueError(f"{what} has {key} {value} past the float "
+                                 f"range")
+
+
+_INT, _NUMBER, _TEXT, _FLAG = (int,), (int, float), (str,), (bool,)
+_LIST = (list,)
+_OPTIONAL_NUMBER, _OPTIONAL_TEXT = (int, float, type(None)), (str, type(None))
+_RUN = _Fields("run manifest", (
+    ("query_name", _TEXT), ("db_name", _TEXT), ("total_time", _NUMBER),
+    ("output_rows", _INT), ("spill_events", _INT), ("nodes", _LIST),
+    ("pipelines", _LIST)))
+#: in the order of :class:`NodeInfo`'s fields
+_NODE = _Fields("node", (
+    ("node_id", _INT), ("op", _TEXT), ("table", _OPTIONAL_TEXT),
+    ("est_rows", _NUMBER), ("est_row_width", _NUMBER),
+    ("table_rows", _OPTIONAL_NUMBER), ("pid", _INT), ("parent", _INT),
+    ("is_driver", _FLAG), ("is_build_side", _FLAG), ("join_kind", _TEXT)))
+#: in the order of :class:`PipelineInfo`'s fields
+_PIPELINE = _Fields("pipeline", (
+    ("pid", _INT), ("node_ids", _LIST), ("driver_ids", _LIST),
+    ("t_start", _OPTIONAL_NUMBER), ("t_end", _OPTIONAL_NUMBER)))
+_OP_VALUES = frozenset(op.value for op in Op)
+
+
+def check_run(manifest: dict[str, Any], shapes: dict[str, tuple]) -> None:
     """Raise :class:`ValueError` unless a run's members and manifest fit
-    together: ``C`` is ``(5, T, n)`` with ``T >= 1`` (the engine records
-    an observation at start), ``times`` ``(T,)``, ``D`` ``(T, n)`` and
-    ``N`` ``(n,)``; node ``i`` has id ``i``, a parent in ``[-1, n)``
-    and a pipeline in ``[0, P)``; pipeline ``i`` has pid ``i`` and its
-    node and driver ids in ``[0, n)``.  Replay indexes by all of these,
-    so a run that breaks one would fail mid-serving instead."""
+    together, which is everything :func:`run_from_members` needs to build
+    it.  Every field it reads has its JSON type (an op is an operator's
+    name); ``C`` is ``(5, T, n)`` with ``T >= 1`` (the engine records an
+    observation at start), ``times`` ``(T,)``, ``D`` ``(T, n)`` and ``N``
+    ``(n,)``; node ``i`` has id ``i``, a parent in ``[-1, n)`` and a
+    pipeline in ``[0, P)``; pipeline ``i`` has pid ``i`` and its node and
+    driver ids in ``[0, n)``.  Replay indexes by all of these, so a run
+    that breaks one would fail mid-serving instead.  ``shapes`` gives
+    each of :data:`MEMBER_KEYS` its member's shape, so a payload's member
+    table can be checked without reading a member."""
+    _checked_rows(manifest, shapes)
+
+
+def _checked_rows(manifest, shapes) -> tuple:
+    """:func:`check_run`; the manifest's, its nodes' and its pipelines'
+    field values (:class:`_Fields` rows) it checked."""
     c_shape = shapes["C"]
     if len(c_shape) != 3 or c_shape[0] != len(COUNTER_KEYS):
         raise ValueError(f"counter block must be (5, T, n), got {c_shape}")
@@ -189,27 +268,32 @@ def _check_run_shape(manifest: dict[str, Any],
         if tuple(shapes[key]) != shape:
             raise ValueError(f"member {key} must be {shape} for a (5, {T}, "
                              f"{n}) counter block, got {shapes[key]}")
-    nodes, pipelines = manifest["nodes"], manifest["pipelines"]
+    head, = _RUN.rows([manifest], _RUN.what)
+    nodes, pipelines = head[-2:]
     if len(nodes) != n:
         raise ValueError(f"manifest lists {len(nodes)} nodes for {n} "
                          f"counter columns")
     P = len(pipelines)
-    for i, node in enumerate(nodes):
-        if int(node["node_id"]) != i:
-            raise ValueError(f"node {i} has node_id {node['node_id']}")
-        if not -1 <= int(node["parent"]) < n:
-            raise ValueError(f"node {i} has parent {node['parent']} "
-                             f"outside [-1, {n})")
-        if not 0 <= int(node["pid"]) < P:
-            raise ValueError(f"node {i} has pid {node['pid']} outside "
-                             f"[0, {P})")
-    for i, pipe in enumerate(pipelines):
-        if int(pipe["pid"]) != i:
-            raise ValueError(f"pipeline {i} has pid {pipe['pid']}")
-        for key in ("node_ids", "driver_ids"):
-            if any(not 0 <= int(j) < n for j in pipe[key]):
-                raise ValueError(f"pipeline {i} {key} {pipe[key]} outside "
+    node_rows = _NODE.rows(nodes)
+    for i, (node_id, op, _, _, _, _, pid, parent, *_) in enumerate(node_rows):
+        if node_id != i:
+            raise ValueError(f"node {i} has node_id {node_id}")
+        if op not in _OP_VALUES:
+            raise ValueError(f"node {i} has unknown op {op!r}")
+        if not -1 <= parent < n:
+            raise ValueError(f"node {i} has parent {parent} outside "
+                             f"[-1, {n})")
+        if not 0 <= pid < P:
+            raise ValueError(f"node {i} has pid {pid} outside [0, {P})")
+    pipeline_rows = _PIPELINE.rows(pipelines)
+    for i, (pid, *id_lists, _, _) in enumerate(pipeline_rows):
+        if pid != i:
+            raise ValueError(f"pipeline {i} has pid {pid}")
+        for key, ids in zip(("node_ids", "driver_ids"), id_lists):
+            if any(type(j) is not int or not 0 <= j < n for j in ids):
+                raise ValueError(f"pipeline {i} {key} {ids} outside "
                                  f"[0, {n})")
+    return head, node_rows, pipeline_rows
 
 
 def check_trace_version(manifest: dict[str, Any]) -> None:

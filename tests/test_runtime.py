@@ -10,6 +10,8 @@ exactly — runs, TrainingData matrices and recorded traces alike.
 """
 
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from repro.runtime import (
     run_tasks,
     runs_from_payload,
     runs_to_payload,
+    validate_runs_payload,
 )
 from repro.runtime import pool as pool_mod
 from repro.trace.store import TraceStore, read_trace
@@ -271,6 +274,128 @@ class TestTransport:
             runs_from_payload(payload)
 
 
+def _summaries(runs):
+    return [(run.query_name, run.nbytes) for run in runs]
+
+
+def _long_run(run, reps):
+    """``run`` with its observations repeated ``reps`` times: the same
+    manifest over ``reps``× the member bytes."""
+    def tile(matrix):
+        return np.tile(matrix, (reps,) + (1,) * (matrix.ndim - 1))
+    return replace(run, times=tile(run.times), K=tile(run.K), R=tile(run.R),
+                   W=tile(run.W), LB=tile(run.LB), UB=tile(run.UB),
+                   D=tile(run.D))
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _edit_node(key, value):
+    def edit(header):
+        header["runs"][0]["nodes"][0][key] = value
+    return edit
+
+
+def _drop_node_field(header):
+    del header["runs"][0]["nodes"][0]["table"]
+
+
+class TestRunValidator:
+    """``validate_runs_payload`` refuses what ``runs_from_payload``
+    refuses, reports what it would build, and copies no member."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_RUNS))
+    def test_inconsistent_run_rejected(self, case):
+        run = read_trace(GOLDEN_DIR / "fuzz")[0][0]
+        payload = runs_to_payload([run, MALFORMED_RUNS[case](run)])
+        with pytest.raises(ValueError):
+            validate_runs_payload(payload)
+
+    @pytest.mark.parametrize("edit", [
+        _edit_node("op", "warp_join"), _edit_node("op", ["hash_join"]),
+        _edit_node("est_rows", 10 ** 400), _edit_node("est_rows", "3.0"),
+        _edit_node("node_id", 0.0), _edit_node("parent", None),
+        _edit_node("is_driver", 1), _edit_node("join_kind", None),
+        _edit_node("table_rows", True), _drop_node_field,
+        lambda h: h["runs"][0]["pipelines"][0].update(t_start="0"),
+        lambda h: h["runs"][0]["pipelines"][0].update(node_ids=[0.0]),
+        lambda h: h["runs"][0].update(query_name=7),
+        lambda h: h["runs"][0].update(output_rows=1.5),
+        lambda h: h["runs"][0].update(nodes={}),
+        lambda h: h["runs"][0].update(prefix=3),
+        lambda h: h["runs"][0].update(prefix="r9999_"),
+        lambda h: h.update(runs={}), lambda h: h.update(runs=[None]),
+        lambda h: h.pop("runs")])
+    def test_untyped_manifest_rejected_by_both(self, join_run, edit):
+        """A manifest field of the wrong JSON type would fail the build
+        (or build a run replay cannot index), so both refuse it."""
+        payload = _retable(runs_to_payload([join_run]), edit)
+        with pytest.raises(ValueError):
+            validate_runs_payload(payload)
+        with pytest.raises(ValueError):
+            runs_from_payload(payload)
+
+    def test_summaries_are_the_decoded_runs(self, join_run, scan_run):
+        runs, _ = read_trace(GOLDEN_DIR / "outer_semi")
+        originals = [join_run, scan_run, *runs]
+        payload = runs_to_payload(originals)
+        summaries = validate_runs_payload(payload)
+        assert summaries == _summaries(runs_from_payload(payload))
+        assert summaries == _summaries(originals)
+        assert validate_runs_payload(runs_to_payload([])) == []
+
+    def test_nbytes_counts_the_decoded_dtypes(self, join_run):
+        """Members may cross in any wire dtype; ``nbytes`` is what the
+        decoded float64/bool arrays hold."""
+        odd = replace(join_run, N=join_run.N.astype(np.int64),
+                      D=join_run.D.astype(np.float64))
+        payload = runs_to_payload([odd])
+        assert _split(payload)[0]["members"][2][:2] == ["r0000_D", "<f8"]
+        summary, = validate_runs_payload(payload)
+        decoded, = runs_from_payload(payload)
+        assert summary.nbytes == decoded.nbytes == join_run.nbytes
+        assert odd.nbytes != join_run.nbytes
+
+    def test_copies_no_member(self, join_run):
+        payload = runs_to_payload([_long_run(join_run, 400)])
+        assert len(payload) > 4 * 1024 * 1024
+        # the decoder's copy shows in the measurement ...
+        assert _peak_bytes(runs_from_payload, payload) > len(payload) // 2
+        # ... and the validator makes none
+        assert _peak_bytes(validate_runs_payload, payload) \
+            < len(payload) // 50
+
+    def test_subset_decode_equals_full_decode(self, join_run, scan_run):
+        runs, _ = read_trace(GOLDEN_DIR / "outer_semi")
+        payload = runs_to_payload([join_run, scan_run, *runs])
+        full = runs_from_payload(payload)
+        for indices in ([2, 0], [1], [], list(range(len(full)))):
+            subset = runs_from_payload(payload, indices)
+            assert len(subset) == len(indices)
+            for i, run in zip(indices, subset):
+                assert_runs_identical(full[i], run)
+
+    def test_subset_decode_copies_only_its_runs(self, join_run, scan_run):
+        big = _long_run(join_run, 400)
+        payload = runs_to_payload([scan_run, big])
+        assert _peak_bytes(runs_from_payload, payload, [0]) \
+            < big.nbytes // 10
+
+    def test_subset_decode_checks_the_whole_payload(self):
+        run = read_trace(GOLDEN_DIR / "fuzz")[0][0]
+        payload = runs_to_payload(
+            [run, MALFORMED_RUNS["parent_past_the_nodes"](run)])
+        with pytest.raises(ValueError):
+            runs_from_payload(payload, [0])
+
+
 # ---------------------------------------------------------------------------
 # report transport (the sharded service's return leg)
 # ---------------------------------------------------------------------------
@@ -510,6 +635,23 @@ def test_damaged_payload_decodes_or_raises_value_error(wire_payloads, kind,
         decode(damaged)
     except ValueError:
         pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_validator_agrees_with_decoder_on_damaged_payloads(wire_payloads,
+                                                           data):
+    """A damaged runs payload that decodes validates to the decoded
+    runs' summaries; one that does not decode fails validation too."""
+    _, payload = wire_payloads["runs"]
+    damaged = _damage(data, payload)
+    try:
+        runs = runs_from_payload(damaged)
+    except ValueError:
+        with pytest.raises(ValueError):
+            validate_runs_payload(damaged)
+    else:
+        assert validate_runs_payload(damaged) == _summaries(runs)
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,17 @@ import json
 from urllib.parse import quote
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.monitor import ProgressMonitor
+from repro.runtime import transport
 from repro.runtime.transport import (
     reports_from_payload,
     reports_to_payload,
     runs_to_payload,
 )
-from repro.service import ShardedProgressService
+from repro.service import ShardedProgressService, sharded
 from repro.service.net import (
     ROUTES,
     ProgressClient,
@@ -115,6 +118,14 @@ class TestWebSocketWire:
         rsv = bytes([0x80 | 0x40 | ws.OP_BINARY, 0x00])
         with pytest.raises(ws.ProtocolError, match="reserved"):
             asyncio.run(read(rsv))
+
+    @settings(max_examples=200, deadline=None)
+    @given(payload=st.binary(max_size=4096),
+           key=st.binary(min_size=4, max_size=4))
+    def test_mask_matches_the_per_byte_xor(self, payload, key):
+        masked = ws.apply_mask(payload, key)
+        assert masked == bytes(b ^ key[i % 4] for i, b in enumerate(payload))
+        assert ws.apply_mask(masked, key) == payload
 
     def test_close_frame_carries_code_and_reason(self):
         async def read():
@@ -287,6 +298,76 @@ class TestNetworkParity:
         sids, streams = _serve(scenario, processes=True)
         for sid, (rows, _) in zip(sids, streams):
             assert [pair[1] for pair in rows] == sharded_results[sid]
+
+
+class TestDecodeOnce:
+    """A POSTed run is checked by the server, forwarded as the POST's own
+    bytes, and decoded once, by its shard."""
+
+    @pytest.mark.parametrize("processes", [False, True])
+    def test_each_run_is_decoded_once_by_its_shard(
+            self, golden_runs, sharded_results, monkeypatch, processes):
+        # multi-run bodies whose runs alternate over both shards
+        bodies = [runs_to_payload(golden_runs[:4]),
+                  runs_to_payload(golden_runs[4:])]
+        built, encoded = [], []
+
+        def counting(log, fn):
+            def wrapper(*args, **kwargs):
+                log.append(args)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(transport, "run_from_members", counting(
+            built, transport.run_from_members))
+        encode = counting(encoded, transport.runs_to_payload)
+        monkeypatch.setattr(transport, "runs_to_payload", encode)
+        monkeypatch.setattr(sharded, "runs_to_payload", encode)
+
+        async def scenario(server, client):
+            sids = []
+            for body in bodies:
+                status, _, reply = await client.request(
+                    "POST", "/v1/acme/sessions", body,
+                    content_type=http.RUNS_TYPE)
+                assert status == 201
+                sids += [entry["session"]
+                         for entry in json.loads(reply)["sessions"]]
+            streams = await asyncio.gather(*[
+                client.stream_reports("acme", sid) for sid in sids])
+            return sids, streams
+
+        sids, streams = _serve(scenario, processes=processes)
+        assert sids == sorted(sharded_results)
+        for sid, (rows, _) in zip(sids, streams):
+            assert [pair[1] for pair in rows] == sharded_results[sid]
+        assert encoded == []
+        # inline shards decode in this process; worker processes decode
+        # in theirs, out of this count's sight
+        assert len(built) == (0 if processes else len(golden_runs))
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_RUNS))
+    def test_malformed_run_is_400_before_admission(self, golden_runs, case):
+        """A body with one malformed run among good ones is refused whole
+        with 400, ahead of the 429 and 503 it would also earn."""
+        good = golden_runs[:2]
+        bad = runs_to_payload([*good, MALFORMED_RUNS[case](good[0])])
+
+        async def scenario(server, client):
+            status, _, reply = await client.request(
+                "POST", "/v1/t/sessions", bad, content_type=http.RUNS_TYPE)
+            assert status == 400
+            assert "undecodable" in json.loads(reply)["error"]["detail"]
+            with pytest.raises(ServiceError) as err:  # too many at once
+                await client.submit_runs("t", good)
+            assert err.value.status == 429
+            with pytest.raises(ServiceError) as err:  # over the budget
+                await client.submit_runs("t", good[:1])
+            assert err.value.status == 503
+            assert await client.list_sessions("t") == []
+            return server._service.sessions_submitted
+
+        assert _serve(scenario, max_inflight=1, memory_budget_bytes=8) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +639,48 @@ class TestErrorPaths:
 
         sid, rows, done = asyncio.run(scenario())
         assert rows and done["reports"] == len(rows)
+
+    def test_oversized_frame_into_a_closing_stream_is_not_read(
+            self, golden_runs):
+        """After its CLOSE the server expects only the peer's CLOSE (at
+        most 125 bytes): a 1 MiB masked frame ends the connection at its
+        header, and the loop keeps answering meanwhile."""
+
+        async def scenario(server, client):
+            sid = (await client.submit_runs("t", golden_runs[:1]))[0]
+            await client.stream("t", sid)
+            reader, writer = await asyncio.open_connection(*server.address)
+            writer.write((f"GET /v1/t/sessions/{sid}/stream HTTP/1.1\r\n"
+                          "Host: test\r\nUpgrade: websocket\r\n"
+                          "Connection: Upgrade\r\n"
+                          "Sec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\n"
+                          "Sec-WebSocket-Version: 13\r\n\r\n").encode())
+            status, _, _ = await http.read_response(reader)
+            assert status == 101
+            while (await ws.read_frame(reader))[0] != ws.OP_CLOSE:
+                pass
+            loop = asyncio.get_running_loop()
+            sent = loop.time()
+            writer.write(ws.encode_frame(ws.OP_BINARY, bytes(1 << 20),
+                                         mask=True))
+            health = await client.healthz()
+            answered = loop.time() - sent
+            try:  # the server hangs up well before its 1 s close timeout
+                async with asyncio.timeout(0.5):
+                    while await reader.read(1 << 16):
+                        pass
+            except (ConnectionResetError, BrokenPipeError):
+                pass
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionResetError, BrokenPipeError):
+                pass
+            return health, answered
+
+        health, answered = _serve(scenario)
+        assert health["status"] == "ok"
+        assert answered < 0.5
 
     def test_tick_loop_failure_fails_sessions_and_shutdown_returns(
             self, golden_runs, monkeypatch, caplog):
